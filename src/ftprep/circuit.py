@@ -6,11 +6,18 @@ qubits (the two sides of the bipartite preparation graph) and
 every qubit is initialized exactly once before its first gate, flags are
 measured exactly once after their last gate, and code qubits are only read
 by the final transversal measurement.
+
+The module also owns the backward transfer-map sweep that both the exhaustive
+verifier and the Monte Carlo effect tables are built from, and the packed
+flag layout they share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
+
+import numpy as np
 
 
 ROLE_CONTROL = "control"
@@ -121,6 +128,83 @@ class Circuit:
                 raise ValueError(f"qubit {q} never initialized")
             if self.code_index[q] is None and q not in measured:
                 raise ValueError(f"flag {q} never measured")
+
+
+class BackwardSweep(NamedTuple):
+    """Transfer-map columns recorded by :func:`propagate_backward`."""
+
+    # Init/CX op position -> (col_x, col_z) over all qubits, for a Pauli
+    # inserted right after that op
+    cols: dict[int, tuple[list[int], list[int]]]
+    # CX op position, in time order -> qubits active at that step, in
+    # initialization order (a qubit is active from its initialization until
+    # its flag measurement)
+    active: dict[int, list[int]]
+
+
+def propagate_backward(circuit: Circuit, x_seed: list[int], z_seed: list[int]) -> BackwardSweep:
+    """End-of-circuit effect of a Pauli inserted after every Init and CX.
+
+    The transfer-map column of qubit q is the effect (a bitmask) of an X
+    (``col_x``) or Z (``col_z``) on q at the current point of a backward
+    walk over the ops.  The columns start as ``x_seed``/``z_seed``, the
+    effect of a Pauli that survives to the end.  Through a CX, X frames
+    flow control -> target and Z frames target -> control.  A flag
+    measurement sets its qubit's column to ``1 << outcome`` on the side it
+    detects (``col_x`` for a Z-basis measurement, ``col_z`` for an X-basis
+    one) and to 0 on the other.  Raises ValueError for an outcome index
+    outside ``range(circuit.flag_count)``, whose bit would land among the
+    seed bits.
+    """
+    n_flags = circuit.flag_count
+    active: dict[int, list[int]] = {}
+    live: dict[int, None] = {}  # insertion-ordered set
+    for pos, op in enumerate(circuit.ops):
+        if isinstance(op, Init):
+            live[op.qubit] = None
+        elif isinstance(op, CXGate):
+            active[pos] = list(live)
+        elif isinstance(op, FlagMeasure):
+            live.pop(op.qubit, None)
+
+    col_x = list(x_seed)
+    col_z = list(z_seed)
+    cols: dict[int, tuple[list[int], list[int]]] = {}
+    for pos in range(len(circuit.ops) - 1, -1, -1):
+        op = circuit.ops[pos]
+        if isinstance(op, FlagMeasure):
+            if not 0 <= op.outcome < n_flags:
+                raise ValueError(f"flag outcome m{op.outcome} outside 0..{n_flags - 1}")
+            bit = 1 << op.outcome
+            col_x[op.qubit] = bit if op.basis == "Z" else 0
+            col_z[op.qubit] = bit if op.basis == "X" else 0
+        elif isinstance(op, CXGate):
+            cols[pos] = (col_x[:], col_z[:])
+            col_x[op.control] ^= col_x[op.target]
+            col_z[op.target] ^= col_z[op.control]
+        elif isinstance(op, Init):
+            cols[pos] = (col_x[:], col_z[:])
+    return BackwardSweep(cols, active)
+
+
+def pack_effects(effects: list[int], n_flags: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split effects ``code << n_flags | flags`` into numpy arrays.
+
+    Returns the flag part as word-major uint64 words of shape (W, V), with
+    W = ceil(n_flags / 64) and V = len(effects), and the code part as a 1-D
+    uint64 array.  Word-major rows keep each per-word gather contiguous.
+    """
+    flags = np.empty((-(-n_flags // 64), len(effects)), dtype=np.uint64)
+    for w in range(len(flags)):
+        shift = 64 * w
+        mask = (1 << min(64, n_flags - shift)) - 1
+        flags[w] = [(e >> shift) & mask for e in effects]
+    return flags, np.array([e >> n_flags for e in effects], dtype=np.uint64)
+
+
+def flag_int(flags: np.ndarray, v: int) -> int:
+    """Column ``v`` of word-major flag words as one Python int."""
+    return sum(int(w) << (64 * i) for i, w in enumerate(flags[:, v]))
 
 
 def make_circuit(

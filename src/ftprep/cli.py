@@ -3,16 +3,13 @@ simulation, decoding and the Steane-QEC experiment.
 
 Every stochastic subcommand requires --seed; results are reproducible
 bit-for-bit for a fixed seed.  Machine-readable output goes to --out
-(JSON or CSV by extension), a human summary to stdout.  FTPREP_WORKERS
-controls how many worker processes long simulations may use; outputs are
-independent of it.
+(JSON or CSV by extension), a human summary to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -347,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    os.environ.setdefault("FTPREP_WORKERS", "1")
     try:
         return args.func(args)
     except (ValueError, KeyError, FileNotFoundError) as exc:

@@ -198,11 +198,9 @@ class _Engine:
     faults (the public reference test keeps them).
 
     The engine also maintains the circuit's X-frame transfer map (column q
-    = image of an X on qubit q injected at the current temporal front).
-    Together with the per-location signature groups it determines every
-    future test outcome, which the search exploits for transposition
-    pruning.  Pairwise XORs are cached in a numpy buffer for the t >= 3
-    triple stage.
+    = image of an X on qubit q injected at the current temporal front), so
+    a prepended gate's new variants are read off directly.  Pairwise XORs
+    are bucketed by flag signature for the t >= 3 triple stage.
     """
 
     def __init__(self, t: int, r: int, m: int) -> None:
@@ -215,8 +213,6 @@ class _Engine:
         self.flag_mask = ((1 << m) - 1) << (r + 1)
         self.sigs: list[int] = []
         self.v_stack: list[int] = []
-        self.groups: list[tuple[int, ...]] = []  # sorted sigs per fault location
-        self.g_stack: list[int] = []
         # Variants bucketed by flag signature: a combination is undetected
         # exactly when its members' flag parts cancel, so weight checks only
         # ever scan one bucket.
@@ -228,10 +224,6 @@ class _Engine:
         if t >= 3:
             self.pair_buckets: dict[int, list[int]] = {}
             self.pb_undo: list[list[tuple[int, int]]] = []
-
-    def state_key(self) -> tuple:
-        """Hashable summary that fixes every future search outcome."""
-        return (tuple(self.transfer), tuple(sorted(self.groups)))
 
     def push(self, gate: tuple[int, int], new_flag: int | None) -> bool:
         """Prepend ``gate``; test and keep it if still fault-tolerant.
@@ -284,7 +276,6 @@ class _Engine:
         # Commit.
         batch = news + (meas,) if meas is not None else news
         self.v_stack.append(len(self.sigs))
-        self.g_stack.append(len(self.groups))
         if t >= 3:
             padd: list[tuple[int, int]] = []
             pb = self.pair_buckets
@@ -308,9 +299,6 @@ class _Engine:
             badd.append(s & fm)
         self.b_undo.append(badd)
         self.sigs.extend(batch)
-        self.groups.append(tuple(sorted(news)))
-        if meas is not None:
-            self.groups.append((meas,))
         self.gates_time.insert(0, gate)
         self.transfer_undo.append((a, self.transfer[a]))
         self.transfer[a] ^= self.transfer[b]
@@ -347,7 +335,6 @@ class _Engine:
     def pop(self) -> None:
         old_n = self.v_stack.pop()
         del self.sigs[old_n:]
-        del self.groups[self.g_stack.pop() :]
         for key in self.b_undo.pop():
             self.buckets[key].pop()
         if self.t >= 3:
@@ -364,9 +351,7 @@ def discover_gadget(
     r: int,
     m: int,
     budget: int | None = 2_000_000,
-    include_teleport: bool = False,
     _por: bool = True,
-    _memo: bool = False,
 ) -> SearchResult:
     """Depth-first search for an X-detecting gadget using exactly ``m`` flags.
 
@@ -376,11 +361,6 @@ def discover_gadget(
     entangled flag.  A candidate is kept only if the incrementally extended
     circuit stays fault-tolerant.  Success requires every target entangled,
     every flag used and disentangled, and deterministic flag measurements.
-
-    ``include_teleport`` adds the CX(f, c) disentangling variant, ranked
-    last.  Branches below it can never satisfy the deterministic-flag
-    success condition, so it is off by default; turning it on only enlarges
-    the explored tree (a property the test suite checks on small rows).
 
     ``budget`` caps the number of attempted gate placements.  A gadget needs
     at least one flag, so ``m = 0`` is exhausted by definition.
@@ -399,11 +379,6 @@ def discover_gadget(
 
     # status per flag: 0 unused, 1 entangled, 2 retired
     status = [0] * m
-    # Transposition cache of fully-exhausted subtrees.  Different gate
-    # orders reaching the same transfer map, variant groups and
-    # entanglement bookkeeping share one verdict.
-    dead: set[tuple] = set()
-    cache_cap = 2_000_000
 
     def pools(targets_done: int) -> list[tuple[tuple[int, int], int | None, str]]:
         entangled = [j for j in range(m) if status[j] == 1]
@@ -422,9 +397,6 @@ def discover_gadget(
             for x in cluster:
                 if x != f:
                     out.append(((x, f), j, "disentangle"))
-        if include_teleport:
-            for j in entangled:
-                out.append(((flag_label(j), c), j, "teleport"))
         return out
 
     result_gates: list[tuple[int, int]] | None = None
@@ -451,11 +423,6 @@ def discover_gadget(
                     # the swapped order was explored first and is equivalent.
                     skipped.append(cand)
             skip_set = frozenset(skipped)
-        key = None
-        if _memo:
-            key = (targets_done, tuple(status), skip_set) + engine.state_key()
-            if key in dead:
-                return "continue"
         for idx, cand in enumerate(pool):
             gate, flag_j, kind = cand
             if cand in skip_set:
@@ -472,7 +439,7 @@ def discover_gadget(
                 status[flag_j] = 1
                 sub = dfs(targets_done, pool, idx, gate)
                 status[flag_j] = 0
-            else:  # disentangle / teleport
+            else:  # disentangle
                 status[flag_j] = 2
                 sub = dfs(targets_done, pool, idx, gate)
                 status[flag_j] = 1
@@ -482,8 +449,6 @@ def discover_gadget(
                 engine.pop()
                 return BUDGET_EXHAUSTED
             engine.pop()
-        if key is not None and len(dead) < cache_cap:
-            dead.add(key)
         return "continue"
 
     outcome = dfs(0, None, 0, None)

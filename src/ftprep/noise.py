@@ -7,8 +7,9 @@ noise adds a depolarizing channel of rate ``p/100`` on every active qubit
 for every CX time step.  The final transversal measurement is noiseless.
 
 Frame propagation is linear, so every fault location's end-of-circuit
-effect (flag flips, syndrome, class) is precomputed once in a backward
-sweep; a Monte Carlo sample is then just an XOR of a few table entries.
+effect (flag flips, syndrome, class) is precomputed once in the backward
+sweep of :func:`circuit.propagate_backward`; a Monte Carlo sample is then
+just an XOR of a few table entries.
 Subset sampling draws the number of faults per sample from the nontrivial
 part of the binomial distribution and adds the fault-free mass back
 analytically.
@@ -18,10 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
-from .circuit import Circuit, CXGate, FlagMeasure, Init
+from .circuit import (
+    Circuit,
+    CXGate,
+    FlagMeasure,
+    Init,
+    flag_int,
+    pack_effects,
+    propagate_backward,
+)
 from .css import CssState
 
 
@@ -33,7 +43,6 @@ class DegeneratePlanError(ValueError):
 class NoiseModel:
     p: float
     memory_divisor: float = 100.0
-    final_measurement_noiseless: bool = True
 
     def __post_init__(self) -> None:
         if not 0 < self.p < 1:
@@ -147,8 +156,9 @@ class EffectTables:
     """Per-fault-location end-of-circuit effects for one circuit and state.
 
     Arrays are indexed by a flat variant id; locations map to contiguous
-    variant slices.  ``flag_lo``/``flag_hi`` hold the flag-flip mask, ``sc``
-    the packed (syndrome | class << synd_bits) of the X residual.
+    variant slices.  ``flags`` holds the flag-flip masks as word-major
+    uint64 words of shape (W, V) (see :func:`circuit.pack_effects`), ``sc``
+    the packed (syndrome | class << synd_bits) of the residual.
     """
 
     n_flags: int
@@ -160,8 +170,7 @@ class EffectTables:
     # q-type locations
     q_offsets: np.ndarray
     q_counts: np.ndarray
-    flag_lo: np.ndarray
-    flag_hi: np.ndarray
+    flags: np.ndarray
     sc: np.ndarray
     # replay info (op position and Pauli masks) for oracle cross-checks
     var_pos: list[int] = field(default_factory=list)
@@ -178,19 +187,23 @@ class EffectTables:
 
 
 def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X") -> EffectTables:
-    """Backward sweep computing every fault variant's propagated effect.
+    """Every fault variant's propagated effect, from one backward sweep.
 
     ``error_side`` selects which residual component the syndrome and class
     bits read: "X" checks the X residual against the Z-type generators (the
     logical-zero preparation analysis), "Z" the Z residual against the
-    X-type generators (Steane-QEC decoding of joint Z errors).
+    X-type generators (Steane-QEC decoding of joint Z errors).  Raises
+    ValueError when syndrome plus class bits exceed the 64-bit ``sc`` word.
     """
-    n = circuit.n_qubits
     comp = "Z" if error_side == "X" else "X"
     checks = [getattr(op, comp.lower()) for op in state.checking_generators(error_side)]
     class_ops = [op.x | op.z for op in state.class_logicals(error_side)]
     synd_bits = len(checks)
     class_bits = len(class_ops)
+    if synd_bits + class_bits > 64:
+        raise ValueError(
+            f"{synd_bits} syndrome + {class_bits} class bits exceed the 64-bit packed width"
+        )
     n_flags = circuit.flag_count
 
     def code_effect(ci: int) -> int:
@@ -203,57 +216,14 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
                 out |= 1 << (n_flags + synd_bits + j)
         return out
 
-    col_x = [0] * n
-    col_z = [0] * n
-    for q in range(n):
-        ci = circuit.code_index[q]
-        if ci is not None:
-            if error_side == "X":
-                col_x[q] = code_effect(ci)
-            else:
-                col_z[q] = code_effect(ci)
+    seed = [0 if ci is None else code_effect(ci) for ci in circuit.code_index]
+    zeros = [0] * circuit.n_qubits
+    if error_side == "X":
+        sweep = propagate_backward(circuit, seed, zeros)
+    else:
+        sweep = propagate_backward(circuit, zeros, seed)
 
-    # Forward pass: the active set per CX step for idle locations.
-    active_at_step: list[list[int]] = []
-    active: list[int] = []
-    is_active = [False] * n
-    for op in circuit.ops:
-        if isinstance(op, Init):
-            is_active[op.qubit] = True
-            active.append(op.qubit)
-        elif isinstance(op, CXGate):
-            active_at_step.append([q for q in active if is_active[q]])
-        elif isinstance(op, FlagMeasure):
-            is_active[op.qubit] = False
-
-    effects: dict[int, list[tuple[int, int, int]]] = {}  # op pos -> (x_eff, z_eff, qubit)
-    idle_effects: list[list[tuple[int, int, int]]] = [[] for _ in active_at_step]
-    step_pos: list[int] = [0] * len(active_at_step)
-    cx_step = len(active_at_step)
-    for pos in range(len(circuit.ops) - 1, -1, -1):
-        op = circuit.ops[pos]
-        if isinstance(op, FlagMeasure):
-            bit = 1 << op.outcome
-            col_x[op.qubit] = bit if op.basis == "Z" else 0
-            col_z[op.qubit] = bit if op.basis == "X" else 0
-        elif isinstance(op, CXGate):
-            cx_step -= 1
-            step_pos[cx_step] = pos
-            a, b = op.control, op.target
-            effects[pos] = [(col_x[a], col_z[a], a), (col_x[b], col_z[b], b)]
-            idle_effects[cx_step] = [
-                (q, col_x[q], col_z[q]) for q in active_at_step[cx_step]
-            ]
-            col_x[a] ^= col_x[b]
-            col_z[b] ^= col_z[a]
-        elif isinstance(op, Init):
-            effects[pos] = [(col_x[op.qubit], col_z[op.qubit], op.qubit)]
-
-    flag_mask = (1 << n_flags) - 1
-    word = (1 << 64) - 1
-    flag_lo: list[int] = []
-    flag_hi: list[int] = []
-    sc: list[int] = []
+    effects: list[int] = []
     var_pos: list[int] = []
     var_x: list[int] = []
     var_z: list[int] = []
@@ -263,27 +233,27 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
     q_counts: list[int] = []
 
     def emit(eff: int, pos: int, x_mask: int, z_mask: int) -> None:
-        flags = eff & flag_mask
-        flag_lo.append(flags & word)
-        flag_hi.append(flags >> 64)
-        sc.append(eff >> n_flags)
+        effects.append(eff)
         var_pos.append(pos)
         var_x.append(x_mask)
         var_z.append(z_mask)
 
     # p locations in op order: inits (X, Y, Z), CX (15 Paulis), meas (flip).
-    idle_pending: list[tuple[int, list[int]]] = []
     for pos, op in enumerate(circuit.ops):
         if isinstance(op, Init):
-            (ex, ez, q) = effects[pos][0]
-            p_offsets.append(len(flag_lo))
+            col_x, col_z = sweep.cols[pos]
+            q = op.qubit
+            ex, ez = col_x[q], col_z[q]
+            p_offsets.append(len(effects))
             p_counts.append(3)
             emit(ex, pos, 1 << q, 0)  # X
             emit(ex ^ ez, pos, 1 << q, 1 << q)  # Y
             emit(ez, pos, 0, 1 << q)  # Z
         elif isinstance(op, CXGate):
-            (xa, za, a), (xb, zb, b) = effects[pos]
-            p_offsets.append(len(flag_lo))
+            col_x, col_z = sweep.cols[pos]
+            a, b = op.control, op.target
+            xa, za, xb, zb = col_x[a], col_z[a], col_x[b], col_z[b]
+            p_offsets.append(len(effects))
             p_counts.append(15)
             for bits in range(1, 16):
                 eff = 0
@@ -302,21 +272,23 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
                     zm |= 1 << b
                 emit(eff, pos, xm, zm)
         elif isinstance(op, FlagMeasure):
-            p_offsets.append(len(flag_lo))
+            p_offsets.append(len(effects))
             p_counts.append(1)
             # Literal bit-flip channel: an X before the measurement flips a
             # Z-basis outcome and is inert for an X-basis one.
             emit((1 << op.outcome) if op.basis == "Z" else 0, pos, 0, 0)
     # q locations: step-by-step, every active qubit (participants included).
-    for s in range(len(active_at_step)):
-        pos = step_pos[s]
-        for q, ex, ez in idle_effects[s]:
-            q_offsets.append(len(flag_lo))
+    for pos, qubits in sweep.active.items():
+        col_x, col_z = sweep.cols[pos]
+        for q in qubits:
+            ex, ez = col_x[q], col_z[q]
+            q_offsets.append(len(effects))
             q_counts.append(3)
             emit(ex, pos, 1 << q, 0)
             emit(ex ^ ez, pos, 1 << q, 1 << q)
             emit(ez, pos, 0, 1 << q)
 
+    flags, sc = pack_effects(effects, n_flags)
     return EffectTables(
         n_flags=n_flags,
         synd_bits=synd_bits,
@@ -325,9 +297,8 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
         p_counts=np.array(p_counts, dtype=np.int64),
         q_offsets=np.array(q_offsets, dtype=np.int64),
         q_counts=np.array(q_counts, dtype=np.int64),
-        flag_lo=np.array(flag_lo, dtype=np.uint64),
-        flag_hi=np.array(flag_hi, dtype=np.uint64),
-        sc=np.array(sc, dtype=np.uint64),
+        flags=flags,
+        sc=sc,
         var_pos=var_pos,
         var_x=var_x,
         var_z=var_z,
@@ -390,6 +361,33 @@ def _draw_distinct(rng: np.random.Generator, n_rows: int, k: int, limit: int) ->
         out[dup] = rng.integers(0, limit, size=(n_bad, k), dtype=np.int64)
 
 
+def _sample_bucket(
+    tables: EffectTables, fp: int, fq: int, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Effects of ``n`` samples with ``fp`` p- and ``fq`` q-location faults.
+
+    Each sample draws distinct locations of each kind and one uniform
+    variant per location, and XORs their effects.  Returns the word-major
+    flag words (W, n) and the ``sc`` words (n,).
+    """
+    flags = np.zeros((len(tables.flags), n), dtype=np.uint64)
+    sc = np.zeros(n, dtype=np.uint64)
+    for k, offsets, counts in (
+        (fp, tables.p_offsets, tables.p_counts),
+        (fq, tables.q_offsets, tables.q_counts),
+    ):
+        if not k:
+            continue
+        locs = _draw_distinct(rng, n, k, len(offsets))
+        for col in range(k):
+            loc = locs[:, col]
+            var = offsets[loc] + (rng.random(n) * counts[loc]).astype(np.int64)
+            for acc, words in zip(flags, tables.flags):
+                acc ^= words[var]
+            sc ^= tables.sc[var]
+    return flags, sc
+
+
 def run_monte_carlo(
     circuit: Circuit,
     state: CssState,
@@ -405,8 +403,14 @@ def run_monte_carlo(
     A sample is accepted when no flag flips; accepted samples contribute
     their X-residual syndrome and class.  The trivial add-back mass is
     divided between the halves.  Deterministic for a fixed
-    (seed, plan, circuit).
+    (seed, plan, circuit).  Raises ValueError when ``model`` and ``plan``
+    disagree on p or q.
     """
+    if not (math.isclose(model.p, plan.p) and math.isclose(model.q, plan.q)):
+        raise ValueError(
+            f"noise model (p={model.p:g}, q={model.q:g}) disagrees with the subset plan "
+            f"(p={plan.p:g}, q={plan.q:g})"
+        )
     if tables is None:
         tables = build_effect_tables(circuit, state)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -425,31 +429,9 @@ def run_monte_carlo(
         while done < n_b:
             m = min(chunk, n_b - done)
             done += m
-            acc_lo = np.zeros(m, dtype=np.uint64)
-            acc_hi = np.zeros(m, dtype=np.uint64)
-            acc_sc = np.zeros(m, dtype=np.uint64)
-            if fp:
-                locs = _draw_distinct(rng, m, fp, tables.l_p)
-                for col in range(fp):
-                    loc = locs[:, col]
-                    off = tables.p_offsets[loc]
-                    cnt = tables.p_counts[loc]
-                    var = off + (rng.random(m) * cnt).astype(np.int64)
-                    acc_lo ^= tables.flag_lo[var]
-                    acc_hi ^= tables.flag_hi[var]
-                    acc_sc ^= tables.sc[var]
-            if fq:
-                locs = _draw_distinct(rng, m, fq, tables.l_q)
-                for col in range(fq):
-                    loc = locs[:, col]
-                    off = tables.q_offsets[loc]
-                    cnt = tables.q_counts[loc]
-                    var = off + (rng.random(m) * cnt).astype(np.int64)
-                    acc_lo ^= tables.flag_lo[var]
-                    acc_hi ^= tables.flag_hi[var]
-                    acc_sc ^= tables.sc[var]
-            ok = (acc_lo == 0) & (acc_hi == 0)
-            accepted_nontrivial += float(ok.sum()) * 1.0
+            flags, acc_sc = _sample_bucket(tables, fp, fq, m, rng)
+            ok = (flags == 0).all(axis=0)
+            accepted_nontrivial += float(ok.sum())
             is_train = rng.random(m) < 0.5
             for subset, mask in ((train, is_train & ok), (test, ~is_train & ok)):
                 if not mask.any():
@@ -459,8 +441,6 @@ def run_monte_carlo(
                     synd = int(key) & int(sc_mask)
                     cls = int(key) >> tables.synd_bits
                     subset.add(synd, cls, kc, kc * weight_each)
-        # track acceptance weight-correctly as well (counts suffice: the
-        # estimator is the plain ratio over the effective sample count)
     addback = plan.trivial_addback
     train.add(0, 0, addback / 2.0, plan.p_trivial / 2.0)
     test.add(0, 0, addback / 2.0, plan.p_trivial / 2.0)
@@ -482,9 +462,7 @@ def wilson_interval(successes: float, trials: float, confidence: float = 0.95) -
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         return (0.0, 1.0)
-    from scipy.stats import norm
-
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
@@ -523,21 +501,20 @@ def frame_replay_check(
     for trial in range(n_samples):
         k = int(rng.integers(1, max_faults + 1))
         chosen = rng.integers(0, n_vars, size=k)
-        eff_lo = eff_hi = eff_sc = 0
+        predicted_flags = eff_sc = 0
         faults = []
         flip_mask = 0
         for v in chosen:
-            eff_lo ^= int(tables.flag_lo[v])
-            eff_hi ^= int(tables.flag_hi[v])
+            fl = flag_int(tables.flags, v)
+            predicted_flags ^= fl
             eff_sc ^= int(tables.sc[v])
             xm, zm = tables.var_x[v], tables.var_z[v]
             if xm == 0 and zm == 0:
                 # Measurement-flip variant: flips the recorded outcome (a
                 # no-op for X-basis flags under the literal bit-flip channel).
-                flip_mask ^= int(tables.flag_lo[v]) | (int(tables.flag_hi[v]) << 64)
+                flip_mask ^= fl
             else:
                 faults.append((tables.var_pos[v], xm, zm))
-        predicted_flags = eff_lo | (eff_hi << 64)
         tab, outcomes, _ = run_tableau(circuit, faults, rng=rng)
         observed_flags = flip_mask
         for meas in circuit.flag_measurements():

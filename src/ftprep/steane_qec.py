@@ -38,6 +38,7 @@ from .noise import (
     EffectTables,
     NoiseModel,
     SubsetPlan,
+    _sample_bucket,
     build_effect_tables,
     build_subset_plan,
     count_fault_locations,
@@ -122,8 +123,6 @@ def _sample_prep_syndromes(
     Rejected preparations are redrawn (the experiment restarts them); the
     fault-free mass is represented by zero-syndrome entries in proportion.
     """
-    from .noise import _draw_distinct
-
     pair_probs = np.array(plan.probabilities)
     collected: list[np.ndarray] = []
     total = 0
@@ -140,27 +139,13 @@ def _sample_prep_syndromes(
         synds = [np.zeros(n_trivial, dtype=np.uint64)]
         if n_noisy:
             bucket = rng.choice(len(plan.pairs), size=n_noisy, p=pair_probs)
-            acc_lo = np.zeros(n_noisy, dtype=np.uint64)
-            acc_hi = np.zeros(n_noisy, dtype=np.uint64)
+            ok = np.zeros(n_noisy, dtype=bool)
             acc_sc = np.zeros(n_noisy, dtype=np.uint64)
             for b, (fp, fq) in enumerate(plan.pairs):
                 rows = np.nonzero(bucket == b)[0]
-                if rows.size == 0:
-                    continue
-                for kind, k, offs, cnts, limit in (
-                    ("p", fp, tables.p_offsets, tables.p_counts, tables.l_p),
-                    ("q", fq, tables.q_offsets, tables.q_counts, tables.l_q),
-                ):
-                    if not k:
-                        continue
-                    locs = _draw_distinct(rng, rows.size, k, limit)
-                    for col in range(k):
-                        loc = locs[:, col]
-                        var = offs[loc] + (rng.random(rows.size) * cnts[loc]).astype(np.int64)
-                        acc_lo[rows] ^= tables.flag_lo[var]
-                        acc_hi[rows] ^= tables.flag_hi[var]
-                        acc_sc[rows] ^= tables.sc[var]
-            ok = (acc_lo == 0) & (acc_hi == 0)
+                if rows.size:
+                    flags, acc_sc[rows] = _sample_bucket(tables, fp, fq, rows.size, rng)
+                    ok[rows] = (flags == 0).all(axis=0)
             accepted += float(ok.sum())
             synds.append(acc_sc[ok])
         chunk_synd = np.concatenate(synds)
@@ -176,9 +161,12 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
 
     ``circuit`` is the resource-preparation circuit (required unless the
     mode is ``no_qec``); it should be assembled with Z gadgets stripped for
-    the ``ft_x_only`` ablation.
+    the ``ft_x_only`` ablation.  Raises ValueError for codes of more than
+    64 qubits, whose Z frames do not fit the packed 64-bit words.
     """
     state = cfg.state
+    if state.n > 64:
+        raise ValueError(f"{state.n} code qubits exceed the 64-bit packed frame width")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     n = state.n
     zmap = _ZSyndromeMap(state)

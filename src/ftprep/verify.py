@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CXGate, FlagMeasure, Init
+from .circuit import Circuit, CXGate, FlagMeasure, Init, pack_effects, propagate_backward
 from .css import CssState, coset_min_weights
 from .pauli import popcount
 
@@ -83,67 +83,35 @@ def enumerate_fault_locations(circuit: Circuit, fault_type: str) -> list[FaultLo
     return locations
 
 
-def _propagate_signatures(
+def _fault_effects(
     circuit: Circuit, locations: list[FaultLocation], fault_type: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-variant (flag-flip mask, residual code mask) via one backward sweep.
+    """Per-variant (flag words, residual code mask, location index).
 
-    Returns (flags, residual, loc_index) arrays over all variants.  The
-    transfer map column of qubit q at a timepoint is the end-of-circuit
-    effect of inserting the single-type Pauli on q there; X frames copy
-    control -> target through a CX, Z frames target -> control.
+    The residual rides above the flag bits in the shared backward sweep,
+    seeded on the side of ``fault_type`` only.
     """
-    n = circuit.n_qubits
-    # Effects are (flag_flip_mask << code_bits) | residual_code_mask packed
-    # as python ints per qubit, updated walking the circuit backwards.
-    n_code = circuit.n_code
-    col: list[int] = [0] * n
-    # Seed at the end: residual contribution of a Pauli on a code qubit.
-    for q in range(n):
-        ci = circuit.code_index[q]
-        if ci is not None:
-            col[q] = 1 << ci
-    effects_at: dict[int, list[int]] = {}
-    meas_flip_bit: dict[int, int] = {}
-    for pos in range(len(circuit.ops) - 1, -1, -1):
-        op = circuit.ops[pos]
-        if isinstance(op, FlagMeasure):
-            flips = (op.basis == "Z") if fault_type == "X" else (op.basis == "X")
-            col[op.qubit] = (1 << (n_code + op.outcome)) if flips else 0
-            meas_flip_bit[op.qubit] = col[op.qubit]
-        elif isinstance(op, CXGate):
-            # Record effects of patterns inserted after this gate first.
-            a, b = op.control, op.target
-            effects_at[pos] = [col[a], col[b], col[a] ^ col[b]]
-            if fault_type == "X":
-                col[a] ^= col[b]
-            else:
-                col[b] ^= col[a]
-        elif isinstance(op, Init):
-            effects_at[pos] = [col[op.qubit]]
-    flags_lo = []
-    flags_hi = []
-    resid = []
-    loc_idx = []
-    code_mask = (1 << n_code) - 1
-    word = (1 << 64) - 1
+    n_flags = circuit.flag_count
+    seed = [0 if ci is None else 1 << (n_flags + ci) for ci in circuit.code_index]
+    zeros = [0] * circuit.n_qubits
+    side = 0 if fault_type == "X" else 1
+    sweep = propagate_backward(circuit, *((seed, zeros) if side == 0 else (zeros, seed)))
+    effects: list[int] = []
+    loc_idx: list[int] = []
     for i, loc in enumerate(locations):
+        op = circuit.ops[loc.site]
         if loc.kind == "meas":
-            effs = [meas_flip_bit[circuit.ops[loc.site].qubit]]
+            effs = [1 << op.outcome]
         else:
-            effs = effects_at[loc.site]
-        for eff in effs[: len(loc.variants)]:
-            fl = eff >> n_code
-            flags_lo.append(fl & word)
-            flags_hi.append(fl >> 64)
-            resid.append(eff & code_mask)
-            loc_idx.append(i)
-    return (
-        np.array(flags_lo, dtype=np.uint64),
-        np.array(flags_hi, dtype=np.uint64),
-        np.array(resid, dtype=np.uint64),
-        np.array(loc_idx, dtype=np.int64),
-    )
+            col = sweep.cols[loc.site][side]
+            if loc.kind == "init":
+                effs = [col[op.qubit]]
+            else:
+                effs = [col[op.control], col[op.target], col[op.control] ^ col[op.target]]
+        effects.extend(effs)
+        loc_idx.extend([i] * len(effs))
+    flags, resid = pack_effects(effects, n_flags)
+    return flags, resid, np.array(loc_idx, dtype=np.int64)
 
 
 def verify_fault_tolerance(
@@ -156,11 +124,15 @@ def verify_fault_tolerance(
     """Exhaustively test the FT criterion for one fault type.
 
     Returns None on a pass, otherwise a counterexample with the smallest
-    fault count found.  Raises when the combination space exceeds the cap.
+    fault count found.  Raises when the combination space exceeds the cap,
+    and ValueError when the code has more than 64 qubits.
     """
+    n_code = circuit.n_code
+    if n_code > 64:
+        raise ValueError(f"{n_code} code qubits exceed the 64-bit residual width")
     locations = enumerate_fault_locations(circuit, fault_type)
-    flags_lo, flags_hi, resid, loc_idx = _propagate_signatures(circuit, locations, fault_type)
-    nv = len(flags_lo)
+    flags, resid, loc_idx = _fault_effects(circuit, locations, fault_type)
+    nv = len(resid)
     group_masks = [
         (op.x if fault_type == "X" else op.z) for op in state.reduction_group(fault_type)
     ]
@@ -186,34 +158,27 @@ def verify_fault_tolerance(
 
     for f in range(1, t + 1):
         if f == 1:
-            cand_lo, cand_hi, cand_resid = flags_lo, flags_hi, resid
             members: list[tuple[int, ...]] = [(i,) for i in range(nv)]
         else:
-            idx_tuples = [
+            members = [
                 c
                 for c in itertools.combinations(range(nv), f)
                 if len({int(loc_idx[i]) for i in c}) == f
             ]
-            if not idx_tuples:
+            if not members:
                 continue
-            arr = np.array(idx_tuples, dtype=np.int64)
-            cand_lo = flags_lo[arr[:, 0]]
-            cand_hi = flags_hi[arr[:, 0]]
-            cand_resid = resid[arr[:, 0]]
-            for col_i in range(1, f):
-                cand_lo = cand_lo ^ flags_lo[arr[:, col_i]]
-                cand_hi = cand_hi ^ flags_hi[arr[:, col_i]]
-                cand_resid = cand_resid ^ resid[arr[:, col_i]]
-            members = idx_tuples
-        undetected = (cand_lo == 0) & (cand_hi == 0)
+        arr = np.array(members, dtype=np.int64)
+        undetected = np.ones(len(arr), dtype=bool)
+        for words in flags:
+            undetected &= _xor_gather(words, arr) == 0
         if not undetected.any():
             continue
         idx_und = np.nonzero(undetected)[0]
-        weights = reduced_weight_many(cand_resid[idx_und])
+        cand_resid = _xor_gather(resid, arr[idx_und])
+        weights = reduced_weight_many(cand_resid)
         bad = np.nonzero(weights > f)[0]
         if len(bad):
-            j = int(idx_und[bad[0]])
-            member = members[j]
+            member = members[int(idx_und[bad[0]])]
             faults = tuple(
                 (locations[int(loc_idx[i])].site, int(_variant_mask(locations, loc_idx, i)))
                 for i in member
@@ -222,10 +187,18 @@ def verify_fault_tolerance(
                 fault_type=fault_type,
                 faults=faults,
                 flag_flips=0,
-                residual_code_mask=int(cand_resid[j]),
+                residual_code_mask=int(cand_resid[bad[0]]),
                 reduced_weight=int(weights[bad[0]]),
             )
     return None
+
+
+def _xor_gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """XOR of ``values[idx[:, j]]`` over the columns j of ``idx``."""
+    out = values[idx[:, 0]]
+    for j in range(1, idx.shape[1]):
+        out ^= values[idx[:, j]]
+    return out
 
 
 def _variant_mask(locations: list[FaultLocation], loc_idx: np.ndarray, i: int) -> int:

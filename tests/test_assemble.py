@@ -11,7 +11,7 @@ from ftprep.assemble import (
 )
 from ftprep.bipartite import best_of_trials, synthesize_bipartite
 from ftprep.catalog import get_state
-from ftprep.circuit import Circuit, CXGate, FinalMeasure
+from ftprep.circuit import Circuit, CXGate, FinalMeasure, flag_int
 from ftprep.css import CssState
 from ftprep.library import GadgetLibrary
 from ftprep.pauli import PauliOperator
@@ -116,10 +116,7 @@ def test_schedule_invariance_of_propagation(library):
         circ = schedule_circuit(asm, "min_max_qubits", shuffles=5, seed=seed)
         assert tableau_check_circuit(circ, state) is None
         tables = build_effect_tables(circ, state)
-        sig = sorted(
-            (int(lo), int(hi), int(sc))
-            for lo, hi, sc in zip(tables.flag_lo, tables.flag_hi, tables.sc)
-        )
+        sig = sorted((flag_int(tables.flags, v), int(sc)) for v, sc in enumerate(tables.sc))
         tallies.append(sig)
     assert tallies[0] == tallies[1] == tallies[2]
 

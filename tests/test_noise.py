@@ -6,7 +6,16 @@ import pytest
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials, synthesize_bipartite
 from ftprep.catalog import get_state
-from ftprep.circuit import Circuit, CXGate, FinalMeasure, FlagMeasure, Init
+from ftprep.circuit import (
+    Circuit,
+    CXGate,
+    FinalMeasure,
+    FlagMeasure,
+    Init,
+    flag_int,
+    make_circuit,
+)
+from ftprep.css import CssState
 from ftprep.library import GadgetLibrary
 from ftprep.noise import (
     DegeneratePlanError,
@@ -18,6 +27,7 @@ from ftprep.noise import (
     run_monte_carlo,
     wilson_interval,
 )
+from ftprep.pauli import PauliOperator
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +154,58 @@ def test_effect_linearity(steane_prepared):
     n = len(tables.var_pos)
     for _ in range(50):
         i, j = rng.integers(0, n, size=2)
-        combined_lo = int(tables.flag_lo[i]) ^ int(tables.flag_lo[j])
+        combined_flags = flag_int(tables.flags, i) ^ flag_int(tables.flags, j)
         combined_sc = int(tables.sc[i]) ^ int(tables.sc[j])
-        assert combined_lo == int(tables.flag_lo[i] ^ tables.flag_lo[j])
+        assert combined_flags == flag_int(tables.flags[:, [i]] ^ tables.flags[:, [j]], 0)
         assert combined_sc == int(tables.sc[i] ^ tables.sc[j])
+
+
+def test_model_plan_mismatch_rejected(steane_prepared):
+    state, circ = steane_prepared
+    l_p, l_q = count_fault_locations(circ)
+    plan = build_subset_plan(l_p, l_q, 1e-3, 1e-5, 1000)
+    with pytest.raises(ValueError, match="disagrees"):
+        run_monte_carlo(circ, state, NoiseModel(2e-3), plan, seed=1)
+    with pytest.raises(ValueError, match="disagrees"):
+        run_monte_carlo(circ, state, NoiseModel(1e-3, memory_divisor=10.0), plan, seed=1)
+
+
+def test_effect_tables_reject_more_than_64_syndrome_and_class_bits():
+    # 64 Z generators plus one Z logical: 65 bits of the X residual.
+    n = 65
+    state = CssState(
+        name="wide",
+        n=n,
+        k=1,
+        d=1,
+        x_generators=(),
+        z_generators=tuple(PauliOperator(n, z=1 << q) for q in range(64)),
+        logical_x_reps=(PauliOperator(n, x=1 << 64),),
+        logical_z_reps=(PauliOperator(n, z=1 << 64),),
+    )
+    ops = tuple(Init(q, "0") for q in range(n)) + (FinalMeasure("Z"),)
+    circ = Circuit(n, ("control",) * n, tuple(f"c{q}" for q in range(n)), tuple(range(n)), ops)
+    with pytest.raises(ValueError, match="64-bit"):
+        build_effect_tables(circ, state)
+
+
+def test_more_than_128_flags(steane_prepared):
+    # Pad the Steane circuit with 130 flags, each touching a code qubit with
+    # two CX gates that cancel when fault-free, so the flag layout spans
+    # three 64-bit words.
+    state, circ = steane_prepared
+    assert isinstance(circ.ops[-1], FinalMeasure)
+    code = circ.code_qubits
+    ops = list(circ.ops[:-1])
+    for k in range(130):
+        f, c = circ.n_qubits + k, code[k % len(code)]
+        ops += [Init(f, "0"), CXGate(c, f), CXGate(c, f), FlagMeasure(f, "Z", circ.flag_count + k)]
+    ops.append(circ.ops[-1])
+    wide = make_circuit(
+        list(circ.roles) + ["flag_x"] * 130, list(circ.code_index) + [None] * 130, ops
+    )
+    wide.validate()
+    tables = build_effect_tables(wide, state)
+    assert tables.flags.shape == (3, len(tables.sc))
+    assert tables.flags[2].any()
+    assert frame_replay_check(wide, state, tables, 40, seed=4) == 40

@@ -3,7 +3,9 @@ import pytest
 
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.catalog import get_state
+from ftprep.css import CssState
 from ftprep.library import GadgetLibrary
+from ftprep.pauli import PauliOperator
 from ftprep.pipeline import build_preparation_circuit
 from ftprep.steane_qec import (
     FT_X_ONLY,
@@ -93,3 +95,21 @@ def test_no_qec_matches_ideal_decoding_prediction():
     res = run_steane_qec_experiment(cfg)
     # two rounds at z-rate 2/3*1e-3 each: triple coincidences are ~1e-8
     assert res.logical_error_rate < 1e-4
+
+
+def test_more_than_64_qubits_rejected():
+    # Z frames are packed into one uint64 per sample.
+    n = 65
+    state = CssState(
+        name="wide",
+        n=n,
+        k=1,
+        d=2,
+        x_generators=(PauliOperator(n, x=0b11),),
+        z_generators=(),
+        logical_x_reps=(PauliOperator(n, x=0b100),),
+        logical_z_reps=(PauliOperator(n, z=0b100),),
+    )
+    cfg = SteaneQecConfig(state, 1e-3, samples=100, prep_mode=NO_QEC, seed=1)
+    with pytest.raises(ValueError, match="64-bit"):
+        run_steane_qec_experiment(cfg)

@@ -4,7 +4,10 @@ from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
 from ftprep.catalog import get_state
 from ftprep.circuit import Circuit, CXGate, FinalMeasure, FlagMeasure, Init
+from ftprep.css import CssState
 from ftprep.library import GadgetLibrary
+from ftprep.noise import build_effect_tables
+from ftprep.pauli import PauliOperator
 from ftprep.verify import (
     enumerate_fault_locations,
     replay_faults,
@@ -86,3 +89,40 @@ def test_verification_schedule_invariant(library):
         circ = schedule_circuit(asm, "min_max_qubits", shuffles=3, seed=seed)
         assert verify_fault_tolerance(circ, state, 1, "X") is None
         assert verify_fault_tolerance(circ, state, 1, "Z") is None
+
+
+def test_more_than_64_code_qubits_rejected():
+    n = 65
+    state = CssState(
+        name="wide",
+        n=n,
+        k=1,
+        d=1,
+        x_generators=(),
+        z_generators=tuple(PauliOperator(n, z=1 << q) for q in range(n - 1)),
+        logical_x_reps=(PauliOperator(n, x=1 << (n - 1)),),
+        logical_z_reps=(PauliOperator(n, z=1 << (n - 1)),),
+    )
+    ops = tuple(Init(q, "0") for q in range(n)) + (FinalMeasure("Z"),)
+    circ = Circuit(n, ("control",) * n, tuple(f"c{q}" for q in range(n)), tuple(range(n)), ops)
+    with pytest.raises(ValueError, match="64-bit"):
+        verify_fault_tolerance(circ, state, 1, "X")
+
+
+def test_flag_outcome_index_out_of_range_rejected():
+    # Flag bits sit at 1 << outcome below the seed bits; an index past the
+    # flag count would be read as a syndrome or residual bit.
+    state = get_state("steane")
+    ops = (
+        *(Init(q, "0") for q in range(8)),
+        CXGate(0, 7),
+        FlagMeasure(7, "Z", 3),
+        FinalMeasure("Z"),
+    )
+    circ = Circuit(8, ("control",) * 7 + ("flag_x",), tuple(f"q{i}" for i in range(8)),
+                   tuple(range(7)) + (None,), ops)
+    circ.validate()
+    with pytest.raises(ValueError, match="m3"):
+        verify_fault_tolerance(circ, state, 1, "X")
+    with pytest.raises(ValueError, match="m3"):
+        build_effect_tables(circ, state)
