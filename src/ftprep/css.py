@@ -8,7 +8,9 @@ states, the X logicals for ``|+..+>``-type states).
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -149,20 +151,44 @@ def min_weight_modulo(error: PauliOperator, group_generators: list[PauliOperator
     return best
 
 
-def coset_min_weights(masks: list[int]) -> np.ndarray:
-    """All 2**g XOR-combinations of the masks as a uint64 array.
+def coset_key_columns(state: CssState, error_type: str) -> list[int]:
+    """Coset key of a single-qubit pure-type error on each qubit.
 
-    Intended for repeated ``min(popcount(residual ^ combos))`` queries in the
-    fault-tolerance verifier; masks must fit in 64 bits.
+    Syndrome bits (one per checking generator) sit low and class bits (one
+    per class logical) above them.  Keys are linear, and two pure-type
+    errors share a key exactly when they differ by an element of
+    ``state.reduction_group(error_type)``.
     """
-    g = len(masks)
-    if g > MIN_WEIGHT_CAP:
-        raise GroupTooLargeError(f"{g} generators exceed the 2^{MIN_WEIGHT_CAP} cap")
-    combos = np.zeros(1 << g, dtype=np.uint64)
-    for j, mask in enumerate(masks):
-        step = 1 << j
-        combos[step : 2 * step] = combos[:step] ^ np.uint64(mask)
-    return combos
+    comp = "X" if error_type == "Z" else "Z"
+    rows = _masks(state.checking_generators(error_type), comp)
+    rows += [op.x | op.z for op in state.class_logicals(error_type)]
+    return [
+        sum(((row >> q) & 1) << i for i, row in enumerate(rows)) for q in range(state.n)
+    ]
+
+
+def coset_keys(masks: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+    """Coset keys of packed uint64 qubit masks, given per-qubit key columns."""
+    out = np.zeros(masks.shape, dtype=np.uint64)
+    for q, col in enumerate(cols):
+        out ^= ((masks >> np.uint64(q)) & np.uint64(1)) * np.uint64(col)
+    return out
+
+
+def coset_enumeration(cols: Sequence[int], w_max: int) -> Iterator[tuple[int, int]]:
+    """(weight, key) of every error of weight 0..w_max, lightest first.
+
+    The empty error comes first; errors of one weight follow in
+    ``itertools.combinations`` order of their qubits.  The first key hit at
+    weight w therefore has coset-minimum weight w.
+    """
+    yield 0, 0
+    for w in range(1, w_max + 1):
+        for qubit_cols in combinations(cols, w):
+            key = 0
+            for col in qubit_cols:
+                key ^= col
+            yield w, key
 
 
 def syndrome_and_class(
@@ -194,43 +220,25 @@ def max_coset_weight(state: CssState, error_type: str) -> int:
 
     The quotient is taken modulo the full same-type stabilizer group of the
     state (code generators plus state-stabilizing logicals), so cosets are
-    indexed by the syndrome alone.  Found by enumerating errors in order of
-    increasing weight until every syndrome has been reached.
+    indexed by the coset key.  Found by enumerating errors in order of
+    increasing weight until every key has been reached.
     """
     group = state.reduction_group(error_type)
-    comp = "X" if error_type == "Z" else "Z"
-    checks = _masks(state.checking_generators(error_type), comp)
-    # The quotient is finer than the syndrome when the same-type logicals are
-    # not in the reduction group: the class logicals then grade the cosets.
-    checks = checks + _masks(state.class_logicals(error_type), comp)
+    key_bits = len(state.checking_generators(error_type)) + len(state.class_logicals(error_type))
     n_cosets_log = state.n - len(group)
-    if n_cosets_log > COSET_CAP or len(checks) > COSET_CAP:
+    if n_cosets_log > COSET_CAP or key_bits > COSET_CAP:
         raise GroupTooLargeError(
             f"2^{n_cosets_log} cosets exceed the 2^{COSET_CAP} enumeration cap"
         )
-    target = 1 << len(checks)
+    target = 1 << key_bits
     seen = np.zeros(target, dtype=bool)
-    seen[0] = True
-    found = 1
-    check_cols = np.zeros(state.n, dtype=np.int64)
-    for q in range(state.n):
-        s = 0
-        for i, c in enumerate(checks):
-            if (c >> q) & 1:
-                s |= 1 << i
-        check_cols[q] = s
-    from itertools import combinations
-
-    for w in range(1, state.n + 1):
-        for combo in combinations(range(state.n), w):
-            s = 0
-            for q in combo:
-                s ^= check_cols[q]
-            if not seen[s]:
-                seen[s] = True
-                found += 1
-                if found == target:
-                    return w
+    found = 0
+    for w, key in coset_enumeration(coset_key_columns(state, error_type), state.n):
+        if not seen[key]:
+            seen[key] = True
+            found += 1
+            if found == target:
+                return w
     return 0  # only reachable for trivial codes
 
 

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .css import CssState, syndrome_and_class
+from .css import CssState, coset_enumeration, coset_key_columns
 from .noise import SampleSet, wilson_interval
-from .pauli import PauliOperator
 
 
 class ClassConflictError(ValueError):
@@ -96,32 +94,26 @@ def build_mw_lut(
         w_max=w_max,
     )
     guarantee = (state.d - 1) // 2
-    for w in range(1, w_max + 1):
-        for qubits in combinations(range(state.n), w):
-            mask = 0
-            for q in qubits:
-                mask |= 1 << q
-            err = (
-                PauliOperator(state.n, x=mask)
-                if error_type == "X"
-                else PauliOperator(state.n, z=mask)
-            )
-            synd, cls = syndrome_and_class(err, state, error_type)
-            if synd in table.entries:
-                old_cls, old_w = table.entries[synd]
-                if old_cls != cls:
-                    if w <= guarantee and old_w <= guarantee:
-                        raise ClassConflictError(
-                            f"weight-{old_w} and weight-{w} errors share syndrome {synd:#x} "
-                            f"with classes {old_cls} != {cls}"
-                        )
-                    warnings.warn(
-                        f"class conflict at syndrome {synd:#x} beyond the distance "
-                        f"guarantee; keeping the weight-{old_w} entry",
-                        stacklevel=2,
+    synd_mask = (1 << table.synd_bits) - 1
+    for w, key in coset_enumeration(coset_key_columns(state, error_type), w_max):
+        if w == 0:
+            continue
+        synd, cls = key & synd_mask, key >> table.synd_bits
+        if synd in table.entries:
+            old_cls, old_w = table.entries[synd]
+            if old_cls != cls:
+                if w <= guarantee and old_w <= guarantee:
+                    raise ClassConflictError(
+                        f"weight-{old_w} and weight-{w} errors share syndrome {synd:#x} "
+                        f"with classes {old_cls} != {cls}"
                     )
-            else:
-                table.entries[synd] = (cls, w)
+                warnings.warn(
+                    f"class conflict at syndrome {synd:#x} beyond the distance "
+                    f"guarantee; keeping the weight-{old_w} entry",
+                    stacklevel=2,
+                )
+        else:
+            table.entries[synd] = (cls, w)
     return table
 
 
@@ -136,22 +128,13 @@ def build_ideal_class_table(state: CssState, error_type: str) -> dict[int, int]:
     """
     synd_bits = len(state.checking_generators(error_type))
     target = 1 << synd_bits
-    table: dict[int, int] = {0: 0}
-    for w in range(1, state.n + 1):
-        for qubits in combinations(range(state.n), w):
-            mask = 0
-            for q in qubits:
-                mask |= 1 << q
-            err = (
-                PauliOperator(state.n, x=mask)
-                if error_type == "X"
-                else PauliOperator(state.n, z=mask)
-            )
-            synd, cls = syndrome_and_class(err, state, error_type)
-            if synd not in table:
-                table[synd] = cls
-                if len(table) == target:
-                    return table
+    table: dict[int, int] = {}
+    for _, key in coset_enumeration(coset_key_columns(state, error_type), state.n):
+        synd = key & (target - 1)
+        if synd not in table:
+            table[synd] = key >> synd_bits
+            if len(table) == target:
+                return table
     return table
 
 

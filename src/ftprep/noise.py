@@ -32,7 +32,7 @@ from .circuit import (
     pack_effects,
     propagate_backward,
 )
-from .css import CssState
+from .css import CssState, coset_key_columns
 
 
 class DegeneratePlanError(ValueError):
@@ -195,28 +195,15 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
     X-type generators (Steane-QEC decoding of joint Z errors).  Raises
     ValueError when syndrome plus class bits exceed the 64-bit ``sc`` word.
     """
-    comp = "Z" if error_side == "X" else "X"
-    checks = [getattr(op, comp.lower()) for op in state.checking_generators(error_side)]
-    class_ops = [op.x | op.z for op in state.class_logicals(error_side)]
-    synd_bits = len(checks)
-    class_bits = len(class_ops)
+    synd_bits = len(state.checking_generators(error_side))
+    class_bits = len(state.class_logicals(error_side))
     if synd_bits + class_bits > 64:
         raise ValueError(
             f"{synd_bits} syndrome + {class_bits} class bits exceed the 64-bit packed width"
         )
     n_flags = circuit.flag_count
-
-    def code_effect(ci: int) -> int:
-        out = 0
-        for i, cg in enumerate(checks):
-            if (cg >> ci) & 1:
-                out |= 1 << (n_flags + i)
-        for j, lg in enumerate(class_ops):
-            if (lg >> ci) & 1:
-                out |= 1 << (n_flags + synd_bits + j)
-        return out
-
-    seed = [0 if ci is None else code_effect(ci) for ci in circuit.code_index]
+    cols = coset_key_columns(state, error_side)
+    seed = [0 if ci is None else cols[ci] << n_flags for ci in circuit.code_index]
     zeros = [0] * circuit.n_qubits
     if error_side == "X":
         sweep = propagate_backward(circuit, seed, zeros)

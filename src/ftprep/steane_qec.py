@@ -10,7 +10,7 @@ X-generator parities of the readout give the joint Z-error syndrome;
 decoding it yields the Z correction applied to the computational block.
 After a second 10p round, the block's residual Z frame is judged by an
 ideal minimum-weight decoder: a logical error is a residual that still
-anticommutes with the logical X after that final correction.
+anticommutes with a logical X after that final correction.
 
 Z errors on the resource never reach the computational block; they only
 corrupt the syndrome, which is why the resource's Z-side fault tolerance
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import Circuit
-from .css import CssState
+from .css import CssState, coset_key_columns, coset_keys
 from .decoder import (
     DecodePolicy,
     MLTable,
@@ -82,34 +82,6 @@ def _pack_frames(bits: np.ndarray) -> np.ndarray:
     n = bits.shape[1]
     powers = (1 << np.arange(n, dtype=np.uint64)).astype(np.uint64)
     return (bits.astype(np.uint64) * powers[None, :]).sum(axis=1, dtype=np.uint64)
-
-
-class _ZSyndromeMap:
-    """Syndrome and class bits of packed Z frames on the code qubits."""
-
-    def __init__(self, state: CssState) -> None:
-        self.n = state.n
-        self.xgens = [op.x for op in state.x_generators]
-        logical_x = state.logical_x_reps[0].x if state.logical_x_reps else 0
-        self.logical_x = logical_x
-        self.cols = np.zeros(state.n, dtype=np.uint64)
-        for q in range(state.n):
-            s = 0
-            for i, g in enumerate(self.xgens):
-                if (g >> q) & 1:
-                    s |= 1 << i
-            self.cols[q] = s
-
-    def syndrome(self, frames: np.ndarray) -> np.ndarray:
-        out = np.zeros(frames.shape, dtype=np.uint64)
-        for q in range(self.n):
-            bit = (frames >> np.uint64(q)) & np.uint64(1)
-            out ^= bit * self.cols[q]
-        return out
-
-    def logical_class(self, frames: np.ndarray) -> np.ndarray:
-        overlap = frames & np.uint64(self.logical_x)
-        return (np.bitwise_count(overlap) & np.uint64(1)).astype(np.uint64)
 
 
 def _sample_prep_syndromes(
@@ -169,19 +141,27 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
         raise ValueError(f"{state.n} code qubits exceed the 64-bit packed frame width")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     n = state.n
-    zmap = _ZSyndromeMap(state)
     p = cfg.p
     n_samples = cfg.samples
     strong = cfg.data_noise_multiplier * p
     if strong > 1:
         raise ValueError("data noise multiplier too large for this p")
 
-    # Z errors on the computational block are graded by the logical X that
-    # stabilizes its |+..+> state, so the decode tables are built on the
+    # Z errors on the computational block are graded by the logical Xs that
+    # stabilize its |+..+> state, so the decode tables are built on the
     # X-stabilized view of the code.
     state_plus = replace(state, stabilizing_basis="X", state_label="|+>")
     mw = build_mw_lut(state_plus, "Z", (state.d - 1) // 2) if state.d > 2 else None
     ideal = build_ideal_class_table(state_plus, "Z")
+    # Coset keys of Z frames: X-generator syndrome low, logical-X class above.
+    synd_bits = np.uint64(len(state.x_generators))
+    synd_mask = (np.uint64(1) << synd_bits) - np.uint64(1)
+    key_cols = np.array(coset_key_columns(state_plus, "Z"), dtype=np.uint64)
+    synd_cols = key_cols & synd_mask
+
+    def synd_and_class(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        keys = coset_keys(frames, key_cols)
+        return keys & synd_mask, keys >> synd_bits
 
     def depolarizing_z(n_rows: int, rate: float) -> np.ndarray:
         # Z component of single-qubit depolarizing: Z or Y, 2/3 of faults.
@@ -190,8 +170,7 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
 
     if cfg.prep_mode == NO_QEC:
         frames = depolarizing_z(n_samples, strong) ^ depolarizing_z(n_samples, strong)
-        synd_r = zmap.syndrome(frames)
-        cls_r = zmap.logical_class(frames)
+        synd_r, cls_r = synd_and_class(frames)
         errors = _ideal_decode_errors(synd_r, cls_r, ideal)
         rate = errors / n_samples
         return SteaneQecResult(cfg, errors, n_samples, rate, wilson_interval(errors, n_samples), 1.0)
@@ -205,9 +184,9 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
 
     # Computational block round 1 (copied into the syndrome via the
     # transversal CX) and round 2 (after the correction).
-    r1 = depolarizing_z(n_samples, strong)
-    synd = prep_synd ^ zmap.syndrome(r1)
-    frames = r1.copy()
+    frames = depolarizing_z(n_samples, strong)
+    r1_synd, r1_cls = synd_and_class(frames)
+    synd = prep_synd ^ r1_synd
 
     # Transversal CX noise: two-qubit depolarizing per pair, resource as
     # control; a Z on the resource side corrupts the syndrome, a Z on the
@@ -221,14 +200,14 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
         if idx.size == 0:
             continue
         pat = rng.integers(0, 15, size=idx.size)
-        synd[idx] ^= za_of[pat] * zmap.cols[i]
+        synd[idx] ^= za_of[pat] * synd_cols[i]
         frames[idx] ^= (zb_of[pat] << np.uint64(i)).astype(np.uint64)
 
     # Idle accounting during the gadget: one memory location per qubit of
     # both blocks for the transversal step, one per computational qubit
     # while the resource is measured.
     q_rate = p / 100.0
-    synd ^= zmap.syndrome(depolarizing_z(n_samples, q_rate))  # resource idles
+    synd ^= coset_keys(depolarizing_z(n_samples, q_rate), synd_cols)  # resource idles
     frames ^= depolarizing_z(n_samples, q_rate) ^ depolarizing_z(n_samples, q_rate)
 
     # Destructive X-basis readout of the resource: the literal bit-flip
@@ -241,12 +220,12 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     # decoding: the block's own class plus the ideal class of the syndrome
     # junk contributed by the resource, gate and readout noise.
     n_train = n_samples // 2
-    junk = synd ^ zmap.syndrome(r1)
+    junk = synd ^ r1_synd
     junk_ideal = np.zeros(n_samples, dtype=np.uint64)
     for s in np.unique(junk).tolist():
         junk_ideal[junk == s] = ideal.get(int(s), 0)
-    labels = zmap.logical_class(r1) ^ junk_ideal
-    ml = MLTable(synd_bits=len(zmap.xgens), class_bits=1)
+    labels = r1_cls ^ junk_ideal
+    ml = MLTable(synd_bits=int(synd_bits), class_bits=state.k)
     for s, c in zip(synd[:n_train].tolist(), labels[:n_train].tolist()):
         ml.weights.setdefault(int(s), {})
         cls_map = ml.weights[int(s)]
@@ -264,8 +243,9 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
         cls = 0 if verdict == "discard" else int(verdict)
         corr_class[synd_eval == s] = cls
 
-    synd_r = zmap.syndrome(frames_eval) ^ synd_eval
-    cls_r = zmap.logical_class(frames_eval) ^ corr_class
+    synd_r, cls_r = synd_and_class(frames_eval)
+    synd_r ^= synd_eval
+    cls_r ^= corr_class
     errors = _ideal_decode_errors(synd_r, cls_r, ideal)
     kept = len(synd_eval)
     rate = errors / kept

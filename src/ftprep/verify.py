@@ -15,13 +15,18 @@ locations carry noise in simulation but are not adversarial fault sites.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, CXGate, FlagMeasure, Init, pack_effects, propagate_backward
-from .css import CssState, coset_min_weights
+from .css import CssState, coset_enumeration, coset_key_columns, coset_keys
 from .pauli import popcount
+
+
+COMBINATION_BLOCK = 1 << 20  # fault combinations checked per streamed block
 
 
 class VerificationBudgetError(RuntimeError):
@@ -85,11 +90,12 @@ def enumerate_fault_locations(circuit: Circuit, fault_type: str) -> list[FaultLo
 
 def _fault_effects(
     circuit: Circuit, locations: list[FaultLocation], fault_type: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-variant (flag words, residual code mask, location index).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """Per-variant (flag words, residual code mask, location index, fault).
 
     The residual rides above the flag bits in the shared backward sweep,
-    seeded on the side of ``fault_type`` only.
+    seeded on the side of ``fault_type`` only; a variant's fault is its
+    (op index, inserted pattern mask).
     """
     n_flags = circuit.flag_count
     seed = [0 if ci is None else 1 << (n_flags + ci) for ci in circuit.code_index]
@@ -98,6 +104,7 @@ def _fault_effects(
     sweep = propagate_backward(circuit, *((seed, zeros) if side == 0 else (zeros, seed)))
     effects: list[int] = []
     loc_idx: list[int] = []
+    faults: list[tuple[int, int]] = []
     for i, loc in enumerate(locations):
         op = circuit.ops[loc.site]
         if loc.kind == "meas":
@@ -110,8 +117,9 @@ def _fault_effects(
                 effs = [col[op.control], col[op.target], col[op.control] ^ col[op.target]]
         effects.extend(effs)
         loc_idx.extend([i] * len(effs))
+        faults.extend((loc.site, mask) for mask in loc.variants)
     flags, resid = pack_effects(effects, n_flags)
-    return flags, resid, np.array(loc_idx, dtype=np.int64)
+    return flags, resid, np.array(loc_idx, dtype=np.int64), faults
 
 
 def verify_fault_tolerance(
@@ -126,71 +134,69 @@ def verify_fault_tolerance(
     Returns None on a pass, otherwise a counterexample with the smallest
     fault count found.  Raises when the combination space exceeds the cap,
     and ValueError when the code has more than 64 qubits.
+
+    An undetected residual has reduced weight above f exactly when its coset
+    key is not among the keys of the errors of weight <= f.  Combinations
+    are streamed in fixed-size blocks, so memory stays bounded at any t.
     """
     n_code = circuit.n_code
     if n_code > 64:
         raise ValueError(f"{n_code} code qubits exceed the 64-bit residual width")
     locations = enumerate_fault_locations(circuit, fault_type)
-    flags, resid, loc_idx = _fault_effects(circuit, locations, fault_type)
+    flags, resid, loc_idx, faults = _fault_effects(circuit, locations, fault_type)
     nv = len(resid)
-    group_masks = [
-        (op.x if fault_type == "X" else op.z) for op in state.reduction_group(fault_type)
-    ]
-    combos = coset_min_weights(group_masks)
-
-    def reduced_weight_many(res: np.ndarray) -> np.ndarray:
-        # min over the group of popcount(res ^ g); vectorized in blocks.
-        out = np.full(res.shape, 64, dtype=np.uint64)
-        for start in range(0, len(combos), 4096):
-            block = combos[start : start + 4096]
-            w = np.bitwise_count(res[:, None] ^ block[None, :]).min(axis=1)
-            out = np.minimum(out, w)
-        return out
-
-    total = 0
-    for f in range(1, t + 1):
-        total += _count_combinations(loc_idx, f)
+    total = sum(math.comb(nv, f) for f in range(1, t + 1))
     if total > combination_cap:
         raise VerificationBudgetError(
             f"{total} fault combinations exceed the cap {combination_cap} "
             f"({nv} variants over {len(locations)} locations, t={t})"
         )
+    cols = coset_key_columns(state, fault_type)
+    keys = coset_keys(resid, cols)
+    light: dict[int, int] = {}  # coset key -> minimum weight, up to t
+    for w, key in coset_enumeration(cols, t):
+        light.setdefault(key, w)
 
     for f in range(1, t + 1):
-        if f == 1:
-            members: list[tuple[int, ...]] = [(i,) for i in range(nv)]
-        else:
-            members = [
-                c
-                for c in itertools.combinations(range(nv), f)
-                if len({int(loc_idx[i]) for i in c}) == f
-            ]
-            if not members:
-                continue
-        arr = np.array(members, dtype=np.int64)
-        undetected = np.ones(len(arr), dtype=bool)
-        for words in flags:
-            undetected &= _xor_gather(words, arr) == 0
-        if not undetected.any():
-            continue
-        idx_und = np.nonzero(undetected)[0]
-        cand_resid = _xor_gather(resid, arr[idx_und])
-        weights = reduced_weight_many(cand_resid)
-        bad = np.nonzero(weights > f)[0]
-        if len(bad):
-            member = members[int(idx_und[bad[0]])]
-            faults = tuple(
-                (locations[int(loc_idx[i])].site, int(_variant_mask(locations, loc_idx, i)))
-                for i in member
-            )
-            return Counterexample(
-                fault_type=fault_type,
-                faults=faults,
-                flag_flips=0,
-                residual_code_mask=int(cand_resid[bad[0]]),
-                reduced_weight=int(weights[bad[0]]),
-            )
+        allowed = np.array([key for key, w in light.items() if w <= f], dtype=np.uint64)
+        for arr in _combination_blocks(nv, f):
+            # Variants of one location are contiguous, so within a sorted
+            # combination a repeated location shows up in adjacent columns.
+            arr = arr[(loc_idx[arr[:, 1:]] != loc_idx[arr[:, :-1]]).all(axis=1)]
+            for words in flags:
+                arr = arr[_xor_gather(words, arr) == 0]
+            arr_keys = _xor_gather(keys, arr)
+            bad = np.nonzero(~np.isin(arr_keys, allowed))[0]
+            if len(bad):
+                member = arr[bad[0]]
+                residual = int(_xor_gather(resid, member[None, :])[0])
+                # The residual is in its own coset, so the first error of
+                # the weight-ordered enumeration sharing its key comes by
+                # its popcount.
+                key = int(arr_keys[bad[0]])
+                reduced = next(
+                    w for w, k in coset_enumeration(cols, popcount(residual)) if k == key
+                )
+                return Counterexample(
+                    fault_type=fault_type,
+                    faults=tuple(faults[i] for i in member),
+                    flag_flips=0,
+                    residual_code_mask=residual,
+                    reduced_weight=reduced,
+                )
     return None
+
+
+def _combination_blocks(nv: int, f: int) -> Iterator[np.ndarray]:
+    """``itertools.combinations(range(nv), f)`` as (m, f) arrays of at most
+    COMBINATION_BLOCK rows, in order."""
+    combos = itertools.combinations(range(nv), f)
+    row = np.dtype((np.int64, (f,)))
+    while True:
+        block = np.fromiter(itertools.islice(combos, COMBINATION_BLOCK), dtype=row)
+        if not len(block):
+            return
+        yield block
 
 
 def _xor_gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -199,22 +205,6 @@ def _xor_gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     for j in range(1, idx.shape[1]):
         out ^= values[idx[:, j]]
     return out
-
-
-def _variant_mask(locations: list[FaultLocation], loc_idx: np.ndarray, i: int) -> int:
-    loc = locations[int(loc_idx[i])]
-    offset = 0
-    for j in range(i):
-        if int(loc_idx[j]) == int(loc_idx[i]):
-            offset += 1
-    return loc.variants[offset]
-
-
-def _count_combinations(loc_idx: np.ndarray, f: int) -> int:
-    from math import comb
-
-    nv = len(loc_idx)
-    return comb(nv, f)
 
 
 def replay_faults(

@@ -7,6 +7,9 @@ from ftprep.catalog import get_state
 from ftprep.css import (
     CssState,
     GroupTooLargeError,
+    coset_enumeration,
+    coset_key_columns,
+    coset_keys,
     max_coset_weight,
     min_weight_modulo,
     syndrome_and_class,
@@ -136,6 +139,41 @@ def test_validate_flags_duplicate_generator():
 def test_max_coset_weight_paper_values():
     assert max_coset_weight(get_state("steane"), "Z") == 1
     assert max_coset_weight(get_state("golay"), "Z") == 3
+
+
+@pytest.mark.parametrize(
+    "name, x_weight, z_weight",
+    [("color17", 5, 3), ("golay", 7, 3), ("selfdual20", 6, 5), ("steane", 3, 1),
+     ("surface25", 7, 6), ("surface9", 3, 2)],
+)
+def test_max_coset_weight_every_catalog_code(name, x_weight, z_weight):
+    state = get_state(name)
+    assert max_coset_weight(state, "X") == x_weight
+    assert max_coset_weight(state, "Z") == z_weight
+
+
+@pytest.mark.parametrize("error_type", ["X", "Z"])
+@pytest.mark.parametrize("name", ["steane", "color17", "golay"])
+def test_coset_table_matches_group_reduction(name, error_type):
+    # A residual's key is in the table of errors of weight <= t exactly when
+    # its reduced weight is <= t, and then the table holds that weight.
+    state = get_state(name)
+    t = state.t
+    cols = coset_key_columns(state, error_type)
+    table: dict[int, int] = {}
+    for w, key in coset_enumeration(cols, t):
+        table.setdefault(key, w)
+    rng = np.random.default_rng(11)
+    masks = []
+    for _ in range(80):
+        qubits = rng.choice(state.n, size=int(rng.integers(0, state.n + 1)), replace=False)
+        masks.append(sum(1 << int(q) for q in qubits))
+    keys = coset_keys(np.array(masks, dtype=np.uint64), cols).tolist()
+    group = state.reduction_group(error_type)
+    for mask, key in zip(masks, keys):
+        err = PauliOperator(state.n, **{error_type.lower(): mask})
+        ref = min_weight_modulo(err, group)
+        assert min(table.get(key, t + 1), t + 1) == min(ref, t + 1)
 
 
 def test_max_coset_weight_x_side():

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.catalog import get_state
-from ftprep.css import CssState
+from ftprep.css import CssState, coset_key_columns, coset_keys
 from ftprep.library import GadgetLibrary
 from ftprep.pauli import PauliOperator
 from ftprep.pipeline import build_preparation_circuit
@@ -12,7 +14,6 @@ from ftprep.steane_qec import (
     FULL_FT,
     NO_QEC,
     SteaneQecConfig,
-    _ZSyndromeMap,
     run_steane_qec_experiment,
 )
 from ftprep.verify import verify_fault_tolerance
@@ -47,15 +48,24 @@ def test_transversal_propagation_reads_single_z_errors():
     # A Z on computational qubit i copies onto the resource block and shows
     # up as the X-generator syndrome column of qubit i.
     state = get_state("color17")
-    zmap = _ZSyndromeMap(state)
+    cols = coset_key_columns(replace(state, stabilizing_basis="X"), "Z")
+    synd_mask = (1 << len(state.x_generators)) - 1
     for i in range(state.n):
         frames = np.array([1 << i], dtype=np.uint64)
-        synd = zmap.syndrome(frames)[0]
+        synd = int(coset_keys(frames, cols)[0]) & synd_mask
         expected = 0
         for j, g in enumerate(state.x_generators):
             if (g.x >> i) & 1:
                 expected |= 1 << j
         assert int(synd) == expected
+
+
+def test_two_logical_code_corrects_sparse_z_errors():
+    # selfdual20 has k=2: residual classes carry both logical-X bits, as the
+    # ideal class table does, so isolated Z errors are never logical errors.
+    state = get_state("selfdual20")
+    cfg = SteaneQecConfig(state, 1e-4, samples=20_000, prep_mode=NO_QEC, seed=1)
+    assert run_steane_qec_experiment(cfg).logical_errors == 0
 
 
 def test_ablated_circuit_keeps_x_ft_loses_z_ft(color17_prep, library):

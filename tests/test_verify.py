@@ -2,9 +2,9 @@ import pytest
 
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
-from ftprep.catalog import get_state
+from ftprep.catalog import _state_from_data, get_state, rotated_surface_data
 from ftprep.circuit import Circuit, CXGate, FinalMeasure, FlagMeasure, Init
-from ftprep.css import CssState
+from ftprep.css import CssState, min_weight_modulo
 from ftprep.library import GadgetLibrary
 from ftprep.noise import build_effect_tables
 from ftprep.pauli import PauliOperator
@@ -66,6 +66,30 @@ def test_stripped_circuit_fails_with_replayable_counterexample(steane_circuit):
     flips, residual = replay_faults(bare, state, "X", list(ce.faults))
     assert flips == 0
     assert residual == ce.residual_code_mask
+
+
+@pytest.mark.parametrize("name", ["color17", "golay"])
+def test_counterexample_reduced_weight_is_exact(name):
+    state = get_state(name)
+    bare = best_of_trials(state, 5, 0).bare_circuit(state.n)
+    for typ in ("X", "Z"):
+        ce = verify_fault_tolerance(bare, state, 2, typ)
+        assert ce is not None
+        err = PauliOperator(state.n, **{typ.lower(): ce.residual_code_mask})
+        assert ce.reduced_weight == min_weight_modulo(err, state.reduction_group(typ))
+
+
+def test_rotated_surface_d7_bare_counterexamples_replay():
+    # 24 same-type generators: past any enumeration of the stabilizer group.
+    state = _state_from_data(rotated_surface_data(7), "|0>")
+    bare = best_of_trials(state, 5, 0).bare_circuit(state.n)
+    for typ in ("X", "Z"):
+        ce = verify_fault_tolerance(bare, state, 1, typ)
+        assert ce is not None
+        assert ce.reduced_weight > len(ce.faults)
+        flips, residual = replay_faults(bare, state, typ, list(ce.faults))
+        assert flips == 0
+        assert residual == ce.residual_code_mask
 
 
 def test_stripped_z_side_safe_for_steane(steane_circuit):
