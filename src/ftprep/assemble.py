@@ -274,7 +274,6 @@ def assemble_ft_circuit(
     library: GadgetLibrary,
     z_gadget_t_override: int | None = None,
     seed: int = 0,
-    retries: int = 32,
     width_anneal: int = 0,
     edge_priority: list[int] | None = None,
     use_trivial_gadgets: bool = True,
@@ -323,13 +322,7 @@ def assemble_ft_circuit(
     priority = list(edge_priority) if edge_priority is not None else None
     if priority is None and width_anneal > 0:
         priority = _anneal_priority(bip, pick_gadget, t_x, t_z, width_anneal, rng)
-    for attempt in range(max(retries, 1)):
-        try:
-            return _assemble_once(state, bip, pick_gadget, t_x, t_z, rng, priority)
-        except CyclicPrecedenceError:
-            if attempt == retries - 1:
-                raise
-    raise CyclicPrecedenceError("unreachable")
+    return _assemble_once(state, bip, pick_gadget, t_x, t_z, rng, priority)
 
 
 def _anneal_priority(

@@ -82,22 +82,6 @@ class BipartiteCircuit:
         return make_circuit(roles, code_index, ops)
 
 
-def _generator_matrices(state: CssState) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (n x r) X and (n x (n-r)) Z generator matrices, qubits as rows."""
-    x_gens = state.x_type_state_generators()
-    z_gens = state.z_type_state_generators()
-    n = state.n
-    xmat = np.zeros((n, len(x_gens)), dtype=np.uint8)
-    for j, op in enumerate(x_gens):
-        for q in range(n):
-            xmat[q, j] = (op.x >> q) & 1
-    zmat = np.zeros((n, len(z_gens)), dtype=np.uint8)
-    for j, op in enumerate(z_gens):
-        for q in range(n):
-            zmat[q, j] = (op.z >> q) & 1
-    return xmat, zmat
-
-
 def synthesize_bipartite(state: CssState, seed: int) -> BipartiteCircuit:
     """Construct one bipartite circuit for ``state``.
 
@@ -109,55 +93,47 @@ def synthesize_bipartite(state: CssState, seed: int) -> BipartiteCircuit:
     if not report.ok:
         raise ValueError(f"invalid CSS state: {report}")
     rng = np.random.default_rng(seed)
-    xmat, zmat = _generator_matrices(state)
-    n, r = xmat.shape
+    n = state.n
+    # Generator matrices with qubits as rows: bit j of xrows[q] is the X part
+    # of generator j on qubit q.
+    x_gens = [op.x for op in state.x_type_state_generators()]
+    z_gens = [op.z for op in state.z_type_state_generators()]
+    xrows = gf2.transpose(x_gens, n)
+    zrows = gf2.transpose(z_gens, n)
+    r = len(x_gens)
     if r:
-        recomb = _random_invertible(r, rng)
-        xmat = (xmat @ recomb) % 2
-    if zmat.shape[1]:
-        recomb_z = _random_invertible(zmat.shape[1], rng)
-        zmat = (zmat @ recomb_z) % 2
+        xrows = gf2.matmul(xrows, _random_invertible(r, rng))
+    if z_gens:
+        zrows = gf2.matmul(zrows, _random_invertible(len(z_gens), rng))
     order = rng.permutation(n)
 
     # Greedy pivot selection: scan qubits in shuffled order, keep rows that
-    # grow the rank of X1.
-    controls: list[int] = []
-    work = gf2.GF2Matrix.zeros(0, r)
+    # grow the span of X1.
+    basis: list[int] = []
     rows: list[int] = []
-    cur_rank = 0
     for q in order:
-        candidate = gf2.GF2Matrix.from_dense(
-            np.vstack([xmat[rows + [q]]]) if rows else xmat[[q]]
-        )
-        rk = gf2.rank(candidate)
-        if rk > cur_rank:
+        if gf2.extend(basis, xrows[q]):
             rows.append(int(q))
-            cur_rank = rk
-            if cur_rank == r:
+            if len(rows) == r:
                 break
-    if cur_rank < r:
+    if len(rows) < r:
         raise RankDeficientError("X generator matrix is rank deficient")
     controls = sorted(rows)
     targets = sorted(set(range(n)) - set(controls))
 
-    x1 = gf2.GF2Matrix.from_dense(xmat[controls]) if r else gf2.GF2Matrix.zeros(0, 0)
-    x2 = gf2.GF2Matrix.from_dense(xmat[targets]) if r else gf2.GF2Matrix.zeros(len(targets), 0)
-    adjacency = x2.matmul(gf2.invert(x1)) if r else gf2.GF2Matrix.zeros(len(targets), 0)
-
-    nz = zmat.shape[1]
-    if nz:
-        z1 = gf2.GF2Matrix.from_dense(zmat[controls]) if controls else gf2.GF2Matrix.zeros(0, nz)
-        z2 = gf2.GF2Matrix.from_dense(zmat[targets])
-        alt = z1.matmul(gf2.invert(z2)).transpose()
-        if alt.to_dense().shape == adjacency.to_dense().shape and alt != adjacency:
+    adjacency = gf2.matmul([xrows[q] for q in targets], gf2.invert([xrows[q] for q in controls]))
+    if z_gens:
+        z1 = [zrows[q] for q in controls]
+        alt = gf2.transpose(gf2.matmul(z1, gf2.invert([zrows[q] for q in targets])), len(targets))
+        if alt != adjacency:
             raise AdjacencyAsymmetryError("Z1 Z2^-1 != (X2 X1^-1)^T")
 
-    dense = adjacency.to_dense()
-    edges = []
-    for i, tq in enumerate(targets):
-        for j, cq in enumerate(controls):
-            if dense[i, j]:
-                edges.append((cq, tq))
+    edges = [
+        (cq, tq)
+        for tq, row in zip(targets, adjacency)
+        for j, cq in enumerate(controls)
+        if (row >> j) & 1
+    ]
     return BipartiteCircuit(tuple(controls), tuple(targets), tuple(sorted(edges)))
 
 
@@ -182,9 +158,10 @@ def best_of_trials(state: CssState, trials: int, seed: int) -> BipartiteCircuit:
     return best
 
 
-def _random_invertible(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniformly-seeded invertible GF(2) matrix via rejection sampling."""
+def _random_invertible(n: int, rng: np.random.Generator) -> list[int]:
+    """A uniformly-seeded invertible GF(2) matrix (int rows) via rejection sampling."""
     while True:
         m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
-        if gf2.rank(gf2.GF2Matrix.from_dense(m)) == n:
-            return m
+        rows = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(m, axis=1, bitorder="little")]
+        if gf2.rank(rows) == n:
+            return rows

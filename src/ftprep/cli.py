@@ -37,7 +37,7 @@ def _load_library(path: str | None) -> GadgetLibrary:
         return GadgetLibrary.load(path)
     try:
         return GadgetLibrary.bundled()
-    except Exception:  # noqa: BLE001 - missing data file falls back to discovery
+    except FileNotFoundError:  # no bundled data file: fall back to discovery
         return GadgetLibrary()
 
 
@@ -97,7 +97,6 @@ def _prepare(args: argparse.Namespace, library: GadgetLibrary):
         z_gadget_t_override=args.z_override,
         width_anneal=args.width_anneal,
         use_trivial_gadgets=not args.no_trivial_gadgets,
-        retries=args.retries,
     )
 
 
@@ -279,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=300)
     p.add_argument("--shuffles", type=int, default=200)
     p.add_argument("--width-anneal", type=int, default=0)
-    p.add_argument("--retries", type=int, default=32)
     p.add_argument("--no-trivial-gadgets", action="store_true")
     p.add_argument("--library")
     p.add_argument("--circuit-out")

@@ -145,9 +145,6 @@ DISCARD = "discard"
 class DecodePolicy:
     even_distance_discard: bool = False
     t: int = 0
-    # Optional post-hoc filter: discard when the ML class likelihoods are
-    # too close (mass ratio under the threshold); off by default.
-    likelihood_ratio_threshold: float | None = None
 
 
 def decode(
@@ -162,11 +159,6 @@ def decode(
         if entry is not None and entry[1] == policy.t:
             return DISCARD
     if ml is not None and synd in ml:
-        if policy.likelihood_ratio_threshold is not None:
-            per_class = ml.weights[synd]
-            ordered = sorted(per_class.values(), reverse=True)
-            if len(ordered) > 1 and ordered[0] < policy.likelihood_ratio_threshold * ordered[1]:
-                return DISCARD
         best = ml.best_class(synd)
         assert best is not None
         return best

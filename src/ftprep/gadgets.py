@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
+from . import gf2
+
 FOUND = "found"
 SEARCH_EXHAUSTED = "exhausted"
 BUDGET_EXHAUSTED = "budget"
@@ -270,8 +272,8 @@ class _Engine:
                         return False
         if t >= 3 and not self._triples_ok(news, meas):
             return False
-        # t >= 4 never reaches this engine; discover_gadget dispatches those
-        # searches to the reference implementation.
+        # t >= 4 never reaches this engine; discover_gadget checks those
+        # searches with _ReferenceChecker.
 
         # Commit.
         batch = news + (meas,) if meas is not None else news
@@ -346,6 +348,26 @@ class _Engine:
         self.transfer[a] = col
 
 
+class _ReferenceChecker:
+    """The search's checker for t >= 4: re-runs ``gadget_ft_test`` per push."""
+
+    def __init__(self, t: int, r: int, m: int) -> None:
+        self.t = t
+        self.r = r
+        self.m = m
+        self.gates_time: list[tuple[int, int]] = []
+
+    def push(self, gate: tuple[int, int], new_flag: int | None) -> bool:
+        self.gates_time.insert(0, gate)
+        if gadget_ft_test(self.gates_time, self.t, self.r, self.m):
+            return True
+        self.gates_time.pop(0)
+        return False
+
+    def pop(self) -> None:
+        self.gates_time.pop(0)
+
+
 def discover_gadget(
     t: int,
     r: int,
@@ -359,8 +381,10 @@ def discover_gadget(
     lowest-index disentangled target (controlled by c or any entangled
     flag), entangle the lowest-index unused flag, then disentangle an
     entangled flag.  A candidate is kept only if the incrementally extended
-    circuit stays fault-tolerant.  Success requires every target entangled,
-    every flag used and disentangled, and deterministic flag measurements.
+    circuit stays fault-tolerant: ``_Engine`` checks it for t <= 3,
+    ``_ReferenceChecker`` (slow, exhaustive) for t >= 4.  Success requires
+    every target entangled, every flag used and disentangled, and
+    deterministic flag measurements.
 
     ``budget`` caps the number of attempted gate placements.  A gadget needs
     at least one flag, so ``m = 0`` is exhausted by definition.
@@ -369,10 +393,7 @@ def discover_gadget(
         raise ValueError("require t >= 1, r >= 1, m >= 0")
     if m == 0:
         return SearchResult(SEARCH_EXHAUSTED, None, 0)
-    if t >= 4:
-        return _discover_reference(t, r, m, budget)
-
-    engine = _Engine(t, r, m)
+    engine = _Engine(t, r, m) if t <= 3 else _ReferenceChecker(t, r, m)
     c = 0
     flag_label = lambda j: r + 1 + j  # noqa: E731
     nodes = 0
@@ -470,95 +491,11 @@ def _flags_deterministic(gadget: FlagGadget) -> bool:
     every Z_f must lie in the GF(2) span of the evolved flag-Z frames.
     Teleport-style circuits fail this and are rejected at success time.
     """
-    evolved: list[int] = []
+    basis: list[int] = []
     for f in gadget.flag_labels:
         mask = 1 << f
         for a, b in gadget.gates:
             if (mask >> b) & 1:  # Z on the target side copies onto the control
                 mask ^= 1 << a
-        evolved.append(mask)
-    # Gaussian elimination: check each Z_f against the span of the frames.
-    basis: list[int] = []
-    for vec in evolved:
-        cur = vec
-        for row in basis:
-            cur = min(cur, cur ^ row)
-        if cur:
-            basis.append(cur)
-            basis.sort(reverse=True)
-    for f in gadget.flag_labels:
-        cur = 1 << f
-        for row in basis:
-            cur = min(cur, cur ^ row)
-        if cur:
-            return False
-    return True
-
-
-def _discover_reference(t: int, r: int, m: int, budget: int | None) -> SearchResult:
-    """Slow reference search used for t >= 4 smoke tests only."""
-    gates_time: list[tuple[int, int]] = []
-    status = [0] * m
-    nodes = 0
-    flag_label = lambda j: r + 1 + j  # noqa: E731
-
-    def pools(targets_done: int):
-        entangled = [j for j in range(m) if status[j] == 1]
-        cluster = [0] + [flag_label(j) for j in entangled]
-        out = []
-        if targets_done < r:
-            for x in cluster:
-                out.append(((x, 1 + targets_done), None, "target"))
-        unused = next((j for j in range(m) if status[j] == 0), None)
-        if unused is not None:
-            for x in cluster:
-                out.append(((x, flag_label(unused)), unused, "entangle"))
-        for j in entangled:
-            f = flag_label(j)
-            for x in cluster:
-                if x != f:
-                    out.append(((x, f), j, "disentangle"))
-        for j in entangled:
-            out.append(((flag_label(j), 0), j, "teleport"))
-        return out
-
-    def dfs(targets_done: int) -> str | FlagGadget:
-        nonlocal nodes
-        if targets_done == r and all(s == 2 for s in status):
-            gadget = FlagGadget(t, r, m, "X", tuple(gates_time))
-            if _flags_deterministic(gadget):
-                return gadget
-            return "continue"
-        for gate, flag_j, kind in pools(targets_done):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                return BUDGET_EXHAUSTED
-            gates_time.insert(0, gate)
-            if not gadget_ft_test(gates_time, t, r, m):
-                gates_time.pop(0)
-                continue
-            if kind == "target":
-                sub = dfs(targets_done + 1)
-            elif kind == "entangle":
-                status[flag_j] = 1
-                sub = dfs(targets_done)
-                status[flag_j] = 0
-            else:
-                status[flag_j] = 2
-                sub = dfs(targets_done)
-                status[flag_j] = 1
-            if isinstance(sub, FlagGadget):
-                return sub
-            if sub == BUDGET_EXHAUSTED:
-                gates_time.pop(0)
-                return BUDGET_EXHAUSTED
-            gates_time.pop(0)
-        return "continue"
-
-    out = dfs(0)
-    if isinstance(out, FlagGadget):
-        out.validate()
-        return SearchResult(FOUND, out, nodes)
-    if out == BUDGET_EXHAUSTED:
-        return SearchResult(BUDGET_EXHAUSTED, None, nodes)
-    return SearchResult(SEARCH_EXHAUSTED, None, nodes)
+        gf2.extend(basis, mask)
+    return not any(gf2.reduce(1 << f, basis) for f in gadget.flag_labels)

@@ -1,218 +1,88 @@
-"""Bit-packed linear algebra over GF(2).
+"""Linear algebra over GF(2) on Python-int rows.
 
-Matrices are stored row-major as numpy ``uint64`` words, 64 columns per word.
-Elimination works word-wise, which keeps rank/inverse computations cheap even
-for the largest codes handled here (n < 100).
+A matrix is a list of ints, one per row: bit j of row i is entry (i, j).
+Python ints have no width limit, and the matrices handled here have at most
+a few dozen columns, so plain integer XOR beats any packed-array layout.
+
+An *echelon basis* is a list of nonzero rows with distinct leading bits,
+kept in decreasing order; ``reduce`` and ``extend`` maintain one.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 class SingularMatrixError(ValueError):
     """Raised when inverting a square matrix whose GF(2) rank is deficient."""
 
 
-class GF2Matrix:
-    """Dense binary matrix with word-packed rows.
-
-    Values are immutable by convention: operations return new matrices and
-    never mutate their inputs, so instances can be shared freely.
-    """
-
-    __slots__ = ("rows", "cols", "words", "_w")
-
-    def __init__(self, rows: int, cols: int, words: np.ndarray | None = None) -> None:
-        self.rows = rows
-        self.cols = cols
-        self._w = (cols + 63) // 64 if cols else 1
-        if words is None:
-            words = np.zeros((rows, self._w), dtype=np.uint64)
-        self.words = words
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_dense(cls, array: np.ndarray | list) -> GF2Matrix:
-        """Build from a 2-D 0/1 array (rows x cols)."""
-        arr = np.asarray(array, dtype=np.uint8) & 1
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        rows, cols = arr.shape
-        m = cls(rows, cols)
-        for i in range(rows):
-            m.words[i] = _pack_row(arr[i])
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> GF2Matrix:
-        m = cls(n, n)
-        for i in range(n):
-            m.words[i, i // 64] = np.uint64(1) << np.uint64(i % 64)
-        return m
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> GF2Matrix:
-        return cls(rows, cols)
-
-    # -- element access ----------------------------------------------------
-
-    def get(self, i: int, j: int) -> int:
-        return int((self.words[i, j // 64] >> np.uint64(j % 64)) & np.uint64(1))
-
-    def set(self, i: int, j: int, value: int) -> None:
-        bit = np.uint64(1) << np.uint64(j % 64)
-        if value & 1:
-            self.words[i, j // 64] |= bit
-        else:
-            self.words[i, j // 64] &= ~bit
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i in range(self.rows):
-            out[i] = _unpack_row(self.words[i], self.cols)
-        return out
-
-    def copy(self) -> GF2Matrix:
-        return GF2Matrix(self.rows, self.cols, self.words.copy())
-
-    def row_as_int(self, i: int) -> int:
-        """Row i as a python int bitmask (bit j == entry (i, j))."""
-        value = 0
-        for w in range(self._w - 1, -1, -1):
-            value = (value << 64) | int(self.words[i, w])
-        return value
-
-    @classmethod
-    def from_int_rows(cls, masks: list[int], cols: int) -> GF2Matrix:
-        m = cls(len(masks), cols)
-        for i, mask in enumerate(masks):
-            for w in range(m._w):
-                m.words[i, w] = np.uint64((mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF)
-        return m
-
-    # -- arithmetic --------------------------------------------------------
-
-    def matmul(self, other: GF2Matrix) -> GF2Matrix:
-        """Matrix product over GF(2)."""
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = GF2Matrix(self.rows, other.cols)
-        for i in range(self.rows):
-            acc = np.zeros(other._w, dtype=np.uint64)
-            row = self.words[i]
-            for j in range(self.cols):
-                if (row[j // 64] >> np.uint64(j % 64)) & np.uint64(1):
-                    acc ^= other.words[j]
-            out.words[i] = acc
-        return out
-
-    def transpose(self) -> GF2Matrix:
-        dense = self.to_dense()
-        return GF2Matrix.from_dense(dense.T)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GF2Matrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and bool(np.array_equal(self.words, other.words))
-        )
-
-    def __repr__(self) -> str:
-        return f"GF2Matrix({self.rows}x{self.cols})"
+def reduce(vec: int, basis: list[int]) -> int:
+    """``vec`` reduced against an echelon basis; 0 iff it lies in the span."""
+    for row in basis:
+        vec = min(vec, vec ^ row)
+    return vec
 
 
-def _pack_row(bits: np.ndarray) -> np.ndarray:
-    n = bits.size
-    nw = (n + 63) // 64 if n else 1
-    padded = np.zeros(nw * 64, dtype=np.uint8)
-    padded[:n] = bits
-    return np.packbits(padded.reshape(nw, 64), axis=1, bitorder="little").view(np.uint64).reshape(nw)
+def extend(basis: list[int], vec: int) -> bool:
+    """Add ``vec`` to the echelon basis in place; True iff the span grew."""
+    vec = reduce(vec, basis)
+    if not vec:
+        return False
+    basis.append(vec)
+    basis.sort(reverse=True)
+    return True
 
 
-def _unpack_row(words: np.ndarray, n: int) -> np.ndarray:
-    raw = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return raw[:n]
+def rank(rows: list[int]) -> int:
+    """GF(2) rank of the rows."""
+    basis: list[int] = []
+    for row in rows:
+        extend(basis, row)
+    return len(basis)
 
 
-def rref_with_transform(m: GF2Matrix) -> tuple[GF2Matrix, list[int], GF2Matrix]:
-    """Reduced row echelon form with the recording transform.
-
-    Returns ``(R, pivots, T)`` where ``R`` is the RREF of ``m``, ``pivots``
-    lists the pivot column indices in increasing order, and ``T`` is an
-    invertible matrix with ``T @ m == R`` over GF(2).  Pivots are chosen
-    lowest-column, lowest-row first, so the result is deterministic.
-    """
-    r = m.copy()
-    t = GF2Matrix.identity(m.rows)
-    pivots: list[int] = []
-    rank = 0
-    for col in range(m.cols):
-        word, bit = col // 64, np.uint64(1) << np.uint64(col % 64)
-        pivot = -1
-        for i in range(rank, m.rows):
-            if r.words[i, word] & bit:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        if pivot != rank:
-            r.words[[rank, pivot]] = r.words[[pivot, rank]]
-            t.words[[rank, pivot]] = t.words[[pivot, rank]]
-        hits = (r.words[:, word] & bit).astype(bool)
-        hits[rank] = False
-        r.words[hits] ^= r.words[rank]
-        t.words[hits] ^= t.words[rank]
-        pivots.append(col)
-        rank += 1
-        if rank == m.rows:
-            break
-    return r, pivots, t
-
-
-def rank(m: GF2Matrix) -> int:
-    """GF(2) rank, i.e. the number of pivots of the RREF."""
-    _, pivots, _ = rref_with_transform(m)
-    return len(pivots)
-
-
-def invert(m: GF2Matrix) -> GF2Matrix:
-    """Inverse of a square matrix over GF(2).
+def invert(rows: list[int]) -> list[int]:
+    """Inverse of a square matrix over GF(2), by Gauss-Jordan elimination.
 
     Raises:
         SingularMatrixError: if the matrix is not square or not full rank.
     """
-    if m.rows != m.cols:
-        raise SingularMatrixError(f"matrix is {m.rows}x{m.cols}, not square")
-    r, pivots, t = rref_with_transform(m)
-    if len(pivots) < m.rows:
-        raise SingularMatrixError(f"rank {len(pivots)} < dimension {m.rows}")
-    return t
+    n = len(rows)
+    if any(row >> n for row in rows):
+        raise SingularMatrixError(f"matrix has {n} rows but a column index >= {n}")
+    a = list(rows)
+    inv = [1 << i for i in range(n)]
+    for col in range(n):
+        bit = 1 << col
+        pivot = next((i for i in range(col, n) if a[i] & bit), None)
+        if pivot is None:
+            raise SingularMatrixError(f"rank {col} < dimension {n}")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        for i in range(n):
+            if i != col and a[i] & bit:
+                a[i] ^= a[col]
+                inv[i] ^= inv[col]
+    return inv
 
 
-def solve(m: GF2Matrix, rhs_mask: int) -> int | None:
-    """Solve ``m @ x = rhs`` over GF(2) for one solution, or None.
-
-    ``rhs_mask`` packs the right-hand side bitwise (bit i == row i); the
-    returned solution packs x bitwise (bit j == column j).
-    """
-    r, pivots, t = rref_with_transform(m)
-    rhs = 0
-    for i in range(m.rows):
+def matmul(a: list[int], b: list[int]) -> list[int]:
+    """Product ``a @ b``: row i is the XOR of the rows of ``b`` that row i of ``a`` selects."""
+    out = []
+    for row in a:
         acc = 0
-        row = t.row_as_int(i)
-        acc = bin(row & rhs_mask).count("1") & 1
-        if acc:
-            rhs |= 1 << i
-    x = 0
-    for i, col in enumerate(pivots):
-        if (rhs >> i) & 1:
-            x |= 1 << col
-    # Rows below the pivot rows must be consistent.
-    for i in range(len(pivots), m.rows):
-        if (rhs >> i) & 1:
-            return None
-    return x
+        j = 0
+        while row:
+            if row & 1:
+                acc ^= b[j]
+            row >>= 1
+            j += 1
+        out.append(acc)
+    return out
+
+
+def transpose(rows: list[int], cols: int) -> list[int]:
+    """Transpose of a ``len(rows) x cols`` matrix."""
+    return [
+        sum(((row >> j) & 1) << i for i, row in enumerate(rows))
+        for j in range(cols)
+    ]

@@ -48,7 +48,6 @@ def build_preparation_circuit(
     width_anneal: int = 0,
     use_trivial_gadgets: bool = True,
     objective: str = "min_max_qubits",
-    retries: int = 32,
 ) -> PreparedCircuit:
     """Best preparation circuit over seeded random configurations.
 
@@ -78,7 +77,6 @@ def build_preparation_circuit(
             seed=asm_seed + i,
             width_anneal=width_anneal,
             use_trivial_gadgets=use_trivial_gadgets,
-            retries=retries,
         )
         circ = schedule_circuit(asm, objective, shuffles=shuffles, seed=sched_seed + i)
         m = circuit_metrics(circ)

@@ -13,12 +13,28 @@ from ftprep.catalog import (
 from ftprep.css import validate_css_state
 
 
+def rref(rows, n):
+    """Reduced row echelon form of int rows over n columns: (nonzero rows, pivots)."""
+    rows = list(rows)
+    piv = []
+    for col in range(n):
+        bit = 1 << col
+        hit = next((i for i in range(len(piv), len(rows)) if rows[i] & bit), None)
+        if hit is None:
+            continue
+        k = len(piv)
+        rows[k], rows[hit] = rows[hit], rows[k]
+        for i in range(len(rows)):
+            if i != k and rows[i] & bit:
+                rows[i] ^= rows[k]
+        piv.append(col)
+    return rows[: len(piv)], piv
+
+
 def kernel_min_weight(check_rows, op_rows, n):
     """Minimum weight over ker(checks) \\ rowspace(ops), by enumeration."""
-    m = gf2.GF2Matrix.from_int_rows(check_rows, n)
-    rr, piv, _ = gf2.rref_with_transform(m)
+    rows, piv = rref(check_rows, n)
     free = [c for c in range(n) if c not in piv]
-    rows = [rr.row_as_int(i) for i in range(len(piv))]
     basis = []
     for f in free:
         v = 1 << f
@@ -26,7 +42,7 @@ def kernel_min_weight(check_rows, op_rows, n):
             if (rows[i] >> f) & 1:
                 v |= 1 << p
         basis.append(v)
-    span_rank = gf2.rank(gf2.GF2Matrix.from_int_rows(op_rows, n))
+    span_rank = gf2.rank(op_rows)
     best = n + 1
     for bits in range(1, 1 << len(basis)):
         vv = 0
@@ -39,8 +55,7 @@ def kernel_min_weight(check_rows, op_rows, n):
             idx += 1
         w = bin(vv).count("1")
         if w < best:
-            aug = gf2.GF2Matrix.from_int_rows(op_rows + [vv], n)
-            if gf2.rank(aug) > span_rank:
+            if gf2.rank(op_rows + [vv]) > span_rank:
                 best = w
     return best
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ftprep.cli import main
+from ftprep.library import GadgetLibrary
 
 
 def test_gadget_command(tmp_path, capsys):
@@ -110,3 +111,13 @@ def test_coset_command(capsys):
 def test_seed_required_for_stochastic_commands(capsys):
     with pytest.raises(SystemExit):
         main(["synth", "--code", "steane"])
+
+
+def test_invalid_bundled_library_is_an_error(monkeypatch, capsys):
+    def broken(cls):
+        raise ValueError("library entry t=2 r=5 fails its FT test")
+
+    monkeypatch.setattr(GadgetLibrary, "bundled", classmethod(broken))
+    rc = main(["assemble", "--code", "steane", "--seed", "5", "--trials", "10", "--shuffles", "2"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err

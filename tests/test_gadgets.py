@@ -143,3 +143,15 @@ def test_trivial_gadget_limits():
             assert g.m == 0 and len(g.gates) == r
     with pytest.raises(ValueError):
         trivial_gadget(1, 3)  # hooks exceed the bound without a flag
+
+
+def test_reference_checker_rows_t4_plus():
+    # t >= 4 runs the same DFS with the reference checker in place of _Engine.
+    expected = {(4, 3, 1): FOUND, (4, 5, 1): SEARCH_EXHAUSTED, (4, 6, 2): SEARCH_EXHAUSTED, (5, 5, 2): FOUND}
+    for (t, r, m), status in expected.items():
+        res = discover_gadget(t, r, m)
+        assert res.status == status
+        if status == FOUND:
+            res.gadget.validate()
+            assert (res.gadget.t, res.gadget.r, res.gadget.m) == (t, r, m)
+            assert gadget_ft_test(res.gadget)

@@ -1,91 +1,102 @@
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftprep import gf2
 
 
+def identity(n):
+    return [1 << i for i in range(n)]
+
+
+@st.composite
+def matrices(draw, max_rows=8, max_cols=10):
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    return draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)), cols
+
+
 def test_rref_identity():
-    m = gf2.GF2Matrix.identity(3)
-    r, pivots, t = gf2.rref_with_transform(m)
-    assert r == gf2.GF2Matrix.identity(3)
-    assert pivots == [0, 1, 2]
-    assert t == gf2.GF2Matrix.identity(3)
+    basis: list[int] = []
+    assert all(gf2.extend(basis, row) for row in identity(3))
+    assert basis == identity(3)[::-1]
+    assert gf2.transpose(identity(3), 3) == identity(3)
 
 
 def test_rref_zero_matrix():
-    m = gf2.GF2Matrix.zeros(2, 4)
-    r, pivots, t = gf2.rref_with_transform(m)
-    assert r == m
-    assert pivots == []
-    assert t == gf2.GF2Matrix.identity(2)
+    basis: list[int] = []
+    assert not any(gf2.extend(basis, row) for row in (0, 0))
+    assert basis == []
+    assert gf2.transpose([0, 0], 4) == [0, 0, 0, 0]
 
 
 def test_rref_hand_elimination():
-    m = gf2.GF2Matrix.from_dense([[1, 1], [1, 0]])
-    r, pivots, _ = gf2.rref_with_transform(m)
-    assert r.to_dense().tolist() == [[1, 0], [0, 1]]
-    assert pivots == [0, 1]
+    # [[1, 1], [1, 0]]: both rows are independent, so every vector reduces to 0.
+    basis: list[int] = []
+    assert gf2.extend(basis, 0b11) and gf2.extend(basis, 0b01)
+    assert basis == [0b11, 0b01]
+    assert all(gf2.reduce(v, basis) == 0 for v in range(4))
+    steane: list[int] = []
+    for row in (0b1111000, 0b1100110, 0b1010101):
+        assert gf2.extend(steane, row)
+    assert gf2.reduce(0b1111000 ^ 0b1010101, steane) == 0
+    assert gf2.reduce(0b0000001, steane) != 0
 
 
 def test_invert_identity():
-    m = gf2.GF2Matrix.identity(4)
-    assert gf2.invert(m) == m
+    assert gf2.invert(identity(4)) == identity(4)
+    assert gf2.invert([]) == []
 
 
 def test_invert_self_inverse():
-    m = gf2.GF2Matrix.from_dense([[1, 1], [0, 1]])
-    inv = gf2.invert(m)
-    assert inv.to_dense().tolist() == [[1, 1], [0, 1]]
-    assert m.matmul(inv) == gf2.GF2Matrix.identity(2)
+    # [[1, 1], [0, 1]]: row 0 has bits 0 and 1, row 1 has bit 1.
+    m = [0b11, 0b10]
+    assert gf2.invert(m) == m
+    assert gf2.matmul(m, gf2.invert(m)) == identity(2)
 
 
 def test_invert_singular_raises():
-    m = gf2.GF2Matrix.from_dense([[1, 1], [1, 1]])
     with pytest.raises(gf2.SingularMatrixError):
-        gf2.invert(m)
+        gf2.invert([0b11, 0b11])
+    with pytest.raises(gf2.SingularMatrixError):
+        gf2.invert([0b101, 0b010])  # 2 rows, 3 columns: not square
 
 
 def test_rank_examples():
-    assert gf2.rank(gf2.GF2Matrix.identity(3)) == 3
-    assert gf2.rank(gf2.GF2Matrix.zeros(3, 5)) == 0
-    steane_x = gf2.GF2Matrix.from_int_rows([0b1111000, 0b1100110, 0b1010101], 7)
-    assert gf2.rank(steane_x) == 3
+    assert gf2.rank(identity(3)) == 3
+    assert gf2.rank([0, 0, 0]) == 0
+    assert gf2.rank([]) == 0
+    assert gf2.rank([0b1111000, 0b1100110, 0b1010101]) == 3
+    assert gf2.rank([0b1111000, 0b1100110, 0b0011110]) == 2
 
 
-def test_transform_property_random():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        rows, cols = rng.integers(1, 9, size=2)
-        m = gf2.GF2Matrix.from_dense(rng.integers(0, 2, size=(rows, cols)))
-        r, pivots, t = gf2.rref_with_transform(m)
-        assert t.matmul(m) == r
-        assert gf2.rank(t) == rows  # the transform is invertible
-        assert len(pivots) == gf2.rank(m)
+@given(matrices())
+def test_rank_equals_transpose_rank(mc):
+    m, cols = mc
+    assert gf2.rank(m) == gf2.rank(gf2.transpose(m, cols))
 
 
-def test_rank_equals_transpose_rank():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        m = gf2.GF2Matrix.from_dense(rng.integers(0, 2, size=(6, 9)))
-        assert gf2.rank(m) == gf2.rank(m.transpose())
+@settings(max_examples=200)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+def test_inverse_round_trip_random(m):
+    n = len(m)
+    if gf2.rank(m) < n:
+        with pytest.raises(gf2.SingularMatrixError):
+            gf2.invert(m)
+        return
+    inv = gf2.invert(m)
+    assert gf2.matmul(m, inv) == identity(n)
+    assert gf2.matmul(inv, m) == identity(n)
 
 
-def test_inverse_round_trip_random():
-    rng = np.random.default_rng(7)
-    found = 0
-    while found < 10:
-        m = gf2.GF2Matrix.from_dense(rng.integers(0, 2, size=(5, 5)))
-        if gf2.rank(m) < 5:
-            continue
-        found += 1
-        inv = gf2.invert(m)
-        assert m.matmul(inv) == gf2.GF2Matrix.identity(5)
-        assert inv.matmul(m) == gf2.GF2Matrix.identity(5)
-
-
-def test_solve():
-    m = gf2.GF2Matrix.from_dense([[1, 1, 0], [0, 1, 1]])
-    x = gf2.solve(m, 0b11)
-    assert x is not None
-    for i, row in enumerate([0b011, 0b110]):
-        assert bin(row & x).count("1") % 2 == (0b11 >> i) & 1
+@given(matrices())
+def test_basis_grows_exactly_when_rank_does(mc):
+    m, _ = mc
+    basis: list[int] = []
+    for i, row in enumerate(m):
+        grew = gf2.extend(basis, row)
+        assert grew == (gf2.rank(m[: i + 1]) > gf2.rank(m[:i]))
+        assert len(basis) == gf2.rank(m[: i + 1])
+        assert gf2.reduce(row, basis) == 0
+        leaders = [b.bit_length() for b in basis]
+        assert leaders == sorted(set(leaders), reverse=True)
