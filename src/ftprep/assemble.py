@@ -12,6 +12,8 @@ at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -37,7 +39,7 @@ class MissingGadgetError(KeyError):
 
 
 class CyclicPrecedenceError(RuntimeError):
-    """Slot permutations produced cyclic precedence in every retry."""
+    """The gadget chains form a precedence cycle, so no schedule exists."""
 
 
 class OverrideNotCertifiedError(ValueError):
@@ -109,6 +111,24 @@ class AssembledCircuit:
     def default_circuit(self) -> Circuit:
         return self.schedule(self._topological_order())
 
+    @cached_property
+    def _dag(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], tuple[bool, ...]]:
+        """Successors and in-degree per gate, gate count and flag bit per
+        qubit; built once per circuit and shared by every sampled order."""
+        n = len(self.gates)
+        succ: list[list[int]] = [[] for _ in range(n)]
+        indeg = [0] * n
+        for chain in self.chains:
+            for u, v in zip(chain, chain[1:]):
+                succ[u].append(v)
+                indeg[v] += 1
+        uses = [0] * self.n_qubits
+        for a, b in self.gates:
+            uses[a] += 1
+            uses[b] += 1
+        flag = tuple(ci is None for ci in self.code_index)
+        return tuple(map(tuple, succ)), tuple(indeg), tuple(uses), flag
+
     def _topological_order(
         self, rng: np.random.Generator | None = None, greedy: bool = False
     ) -> list[int]:
@@ -117,55 +137,63 @@ class AssembledCircuit:
         With ``greedy`` set, ready gates are scored to keep the live-qubit
         window narrow: retiring a flag is rewarded, waking a fresh qubit is
         penalized, and ties break randomly so repeated calls sample
-        different low-width schedules.
+        different low-width schedules.  A draw from a single candidate is
+        skipped: ``rng.integers(0, 1)`` consumes no random bits.
         """
-        n = len(self.gates)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        indeg = [0] * n
-        for chain in self.chains:
-            for u, v in zip(chain, chain[1:]):
-                succ[u].append(v)
-                indeg[v] += 1
-        ready = [i for i in range(n) if indeg[i] == 0]
+        succ, indeg0, uses0, flag = self._dag
+        gates = self.gates
+        indeg = list(indeg0)
+        ready = [i for i in range(len(gates)) if indeg[i] == 0]
         order = []
         if greedy:
-            uses = [0] * self.n_qubits
-            for a, b in self.gates:
-                uses[a] += 1
-                uses[b] += 1
-            alive = [False] * self.n_qubits
-            flag = [self.code_index[q] is None for q in range(self.n_qubits)]
-
-            def score(node: int) -> int:
-                a, b = self.gates[node]
-                s = 0
-                for q in (a, b):
-                    if not alive[q]:
-                        s += 1  # must wake a qubit
-                    if flag[q] and uses[q] == 1:
-                        s -= 2  # last touch retires the flag
-                return s
-
+            assert rng is not None
+            uses = list(uses0)
+            # Per-qubit score term: +1 while the qubit must still be woken,
+            # -2 while its next gate is a flag's last; a gate scores the sum
+            # over its two qubits, so placing a gate rescores only the ready
+            # gates on its qubits.
+            qscore = [1 - 2 * (f and u == 1) for f, u in zip(flag, uses)]
+            scores = [qscore[gates[v][0]] + qscore[gates[v][1]] for v in ready]
+            # Number of ready gates per qubit: a qubit whose other gates all
+            # sit in one chain never has a ready gate left to rescore.
+            n_ready = [0] * self.n_qubits
+            for v in ready:
+                for q in gates[v]:
+                    n_ready[q] += 1
             while ready:
-                assert rng is not None
-                best_s = min(score(node) for node in ready)
-                pool = [node for node in ready if score(node) == best_s]
-                node = pool[int(rng.integers(0, len(pool)))]
-                ready.remove(node)
+                best_s = min(scores)
+                n_best = scores.count(best_s)
+                # The pick-th best-scoring gate in ready-list order.
+                pick = int(rng.integers(0, n_best)) if n_best > 1 else 0
+                k = scores.index(best_s)
+                for _ in range(pick):
+                    k = scores.index(best_s, k + 1)
+                node = ready[k]
+                del ready[k], scores[k]
                 order.append(node)
-                a, b = self.gates[node]
-                for q in (a, b):
-                    alive[q] = True
+                for q in gates[node]:
                     uses[q] -= 1
-                    if flag[q] and uses[q] == 0:
-                        alive[q] = False
+                    n_ready[q] -= 1
+                    s = -2 if flag[q] and uses[q] == 1 else 0
+                    if s != qscore[q]:
+                        qscore[q] = s
+                        if not n_ready[q]:
+                            continue
+                        for k, v in enumerate(ready):
+                            x, y = gates[v]
+                            if x == q or y == q:
+                                scores[k] = qscore[x] + qscore[y]
                 for v in succ[node]:
                     indeg[v] -= 1
                     if indeg[v] == 0:
                         ready.append(v)
+                        x, y = gates[v]
+                        scores.append(qscore[x] + qscore[y])
+                        n_ready[x] += 1
+                        n_ready[y] += 1
         else:
             while ready:
-                if rng is None:
+                if rng is None or len(ready) == 1:
                     node = ready.pop()
                 else:
                     node = ready.pop(int(rng.integers(0, len(ready))))
@@ -174,9 +202,46 @@ class AssembledCircuit:
                     indeg[v] -= 1
                     if indeg[v] == 0:
                         ready.append(v)
-        if len(order) != n:
+        if len(order) != len(gates):
             raise CyclicPrecedenceError("gadget chains form a precedence cycle")
         return order
+
+    def order_metrics(self, order: list[int]) -> tuple[int, int]:
+        """(max_simultaneous_qubits, depth) of ``schedule(order)``, computed
+        from the order alone, for a linear extension ``order`` of the DAG."""
+        _, _, uses0, flag = self._dag
+        uses = list(uses0)
+        woken = [False] * self.n_qubits
+        layer = [0] * self.n_qubits
+        n_woken = alive = peak = depth = 0
+        gates = self.gates
+        # The two qubits of a gate are handled one by one, unrolled: this
+        # loop runs once per gate of every sampled order.
+        for node in order:
+            a, b = gates[node]
+            if not woken[a]:
+                woken[a] = True
+                n_woken += 1
+                alive += 1
+            if not woken[b]:
+                woken[b] = True
+                n_woken += 1
+                alive += 1
+            if alive > peak:
+                peak = alive
+            la, lb = layer[a], layer[b]
+            lay = (la if la > lb else lb) + 1
+            layer[a] = layer[b] = lay
+            if lay > depth:
+                depth = lay
+            uses[a] -= 1
+            uses[b] -= 1
+            if flag[a] and not uses[a]:
+                alive -= 1
+            if flag[b] and not uses[b]:
+                alive -= 1
+        # Qubits no gate touches are initialized after the last gate.
+        return max(peak, alive + self.n_qubits - n_woken), depth
 
     def tight_order(self) -> list[int]:
         """Schedule edges strictly in priority order, opening each gadget's
@@ -190,10 +255,8 @@ class AssembledCircuit:
         for ci, chain in enumerate(self.chains):
             for node in chain:
                 chains_of.setdefault(node, []).append(ci)
-        uses = [0] * self.n_qubits
-        for a, b in self.gates:
-            uses[a] += 1
-            uses[b] += 1
+        _, _, uses0, _ = self._dag
+        uses = list(uses0)
         order: list[int] = []
 
         def run(node: int) -> None:
@@ -342,12 +405,40 @@ def _anneal_priority(
     """
     edges = sorted(bip.edges)
     n_e = len(edges)
+    model = _WidthModel(edges, _gadget_windows(edges, bip, pick_gadget, t_x, t_z),
+                        rng.permutation(n_e).tolist())
+    best = model.peak()
+    cur = best
+    best_order = list(model.order)
+    temp = 3.0
+    for step in range(steps):
+        i, j = rng.integers(0, n_e, size=2).tolist()
+        if i == j:
+            continue
+        w = model.swap(i, j)
+        if w <= cur or rng.random() < np.exp((cur - w) / max(temp, 1e-9)):
+            cur = w
+            if w < best:
+                best = w
+                best_order = list(model.order)
+        else:
+            model.undo()
+        temp *= 0.9995
+    prio = [0] * n_e
+    for p, e in enumerate(best_order):
+        prio[e] = p
+    return prio
+
+
+def _gadget_windows(
+    edges: list[tuple[int, int]], bip: BipartiteCircuit, pick_gadget, t_x: int, t_z: int
+) -> list[tuple[list[int], list[tuple[int, int]]]]:
+    """Per flagged gadget, its edge ids and, per flag, the (first, last)
+    index among the gadget's entangling slots that the flag is live over
+    under tight scheduling of its two coupled gates."""
 
     def flag_spans(gadget) -> list[tuple[int, int]]:
-        # Per flag, the (first, last) entangling-slot index it is live over
-        # under tight scheduling of its two coupled gates.
         deg = gadget.r
-        coupled = 1 if gadget.detect_type == "X" else 0
         slot_counter = 0
         first_seen: dict[int, int] = {}
         last_seen: dict[int, int] = {}
@@ -369,65 +460,121 @@ def _anneal_priority(
             spans.append((lo, hi))
         return spans
 
-    vertices: list[tuple[list[int], list[tuple[int, int]]]] = []
+    windows: list[tuple[list[int], list[tuple[int, int]]]] = []
     for c in bip.controls:
         mine = [i for i, e in enumerate(edges) if e[0] == c]
         if mine and t_x >= 1:
-            vertices.append((mine, flag_spans(pick_gadget(t_x, len(mine)))))
+            windows.append((mine, flag_spans(pick_gadget(t_x, len(mine)))))
     for q in bip.targets:
         mine = [i for i, e in enumerate(edges) if e[1] == q]
         if mine and t_z >= 1:
-            vertices.append((mine, flag_spans(pick_gadget(t_z, len(mine)))))
+            windows.append((mine, flag_spans(pick_gadget(t_z, len(mine)))))
+    return windows
 
-    def width(order: list[int]) -> int:
-        pos = [0] * n_e
+
+class _WidthModel:
+    """The annealer's width estimate of an edge order, updated per swap.
+
+    ``delta[p]`` counts the code qubits woken at position p plus the flag
+    windows opened at p, minus the windows closed just before p; the width
+    is the peak of its running sum over the edge positions.  A swap of two
+    edges moves only the first positions of their (at most four) code
+    qubits and the windows of their (at most four) gadgets.
+    """
+
+    def __init__(
+        self,
+        edges: list[tuple[int, int]],
+        windows: list[tuple[list[int], list[tuple[int, int]]]],
+        order: list[int],
+    ) -> None:
+        n_e = len(edges)
+        self.edges = edges
+        self.windows = windows
+        self.order = order
+        self.pos = [0] * n_e
         for p, e in enumerate(order):
-            pos[e] = p
-        woken: set[int] = set()
-        wake_at = [0] * n_e
-        for p in range(n_e):
-            a, b = edges[order[p]]
-            wake_at[p] = (a not in woken) + (b not in woken)
-            woken.add(a)
-            woken.add(b)
-        open_flags = [0] * (n_e + 1)
-        for mine, spans in vertices:
-            slots = sorted(pos[i] for i in mine)
-            for lo, hi in spans:
-                open_flags[slots[lo]] += 1
-                open_flags[slots[hi] + 1] -= 1
-        peak = 0
-        live_code = 0
-        live_flags = 0
-        for p in range(n_e):
-            live_code += wake_at[p]
-            live_flags += open_flags[p]
-            peak = max(peak, live_code + live_flags)
-        return peak
+            self.pos[e] = p
+        self.incident: dict[int, list[int]] = {}
+        for i, (a, b) in enumerate(edges):
+            self.incident.setdefault(a, []).append(i)
+            self.incident.setdefault(b, []).append(i)
+        self.gadgets_of: list[list[int]] = [[] for _ in range(n_e)]
+        for g, (mine, _) in enumerate(windows):
+            for i in mine:
+                self.gadgets_of[i].append(g)
+        self.delta = [0] * (n_e + 1)
+        self.first = {q: min(self.pos[i] for i in inc) for q, inc in self.incident.items()}
+        for p in self.first.values():
+            self.delta[p] += 1
+        self.marks = [self._marks(g) for g in range(len(windows))]
+        for m in self.marks:
+            for lo, hi in m:
+                self.delta[lo] += 1
+                self.delta[hi] -= 1
+        self._undo: tuple = ()
 
-    order = list(rng.permutation(n_e))
-    best = width(order)
-    cur = best
-    best_order = list(order)
-    temp = 3.0
-    for step in range(steps):
-        i, j = rng.integers(0, n_e, size=2)
-        if i == j:
-            continue
-        order[i], order[j] = order[j], order[i]
-        w = width(order)
-        if w <= cur or rng.random() < np.exp((cur - w) / max(temp, 1e-9)):
-            cur = w
-            if w < best:
-                best = w
-                best_order = list(order)
-        else:
-            order[i], order[j] = order[j], order[i]
-        temp *= 0.9995
-    prio = [0] * n_e
-    for p, e in enumerate(best_order):
-        prio[e] = p
-    return prio
+    def _marks(self, g: int) -> list[tuple[int, int]]:
+        """Gadget ``g``'s (open, close) positions, one pair per flag."""
+        mine, spans = self.windows[g]
+        slots = sorted([self.pos[i] for i in mine])
+        return [(slots[lo], slots[hi] + 1) for lo, hi in spans]
+
+    def _move_marks(self, g: int, new: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        """Replace gadget ``g``'s marks by ``new``; return the old ones."""
+        delta = self.delta
+        old = self.marks[g]
+        for (lo, hi), (lo2, hi2) in zip(old, new):
+            if lo != lo2:
+                delta[lo] -= 1
+                delta[lo2] += 1
+            if hi != hi2:
+                delta[hi] += 1
+                delta[hi2] -= 1
+        self.marks[g] = new
+        return old
+
+    def peak(self) -> int:
+        return max(accumulate(self.delta[: len(self.edges)]), default=0)
+
+    def swap(self, i: int, j: int) -> int:
+        """Swap the edges at positions ``i`` and ``j``; return the new peak.
+
+        A qubit or gadget holding both edges keeps its set of positions, so
+        only those holding exactly one of them are updated.
+        """
+        order, pos, delta, first = self.order, self.pos, self.delta, self.first
+        ei, ej = order[i], order[j]
+        order[i], order[j] = ej, ei
+        pos[ei], pos[ej] = j, i
+        old_first = []
+        for q in {*self.edges[ei]} ^ {*self.edges[ej]}:
+            p = min([pos[e] for e in self.incident[q]])
+            if p != first[q]:
+                old_first.append((q, first[q]))
+                delta[first[q]] -= 1
+                delta[p] += 1
+                first[q] = p
+        old_marks = [
+            (g, self._move_marks(g, self._marks(g)))
+            for g in {*self.gadgets_of[ei]} ^ {*self.gadgets_of[ej]}
+        ]
+        self._undo = (i, j, old_first, old_marks)
+        return self.peak()
+
+    def undo(self) -> None:
+        """Revert the last swap from its cached first positions and marks."""
+        i, j, old_first, old_marks = self._undo
+        order, pos, delta, first = self.order, self.pos, self.delta, self.first
+        ei, ej = order[i], order[j]
+        order[i], order[j] = ej, ei
+        pos[ei], pos[ej] = j, i
+        for q, p in old_first:
+            delta[first[q]] -= 1
+            delta[p] += 1
+            first[q] = p
+        for g, m in old_marks:
+            self._move_marks(g, m)
 
 
 def _gadget_for(library: GadgetLibrary, t: int, r: int) -> FlagGadget:
@@ -562,12 +709,14 @@ def schedule_circuit(
 
     ``objective`` is ``min_max_qubits`` or ``min_depth``.  Fault tolerance
     is order-invariant because every sampled order respects the
-    gadget-internal precedence chains.
+    gadget-internal precedence chains.  Sampled orders are compared by
+    ``AssembledCircuit.order_metrics``; only the winning order is built
+    into a ``Circuit``.
     """
     if objective not in ("min_max_qubits", "min_depth"):
         raise ValueError(f"unknown objective {objective!r}")
     rng = np.random.default_rng(seed)
-    best: Circuit | None = None
+    best: list[int] = []
     best_val: tuple[int, int] | None = None
     for trial in range(max(shuffles, 1)):
         if trial == 0:
@@ -577,17 +726,11 @@ def schedule_circuit(
         else:
             greedy = objective == "min_max_qubits" and trial % 4 != 3
             order = assembled._topological_order(rng, greedy=greedy)
-        circ = assembled.schedule(order)
-        m = circuit_metrics(circ)
-        val = (
-            (m.max_simultaneous_qubits, m.depth)
-            if objective == "min_max_qubits"
-            else (m.depth, m.max_simultaneous_qubits)
-        )
+        width, depth = assembled.order_metrics(order)
+        val = (width, depth) if objective == "min_max_qubits" else (depth, width)
         if best_val is None or val < best_val:
-            best, best_val = circ, val
-    assert best is not None
-    return best
+            best, best_val = order, val
+    return assembled.schedule(best)
 
 
 def circuit_metrics(circuit: Circuit) -> CircuitMetrics:

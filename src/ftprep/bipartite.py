@@ -88,10 +88,24 @@ def synthesize_bipartite(state: CssState, seed: int) -> BipartiteCircuit:
     The seed drives two randomizations: an invertible recombination of the
     generator basis and a shuffle of the qubit order used for greedy pivot
     selection.  Together they explore different control/target partitions.
+    Raises ``ValueError`` for an invalid state.
+    """
+    _require_valid(state)
+    return _synthesize(state, seed)
+
+
+def _require_valid(state: CssState) -> None:
+    """Raise ``ValueError`` unless ``state`` passes ``validate_css_state``.
+
+    Callers that synthesize many trials of one state check it once here.
     """
     report = validate_css_state(state)
     if not report.ok:
         raise ValueError(f"invalid CSS state: {report}")
+
+
+def _synthesize(state: CssState, seed: int) -> BipartiteCircuit:
+    """``synthesize_bipartite`` for a state already checked by ``_require_valid``."""
     rng = np.random.default_rng(seed)
     n = state.n
     # Generator matrices with qubits as rows: bit j of xrows[q] is the X part
@@ -145,12 +159,13 @@ def best_of_trials(state: CssState, trials: int, seed: int) -> BipartiteCircuit:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _require_valid(state)
     seq = np.random.SeedSequence(seed)
     best: BipartiteCircuit | None = None
     best_key: tuple[int, int] | None = None
     for child in seq.spawn(trials):
         trial_seed = int(child.generate_state(1)[0])
-        bip = synthesize_bipartite(state, trial_seed)
+        bip = _synthesize(state, trial_seed)
         key = (bip.edge_count, bip.max_degree)
         if best_key is None or key < best_key:
             best, best_key = bip, key

@@ -19,7 +19,7 @@ from .assemble import (
     circuit_metrics,
     schedule_circuit,
 )
-from .bipartite import BipartiteCircuit, synthesize_bipartite
+from .bipartite import BipartiteCircuit, _require_valid, _synthesize
 from .circuit import Circuit
 from .css import CssState
 from .library import GadgetLibrary
@@ -55,11 +55,12 @@ def build_preparation_circuit(
     with the fewest edges, assembles each of the top ``assembly_candidates``
     and picks the result minimizing (cx_count, max_simultaneous_qubits).
     """
+    _require_valid(state)
     seq = np.random.SeedSequence(seed)
     children = seq.spawn(bip_trials + 2)
     seen: dict[tuple, BipartiteCircuit] = {}
     for child in children[:bip_trials]:
-        bip = synthesize_bipartite(state, int(child.generate_state(1)[0]))
+        bip = _synthesize(state, int(child.generate_state(1)[0]))
         seen.setdefault((bip.edge_count, bip.edges), bip)
     ranked = sorted(seen.values(), key=lambda b: (b.edge_count, b.max_degree))
     candidates = ranked[: max(assembly_candidates, 1)]

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from ftprep import gf2
+from ftprep import bipartite, gf2, pipeline
 from ftprep.bipartite import BipartiteCircuit, best_of_trials, synthesize_bipartite
 from ftprep.catalog import get_state
 from ftprep.css import CssState
+from ftprep.library import GadgetLibrary
 from ftprep.pauli import PauliOperator
+from ftprep.pipeline import build_preparation_circuit
 from ftprep.tableau import tableau_check_circuit
 
 
@@ -75,7 +77,7 @@ def test_best_of_trials_monotone():
     assert e_large <= e_small
 
 
-def test_invalid_state_rejected():
+def test_invalid_state_rejected(monkeypatch):
     broken = CssState(
         name="broken",
         n=2,
@@ -86,5 +88,27 @@ def test_invalid_state_rejected():
         logical_x_reps=(),
         logical_z_reps=(),
     )
-    with pytest.raises(ValueError):
+
+    def no_trial(state, seed):
+        raise AssertionError("a trial ran on an invalid state")
+
+    monkeypatch.setattr(bipartite, "_synthesize", no_trial)
+    monkeypatch.setattr(pipeline, "_synthesize", no_trial)
+    with pytest.raises(ValueError, match="invalid CSS state"):
         synthesize_bipartite(broken, seed=0)
+    with pytest.raises(ValueError, match="invalid CSS state"):
+        best_of_trials(broken, trials=5, seed=0)
+    with pytest.raises(ValueError, match="invalid CSS state"):
+        build_preparation_circuit(broken, GadgetLibrary.bundled(), bip_trials=5)
+
+
+def test_state_validated_once_per_call(monkeypatch):
+    calls = []
+    real = bipartite.validate_css_state
+    monkeypatch.setattr(bipartite, "validate_css_state", lambda s: calls.append(s) or real(s))
+    state = get_state("steane")
+    best_of_trials(state, trials=20, seed=1)
+    assert len(calls) == 1
+    build_preparation_circuit(state, GadgetLibrary.bundled(), bip_trials=20,
+                              assembly_candidates=1, shuffles=2, seed=1)
+    assert len(calls) == 2
