@@ -83,9 +83,6 @@ class Circuit:
     def n_code(self) -> int:
         return sum(1 for c in self.code_index if c is not None)
 
-    def cx_gates(self) -> list[CXGate]:
-        return [op for op in self.ops if isinstance(op, CXGate)]
-
     def flag_measurements(self) -> list[FlagMeasure]:
         return [op for op in self.ops if isinstance(op, FlagMeasure)]
 

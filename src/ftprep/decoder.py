@@ -14,6 +14,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .css import CssState, coset_enumeration, coset_key_columns
 from .noise import SampleSet, wilson_interval
 
@@ -23,40 +25,32 @@ class ClassConflictError(ValueError):
     syndrome but disagree on class."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MLTable:
-    """Syndrome -> per-class sample mass from a training set."""
+    """Syndrome -> decoded class, as two arrays sorted by syndrome.
+
+    Holds the trained maximum-likelihood layer (:func:`build_ml_lut`) or
+    the ideal minimum-weight table (:func:`build_ideal_class_table`).
+    """
 
     synd_bits: int
     class_bits: int
-    counts: dict[int, dict[int, float]] = field(default_factory=dict)
-    weights: dict[int, dict[int, float]] = field(default_factory=dict)
-
-    def best_class(self, synd: int) -> int | None:
-        per_class = self.weights.get(synd)
-        if not per_class:
-            return None
-        # Maximal mass; ties break toward the smallest class bit pattern.
-        best = max(per_class.items(), key=lambda kv: (kv[1], -kv[0]))
-        return best[0]
-
-    def __contains__(self, synd: int) -> bool:
-        return synd in self.weights
+    synd: np.ndarray  # uint64, sorted and unique
+    cls: np.ndarray  # uint64
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.synd)
 
 
 def build_ml_lut(training: SampleSet) -> MLTable:
-    """Accumulate per-syndrome class histograms from accepted samples."""
-    table = MLTable(training.synd_bits, training.class_bits)
-    for (synd, cls), count in training.counts.items():
-        table.counts.setdefault(synd, {})
-        table.counts[synd][cls] = table.counts[synd].get(cls, 0.0) + count
-    for (synd, cls), weight in training.weights.items():
-        table.weights.setdefault(synd, {})
-        table.weights[synd][cls] = table.weights[synd].get(cls, 0.0) + weight
-    return table
+    """Most likely class per trained syndrome: the class of maximal weight,
+    ties broken toward the smallest class bit pattern."""
+    synd, cls = training.synd, training.cls
+    order = np.lexsort((cls, -training.weight, synd))
+    synd, cls = synd[order], cls[order]
+    first = np.ones(len(synd), dtype=bool)
+    first[1:] = synd[1:] != synd[:-1]
+    return MLTable(training.synd_bits, training.class_bits, synd[first], cls[first])
 
 
 @dataclass
@@ -67,9 +61,6 @@ class MWTable:
     class_bits: int
     w_max: int
     entries: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-    def __contains__(self, synd: int) -> bool:
-        return synd in self.entries
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -117,7 +108,7 @@ def build_mw_lut(
     return table
 
 
-def build_ideal_class_table(state: CssState, error_type: str) -> dict[int, int]:
+def build_ideal_class_table(state: CssState, error_type: str) -> MLTable:
     """Minimum-weight class for every syndrome.
 
     Enumerates pure-type errors by increasing weight until all syndromes
@@ -134,11 +125,14 @@ def build_ideal_class_table(state: CssState, error_type: str) -> dict[int, int]:
         if synd not in table:
             table[synd] = key >> synd_bits
             if len(table) == target:
-                return table
-    return table
+                break
+    synd = np.array(sorted(table), dtype=np.uint64)
+    cls = np.array([table[s] for s in synd.tolist()], dtype=np.uint64)
+    return MLTable(synd_bits, len(state.class_logicals(error_type)), synd, cls)
 
 
-DISCARD = "discard"
+# Layer codes returned by :func:`decode`.
+ML, MW, FALLBACK, DISCARD = range(4)
 
 
 @dataclass(frozen=True)
@@ -147,24 +141,46 @@ class DecodePolicy:
     t: int = 0
 
 
+def _lookup(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each query in the sorted ``keys``, and whether it is there."""
+    if not len(keys):
+        return np.zeros(query.shape, dtype=np.intp), np.zeros(query.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return pos, keys[pos] == query
+
+
 def decode(
-    synd: int,
+    synd: np.ndarray,
     ml: MLTable | None,
     mw: MWTable | None,
     policy: DecodePolicy = DecodePolicy(),
-) -> int | str:
-    """Decoded class for a syndrome, or DISCARD under the discard policy."""
-    if policy.even_distance_discard and mw is not None:
-        entry = mw.entries.get(synd)
-        if entry is not None and entry[1] == policy.t:
-            return DISCARD
-    if ml is not None and synd in ml:
-        best = ml.best_class(synd)
-        assert best is not None
-        return best
-    if mw is not None and synd in mw:
-        return mw.entries[synd][0]
-    return 0  # fall back to the trivial class
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decoded class and layer code of every syndrome in an array.
+
+    The ML table decides where it was trained, the MW table covers the
+    rest, and the trivial class is the fallback.  Under the even-distance
+    policy a syndrome whose MW weight is exactly ``policy.t`` is a DISCARD,
+    whatever the ML table says; its class reads 0.
+    """
+    synd = np.asarray(synd, dtype=np.uint64)
+    cls = np.zeros(synd.shape, dtype=np.uint64)
+    layer = np.full(synd.shape, FALLBACK, dtype=np.uint8)
+    boundary = np.zeros(synd.shape, dtype=bool)
+    if mw is not None:
+        entries = sorted(mw.entries.items())
+        pos, hit = _lookup(np.array([s for s, _ in entries], dtype=np.uint64), synd)
+        found = np.array([cw for _, cw in entries], dtype=np.int64).reshape(-1, 2)[pos[hit]]
+        cls[hit] = found[:, 0]
+        layer[hit] = MW
+        if policy.even_distance_discard:
+            boundary[hit] = found[:, 1] == policy.t
+    if ml is not None:
+        pos, hit = _lookup(ml.synd, synd)
+        cls[hit] = ml.cls[pos[hit]]
+        layer[hit] = ML
+    cls[boundary] = 0
+    layer[boundary] = DISCARD
+    return cls, layer
 
 
 @dataclass
@@ -201,37 +217,31 @@ def evaluate_test_set(
     mw: MWTable | None,
     policy: DecodePolicy = DecodePolicy(),
 ) -> EvaluationReport:
-    """Decode every test sample and tally per-layer statistics."""
-    total = discarded = errors = 0.0
-    ml_hits = ml_errors = mw_hits = mw_errors = fallback = fallback_errors = 0.0
-    w_total = w_err = 0.0
-    for (synd, cls), count in test.counts.items():
-        weight = test.weights.get((synd, cls), 0.0)
-        total += count
-        verdict = decode(synd, ml, mw, policy)
-        if verdict == DISCARD:
-            discarded += count
-            continue
-        wrong = verdict != cls
-        w_total += weight
-        if ml is not None and synd in ml and not (
-            policy.even_distance_discard and mw is not None and synd in mw and mw.entries[synd][1] == policy.t
-        ):
-            ml_hits += count
-            if wrong:
-                ml_errors += count
-        elif mw is not None and synd in mw:
-            mw_hits += count
-            if wrong:
-                mw_errors += count
-        else:
-            fallback += count
-            if wrong:
-                fallback_errors += count
-        if wrong:
-            errors += count
-            w_err += weight
+    """Decode every test sample and tally per-layer statistics.
+
+    Raises ValueError when a table's syndrome or class width differs from
+    the test set's.
+    """
+    width = (test.synd_bits, test.class_bits)
+    for name, table in (("ML", ml), ("MW", mw)):
+        if table is not None and (table.synd_bits, table.class_bits) != width:
+            raise ValueError(
+                f"{name} table has {table.synd_bits} syndrome + {table.class_bits} class bits, "
+                f"the test set {width[0]} + {width[1]}"
+            )
+    cls, layer = decode(test.synd, ml, mw, policy)
+    wrong = cls != test.cls
+    kept_mask = layer != DISCARD
+
+    def mass(mask: np.ndarray, of: np.ndarray = test.count) -> float:
+        return float(of[mask].sum())
+
+    total = float(test.count.sum())
+    discarded = mass(~kept_mask)
     kept = total - discarded
+    errors = mass(kept_mask & wrong)
+    w_total = mass(kept_mask, test.weight)
+    w_err = mass(kept_mask & wrong, test.weight)
     rate = errors / kept if kept else 0.0
     ci = wilson_interval(errors, kept) if kept else (0.0, 1.0)
     return EvaluationReport(
@@ -242,11 +252,11 @@ def evaluate_test_set(
         logical_error_rate=rate,
         logical_error_ci=ci,
         post_discard_rate=discarded / total if total else 0.0,
-        ml_hits=ml_hits,
-        ml_errors=ml_errors,
-        mw_hits=mw_hits,
-        mw_errors=mw_errors,
-        fallback=fallback,
-        fallback_errors=fallback_errors,
+        ml_hits=mass(layer == ML),
+        ml_errors=mass((layer == ML) & wrong),
+        mw_hits=mass(layer == MW),
+        mw_errors=mass((layer == MW) & wrong),
+        fallback=mass(layer == FALLBACK),
+        fallback_errors=mass((layer == FALLBACK) & wrong),
         weighted_logical_error_rate=(w_err / w_total) if w_total else 0.0,
     )

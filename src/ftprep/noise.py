@@ -18,8 +18,10 @@ analytically.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from statistics import NormalDist
+from types import MappingProxyType
 
 import numpy as np
 
@@ -292,32 +294,53 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleSet:
-    """Aggregated (syndrome, class) tallies of accepted samples.
+    """Histogram of accepted samples over packed (syndrome, class) keys.
 
-    ``counts`` holds raw sample counts, ``weights`` importance-weighted mass
-    (each sample carries its bucket's true probability over the number
-    drawn there).  The trivial fault-free mass is included analytically.
+    ``keys`` are sorted and unique, in the ``sc`` layout of
+    :class:`EffectTables` (``synd | cls << synd_bits``).  ``count`` holds raw
+    sample counts, ``weight`` importance-weighted mass (each sample carries
+    its bucket's true probability over the number drawn there).  The trivial
+    fault-free mass is included analytically.
     """
 
     synd_bits: int
     class_bits: int
-    counts: dict[tuple[int, int], float] = field(default_factory=dict)
-    weights: dict[tuple[int, int], float] = field(default_factory=dict)
+    keys: np.ndarray  # uint64
+    count: np.ndarray  # float64
+    weight: np.ndarray  # float64
 
-    def add(self, synd: int, cls: int, count: float, weight: float) -> None:
-        key = (synd, cls)
-        self.counts[key] = self.counts.get(key, 0.0) + count
-        self.weights[key] = self.weights.get(key, 0.0) + weight
+    @classmethod
+    def tally(cls, synd_bits: int, class_bits: int, keys, count, weight) -> SampleSet:
+        """Sum ``count`` and ``weight`` per distinct key, each in input order."""
+        uniq, inverse = np.unique(np.asarray(keys, dtype=np.uint64), return_inverse=True)
+        n = len(uniq)
+        return cls(
+            synd_bits,
+            class_bits,
+            uniq,
+            np.bincount(inverse, weights=np.asarray(count, dtype=np.float64), minlength=n),
+            np.bincount(inverse, weights=np.asarray(weight, dtype=np.float64), minlength=n),
+        )
 
     @property
-    def total(self) -> float:
-        return sum(self.counts.values())
+    def synd(self) -> np.ndarray:
+        return self.keys & np.uint64((1 << self.synd_bits) - 1)
 
     @property
-    def total_weight(self) -> float:
-        return sum(self.weights.values())
+    def cls(self) -> np.ndarray:
+        return self.keys >> np.uint64(self.synd_bits)
+
+    @property
+    def counts(self) -> Mapping[tuple[int, int], float]:
+        """Read-only (syndrome, class) -> count view of the arrays.
+
+        Only ``perfbench/tracing.py``'s ``_on_evaluate`` reads it; the
+        package itself works on the arrays.
+        """
+        rows = zip(self.synd.tolist(), self.cls.tolist())
+        return MappingProxyType(dict(zip(rows, self.count.tolist())))
 
 
 @dataclass
@@ -402,9 +425,10 @@ def run_monte_carlo(
         tables = build_effect_tables(circuit, state)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = rng.multinomial(plan.samples, plan.probabilities)
-    sc_mask = np.uint64((1 << tables.synd_bits) - 1)
-    train = SampleSet(tables.synd_bits, tables.class_bits)
-    test = SampleSet(tables.synd_bits, tables.class_bits)
+    # Per subset: each chunk's distinct keys, counts and weights in draw
+    # order, then the trivial add-back on key 0; the histogram sums them in
+    # that order.
+    parts: tuple[list, list] = ([], [])
     accepted_nontrivial = 0.0
 
     for (fp, fq), n_b, prob in zip(plan.pairs, counts, plan.probabilities):
@@ -420,17 +444,17 @@ def run_monte_carlo(
             ok = (flags == 0).all(axis=0)
             accepted_nontrivial += float(ok.sum())
             is_train = rng.random(m) < 0.5
-            for subset, mask in ((train, is_train & ok), (test, ~is_train & ok)):
-                if not mask.any():
-                    continue
+            for part, mask in zip(parts, (is_train & ok, ~is_train & ok)):
                 keys, kcounts = np.unique(acc_sc[mask], return_counts=True)
-                for key, kc in zip(keys.tolist(), kcounts.tolist()):
-                    synd = int(key) & int(sc_mask)
-                    cls = int(key) >> tables.synd_bits
-                    subset.add(synd, cls, kc, kc * weight_each)
+                part.append((keys, kcounts, kcounts * weight_each))
     addback = plan.trivial_addback
-    train.add(0, 0, addback / 2.0, plan.p_trivial / 2.0)
-    test.add(0, 0, addback / 2.0, plan.p_trivial / 2.0)
+    trivial = (np.zeros(1, dtype=np.uint64), [addback / 2.0], [plan.p_trivial / 2.0])
+    train, test = (
+        SampleSet.tally(
+            tables.synd_bits, tables.class_bits, *map(np.concatenate, zip(*part, trivial))
+        )
+        for part in parts
+    )
     accepted = accepted_nontrivial + addback
     effective = plan.effective_samples
     rate = accepted / effective

@@ -70,9 +70,6 @@ class PauliOperator:
             raise ValueError("qubit count mismatch")
         return PauliOperator(self.n, self.x ^ other.x, self.z ^ other.z)
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
 
 def commutes(p: PauliOperator, q: PauliOperator) -> bool:
     """True iff the symplectic inner product x_p.z_q + z_p.x_q vanishes mod 2."""

@@ -1,9 +1,9 @@
 """Text formats for circuits and gadgets, plus LUT and outcome files.
 
 Circuits and gadgets serialize to line-based text with one operation per
-line in time order; parse(serialize(x)) reproduces x exactly.  Look-up
-tables are JSON; outcome streams persist as compressed numpy archives with
-a CSV export path.
+line in time order; parse(serialize(x)) reproduces x exactly.  MW look-up
+tables are JSON; sample histograms persist as compressed numpy archives
+with a CSV export path.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .circuit import (
     FlagMeasure,
     Init,
 )
-from .decoder import MLTable, MWTable
+from .decoder import MWTable
 from .gadgets import FlagGadget
 from .noise import SampleSet
 
@@ -187,31 +187,6 @@ def parse_gadget(text: str) -> FlagGadget:
 # -- look-up tables ----------------------------------------------------------
 
 
-def save_ml_table(table: MLTable, path: str | Path) -> None:
-    payload = {
-        "kind": "ml",
-        "synd_bits": table.synd_bits,
-        "class_bits": table.class_bits,
-        "counts": {hex(s): {str(c): v for c, v in per.items()} for s, per in table.counts.items()},
-        "weights": {hex(s): {str(c): v for c, v in per.items()} for s, per in table.weights.items()},
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_ml_table(path: str | Path) -> MLTable:
-    raw = json.loads(Path(path).read_text())
-    if raw.get("kind") != "ml":
-        raise ValueError("not an ML table file")
-    table = MLTable(raw["synd_bits"], raw["class_bits"])
-    table.counts = {
-        int(s, 16): {int(c): v for c, v in per.items()} for s, per in raw["counts"].items()
-    }
-    table.weights = {
-        int(s, 16): {int(c): v for c, v in per.items()} for s, per in raw["weights"].items()
-    }
-    return table
-
-
 def save_mw_table(table: MWTable, path: str | Path) -> None:
     payload = {
         "kind": "mw",
@@ -235,19 +210,23 @@ def load_mw_table(path: str | Path) -> MWTable:
 # -- outcome streams ---------------------------------------------------------
 
 
+def _rows(samples: SampleSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(syndrome, class, histogram index) of every key, sorted by (syndrome, class)."""
+    synd, cls = samples.synd, samples.cls
+    order = np.lexsort((cls, synd))
+    return synd[order], cls[order], order
+
+
 def save_sample_set(samples: SampleSet, path: str | Path) -> None:
-    """Persist aggregated outcomes as a compact binary archive."""
-    keys = sorted(samples.counts)
-    synd = np.array([k[0] for k in keys], dtype=np.uint64)
-    cls = np.array([k[1] for k in keys], dtype=np.uint64)
-    counts = np.array([samples.counts[k] for k in keys], dtype=np.float64)
-    weights = np.array([samples.weights.get(k, 0.0) for k in keys], dtype=np.float64)
+    """Persist a histogram as a compact binary archive, one row per key in
+    (syndrome, class) order."""
+    synd, cls, order = _rows(samples)
     np.savez_compressed(
         path,
         synd=synd,
         cls=cls,
-        counts=counts,
-        weights=weights,
+        counts=samples.count[order],
+        weights=samples.weight[order],
         meta=np.array([samples.synd_bits, samples.class_bits], dtype=np.int64),
     )
 
@@ -255,16 +234,15 @@ def save_sample_set(samples: SampleSet, path: str | Path) -> None:
 def load_sample_set(path: str | Path) -> SampleSet:
     data = np.load(path)
     synd_bits, class_bits = (int(x) for x in data["meta"])
-    out = SampleSet(synd_bits, class_bits)
-    for s, c, cnt, w in zip(data["synd"], data["cls"], data["counts"], data["weights"]):
-        out.add(int(s), int(c), float(cnt), float(w))
-    return out
+    keys = data["synd"].astype(np.uint64) | data["cls"].astype(np.uint64) << np.uint64(synd_bits)
+    return SampleSet.tally(synd_bits, class_bits, keys, data["counts"], data["weights"])
 
 
 def sample_set_to_csv(samples: SampleSet, path: str | Path) -> None:
+    synd, cls, order = _rows(samples)
     lines = ["syndrome,class,count,weight"]
-    for (s, c) in sorted(samples.counts):
-        lines.append(
-            f"{s:#x},{c},{samples.counts[(s, c)]:.6f},{samples.weights.get((s, c), 0.0):.10g}"
-        )
+    for s, c, n, w in zip(
+        synd.tolist(), cls.tolist(), samples.count[order].tolist(), samples.weight[order].tolist()
+    ):
+        lines.append(f"{s:#x},{c},{n:.6f},{w:.10g}")
     Path(path).write_text("\n".join(lines) + "\n")

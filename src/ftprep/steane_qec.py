@@ -26,23 +26,15 @@ import numpy as np
 
 from .circuit import Circuit
 from .css import CssState, coset_key_columns, coset_keys
-from .decoder import (
-    DecodePolicy,
-    MLTable,
-    MWTable,
-    build_ideal_class_table,
-    build_mw_lut,
-    decode,
-)
+from .decoder import build_ideal_class_table, build_ml_lut, build_mw_lut, decode
 from .noise import (
     EffectTables,
-    NoiseModel,
+    SampleSet,
     SubsetPlan,
     _sample_bucket,
     build_effect_tables,
     build_subset_plan,
     count_fault_locations,
-    run_monte_carlo,
     wilson_interval,
 )
 
@@ -59,6 +51,12 @@ class SteaneQecConfig:
     prep_mode: str = FULL_FT  # full_ft | ft_x_only | no_qec
     data_noise_multiplier: float = 10.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.prep_mode not in (FULL_FT, FT_X_ONLY, NO_QEC):
+            raise ValueError(
+                f"unknown prep_mode {self.prep_mode!r}; expected {FULL_FT}, {FT_X_ONLY} or {NO_QEC}"
+            )
 
 
 @dataclass
@@ -79,9 +77,10 @@ class SteaneQecResult:
 
 
 def _pack_frames(bits: np.ndarray) -> np.ndarray:
-    n = bits.shape[1]
-    powers = (1 << np.arange(n, dtype=np.uint64)).astype(np.uint64)
-    return (bits.astype(np.uint64) * powers[None, :]).sum(axis=1, dtype=np.uint64)
+    """Rows of at most 64 bits as uint64 words; column j becomes bit j."""
+    packed = np.zeros((len(bits), 8), dtype=np.uint8)
+    packed[:, : (bits.shape[1] + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")[:, 0].astype(np.uint64)
 
 
 def _sample_prep_syndromes(
@@ -171,7 +170,7 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     if cfg.prep_mode == NO_QEC:
         frames = depolarizing_z(n_samples, strong) ^ depolarizing_z(n_samples, strong)
         synd_r, cls_r = synd_and_class(frames)
-        errors = _ideal_decode_errors(synd_r, cls_r, ideal)
+        errors = int((decode(synd_r, ideal, None)[0] != cls_r).sum())
         rate = errors / n_samples
         return SteaneQecResult(cfg, errors, n_samples, rate, wilson_interval(errors, n_samples), 1.0)
 
@@ -220,45 +219,25 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     # decoding: the block's own class plus the ideal class of the syndrome
     # junk contributed by the resource, gate and readout noise.
     n_train = n_samples // 2
-    junk = synd ^ r1_synd
-    junk_ideal = np.zeros(n_samples, dtype=np.uint64)
-    for s in np.unique(junk).tolist():
-        junk_ideal[junk == s] = ideal.get(int(s), 0)
-    labels = r1_cls ^ junk_ideal
-    ml = MLTable(synd_bits=int(synd_bits), class_bits=state.k)
-    for s, c in zip(synd[:n_train].tolist(), labels[:n_train].tolist()):
-        ml.weights.setdefault(int(s), {})
-        cls_map = ml.weights[int(s)]
-        cls_map[int(c)] = cls_map.get(int(c), 0.0) + 1.0
+    junk = synd[:n_train] ^ r1_synd[:n_train]
+    labels = r1_cls[:n_train] ^ decode(junk, ideal, None)[0]
+    ones = np.ones(n_train)
+    train = SampleSet.tally(
+        int(synd_bits), state.k, synd[:n_train] | labels << synd_bits, ones, ones
+    )
+    ml = build_ml_lut(train)
 
     eval_slice = slice(n_train, n_samples)
     synd_eval = synd[eval_slice]
     frames_eval = frames[eval_slice] ^ depolarizing_z(n_samples - n_train, strong)
-
-    corr_class = np.zeros(len(synd_eval), dtype=np.uint64)
-    uniq = np.unique(synd_eval)
-    policy = DecodePolicy()
-    for s in uniq.tolist():
-        verdict = decode(int(s), ml, mw, policy)
-        cls = 0 if verdict == "discard" else int(verdict)
-        corr_class[synd_eval == s] = cls
+    corr_class = decode(synd_eval, ml, mw)[0]
 
     synd_r, cls_r = synd_and_class(frames_eval)
     synd_r ^= synd_eval
     cls_r ^= corr_class
-    errors = _ideal_decode_errors(synd_r, cls_r, ideal)
+    # Ideal minimum-weight correction of the residual's syndrome.
+    errors = int((decode(synd_r, ideal, None)[0] != cls_r).sum())
     kept = len(synd_eval)
     rate = errors / kept
     return SteaneQecResult(cfg, errors, kept, rate, wilson_interval(errors, kept), prep_acc)
 
-
-def _ideal_decode_errors(synd_r: np.ndarray, cls_r: np.ndarray, ideal: dict[int, int]) -> int:
-    """Count samples whose residual is logically nontrivial after an ideal
-    minimum-weight correction of its syndrome."""
-    errors = 0
-    uniq = np.unique(synd_r)
-    for s in uniq.tolist():
-        ideal_cls = ideal.get(int(s), 0)
-        sel = synd_r == s
-        errors += int((cls_r[sel] != ideal_cls).sum())
-    return errors

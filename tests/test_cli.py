@@ -75,6 +75,11 @@ def test_simulate_decode_flow(tmp_path, capsys):
     result = json.loads((tmp_path / "decode.json").read_text())
     assert result["logical_error_rate"] < 1e-3
 
+    # Steane sample sets against Golay's 11-bit tables are a width mismatch.
+    rc = main(["decode", "--code", "golay", "--train", str(train), "--test", str(test)])
+    assert rc == 2
+    assert "syndrome" in capsys.readouterr().err
+
 
 def test_simulate_reproducible(tmp_path):
     circ_path = tmp_path / "c.circuit"

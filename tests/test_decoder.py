@@ -7,6 +7,9 @@ from ftprep.catalog import get_state
 from ftprep.css import syndrome_and_class
 from ftprep.decoder import (
     DISCARD,
+    FALLBACK,
+    ML,
+    MW,
     DecodePolicy,
     build_ideal_class_table,
     build_ml_lut,
@@ -18,23 +21,48 @@ from ftprep.noise import SampleSet
 from ftprep.pauli import PauliOperator
 
 
+def histogram(synd_bits, class_bits, *rows):
+    """SampleSet from (syndrome, class, count, weight) rows."""
+    synd, cls, count, weight = zip(*rows)
+    keys = [s | c << synd_bits for s, c in zip(synd, cls)]
+    return SampleSet.tally(synd_bits, class_bits, keys, count, weight)
+
+
+def decode_one(synd, ml, mw, policy=DecodePolicy()):
+    """(class, layer) of one syndrome."""
+    cls, layer = decode([synd], ml, mw, policy)
+    return int(cls[0]), int(layer[0])
+
+
 def test_ml_majority_and_tie_break():
-    samples = SampleSet(3, 1)
-    samples.add(0b101, 0, 2, 2.0)
-    samples.add(0b101, 1, 1, 1.0)
-    ml = build_ml_lut(samples)
-    assert ml.best_class(0b101) == 0
-    tied = SampleSet(3, 1)
-    tied.add(0b011, 0, 5, 5.0)
-    tied.add(0b011, 1, 5, 5.0)
-    assert build_ml_lut(tied).best_class(0b011) == 0  # lexicographically smallest
+    ml = build_ml_lut(histogram(3, 1, (0b101, 0, 2, 2.0), (0b101, 1, 1, 1.0)))
+    assert decode_one(0b101, ml, None) == (0, ML)
+    heavier = build_ml_lut(histogram(3, 2, (0b101, 2, 1, 1.0), (0b101, 3, 1, 3.0)))
+    assert decode_one(0b101, heavier, None) == (3, ML)
+    tied = histogram(3, 2, (0b011, 3, 5, 5.0), (0b011, 1, 5, 5.0), (0b011, 2, 5, 5.0))
+    # lexicographically smallest class
+    assert decode_one(0b011, build_ml_lut(tied), None) == (1, ML)
+
+
+def test_ml_table_matches_per_syndrome_reference():
+    # Reference: maximal weight per syndrome, ties toward the smallest class.
+    rng = np.random.default_rng(3)
+    synd = rng.integers(0, 16, size=400)
+    cls = rng.integers(0, 4, size=400)
+    weight = rng.integers(1, 4, size=400) / 8.0
+    train = histogram(4, 2, *zip(synd.tolist(), cls.tolist(), [1.0] * 400, weight.tolist()))
+    mass: dict[int, dict[int, float]] = {}
+    for s, c, w in zip(train.synd.tolist(), train.cls.tolist(), train.weight.tolist()):
+        mass.setdefault(s, {})[c] = w
+    ml = build_ml_lut(train)
+    assert ml.synd.tolist() == sorted(mass)
+    expected = [max(mass[s].items(), key=lambda kv: (kv[1], -kv[0]))[0] for s in sorted(mass)]
+    assert ml.cls.tolist() == expected
 
 
 def test_trivial_stream_maps_zero_syndrome():
-    samples = SampleSet(3, 1)
-    samples.add(0, 0, 1000, 1.0)
-    ml = build_ml_lut(samples)
-    assert ml.best_class(0) == 0
+    ml = build_ml_lut(histogram(3, 1, (0, 0, 1000, 1.0)))
+    assert decode_one(0, ml, None) == (0, ML)
 
 
 def test_mw_steane_single_errors():
@@ -54,13 +82,18 @@ def test_mw_golay_perfect_coverage():
 def test_mw_golay_code_capacity_exactness():
     golay = get_state("golay")
     mw = build_mw_lut(golay, "X", 3)
+    synds, classes = [], []
     for w in range(1, 4):
         for qubits in itertools.combinations(range(23), w):
             mask = 0
             for q in qubits:
                 mask |= 1 << q
             synd, cls = syndrome_and_class(PauliOperator(23, x=mask), golay, "X")
-            assert decode(synd, None, mw) == cls
+            synds.append(synd)
+            classes.append(cls)
+    decoded, layer = decode(synds, None, mw)
+    assert decoded.tolist() == classes
+    assert (layer == MW).all()
 
 
 def test_mw_empty_at_zero_weight():
@@ -69,16 +102,17 @@ def test_mw_empty_at_zero_weight():
 
 
 def test_decode_pipeline_order():
-    samples = SampleSet(3, 1)
-    samples.add(0b001, 1, 10, 10.0)
-    ml = build_ml_lut(samples)
+    ml = build_ml_lut(histogram(3, 1, (0b001, 1, 10, 10.0)))
     steane = get_state("steane")
     mw = build_mw_lut(steane, "X", 1)
     # ML layer wins where trained, MW covers the rest, fallback is trivial.
-    assert decode(0b001, ml, mw) == 1
+    assert decode_one(0b001, ml, mw) == (1, ML)
     other = 0b010
-    assert decode(other, ml, mw) == mw.entries[other][0]
-    assert decode(0, None, None) == 0
+    assert decode_one(other, ml, mw) == (mw.entries[other][0], MW)
+    assert decode_one(0, None, None) == (0, FALLBACK)
+    assert decode_one(other, None, build_mw_lut(steane, "X", 0)) == (0, FALLBACK)
+    cls, layer = decode(np.array([], dtype=np.uint64), ml, mw)
+    assert cls.shape == layer.shape == (0,)
 
 
 def test_even_distance_discard():
@@ -87,18 +121,30 @@ def test_even_distance_discard():
     policy = DecodePolicy(even_distance_discard=True, t=3)
     weight3_synds = [s for s, (c, w) in mw.entries.items() if w == 3]
     weight1_synds = [s for s, (c, w) in mw.entries.items() if w == 1]
-    assert decode(weight3_synds[0], None, mw, policy) == DISCARD
-    assert decode(weight1_synds[0], None, mw, policy) != DISCARD
+    assert decode_one(weight3_synds[0], None, mw, policy)[1] == DISCARD
+    assert decode_one(weight1_synds[0], None, mw, policy)[1] != DISCARD
+    # The discard precedes the ML layer.
+    ml = build_ml_lut(histogram(11, 1, (weight3_synds[0], 1, 5, 5.0)))
+    assert decode_one(weight3_synds[0], ml, mw, policy) == (0, DISCARD)
 
 
 def test_evaluate_counts_fallback_errors():
-    test = SampleSet(3, 1)
-    test.add(0b111, 1, 4, 4.0)  # unseen syndrome, nontrivial class
-    test.add(0, 0, 96, 96.0)
+    test = histogram(3, 1, (0b111, 1, 4, 4.0), (0, 0, 96, 96.0))  # unseen syndrome 0b111
     report = evaluate_test_set(test, None, None)
     assert report.fallback == 100
     assert report.errors == 4
     assert report.logical_error_rate == pytest.approx(0.04)
+
+
+def test_evaluate_rejects_mismatched_widths():
+    # A 3-bit Steane test set against 11-bit Golay tables.
+    test = histogram(3, 1, (0b111, 1, 4, 4.0), (0, 0, 96, 96.0))
+    golay_mw = build_mw_lut(get_state("golay"), "X", 1)
+    with pytest.raises(ValueError, match="MW table has 11 syndrome"):
+        evaluate_test_set(test, None, golay_mw)
+    wide_ml = build_ml_lut(histogram(3, 2, (0b111, 1, 4, 4.0)))
+    with pytest.raises(ValueError, match="ML table has 3 syndrome \\+ 2 class"):
+        evaluate_test_set(test, wide_ml, None)
 
 
 def test_pipeline_dominance_on_simulated_steane():
@@ -133,14 +179,10 @@ def test_even_distance_policy_keeps_no_boundary_syndromes():
     golay = get_state("golay")
     mw = build_mw_lut(golay, "X", 3)
     policy = DecodePolicy(even_distance_discard=True, t=3)
-    test = SampleSet(11, 1)
-    for s, (c, w) in list(mw.entries.items())[:50]:
-        test.add(s, c, 1, 1.0)
+    test = histogram(11, 1, *((s, c, 1, 1.0) for s, (c, w) in list(mw.entries.items())[:50]))
     report = evaluate_test_set(test, None, mw, policy)
-    kept_weight3 = [
-        s for s, (c, w) in mw.entries.items() if w == 3 and decode(s, None, mw, policy) != DISCARD
-    ]
-    assert not kept_weight3
+    weight3 = [s for s, (c, w) in mw.entries.items() if w == 3]
+    assert (decode(weight3, None, mw, policy)[1] == DISCARD).all()
     assert report.discarded == sum(1 for s, (c, w) in list(mw.entries.items())[:50] if w == 3)
 
 
@@ -164,8 +206,8 @@ def test_even_distance_code_discard_flow():
     boundary = [s for s, (c, w) in mw.entries.items() if w == 3]
     correctable = [s for s, (c, w) in mw.entries.items() if w <= 2]
     assert boundary, "no weight-3 boundary syndromes found"
-    assert all(decode(s, None, mw, policy) == DISCARD for s in boundary[:50])
-    assert all(decode(s, None, mw, policy) != DISCARD for s in correctable[:50])
+    assert (decode(boundary[:50], None, mw, policy)[1] == DISCARD).all()
+    assert (decode(correctable[:50], None, mw, policy)[1] != DISCARD).all()
 
 
 def test_color17_logical_ceiling_at_reference_rate():

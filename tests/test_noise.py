@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from ftprep.circuit import (
     make_circuit,
 )
 from ftprep.css import CssState
+from ftprep.decoder import build_ml_lut, build_mw_lut, evaluate_test_set
 from ftprep.library import GadgetLibrary
 from ftprep.noise import (
     DegeneratePlanError,
@@ -130,6 +132,40 @@ def test_monte_carlo_deterministic(steane_prepared):
     assert a.test.counts == b.test.counts
     c = run_monte_carlo(circ, state, NoiseModel(1e-3), plan, seed=6, tables=tables)
     assert a.train.counts != c.train.counts
+
+
+def histogram_digest(samples):
+    """sha256 over the (syndrome, class, count, weight) rows, floats in hex."""
+    rows = sorted(zip(samples.synd.tolist(), samples.cls.tolist(),
+                      samples.count.tolist(), samples.weight.tolist()))
+    text = "".join(f"{s},{c},{n.hex()},{w.hex()}\n" for s, c, n, w in rows)
+    return len(rows), hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_steane_histogram_and_report(steane_prepared):
+    # Recorded from the dict-backed histogram.  With chunk=1000 the 20,000
+    # samples arrive in 25 chunks, so per-key sums must follow draw order.
+    state, circ = steane_prepared
+    l_p, l_q = count_fault_locations(circ)
+    plan = build_subset_plan(l_p, l_q, 5e-3, 5e-5, 20_000)
+    res = run_monte_carlo(circ, state, NoiseModel(5e-3), plan, seed=5, chunk=1000)
+    assert res.accepted == 120042.6074972369
+    assert histogram_digest(res.train) == (
+        15, "2d258cf4b2a933baa20cf6f63963f89841550968a8d4dd07a0cb42c6d093116e")
+    assert histogram_digest(res.test) == (
+        15, "310810720dc81e0a3bfe0d55b85dfb32abf30999899400387cf0f4590969ab9e")
+    assert res.test.counts[(1, 1)] == 377.0
+    rep = evaluate_test_set(res.test, build_ml_lut(res.train), build_mw_lut(state, "X", 1))
+    assert (rep.errors, rep.ml_errors, rep.discarded, rep.mw_hits, rep.fallback) == (
+        28.0, 28.0, 0.0, 0.0, 0.0)
+    for got, want in (
+        (rep.total, 59927.80374861845),
+        (rep.kept, 59927.80374861845),
+        (rep.ml_hits, 59927.80374861845),
+        (rep.logical_error_rate, 0.0004672288695486442),
+        (rep.weighted_logical_error_rate, 0.0004544134241011311),
+    ):
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_acceptance_tends_to_one_at_low_rate(steane_prepared):

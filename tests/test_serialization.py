@@ -1,21 +1,20 @@
+import numpy as np
 import pytest
 
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
 from ftprep.catalog import get_state
-from ftprep.decoder import build_ml_lut, build_mw_lut
+from ftprep.decoder import build_mw_lut
 from ftprep.gadgets import discover_gadget, hadamard_conjugate_gadget
 from ftprep.library import GadgetLibrary
 from ftprep.noise import SampleSet
 from ftprep.serialization import (
     ParseError,
-    load_ml_table,
     load_mw_table,
     load_sample_set,
     parse_circuit,
     parse_gadget,
     sample_set_to_csv,
-    save_ml_table,
     save_mw_table,
     save_sample_set,
     serialize_circuit,
@@ -66,28 +65,56 @@ def test_lut_round_trips(tmp_path):
     save_mw_table(mw, mw_path)
     assert load_mw_table(mw_path).entries == mw.entries
 
-    samples = SampleSet(3, 1)
-    samples.add(0b101, 1, 7, 0.5)
-    samples.add(0, 0, 100, 99.0)
-    ml = build_ml_lut(samples)
-    ml_path = tmp_path / "ml.json"
-    save_ml_table(ml, ml_path)
-    loaded = load_ml_table(ml_path)
-    assert loaded.weights == ml.weights
-    assert loaded.counts == ml.counts
+
+# (syndrome, class, count, weight) rows in (syndrome, class) order; the packed
+# keys (syndrome | class << 4) order them differently.
+ROWS = [(0, 0, 5000.5, 0.97), (0, 1, 4.0, 0.125), (3, 0, 2.0, 1e-7), (3, 1, 17.0, 0.25),
+        (15, 1, 1.0, 3.3e-9)]
+
+
+def rows_histogram():
+    synd, cls, count, weight = zip(*ROWS)
+    return SampleSet.tally(4, 1, [s | c << 4 for s, c in zip(synd, cls)], count, weight)
+
+
+def assert_same_histogram(a, b):
+    assert (a.synd_bits, a.class_bits) == (b.synd_bits, b.class_bits)
+    assert a.keys.tolist() == b.keys.tolist()
+    assert a.count.tolist() == b.count.tolist()
+    assert a.weight.tolist() == b.weight.tolist()
 
 
 def test_sample_set_round_trip_and_csv(tmp_path):
-    samples = SampleSet(4, 1)
-    samples.add(3, 1, 17, 0.25)
-    samples.add(0, 0, 5000, 0.97)
+    samples = rows_histogram()
     path = tmp_path / "samples.npz"
     save_sample_set(samples, path)
-    loaded = load_sample_set(path)
-    assert loaded.counts == samples.counts
-    assert loaded.weights == samples.weights
+    assert_same_histogram(load_sample_set(path), samples)
     csv_path = tmp_path / "samples.csv"
     sample_set_to_csv(samples, csv_path)
-    text = csv_path.read_text()
-    assert text.startswith("syndrome,class,count,weight")
-    assert "0x3,1," in text
+    # Byte for byte what the dict-backed histogram wrote.
+    assert csv_path.read_text() == (
+        "syndrome,class,count,weight\n"
+        "0x0,0,5000.500000,0.97\n"
+        "0x0,1,4.000000,0.125\n"
+        "0x3,0,2.000000,1e-07\n"
+        "0x3,1,17.000000,0.25\n"
+        "0xf,1,1.000000,3.3e-09\n"
+    )
+
+
+def test_sample_set_archive_layout(tmp_path):
+    # The archive layout: one row per key, sorted by (syndrome, class).
+    path = tmp_path / "legacy.npz"
+    synd, cls, count, weight = (np.array(col) for col in zip(*ROWS))
+    np.savez_compressed(
+        path, synd=synd.astype(np.uint64), cls=cls.astype(np.uint64), counts=count,
+        weights=weight, meta=np.array([4, 1], dtype=np.int64),
+    )
+    assert_same_histogram(load_sample_set(path), rows_histogram())
+    written = tmp_path / "written.npz"
+    save_sample_set(rows_histogram(), written)
+    with np.load(path) as legacy, np.load(written) as new:
+        assert sorted(legacy.files) == sorted(new.files)
+        for name in legacy.files:
+            assert legacy[name].dtype == new[name].dtype, name
+            assert legacy[name].tolist() == new[name].tolist(), name

@@ -34,6 +34,17 @@ def color17_prep(library):
     return state, prep
 
 
+@pytest.fixture(scope="module")
+def color17_x_only(color17_prep, library):
+    # Z gadgets stripped: the ft_x_only ablation circuit.
+    state, prep = color17_prep
+    asm = assemble_ft_circuit(
+        state, prep.bipartite, library,
+        z_gadget_t_override=0, allow_uncertified_override=True, seed=5,
+    )
+    return schedule_circuit(asm, "min_max_qubits", shuffles=30, seed=3)
+
+
 def test_negligible_noise_gives_zero_errors(color17_prep):
     state, prep = color17_prep
     cfg = SteaneQecConfig(state, 1e-9, samples=3000, prep_mode=FULL_FT, seed=1)
@@ -68,13 +79,9 @@ def test_two_logical_code_corrects_sparse_z_errors():
     assert run_steane_qec_experiment(cfg).logical_errors == 0
 
 
-def test_ablated_circuit_keeps_x_ft_loses_z_ft(color17_prep, library):
-    state, prep = color17_prep
-    asm = assemble_ft_circuit(
-        state, prep.bipartite, library,
-        z_gadget_t_override=0, allow_uncertified_override=True, seed=5,
-    )
-    circ = schedule_circuit(asm, "min_max_qubits", shuffles=30, seed=3)
+def test_ablated_circuit_keeps_x_ft_loses_z_ft(color17_prep, color17_x_only):
+    state, _ = color17_prep
+    circ = color17_x_only
     assert verify_fault_tolerance(circ, state, 2, "X") is None
     ce = verify_fault_tolerance(circ, state, 2, "Z")
     assert ce is not None
@@ -123,3 +130,26 @@ def test_more_than_64_qubits_rejected():
     cfg = SteaneQecConfig(state, 1e-3, samples=100, prep_mode=NO_QEC, seed=1)
     with pytest.raises(ValueError, match="64-bit"):
         run_steane_qec_experiment(cfg)
+
+
+def test_golden_color17_modes(color17_prep, color17_x_only):
+    # Recorded from the per-syndrome decode loops these runs replaced.
+    state, prep = color17_prep
+    golden = {
+        FULL_FT: (prep.circuit, 142, 10_000, 0.5497597062476376),
+        FT_X_ONLY: (color17_x_only, 211, 10_000, 0.7051538275193798),
+        NO_QEC: (None, 272, 20_000, 1.0),
+    }
+    for mode, (circ, errors, samples, acceptance) in golden.items():
+        cfg = SteaneQecConfig(
+            state, 5e-3, samples=20_000, prep_mode=mode, data_noise_multiplier=6.0, seed=11
+        )
+        res = run_steane_qec_experiment(cfg, circ)
+        assert (res.logical_errors, res.samples, res.prep_acceptance) == (
+            errors, samples, acceptance), mode
+
+
+def test_unknown_prep_mode_rejected(color17_prep):
+    state, prep = color17_prep
+    with pytest.raises(ValueError, match="unknown prep_mode 'fulft'"):
+        SteaneQecConfig(state, 1e-3, samples=100, prep_mode="fulft")
