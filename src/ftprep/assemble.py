@@ -338,7 +338,6 @@ def assemble_ft_circuit(
     z_gadget_t_override: int | None = None,
     seed: int = 0,
     width_anneal: int = 0,
-    edge_priority: list[int] | None = None,
     use_trivial_gadgets: bool = True,
     allow_uncertified_override: bool = False,
 ) -> AssembledCircuit:
@@ -382,8 +381,8 @@ def assemble_ft_circuit(
                 pass
         return _gadget_for(library, t_side, degree)
 
-    priority = list(edge_priority) if edge_priority is not None else None
-    if priority is None and width_anneal > 0:
+    priority = None
+    if width_anneal > 0:
         priority = _anneal_priority(bip, pick_gadget, t_x, t_z, width_anneal, rng)
     return _assemble_once(state, bip, pick_gadget, t_x, t_z, rng, priority)
 

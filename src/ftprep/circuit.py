@@ -100,9 +100,15 @@ class Circuit:
         return out
 
     def validate(self) -> None:
-        """Raise ValueError if the op sequence breaks the circuit invariants."""
+        """Raise ValueError if the op sequence breaks the circuit invariants.
+
+        Besides the init/measure order, flag outcome indices must be
+        distinct and lie in ``range(flag_count)``.
+        """
         inited: set[int] = set()
         measured: set[int] = set()
+        outcomes: set[int] = set()
+        n_flags = self.flag_count
         for op in self.ops:
             if isinstance(op, Init):
                 if op.qubit in inited:
@@ -119,7 +125,12 @@ class Circuit:
                     raise ValueError(f"flag {op.qubit} measured twice")
                 if self.code_index[op.qubit] is not None:
                     raise ValueError("code qubits may only be measured transversally")
+                if not 0 <= op.outcome < n_flags:
+                    raise ValueError(f"flag outcome m{op.outcome} outside 0..{n_flags - 1}")
+                if op.outcome in outcomes:
+                    raise ValueError(f"flag outcome m{op.outcome} recorded twice")
                 measured.add(op.qubit)
+                outcomes.add(op.outcome)
         for q in range(self.n_qubits):
             if q not in inited:
                 raise ValueError(f"qubit {q} never initialized")

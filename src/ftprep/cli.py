@@ -17,7 +17,7 @@ from . import catalog, serialization
 from .assemble import assemble_ft_circuit, certified_z_override, schedule_circuit
 from .bipartite import best_of_trials
 from .css import max_coset_weight
-from .decoder import DecodePolicy, build_ml_lut, build_mw_lut, evaluate_test_set
+from .decoder import build_ml_lut, build_mw_lut, evaluate_test_set
 from .gadgets import discover_gadget
 from .library import GadgetLibrary
 from .noise import (
@@ -175,8 +175,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     test = serialization.load_sample_set(args.test)
     ml = build_ml_lut(train)
     mw = build_mw_lut(state, "X", args.wmax if args.wmax else (state.d - 1) // 2)
-    policy = DecodePolicy(even_distance_discard=args.even_discard, t=state.d // 2)
-    report = evaluate_test_set(test, ml, mw, policy)
+    report = evaluate_test_set(test, ml, mw, state.d // 2 if args.even_discard else None)
     print(report)
     lo, hi = report.logical_error_ci
     _write_out(args.out, {

@@ -12,7 +12,9 @@ correctable: the run is discarded before any correction is attempted.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from itertools import islice
+from math import comb
 
 import numpy as np
 
@@ -53,92 +55,97 @@ def build_ml_lut(training: SampleSet) -> MLTable:
     return MLTable(training.synd_bits, training.class_bits, synd[first], cls[first])
 
 
-@dataclass
+@dataclass(frozen=True)
 class MWTable:
-    """Syndrome -> (class, minimum weight) for low-weight ideal-state errors."""
+    """Syndrome -> (class, minimum weight) for low-weight ideal-state errors,
+    as three arrays sorted by syndrome."""
 
     synd_bits: int
     class_bits: int
     w_max: int
-    entries: dict[int, tuple[int, int]] = field(default_factory=dict)
+    synd: np.ndarray  # uint64, sorted and unique
+    cls: np.ndarray  # uint64
+    weight: np.ndarray  # int64
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.synd)
 
 
-def build_mw_lut(
-    state: CssState, error_type: str, w_max: int, enumeration_cap: int = 10_000_000
-) -> MWTable:
-    """Enumerate all pure-type errors of weight 1..w_max on the ideal state.
+ENUMERATION_CAP = 10_000_000  # errors build_mw_lut may enumerate
 
-    Colliding syndromes must agree on class up to the code's guarantee
-    floor((d-1)/2); beyond it the lighter entry wins with a warning.
+
+def _first_hits(state: CssState, error_type: str, w_max: int) -> MWTable:
+    """Class and weight of the first error of weight <= w_max to reach each
+    syndrome.
+
+    Errors come lightest first from the empty one, so the first hit is the
+    lightest, first-enumerated explanation.  Every error within the code's
+    guarantee floor((d-1)/2) must agree with the class kept for its
+    syndrome; heavier errors only fill syndromes not yet reached, and the
+    pass stops once every syndrome has been reached.
     """
-    from math import comb
-
-    total = sum(comb(state.n, w) for w in range(1, w_max + 1))
-    if total > enumeration_cap:
-        raise ValueError(f"{total} errors exceed the enumeration cap {enumeration_cap}")
-    table = MWTable(
-        synd_bits=len(state.checking_generators(error_type)),
-        class_bits=len(state.class_logicals(error_type)),
-        w_max=w_max,
-    )
+    synd_bits = len(state.checking_generators(error_type))
+    target = 1 << synd_bits
     guarantee = (state.d - 1) // 2
-    synd_mask = (1 << table.synd_bits) - 1
-    for w, key in coset_enumeration(coset_key_columns(state, error_type), w_max):
-        if w == 0:
-            continue
-        synd, cls = key & synd_mask, key >> table.synd_bits
-        if synd in table.entries:
-            old_cls, old_w = table.entries[synd]
-            if old_cls != cls:
-                if w <= guarantee and old_w <= guarantee:
-                    raise ClassConflictError(
-                        f"weight-{old_w} and weight-{w} errors share syndrome {synd:#x} "
-                        f"with classes {old_cls} != {cls}"
-                    )
-                warnings.warn(
-                    f"class conflict at syndrome {synd:#x} beyond the distance "
-                    f"guarantee; keeping the weight-{old_w} entry",
-                    stacklevel=2,
-                )
-        else:
-            table.entries[synd] = (cls, w)
-    return table
+    enum = coset_enumeration(coset_key_columns(state, error_type), w_max)
+    rows = list(islice(enum, sum(comb(state.n, w) for w in range(min(w_max, guarantee) + 1))))
+    reached = {key & (target - 1) for _, key in rows}
+    if len(reached) < target:
+        for w, key in enum:
+            synd = key & (target - 1)
+            if synd not in reached:
+                reached.add(synd)
+                rows.append((w, key))
+                if len(reached) == target:
+                    break
+    weight, key = np.array(rows, dtype=np.uint64).T
+    synd, cls = key & np.uint64(target - 1), key >> np.uint64(synd_bits)
+    synd_u, first, inverse = np.unique(synd, return_index=True, return_inverse=True)
+    kept = first[inverse]  # row of the class kept for each error's syndrome
+    clash = np.flatnonzero((weight <= guarantee) & (cls != cls[kept]))
+    if len(clash):
+        new, old = clash[0], kept[clash[0]]
+        raise ClassConflictError(
+            f"weight-{weight[old]} and weight-{weight[new]} errors share syndrome "
+            f"{int(synd[new]):#x} with classes {cls[old]} != {cls[new]}"
+        )
+    return MWTable(
+        synd_bits, len(state.class_logicals(error_type)), w_max,
+        synd_u, cls[first], weight[first].astype(np.int64),
+    )
+
+
+def build_mw_lut(state: CssState, error_type: str, w_max: int) -> MWTable:
+    """Lightest class of every syndrome reached by a pure-type error of
+    weight 1..w_max on the ideal state.
+
+    Beyond the code's guarantee floor((d-1)/2) a syndrome's lightest class
+    can be ambiguous; the first-enumerated one is kept, with one warning per
+    call.
+    """
+    total = sum(comb(state.n, w) for w in range(1, w_max + 1))
+    if total > ENUMERATION_CAP:
+        raise ValueError(f"{total} errors exceed the enumeration cap {ENUMERATION_CAP}")
+    if w_max > (state.d - 1) // 2:
+        warnings.warn(f"w_max={w_max} exceeds the distance guarantee of {state.name}", stacklevel=2)
+    table = _first_hits(state, error_type, w_max)
+    # The empty error claims syndrome 0, which sorts first.
+    return replace(table, synd=table.synd[1:], cls=table.cls[1:], weight=table.weight[1:])
 
 
 def build_ideal_class_table(state: CssState, error_type: str) -> MLTable:
     """Minimum-weight class for every syndrome.
 
-    Enumerates pure-type errors by increasing weight until all syndromes
-    are reached, keeping the first (lightest) class per syndrome.  Beyond
-    the distance guarantee a syndrome's minimum-weight class can be
+    Beyond the distance guarantee a syndrome's minimum-weight class can be
     ambiguous; the first-enumerated representative is kept, as any fixed
     ideal decoder would.
     """
-    synd_bits = len(state.checking_generators(error_type))
-    target = 1 << synd_bits
-    table: dict[int, int] = {}
-    for _, key in coset_enumeration(coset_key_columns(state, error_type), state.n):
-        synd = key & (target - 1)
-        if synd not in table:
-            table[synd] = key >> synd_bits
-            if len(table) == target:
-                break
-    synd = np.array(sorted(table), dtype=np.uint64)
-    cls = np.array([table[s] for s in synd.tolist()], dtype=np.uint64)
-    return MLTable(synd_bits, len(state.class_logicals(error_type)), synd, cls)
+    table = _first_hits(state, error_type, state.n)
+    return MLTable(table.synd_bits, table.class_bits, table.synd, table.cls)
 
 
 # Layer codes returned by :func:`decode`.
 ML, MW, FALLBACK, DISCARD = range(4)
-
-
-@dataclass(frozen=True)
-class DecodePolicy:
-    even_distance_discard: bool = False
-    t: int = 0
 
 
 def _lookup(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,27 +160,25 @@ def decode(
     synd: np.ndarray,
     ml: MLTable | None,
     mw: MWTable | None,
-    policy: DecodePolicy = DecodePolicy(),
+    discard_weight: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decoded class and layer code of every syndrome in an array.
 
     The ML table decides where it was trained, the MW table covers the
-    rest, and the trivial class is the fallback.  Under the even-distance
-    policy a syndrome whose MW weight is exactly ``policy.t`` is a DISCARD,
-    whatever the ML table says; its class reads 0.
+    rest, and the trivial class is the fallback.  A syndrome whose MW
+    weight equals ``discard_weight`` (t = d/2 for the even-distance policy)
+    is a DISCARD, whatever the ML table says; its class reads 0.
     """
     synd = np.asarray(synd, dtype=np.uint64)
     cls = np.zeros(synd.shape, dtype=np.uint64)
     layer = np.full(synd.shape, FALLBACK, dtype=np.uint8)
     boundary = np.zeros(synd.shape, dtype=bool)
     if mw is not None:
-        entries = sorted(mw.entries.items())
-        pos, hit = _lookup(np.array([s for s, _ in entries], dtype=np.uint64), synd)
-        found = np.array([cw for _, cw in entries], dtype=np.int64).reshape(-1, 2)[pos[hit]]
-        cls[hit] = found[:, 0]
+        pos, hit = _lookup(mw.synd, synd)
+        cls[hit] = mw.cls[pos[hit]]
         layer[hit] = MW
-        if policy.even_distance_discard:
-            boundary[hit] = found[:, 1] == policy.t
+        if discard_weight is not None:
+            boundary[hit] = mw.weight[pos[hit]] == discard_weight
     if ml is not None:
         pos, hit = _lookup(ml.synd, synd)
         cls[hit] = ml.cls[pos[hit]]
@@ -215,7 +220,7 @@ def evaluate_test_set(
     test: SampleSet,
     ml: MLTable | None,
     mw: MWTable | None,
-    policy: DecodePolicy = DecodePolicy(),
+    discard_weight: int | None = None,
 ) -> EvaluationReport:
     """Decode every test sample and tally per-layer statistics.
 
@@ -229,7 +234,7 @@ def evaluate_test_set(
                 f"{name} table has {table.synd_bits} syndrome + {table.class_bits} class bits, "
                 f"the test set {width[0]} + {width[1]}"
             )
-    cls, layer = decode(test.synd, ml, mw, policy)
+    cls, layer = decode(test.synd, ml, mw, discard_weight)
     wrong = cls != test.cls
     kept_mask = layer != DISCARD
 

@@ -23,6 +23,9 @@ from .gadgets import (
 )
 
 
+MAX_FLAGS = 16  # largest flag count a library miss searches
+
+
 class BudgetExhaustedError(RuntimeError):
     """No gadget found within the node budget at any attempted flag count."""
 
@@ -44,7 +47,6 @@ class GadgetLibrary:
         t: int,
         r: int,
         budget: int | None = 2_000_000,
-        max_flags: int = 16,
     ) -> FlagGadget:
         """Smallest known X-detecting gadget for ``(t, r)``.
 
@@ -56,7 +58,7 @@ class GadgetLibrary:
         if key in self.entries:
             return self.entries[key].gadget
         all_exhausted = True
-        for m in range(1, max_flags + 1):
+        for m in range(1, MAX_FLAGS + 1):
             res = discover_gadget(t, r, m, budget=budget)
             if res.status == FOUND:
                 assert res.gadget is not None
@@ -64,7 +66,7 @@ class GadgetLibrary:
                 return res.gadget
             if res.status == BUDGET_EXHAUSTED:
                 all_exhausted = False
-        raise BudgetExhaustedError(f"no gadget for t={t}, r={r} within budget up to m={max_flags}")
+        raise BudgetExhaustedError(f"no gadget for t={t}, r={r} within budget up to m={MAX_FLAGS}")
 
     def is_optimal(self, t: int, r: int) -> bool | None:
         entry = self.entries.get((t, r))

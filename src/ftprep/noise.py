@@ -37,6 +37,9 @@ from .circuit import (
 from .css import CssState, coset_key_columns
 
 
+REPLAY_MAX_FAULTS = 4  # most faults per frame_replay_check sample
+
+
 class DegeneratePlanError(ValueError):
     """No nontrivial fault-count pair survives the subset-sampling cutoff."""
 
@@ -44,7 +47,6 @@ class DegeneratePlanError(ValueError):
 @dataclass(frozen=True)
 class NoiseModel:
     p: float
-    memory_divisor: float = 100.0
 
     def __post_init__(self) -> None:
         if not 0 < self.p < 1:
@@ -52,7 +54,8 @@ class NoiseModel:
 
     @property
     def q(self) -> float:
-        return self.p / self.memory_divisor
+        """Idle-location rate."""
+        return self.p / 100
 
 
 def count_fault_locations(circuit: Circuit) -> tuple[int, int]:
@@ -489,7 +492,6 @@ def frame_replay_check(
     tables: EffectTables,
     n_samples: int,
     seed: int,
-    max_faults: int = 4,
 ) -> int:
     """Cross-check frame propagation against the stabilizer tableau.
 
@@ -510,7 +512,7 @@ def frame_replay_check(
             lift[ci] = qq
     n_vars = len(tables.var_pos)
     for trial in range(n_samples):
-        k = int(rng.integers(1, max_faults + 1))
+        k = int(rng.integers(1, REPLAY_MAX_FAULTS + 1))
         chosen = rng.integers(0, n_vars, size=k)
         predicted_flags = eff_sc = 0
         faults = []

@@ -70,34 +70,3 @@ class PauliOperator:
             raise ValueError("qubit count mismatch")
         return PauliOperator(self.n, self.x ^ other.x, self.z ^ other.z)
 
-
-def commutes(p: PauliOperator, q: PauliOperator) -> bool:
-    """True iff the symplectic inner product x_p.z_q + z_p.x_q vanishes mod 2."""
-    if p.n != q.n:
-        raise ValueError("qubit count mismatch")
-    return (parity(p.x & q.z) ^ parity(p.z & q.x)) == 0
-
-
-def conjugate_through_gate(p: PauliOperator, gate: tuple) -> PauliOperator:
-    """Conjugate ``p`` by a Clifford gate, dropping phase.
-
-    Supported gates: ``("CX", a, b)`` maps X_a -> X_a X_b and Z_b -> Z_a Z_b;
-    ``("H", q)`` swaps X and Z on q.
-    """
-    kind = gate[0]
-    if kind == "CX":
-        _, a, b = gate
-        x, z = p.x, p.z
-        if (x >> a) & 1:
-            x ^= 1 << b
-        if (z >> b) & 1:
-            z ^= 1 << a
-        return PauliOperator(p.n, x, z)
-    if kind == "H":
-        _, q = gate
-        x, z = p.x, p.z
-        xb, zb = (x >> q) & 1, (z >> q) & 1
-        x = (x & ~(1 << q)) | (zb << q)
-        z = (z & ~(1 << q)) | (xb << q)
-        return PauliOperator(p.n, x, z)
-    raise ValueError(f"unsupported gate {kind!r}")

@@ -47,7 +47,6 @@ def build_preparation_circuit(
     z_gadget_t_override: int | None = None,
     width_anneal: int = 0,
     use_trivial_gadgets: bool = True,
-    objective: str = "min_max_qubits",
 ) -> PreparedCircuit:
     """Best preparation circuit over seeded random configurations.
 
@@ -79,7 +78,7 @@ def build_preparation_circuit(
             width_anneal=width_anneal,
             use_trivial_gadgets=use_trivial_gadgets,
         )
-        circ = schedule_circuit(asm, objective, shuffles=shuffles, seed=sched_seed + i)
+        circ = schedule_circuit(asm, shuffles=shuffles, seed=sched_seed + i)
         m = circuit_metrics(circ)
         key = (m.cx_count, m.max_simultaneous_qubits)
         if best_key is None or key < best_key:

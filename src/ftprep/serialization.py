@@ -119,6 +119,7 @@ def parse_circuit(text: str) -> tuple[Circuit, str, str]:
     for token, idx in names.items():
         name_list[idx] = token
     circuit = Circuit(len(roles), tuple(roles), tuple(name_list), tuple(code_index), tuple(ops))
+    circuit.validate()
     return circuit, header.get("code", "?"), header.get("state", "?")
 
 
@@ -193,7 +194,10 @@ def save_mw_table(table: MWTable, path: str | Path) -> None:
         "synd_bits": table.synd_bits,
         "class_bits": table.class_bits,
         "w_max": table.w_max,
-        "entries": {hex(s): [c, w] for s, (c, w) in table.entries.items()},
+        "entries": {
+            hex(s): [c, w]
+            for s, c, w in zip(table.synd.tolist(), table.cls.tolist(), table.weight.tolist())
+        },
     }
     Path(path).write_text(json.dumps(payload))
 
@@ -202,9 +206,15 @@ def load_mw_table(path: str | Path) -> MWTable:
     raw = json.loads(Path(path).read_text())
     if raw.get("kind") != "mw":
         raise ValueError("not a MW table file")
-    table = MWTable(raw["synd_bits"], raw["class_bits"], raw["w_max"])
-    table.entries = {int(s, 16): (c, w) for s, (c, w) in raw["entries"].items()}
-    return table
+    rows = sorted((int(s, 16), c, w) for s, (c, w) in raw["entries"].items())
+    return MWTable(
+        raw["synd_bits"],
+        raw["class_bits"],
+        raw["w_max"],
+        synd=np.array([s for s, _, _ in rows], dtype=np.uint64),
+        cls=np.array([c for _, c, _ in rows], dtype=np.uint64),
+        weight=np.array([w for _, _, w in rows], dtype=np.int64),
+    )
 
 
 # -- outcome streams ---------------------------------------------------------

@@ -27,6 +27,7 @@ from .pauli import popcount
 
 
 COMBINATION_BLOCK = 1 << 20  # fault combinations checked per streamed block
+COMBINATION_CAP = 200_000_000  # fault combinations one call may check
 
 
 class VerificationBudgetError(RuntimeError):
@@ -127,13 +128,13 @@ def verify_fault_tolerance(
     state: CssState,
     t: int,
     fault_type: str,
-    combination_cap: int = 200_000_000,
 ) -> Counterexample | None:
     """Exhaustively test the FT criterion for one fault type.
 
     Returns None on a pass, otherwise a counterexample with the smallest
-    fault count found.  Raises when the combination space exceeds the cap,
-    and ValueError when the code has more than 64 qubits.
+    fault count found.  Raises VerificationBudgetError when the combination
+    space exceeds COMBINATION_CAP, and ValueError when the code has more
+    than 64 qubits.
 
     An undetected residual has reduced weight above f exactly when its coset
     key is not among the keys of the errors of weight <= f.  Combinations
@@ -146,9 +147,9 @@ def verify_fault_tolerance(
     flags, resid, loc_idx, faults = _fault_effects(circuit, locations, fault_type)
     nv = len(resid)
     total = sum(math.comb(nv, f) for f in range(1, t + 1))
-    if total > combination_cap:
+    if total > COMBINATION_CAP:
         raise VerificationBudgetError(
-            f"{total} fault combinations exceed the cap {combination_cap} "
+            f"{total} fault combinations exceed the cap {COMBINATION_CAP} "
             f"({nv} variants over {len(locations)} locations, t={t})"
         )
     cols = coset_key_columns(state, fault_type)

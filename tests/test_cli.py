@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -104,6 +105,33 @@ def test_lut_mw_command(tmp_path, capsys):
     ])
     assert rc == 0
     assert "2047 syndromes" in capsys.readouterr().out
+    # Syndrome 0 is the empty error's, so Steane has 7 rows at any w_max.
+    rc = main(["lut-mw", "--code", "steane", "--wmax", "3"])
+    assert rc == 0
+    assert "7 syndromes" in capsys.readouterr().out
+
+
+def test_verify_rejects_invalid_circuit_files(tmp_path, capsys):
+    # A gate before its target's initialization, on a flag never measured.
+    early = tmp_path / "early.circuit"
+    early.write_text(
+        "CIRCUIT code=steane state=|0>\nINIT+ c0\nCX c0 t1\nINIT0 t1\nCX c0 f0\nFINAL_MEAS Z\n"
+    )
+    # Every flag of a valid circuit measured into outcome m0.
+    shared = tmp_path / "shared.circuit"
+    rc = main([
+        "assemble", "--code", "steane", "--seed", "5", "--trials", "100",
+        "--shuffles", "50", "--circuit-out", str(shared),
+    ])
+    assert rc == 0
+    shared.write_text(re.sub(r"-> m\d+", "-> m0", shared.read_text()))
+    capsys.readouterr()
+    for path, reason in ((early, "before initialization"), (shared, "m0 recorded twice")):
+        rc = main(["verify", "--circuit", str(path), "--code", "steane", "--t", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "COUNTEREXAMPLE" not in captured.out
+        assert captured.err.startswith("error:") and reason in captured.err
 
 
 def test_coset_command(capsys):

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from ftprep import decoder
 from ftprep.catalog import get_state
 from ftprep.css import syndrome_and_class
 from ftprep.decoder import (
@@ -10,7 +13,7 @@ from ftprep.decoder import (
     FALLBACK,
     ML,
     MW,
-    DecodePolicy,
+    ClassConflictError,
     build_ideal_class_table,
     build_ml_lut,
     build_mw_lut,
@@ -28,9 +31,9 @@ def histogram(synd_bits, class_bits, *rows):
     return SampleSet.tally(synd_bits, class_bits, keys, count, weight)
 
 
-def decode_one(synd, ml, mw, policy=DecodePolicy()):
+def decode_one(synd, ml, mw, discard_weight=None):
     """(class, layer) of one syndrome."""
-    cls, layer = decode([synd], ml, mw, policy)
+    cls, layer = decode([synd], ml, mw, discard_weight)
     return int(cls[0]), int(layer[0])
 
 
@@ -69,14 +72,15 @@ def test_mw_steane_single_errors():
     steane = get_state("steane")
     mw = build_mw_lut(steane, "X", 1)
     assert len(mw) == 7
-    assert all(w == 1 for _, w in mw.entries.values())
+    assert mw.synd.tolist() == list(range(1, 8))
+    assert (mw.weight == 1).all()
 
 
 def test_mw_golay_perfect_coverage():
     golay = get_state("golay")
     mw = build_mw_lut(golay, "X", 3)
     assert len(mw) == 2047
-    assert set(mw.entries) == set(range(1, 2048))
+    assert mw.synd.tolist() == list(range(1, 2048))
 
 
 def test_mw_golay_code_capacity_exactness():
@@ -101,6 +105,58 @@ def test_mw_empty_at_zero_weight():
     assert len(build_mw_lut(steane, "X", 0)) == 0
 
 
+def test_mw_table_has_no_syndrome_zero_row():
+    # The empty error explains syndrome 0; the weight-3 logical must not.
+    steane = get_state("steane")
+    with pytest.warns(UserWarning):
+        mw = build_mw_lut(steane, "X", 3)
+    assert 0 not in mw.synd.tolist()
+    fault_free = histogram(3, 1, (0, 0, 1000, 1000.0))
+    assert evaluate_test_set(fault_free, None, mw).errors == 0
+
+
+def test_fault_free_samples_are_not_discarded():
+    # surface25 at its default w_max = 2 with the even-distance discard at 2.
+    state = get_state("surface25")
+    mw = build_mw_lut(state, "X", 2)
+    fault_free = histogram(mw.synd_bits, mw.class_bits, (0, 0, 1000, 1000.0))
+    report = evaluate_test_set(fault_free, build_ml_lut(fault_free), mw, discard_weight=2)
+    assert report.discarded == 0
+    assert report.kept == 1000
+
+
+def test_mw_warns_once_beyond_the_guarantee():
+    color17 = get_state("color17")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_mw_lut(color17, "X", 2)
+        assert not caught
+        build_mw_lut(color17, "X", 3)
+    assert len(caught) == 1
+
+
+def test_overstated_distance_raises_class_conflict():
+    steane = dataclasses.replace(get_state("steane"), d=7)
+    message = "weight-1 and weight-2 errors share syndrome 0x6 with classes 1 != 0"
+    for w_max in (2, 3):
+        with pytest.raises(ClassConflictError) as err:
+            build_mw_lut(steane, "X", w_max)
+        assert str(err.value) == message
+    with pytest.raises(ClassConflictError, match="weight-1 and weight-2"):
+        build_ideal_class_table(steane, "X")
+    golay = dataclasses.replace(get_state("golay"), d=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w_max in range(4):
+            build_mw_lut(golay, "X", w_max)
+
+
+def test_mw_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(decoder, "ENUMERATION_CAP", 100)
+    with pytest.raises(ValueError, match="enumeration cap 100"):
+        build_mw_lut(get_state("golay"), "X", 2)
+
+
 def test_decode_pipeline_order():
     ml = build_ml_lut(histogram(3, 1, (0b001, 1, 10, 10.0)))
     steane = get_state("steane")
@@ -108,7 +164,7 @@ def test_decode_pipeline_order():
     # ML layer wins where trained, MW covers the rest, fallback is trivial.
     assert decode_one(0b001, ml, mw) == (1, ML)
     other = 0b010
-    assert decode_one(other, ml, mw) == (mw.entries[other][0], MW)
+    assert decode_one(other, ml, mw) == (int(mw.cls[mw.synd == other][0]), MW)
     assert decode_one(0, None, None) == (0, FALLBACK)
     assert decode_one(other, None, build_mw_lut(steane, "X", 0)) == (0, FALLBACK)
     cls, layer = decode(np.array([], dtype=np.uint64), ml, mw)
@@ -118,14 +174,13 @@ def test_decode_pipeline_order():
 def test_even_distance_discard():
     golay = get_state("golay")
     mw = build_mw_lut(golay, "X", 3)
-    policy = DecodePolicy(even_distance_discard=True, t=3)
-    weight3_synds = [s for s, (c, w) in mw.entries.items() if w == 3]
-    weight1_synds = [s for s, (c, w) in mw.entries.items() if w == 1]
-    assert decode_one(weight3_synds[0], None, mw, policy)[1] == DISCARD
-    assert decode_one(weight1_synds[0], None, mw, policy)[1] != DISCARD
+    weight3_synds = mw.synd[mw.weight == 3].tolist()
+    weight1_synds = mw.synd[mw.weight == 1].tolist()
+    assert decode_one(weight3_synds[0], None, mw, 3)[1] == DISCARD
+    assert decode_one(weight1_synds[0], None, mw, 3)[1] != DISCARD
     # The discard precedes the ML layer.
     ml = build_ml_lut(histogram(11, 1, (weight3_synds[0], 1, 5, 5.0)))
-    assert decode_one(weight3_synds[0], ml, mw, policy) == (0, DISCARD)
+    assert decode_one(weight3_synds[0], ml, mw, 3) == (0, DISCARD)
 
 
 def test_evaluate_counts_fallback_errors():
@@ -178,12 +233,11 @@ def test_pipeline_dominance_on_simulated_steane():
 def test_even_distance_policy_keeps_no_boundary_syndromes():
     golay = get_state("golay")
     mw = build_mw_lut(golay, "X", 3)
-    policy = DecodePolicy(even_distance_discard=True, t=3)
-    test = histogram(11, 1, *((s, c, 1, 1.0) for s, (c, w) in list(mw.entries.items())[:50]))
-    report = evaluate_test_set(test, None, mw, policy)
-    weight3 = [s for s, (c, w) in mw.entries.items() if w == 3]
-    assert (decode(weight3, None, mw, policy)[1] == DISCARD).all()
-    assert report.discarded == sum(1 for s, (c, w) in list(mw.entries.items())[:50] if w == 3)
+    test = histogram(11, 1, *((s, c, 1, 1.0) for s, c in zip(mw.synd[:50], mw.cls[:50])))
+    report = evaluate_test_set(test, None, mw, 3)
+    weight3 = mw.synd[mw.weight == 3]
+    assert (decode(weight3, None, mw, 3)[1] == DISCARD).all()
+    assert report.discarded == (mw.weight[:50] == 3).sum()
 
 
 def test_ideal_class_table_covers_all_syndromes():
@@ -195,19 +249,15 @@ def test_ideal_class_table_covers_all_syndromes():
 def test_even_distance_code_discard_flow():
     # The [[20,2,6]] code: syndromes only explicable at weight t = 3 are
     # detectable but not correctable, so decoding discards them.
-    import warnings
-
     state = get_state("selfdual20")
     assert state.d == 6
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # weight-3 class collisions expected
+    with pytest.warns(UserWarning, match="exceeds the distance guarantee"):
         mw = build_mw_lut(state, "X", 3)
-    policy = DecodePolicy(even_distance_discard=True, t=3)
-    boundary = [s for s, (c, w) in mw.entries.items() if w == 3]
-    correctable = [s for s, (c, w) in mw.entries.items() if w <= 2]
-    assert boundary, "no weight-3 boundary syndromes found"
-    assert (decode(boundary[:50], None, mw, policy)[1] == DISCARD).all()
-    assert (decode(correctable[:50], None, mw, policy)[1] != DISCARD).all()
+    boundary = mw.synd[mw.weight == 3]
+    correctable = mw.synd[mw.weight <= 2]
+    assert len(boundary), "no weight-3 boundary syndromes found"
+    assert (decode(boundary[:50], None, mw, 3)[1] == DISCARD).all()
+    assert (decode(correctable[:50], None, mw, 3)[1] != DISCARD).all()
 
 
 def test_color17_logical_ceiling_at_reference_rate():

@@ -202,8 +202,10 @@ def test_model_plan_mismatch_rejected(steane_prepared):
     plan = build_subset_plan(l_p, l_q, 1e-3, 1e-5, 1000)
     with pytest.raises(ValueError, match="disagrees"):
         run_monte_carlo(circ, state, NoiseModel(2e-3), plan, seed=1)
+    # Same p, but the plan's idle rate is 1e-4 against the model's q = 1e-5.
+    idle_plan = build_subset_plan(l_p, l_q, 1e-3, 1e-4, 1000)
     with pytest.raises(ValueError, match="disagrees"):
-        run_monte_carlo(circ, state, NoiseModel(1e-3, memory_divisor=10.0), plan, seed=1)
+        run_monte_carlo(circ, state, NoiseModel(1e-3), idle_plan, seed=1)
 
 
 def test_effect_tables_reject_more_than_64_syndrome_and_class_bits():

@@ -1,32 +1,8 @@
-import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from ftprep.pauli import PauliOperator, commutes, conjugate_through_gate
+from ftprep.pauli import PauliOperator
 
 
 def P(s: str) -> PauliOperator:
     return PauliOperator.from_string(s)
-
-
-def test_commutes_examples():
-    assert not commutes(P("XI"), P("ZI"))  # X0 vs Z0
-    assert commutes(P("XI"), P("IZ"))  # X0 vs Z1
-    assert commutes(P("XX"), P("ZZ"))
-
-
-def test_conjugation_through_cx():
-    # X propagates control -> target, Z target -> control.
-    assert conjugate_through_gate(P("XI"), ("CX", 0, 1)) == P("XX")
-    assert conjugate_through_gate(P("IZ"), ("CX", 0, 1)) == P("ZZ")
-    assert conjugate_through_gate(P("ZI"), ("CX", 0, 1)) == P("ZI")
-    assert conjugate_through_gate(P("IX"), ("CX", 0, 1)) == P("IX")
-
-
-def test_conjugation_through_h():
-    assert conjugate_through_gate(P("X"), ("H", 0)) == P("Z")
-    assert conjugate_through_gate(P("Z"), ("H", 0)) == P("X")
-    assert conjugate_through_gate(P("Y"), ("H", 0)) == P("Y")
 
 
 def test_weight_and_support():
@@ -38,23 +14,6 @@ def test_weight_and_support():
 def test_string_round_trip():
     for s in ("IXYZ", "XXXX", "IIII", "ZYXI"):
         assert P(s).to_string() == s
-
-
-pauli_ops = st.integers(0, 2**6 - 1)
-
-
-@given(pauli_ops, pauli_ops, pauli_ops, pauli_ops, st.integers(0, 5), st.integers(0, 5))
-@settings(max_examples=200, deadline=None)
-def test_conjugation_preserves_commutation(x1, z1, x2, z2, a, b):
-    p = PauliOperator(6, x1, z1)
-    q = PauliOperator(6, x2, z2)
-    gates = [("H", a)]
-    if a != b:
-        gates.append(("CX", a, b))
-    for gate in gates:
-        pc = conjugate_through_gate(p, gate)
-        qc = conjugate_through_gate(q, gate)
-        assert commutes(p, q) == commutes(pc, qc)
 
 
 def test_compose_is_xor():

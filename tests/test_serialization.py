@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,26 @@ def test_lut_round_trips(tmp_path):
     mw = build_mw_lut(state, "X", 1)
     mw_path = tmp_path / "mw.json"
     save_mw_table(mw, mw_path)
-    assert load_mw_table(mw_path).entries == mw.entries
+    loaded = load_mw_table(mw_path)
+    assert (loaded.synd_bits, loaded.class_bits, loaded.w_max) == (3, 1, 1)
+    for name in ("synd", "cls", "weight"):
+        assert np.array_equal(getattr(loaded, name), getattr(mw, name))
+        assert getattr(loaded, name).dtype == getattr(mw, name).dtype
+
+
+def test_mw_table_file_rows_ascend_and_unsorted_files_load(tmp_path):
+    mw = build_mw_lut(get_state("golay"), "X", 3)
+    mw_path = tmp_path / "mw.json"
+    save_mw_table(mw, mw_path)
+    raw = json.loads(mw_path.read_text())
+    assert [int(s, 16) for s in raw["entries"]] == list(range(1, 2048))
+    # Rows in any order, a syndrome-0 row included, load as written.
+    raw["entries"] = {"0x5": [1, 1], "0x0": [1, 3], "0x2": [0, 1]}
+    mw_path.write_text(json.dumps(raw))
+    loaded = load_mw_table(mw_path)
+    assert loaded.synd.tolist() == [0, 2, 5]
+    assert loaded.cls.tolist() == [1, 0, 1]
+    assert loaded.weight.tolist() == [3, 1, 1]
 
 
 # (syndrome, class, count, weight) rows in (syndrome, class) order; the packed

@@ -1,5 +1,6 @@
 import pytest
 
+from ftprep import verify
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
 from ftprep.catalog import _state_from_data, get_state, rotated_surface_data
@@ -9,6 +10,7 @@ from ftprep.library import GadgetLibrary
 from ftprep.noise import build_effect_tables
 from ftprep.pauli import PauliOperator
 from ftprep.verify import (
+    VerificationBudgetError,
     enumerate_fault_locations,
     replay_faults,
     verify_fault_tolerance,
@@ -145,8 +147,21 @@ def test_flag_outcome_index_out_of_range_rejected():
     )
     circ = Circuit(8, ("control",) * 7 + ("flag_x",), tuple(f"q{i}" for i in range(8)),
                    tuple(range(7)) + (None,), ops)
-    circ.validate()
+    with pytest.raises(ValueError, match="m3"):
+        circ.validate()
     with pytest.raises(ValueError, match="m3"):
         verify_fault_tolerance(circ, state, 1, "X")
     with pytest.raises(ValueError, match="m3"):
         build_effect_tables(circ, state)
+
+
+def test_combination_cap_raises_before_any_block(monkeypatch, steane_circuit):
+    state, _, circ = steane_circuit
+
+    def no_blocks(nv, f):
+        raise AssertionError("a combination block was built")
+
+    monkeypatch.setattr(verify, "COMBINATION_CAP", 10)
+    monkeypatch.setattr(verify, "_combination_blocks", no_blocks)
+    with pytest.raises(VerificationBudgetError, match="exceed the cap 10"):
+        verify_fault_tolerance(circ, state, 1, "X")
