@@ -174,7 +174,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     train = serialization.load_sample_set(args.train)
     test = serialization.load_sample_set(args.test)
     ml = build_ml_lut(train)
-    mw = build_mw_lut(state, "X", args.wmax if args.wmax else (state.d - 1) // 2)
+    mw = build_mw_lut(state, "X", args.wmax if args.wmax is not None else (state.d - 1) // 2)
     report = evaluate_test_set(test, ml, mw, state.d // 2 if args.even_discard else None)
     print(report)
     lo, hi = report.logical_error_ci

@@ -103,11 +103,11 @@ class SubsetPlan:
 
 
 def _binom_pmf(n: int, p: float) -> np.ndarray:
-    # log-space for numerical stability at large n
+    # log-space for numerical stability at large n; lgamma(n - k + 1) is
+    # lgamma(k' + 1) at k' = n - k, so one lgamma per k serves both terms
     ks = np.arange(n + 1)
-    log_comb = np.array(
-        [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in ks]
-    )
+    lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    log_comb = math.lgamma(n + 1) - lg - lg[::-1]
     return np.exp(log_comb + ks * math.log(p) + (n - ks) * math.log1p(-p))
 
 
@@ -360,18 +360,30 @@ class MonteCarloResult:
         return self.plan.effective_samples
 
 
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of the (n, k) matrix ``rows`` that hold an entry twice."""
+    dup = rows[:, 0] == rows[:, 1]
+    for j in range(2, rows.shape[1]):
+        col = rows[:, j]
+        for i in range(j):
+            dup |= rows[:, i] == col
+    return dup
+
+
 def _draw_distinct(rng: np.random.Generator, n_rows: int, k: int, limit: int) -> np.ndarray:
-    """n_rows x k integer matrix, entries < limit, distinct within each row."""
+    """n_rows x k integer matrix, entries < limit, distinct within each row.
+
+    Rows with a repeat are redrawn whole, in row order, until none is left;
+    only the redrawn rows are checked again.
+    """
     out = rng.integers(0, limit, size=(n_rows, k), dtype=np.int64)
     if k == 1:
         return out
-    while True:
-        srt = np.sort(out, axis=1)
-        dup = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        n_bad = int(dup.sum())
-        if not n_bad:
-            return out
-        out[dup] = rng.integers(0, limit, size=(n_bad, k), dtype=np.int64)
+    bad = np.flatnonzero(_repeats(out))
+    while len(bad):
+        out[bad] = rng.integers(0, limit, size=(len(bad), k), dtype=np.int64)
+        bad = bad[_repeats(out[bad])]
+    return out
 
 
 def _sample_bucket(
@@ -417,7 +429,7 @@ def run_monte_carlo(
     their X-residual syndrome and class.  The trivial add-back mass is
     divided between the halves.  Deterministic for a fixed
     (seed, plan, circuit).  Raises ValueError when ``model`` and ``plan``
-    disagree on p or q.
+    disagree on p or q, or ``tables`` and ``plan`` on the location counts.
     """
     if not (math.isclose(model.p, plan.p) and math.isclose(model.q, plan.q)):
         raise ValueError(
@@ -426,6 +438,11 @@ def run_monte_carlo(
         )
     if tables is None:
         tables = build_effect_tables(circuit, state)
+    if (tables.l_p, tables.l_q) != (plan.l_p, plan.l_q):
+        raise ValueError(
+            f"effect tables (L_p={tables.l_p}, L_q={tables.l_q}) disagree with the subset "
+            f"plan (L_p={plan.l_p}, L_q={plan.l_q})"
+        )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = rng.multinomial(plan.samples, plan.probabilities)
     # Per subset: each chunk's distinct keys, counts and weights in draw

@@ -5,6 +5,8 @@ import pytest
 
 from ftprep.cli import main
 from ftprep.library import GadgetLibrary
+from ftprep.noise import SampleSet
+from ftprep.serialization import save_sample_set
 
 
 def test_gadget_command(tmp_path, capsys):
@@ -80,6 +82,20 @@ def test_simulate_decode_flow(tmp_path, capsys):
     rc = main(["decode", "--code", "golay", "--train", str(train), "--test", str(test)])
     assert rc == 2
     assert "syndrome" in capsys.readouterr().err
+
+
+def test_decode_wmax_zero_builds_no_mw_table(tmp_path, capsys):
+    # Steane X side: 3 syndrome bits, 1 class bit.  The training set holds
+    # only syndrome 0, so the ten test samples at syndrome 0b101 miss the
+    # ML table; with --wmax 0 they must reach the fallback, not an MW row.
+    train, test = tmp_path / "train.npz", tmp_path / "test.npz"
+    save_sample_set(SampleSet.tally(3, 1, [0], [100.0], [1.0]), train)
+    save_sample_set(SampleSet.tally(3, 1, [0b101], [10.0], [0.1]), test)
+    for wmax, layers in (("0", "MW 0/0 err, fallback 10/"), ("1", "MW 10/")):
+        rc = main(["decode", "--code", "steane", "--train", str(train), "--test", str(test),
+                   "--wmax", wmax])
+        assert rc == 0
+        assert layers in capsys.readouterr().out
 
 
 def test_simulate_reproducible(tmp_path):

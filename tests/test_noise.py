@@ -22,6 +22,8 @@ from ftprep.library import GadgetLibrary
 from ftprep.noise import (
     DegeneratePlanError,
     NoiseModel,
+    _binom_pmf,
+    _draw_distinct,
     build_effect_tables,
     build_subset_plan,
     count_fault_locations,
@@ -44,6 +46,27 @@ def steane_prepared(library):
     asm = assemble_ft_circuit(state, bip, library, seed=5)
     circ = schedule_circuit(asm, "min_max_qubits", shuffles=100, seed=3)
     return state, circ
+
+
+def wide_flag_circuit(circ: Circuit, n_extra: int = 130) -> Circuit:
+    """``circ`` padded with ``n_extra`` flags, each touching a code qubit with
+    two CX gates that cancel when fault-free.  At 130 extra flags the flag
+    layout spans three 64-bit words."""
+    assert isinstance(circ.ops[-1], FinalMeasure)
+    code = circ.code_qubits
+    ops = list(circ.ops[:-1])
+    for k in range(n_extra):
+        f, c = circ.n_qubits + k, code[k % len(code)]
+        ops += [Init(f, "0"), CXGate(c, f), CXGate(c, f), FlagMeasure(f, "Z", circ.flag_count + k)]
+    ops.append(circ.ops[-1])
+    return make_circuit(
+        list(circ.roles) + ["flag_x"] * n_extra, list(circ.code_index) + [None] * n_extra, ops
+    )
+
+
+@pytest.fixture(scope="module")
+def wide_prepared(steane_prepared):
+    return wide_flag_circuit(steane_prepared[1])
 
 
 def toy_circuit() -> Circuit:
@@ -208,6 +231,60 @@ def test_model_plan_mismatch_rejected(steane_prepared):
         run_monte_carlo(circ, state, NoiseModel(1e-3), idle_plan, seed=1)
 
 
+def test_tables_plan_mismatch_rejected(steane_prepared, wide_prepared):
+    # The wide circuit's plan asks for up to about 50 distinct p-locations at
+    # 5e-2, more than the Steane tables hold: drawing them would never end.
+    state, circ = steane_prepared
+    tables = build_effect_tables(circ, state)
+    plan = build_subset_plan(*count_fault_locations(wide_prepared), 5e-2, 5e-4, 1000)
+    assert max(fp for fp, _ in plan.pairs) > tables.l_p
+    with pytest.raises(ValueError, match="effect tables"):
+        run_monte_carlo(circ, state, NoiseModel(5e-2), plan, seed=1, tables=tables)
+    # Tables of another circuit are rejected even when every bucket fits.
+    wide_tables = build_effect_tables(wide_prepared, state)
+    plan = build_subset_plan(*count_fault_locations(circ), 5e-2, 5e-4, 1000)
+    with pytest.raises(ValueError, match="effect tables"):
+        run_monte_carlo(circ, state, NoiseModel(5e-2), plan, seed=1, tables=wide_tables)
+
+
+def sorted_draw_distinct(rng, n_rows, k, limit):
+    """The sort-based `_draw_distinct` that the column-pair version replaced."""
+    out = rng.integers(0, limit, size=(n_rows, k), dtype=np.int64)
+    if k == 1:
+        return out
+    while True:
+        srt = np.sort(out, axis=1)
+        dup = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        n_bad = int(dup.sum())
+        if not n_bad:
+            return out
+        out[dup] = rng.integers(0, limit, size=(n_bad, k), dtype=np.int64)
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_draw_distinct_matches_sort_based_draw(k):
+    # A tight limit forces many redraw passes: k + 1 up to k = 9, then 2k
+    # (at k + 1 a row of k = 20 needs about 5e6 draws to come out distinct).
+    for limit in (k + 1 if k < 10 else 2 * k, 420):
+        rng_a = np.random.default_rng([k, limit])
+        rng_b = np.random.default_rng([k, limit])
+        got = _draw_distinct(rng_a, 64, k, limit)
+        want = sorted_draw_distinct(rng_b, 64, k, limit)
+        assert np.array_equal(got, want)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert all(len(set(row)) == k for row in got.tolist())
+
+
+@pytest.mark.parametrize("n, p", [(44, 1e-3), (420, 5e-3), (12752, 5e-5)])
+def test_binom_pmf_matches_per_k_lgamma(n, p):
+    ks = np.arange(n + 1)
+    log_comb = np.array(
+        [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in ks]
+    )
+    want = np.exp(log_comb + ks * math.log(p) + (n - ks) * math.log1p(-p))
+    assert np.array_equal(_binom_pmf(n, p), want)
+
+
 def test_effect_tables_reject_more_than_64_syndrome_and_class_bits():
     # 64 Z generators plus one Z logical: 65 bits of the X residual.
     n = 65
@@ -227,23 +304,27 @@ def test_effect_tables_reject_more_than_64_syndrome_and_class_bits():
         build_effect_tables(circ, state)
 
 
-def test_more_than_128_flags(steane_prepared):
-    # Pad the Steane circuit with 130 flags, each touching a code qubit with
-    # two CX gates that cancel when fault-free, so the flag layout spans
-    # three 64-bit words.
-    state, circ = steane_prepared
-    assert isinstance(circ.ops[-1], FinalMeasure)
-    code = circ.code_qubits
-    ops = list(circ.ops[:-1])
-    for k in range(130):
-        f, c = circ.n_qubits + k, code[k % len(code)]
-        ops += [Init(f, "0"), CXGate(c, f), CXGate(c, f), FlagMeasure(f, "Z", circ.flag_count + k)]
-    ops.append(circ.ops[-1])
-    wide = make_circuit(
-        list(circ.roles) + ["flag_x"] * 130, list(circ.code_index) + [None] * 130, ops
-    )
+def test_more_than_128_flags(steane_prepared, wide_prepared):
+    state, _ = steane_prepared
+    wide = wide_prepared
     wide.validate()
     tables = build_effect_tables(wide, state)
     assert tables.flags.shape == (3, len(tables.sc))
     assert tables.flags[2].any()
     assert frame_replay_check(wide, state, tables, 40, seed=4) == 40
+
+
+def test_golden_wide_circuit_large_buckets(steane_prepared, wide_prepared):
+    # Three flag words and buckets up to f_p = 16 (1,035 samples at f_p >= 10),
+    # so `_draw_distinct` runs many redraw passes.  Recorded on the
+    # sort-based `_draw_distinct`, before the column-pair rewrite.
+    state, _ = steane_prepared
+    l_p, l_q = count_fault_locations(wide_prepared)
+    plan = build_subset_plan(l_p, l_q, 1e-2, 1e-4, 20_000)
+    assert max(fp for fp, _ in plan.pairs) >= 10
+    res = run_monte_carlo(wide_prepared, state, NoiseModel(1e-2), plan, seed=7, chunk=1000)
+    assert res.accepted == 466.6534581018312
+    assert histogram_digest(res.train) == (
+        15, "aa209ef3eaef198ca211d4188f6a9c06ec16b0fb8cca3a4a93acbd8eb6b85ee7")
+    assert histogram_digest(res.test) == (
+        15, "554809c77fd2be9f57339939f55a42a16c5871a322c43a99ce4713d6a40e5b72")
