@@ -24,7 +24,6 @@ from .noise import (
     NoiseModel,
     build_effect_tables,
     build_subset_plan,
-    count_fault_locations,
     run_monte_carlo,
 )
 from .pipeline import build_preparation_circuit
@@ -144,9 +143,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     state = catalog.get_state(args.code, None)
     circ, _, _ = serialization.parse_circuit(Path(args.circuit).read_text())
-    lp, lq = count_fault_locations(circ)
-    plan = build_subset_plan(lp, lq, args.p, args.p / 100.0, args.samples)
     tables = build_effect_tables(circ, state)
+    plan = build_subset_plan(tables.l_p, tables.l_q, args.p, args.p / 100.0, args.samples)
     res = run_monte_carlo(circ, state, NoiseModel(args.p), plan, seed=args.seed, tables=tables)
     lo, hi = res.acceptance_ci
     print(

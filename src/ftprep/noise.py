@@ -2,7 +2,8 @@
 
 Noise model: one rate ``p`` drives a single-qubit depolarizing channel after
 every initialization, a two-qubit depolarizing channel after every CX, and
-an outcome flip with probability ``p`` on every flag measurement.  Memory
+the literal bit-flip channel (an X before the measurement) on every flag
+measurement: it flips Z-basis outcomes and is inert for X-basis flags.  Memory
 noise adds a depolarizing channel of rate ``p/100`` on every active qubit
 for every CX time step.  The final transversal measurement is noiseless.
 
@@ -38,6 +39,7 @@ from .css import CssState, coset_key_columns
 
 
 REPLAY_MAX_FAULTS = 4  # most faults per frame_replay_check sample
+SAMPLE_CHUNK = 1 << 18  # most samples drawn by one _sample_bucket call
 
 
 class DegeneratePlanError(ValueError):
@@ -413,6 +415,23 @@ def _sample_bucket(
     return flags, sc
 
 
+def _accepted_chunks(tables: EffectTables, pairs, counts, rng, chunk: int = SAMPLE_CHUNK):
+    """Yield ``(i, ok, sc)`` per chunk of at most ``chunk`` samples of stratum i.
+
+    Stratum i, a plan's fault-count pair ``pairs[i]`` = (f_p, f_q), draws
+    ``counts[i]`` samples; ``ok`` marks the accepted ones (no flag flips),
+    ``sc`` holds every sample's packed syndrome and class.  Draws the caller
+    makes from ``rng`` between yields precede the next chunk's.
+    """
+    for i, ((fp, fq), n_b) in enumerate(zip(pairs, counts)):
+        done = 0
+        while done < n_b:
+            m = min(chunk, n_b - done)
+            done += m
+            flags, sc = _sample_bucket(tables, fp, fq, m, rng)
+            yield i, (flags == 0).all(axis=0), sc
+
+
 def run_monte_carlo(
     circuit: Circuit,
     state: CssState,
@@ -420,7 +439,7 @@ def run_monte_carlo(
     plan: SubsetPlan,
     seed: int,
     tables: EffectTables | None = None,
-    chunk: int = 1 << 18,
+    chunk: int = SAMPLE_CHUNK,
 ) -> MonteCarloResult:
     """Draw the plan's samples, propagate, and tally (syndrome, class).
 
@@ -451,22 +470,14 @@ def run_monte_carlo(
     parts: tuple[list, list] = ([], [])
     accepted_nontrivial = 0.0
 
-    for (fp, fq), n_b, prob in zip(plan.pairs, counts, plan.probabilities):
-        if n_b == 0:
-            continue
-        # weight of one sample = true mass of the bucket / samples drawn
-        weight_each = prob * (1.0 - plan.p_trivial) / n_b
-        done = 0
-        while done < n_b:
-            m = min(chunk, n_b - done)
-            done += m
-            flags, acc_sc = _sample_bucket(tables, fp, fq, m, rng)
-            ok = (flags == 0).all(axis=0)
-            accepted_nontrivial += float(ok.sum())
-            is_train = rng.random(m) < 0.5
-            for part, mask in zip(parts, (is_train & ok, ~is_train & ok)):
-                keys, kcounts = np.unique(acc_sc[mask], return_counts=True)
-                part.append((keys, kcounts, kcounts * weight_each))
+    for i, ok, acc_sc in _accepted_chunks(tables, plan.pairs, counts, rng, chunk):
+        # weight of one sample = true mass of the stratum / samples drawn
+        weight_each = plan.probabilities[i] * (1.0 - plan.p_trivial) / counts[i]
+        accepted_nontrivial += float(ok.sum())
+        is_train = rng.random(len(ok)) < 0.5
+        for part, mask in zip(parts, (is_train & ok, ~is_train & ok)):
+            keys, kcounts = np.unique(acc_sc[mask], return_counts=True)
+            part.append((keys, kcounts, kcounts * weight_each))
     addback = plan.trivial_addback
     trivial = (np.zeros(1, dtype=np.uint64), [addback / 2.0], [plan.p_trivial / 2.0])
     train, test = (

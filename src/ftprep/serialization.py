@@ -134,9 +134,8 @@ def _gadget_qubit_name(label: int, r: int) -> str:
     return f"f{label - r}"
 
 
-def serialize_gadget(gadget: FlagGadget, m_input: int | None = None) -> str:
-    m = m_input if m_input is not None else gadget.m
-    lines = [f"GADGET t={gadget.t} r={gadget.r} m={m} type={gadget.detect_type}"]
+def serialize_gadget(gadget: FlagGadget) -> str:
+    lines = [f"GADGET t={gadget.t} r={gadget.r} m={gadget.m} type={gadget.detect_type}"]
     basis = gadget.flag_init_basis
     for f in gadget.flag_labels:
         opcode = "INIT+" if basis == "+" else "INIT0"

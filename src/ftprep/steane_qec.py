@@ -1,16 +1,18 @@
 """Steane-QEC experiment: correcting a noisy block with a prepared ancilla.
 
 A computational block starts noiselessly in the logical plus state and
-suffers a single-qubit depolarizing round at rate 10p.  A logical-zero
-resource block is prepared by the flag-at-origin circuit under the rate-p
-model (rejected preparations restart), a noisy transversal CX couples
-resource (control) to computational block (target), and the resource is
-measured destructively in the X basis with rate-p readout flips.  The
+suffers a single-qubit depolarizing round at rate ``data_noise_multiplier``
+times p (10p by default).  A logical-zero resource block is prepared by the
+flag-at-origin circuit under the rate-p model (rejected preparations
+restart), a noisy transversal CX couples resource (control) to
+computational block (target), and the resource is measured destructively in
+the X basis.  The rate-p measurement channel is the literal bit flip (an X
+before the measurement), which is inert for this X-basis readout.  The
 X-generator parities of the readout give the joint Z-error syndrome;
 decoding it yields the Z correction applied to the computational block.
-After a second 10p round, the block's residual Z frame is judged by an
-ideal minimum-weight decoder: a logical error is a residual that still
-anticommutes with a logical X after that final correction.
+After a second round at the same rate, the block's residual Z frame is
+judged by an ideal minimum-weight decoder: a logical error is a residual
+that still anticommutes with a logical X after that final correction.
 
 Z errors on the resource never reach the computational block; they only
 corrupt the syndrome, which is why the resource's Z-side fault tolerance
@@ -31,10 +33,9 @@ from .noise import (
     EffectTables,
     SampleSet,
     SubsetPlan,
-    _sample_bucket,
+    _accepted_chunks,
     build_effect_tables,
     build_subset_plan,
-    count_fault_locations,
     wilson_interval,
 )
 
@@ -57,6 +58,12 @@ class SteaneQecConfig:
             raise ValueError(
                 f"unknown prep_mode {self.prep_mode!r}; expected {FULL_FT}, {FT_X_ONLY} or {NO_QEC}"
             )
+        if not 0 < self.p < 1:
+            raise ValueError(f"require 0 < p < 1, got p={self.p:g}")
+        if self.data_noise_multiplier * self.p > 1:
+            raise ValueError(f"data_noise_multiplier {self.data_noise_multiplier:g} * p {self.p:g} > 1")
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
 
 
 @dataclass
@@ -76,11 +83,14 @@ class SteaneQecResult:
         )
 
 
-def _pack_frames(bits: np.ndarray) -> np.ndarray:
-    """Rows of at most 64 bits as uint64 words; column j becomes bit j."""
-    packed = np.zeros((len(bits), 8), dtype=np.uint8)
-    packed[:, : (bits.shape[1] + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8")[:, 0].astype(np.uint64)
+def _fault_cells(
+    rng: np.random.Generator, n_rows: int, n: int, rate: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of the n_rows x n cells an i.i.d. fault of ``rate`` hits:
+    a binomial count of distinct, uniformly drawn cells."""
+    cells = n_rows * n
+    hits = rng.choice(cells, rng.binomial(cells, rate), replace=False, shuffle=False)
+    return np.divmod(hits, n)
 
 
 def _sample_prep_syndromes(
@@ -91,40 +101,26 @@ def _sample_prep_syndromes(
 ) -> tuple[np.ndarray, float]:
     """Accepted-preparation Z-side syndromes, with the acceptance rate.
 
-    Rejected preparations are redrawn (the experiment restarts them); the
-    fault-free mass is represented by zero-syndrome entries in proportion.
+    Rejected preparations are redrawn (the experiment restarts them); each
+    round splits its attempts between the fault-free outcome (zero
+    syndrome) and the plan's strata by one multinomial draw.
     """
-    pair_probs = np.array(plan.probabilities)
+    split = [plan.p_trivial, *(1.0 - plan.p_trivial) * np.array(plan.probabilities)]
     collected: list[np.ndarray] = []
-    total = 0
-    attempts = 0.0
-    accepted = 0.0
-    trivial_rate = plan.p_trivial
-    while total < n_needed:
-        m = max(int((n_needed - total) * 1.6) + 1024, 2048)
-        # How many of the drawn attempts are fault-free:
-        n_trivial = int(rng.binomial(m, trivial_rate))
-        n_noisy = m - n_trivial
+    attempts = 0
+    accepted = 0
+    while accepted < n_needed:
+        m = max(int((n_needed - accepted) * 1.6) + 1024, 2048)
+        counts = rng.multinomial(m, split)
         attempts += m
-        accepted += n_trivial
-        synds = [np.zeros(n_trivial, dtype=np.uint64)]
-        if n_noisy:
-            bucket = rng.choice(len(plan.pairs), size=n_noisy, p=pair_probs)
-            ok = np.zeros(n_noisy, dtype=bool)
-            acc_sc = np.zeros(n_noisy, dtype=np.uint64)
-            for b, (fp, fq) in enumerate(plan.pairs):
-                rows = np.nonzero(bucket == b)[0]
-                if rows.size:
-                    flags, acc_sc[rows] = _sample_bucket(tables, fp, fq, rows.size, rng)
-                    ok[rows] = (flags == 0).all(axis=0)
-            accepted += float(ok.sum())
-            synds.append(acc_sc[ok])
-        chunk_synd = np.concatenate(synds)
-        rng.shuffle(chunk_synd)
-        collected.append(chunk_synd)
-        total += len(chunk_synd)
-    all_synd = np.concatenate(collected)[:n_needed]
-    return all_synd, accepted / attempts
+        accepted += int(counts[0])
+        collected.append(np.zeros(counts[0], dtype=np.uint64))
+        for _, ok, sc in _accepted_chunks(tables, plan.pairs, counts[1:], rng):
+            accepted += int(ok.sum())
+            collected.append(sc[ok])
+    all_synd = np.concatenate(collected)
+    rng.shuffle(all_synd)
+    return all_synd[:n_needed], accepted / attempts
 
 
 def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = None) -> SteaneQecResult:
@@ -143,8 +139,6 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     p = cfg.p
     n_samples = cfg.samples
     strong = cfg.data_noise_multiplier * p
-    if strong > 1:
-        raise ValueError("data noise multiplier too large for this p")
 
     # Z errors on the computational block are graded by the logical Xs that
     # stabilize its |+..+> state, so the decode tables are built on the
@@ -164,8 +158,10 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
 
     def depolarizing_z(n_rows: int, rate: float) -> np.ndarray:
         # Z component of single-qubit depolarizing: Z or Y, 2/3 of faults.
-        bits = rng.random((n_rows, n)) < (rate * 2.0 / 3.0)
-        return _pack_frames(bits)
+        frames = np.zeros(n_rows, dtype=np.uint64)
+        rows, cols = _fault_cells(rng, n_rows, n, rate * 2.0 / 3.0)
+        np.bitwise_or.at(frames, rows, np.uint64(1) << cols.astype(np.uint64))
+        return frames
 
     if cfg.prep_mode == NO_QEC:
         frames = depolarizing_z(n_samples, strong) ^ depolarizing_z(n_samples, strong)
@@ -177,8 +173,7 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     if circuit is None:
         raise ValueError("preparation circuit required for QEC modes")
     tables = build_effect_tables(circuit, state, error_side="Z")
-    lp, lq = count_fault_locations(circuit)
-    plan = build_subset_plan(lp, lq, p, p / 100.0, max(n_samples, 10000))
+    plan = build_subset_plan(tables.l_p, tables.l_q, p, p / 100.0, max(n_samples, 10000))
     prep_synd, prep_acc = _sample_prep_syndromes(tables, plan, n_samples, rng)
 
     # Computational block round 1 (copied into the syndrome via the
@@ -188,19 +183,13 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     synd = prep_synd ^ r1_synd
 
     # Transversal CX noise: two-qubit depolarizing per pair, resource as
-    # control; a Z on the resource side corrupts the syndrome, a Z on the
-    # computational side joins the residual frame.
-    pauli_bits = [(b & 1, (b >> 1) & 1, (b >> 2) & 1, (b >> 3) & 1) for b in range(1, 16)]
-    za_of = np.array([za for (_, za, _, _) in pauli_bits], dtype=np.uint64)
-    zb_of = np.array([zb for (_, _, _, zb) in pauli_bits], dtype=np.uint64)
-    for i in range(n):
-        faulty = rng.random(n_samples) < p
-        idx = np.nonzero(faulty)[0]
-        if idx.size == 0:
-            continue
-        pat = rng.integers(0, 15, size=idx.size)
-        synd[idx] ^= za_of[pat] * synd_cols[i]
-        frames[idx] ^= (zb_of[pat] << np.uint64(i)).astype(np.uint64)
+    # control, one of the 15 Paulis with bits (X_a, Z_a, X_b, Z_b); a Z on
+    # the resource side corrupts the syndrome, a Z on the computational side
+    # joins the residual frame.
+    rows, cols = _fault_cells(rng, n_samples, n, p)
+    pat = rng.integers(1, 16, size=len(rows), dtype=np.uint64)
+    np.bitwise_xor.at(synd, rows, ((pat >> 1) & 1) * synd_cols[cols])
+    np.bitwise_xor.at(frames, rows, (pat >> 3) << cols.astype(np.uint64))
 
     # Idle accounting during the gadget: one memory location per qubit of
     # both blocks for the transversal step, one per computational qubit

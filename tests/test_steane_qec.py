@@ -6,6 +6,7 @@ import pytest
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.catalog import get_state
 from ftprep.css import CssState, coset_key_columns, coset_keys
+from ftprep.decoder import build_ideal_class_table, decode
 from ftprep.library import GadgetLibrary
 from ftprep.pauli import PauliOperator
 from ftprep.pipeline import build_preparation_circuit
@@ -114,6 +115,36 @@ def test_no_qec_matches_ideal_decoding_prediction():
     assert res.logical_error_rate < 1e-4
 
 
+def _exact_no_qec_rate(state, p, multiplier):
+    # Both data rounds flip each qubit's Z with q = 2/3 * multiplier * p, so
+    # the net flip per qubit is r = 2q(1-q).  Sum the probability of every Z
+    # pattern the ideal decoder misclassifies.
+    state_plus = replace(state, stabilizing_basis="X", state_label="|+>")
+    ideal = build_ideal_class_table(state_plus, "Z")
+    frames = np.arange(1 << state.n, dtype=np.uint64)
+    keys = coset_keys(frames, coset_key_columns(state_plus, "Z"))
+    synd_bits = len(state.x_generators)
+    fails = decode(keys & np.uint64((1 << synd_bits) - 1), ideal, None)[0] != keys >> synd_bits
+    weights = np.bitwise_count(frames[fails]).astype(np.float64)
+    q = 2.0 / 3.0 * multiplier * p
+    r = 2.0 * q * (1.0 - q)
+    return float(np.sum(r**weights * (1.0 - r) ** (state.n - weights)))
+
+
+@pytest.mark.parametrize("p, multiplier", [(5e-3, 6.0), (1e-2, 6.0), (2.5e-3, 10.0)])
+def test_no_qec_rate_matches_exact_enumeration(p, multiplier):
+    # The sparse data-channel draw must reproduce the exact two-round
+    # failure probability of color17 within four binomial standard deviations.
+    state = get_state("color17")
+    exact = _exact_no_qec_rate(state, p, multiplier)
+    n = 200_000
+    cfg = SteaneQecConfig(state, p, samples=n, prep_mode=NO_QEC,
+                          data_noise_multiplier=multiplier, seed=3)
+    res = run_steane_qec_experiment(cfg)
+    sigma = np.sqrt(n * exact * (1.0 - exact))
+    assert abs(res.logical_errors - n * exact) <= 4.0 * sigma, (res.logical_errors, n * exact)
+
+
 def test_more_than_64_qubits_rejected():
     # Z frames are packed into one uint64 per sample.
     n = 65
@@ -133,12 +164,13 @@ def test_more_than_64_qubits_rejected():
 
 
 def test_golden_color17_modes(color17_prep, color17_x_only):
-    # Recorded from the per-syndrome decode loops these runs replaced.
+    # Recorded with the shared stratum sampler and the sparse data-channel
+    # and transversal-CX draws.
     state, prep = color17_prep
     golden = {
-        FULL_FT: (prep.circuit, 142, 10_000, 0.5497597062476376),
-        FT_X_ONLY: (color17_x_only, 211, 10_000, 0.7051538275193798),
-        NO_QEC: (None, 272, 20_000, 1.0),
+        FULL_FT: (prep.circuit, 146, 10_000, 0.5467664638414733),
+        FT_X_ONLY: (color17_x_only, 224, 10_000, 0.7047904554263565),
+        NO_QEC: (None, 269, 20_000, 1.0),
     }
     for mode, (circ, errors, samples, acceptance) in golden.items():
         cfg = SteaneQecConfig(
@@ -153,3 +185,23 @@ def test_unknown_prep_mode_rejected(color17_prep):
     state, prep = color17_prep
     with pytest.raises(ValueError, match="unknown prep_mode 'fulft'"):
         SteaneQecConfig(state, 1e-3, samples=100, prep_mode="fulft")
+
+
+def test_p_outside_unit_interval_rejected():
+    state = get_state("steane")
+    for p in (-1e-3, 0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="0 < p < 1"):
+            SteaneQecConfig(state, p, samples=100, prep_mode=NO_QEC, data_noise_multiplier=0.5)
+
+
+def test_data_noise_above_one_rejected():
+    state = get_state("steane")
+    with pytest.raises(ValueError, match=r"data_noise_multiplier 10 \* p 0.2 > 1"):
+        SteaneQecConfig(state, 0.2, samples=100, prep_mode=NO_QEC)
+
+
+def test_nonpositive_samples_rejected():
+    state = get_state("steane")
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            SteaneQecConfig(state, 1e-3, samples=samples, prep_mode=NO_QEC)
