@@ -43,9 +43,9 @@ print(f"assembled: {m.cx_count} CX, {m.flag_count} flags, "
       f"{m.max_simultaneous_qubits} simultaneous qubits, depth {m.depth}")
 
 print("tableau check:", "ok" if tableau_check_circuit(circ, state) is None else "FAILED")
-for t in ("X", "Z"):
-    ce = verify_fault_tolerance(circ, state, 1, t)
-    print(f"single-fault verification ({t}):", "PASS" if ce is None else ce)
+for fault_type in ("X", "Z"):
+    ce = verify_fault_tolerance(circ, state, state.t, fault_type)
+    print(f"t={state.t} exhaustive verification ({fault_type}):", "PASS" if ce is None else ce)
 
 # The perfect-code structure: weight <= 3 X errors cover every syndrome.
 mw = build_mw_lut(state, "X", 3)

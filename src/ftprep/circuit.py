@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .css import CssState, coset_key_columns
 
 ROLE_CONTROL = "control"
 ROLE_TARGET = "target"
@@ -78,10 +79,6 @@ class Circuit:
     @property
     def code_qubits(self) -> list[int]:
         return [q for q in range(self.n_qubits) if self.code_index[q] is not None]
-
-    @property
-    def n_code(self) -> int:
-        return sum(1 for c in self.code_index if c is not None)
 
     def flag_measurements(self) -> list[FlagMeasure]:
         return [op for op in self.ops if isinstance(op, FlagMeasure)]
@@ -150,21 +147,27 @@ class BackwardSweep(NamedTuple):
     active: dict[int, list[int]]
 
 
-def propagate_backward(circuit: Circuit, x_seed: list[int], z_seed: list[int]) -> BackwardSweep:
+def propagate_backward(circuit: Circuit, state: CssState, error_side: str) -> BackwardSweep:
     """End-of-circuit effect of a Pauli inserted after every Init and CX.
 
     The transfer-map column of qubit q is the effect (a bitmask) of an X
     (``col_x``) or Z (``col_z``) on q at the current point of a backward
-    walk over the ops.  The columns start as ``x_seed``/``z_seed``, the
-    effect of a Pauli that survives to the end.  Through a CX, X frames
-    flow control -> target and Z frames target -> control.  A flag
-    measurement sets its qubit's column to ``1 << outcome`` on the side it
-    detects (``col_x`` for a Z-basis measurement, ``col_z`` for an X-basis
-    one) and to 0 on the other.  Raises ValueError for an outcome index
-    outside ``range(circuit.flag_count)``, whose bit would land among the
-    seed bits.
+    walk over the ops.  The columns start as the effect of a Pauli that
+    survives to the end: on ``error_side``, a code qubit's coset key
+    (:func:`css.coset_key_columns`) shifted above the flag bits, and 0
+    otherwise, so every effect reads ``key << flag_count | flag flips``.
+    Through a CX, X frames flow control -> target and Z frames target ->
+    control.  A flag measurement sets its qubit's column to ``1 << outcome``
+    on the side it detects (``col_x`` for a Z-basis measurement, ``col_z``
+    for an X-basis one) and to 0 on the other.  Raises ValueError for a key
+    wider than 64 bits, and for an outcome index outside
+    ``range(circuit.flag_count)``, whose bit would land among the key bits.
     """
     n_flags = circuit.flag_count
+    key_cols = coset_key_columns(state, error_side)
+    seed = [0 if ci is None else key_cols[ci] << n_flags for ci in circuit.code_index]
+    zeros = [0] * circuit.n_qubits
+    col_x, col_z = (seed, zeros) if error_side == "X" else (zeros, seed)
     active: dict[int, list[int]] = {}
     live: dict[int, None] = {}  # insertion-ordered set
     for pos, op in enumerate(circuit.ops):
@@ -175,8 +178,6 @@ def propagate_backward(circuit: Circuit, x_seed: list[int], z_seed: list[int]) -
         elif isinstance(op, FlagMeasure):
             live.pop(op.qubit, None)
 
-    col_x = list(x_seed)
-    col_z = list(z_seed)
     cols: dict[int, tuple[list[int], list[int]]] = {}
     for pos in range(len(circuit.ops) - 1, -1, -1):
         op = circuit.ops[pos]

@@ -157,11 +157,17 @@ def coset_key_columns(state: CssState, error_type: str) -> list[int]:
     Syndrome bits (one per checking generator) sit low and class bits (one
     per class logical) above them.  Keys are linear, and two pure-type
     errors share a key exactly when they differ by an element of
-    ``state.reduction_group(error_type)``.
+    ``state.reduction_group(error_type)``.  Raises ValueError when syndrome
+    plus class bits exceed the 64-bit key word every packed table uses.
     """
     comp = "X" if error_type == "Z" else "Z"
     rows = _masks(state.checking_generators(error_type), comp)
-    rows += [op.x | op.z for op in state.class_logicals(error_type)]
+    class_rows = [op.x | op.z for op in state.class_logicals(error_type)]
+    if len(rows) + len(class_rows) > 64:
+        raise ValueError(
+            f"{len(rows)} syndrome + {len(class_rows)} class bits exceed the 64-bit key width"
+        )
+    rows += class_rows
     return [
         sum(((row >> q) & 1) << i for i, row in enumerate(rows)) for q in range(state.n)
     ]

@@ -35,7 +35,7 @@ from .circuit import (
     pack_effects,
     propagate_backward,
 )
-from .css import CssState, coset_key_columns
+from .css import CssState
 
 
 REPLAY_MAX_FAULTS = 4  # most faults per frame_replay_check sample
@@ -202,20 +202,8 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
     X-type generators (Steane-QEC decoding of joint Z errors).  Raises
     ValueError when syndrome plus class bits exceed the 64-bit ``sc`` word.
     """
-    synd_bits = len(state.checking_generators(error_side))
-    class_bits = len(state.class_logicals(error_side))
-    if synd_bits + class_bits > 64:
-        raise ValueError(
-            f"{synd_bits} syndrome + {class_bits} class bits exceed the 64-bit packed width"
-        )
+    sweep = propagate_backward(circuit, state, error_side)
     n_flags = circuit.flag_count
-    cols = coset_key_columns(state, error_side)
-    seed = [0 if ci is None else cols[ci] << n_flags for ci in circuit.code_index]
-    zeros = [0] * circuit.n_qubits
-    if error_side == "X":
-        sweep = propagate_backward(circuit, seed, zeros)
-    else:
-        sweep = propagate_backward(circuit, zeros, seed)
 
     effects: list[int] = []
     var_pos: list[int] = []
@@ -285,8 +273,8 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
     flags, sc = pack_effects(effects, n_flags)
     return EffectTables(
         n_flags=n_flags,
-        synd_bits=synd_bits,
-        class_bits=class_bits,
+        synd_bits=len(state.checking_generators(error_side)),
+        class_bits=len(state.class_logicals(error_side)),
         p_offsets=np.array(p_offsets, dtype=np.int64),
         p_counts=np.array(p_counts, dtype=np.int64),
         q_offsets=np.array(q_offsets, dtype=np.int64),
@@ -567,7 +555,6 @@ def frame_replay_check(
             )
         # Compare stabilizer parities of the final state: measure code
         # qubits in Z and check each Z-generator's parity.
-        n_code = circuit.n_code
         bits = {}
         for ci, qq in lift.items():
             out, _ = tab.measure_z(qq, rng)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import Circuit
-from .css import CssState, coset_key_columns, coset_keys
+from .css import CssState, coset_key_columns
 from .decoder import build_ideal_class_table, build_ml_lut, build_mw_lut, decode
 from .noise import (
     EffectTables,
@@ -128,45 +128,40 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
 
     ``circuit`` is the resource-preparation circuit (required unless the
     mode is ``no_qec``); it should be assembled with Z gadgets stripped for
-    the ``ft_x_only`` ablation.  Raises ValueError for codes of more than
-    64 qubits, whose Z frames do not fit the packed 64-bit words.
+    the ``ft_x_only`` ablation.  Raises ValueError when the code's
+    X-generator syndrome plus class bits exceed the 64-bit key width.
+
+    Z errors are tracked as coset keys, not qubit frames: keys are linear,
+    so every fault XORs its qubit's key column into its sample's key.
     """
     state = cfg.state
-    if state.n > 64:
-        raise ValueError(f"{state.n} code qubits exceed the 64-bit packed frame width")
+    # Z errors on the computational block are graded by the logical Xs that
+    # stabilize its |+..+> state, so the decode tables are built on the
+    # X-stabilized view of the code.  Keys: X-generator syndrome low,
+    # logical-X class above.
+    state_plus = replace(state, stabilizing_basis="X", state_label="|+>")
+    key_cols = np.array(coset_key_columns(state_plus, "Z"), dtype=np.uint64)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     n = state.n
     p = cfg.p
     n_samples = cfg.samples
     strong = cfg.data_noise_multiplier * p
 
-    # Z errors on the computational block are graded by the logical Xs that
-    # stabilize its |+..+> state, so the decode tables are built on the
-    # X-stabilized view of the code.
-    state_plus = replace(state, stabilizing_basis="X", state_label="|+>")
     mw = build_mw_lut(state_plus, "Z", (state.d - 1) // 2) if state.d > 2 else None
     ideal = build_ideal_class_table(state_plus, "Z")
-    # Coset keys of Z frames: X-generator syndrome low, logical-X class above.
     synd_bits = np.uint64(len(state.x_generators))
     synd_mask = (np.uint64(1) << synd_bits) - np.uint64(1)
-    key_cols = np.array(coset_key_columns(state_plus, "Z"), dtype=np.uint64)
-    synd_cols = key_cols & synd_mask
-
-    def synd_and_class(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keys = coset_keys(frames, key_cols)
-        return keys & synd_mask, keys >> synd_bits
 
     def depolarizing_z(n_rows: int, rate: float) -> np.ndarray:
         # Z component of single-qubit depolarizing: Z or Y, 2/3 of faults.
-        frames = np.zeros(n_rows, dtype=np.uint64)
+        keys = np.zeros(n_rows, dtype=np.uint64)
         rows, cols = _fault_cells(rng, n_rows, n, rate * 2.0 / 3.0)
-        np.bitwise_or.at(frames, rows, np.uint64(1) << cols.astype(np.uint64))
-        return frames
+        np.bitwise_xor.at(keys, rows, key_cols[cols])
+        return keys
 
     if cfg.prep_mode == NO_QEC:
-        frames = depolarizing_z(n_samples, strong) ^ depolarizing_z(n_samples, strong)
-        synd_r, cls_r = synd_and_class(frames)
-        errors = int((decode(synd_r, ideal, None)[0] != cls_r).sum())
+        keys = depolarizing_z(n_samples, strong) ^ depolarizing_z(n_samples, strong)
+        errors = int((decode(keys & synd_mask, ideal, None)[0] != keys >> synd_bits).sum())
         rate = errors / n_samples
         return SteaneQecResult(cfg, errors, n_samples, rate, wilson_interval(errors, n_samples), 1.0)
 
@@ -178,25 +173,26 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
 
     # Computational block round 1 (copied into the syndrome via the
     # transversal CX) and round 2 (after the correction).
-    frames = depolarizing_z(n_samples, strong)
-    r1_synd, r1_cls = synd_and_class(frames)
+    keys = depolarizing_z(n_samples, strong)
+    r1_synd, r1_cls = keys & synd_mask, keys >> synd_bits
     synd = prep_synd ^ r1_synd
 
     # Transversal CX noise: two-qubit depolarizing per pair, resource as
     # control, one of the 15 Paulis with bits (X_a, Z_a, X_b, Z_b); a Z on
     # the resource side corrupts the syndrome, a Z on the computational side
-    # joins the residual frame.
+    # joins the residual.
     rows, cols = _fault_cells(rng, n_samples, n, p)
     pat = rng.integers(1, 16, size=len(rows), dtype=np.uint64)
-    np.bitwise_xor.at(synd, rows, ((pat >> 1) & 1) * synd_cols[cols])
-    np.bitwise_xor.at(frames, rows, (pat >> 3) << cols.astype(np.uint64))
+    np.bitwise_xor.at(synd, rows, ((pat >> 1) & 1) * key_cols[cols])
+    np.bitwise_xor.at(keys, rows, (pat >> 3) * key_cols[cols])
 
     # Idle accounting during the gadget: one memory location per qubit of
     # both blocks for the transversal step, one per computational qubit
     # while the resource is measured.
     q_rate = p / 100.0
-    synd ^= coset_keys(depolarizing_z(n_samples, q_rate), synd_cols)  # resource idles
-    frames ^= depolarizing_z(n_samples, q_rate) ^ depolarizing_z(n_samples, q_rate)
+    synd ^= depolarizing_z(n_samples, q_rate)  # resource idles
+    synd &= synd_mask  # the resource readout holds syndrome bits only
+    keys ^= depolarizing_z(n_samples, q_rate) ^ depolarizing_z(n_samples, q_rate)
 
     # Destructive X-basis readout of the resource: the literal bit-flip
     # measurement channel (an X before the measurement) commutes with the
@@ -218,12 +214,11 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
 
     eval_slice = slice(n_train, n_samples)
     synd_eval = synd[eval_slice]
-    frames_eval = frames[eval_slice] ^ depolarizing_z(n_samples - n_train, strong)
+    keys_eval = keys[eval_slice] ^ depolarizing_z(n_samples - n_train, strong)
     corr_class = decode(synd_eval, ml, mw)[0]
 
-    synd_r, cls_r = synd_and_class(frames_eval)
-    synd_r ^= synd_eval
-    cls_r ^= corr_class
+    synd_r = (keys_eval & synd_mask) ^ synd_eval
+    cls_r = (keys_eval >> synd_bits) ^ corr_class
     # Ideal minimum-weight correction of the residual's syndrome.
     errors = int((decode(synd_r, ideal, None)[0] != cls_r).sum())
     kept = len(synd_eval)

@@ -10,11 +10,17 @@ Faults are single-type Pauli patterns: one variant after each qubit
 initialization the pattern does not stabilize, three after each CX, and a
 flip of each flag measurement the pattern anticommutes with.  Idle
 locations carry noise in simulation but are not adversarial fault sites.
+
+Each variant's flag flips and residual coset key come from the key-seeded
+backward sweep that also builds the Monte Carlo effect tables.  A
+combination goes undetected exactly when its last variant's flag words
+equal the XOR of the other variants' words, so each (f - 1)-combination is
+joined only to the later variants carrying that XOR, and only these joined
+candidates have their coset keys checked.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -22,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, CXGate, FlagMeasure, Init, pack_effects, propagate_backward
-from .css import CssState, coset_enumeration, coset_key_columns, coset_keys
+from .css import CssState, coset_enumeration, coset_key_columns
+from .decoder import _lookup
 from .pauli import popcount
 
 
-COMBINATION_BLOCK = 1 << 20  # fault combinations checked per streamed block
-COMBINATION_CAP = 200_000_000  # fault combinations one call may check
+JOIN_BLOCK = 1 << 18  # prefixes or joined candidates built per block
+COMBINATION_CAP = 200_000_000  # fault combinations one call may cover
 
 
 class VerificationBudgetError(RuntimeError):
@@ -51,7 +58,6 @@ class FaultLocation:
 class Counterexample:
     fault_type: str
     faults: tuple[tuple[int, int], ...]  # (op index, inserted pattern mask)
-    flag_flips: int
     residual_code_mask: int
     reduced_weight: int
 
@@ -89,24 +95,80 @@ def enumerate_fault_locations(circuit: Circuit, fault_type: str) -> list[FaultLo
     return locations
 
 
-def _fault_effects(
-    circuit: Circuit, locations: list[FaultLocation], fault_type: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """Per-variant (flag words, residual code mask, location index, fault).
+def verify_fault_tolerance(
+    circuit: Circuit,
+    state: CssState,
+    t: int,
+    fault_type: str,
+) -> Counterexample | None:
+    """Exhaustively test the FT criterion for one fault type.
 
-    The residual rides above the flag bits in the shared backward sweep,
-    seeded on the side of ``fault_type`` only; a variant's fault is its
-    (op index, inserted pattern mask).
+    Returns None on a pass, otherwise the lexicographically first failing
+    combination of variants at the smallest failing fault count.  Raises
+    VerificationBudgetError when the combination space exceeds
+    COMBINATION_CAP, and ValueError when syndrome plus class bits exceed 64.
+
+    An undetected residual has reduced weight above f exactly when its coset
+    key is not among the keys of the errors of weight <= f.
     """
-    n_flags = circuit.flag_count
-    seed = [0 if ci is None else 1 << (n_flags + ci) for ci in circuit.code_index]
-    zeros = [0] * circuit.n_qubits
+    locations = enumerate_fault_locations(circuit, fault_type)
+    faults = [(loc.site, mask) for loc in locations for mask in loc.variants]
+    nv = len(faults)
+    total = sum(math.comb(nv, f) for f in range(1, t + 1))
+    if total > COMBINATION_CAP:
+        raise VerificationBudgetError(
+            f"{total} fault combinations exceed the cap {COMBINATION_CAP} "
+            f"({nv} variants over {len(locations)} locations, t={t})"
+        )
+    words, keys, nxt = _variant_effects(circuit, state, locations, fault_type)
+    cols = coset_key_columns(state, fault_type)
+    light = list(coset_enumeration(cols, t))  # (weight, key) of every error of weight <= t
+
+    # Variants sorted by (flag words, index) as ``words rank * nv + index``:
+    # the later variants with given flag words are one contiguous run of
+    # codes.  A variant's row of words compares as one byte string.
+    as_bytes = np.dtype((np.void, words.itemsize * words.shape[1]))
+    groups, rank = np.unique(words.view(as_bytes)[:, 0], return_inverse=True)
+    codes = np.sort(rank * nv + np.arange(nv))
+    sorted_keys = keys[codes % nv]
+    for f in range(1, t + 1):
+        allowed = np.array([key for w, key in light if w <= f], dtype=np.uint64)
+        for prefix, start in _prefixes(f - 1, nxt):
+            pre_words = np.zeros((len(prefix), words.shape[1]), dtype=np.uint64)
+            pre_key = np.zeros(len(prefix), dtype=np.uint64)
+            for col in prefix.T:
+                pre_words ^= words[col]
+                pre_key ^= keys[col]
+            g, hit = _lookup(groups, pre_words.view(as_bytes)[:, 0])
+            lo = np.searchsorted(codes, g * nv + start)
+            hi = np.where(hit, np.searchsorted(codes, (g + 1) * nv), lo)
+            for rows, pos in _ranges(lo, hi):
+                bad = np.flatnonzero(~np.isin(sorted_keys[pos] ^ pre_key[rows], allowed))
+                if len(bad):
+                    i = bad[0]
+                    members = [*prefix[rows[i]], codes[pos[i]] % nv]
+                    found = tuple(faults[v] for v in members)
+                    residual = replay_faults(circuit, state, fault_type, list(found))[1]
+                    # The residual is in its own coset, so the first error of the
+                    # weight-ordered enumeration sharing its key comes by its popcount.
+                    key = sorted_keys[pos[i]] ^ pre_key[rows[i]]
+                    enum = coset_enumeration(cols, popcount(residual))
+                    reduced = next(w for w, k in enum if k == key)
+                    return Counterexample(fault_type, found, residual, reduced)
+    return None
+
+
+def _variant_effects(
+    circuit: Circuit, state: CssState, locations: list[FaultLocation], fault_type: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-variant flag words as rows (V, max(W, 1)) and coset keys (V,),
+    from the key-seeded :func:`circuit.propagate_backward`, and the index of
+    the first variant at a later location than each variant's own."""
+    sweep = propagate_backward(circuit, state, fault_type)
     side = 0 if fault_type == "X" else 1
-    sweep = propagate_backward(circuit, *((seed, zeros) if side == 0 else (zeros, seed)))
     effects: list[int] = []
-    loc_idx: list[int] = []
-    faults: list[tuple[int, int]] = []
-    for i, loc in enumerate(locations):
+    nxt: list[int] = []
+    for loc in locations:
         op = circuit.ops[loc.site]
         if loc.kind == "meas":
             effs = [1 << op.outcome]
@@ -117,95 +179,37 @@ def _fault_effects(
             else:
                 effs = [col[op.control], col[op.target], col[op.control] ^ col[op.target]]
         effects.extend(effs)
-        loc_idx.extend([i] * len(effs))
-        faults.extend((loc.site, mask) for mask in loc.variants)
-    flags, resid = pack_effects(effects, n_flags)
-    return flags, resid, np.array(loc_idx, dtype=np.int64), faults
+        nxt.extend([len(effects)] * len(effs))
+    flags, keys = pack_effects(effects, circuit.flag_count)
+    words = np.ascontiguousarray(flags.T) if len(flags) else np.zeros((len(keys), 1), np.uint64)
+    return words, keys, np.array(nxt, dtype=np.int64)
 
 
-def verify_fault_tolerance(
-    circuit: Circuit,
-    state: CssState,
-    t: int,
-    fault_type: str,
-) -> Counterexample | None:
-    """Exhaustively test the FT criterion for one fault type.
-
-    Returns None on a pass, otherwise a counterexample with the smallest
-    fault count found.  Raises VerificationBudgetError when the combination
-    space exceeds COMBINATION_CAP, and ValueError when the code has more
-    than 64 qubits.
-
-    An undetected residual has reduced weight above f exactly when its coset
-    key is not among the keys of the errors of weight <= f.  Combinations
-    are streamed in fixed-size blocks, so memory stays bounded at any t.
-    """
-    n_code = circuit.n_code
-    if n_code > 64:
-        raise ValueError(f"{n_code} code qubits exceed the 64-bit residual width")
-    locations = enumerate_fault_locations(circuit, fault_type)
-    flags, resid, loc_idx, faults = _fault_effects(circuit, locations, fault_type)
-    nv = len(resid)
-    total = sum(math.comb(nv, f) for f in range(1, t + 1))
-    if total > COMBINATION_CAP:
-        raise VerificationBudgetError(
-            f"{total} fault combinations exceed the cap {COMBINATION_CAP} "
-            f"({nv} variants over {len(locations)} locations, t={t})"
-        )
-    cols = coset_key_columns(state, fault_type)
-    keys = coset_keys(resid, cols)
-    light: dict[int, int] = {}  # coset key -> minimum weight, up to t
-    for w, key in coset_enumeration(cols, t):
-        light.setdefault(key, w)
-
-    for f in range(1, t + 1):
-        allowed = np.array([key for key, w in light.items() if w <= f], dtype=np.uint64)
-        for arr in _combination_blocks(nv, f):
-            # Variants of one location are contiguous, so within a sorted
-            # combination a repeated location shows up in adjacent columns.
-            arr = arr[(loc_idx[arr[:, 1:]] != loc_idx[arr[:, :-1]]).all(axis=1)]
-            for words in flags:
-                arr = arr[_xor_gather(words, arr) == 0]
-            arr_keys = _xor_gather(keys, arr)
-            bad = np.nonzero(~np.isin(arr_keys, allowed))[0]
-            if len(bad):
-                member = arr[bad[0]]
-                residual = int(_xor_gather(resid, member[None, :])[0])
-                # The residual is in its own coset, so the first error of
-                # the weight-ordered enumeration sharing its key comes by
-                # its popcount.
-                key = int(arr_keys[bad[0]])
-                reduced = next(
-                    w for w, k in coset_enumeration(cols, popcount(residual)) if k == key
-                )
-                return Counterexample(
-                    fault_type=fault_type,
-                    faults=tuple(faults[i] for i in member),
-                    flag_flips=0,
-                    residual_code_mask=residual,
-                    reduced_weight=reduced,
-                )
-    return None
+def _prefixes(k: int, nxt: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The k-combinations of variants at distinct locations in lexicographic
+    order, as (m, k) blocks of about JOIN_BLOCK rows, each with the index of
+    the first variant that may extend each row."""
+    if k == 0:
+        yield np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+        return
+    for block, start in _prefixes(k - 1, nxt):
+        for rows, pos in _ranges(start, np.full(len(block), len(nxt))):
+            yield np.column_stack((block[rows], pos)), nxt[pos]
 
 
-def _combination_blocks(nv: int, f: int) -> Iterator[np.ndarray]:
-    """``itertools.combinations(range(nv), f)`` as (m, f) arrays of at most
-    COMBINATION_BLOCK rows, in order."""
-    combos = itertools.combinations(range(nv), f)
-    row = np.dtype((np.int64, (f,)))
-    while True:
-        block = np.fromiter(itertools.islice(combos, COMBINATION_BLOCK), dtype=row)
-        if not len(block):
-            return
-        yield block
-
-
-def _xor_gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """XOR of ``values[idx[:, j]]`` over the columns j of ``idx``."""
-    out = values[idx[:, 0]]
-    for j in range(1, idx.shape[1]):
-        out ^= values[idx[:, j]]
-    return out
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair (r, p) with lo[r] <= p < hi[r], in order, as (rows, ps)
+    blocks of about JOIN_BLOCK pairs (a longer single row stays whole)."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    shift = lo - starts  # position minus flat pair index, per row
+    first = 0
+    while first < len(lo):
+        stop = max(int(np.searchsorted(ends, starts[first] + JOIN_BLOCK, "right")), first + 1)
+        rows = np.repeat(np.arange(first, stop), counts[first:stop])
+        yield rows, np.arange(starts[first], ends[stop - 1]) + shift[rows]
+        first = stop
 
 
 def replay_faults(

@@ -228,10 +228,10 @@ def test_criterion_8_golay_circuit_size(library):
     assert m.cx_count <= 260, m.cx_count
     assert m.max_simultaneous_qubits <= 56, m.max_simultaneous_qubits
     for typ in ("X", "Z"):
-        assert verify_fault_tolerance(circ, state, 2, typ) is None
+        assert verify_fault_tolerance(circ, state, state.t, typ) is None
     print(f"\n[criterion 8] PASS: Golay circuit {m.cx_count} CX (<= 260), "
           f"{m.max_simultaneous_qubits} simultaneous qubits (<= 56), "
-          f"{m.flag_count} flags; t=2 exhaustive verification passes both types")
+          f"{m.flag_count} flags; t={state.t} exhaustive verification passes both types")
 
 
 def test_criterion_9_steane_qec_ablation(color17_prep, library):

@@ -145,8 +145,9 @@ def test_no_qec_rate_matches_exact_enumeration(p, multiplier):
     assert abs(res.logical_errors - n * exact) <= 4.0 * sigma, (res.logical_errors, n * exact)
 
 
-def test_more_than_64_qubits_rejected():
-    # Z frames are packed into one uint64 per sample.
+def test_more_than_64_qubits_runs():
+    # Samples carry coset keys (1 syndrome + 1 class bit here), not qubit
+    # frames, so the code size is not limited by the 64-bit word.
     n = 65
     state = CssState(
         name="wide",
@@ -159,7 +160,24 @@ def test_more_than_64_qubits_rejected():
         logical_z_reps=(PauliOperator(n, z=0b100),),
     )
     cfg = SteaneQecConfig(state, 1e-3, samples=100, prep_mode=NO_QEC, seed=1)
-    with pytest.raises(ValueError, match="64-bit"):
+    assert run_steane_qec_experiment(cfg).samples == 100
+
+
+def test_more_than_64_key_bits_rejected():
+    # 65 X generators plus one X logical: 66 bits of the Z-error key.
+    n = 66
+    state = CssState(
+        name="wide",
+        n=n,
+        k=1,
+        d=1,
+        x_generators=tuple(PauliOperator(n, x=1 << q) for q in range(n - 1)),
+        z_generators=(),
+        logical_x_reps=(PauliOperator(n, x=1 << (n - 1)),),
+        logical_z_reps=(PauliOperator(n, z=1 << (n - 1)),),
+    )
+    cfg = SteaneQecConfig(state, 1e-3, samples=100, prep_mode=NO_QEC, seed=1)
+    with pytest.raises(ValueError, match="65 syndrome \\+ 1 class bits exceed the 64-bit key width"):
         run_steane_qec_experiment(cfg)
 
 

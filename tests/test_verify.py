@@ -1,3 +1,8 @@
+import functools
+import itertools
+import operator
+
+import numpy as np
 import pytest
 
 from ftprep import verify
@@ -117,7 +122,8 @@ def test_verification_schedule_invariant(library):
         assert verify_fault_tolerance(circ, state, 1, "Z") is None
 
 
-def test_more_than_64_code_qubits_rejected():
+def test_more_than_64_key_bits_rejected():
+    # 64 Z generators plus one Z logical: 65 bits of the X-residual key.
     n = 65
     state = CssState(
         name="wide",
@@ -131,8 +137,20 @@ def test_more_than_64_code_qubits_rejected():
     )
     ops = tuple(Init(q, "0") for q in range(n)) + (FinalMeasure("Z"),)
     circ = Circuit(n, ("control",) * n, tuple(f"c{q}" for q in range(n)), tuple(range(n)), ops)
-    with pytest.raises(ValueError, match="64-bit"):
+    with pytest.raises(ValueError, match="64 syndrome \\+ 1 class bits exceed the 64-bit key width"):
         verify_fault_tolerance(circ, state, 1, "X")
+
+
+def test_more_than_64_code_qubits_verified():
+    # Rotated surface d=9: 81 code qubits, 40 syndrome + 1 class key bits.
+    state = _state_from_data(rotated_surface_data(9), "|0>")
+    assert state.n > 64
+    bare = best_of_trials(state, 5, 0).bare_circuit(state.n)
+    ce = verify_fault_tolerance(bare, state, 1, "X")
+    assert ce is not None and len(ce.faults) == 1
+    flips, residual = replay_faults(bare, state, "X", list(ce.faults))
+    assert flips == 0
+    assert residual == ce.residual_code_mask
 
 
 def test_flag_outcome_index_out_of_range_rejected():
@@ -158,10 +176,161 @@ def test_flag_outcome_index_out_of_range_rejected():
 def test_combination_cap_raises_before_any_block(monkeypatch, steane_circuit):
     state, _, circ = steane_circuit
 
-    def no_blocks(nv, f):
-        raise AssertionError("a combination block was built")
+    def no_blocks(lo, hi):
+        raise AssertionError("a block was built")
 
     monkeypatch.setattr(verify, "COMBINATION_CAP", 10)
-    monkeypatch.setattr(verify, "_combination_blocks", no_blocks)
+    monkeypatch.setattr(verify, "_ranges", no_blocks)
     with pytest.raises(VerificationBudgetError, match="exceed the cap 10"):
         verify_fault_tolerance(circ, state, 1, "X")
+
+
+def _filed_under(library, t_from, t_to):
+    """``library`` with its t_from gadgets also filed under t_to: a circuit
+    assembled from it is protected against fewer faults than its labels say."""
+    weak = GadgetLibrary(dict(library.entries))
+    for (t, r), entry in library.entries.items():
+        if t == t_from:
+            weak.entries[(t_to, r)] = entry
+    return weak
+
+
+def _brute_force(circuit, state, t, fault_type):
+    """Reference verdict: scan every combination of f <= t variants at
+    distinct locations in lexicographic order, smallest f first, and return
+    the first undetected one whose residual reduces by group enumeration to
+    weight above f, as (faults, residual, reduced weight).  Replay is linear
+    in the fault set, so each variant is replayed once and a combination
+    XORs its variants' flips and residuals."""
+    locations = enumerate_fault_locations(circuit, fault_type)
+    loc = [i for i, l in enumerate(locations) for _ in l.variants]
+    faults = [(l.site, mask) for l in locations for mask in l.variants]
+    flips, resid = zip(*(replay_faults(circuit, state, fault_type, [f]) for f in faults))
+    group = state.reduction_group(fault_type)
+
+    @functools.cache
+    def weight(mask):
+        return min_weight_modulo(PauliOperator(state.n, **{fault_type.lower(): mask}), group)
+
+    for f in range(1, t + 1):
+        for combo in itertools.combinations(range(len(faults)), f):
+            if functools.reduce(operator.xor, [flips[v] for v in combo]):
+                continue
+            if len({loc[v] for v in combo}) < f:
+                continue
+            residual = functools.reduce(operator.xor, [resid[v] for v in combo])
+            if weight(residual) > f:
+                return tuple(faults[v] for v in combo), residual, weight(residual)
+    return None
+
+
+@pytest.fixture(scope="module")
+def color17_weakened(library):
+    state = get_state("color17")
+    bip = best_of_trials(state, 5, 0)
+    circuits = {}
+    for label, lib in (("t=2 gadgets", library), ("t=1 gadgets", _filed_under(library, 1, 2))):
+        asm = assemble_ft_circuit(state, bip, lib, seed=5)
+        circuits[label] = schedule_circuit(asm, "min_max_qubits", shuffles=5, seed=3)
+    return state, circuits
+
+
+@pytest.mark.parametrize(
+    "case, t, fault_type, first_failure",
+    [
+        ("steane", 2, "X", None),
+        ("steane", 2, "Z", None),
+        ("steane", 3, "X", None),
+        ("steane", 3, "Z", None),
+        ("t=2 gadgets", 2, "X", None),
+        ("t=2 gadgets", 2, "Z", None),
+        ("t=2 gadgets", 3, "X", 3),
+        ("t=1 gadgets", 2, "X", 2),
+        ("t=1 gadgets", 2, "Z", 2),
+        ("t=1 gadgets", 3, "X", 2),
+        ("t=1 gadgets", 3, "Z", 2),
+    ],
+)
+def test_join_matches_brute_force_scan(monkeypatch, steane_circuit, color17_weakened, case, t,
+                                       fault_type, first_failure):
+    if case == "steane":
+        state, _, circ = steane_circuit
+    else:
+        state, circuits = color17_weakened
+        circ = circuits[case]
+    ref = _brute_force(circ, state, t, fault_type)
+    assert (None if ref is None else len(ref[0])) == first_failure
+    # A small block size also checks the order across block boundaries.
+    for block in (verify.JOIN_BLOCK, 1000):
+        monkeypatch.setattr(verify, "JOIN_BLOCK", block)
+        ce = verify_fault_tolerance(circ, state, t, fault_type)
+        assert (None if ce is None else (ce.faults, ce.residual_code_mask, ce.reduced_weight)) == ref
+
+
+def _random_circuit(rng, n, n_flags, n_cx):
+    """Code qubits in random bases, random CX gates among them, and CX gates
+    onto Z-measured flags: arbitrary structure for reference comparisons."""
+    ops = [Init(q, "0+"[int(rng.integers(2))]) for q in range(n)]
+    ops += [Init(n + j, "0") for j in range(n_flags)]
+    for _ in range(n_cx):
+        if rng.random() < 0.3:
+            ops.append(CXGate(int(rng.integers(n)), n + int(rng.integers(n_flags))))
+        else:
+            a, b = rng.choice(n, 2, replace=False)
+            ops.append(CXGate(int(a), int(b)))
+    ops += [FlagMeasure(n + j, "Z", j) for j in range(n_flags)]
+    return Circuit(n + n_flags, ("control",) * n + ("flag_x",) * n_flags,
+                   tuple(f"q{i}" for i in range(n + n_flags)), tuple(range(n)) + (None,) * n_flags,
+                   tuple(ops) + (FinalMeasure("Z"),))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_join_matches_brute_force_on_random_circuits(seed):
+    state = get_state("steane")
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        circ = _random_circuit(rng, state.n, 2, int(rng.integers(3, 14)))
+        for fault_type in ("X", "Z"):
+            ref = _brute_force(circ, state, 3, fault_type)
+            ce = verify_fault_tolerance(circ, state, 3, fault_type)
+            assert (None if ce is None else (ce.faults, ce.residual_code_mask, ce.reduced_weight)) == ref
+
+
+def test_last_variant_of_a_join_range_is_checked():
+    # One CX between two |+> qubits: its X_a X_b pattern, the last variant
+    # of the circuit, is the only fault whose residual reduces above weight 1.
+    state = get_state("steane")
+    ops = (*(Init(q, "+") for q in range(7)), CXGate(0, 1), FinalMeasure("Z"))
+    circ = Circuit(7, ("control",) * 7, tuple(f"c{q}" for q in range(7)), tuple(range(7)), ops)
+    ce = verify_fault_tolerance(circ, state, 1, "X")
+    assert ce is not None and ce.faults == ((7, 0b11),)
+    assert (ce.faults, ce.residual_code_mask, ce.reduced_weight) == _brute_force(circ, state, 1, "X")
+
+
+@pytest.mark.parametrize("block", [1, 4, 1000])
+def test_prefixes_are_distinct_location_combinations_in_order(monkeypatch, block):
+    monkeypatch.setattr(verify, "JOIN_BLOCK", block)
+    loc = [0, 0, 1, 2, 2, 2, 3]  # the location of each variant
+    nxt = np.array([loc.index(l + 1) if l + 1 in loc else len(loc) for l in loc])
+    for k in range(4):
+        rows, starts = [], []
+        for prefix, start in verify._prefixes(k, nxt):
+            rows += map(tuple, prefix.tolist())
+            starts += start.tolist()
+        want = [c for c in itertools.combinations(range(len(loc)), k) if len({loc[v] for v in c}) == k]
+        assert rows == want
+        assert starts == [nxt[c[-1]] if c else 0 for c in want]
+
+
+def test_golay_t2_gadgets_under_t3_labels_fail_at_three_faults(library):
+    state = get_state("golay")
+    bip = best_of_trials(state, 5, 0)
+    asm = assemble_ft_circuit(state, bip, _filed_under(library, 2, 3), z_gadget_t_override=2, seed=5)
+    circ = schedule_circuit(asm, "min_max_qubits", shuffles=5, seed=3)
+    ce = verify_fault_tolerance(circ, state, 3, "X")
+    assert ce is not None and len(ce.faults) == 3
+    flips, residual = replay_faults(circ, state, "X", list(ce.faults))
+    assert flips == 0
+    assert residual == ce.residual_code_mask
+    err = PauliOperator(state.n, x=residual)
+    assert ce.reduced_weight == min_weight_modulo(err, state.reduction_group("X")) > 3
