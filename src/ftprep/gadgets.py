@@ -188,184 +188,100 @@ class SearchResult:
 
 
 class _Engine:
-    """Incremental fault-tolerance checker for the backward search.
+    """Incremental fault-tolerance checker for the backward search, for any t.
 
     Keeps the propagated signature of every fault variant as a python int
     (code bits low, flag bits high).  Prepending a gate never changes
     existing signatures, so each step only has to test the combinations
-    involving the step's new variants.  Flag-initialization faults are
-    omitted here: an X after a flag init propagates identically to one of
-    the patterns of the flag's first gate, so every combination containing
-    one is dominated by an already-checked combination with fewer or equal
-    faults (the public reference test keeps them).
+    involving the gate's three new patterns, which share one location.
+
+    Flag-initialization and flag-measurement faults are omitted: an X after
+    a flag init propagates identically to one of the patterns of the flag's
+    first gate, and a measurement flip equals the X on the flag right after
+    its last gate.  Either swaps into a combination for a pattern at that
+    gate, which merges with any pattern already there, so every combination
+    containing one is dominated by an already-checked combination with fewer
+    or equal faults (the public reference test keeps them).
+
+    ``levels[k]`` buckets the XOR of every combination of ``k < t`` variants
+    at distinct locations by its flag signature; level 0 holds the empty
+    combination.  A combination is undetected exactly when its flag parts
+    cancel, so a new pattern completes an f-fault combination only with the
+    level-(f-1) bucket of its own flag signature, and each XOR with that
+    bucket is pure code bits.
 
     The engine also maintains the circuit's X-frame transfer map (column q
     = image of an X on qubit q injected at the current temporal front), so
-    a prepended gate's new variants are read off directly.  Pairwise XORs
-    are bucketed by flag signature for the t >= 3 triple stage.
+    a prepended gate's new patterns are read off directly.
     """
 
     def __init__(self, t: int, r: int, m: int) -> None:
         self.t = t
         self.r = r
         self.m = m
-        self.n_labels = 1 + r + m
-        self.code_mask = (1 << (r + 1)) - 1
         self.stab = (1 << (r + 1)) - 1
         self.flag_mask = ((1 << m) - 1) << (r + 1)
-        self.sigs: list[int] = []
-        self.v_stack: list[int] = []
-        # Variants bucketed by flag signature: a combination is undetected
-        # exactly when its members' flag parts cancel, so weight checks only
-        # ever scan one bucket.
-        self.buckets: dict[int, list[int]] = {}
-        self.b_undo: list[list[int]] = []
+        levels: list[dict[int, list[int]]] = [{0: [0]}] + [{} for _ in range(1, t)]
+        # (f, level f-1), f ascending, so the cheap small combinations
+        # reject first.
+        self.checks = list(enumerate(levels, 1))
+        # (level k-1, level k), top-down, so every level read during a
+        # commit still predates the gate: a combination holding two of its
+        # patterns would only repeat a smaller one.
+        self.commits = [(levels[k - 1], levels[k]) for k in range(t - 1, 0, -1)]
+        self.undo: list[list[list[int]]] = []
         self.gates_time: list[tuple[int, int]] = []
-        self.transfer = [1 << q for q in range(self.n_labels)]
+        self.transfer = [1 << q for q in range(1 + r + m)]
         self.transfer_undo: list[tuple[int, int]] = []
-        if t >= 3:
-            self.pair_buckets: dict[int, list[int]] = {}
-            self.pb_undo: list[list[tuple[int, int]]] = []
 
-    def push(self, gate: tuple[int, int], new_flag: int | None) -> bool:
+    def push(self, gate: tuple[int, int]) -> bool:
         """Prepend ``gate``; test and keep it if still fault-tolerant.
 
-        ``new_flag`` is the flag label being entangled by this gate, if any,
-        which adds that flag's measurement-flip fault location.  Returns
-        False (state unchanged) when the extended circuit fails the test.
+        Returns False (state unchanged) when the extended circuit fails the
+        test.
         """
         a, b = gate
         # A fault pattern injected right after the new gate propagates to
         # exactly the transfer column of its qubit.
-        fa = self.transfer[a]
-        fb = self.transfer[b]
-        cm = self.code_mask
+        transfer = self.transfer
+        fa = transfer[a]
+        fb = transfer[b]
+        new = (fa, fb, fa ^ fb)
         fm = self.flag_mask
         st = self.stab
-        t = self.t
-        news = (fa, fb, fa ^ fb)
-        meas = (1 << new_flag) if new_flag is not None else None
-        # f=1: new variants alone (a measurement flip alone is detected).
-        for s in news:
-            if s & fm:
-                continue
-            res = s & cm
-            if res.bit_count() > 1 and (res ^ st).bit_count() > 1:
-                return False
-        if t >= 2:
-            # f=2: new x old via the flag buckets, plus in-batch cross pairs.
-            for s in news + (meas,) if meas is not None else news:
-                blist = self.buckets.get(s & fm)
-                if blist:
-                    sc = s & cm
-                    for oc in blist:
-                        res = sc ^ oc
-                        if res.bit_count() > 2 and (res ^ st).bit_count() > 2:
+        for f, level in self.checks:
+            for s in new:
+                bucket = level.get(s & fm)
+                if bucket:
+                    for o in bucket:
+                        res = s ^ o
+                        if res.bit_count() > f and (res ^ st).bit_count() > f:
                             return False
-            if meas is not None:
-                for s in news:
-                    x = s ^ meas
-                    if x & fm:
-                        continue
-                    res = x & cm
-                    if res.bit_count() > 2 and (res ^ st).bit_count() > 2:
-                        return False
-        if t >= 3 and not self._triples_ok(news, meas):
-            return False
-        # t >= 4 never reaches this engine; discover_gadget checks those
-        # searches with _ReferenceChecker.
 
         # Commit.
-        batch = news + (meas,) if meas is not None else news
-        self.v_stack.append(len(self.sigs))
-        if t >= 3:
-            padd: list[tuple[int, int]] = []
-            pb = self.pair_buckets
-            for s in batch:
-                sf = s & fm
-                sc = s & cm
-                for o in self.sigs:
-                    key = sf ^ (o & fm)
-                    pb.setdefault(key, []).append(sc ^ (o & cm))
-                    padd.append((key, 1))
-            if meas is not None:
-                for s in news:
-                    x = s ^ meas
-                    key = x & fm
-                    pb.setdefault(key, []).append(x & cm)
-                    padd.append((key, 1))
-            self.pb_undo.append(padd)
-        badd: list[int] = []
-        for s in batch:
-            self.buckets.setdefault(s & fm, []).append(s & cm)
-            badd.append(s & fm)
-        self.b_undo.append(badd)
-        self.sigs.extend(batch)
+        added: list[list[int]] = []
+        for source, target in self.commits:
+            for bucket in source.values():
+                for o in bucket:
+                    for s in new:
+                        x = s ^ o
+                        tb = target.get(x & fm)
+                        if tb is None:
+                            tb = target[x & fm] = []
+                        tb.append(x)
+                        added.append(tb)
+        self.undo.append(added)
         self.gates_time.insert(0, gate)
-        self.transfer_undo.append((a, self.transfer[a]))
-        self.transfer[a] ^= self.transfer[b]
-        return True
-
-    def _triples_ok(self, news: tuple[int, ...], meas: int | None) -> bool:
-        # f=3 combinations with at least one new variant: new x old pairs
-        # via the pair buckets, then in-batch cross pairs x old singles.
-        cm = self.code_mask
-        fm = self.flag_mask
-        st = self.stab
-        batch = news + (meas,) if meas is not None else news
-        pb = self.pair_buckets
-        for s in batch:
-            blist = pb.get(s & fm)
-            if blist:
-                sc = s & cm
-                for pc in blist:
-                    res = sc ^ pc
-                    if res.bit_count() > 3 and (res ^ st).bit_count() > 3:
-                        return False
-        if meas is not None:
-            for s in news:
-                x = s ^ meas
-                blist = self.buckets.get(x & fm)
-                if blist:
-                    xc = x & cm
-                    for oc in blist:
-                        res = xc ^ oc
-                        if res.bit_count() > 3 and (res ^ st).bit_count() > 3:
-                            return False
+        self.transfer_undo.append((a, fa))
+        transfer[a] = fa ^ fb
         return True
 
     def pop(self) -> None:
-        old_n = self.v_stack.pop()
-        del self.sigs[old_n:]
-        for key in self.b_undo.pop():
-            self.buckets[key].pop()
-        if self.t >= 3:
-            for key, k in self.pb_undo.pop():
-                blist = self.pair_buckets[key]
-                del blist[len(blist) - k :]
+        for bucket in self.undo.pop():
+            bucket.pop()
         self.gates_time.pop(0)
         a, col = self.transfer_undo.pop()
         self.transfer[a] = col
-
-
-class _ReferenceChecker:
-    """The search's checker for t >= 4: re-runs ``gadget_ft_test`` per push."""
-
-    def __init__(self, t: int, r: int, m: int) -> None:
-        self.t = t
-        self.r = r
-        self.m = m
-        self.gates_time: list[tuple[int, int]] = []
-
-    def push(self, gate: tuple[int, int], new_flag: int | None) -> bool:
-        self.gates_time.insert(0, gate)
-        if gadget_ft_test(self.gates_time, self.t, self.r, self.m):
-            return True
-        self.gates_time.pop(0)
-        return False
-
-    def pop(self) -> None:
-        self.gates_time.pop(0)
 
 
 def discover_gadget(
@@ -381,10 +297,9 @@ def discover_gadget(
     lowest-index disentangled target (controlled by c or any entangled
     flag), entangle the lowest-index unused flag, then disentangle an
     entangled flag.  A candidate is kept only if the incrementally extended
-    circuit stays fault-tolerant: ``_Engine`` checks it for t <= 3,
-    ``_ReferenceChecker`` (slow, exhaustive) for t >= 4.  Success requires
-    every target entangled, every flag used and disentangled, and
-    deterministic flag measurements.
+    circuit stays fault-tolerant, which the one incremental ``_Engine``
+    checks for every t.  Success requires every target entangled, every flag
+    used and disentangled, and deterministic flag measurements.
 
     ``budget`` caps the number of attempted gate placements.  A gadget needs
     at least one flag, so ``m = 0`` is exhausted by definition.
@@ -393,7 +308,7 @@ def discover_gadget(
         raise ValueError("require t >= 1, r >= 1, m >= 0")
     if m == 0:
         return SearchResult(SEARCH_EXHAUSTED, None, 0)
-    engine = _Engine(t, r, m) if t <= 3 else _ReferenceChecker(t, r, m)
+    engine = _Engine(t, r, m)
     c = 0
     flag_label = lambda j: r + 1 + j  # noqa: E731
     nodes = 0
@@ -451,8 +366,7 @@ def discover_gadget(
             nodes += 1
             if budget is not None and nodes > budget:
                 return BUDGET_EXHAUSTED
-            new_flag = flag_label(flag_j) if kind == "entangle" else None
-            if not engine.push(gate, new_flag):
+            if not engine.push(gate):
                 continue
             if kind == "target":
                 sub = dfs(targets_done + 1, pool, idx, gate)

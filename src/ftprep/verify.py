@@ -148,7 +148,7 @@ def verify_fault_tolerance(
                     i = bad[0]
                     members = [*prefix[rows[i]], codes[pos[i]] % nv]
                     found = tuple(faults[v] for v in members)
-                    residual = replay_faults(circuit, state, fault_type, list(found))[1]
+                    residual = replay_faults(circuit, fault_type, list(found))[1]
                     # The residual is in its own coset, so the first error of the
                     # weight-ordered enumeration sharing its key comes by its popcount.
                     key = sorted_keys[pos[i]] ^ pre_key[rows[i]]
@@ -213,7 +213,7 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.nda
 
 
 def replay_faults(
-    circuit: Circuit, state: CssState, fault_type: str, faults: list[tuple[int, int]]
+    circuit: Circuit, fault_type: str, faults: list[tuple[int, int]]
 ) -> tuple[int, int]:
     """Forward-propagate an explicit fault set; returns (flag flips, residual).
 

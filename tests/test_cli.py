@@ -23,6 +23,12 @@ def test_gadget_command_exhausted(capsys):
     assert "exhausted" in capsys.readouterr().out
 
 
+def test_gadget_command_exhausted_t4(capsys):
+    rc = main(["gadget", "--t", "4", "--r", "6", "--m", "2"])
+    assert rc == 1
+    assert "no gadget: exhausted after 1661 nodes" in capsys.readouterr().out
+
+
 def test_synth_assemble_verify_flow(tmp_path, capsys):
     circ_path = tmp_path / "steane.circuit"
     rc = main([

@@ -86,33 +86,46 @@ def test_search_options_agree_on_small_rows():
             assert alt.gadget.m == ref.gadget.m
 
 
-def test_engine_matches_reference_on_random_circuits():
+def test_engine_matches_reference_on_random_circuits(monkeypatch):
     # The incremental engine agrees with the exhaustive reference test
-    # step by step (the reference also enumerates flag-init faults, which
-    # are provably dominated; this cross-check backs that claim).
+    # step by step, through pushes and pops, at every t (the reference also
+    # enumerates flag-init and measurement faults, which are provably
+    # dominated; this cross-check backs that claim).
     rng = np.random.default_rng(17)
+    from ftprep import gadgets
     from ftprep.gadgets import _Engine
 
-    for trial in range(80):
-        t = int(rng.integers(1, 4))
-        r = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 3))
+    for trial in range(150):
+        t = int(rng.integers(1, 6))
+        r = int(rng.integers(1, 10))
+        m = int(rng.integers(1, 4))
         engine = _Engine(t, r, m)
-        gates: list[tuple[int, int]] = []
-        flags_seen: set[int] = set()
-        for _ in range(int(rng.integers(1, 8))):
-            a = int(rng.integers(0, 1 + r + m))
-            b = int(rng.integers(0, 1 + r + m))
-            if a == b or (a > r and a not in flags_seen):
-                continue  # flags enter the circuit as coupled qubits first
-            new_flag = b if (b > r and b not in flags_seen) else None
-            candidate = [(a, b)] + gates
-            accepted = engine.push((a, b), new_flag)
+        history: list[list[tuple[int, int]]] = [[]]
+        for _ in range(int(rng.integers(1, 10))):
+            if len(history) > 1 and rng.random() < 0.25:
+                engine.pop()
+                history.pop()
+                continue
+            a, b = (int(q) for q in rng.choice(1 + r + m, size=2, replace=False))
+            candidate = [(a, b)] + history[-1]
+            accepted = engine.push((a, b))
             assert accepted == gadget_ft_test(candidate, t, r, m)
             if accepted:
-                gates = candidate
-                if new_flag is not None:
-                    flags_seen.add(new_flag)
+                history.append(candidate)
+            assert engine.gates_time == history[-1]
+
+    # Random circuits almost never reach a state where only f >= 3 fails;
+    # the search's own prefixes and backtracking do, at every level.
+    class CheckedEngine(_Engine):
+        def push(self, gate):
+            candidate = [gate] + self.gates_time
+            accepted = super().push(gate)
+            assert accepted == gadget_ft_test(candidate, self.t, self.r, self.m)
+            return accepted
+
+    monkeypatch.setattr(gadgets, "_Engine", CheckedEngine)
+    for t, r, m in ((3, 7, 3), (4, 9, 3), (5, 11, 4)):
+        assert discover_gadget(t, r, m, budget=200).status == BUDGET_EXHAUSTED
 
 
 def test_noiseless_soundness_of_discovered_gadget():
@@ -145,12 +158,18 @@ def test_trivial_gadget_limits():
         trivial_gadget(1, 3)  # hooks exceed the bound without a flag
 
 
-def test_reference_checker_rows_t4_plus():
-    # t >= 4 runs the same DFS with the reference checker in place of _Engine.
-    expected = {(4, 3, 1): FOUND, (4, 5, 1): SEARCH_EXHAUSTED, (4, 6, 2): SEARCH_EXHAUSTED, (5, 5, 2): FOUND}
-    for (t, r, m), status in expected.items():
+def test_gadget_rows_t4_plus():
+    # t >= 4 runs the same DFS and engine as t <= 3.
+    expected = {
+        (4, 3, 1): (FOUND, 6),
+        (4, 5, 1): (SEARCH_EXHAUSTED, 12),
+        (4, 6, 2): (SEARCH_EXHAUSTED, 1_661),
+        (5, 5, 2): (FOUND, 16),
+        (4, 9, 3): (SEARCH_EXHAUSTED, 25_499),
+    }
+    for (t, r, m), (status, nodes) in expected.items():
         res = discover_gadget(t, r, m)
-        assert res.status == status
+        assert (res.status, res.nodes) == (status, nodes)
         if status == FOUND:
             res.gadget.validate()
             assert (res.gadget.t, res.gadget.r, res.gadget.m) == (t, r, m)

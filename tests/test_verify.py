@@ -70,7 +70,7 @@ def test_stripped_circuit_fails_with_replayable_counterexample(steane_circuit):
     ce = verify_fault_tolerance(bare, state, 1, "X")
     assert ce is not None
     assert len(ce.faults) == 1
-    flips, residual = replay_faults(bare, state, "X", list(ce.faults))
+    flips, residual = replay_faults(bare, "X", list(ce.faults))
     assert flips == 0
     assert residual == ce.residual_code_mask
 
@@ -94,7 +94,7 @@ def test_rotated_surface_d7_bare_counterexamples_replay():
         ce = verify_fault_tolerance(bare, state, 1, typ)
         assert ce is not None
         assert ce.reduced_weight > len(ce.faults)
-        flips, residual = replay_faults(bare, state, typ, list(ce.faults))
+        flips, residual = replay_faults(bare, typ, list(ce.faults))
         assert flips == 0
         assert residual == ce.residual_code_mask
 
@@ -148,7 +148,7 @@ def test_more_than_64_code_qubits_verified():
     bare = best_of_trials(state, 5, 0).bare_circuit(state.n)
     ce = verify_fault_tolerance(bare, state, 1, "X")
     assert ce is not None and len(ce.faults) == 1
-    flips, residual = replay_faults(bare, state, "X", list(ce.faults))
+    flips, residual = replay_faults(bare, "X", list(ce.faults))
     assert flips == 0
     assert residual == ce.residual_code_mask
 
@@ -205,7 +205,7 @@ def _brute_force(circuit, state, t, fault_type):
     locations = enumerate_fault_locations(circuit, fault_type)
     loc = [i for i, l in enumerate(locations) for _ in l.variants]
     faults = [(l.site, mask) for l in locations for mask in l.variants]
-    flips, resid = zip(*(replay_faults(circuit, state, fault_type, [f]) for f in faults))
+    flips, resid = zip(*(replay_faults(circuit, fault_type, [f]) for f in faults))
     group = state.reduction_group(fault_type)
 
     @functools.cache
@@ -329,7 +329,7 @@ def test_golay_t2_gadgets_under_t3_labels_fail_at_three_faults(library):
     circ = schedule_circuit(asm, "min_max_qubits", shuffles=5, seed=3)
     ce = verify_fault_tolerance(circ, state, 3, "X")
     assert ce is not None and len(ce.faults) == 3
-    flips, residual = replay_faults(circ, state, "X", list(ce.faults))
+    flips, residual = replay_faults(circ, "X", list(ce.faults))
     assert flips == 0
     assert residual == ce.residual_code_mask
     err = PauliOperator(state.n, x=residual)
