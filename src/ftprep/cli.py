@@ -9,6 +9,7 @@ bit-for-bit for a fixed seed.  Machine-readable output goes to --out
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -40,14 +41,18 @@ def _load_library(path: str | None) -> GadgetLibrary:
         return GadgetLibrary()
 
 
-def _write_out(path: str | None, payload: dict) -> None:
+def _write_out(path: str | None, payload: dict | list[dict]) -> None:
+    """Write one record, or a list of records with the same keys, as JSON
+    or (for a .csv path) as CSV with sorted columns."""
     if not path:
         return
     out = Path(path)
     if out.suffix == ".csv":
-        keys = sorted(payload)
-        lines = [",".join(keys), ",".join(str(payload[k]) for k in keys)]
-        out.write_text("\n".join(lines) + "\n")
+        rows = [payload] if isinstance(payload, dict) else payload
+        with out.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=sorted(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
     else:
         out.write_text(json.dumps(payload, indent=1, default=str))
 
@@ -221,11 +226,11 @@ def cmd_steane(args: argparse.Namespace) -> int:
         res = run_steane_qec_experiment(cfg, circ)
         print(res)
         lo, hi = res.logical_error_ci
-        rows.append((p, args.mode, res.logical_error_rate, lo, hi, res.prep_acceptance))
-    if args.out:
-        lines = ["p,mode,logical_error_rate,ci_lo,ci_hi,prep_acceptance"]
-        lines += [f"{p},{m},{r:.8g},{lo:.8g},{hi:.8g},{a:.8g}" for p, m, r, lo, hi, a in rows]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        rows.append({
+            "p": p, "mode": args.mode, "logical_error_rate": res.logical_error_rate,
+            "ci_lo": lo, "ci_hi": hi, "prep_acceptance": res.prep_acceptance,
+        })
+    _write_out(args.out, rows)
     return 0
 
 

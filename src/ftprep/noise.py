@@ -35,7 +35,8 @@ from .circuit import (
     pack_effects,
     propagate_backward,
 )
-from .css import CssState
+from .css import CssState, syndrome_and_class
+from .pauli import PauliOperator
 
 
 REPLAY_MAX_FAULTS = 4  # most faults per frame_replay_check sample
@@ -165,9 +166,11 @@ class EffectTables:
     Arrays are indexed by a flat variant id; locations map to contiguous
     variant slices.  ``flags`` holds the flag-flip masks as word-major
     uint64 words of shape (W, V) (see :func:`circuit.pack_effects`), ``sc``
-    the packed (syndrome | class << synd_bits) of the residual.
+    the packed (syndrome | class << synd_bits) of the ``error_side``
+    residual.
     """
 
+    error_side: str
     n_flags: int
     synd_bits: int
     class_bits: int
@@ -272,6 +275,7 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
 
     flags, sc = pack_effects(effects, n_flags)
     return EffectTables(
+        error_side=error_side,
         n_flags=n_flags,
         synd_bits=len(state.checking_generators(error_side)),
         class_bits=len(state.class_logicals(error_side)),
@@ -511,21 +515,18 @@ def frame_replay_check(
 ) -> int:
     """Cross-check frame propagation against the stabilizer tableau.
 
-    Draws random fault sets, predicts flag flips and the code-qubit
-    stabilizer parities from the effect tables, then replays the same
-    Paulis inside a tableau simulation and compares outcome by outcome.
-    Returns the number of agreeing samples; raises on the first mismatch.
+    Draws random fault sets, predicts flag flips and the residual's
+    syndrome and class from the effect tables, then replays the same Paulis
+    inside a tableau simulation.  The code qubits are read out in the basis
+    that sees the tables' error side (Z for X errors, X for Z errors) and
+    graded by :func:`css.syndrome_and_class`.  Returns the number of
+    agreeing samples; raises on the first mismatch.
     """
     from .tableau import run_tableau
 
     rng = np.random.default_rng(seed)
-    zgens = [op.z for op in state.checking_generators("X")]
-    class_ops = [op.z for op in state.class_logicals("X")]
-    lift = {}
-    for qq in range(circuit.n_qubits):
-        ci = circuit.code_index[qq]
-        if ci is not None:
-            lift[ci] = qq
+    side = tables.error_side
+    code = [(q, ci) for q, ci in enumerate(circuit.code_index) if ci is not None]
     n_vars = len(tables.var_pos)
     for trial in range(n_samples):
         k = int(rng.integers(1, REPLAY_MAX_FAULTS + 1))
@@ -545,34 +546,21 @@ def frame_replay_check(
             else:
                 faults.append((tables.var_pos[v], xm, zm))
         tab, outcomes, _ = run_tableau(circuit, faults, rng=rng)
-        observed_flags = flip_mask
-        for meas in circuit.flag_measurements():
-            if outcomes[meas.outcome]:
-                observed_flags ^= 1 << meas.outcome
+        observed_flags = flip_mask ^ sum(bit << i for i, bit in enumerate(outcomes))
         if observed_flags != predicted_flags:
             raise AssertionError(
                 f"sample {trial}: flag mismatch {observed_flags:#x} != {predicted_flags:#x}"
             )
-        # Compare stabilizer parities of the final state: measure code
-        # qubits in Z and check each Z-generator's parity.
-        bits = {}
-        for ci, qq in lift.items():
-            out, _ = tab.measure_z(qq, rng)
-            bits[ci] = out
-        synd_pred = eff_sc & ((1 << tables.synd_bits) - 1)
-        cls_pred = eff_sc >> tables.synd_bits
-        for i, zg in enumerate(zgens):
-            par = 0
-            for ci in bits:
-                if (zg >> ci) & 1:
-                    par ^= bits[ci]
-            if par != (synd_pred >> i) & 1:
-                raise AssertionError(f"sample {trial}: syndrome bit {i} mismatch")
-        for j, lg in enumerate(class_ops):
-            par = 0
-            for ci in bits:
-                if (lg >> ci) & 1:
-                    par ^= bits[ci]
-            if par != (cls_pred >> j) & 1:
-                raise AssertionError(f"sample {trial}: class bit {j} mismatch")
+        readout = tab.measure_z if side == "X" else tab.measure_x
+        bits = 0
+        for q, ci in code:
+            bits |= readout(q, rng)[0] << ci
+        # The readout is a codeword of the state plus the residual's support;
+        # syndrome_and_class grades a support, so it serves either side.
+        synd, cls = syndrome_and_class(PauliOperator(state.n, x=bits), state, side)
+        observed_sc = synd | cls << tables.synd_bits
+        if observed_sc != eff_sc:
+            raise AssertionError(
+                f"sample {trial}: {side} syndrome/class {observed_sc:#x} != {eff_sc:#x}"
+            )
     return n_samples

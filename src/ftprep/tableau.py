@@ -1,6 +1,9 @@
 """Stabilizer tableau simulation, used as the noiseless oracle.
 
-Standard destabilizer/stabilizer tableau with sign tracking.  This is the
+Standard destabilizer/stabilizer tableau with sign tracking
+(Aaronson-Gottesman, quant-ph/0406196).  Each row is a Pauli held as two
+Python-int qubit masks plus a sign bit, so gates, Pauli faults and row
+products are mask operations on rows of any width.  This is the
 slow-but-trusted reference against which the bit-level Pauli-frame machinery
 is checked: it validates that synthesized circuits prepare their target
 state, that flag measurements are deterministic, and (with injected Pauli
@@ -13,90 +16,96 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CXGate, FinalMeasure, FlagMeasure, Init
+from .circuit import Circuit, CXGate, FlagMeasure, Init
 from .css import CssState
 from .pauli import PauliOperator
 
 
+def _product(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int, int, int]:
+    """Row (x1, z1, r1) times row (x2, z2, r2), both Hermitian Paulis.
+
+    On each qubit the product picks up i when the second factor follows the
+    first in the cycle X -> Y -> Z -> X and -i when it precedes it; the two
+    popcounts count those qubits.
+    """
+    y1, y2 = x1 & z1, x2 & z2
+    xo1, zo1, xo2, zo2 = x1 ^ y1, z1 ^ y1, x2 ^ y2, z2 ^ y2
+    plus = (xo1 & y2) | (y1 & zo2) | (zo1 & xo2)
+    minus = (xo1 & zo2) | (y1 & xo2) | (zo1 & y2)
+    phase = 2 * (r1 + r2) + plus.bit_count() - minus.bit_count()
+    return x1 ^ x2, z1 ^ z2, (phase % 4) // 2
+
+
 class Tableau:
-    """Aaronson-Gottesman tableau over ``n`` qubits, all starting in |0>."""
+    """Aaronson-Gottesman tableau over ``n`` qubits, all starting in |0>.
+
+    Rows 0..n-1 are destabilizers, rows n..2n-1 stabilizers; ``x[i]`` and
+    ``z[i]`` are row i's qubit masks and ``r[i]`` its sign bit.
+    """
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.x = np.zeros((2 * n + 1, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n + 1, n), dtype=np.uint8)
-        self.r = np.zeros(2 * n + 1, dtype=np.uint8)
-        for i in range(n):
-            self.x[i, i] = 1  # destabilizers X_i
-            self.z[n + i, i] = 1  # stabilizers Z_i
+        self.x = [1 << i for i in range(n)] + [0] * n  # destabilizers X_i
+        self.z = [0] * n + [1 << i for i in range(n)]  # stabilizers Z_i
+        self.r = [0] * (2 * n)
 
     # -- gates ---------------------------------------------------------------
 
     def h(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+        m = 1 << q
+        xs, zs, r = self.x, self.z, self.r
+        for i in range(2 * self.n):
+            xb, zb = xs[i] & m, zs[i] & m
+            if xb and zb:
+                r[i] ^= 1
+            elif xb or zb:
+                xs[i] ^= m
+                zs[i] ^= m
 
     def cx(self, a: int, b: int) -> None:
-        self.r ^= self.x[:, a] & self.z[:, b] & (self.x[:, b] ^ self.z[:, a] ^ 1)
-        self.x[:, b] ^= self.x[:, a]
-        self.z[:, a] ^= self.z[:, b]
+        ma, mb = 1 << a, 1 << b
+        xs, zs, r = self.x, self.z, self.r
+        for i in range(2 * self.n):
+            x, z = xs[i], zs[i]
+            if x & ma:
+                if z & mb and bool(x & mb) == bool(z & ma):
+                    r[i] ^= 1
+                xs[i] = x ^ mb
+            if z & mb:
+                zs[i] = z ^ ma
 
     def apply_pauli(self, x_mask: int, z_mask: int) -> None:
-        """Apply a Pauli error: stabilizer signs flip on anticommutation."""
-        for q in range(self.n):
-            if (x_mask >> q) & 1:
-                self.r ^= self.z[:, q]
-            if (z_mask >> q) & 1:
-                self.r ^= self.x[:, q]
+        """Apply a Pauli error: row signs flip on anticommutation."""
+        xs, zs, r = self.x, self.z, self.r
+        for i in range(2 * self.n):
+            r[i] ^= ((xs[i] & z_mask) ^ (zs[i] & x_mask)).bit_count() & 1
 
     # -- internals -------------------------------------------------------------
 
-    def _rowsum(self, h: int, i: int) -> None:
-        x1, z1 = self.x[i], self.z[i]
-        x2, z2 = self.x[h], self.z[h]
-        g = np.zeros(self.n, dtype=np.int64)
-        both = (x1 == 1) & (z1 == 1)
-        xonly = (x1 == 1) & (z1 == 0)
-        zonly = (x1 == 0) & (z1 == 1)
-        g[both] = z2[both].astype(np.int64) - x2[both].astype(np.int64)
-        g[xonly] = z2[xonly].astype(np.int64) * (2 * x2[xonly].astype(np.int64) - 1)
-        g[zonly] = x2[zonly].astype(np.int64) * (1 - 2 * z2[zonly].astype(np.int64))
-        total = 2 * int(self.r[h]) + 2 * int(self.r[i]) + int(g.sum())
-        self.r[h] = (total % 4) // 2
-        self.x[h] ^= x1
-        self.z[h] ^= z1
+    def _stabilizer_product(self, rows: list[int]) -> tuple[int, int, int]:
+        """Product of stabilizer rows ``n + i`` for ``i`` in ``rows``, in order."""
+        x = z = r = 0
+        for i in rows:
+            j = i + self.n
+            x, z, r = _product(self.x[j], self.z[j], self.r[j], x, z, r)
+        return x, z, r
 
     # -- measurements ----------------------------------------------------------
 
     def measure_z(self, q: int, rng: np.random.Generator | None = None) -> tuple[int, bool]:
         """Measure Z on qubit q.  Returns (outcome bit, deterministic)."""
-        n = self.n
-        p = -1
-        for i in range(n, 2 * n):
-            if self.x[i, q]:
-                p = i
-                break
+        n, m = self.n, 1 << q
+        p = next((i for i in range(n, 2 * n) if self.x[i] & m), -1)
         if p >= 0:
+            xs, zs, r = self.x, self.z, self.r
             for i in range(2 * n):
-                if i != p and self.x[i, q]:
-                    self._rowsum(i, p)
-            self.x[p - n] = self.x[p]
-            self.z[p - n] = self.z[p]
-            self.r[p - n] = self.r[p]
-            self.x[p] = 0
-            self.z[p] = 0
-            self.z[p, q] = 1
+                if i != p and xs[i] & m:
+                    xs[i], zs[i], r[i] = _product(xs[p], zs[p], r[p], xs[i], zs[i], r[i])
+            xs[p - n], zs[p - n], r[p - n] = xs[p], zs[p], r[p]
             outcome = int(rng.integers(0, 2)) if rng is not None else 0
-            self.r[p] = outcome
+            xs[p], zs[p], r[p] = 0, m, outcome
             return outcome, False
-        scratch = 2 * n
-        self.x[scratch] = 0
-        self.z[scratch] = 0
-        self.r[scratch] = 0
-        for i in range(n):
-            if self.x[i, q]:
-                self._rowsum(scratch, i + n)
-        return int(self.r[scratch]), True
+        return self._stabilizer_product([i for i in range(n) if self.x[i] & m])[2], True
 
     def measure_x(self, q: int, rng: np.random.Generator | None = None) -> tuple[int, bool]:
         self.h(q)
@@ -107,26 +116,13 @@ class Tableau:
     def stabilizer_sign(self, op: PauliOperator) -> int | None:
         """Sign with which ``op`` stabilizes the state: 0 for +, 1 for -, or
         None when ``op`` is not in the stabilizer group at all."""
-        n = self.n
-        scratch = 2 * n
-        self.x[scratch] = 0
-        self.z[scratch] = 0
-        self.r[scratch] = 0
-        for i in range(n):
-            # op anticommutes with destabilizer i  <=>  stabilizer i appears.
-            x_row, z_row = self.x[i], self.z[i]
-            anti = 0
-            for q in range(n):
-                if x_row[q] and (op.z >> q) & 1:
-                    anti ^= 1
-                if z_row[q] and (op.x >> q) & 1:
-                    anti ^= 1
-            if anti:
-                self._rowsum(scratch, i + n)
-        for q in range(n):
-            if self.x[scratch, q] != (op.x >> q) & 1 or self.z[scratch, q] != (op.z >> q) & 1:
-                return None
-        return int(self.r[scratch])
+        # op anticommutes with destabilizer i  <=>  stabilizer i appears.
+        rows = [
+            i for i in range(self.n)
+            if ((self.x[i] & op.z) ^ (self.z[i] & op.x)).bit_count() & 1
+        ]
+        x, z, r = self._stabilizer_product(rows)
+        return r if (x, z) == (op.x, op.z) else None
 
 
 @dataclass(frozen=True)
@@ -166,14 +162,8 @@ def run_tableau(
         elif isinstance(op, CXGate):
             tab.cx(op.control, op.target)
         elif isinstance(op, FlagMeasure):
-            if op.basis == "Z":
-                out, det = tab.measure_z(op.qubit, rng)
-            else:
-                out, det = tab.measure_x(op.qubit, rng)
-            outcomes[op.outcome] = out
-            deterministic[op.outcome] = det
-        elif isinstance(op, FinalMeasure):
-            pass
+            measure = tab.measure_z if op.basis == "Z" else tab.measure_x
+            outcomes[op.outcome], deterministic[op.outcome] = measure(op.qubit, rng)
         for xm, zm in by_pos.get(pos, []):
             tab.apply_pauli(xm, zm)
     return tab, outcomes, deterministic
@@ -193,20 +183,11 @@ def tableau_check_circuit(circuit: Circuit, state: CssState) -> TableauMismatch 
             return TableauMismatch("nondeterministic-flag", f"flag outcome {meas.outcome}")
         if outcomes[meas.outcome] != 0:
             return TableauMismatch("flag-sign", f"flag outcome {meas.outcome} is -1")
-    # Lift code-qubit operators to circuit qubits.
-    lift = {}
-    for q in range(circuit.n_qubits):
-        ci = circuit.code_index[q]
-        if ci is not None:
-            lift[ci] = q
-    generators = state.x_type_state_generators() + state.z_type_state_generators()
-    for gen in generators:
-        x_mask = z_mask = 0
-        for ci, q in lift.items():
-            if (gen.x >> ci) & 1:
-                x_mask |= 1 << q
-            if (gen.z >> ci) & 1:
-                z_mask |= 1 << q
+    lift = [(ci, q) for q, ci in enumerate(circuit.code_index) if ci is not None]
+    for gen in state.x_type_state_generators() + state.z_type_state_generators():
+        # Lift the code-qubit operator to circuit qubits.
+        x_mask = sum(((gen.x >> ci) & 1) << q for ci, q in lift)
+        z_mask = sum(((gen.z >> ci) & 1) << q for ci, q in lift)
         sign = tab.stabilizer_sign(PauliOperator(circuit.n_qubits, x_mask, z_mask))
         if sign is None:
             return TableauMismatch("unsatisfied-stabilizer", gen.to_string())

@@ -1,12 +1,16 @@
+import csv
 import json
 import re
 
 import pytest
 
+from ftprep.assemble import assemble_ft_circuit, schedule_circuit
+from ftprep.bipartite import best_of_trials
+from ftprep.catalog import get_state
 from ftprep.cli import main
 from ftprep.library import GadgetLibrary
 from ftprep.noise import SampleSet
-from ftprep.serialization import save_sample_set
+from ftprep.serialization import save_sample_set, serialize_circuit
 
 
 def test_gadget_command(tmp_path, capsys):
@@ -56,6 +60,41 @@ def test_verify_fails_on_stripped_circuit(tmp_path, capsys):
     rc = main(["verify", "--circuit", str(circ_path), "--code", "steane", "--t", "1"])
     assert rc == 1
     assert "COUNTEREXAMPLE" in capsys.readouterr().out
+
+
+def test_verify_csv_quotes_counterexamples(tmp_path, capsys):
+    # t=1 Z gadgets on color17 (d=5): two Z faults leave a weight-3 residual,
+    # and the counterexample text lists both sites with a comma between.
+    state = get_state("color17")
+    asm = assemble_ft_circuit(
+        state, best_of_trials(state, 50, 7), GadgetLibrary.bundled(),
+        z_gadget_t_override=1, allow_uncertified_override=True, seed=5,
+    )
+    circ_path = tmp_path / "weak.circuit"
+    circ_path.write_text(serialize_circuit(schedule_circuit(asm, shuffles=5, seed=3), "color17", "|0>"))
+    out = tmp_path / "r.csv"
+    rc = main(["verify", "--circuit", str(circ_path), "--code", "color17", "--t", "2",
+               "--out", str(out)])
+    assert rc == 1
+    printed = capsys.readouterr().out
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["X", "Z"] and len(rows) == 2 and len(rows[1]) == 2
+    assert rows[1][0] == "pass"
+    assert rows[1][1].startswith("2 Z fault(s) [op") and ", op" in rows[1][1]
+    assert f"Z: COUNTEREXAMPLE {rows[1][1]}" in printed
+
+
+def test_steane_out_json_and_csv(tmp_path):
+    args = ["steane", "--code", "steane", "--p", "1e-3,2e-3", "--mode", "no_qec",
+            "--samples", "2000", "--seed", "1", "--out"]
+    assert main(args + [str(tmp_path / "r.json")]) == 0
+    rows = json.loads((tmp_path / "r.json").read_text())
+    assert [(row["p"], row["mode"]) for row in rows] == [(1e-3, "no_qec"), (2e-3, "no_qec")]
+    assert main(args + [str(tmp_path / "r.csv")]) == 0
+    with (tmp_path / "r.csv").open(newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    assert [{k: float(v) if k != "mode" else v for k, v in row.items()} for row in csv_rows] == rows
 
 
 def test_simulate_decode_flow(tmp_path, capsys):

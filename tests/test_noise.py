@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,28 @@ def test_frame_agrees_with_tableau_oracle(steane_prepared):
     state, circ = steane_prepared
     tables = build_effect_tables(circ, state)
     assert frame_replay_check(circ, state, tables, 300, seed=11) == 300
+
+
+@pytest.mark.parametrize("side", ["X", "Z"])
+def test_frame_replay_check_catches_a_corrupted_location(steane_prepared, side):
+    # The oracle can fail: corrupt every variant of one CX location, in its
+    # lowest and then its highest key bit (a class bit on the X side), then
+    # in flag 0, and each time the replay must raise.
+    state, circ = steane_prepared
+    tables = build_effect_tables(circ, state, error_side=side)
+    assert tables.error_side == side
+    assert frame_replay_check(circ, state, tables, 300, seed=11) == 300
+    cx = int(np.flatnonzero(tables.p_counts == 15)[0])
+    start = int(tables.p_offsets[cx])
+    for bit in (1, 1 << (tables.synd_bits + tables.class_bits - 1)):
+        bad_sc = tables.sc.copy()
+        bad_sc[start:start + 15] ^= np.uint64(bit)
+        with pytest.raises(AssertionError, match="syndrome/class"):
+            frame_replay_check(circ, state, replace(tables, sc=bad_sc), 300, seed=11)
+    bad_flags = tables.flags.copy()
+    bad_flags[0, start:start + 15] ^= np.uint64(1)
+    with pytest.raises(AssertionError, match="flag mismatch"):
+        frame_replay_check(circ, state, replace(tables, flags=bad_flags), 300, seed=11)
 
 
 def test_effect_linearity(steane_prepared):

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftprep.circuit import Circuit, CXGate, FinalMeasure, FlagMeasure, Init
 from ftprep.css import CssState
@@ -103,3 +105,66 @@ def test_assembled_circuit_mutation_detected():
     cut = next(i for i, op in enumerate(circ.ops) if isinstance(op, CXGate))
     mutated = circ.with_ops([op for i, op in enumerate(circ.ops) if i != cut])
     assert tableau_check_circuit(mutated, state) is not None
+
+
+# -- dense state-vector reference ---------------------------------------------
+
+
+@st.composite
+def clifford_programs(draw, max_qubits=4, max_ops=24):
+    """Random H / CX / Pauli / Z-measurement sequences on at most 4 qubits."""
+    n = draw(st.integers(1, max_qubits))
+    qubit = st.integers(0, n - 1)
+    mask = st.integers(0, (1 << n) - 1)
+    ops = [st.tuples(st.just("h"), qubit), st.tuples(st.just("pauli"), mask, mask),
+           st.tuples(st.just("mz"), qubit)]
+    if n > 1:
+        pair = st.lists(qubit, min_size=2, max_size=2, unique=True).map(tuple)
+        ops.append(st.tuples(st.just("cx"), pair))
+    return n, draw(st.lists(st.one_of(ops), max_size=max_ops)), draw(st.integers(0, 2**32 - 1))
+
+
+def pauli_image(psi: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray:
+    """The Hermitian Pauli with these masks (x & z marks a Y) applied to psi."""
+    idx = np.arange(len(psi))
+    signs = 1 - 2 * (np.bitwise_count(idx & z_mask) & 1).astype(int)
+    return 1j ** (x_mask & z_mask).bit_count() * (signs * psi)[idx ^ x_mask]
+
+
+@settings(max_examples=300, deadline=None)
+@given(clifford_programs())
+def test_tableau_matches_state_vector(program):
+    n, ops, seed = program
+    idx = np.arange(1 << n)
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
+    tab = Tableau(n)
+    rng = np.random.default_rng(seed)
+    for op in ops:
+        if op[0] == "h":
+            q = op[1]
+            tab.h(q)
+            lo, hi = psi[idx & ~(1 << q)], psi[idx | (1 << q)]
+            psi = np.where(idx >> q & 1, lo - hi, lo + hi) / np.sqrt(2)
+        elif op[0] == "cx":
+            a, b = op[1]
+            tab.cx(a, b)
+            psi = psi[idx ^ ((idx >> a & 1) << b)]
+        elif op[0] == "pauli":
+            tab.apply_pauli(op[1], op[2])
+            psi = pauli_image(psi, op[1], op[2])
+        else:
+            q = op[1]
+            p_one = float(np.sum(np.abs(psi[idx >> q & 1 == 1]) ** 2))
+            out, det = tab.measure_z(q, rng)
+            assert det == (p_one < 1e-9 or p_one > 1 - 1e-9)
+            if det:
+                assert out == round(p_one)
+            psi = np.where(idx >> q & 1 == out, psi, 0)
+            psi /= np.linalg.norm(psi)
+    # Every Pauli: expectation +1 / -1 / 0 is sign 0 / 1 / not a stabilizer.
+    for x_mask in range(1 << n):
+        for z_mask in range(1 << n):
+            expect = np.vdot(psi, pauli_image(psi, x_mask, z_mask)).real
+            want = 0 if expect > 0.5 else 1 if expect < -0.5 else None
+            assert tab.stabilizer_sign(PauliOperator(n, x_mask, z_mask)) == want
