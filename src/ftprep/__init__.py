@@ -8,8 +8,7 @@ decoding, and logical-error experiments with a Steane-QEC gadget.
 """
 
 from .css import CssState, validate_css_state
-from .pauli import PauliOperator
 
-__all__ = ["CssState", "PauliOperator", "validate_css_state"]
+__all__ = ["CssState", "validate_css_state"]
 
 __version__ = "0.1.0"

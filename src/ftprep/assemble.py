@@ -73,12 +73,9 @@ class AssembledCircuit:
 
     def schedule(self, order: list[int]) -> Circuit:
         """Materialize a schedule from a linear extension of the DAG."""
-        first_touch: dict[int, int] = {}
         last_touch: dict[int, int] = {}
         for pos, node in enumerate(order):
-            a, b = self.gates[node]
-            for q in (a, b):
-                first_touch.setdefault(q, pos)
+            for q in self.gates[node]:
                 last_touch[q] = pos
         ops = []
         inited: set[int] = set()
@@ -99,7 +96,7 @@ class AssembledCircuit:
             if q not in inited:
                 ops.append(Init(q, self._init_basis(q)))
                 inited.add(q)
-        ops.append(FinalMeasure("Z" if self.state.stabilizing_basis == "Z" else "X"))
+        ops.append(FinalMeasure("Z"))
         return Circuit(self.n_qubits, self.roles, self.names, self.code_index, tuple(ops))
 
     def _init_basis(self, q: int) -> str:
@@ -442,13 +439,12 @@ def _gadget_windows(
         first_seen: dict[int, int] = {}
         last_seen: dict[int, int] = {}
         for a, b in gadget.gates:
-            slot = b if gadget.detect_type == "X" else a
             for f in (a, b):
                 if f > deg:
                     if f not in first_seen:
                         first_seen[f] = slot_counter
                     last_seen[f] = slot_counter
-            if 1 <= slot <= deg:
+            if 1 <= b <= deg:  # X-detecting gadgets: a slot is a CX onto a target
                 slot_counter += 1
         spans = []
         for f in gadget.flag_labels:

@@ -110,8 +110,8 @@ def _synthesize(state: CssState, seed: int) -> BipartiteCircuit:
     n = state.n
     # Generator matrices with qubits as rows: bit j of xrows[q] is the X part
     # of generator j on qubit q.
-    x_gens = [op.x for op in state.x_type_state_generators()]
-    z_gens = [op.z for op in state.z_type_state_generators()]
+    x_gens = state.reduction_group("X")
+    z_gens = state.reduction_group("Z")
     xrows = gf2.transpose(x_gens, n)
     zrows = gf2.transpose(z_gens, n)
     r = len(x_gens)

@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .css import CssState, validate_css_state
-from .pauli import PauliOperator
+from .css import CssState, swap_xz, validate_css_state
 
 
 class ParseError(ValueError):
@@ -179,34 +178,18 @@ def catalog_names() -> list[str]:
 
 
 def _state_from_data(data: dict, state_label: str) -> CssState:
-    n = data["n"]
-    if state_label in ("|0>", "zero", "0"):
-        basis, label = "Z", "|0>"
-        x_rows, z_rows = data["x_stabilizers"], data["z_stabilizers"]
-        lx, lz = data["logical_x"], data["logical_z"]
-    elif state_label in ("|+>", "plus", "+"):
-        # Prepare |+..+> as the |0..0> of the X<->Z swapped code.
-        basis, label = "Z", "|+>"
-        x_rows, z_rows = data["z_stabilizers"], data["x_stabilizers"]
-        lx, lz = data["logical_z"], data["logical_x"]
-    else:
+    plus = state_label in ("|+>", "plus", "+")
+    if not plus and state_label not in ("|0>", "zero", "0"):
         raise ParseError(f"unsupported state label {state_label!r}")
     state = CssState(
-        name=data["name"],
-        n=n,
-        k=data["k"],
-        d=data["d"],
-        x_generators=tuple(PauliOperator(n, x=row) for row in x_rows),
-        z_generators=tuple(PauliOperator(n, z=row) for row in z_rows),
-        logical_x_reps=tuple(PauliOperator(n, x=row) for row in lx),
-        logical_z_reps=tuple(PauliOperator(n, z=row) for row in lz),
-        stabilizing_basis=basis,
-        state_label=label,
+        name=data["name"], n=data["n"], k=data["k"], d=data["d"],
+        **{key: tuple(data[key]) for key in ("x_stabilizers", "z_stabilizers", "logical_x", "logical_z")},
     )
     report = validate_css_state(state)
     if not report.ok:
         raise ParseError(f"catalog entry {data['name']} is invalid: {report}")
-    return state
+    # |+..+> is the |0..0> of the X<->Z swapped code.
+    return swap_xz(state) if plus else state
 
 
 def get_state(name: str, state_label: str | None = None) -> CssState:

@@ -126,9 +126,24 @@ def cmd_assemble(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_circuit(args: argparse.Namespace):
+    """The ``--circuit`` file and the ``--code`` state its header names.
+
+    The header's ``state=`` label picks the logical state.  Raises
+    ValueError when the header names another code than ``--code`` or the
+    code qubits are not exactly 0..n-1, each used once.
+    """
+    circ, code, label = serialization.parse_circuit(Path(args.circuit).read_text())
+    state = catalog.get_state(args.code, None if label == "?" else label)
+    if code not in ("?", state.name):
+        raise ValueError(f"circuit is for code {code!r}, not {state.name!r}")
+    if sorted(ci for ci in circ.code_index if ci is not None) != list(range(state.n)):
+        raise ValueError(f"circuit code qubits are not exactly 0..{state.n - 1}, each used once")
+    return state, circ
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    state = catalog.get_state(args.code, None)
-    circ, _, _ = serialization.parse_circuit(Path(args.circuit).read_text())
+    state, circ = _load_circuit(args)
     types = [args.type] if args.type else ["X", "Z"]
     status = 0
     results = {}
@@ -146,8 +161,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    state = catalog.get_state(args.code, None)
-    circ, _, _ = serialization.parse_circuit(Path(args.circuit).read_text())
+    state, circ = _load_circuit(args)
     tables = build_effect_tables(circ, state)
     plan = build_subset_plan(tables.l_p, tables.l_q, args.p, args.p / 100.0, args.samples)
     res = run_monte_carlo(circ, state, NoiseModel(args.p), plan, seed=args.seed, tables=tables)

@@ -1,21 +1,22 @@
-"""CSS states: generator data, validation, syndromes and coset weights.
+"""CSS states: generator masks, validation, syndromes and coset weights.
 
-A *CSS state* is a stabilizer state generated by pure X-type and pure Z-type
-operators: the code generators plus the logical representatives that
-stabilize the chosen logical state (the Z logicals for ``|0..0>``-type
-states, the X logicals for ``|+..+>``-type states).
+A *CSS state* here is the logical ``|0..0>`` of a CSS code: it is generated
+by the code's pure X-type and pure Z-type stabilizers plus its Z logicals.
+Every stabilizer and logical is one qubit mask (bit i is qubit i), the X
+support of an X-type operator or the Z support of a Z-type one.  The
+logical ``|+..+>`` is the ``|0..0>`` of the X<->Z swapped code
+(:func:`swap_xz`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
 from .gf2 import rank
-from .pauli import PauliOperator, parity, popcount
 
 
 class GroupTooLargeError(ValueError):
@@ -51,84 +52,67 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class CssState:
-    """A CSS code prepared in a fixed logical basis state.
+    """The logical ``|0..0>`` state of a CSS code, as qubit masks.
 
-    ``stabilizing_basis`` marks which logical representatives stabilize the
-    prepared state: "Z" for logical zero states, "X" for logical plus states.
+    ``state_label`` names the logical state of the original code the masks
+    prepare: "|+>" after :func:`swap_xz`.
     """
 
     name: str
     n: int
     k: int
     d: int
-    x_generators: tuple[PauliOperator, ...]
-    z_generators: tuple[PauliOperator, ...]
-    logical_x_reps: tuple[PauliOperator, ...]
-    logical_z_reps: tuple[PauliOperator, ...]
-    stabilizing_basis: str = "Z"
+    x_stabilizers: tuple[int, ...]
+    z_stabilizers: tuple[int, ...]
+    logical_x: tuple[int, ...]
+    logical_z: tuple[int, ...]
     state_label: str = "|0>"
 
     @property
     def t(self) -> int:
         return self.d // 2
 
-    @property
-    def state_stabilizing_logicals(self) -> tuple[PauliOperator, ...]:
-        if self.stabilizing_basis == "Z":
-            return self.logical_z_reps
-        return self.logical_x_reps
-
-    def x_type_state_generators(self) -> list[PauliOperator]:
-        """All X-type generators of the state (code generators plus any
-        X-type state-stabilizing logicals)."""
-        gens = list(self.x_generators)
-        if self.stabilizing_basis == "X":
-            gens.extend(self.logical_x_reps)
-        return gens
-
-    def z_type_state_generators(self) -> list[PauliOperator]:
-        gens = list(self.z_generators)
-        if self.stabilizing_basis == "Z":
-            gens.extend(self.logical_z_reps)
-        return gens
-
-    def reduction_group(self, error_type: str) -> list[PauliOperator]:
-        """Same-type stabilizers of the state used for weight reduction."""
+    def reduction_group(self, error_type: str) -> tuple[int, ...]:
+        """Same-type stabilizers of the state used for weight reduction:
+        the X stabilizers, or the Z stabilizers plus the Z logicals."""
         if error_type == "X":
-            return self.x_type_state_generators()
+            return self.x_stabilizers
         if error_type == "Z":
-            return self.z_type_state_generators()
+            return self.z_stabilizers + self.logical_z
         raise ValueError(f"error_type must be 'X' or 'Z', got {error_type!r}")
 
-    def checking_generators(self, error_type: str) -> list[PauliOperator]:
-        """Opposite-type code generators whose anticommutation gives the
+    def checking_generators(self, error_type: str) -> tuple[int, ...]:
+        """Opposite-type stabilizers whose anticommutation gives the
         syndrome of an error of ``error_type``."""
         if error_type == "X":
-            return list(self.z_generators)
+            return self.z_stabilizers
         if error_type == "Z":
-            return list(self.x_generators)
+            return self.x_stabilizers
         raise ValueError(f"error_type must be 'X' or 'Z', got {error_type!r}")
 
-    def class_logicals(self, error_type: str) -> list[PauliOperator]:
-        """State-stabilizing logical representatives that grade errors of
-        ``error_type`` into equivalence classes."""
-        logicals = self.state_stabilizing_logicals
-        # Only opposite-type logicals can anticommute with a pure-type error.
-        if error_type == "X" and self.stabilizing_basis == "Z":
-            return list(logicals)
-        if error_type == "Z" and self.stabilizing_basis == "X":
-            return list(logicals)
-        return []
+    def class_logicals(self, error_type: str) -> tuple[int, ...]:
+        """State-stabilizing logicals that grade errors of ``error_type``
+        into equivalence classes: the Z logicals grade X errors, and nothing
+        grades Z errors."""
+        return self.logical_z if error_type == "X" else ()
 
 
-def _masks(ops: list[PauliOperator], error_type: str) -> list[int]:
-    if error_type == "X":
-        return [op.x for op in ops]
-    return [op.z for op in ops]
+def swap_xz(state: CssState) -> CssState:
+    """The code's other basis state: X and Z roles swapped, so the
+    ``|0..0>`` masks become those of ``|+..+>`` and back."""
+    return replace(
+        state,
+        x_stabilizers=state.z_stabilizers,
+        z_stabilizers=state.x_stabilizers,
+        logical_x=state.logical_z,
+        logical_z=state.logical_x,
+        state_label="|+>" if state.state_label == "|0>" else "|0>",
+    )
 
 
-def min_weight_modulo(error: PauliOperator, group_generators: list[PauliOperator]) -> int:
-    """Exact minimum weight of ``error`` over products with the group.
+def min_weight_modulo(error: int, group_generators: Sequence[int]) -> int:
+    """Exact minimum weight of the ``error`` mask over products with the
+    group of same-type generator masks.
 
     Enumerates all 2**g group elements in Gray-code order so each step is a
     single XOR; raises GroupTooLargeError beyond the 2**20 cap.
@@ -136,38 +120,30 @@ def min_weight_modulo(error: PauliOperator, group_generators: list[PauliOperator
     g = len(group_generators)
     if g > MIN_WEIGHT_CAP:
         raise GroupTooLargeError(f"{g} generators exceed the 2^{MIN_WEIGHT_CAP} cap")
-    best_x, best_z = error.x, error.z
-    best = popcount(best_x | best_z)
-    cur_x, cur_z = error.x, error.z
-    gx = [op.x for op in group_generators]
-    gz = [op.z for op in group_generators]
+    best = error.bit_count()
+    cur = error
     for i in range(1, 1 << g):
-        j = (i & -i).bit_length() - 1  # Gray code: flip generator j
-        cur_x ^= gx[j]
-        cur_z ^= gz[j]
-        w = popcount(cur_x | cur_z)
-        if w < best:
-            best = w
+        cur ^= group_generators[(i & -i).bit_length() - 1]  # Gray code step
+        best = min(best, cur.bit_count())
     return best
 
 
 def coset_key_columns(state: CssState, error_type: str) -> list[int]:
     """Coset key of a single-qubit pure-type error on each qubit.
 
-    Syndrome bits (one per checking generator) sit low and class bits (one
+    Syndrome bits (one per checking stabilizer) sit low and class bits (one
     per class logical) above them.  Keys are linear, and two pure-type
     errors share a key exactly when they differ by an element of
     ``state.reduction_group(error_type)``.  Raises ValueError when syndrome
     plus class bits exceed the 64-bit key word every packed table uses.
     """
-    comp = "X" if error_type == "Z" else "Z"
-    rows = _masks(state.checking_generators(error_type), comp)
-    class_rows = [op.x | op.z for op in state.class_logicals(error_type)]
-    if len(rows) + len(class_rows) > 64:
+    synd_rows = state.checking_generators(error_type)
+    class_rows = state.class_logicals(error_type)
+    if len(synd_rows) + len(class_rows) > 64:
         raise ValueError(
-            f"{len(rows)} syndrome + {len(class_rows)} class bits exceed the 64-bit key width"
+            f"{len(synd_rows)} syndrome + {len(class_rows)} class bits exceed the 64-bit key width"
         )
-    rows += class_rows
+    rows = synd_rows + class_rows
     return [
         sum(((row >> q) & 1) << i for i, row in enumerate(rows)) for q in range(state.n)
     ]
@@ -197,27 +173,17 @@ def coset_enumeration(cols: Sequence[int], w_max: int) -> Iterator[tuple[int, in
             yield w, key
 
 
-def syndrome_and_class(
-    error: PauliOperator, state: CssState, error_type: str
-) -> tuple[int, int]:
-    """Syndrome and equivalence-class bits of a pure-type error.
+def syndrome_and_class(error: int, state: CssState, error_type: str) -> tuple[int, int]:
+    """Syndrome and equivalence-class bits of a pure-type error mask.
 
-    Syndrome bit i is the anticommutation with the i-th opposite-type code
-    generator; class bit j is the anticommutation with the j-th
-    state-stabilizing logical representative.  Both are returned as packed
-    integer masks.
+    Syndrome bit i is the anticommutation with the i-th opposite-type
+    stabilizer; class bit j is the anticommutation with the j-th
+    state-stabilizing logical.  Both are returned as packed integer masks.
     """
-    err_mask = error.x | error.z
-    checks = _masks(state.checking_generators(error_type), "X" if error_type == "Z" else "Z")
-    synd = 0
-    for i, c in enumerate(checks):
-        if parity(err_mask & c):
-            synd |= 1 << i
-    cls = 0
-    log_masks = [op.x | op.z for op in state.class_logicals(error_type)]
-    for j, mask in enumerate(log_masks):
-        if parity(err_mask & mask):
-            cls |= 1 << j
+    synd = sum(((error & c).bit_count() & 1) << i
+               for i, c in enumerate(state.checking_generators(error_type)))
+    cls = sum(((error & m).bit_count() & 1) << j
+              for j, m in enumerate(state.class_logicals(error_type)))
     return synd, cls
 
 
@@ -225,7 +191,7 @@ def max_coset_weight(state: CssState, error_type: str) -> int:
     """Largest coset-minimum weight over all pure-type errors.
 
     The quotient is taken modulo the full same-type stabilizer group of the
-    state (code generators plus state-stabilizing logicals), so cosets are
+    state (``state.reduction_group(error_type)``), so cosets are
     indexed by the coset key.  Found by enumerating errors in order of
     increasing weight until every key has been reached.
     """
@@ -251,59 +217,45 @@ def max_coset_weight(state: CssState, error_type: str) -> int:
 def validate_css_state(state: CssState) -> ValidationReport:
     """Check the structural invariants of a CSS state.
 
-    Verifies type purity, pairwise commutation, full rank of each generator
-    block, and that generators plus state-stabilizing logicals form n
-    independent operators.
+    Verifies that every mask fits in n qubits, pairwise commutation, full
+    rank of each stabilizer block, and that stabilizers plus the Z logicals
+    form n independent operators.
     """
     issues: list[ValidationIssue] = []
-    for label, ops, comp in (
-        ("x_generator", state.x_generators, "z"),
-        ("z_generator", state.z_generators, "x"),
+    for kind in ("x_stabilizers", "z_stabilizers", "logical_x", "logical_z"):
+        for i, mask in enumerate(getattr(state, kind)):
+            if mask >> state.n:
+                issues.append(ValidationIssue("length", f"{kind}[{i}] acts beyond {state.n} qubits"))
+    # X/Z pairs must have even overlap.
+    for kind, ops, opposite in (
+        ("x_stabilizers", state.x_stabilizers, "z_stabilizers"),
+        ("logical_x", state.logical_x, "z_stabilizers"),
+        ("logical_z", state.logical_z, "x_stabilizers"),
     ):
-        for i, op in enumerate(ops):
-            bad = op.z if comp == "z" else op.x
-            if bad:
-                issues.append(ValidationIssue("type-purity", f"{label}[{i}] has {comp.upper()} support"))
-            if op.n != state.n:
-                issues.append(ValidationIssue("length", f"{label}[{i}] acts on {op.n} != {state.n} qubits"))
-    # X/Z generator pairs must have even overlap.
-    for i, gx in enumerate(state.x_generators):
-        for j, gz in enumerate(state.z_generators):
-            if parity(gx.x & gz.z):
-                issues.append(
-                    ValidationIssue("commutation", f"x_generator[{i}] anticommutes with z_generator[{j}]")
-                )
-    for kind, logicals, opposite in (
-        ("logical_x", state.logical_x_reps, state.z_generators),
-        ("logical_z", state.logical_z_reps, state.x_generators),
-    ):
-        for i, rep in enumerate(logicals):
-            mask = rep.x | rep.z
-            for j, gen in enumerate(opposite):
-                if parity(mask & (gen.x | gen.z)):
+        for i, a in enumerate(ops):
+            for j, b in enumerate(getattr(state, opposite)):
+                if (a & b).bit_count() & 1:
                     issues.append(
-                        ValidationIssue("commutation", f"{kind}[{i}] anticommutes with a code generator ({j})")
+                        ValidationIssue("commutation", f"{kind}[{i}] anticommutes with {opposite}[{j}]")
                     )
-    if rank([op.x for op in state.x_generators]) != len(state.x_generators):
-        issues.append(ValidationIssue("rank", "x_generators are linearly dependent"))
-    if rank([op.z for op in state.z_generators]) != len(state.z_generators):
-        issues.append(ValidationIssue("rank", "z_generators are linearly dependent"))
+    for kind in ("x_stabilizers", "z_stabilizers"):
+        if rank(list(getattr(state, kind))) != len(getattr(state, kind)):
+            issues.append(ValidationIssue("rank", f"{kind} are linearly dependent"))
     # Full state group must have n independent generators.
-    total = rank([op.x for op in state.x_type_state_generators()])
-    total += rank([op.z for op in state.z_type_state_generators()])
+    total = rank(state.reduction_group("X")) + rank(state.reduction_group("Z"))
     if total != state.n:
         issues.append(
             ValidationIssue("rank", f"state group has rank {total}, expected {state.n}")
         )
-    expected_counts = len(state.x_generators) + len(state.z_generators) + state.k
+    expected_counts = len(state.x_stabilizers) + len(state.z_stabilizers) + state.k
     if expected_counts != state.n:
         issues.append(
             ValidationIssue(
                 "counts",
-                f"{len(state.x_generators)}+{len(state.z_generators)} generators with k={state.k} "
+                f"{len(state.x_stabilizers)}+{len(state.z_stabilizers)} stabilizers with k={state.k} "
                 f"do not account for n={state.n}",
             )
         )
-    if len(state.logical_x_reps) != state.k or len(state.logical_z_reps) != state.k:
+    if len(state.logical_x) != state.k or len(state.logical_z) != state.k:
         issues.append(ValidationIssue("counts", "logical representative count differs from k"))
     return ValidationReport(tuple(issues))

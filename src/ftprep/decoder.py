@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .css import CssState, coset_enumeration, coset_key_columns
+from .css import CssState, GroupTooLargeError, coset_enumeration, coset_key_columns
 from .noise import SampleSet, wilson_interval
 
 
@@ -138,8 +138,15 @@ def build_ideal_class_table(state: CssState, error_type: str) -> MLTable:
 
     Beyond the distance guarantee a syndrome's minimum-weight class can be
     ambiguous; the first-enumerated representative is kept, as any fixed
-    ideal decoder would.
+    ideal decoder would.  Every syndrome takes at least one enumerated
+    error, so more than ``ENUMERATION_CAP`` syndromes raise
+    GroupTooLargeError before any enumeration.
     """
+    synd_bits = len(state.checking_generators(error_type))
+    if 1 << synd_bits > ENUMERATION_CAP:
+        raise GroupTooLargeError(
+            f"2^{synd_bits} syndromes exceed the enumeration cap {ENUMERATION_CAP}"
+        )
     table = _first_hits(state, error_type, state.n)
     return MLTable(table.synd_bits, table.class_bits, table.synd, table.cls)
 

@@ -36,7 +36,6 @@ from .circuit import (
     propagate_backward,
 )
 from .css import CssState, syndrome_and_class
-from .pauli import PauliOperator
 
 
 REPLAY_MAX_FAULTS = 4  # most faults per frame_replay_check sample
@@ -407,8 +406,9 @@ def _sample_bucket(
     return flags, sc
 
 
-def _accepted_chunks(tables: EffectTables, pairs, counts, rng, chunk: int = SAMPLE_CHUNK):
-    """Yield ``(i, ok, sc)`` per chunk of at most ``chunk`` samples of stratum i.
+def _accepted_chunks(tables: EffectTables, pairs, counts, rng):
+    """Yield ``(i, ok, sc)`` per chunk of at most ``SAMPLE_CHUNK`` samples of
+    stratum i.
 
     Stratum i, a plan's fault-count pair ``pairs[i]`` = (f_p, f_q), draws
     ``counts[i]`` samples; ``ok`` marks the accepted ones (no flag flips),
@@ -418,7 +418,7 @@ def _accepted_chunks(tables: EffectTables, pairs, counts, rng, chunk: int = SAMP
     for i, ((fp, fq), n_b) in enumerate(zip(pairs, counts)):
         done = 0
         while done < n_b:
-            m = min(chunk, n_b - done)
+            m = min(SAMPLE_CHUNK, n_b - done)
             done += m
             flags, sc = _sample_bucket(tables, fp, fq, m, rng)
             yield i, (flags == 0).all(axis=0), sc
@@ -431,7 +431,6 @@ def run_monte_carlo(
     plan: SubsetPlan,
     seed: int,
     tables: EffectTables | None = None,
-    chunk: int = SAMPLE_CHUNK,
 ) -> MonteCarloResult:
     """Draw the plan's samples, propagate, and tally (syndrome, class).
 
@@ -462,7 +461,7 @@ def run_monte_carlo(
     parts: tuple[list, list] = ([], [])
     accepted_nontrivial = 0.0
 
-    for i, ok, acc_sc in _accepted_chunks(tables, plan.pairs, counts, rng, chunk):
+    for i, ok, acc_sc in _accepted_chunks(tables, plan.pairs, counts, rng):
         # weight of one sample = true mass of the stratum / samples drawn
         weight_each = plan.probabilities[i] * (1.0 - plan.p_trivial) / counts[i]
         accepted_nontrivial += float(ok.sum())
@@ -557,7 +556,7 @@ def frame_replay_check(
             bits |= readout(q, rng)[0] << ci
         # The readout is a codeword of the state plus the residual's support;
         # syndrome_and_class grades a support, so it serves either side.
-        synd, cls = syndrome_and_class(PauliOperator(state.n, x=bits), state, side)
+        synd, cls = syndrome_and_class(bits, state, side)
         observed_sc = synd | cls << tables.synd_bits
         if observed_sc != eff_sc:
             raise AssertionError(

@@ -69,6 +69,11 @@ def parse_circuit(text: str) -> tuple[Circuit, str, str]:
     code_index: list[int | None] = []
     ops = []
 
+    def index(token: str, line_no: int) -> int:
+        if not token[1:].isdecimal():
+            raise ParseError(line_no, f"malformed index in {token!r}")
+        return int(token[1:])
+
     def qubit(token: str, line_no: int) -> int:
         if token in names:
             return names[token]
@@ -76,10 +81,10 @@ def parse_circuit(text: str) -> tuple[Circuit, str, str]:
         names[token] = idx
         if token.startswith("c"):
             roles.append(ROLE_CONTROL)
-            code_index.append(int(token[1:]))
+            code_index.append(index(token, line_no))
         elif token.startswith("t"):
             roles.append(ROLE_TARGET)
-            code_index.append(int(token[1:]))
+            code_index.append(index(token, line_no))
         elif token.startswith("f"):
             roles.append(ROLE_FLAG_X)  # refined when measured
             code_index.append(None)
@@ -105,7 +110,7 @@ def parse_circuit(text: str) -> tuple[Circuit, str, str]:
             if len(parts) != 4 or parts[2] != "->" or not parts[3].startswith("m"):
                 raise ParseError(line_no, f"{opcode} syntax: {opcode} <q> -> m<i>")
             q = qubit(parts[1], line_no)
-            outcome = int(parts[3][1:])
+            outcome = index(parts[3], line_no)
             basis = "Z" if opcode == "MZ" else "X"
             roles[q] = ROLE_FLAG_X if basis == "Z" else ROLE_FLAG_Z
             ops.append(FlagMeasure(q, basis, outcome))

@@ -22,12 +22,12 @@ of the logical error rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit
-from .css import CssState, coset_key_columns
+from .css import CssState, coset_key_columns, swap_xz
 from .decoder import build_ideal_class_table, build_ml_lut, build_mw_lut, decode
 from .noise import (
     EffectTables,
@@ -136,20 +136,20 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     """
     state = cfg.state
     # Z errors on the computational block are graded by the logical Xs that
-    # stabilize its |+..+> state, so the decode tables are built on the
-    # X-stabilized view of the code.  Keys: X-generator syndrome low,
-    # logical-X class above.
-    state_plus = replace(state, stabilizing_basis="X", state_label="|+>")
-    key_cols = np.array(coset_key_columns(state_plus, "Z"), dtype=np.uint64)
+    # stabilize its |+..+> state: in the X<->Z swapped code they are X
+    # errors of a |0..0> state.  Keys: X-stabilizer syndrome low, logical-X
+    # class above.
+    plus = swap_xz(state)
+    key_cols = np.array(coset_key_columns(plus, "X"), dtype=np.uint64)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     n = state.n
     p = cfg.p
     n_samples = cfg.samples
     strong = cfg.data_noise_multiplier * p
 
-    mw = build_mw_lut(state_plus, "Z", (state.d - 1) // 2) if state.d > 2 else None
-    ideal = build_ideal_class_table(state_plus, "Z")
-    synd_bits = np.uint64(len(state.x_generators))
+    mw = build_mw_lut(plus, "X", (state.d - 1) // 2) if state.d > 2 else None
+    ideal = build_ideal_class_table(plus, "X")
+    synd_bits = np.uint64(len(state.x_stabilizers))
     synd_mask = (np.uint64(1) << synd_bits) - np.uint64(1)
 
     def depolarizing_z(n_rows: int, rate: float) -> np.ndarray:

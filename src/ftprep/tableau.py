@@ -18,7 +18,6 @@ import numpy as np
 
 from .circuit import Circuit, CXGate, FlagMeasure, Init
 from .css import CssState
-from .pauli import PauliOperator
 
 
 def _product(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int, int, int]:
@@ -113,16 +112,17 @@ class Tableau:
         self.h(q)
         return out
 
-    def stabilizer_sign(self, op: PauliOperator) -> int | None:
-        """Sign with which ``op`` stabilizes the state: 0 for +, 1 for -, or
-        None when ``op`` is not in the stabilizer group at all."""
-        # op anticommutes with destabilizer i  <=>  stabilizer i appears.
+    def stabilizer_sign(self, x: int, z: int) -> int | None:
+        """Sign with which the Pauli of X mask ``x`` and Z mask ``z``
+        stabilizes the state: 0 for +, 1 for -, or None when it is not in
+        the stabilizer group at all."""
+        # The Pauli anticommutes with destabilizer i  <=>  stabilizer i appears.
         rows = [
             i for i in range(self.n)
-            if ((self.x[i] & op.z) ^ (self.z[i] & op.x)).bit_count() & 1
+            if ((self.x[i] & z) ^ (self.z[i] & x)).bit_count() & 1
         ]
-        x, z, r = self._stabilizer_product(rows)
-        return r if (x, z) == (op.x, op.z) else None
+        px, pz, r = self._stabilizer_product(rows)
+        return r if (px, pz) == (x, z) else None
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,12 @@ def tableau_check_circuit(circuit: Circuit, state: CssState) -> TableauMismatch 
         if outcomes[meas.outcome] != 0:
             return TableauMismatch("flag-sign", f"flag outcome {meas.outcome} is -1")
     lift = [(ci, q) for q, ci in enumerate(circuit.code_index) if ci is not None]
-    for gen in state.x_type_state_generators() + state.z_type_state_generators():
-        # Lift the code-qubit operator to circuit qubits.
-        x_mask = sum(((gen.x >> ci) & 1) << q for ci, q in lift)
-        z_mask = sum(((gen.z >> ci) & 1) << q for ci, q in lift)
-        sign = tab.stabilizer_sign(PauliOperator(circuit.n_qubits, x_mask, z_mask))
-        if sign is None:
-            return TableauMismatch("unsatisfied-stabilizer", gen.to_string())
-        if sign != 0:
-            return TableauMismatch("stabilizer-sign", gen.to_string())
+    for typ in ("X", "Z"):
+        for gen in state.reduction_group(typ):
+            # Lift the code-qubit mask to circuit qubits.
+            mask = sum(((gen >> ci) & 1) << q for ci, q in lift)
+            sign = tab.stabilizer_sign(*((mask, 0) if typ == "X" else (0, mask)))
+            if sign != 0:
+                kind = "unsatisfied-stabilizer" if sign is None else "stabilizer-sign"
+                return TableauMismatch(kind, "".join(typ if gen >> q & 1 else "I" for q in range(state.n)))
     return None

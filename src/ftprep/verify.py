@@ -30,7 +30,6 @@ import numpy as np
 from .circuit import Circuit, CXGate, FlagMeasure, Init, pack_effects, propagate_backward
 from .css import CssState, coset_enumeration, coset_key_columns
 from .decoder import _lookup
-from .pauli import popcount
 
 
 JOIN_BLOCK = 1 << 18  # prefixes or joined candidates built per block
@@ -152,7 +151,7 @@ def verify_fault_tolerance(
                     # The residual is in its own coset, so the first error of the
                     # weight-ordered enumeration sharing its key comes by its popcount.
                     key = sorted_keys[pos[i]] ^ pre_key[rows[i]]
-                    enum = coset_enumeration(cols, popcount(residual))
+                    enum = coset_enumeration(cols, residual.bit_count())
                     reduced = next(w for w, k in enum if k == key)
                     return Counterexample(fault_type, found, residual, reduced)
     return None

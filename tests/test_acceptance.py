@@ -30,7 +30,6 @@ from ftprep.noise import (
     frame_replay_check,
     run_monte_carlo,
 )
-from ftprep.pauli import PauliOperator
 from ftprep.pipeline import build_preparation_circuit
 from ftprep.steane_qec import (
     FT_X_ONLY,
@@ -199,7 +198,7 @@ def test_criterion_6_golay_code_capacity_exactness():
             mask = 0
             for q in qubits:
                 mask |= 1 << q
-            synd, cls = syndrome_and_class(PauliOperator(23, x=mask), golay, "X")
+            synd, cls = syndrome_and_class(mask, golay, "X")
             synds.append(synd)
             classes.append(cls)
     assert decode(synds, None, mw)[0].tolist() == classes

@@ -18,7 +18,6 @@ from ftprep.catalog import get_state
 from ftprep.circuit import Circuit, CXGate, FinalMeasure, flag_int
 from ftprep.css import CssState
 from ftprep.library import GadgetLibrary
-from ftprep.pauli import PauliOperator
 from ftprep.serialization import serialize_circuit
 from ftprep.tableau import tableau_check_circuit
 from ftprep.noise import build_effect_tables
@@ -35,10 +34,10 @@ def bell_state() -> CssState:
         n=2,
         k=0,
         d=2,
-        x_generators=(PauliOperator(2, x=0b11),),
-        z_generators=(PauliOperator(2, z=0b11),),
-        logical_x_reps=(),
-        logical_z_reps=(),
+        x_stabilizers=(0b11,),
+        z_stabilizers=(0b11,),
+        logical_x=(),
+        logical_z=(),
     )
 
 
@@ -219,10 +218,10 @@ def idle_qubit_state() -> CssState:
         n=3,
         k=0,
         d=2,
-        x_generators=(PauliOperator(3, x=0b011),),
-        z_generators=(PauliOperator(3, z=0b011), PauliOperator(3, z=0b100)),
-        logical_x_reps=(),
-        logical_z_reps=(),
+        x_stabilizers=(0b011,),
+        z_stabilizers=(0b011, 0b100),
+        logical_x=(),
+        logical_z=(),
     )
 
 

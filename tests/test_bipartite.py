@@ -6,7 +6,6 @@ from ftprep.bipartite import BipartiteCircuit, best_of_trials, synthesize_bipart
 from ftprep.catalog import get_state
 from ftprep.css import CssState
 from ftprep.library import GadgetLibrary
-from ftprep.pauli import PauliOperator
 from ftprep.pipeline import build_preparation_circuit
 from ftprep.tableau import tableau_check_circuit
 
@@ -17,10 +16,10 @@ def bell_state() -> CssState:
         n=2,
         k=0,
         d=2,
-        x_generators=(PauliOperator(2, x=0b11),),
-        z_generators=(PauliOperator(2, z=0b11),),
-        logical_x_reps=(),
-        logical_z_reps=(),
+        x_stabilizers=(0b11,),
+        z_stabilizers=(0b11,),
+        logical_x=(),
+        logical_z=(),
     )
 
 
@@ -59,7 +58,7 @@ def test_bipartiteness():
 def test_control_propagation_lands_in_stabilizer_row_space():
     state = get_state("steane")
     bip = synthesize_bipartite(state, seed=5)
-    gens = [g.x for g in state.x_generators]
+    gens = list(state.x_stabilizers)
     base_rank = gf2.rank(gens)
     for c in bip.controls:
         # X on a control propagates to X on itself plus its targets.
@@ -83,10 +82,10 @@ def test_invalid_state_rejected(monkeypatch):
         n=2,
         k=0,
         d=1,
-        x_generators=(PauliOperator(2, x=0b01), PauliOperator(2, x=0b01)),
-        z_generators=(),
-        logical_x_reps=(),
-        logical_z_reps=(),
+        x_stabilizers=(0b01, 0b01),
+        z_stabilizers=(),
+        logical_x=(),
+        logical_z=(),
     )
 
     def no_trial(state, seed):

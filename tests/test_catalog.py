@@ -69,8 +69,7 @@ def test_entry_validates(name):
 @pytest.mark.parametrize("name", ["steane", "surface9", "color17", "surface25", "golay", "selfdual20"])
 def test_distance_is_exact(name):
     state = get_state(name)
-    xs = [g.x for g in state.x_generators]
-    zs = [g.z for g in state.z_generators]
+    xs, zs = list(state.x_stabilizers), list(state.z_stabilizers)
     dx = kernel_min_weight(zs, xs, state.n)
     dz = kernel_min_weight(xs, zs, state.n)
     assert min(dx, dz) == state.d
@@ -80,7 +79,7 @@ def test_plus_state_swaps_roles():
     zero = get_state("steane", "|0>")
     plus = get_state("steane", "|+>")
     assert plus.state_label == "|+>"
-    assert {g.z for g in plus.z_generators} == {g.x for g in zero.x_generators}
+    assert set(plus.z_stabilizers) == set(zero.x_stabilizers)
 
 
 def test_export_parse_round_trip(tmp_path):

@@ -186,13 +186,53 @@ def test_verify_rejects_invalid_circuit_files(tmp_path, capsys):
     ])
     assert rc == 0
     shared.write_text(re.sub(r"-> m\d+", "-> m0", shared.read_text()))
+    # Malformed qubit and outcome indices.
+    bad_qubit = tmp_path / "bad_qubit.circuit"
+    bad_qubit.write_text("CIRCUIT code=steane state=|0>\nINIT0 cx\n")
+    bad_outcome = tmp_path / "bad_outcome.circuit"
+    bad_outcome.write_text("CIRCUIT code=steane state=|0>\nINIT0 f0\nMZ f0 -> mx\n")
     capsys.readouterr()
-    for path, reason in ((early, "before initialization"), (shared, "m0 recorded twice")):
+    for path, reason in (
+        (early, "before initialization"),
+        (shared, "m0 recorded twice"),
+        (bad_qubit, "line 2: malformed index in 'cx'"),
+        (bad_outcome, "line 3: malformed index in 'mx'"),
+    ):
         rc = main(["verify", "--circuit", str(path), "--code", "steane", "--t", "1"])
         assert rc == 2
         captured = capsys.readouterr()
         assert "PASS" not in captured.out and "COUNTEREXAMPLE" not in captured.out
         assert captured.err.startswith("error:") and reason in captured.err
+
+
+def test_verify_takes_the_state_from_the_circuit_header(tmp_path, capsys):
+    # A |+> circuit is fault-tolerant for the |+> state its header names.
+    circ_path = tmp_path / "plus.circuit"
+    rc = main([
+        "assemble", "--code", "surface9", "--state", "|+>", "--seed", "1", "--trials", "20",
+        "--shuffles", "5", "--circuit-out", str(circ_path),
+    ])
+    assert rc == 0
+    assert circ_path.read_text().startswith("CIRCUIT code=surface9 state=|+>\n")
+    capsys.readouterr()
+    rc = main(["verify", "--circuit", str(circ_path), "--code", "surface9", "--t", "1"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "X: PASS" in out and "Z: PASS" in out
+    # A header naming another code is an error.
+    rc = main(["verify", "--circuit", str(circ_path), "--code", "steane", "--t", "1"])
+    assert rc == 2
+    assert "circuit is for code 'surface9', not 'steane'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_circuit_code_qubits_must_match_the_code(tmp_path, capsys, command):
+    path = tmp_path / "c99.circuit"
+    path.write_text("CIRCUIT code=steane state=|0>\nINIT+ c99\nFINAL_MEAS Z\n")
+    extra = ["--t", "1"] if command == "verify" else ["--p", "1e-3", "--samples", "100", "--seed", "1"]
+    rc = main([command, "--circuit", str(path), "--code", "steane", *extra])
+    assert rc == 2
+    assert "code qubits are not exactly 0..6, each used once" in capsys.readouterr().err
 
 
 def test_coset_command(capsys):

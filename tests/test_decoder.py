@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from ftprep import decoder
-from ftprep.catalog import get_state
-from ftprep.css import syndrome_and_class
+from ftprep.catalog import _state_from_data, get_state, rotated_surface_data
+from ftprep.css import GroupTooLargeError, syndrome_and_class
 from ftprep.decoder import (
     DISCARD,
     FALLBACK,
@@ -21,7 +22,6 @@ from ftprep.decoder import (
     evaluate_test_set,
 )
 from ftprep.noise import SampleSet
-from ftprep.pauli import PauliOperator
 
 
 def histogram(synd_bits, class_bits, *rows):
@@ -92,7 +92,7 @@ def test_mw_golay_code_capacity_exactness():
             mask = 0
             for q in qubits:
                 mask |= 1 << q
-            synd, cls = syndrome_and_class(PauliOperator(23, x=mask), golay, "X")
+            synd, cls = syndrome_and_class(mask, golay, "X")
             synds.append(synd)
             classes.append(cls)
     decoded, layer = decode(synds, None, mw)
@@ -289,3 +289,14 @@ def test_color17_logical_ceiling_at_reference_rate():
     assert res.effective_samples >= 1e8
     rep = evaluate_test_set(res.test, build_ml_lut(res.train), build_mw_lut(state, "X", 2))
     assert rep.logical_error_rate < 1e-5
+
+
+@pytest.mark.parametrize("error_type", ["X", "Z"])
+def test_ideal_class_table_past_the_cap_fails_at_once(error_type):
+    # Rotated surface d=7 has 24 checks per side: 2^24 syndromes, each of
+    # which needs an enumerated error, exceed the cap before any enumeration.
+    state = _state_from_data(rotated_surface_data(7), "|0>")
+    start = time.perf_counter()
+    with pytest.raises(GroupTooLargeError, match="2\\^24 syndromes"):
+        build_ideal_class_table(state, error_type)
+    assert time.perf_counter() - start < 1.0

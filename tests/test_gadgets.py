@@ -143,10 +143,7 @@ def test_noiseless_soundness_of_discovered_gadget():
     tab, outcomes, deterministic = run_tableau(circ)
     assert all(deterministic) and not any(outcomes)
     # final stabilizer X_c X_t1 ... X_tr
-    from ftprep.pauli import PauliOperator
-
-    stab = PauliOperator(n, x=(1 << (g.r + 1)) - 1)
-    assert tab.stabilizer_sign(stab) == 0
+    assert tab.stabilizer_sign((1 << (g.r + 1)) - 1, 0) == 0
 
 
 def test_trivial_gadget_limits():

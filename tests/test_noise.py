@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ftprep import noise
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials, synthesize_bipartite
 from ftprep.catalog import get_state
@@ -32,7 +33,6 @@ from ftprep.noise import (
     run_monte_carlo,
     wilson_interval,
 )
-from ftprep.pauli import PauliOperator
 
 
 @pytest.fixture(scope="module")
@@ -166,13 +166,14 @@ def histogram_digest(samples):
     return len(rows), hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_golden_steane_histogram_and_report(steane_prepared):
-    # Recorded from the dict-backed histogram.  With chunk=1000 the 20,000
-    # samples arrive in 25 chunks, so per-key sums must follow draw order.
+def test_golden_steane_histogram_and_report(steane_prepared, monkeypatch):
+    # Recorded from the dict-backed histogram.  With 1000-sample chunks the
+    # 20,000 samples arrive in 25 chunks, so per-key sums must follow draw order.
+    monkeypatch.setattr(noise, "SAMPLE_CHUNK", 1000)
     state, circ = steane_prepared
     l_p, l_q = count_fault_locations(circ)
     plan = build_subset_plan(l_p, l_q, 5e-3, 5e-5, 20_000)
-    res = run_monte_carlo(circ, state, NoiseModel(5e-3), plan, seed=5, chunk=1000)
+    res = run_monte_carlo(circ, state, NoiseModel(5e-3), plan, seed=5)
     assert res.accepted == 120042.6074972369
     assert histogram_digest(res.train) == (
         15, "2d258cf4b2a933baa20cf6f63963f89841550968a8d4dd07a0cb42c6d093116e")
@@ -316,10 +317,10 @@ def test_effect_tables_reject_more_than_64_syndrome_and_class_bits():
         n=n,
         k=1,
         d=1,
-        x_generators=(),
-        z_generators=tuple(PauliOperator(n, z=1 << q) for q in range(64)),
-        logical_x_reps=(PauliOperator(n, x=1 << 64),),
-        logical_z_reps=(PauliOperator(n, z=1 << 64),),
+        x_stabilizers=(),
+        z_stabilizers=tuple(1 << q for q in range(64)),
+        logical_x=(1 << 64,),
+        logical_z=(1 << 64,),
     )
     ops = tuple(Init(q, "0") for q in range(n)) + (FinalMeasure("Z"),)
     circ = Circuit(n, ("control",) * n, tuple(f"c{q}" for q in range(n)), tuple(range(n)), ops)
@@ -337,7 +338,7 @@ def test_more_than_128_flags(steane_prepared, wide_prepared):
     assert frame_replay_check(wide, state, tables, 40, seed=4) == 40
 
 
-def test_golden_wide_circuit_large_buckets(steane_prepared, wide_prepared):
+def test_golden_wide_circuit_large_buckets(steane_prepared, wide_prepared, monkeypatch):
     # Three flag words and buckets up to f_p = 16 (1,035 samples at f_p >= 10),
     # so `_draw_distinct` runs many redraw passes.  Recorded on the
     # sort-based `_draw_distinct`, before the column-pair rewrite.
@@ -345,7 +346,8 @@ def test_golden_wide_circuit_large_buckets(steane_prepared, wide_prepared):
     l_p, l_q = count_fault_locations(wide_prepared)
     plan = build_subset_plan(l_p, l_q, 1e-2, 1e-4, 20_000)
     assert max(fp for fp, _ in plan.pairs) >= 10
-    res = run_monte_carlo(wide_prepared, state, NoiseModel(1e-2), plan, seed=7, chunk=1000)
+    monkeypatch.setattr(noise, "SAMPLE_CHUNK", 1000)
+    res = run_monte_carlo(wide_prepared, state, NoiseModel(1e-2), plan, seed=7)
     assert res.accepted == 466.6534581018312
     assert histogram_digest(res.train) == (
         15, "aa209ef3eaef198ca211d4188f6a9c06ec16b0fb8cca3a4a93acbd8eb6b85ee7")

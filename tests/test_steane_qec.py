@@ -1,14 +1,11 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
-from ftprep.catalog import get_state
-from ftprep.css import CssState, coset_key_columns, coset_keys
+from ftprep.catalog import _state_from_data, get_state, rotated_surface_data
+from ftprep.css import CssState, GroupTooLargeError, coset_key_columns, coset_keys, swap_xz
 from ftprep.decoder import build_ideal_class_table, decode
 from ftprep.library import GadgetLibrary
-from ftprep.pauli import PauliOperator
 from ftprep.pipeline import build_preparation_circuit
 from ftprep.steane_qec import (
     FT_X_ONLY,
@@ -60,14 +57,14 @@ def test_transversal_propagation_reads_single_z_errors():
     # A Z on computational qubit i copies onto the resource block and shows
     # up as the X-generator syndrome column of qubit i.
     state = get_state("color17")
-    cols = coset_key_columns(replace(state, stabilizing_basis="X"), "Z")
-    synd_mask = (1 << len(state.x_generators)) - 1
+    cols = coset_key_columns(swap_xz(state), "X")
+    synd_mask = (1 << len(state.x_stabilizers)) - 1
     for i in range(state.n):
         frames = np.array([1 << i], dtype=np.uint64)
         synd = int(coset_keys(frames, cols)[0]) & synd_mask
         expected = 0
-        for j, g in enumerate(state.x_generators):
-            if (g.x >> i) & 1:
+        for j, g in enumerate(state.x_stabilizers):
+            if (g >> i) & 1:
                 expected |= 1 << j
         assert int(synd) == expected
 
@@ -119,11 +116,11 @@ def _exact_no_qec_rate(state, p, multiplier):
     # Both data rounds flip each qubit's Z with q = 2/3 * multiplier * p, so
     # the net flip per qubit is r = 2q(1-q).  Sum the probability of every Z
     # pattern the ideal decoder misclassifies.
-    state_plus = replace(state, stabilizing_basis="X", state_label="|+>")
-    ideal = build_ideal_class_table(state_plus, "Z")
+    plus = swap_xz(state)
+    ideal = build_ideal_class_table(plus, "X")
     frames = np.arange(1 << state.n, dtype=np.uint64)
-    keys = coset_keys(frames, coset_key_columns(state_plus, "Z"))
-    synd_bits = len(state.x_generators)
+    keys = coset_keys(frames, coset_key_columns(plus, "X"))
+    synd_bits = len(state.x_stabilizers)
     fails = decode(keys & np.uint64((1 << synd_bits) - 1), ideal, None)[0] != keys >> synd_bits
     weights = np.bitwise_count(frames[fails]).astype(np.float64)
     q = 2.0 / 3.0 * multiplier * p
@@ -154,10 +151,10 @@ def test_more_than_64_qubits_runs():
         n=n,
         k=1,
         d=2,
-        x_generators=(PauliOperator(n, x=0b11),),
-        z_generators=(),
-        logical_x_reps=(PauliOperator(n, x=0b100),),
-        logical_z_reps=(PauliOperator(n, z=0b100),),
+        x_stabilizers=(0b11,),
+        z_stabilizers=(),
+        logical_x=(0b100,),
+        logical_z=(0b100,),
     )
     cfg = SteaneQecConfig(state, 1e-3, samples=100, prep_mode=NO_QEC, seed=1)
     assert run_steane_qec_experiment(cfg).samples == 100
@@ -171,10 +168,10 @@ def test_more_than_64_key_bits_rejected():
         n=n,
         k=1,
         d=1,
-        x_generators=tuple(PauliOperator(n, x=1 << q) for q in range(n - 1)),
-        z_generators=(),
-        logical_x_reps=(PauliOperator(n, x=1 << (n - 1)),),
-        logical_z_reps=(PauliOperator(n, z=1 << (n - 1)),),
+        x_stabilizers=tuple(1 << q for q in range(n - 1)),
+        z_stabilizers=(),
+        logical_x=(1 << (n - 1),),
+        logical_z=(1 << (n - 1),),
     )
     cfg = SteaneQecConfig(state, 1e-3, samples=100, prep_mode=NO_QEC, seed=1)
     with pytest.raises(ValueError, match="65 syndrome \\+ 1 class bits exceed the 64-bit key width"):
@@ -223,3 +220,12 @@ def test_nonpositive_samples_rejected():
     for samples in (0, -5):
         with pytest.raises(ValueError, match="samples must be >= 1"):
             SteaneQecConfig(state, 1e-3, samples=samples, prep_mode=NO_QEC)
+
+
+def test_ideal_table_past_the_cap_fails_at_once():
+    # Rotated surface d=7: 2^24 X-stabilizer syndromes exceed the ideal
+    # table's enumeration cap, so the experiment stops before sampling.
+    state = _state_from_data(rotated_surface_data(7), "|0>")
+    cfg = SteaneQecConfig(state, 1e-3, samples=10, prep_mode=NO_QEC)
+    with pytest.raises(GroupTooLargeError):
+        run_steane_qec_experiment(cfg)
