@@ -31,7 +31,7 @@ for fault_type in ("X", "Z"):
 
 # The bare bipartite circuit without gadgets is not fault tolerant: a
 # single hook fault propagates past the correctable weight.
-bare = prep.bipartite.bare_circuit(state.n)
+bare = prep.bipartite.bare_circuit()
 ce = verify_fault_tolerance(bare, state, t=1, fault_type="X")
 print("gadget-stripped circuit:", "PASS" if ce is None else f"counterexample: {ce}")
 

@@ -18,17 +18,7 @@ from itertools import accumulate
 import numpy as np
 
 from .bipartite import BipartiteCircuit
-from .circuit import (
-    ROLE_CONTROL,
-    ROLE_FLAG_X,
-    ROLE_FLAG_Z,
-    ROLE_TARGET,
-    Circuit,
-    CXGate,
-    FinalMeasure,
-    FlagMeasure,
-    Init,
-)
+from .circuit import Circuit, CXGate, FlagMeasure, Init
 from .css import CssState, GroupTooLargeError, max_coset_weight
 from .gadgets import FlagGadget, hadamard_conjugate_gadget, trivial_gadget
 from .library import GadgetLibrary
@@ -56,20 +46,25 @@ class CircuitMetrics:
 
 @dataclass(frozen=True)
 class AssembledCircuit:
-    """A fused FT preparation circuit plus its precedence structure."""
+    """A fused FT preparation circuit plus its precedence structure.
 
-    state: CssState
-    bipartite: BipartiteCircuit
-    n_qubits: int
-    roles: tuple[str, ...]
-    names: tuple[str, ...]
-    code_index: tuple[int | None, ...]
+    ``plus[q]`` is True for the qubits started in |+>: the controls and the
+    Z-detecting flags, which are measured in X.  The other flags start in
+    |0> and are measured in Z.
+    """
+
+    code_index: tuple[int | None, ...]  # circuit qubit -> code qubit, None for flags
+    plus: tuple[bool, ...]
     gates: tuple[tuple[int, int], ...]  # physical CX nodes
     chains: tuple[tuple[int, ...], ...]  # gadget-internal gate orders
     t_x: int
     t_z: int
-    n_edges: int = 0
-    edge_priority: tuple[int, ...] = ()
+    n_edges: int
+    edge_priority: tuple[int, ...]
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.code_index)
 
     def schedule(self, order: list[int]) -> Circuit:
         """Materialize a schedule from a linear extension of the DAG."""
@@ -77,6 +72,7 @@ class AssembledCircuit:
         for pos, node in enumerate(order):
             for q in self.gates[node]:
                 last_touch[q] = pos
+        plus = self.plus
         ops = []
         inited: set[int] = set()
         outcome = 0
@@ -84,26 +80,17 @@ class AssembledCircuit:
             a, b = self.gates[node]
             for q in (a, b):
                 if q not in inited:
-                    ops.append(Init(q, self._init_basis(q)))
+                    ops.append(Init(q, "+" if plus[q] else "0"))
                     inited.add(q)
             ops.append(CXGate(a, b))
             for q in (a, b):
                 if self.code_index[q] is None and last_touch[q] == pos:
-                    basis = "Z" if self.roles[q] == ROLE_FLAG_X else "X"
-                    ops.append(FlagMeasure(q, basis, outcome))
+                    ops.append(FlagMeasure(q, "X" if plus[q] else "Z", outcome))
                     outcome += 1
         for q in range(self.n_qubits):
             if q not in inited:
-                ops.append(Init(q, self._init_basis(q)))
-                inited.add(q)
-        ops.append(FinalMeasure("Z"))
-        return Circuit(self.n_qubits, self.roles, self.names, self.code_index, tuple(ops))
-
-    def _init_basis(self, q: int) -> str:
-        role = self.roles[q]
-        if role == ROLE_CONTROL or role == ROLE_FLAG_Z:
-            return "+"
-        return "0"
+                ops.append(Init(q, "+" if plus[q] else "0"))
+        return Circuit(self.code_index, tuple(ops))
 
     def default_circuit(self) -> Circuit:
         return self.schedule(self._topological_order())
@@ -381,7 +368,7 @@ def assemble_ft_circuit(
     priority = None
     if width_anneal > 0:
         priority = _anneal_priority(bip, pick_gadget, t_x, t_z, width_anneal, rng)
-    return _assemble_once(state, bip, pick_gadget, t_x, t_z, rng, priority)
+    return _assemble_once(bip, pick_gadget, t_x, t_z, rng, priority)
 
 
 def _anneal_priority(
@@ -580,7 +567,6 @@ def _gadget_for(library: GadgetLibrary, t: int, r: int) -> FlagGadget:
 
 
 def _assemble_once(
-    state: CssState,
     bip: BipartiteCircuit,
     pick_gadget,
     t_x: int,
@@ -593,20 +579,9 @@ def _assemble_once(
     ctrl_edges = {c: [e for e in edges if e[0] == c] for c in bip.controls}
     tgt_edges = {q: [e for e in edges if e[1] == q] for q in bip.targets}
 
-    roles: list[str] = []
-    names: list[str] = []
-    code_index: list[int | None] = []
-    qubit_of_code: dict[int, int] = {}
-    for q in sorted(bip.controls):
-        qubit_of_code[q] = len(roles)
-        roles.append(ROLE_CONTROL)
-        names.append(f"c{q}")
-        code_index.append(q)
-    for q in sorted(bip.targets):
-        qubit_of_code[q] = len(roles)
-        roles.append(ROLE_TARGET)
-        names.append(f"t{q}")
-        code_index.append(q)
+    code_index: list[int | None] = sorted(bip.controls) + sorted(bip.targets)
+    qubit_of_code = {q: i for i, q in enumerate(code_index)}
+    plus = [True] * len(bip.controls) + [False] * len(bip.targets)
 
     n_edges = len(edges)
     # Edge gate endpoints default to the bare code qubits.
@@ -623,16 +598,10 @@ def _assemble_once(
     else:
         priority = {i: priority_list[i] for i in range(n_edges)}
 
-    flag_counter = 0
-
-    def new_flag(role: str) -> int:
-        nonlocal flag_counter
-        qid = len(roles)
-        roles.append(role)
-        names.append(f"f{flag_counter}")
+    def new_flag(plus_basis: bool) -> int:
         code_index.append(None)
-        flag_counter += 1
-        return qid
+        plus.append(plus_basis)
+        return len(code_index) - 1
 
     def add_gadget(code_q: int, my_edges: list[tuple[int, int]], detect: str, t_side: int) -> None:
         degree = len(my_edges)
@@ -640,10 +609,9 @@ def _assemble_once(
             return  # no gadget on this side: the bare edges are unconstrained
         base = pick_gadget(t_side, degree)
         gadget = base if detect == "X" else hadamard_conjugate_gadget(base)
-        flag_role = ROLE_FLAG_X if detect == "X" else ROLE_FLAG_Z
         label_map: dict[int, int] = {0: qubit_of_code[code_q]}
         for f in gadget.flag_labels:
-            label_map[f] = new_flag(flag_role)
+            label_map[f] = new_flag(detect == "Z")
         # Slot labels in gadget-time order get this qubit's edges in global
         # priority order.
         slot_time_order = [
@@ -677,12 +645,8 @@ def _assemble_once(
 
     gates = [(gate_ctrl[i], gate_tgt[i]) for i in range(n_edges)] + extra_gates
     assembled = AssembledCircuit(
-        state=state,
-        bipartite=bip,
-        n_qubits=len(roles),
-        roles=tuple(roles),
-        names=tuple(names),
         code_index=tuple(code_index),
+        plus=tuple(plus),
         gates=tuple(gates),
         chains=tuple(chains),
         t_x=t_x,

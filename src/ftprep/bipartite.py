@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .circuit import (
-    ROLE_CONTROL,
-    ROLE_TARGET,
-    CXGate,
-    FinalMeasure,
-    Init,
-    make_circuit,
-)
+from .circuit import Circuit, CXGate, Init
 from .css import CssState, validate_css_state
 
 
@@ -62,24 +55,13 @@ class BipartiteCircuit:
         degs += [self.target_degree(t) for t in self.targets]
         return max(degs) if degs else 0
 
-    def bare_circuit(self, n: int):
+    def bare_circuit(self) -> Circuit:
         """The induced plain circuit (no gadgets), edges in sorted order."""
-        roles = []
-        code_index: list[int | None] = []
-        qubit_of = {}
-        for q in sorted(self.controls) + sorted(self.targets):
-            qubit_of[q] = len(roles)
-            roles.append(ROLE_CONTROL if q in self.controls else ROLE_TARGET)
-            code_index.append(q)
-        ops = []
-        for q in sorted(self.controls):
-            ops.append(Init(qubit_of[q], "+"))
-        for q in sorted(self.targets):
-            ops.append(Init(qubit_of[q], "0"))
-        for a, b in sorted(self.edges):
-            ops.append(CXGate(qubit_of[a], qubit_of[b]))
-        ops.append(FinalMeasure("Z"))
-        return make_circuit(roles, code_index, ops)
+        code = sorted(self.controls) + sorted(self.targets)
+        qubit_of = {q: i for i, q in enumerate(code)}
+        ops = [Init(i, "+" if i < len(self.controls) else "0") for i in range(len(code))]
+        ops += [CXGate(qubit_of[a], qubit_of[b]) for a, b in sorted(self.edges)]
+        return Circuit(tuple(code), tuple(ops))
 
 
 def synthesize_bipartite(state: CssState, seed: int) -> BipartiteCircuit:

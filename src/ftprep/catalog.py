@@ -163,14 +163,7 @@ _BUILDERS = {
     "selfdual20": selfdual20_data,
 }
 
-DEFAULT_STATES = {
-    "steane": "|0>",
-    "golay": "|0>",
-    "color17": "|0>",
-    "surface9": "|0>",
-    "surface25": "|0>",
-    "selfdual20": "|0>",
-}
+DEFAULT_STATE = "|0>"
 
 
 def catalog_names() -> list[str]:
@@ -196,7 +189,7 @@ def get_state(name: str, state_label: str | None = None) -> CssState:
     """A validated CssState for a catalog code (or a code-file path)."""
     if name in _BUILDERS:
         data = _BUILDERS[name]()
-        return _state_from_data(data, state_label or DEFAULT_STATES[name])
+        return _state_from_data(data, state_label or DEFAULT_STATE)
     path = Path(name)
     if path.exists():
         return parse_code_file(path, state_label)
@@ -244,7 +237,7 @@ def parse_code_file(path: str | Path, state_label: str | None = None) -> CssStat
         "logical_x": _parse_pauli_rows(raw["logical_x"], n, "logical_x", "X"),
         "logical_z": _parse_pauli_rows(raw["logical_z"], n, "logical_z", "Z"),
     }
-    label = state_label or raw.get("default_state", "|0>")
+    label = state_label or raw.get("default_state", DEFAULT_STATE)
     return _state_from_data(data, label)
 
 
@@ -265,6 +258,6 @@ def export_code_file(name: str, path: str | Path) -> None:
         "z_stabilizers": rows_to_str(data["z_stabilizers"], "Z"),
         "logical_x": rows_to_str(data["logical_x"], "X"),
         "logical_z": rows_to_str(data["logical_z"], "Z"),
-        "default_state": DEFAULT_STATES[data["name"]],
+        "default_state": DEFAULT_STATE,
     }
     Path(path).write_text(json.dumps(payload, indent=1))

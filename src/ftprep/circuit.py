@@ -1,11 +1,14 @@
 """Time-ordered circuit model for preparation circuits and gadgets.
 
-Qubits are integer-indexed with a role each: ``control``/``target`` for code
-qubits (the two sides of the bipartite preparation graph) and
-``flag_x``/``flag_z`` for gadget flags.  Operations appear in time order;
-every qubit is initialized exactly once before its first gate, flags are
-measured exactly once after their last gate, and code qubits are only read
-by the final transversal measurement.
+A circuit is its code-qubit map and its ops.  Qubits are integer-indexed;
+``code_index`` maps each one to its code qubit, or to None for a flag.
+Operations appear in time order: every qubit is initialized exactly once
+before its first gate, flags are measured exactly once after their last
+gate, and code qubits are only read by the final transversal Z
+measurement, which stays implicit and noiseless.  A qubit's role follows
+from its ops: code qubits started in |+> are the controls of the bipartite
+preparation graph and those started in |0> its targets; a flag measured in
+Z detects X errors and one measured in X detects Z errors.
 
 The module also owns the backward transfer-map sweep that both the exhaustive
 verifier and the Monte Carlo effect tables are built from, and the packed
@@ -14,17 +17,12 @@ flag layout they share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .css import CssState, coset_key_columns
-
-ROLE_CONTROL = "control"
-ROLE_TARGET = "target"
-ROLE_FLAG_X = "flag_x"
-ROLE_FLAG_Z = "flag_z"
 
 
 @dataclass(frozen=True)
@@ -46,27 +44,19 @@ class FlagMeasure:
     outcome: int  # index into the circuit's flag-outcome vector
 
 
-@dataclass(frozen=True)
-class FinalMeasure:
-    basis: str  # "Z" or "X"
-
-
-Operation = Init | CXGate | FlagMeasure | FinalMeasure
+Operation = Init | CXGate | FlagMeasure
 
 
 @dataclass(frozen=True)
 class Circuit:
     """An executable preparation circuit."""
 
-    n_qubits: int
-    roles: tuple[str, ...]
-    names: tuple[str, ...]
     code_index: tuple[int | None, ...]  # circuit qubit -> code qubit, None for flags
     ops: tuple[Operation, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.roles) != self.n_qubits or len(self.names) != self.n_qubits:
-            raise ValueError("role/name lists must match the qubit count")
+    @property
+    def n_qubits(self) -> int:
+        return len(self.code_index)
 
     @property
     def cx_count(self) -> int:
@@ -75,16 +65,6 @@ class Circuit:
     @property
     def flag_count(self) -> int:
         return sum(1 for op in self.ops if isinstance(op, FlagMeasure))
-
-    @property
-    def code_qubits(self) -> list[int]:
-        return [q for q in range(self.n_qubits) if self.code_index[q] is not None]
-
-    def flag_measurements(self) -> list[FlagMeasure]:
-        return [op for op in self.ops if isinstance(op, FlagMeasure)]
-
-    def with_ops(self, ops: list[Operation]) -> Circuit:
-        return replace(self, ops=tuple(ops))
 
     def code_mask(self, circuit_mask: int) -> int:
         """Project a circuit-qubit bitmask down to code-qubit bits."""
@@ -214,23 +194,3 @@ def pack_effects(effects: list[int], n_flags: int) -> tuple[np.ndarray, np.ndarr
 def flag_int(flags: np.ndarray, v: int) -> int:
     """Column ``v`` of word-major flag words as one Python int."""
     return sum(int(w) << (64 * i) for i, w in enumerate(flags[:, v]))
-
-
-def make_circuit(
-    roles: list[str],
-    code_index: list[int | None],
-    ops: list[Operation],
-    names: list[str] | None = None,
-) -> Circuit:
-    """Assemble a Circuit, deriving role-prefixed names when not given."""
-    if names is None:
-        names = []
-        counters = {ROLE_CONTROL: 0, ROLE_TARGET: 0, "flag": 0}
-        for role, ci in zip(roles, code_index):
-            if role in (ROLE_CONTROL, ROLE_TARGET):
-                prefix = "c" if role == ROLE_CONTROL else "t"
-                names.append(f"{prefix}{ci}")
-            else:
-                names.append(f"f{counters['flag']}")
-                counters["flag"] += 1
-    return Circuit(len(roles), tuple(roles), tuple(names), tuple(code_index), tuple(ops))

@@ -33,12 +33,7 @@ from .verify import verify_fault_tolerance
 
 
 def _load_library(path: str | None) -> GadgetLibrary:
-    if path:
-        return GadgetLibrary.load(path)
-    try:
-        return GadgetLibrary.bundled()
-    except FileNotFoundError:  # no bundled data file: fall back to discovery
-        return GadgetLibrary()
+    return GadgetLibrary.load(path) if path else GadgetLibrary.bundled()
 
 
 def _write_out(path: str | None, payload: dict | list[dict]) -> None:
@@ -71,7 +66,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "targets": len(bip.targets),
     })
     if args.circuit_out:
-        circ = bip.bare_circuit(state.n)
+        circ = bip.bare_circuit()
         Path(args.circuit_out).write_text(
             serialization.serialize_circuit(circ, state.name, state.state_label)
         )
@@ -176,7 +171,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if str(path).endswith(".csv"):
             serialization.sample_set_to_csv(subset, path)
         else:
-            serialization.save_sample_set(subset, path)
+            serialization.save_sample_set(subset, path, state.state_label)
     _write_out(args.out, {
         "acceptance": res.acceptance_rate,
         "acceptance_lo": lo,
@@ -187,7 +182,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    state = catalog.get_state(args.code, None)
+    """Decode with the MW table of the state the sample sets were simulated
+    from; train and test must come from the same state."""
+    label, test_label = (serialization.sample_set_state(p) for p in (args.train, args.test))
+    if label != test_label:
+        raise ValueError(f"train samples are for {label}, test samples for {test_label}")
+    state = catalog.get_state(args.code, label)
     train = serialization.load_sample_set(args.train)
     test = serialization.load_sample_set(args.test)
     ml = build_ml_lut(train)

@@ -1,29 +1,22 @@
 """Text formats for circuits and gadgets, plus LUT and outcome files.
 
 Circuits and gadgets serialize to line-based text with one operation per
-line in time order; parse(serialize(x)) reproduces x exactly.  MW look-up
-tables are JSON; sample histograms persist as compressed numpy archives
-with a CSV export path.
+line in time order; serialize(parse(text)) reproduces written text exactly
+(a parsed circuit may number its qubits differently).  MW look-up tables
+are JSON; sample histograms persist as compressed numpy archives, with the
+label of the state they were sampled from, and export to CSV.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import count
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import (
-    ROLE_CONTROL,
-    ROLE_FLAG_X,
-    ROLE_FLAG_Z,
-    ROLE_TARGET,
-    Circuit,
-    CXGate,
-    FinalMeasure,
-    FlagMeasure,
-    Init,
-)
+from .catalog import DEFAULT_STATE
+from .circuit import Circuit, CXGate, FlagMeasure, Init
 from .decoder import MWTable
 from .gadgets import FlagGadget
 from .noise import SampleSet
@@ -40,90 +33,100 @@ class ParseError(ValueError):
 # -- circuits ----------------------------------------------------------------
 
 
+def _qubit_names(circuit: Circuit) -> list[str]:
+    """``c<i>`` or ``t<i>`` for code qubit i started in |+> or |0>, and
+    ``f<k>`` for the k-th flag in qubit order."""
+    plus = {op.qubit for op in circuit.ops if isinstance(op, Init) and op.basis == "+"}
+    flags = count()
+    return [
+        f"f{next(flags)}" if ci is None else f"{'c' if q in plus else 't'}{ci}"
+        for q, ci in enumerate(circuit.code_index)
+    ]
+
+
 def serialize_circuit(circuit: Circuit, code: str = "?", state_label: str = "?") -> str:
+    """One op per line, then the implicit final transversal readout as
+    ``FINAL_MEAS Z``."""
+    names = _qubit_names(circuit)
     lines = [f"CIRCUIT code={code} state={state_label}"]
     for op in circuit.ops:
         if isinstance(op, Init):
             opcode = "INIT+" if op.basis == "+" else "INIT0"
-            lines.append(f"{opcode} {circuit.names[op.qubit]}")
+            lines.append(f"{opcode} {names[op.qubit]}")
         elif isinstance(op, CXGate):
-            lines.append(f"CX {circuit.names[op.control]} {circuit.names[op.target]}")
+            lines.append(f"CX {names[op.control]} {names[op.target]}")
         elif isinstance(op, FlagMeasure):
             opcode = "MZ" if op.basis == "Z" else "MX"
-            lines.append(f"{opcode} {circuit.names[op.qubit]} -> m{op.outcome}")
-        elif isinstance(op, FinalMeasure):
-            lines.append(f"FINAL_MEAS {op.basis}")
+            lines.append(f"{opcode} {names[op.qubit]} -> m{op.outcome}")
+    lines.append("FINAL_MEAS Z")
     return "\n".join(lines) + "\n"
 
 
 def parse_circuit(text: str) -> tuple[Circuit, str, str]:
-    """Parse circuit text; returns (circuit, code name, state label)."""
+    """Parse circuit text; returns (circuit, code name, state label).
+
+    Code qubits are numbered in order of first appearance and flags after
+    them in f-number order, so ``serialize_circuit`` gives back any text it
+    wrote.  The last line must be ``FINAL_MEAS Z``.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("CIRCUIT"):
         raise ParseError(1, "expected a CIRCUIT header")
     header = dict(
         part.split("=", 1) for part in lines[0].split()[1:] if "=" in part
     )
-    names: dict[str, int] = {}
-    roles: list[str] = []
-    code_index: list[int | None] = []
-    ops = []
+    body = [
+        (line_no, parts)
+        for line_no, parts in enumerate((line.split() for line in lines[1:]), start=2)
+        if parts and not parts[0].startswith("#")
+    ]
+    trailer = "a circuit ends with one FINAL_MEAS Z line"
+    qubits: dict[tuple[str, int], None] = {}  # (prefix, number), in order of first appearance
+    raw_ops = []  # (op class, qubit keys, other fields)
 
     def index(token: str, line_no: int) -> int:
         if not token[1:].isdecimal():
             raise ParseError(line_no, f"malformed index in {token!r}")
         return int(token[1:])
 
-    def qubit(token: str, line_no: int) -> int:
-        if token in names:
-            return names[token]
-        idx = len(roles)
-        names[token] = idx
-        if token.startswith("c"):
-            roles.append(ROLE_CONTROL)
-            code_index.append(index(token, line_no))
-        elif token.startswith("t"):
-            roles.append(ROLE_TARGET)
-            code_index.append(index(token, line_no))
-        elif token.startswith("f"):
-            roles.append(ROLE_FLAG_X)  # refined when measured
-            code_index.append(None)
-        else:
+    def qubit(token: str, line_no: int) -> tuple[str, int]:
+        if token[:1] not in ("c", "t", "f"):
             raise ParseError(line_no, f"unknown qubit name {token!r}")
-        return idx
+        key = (token[0], index(token, line_no))
+        qubits.setdefault(key)
+        return key
 
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for line_no, parts in body:
         opcode = parts[0]
         if opcode in ("INIT+", "INIT0"):
             if len(parts) != 2:
                 raise ParseError(line_no, f"{opcode} takes one qubit")
-            ops.append(Init(qubit(parts[1], line_no), "+" if opcode == "INIT+" else "0"))
+            key = qubit(parts[1], line_no)
+            if key[0] != "f" and (key[0] == "c") != (opcode == "INIT+"):
+                raise ParseError(line_no, "c-qubits start in |+> and t-qubits in |0>")
+            raw_ops.append((Init, (key,), ("+" if opcode == "INIT+" else "0",)))
         elif opcode == "CX":
             if len(parts) != 3:
                 raise ParseError(line_no, "CX takes two qubits")
-            ops.append(CXGate(qubit(parts[1], line_no), qubit(parts[2], line_no)))
+            raw_ops.append((CXGate, (qubit(parts[1], line_no), qubit(parts[2], line_no)), ()))
         elif opcode in ("MZ", "MX"):
             if len(parts) != 4 or parts[2] != "->" or not parts[3].startswith("m"):
                 raise ParseError(line_no, f"{opcode} syntax: {opcode} <q> -> m<i>")
-            q = qubit(parts[1], line_no)
-            outcome = index(parts[3], line_no)
-            basis = "Z" if opcode == "MZ" else "X"
-            roles[q] = ROLE_FLAG_X if basis == "Z" else ROLE_FLAG_Z
-            ops.append(FlagMeasure(q, basis, outcome))
+            key = qubit(parts[1], line_no)
+            raw_ops.append((FlagMeasure, (key,), (opcode[1], index(parts[3], line_no))))
         elif opcode == "FINAL_MEAS":
-            if len(parts) != 2:
-                raise ParseError(line_no, "FINAL_MEAS takes a basis")
-            ops.append(FinalMeasure(parts[1]))
+            if parts != ["FINAL_MEAS", "Z"] or line_no != body[-1][0]:
+                raise ParseError(line_no, trailer)
         else:
             raise ParseError(line_no, f"unknown opcode {opcode!r}")
-    name_list = [None] * len(roles)
-    for token, idx in names.items():
-        name_list[idx] = token
-    circuit = Circuit(len(roles), tuple(roles), tuple(name_list), tuple(code_index), tuple(ops))
+    if not body or body[-1][1] != ["FINAL_MEAS", "Z"]:
+        raise ParseError(body[-1][0] if body else len(lines), trailer)
+    order = [key for key in qubits if key[0] != "f"] + sorted(key for key in qubits if key[0] == "f")
+    qid = {key: q for q, key in enumerate(order)}
+    circuit = Circuit(
+        tuple(None if prefix == "f" else i for prefix, i in order),
+        tuple(cls(*(qid[key] for key in keys), *rest) for cls, keys, rest in raw_ops),
+    )
     circuit.validate()
     return circuit, header.get("code", "?"), header.get("state", "?")
 
@@ -231,9 +234,10 @@ def _rows(samples: SampleSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return synd[order], cls[order], order
 
 
-def save_sample_set(samples: SampleSet, path: str | Path) -> None:
+def save_sample_set(samples: SampleSet, path: str | Path, state_label: str = DEFAULT_STATE) -> None:
     """Persist a histogram as a compact binary archive, one row per key in
-    (syndrome, class) order."""
+    (syndrome, class) order, with the label of the state it was sampled
+    from."""
     synd, cls, order = _rows(samples)
     np.savez_compressed(
         path,
@@ -242,6 +246,7 @@ def save_sample_set(samples: SampleSet, path: str | Path) -> None:
         counts=samples.count[order],
         weights=samples.weight[order],
         meta=np.array([samples.synd_bits, samples.class_bits], dtype=np.int64),
+        state=np.array(state_label),
     )
 
 
@@ -250,6 +255,13 @@ def load_sample_set(path: str | Path) -> SampleSet:
     synd_bits, class_bits = (int(x) for x in data["meta"])
     keys = data["synd"].astype(np.uint64) | data["cls"].astype(np.uint64) << np.uint64(synd_bits)
     return SampleSet.tally(synd_bits, class_bits, keys, data["counts"], data["weights"])
+
+
+def sample_set_state(path: str | Path) -> str:
+    """The state label a sample-set archive records; an archive without one
+    was sampled from |0>."""
+    with np.load(path) as data:
+        return str(data["state"]) if "state" in data.files else DEFAULT_STATE
 
 
 def sample_set_to_csv(samples: SampleSet, path: str | Path) -> None:

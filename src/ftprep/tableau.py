@@ -178,7 +178,7 @@ def tableau_check_circuit(circuit: Circuit, state: CssState) -> TableauMismatch 
     when everything holds, otherwise the first mismatch.
     """
     tab, outcomes, deterministic = run_tableau(circuit)
-    for meas in circuit.flag_measurements():
+    for meas in (op for op in circuit.ops if isinstance(op, FlagMeasure)):
         if not deterministic[meas.outcome]:
             return TableauMismatch("nondeterministic-flag", f"flag outcome {meas.outcome}")
         if outcomes[meas.outcome] != 0:

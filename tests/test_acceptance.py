@@ -133,7 +133,7 @@ def test_criterion_3_exhaustive_verification(steane_prep, color17_prep):
     assert color_time < 4 * 3600
 
     for state, prep in (steane_prep, color17_prep):
-        bare = prep.bipartite.bare_circuit(state.n)
+        bare = prep.bipartite.bare_circuit()
         ce = verify_fault_tolerance(bare, state, 1, "X")
         assert ce is not None and len(ce.faults) == 1
     print(f"\n[criterion 3] PASS: Steane t=1 both types ({steane_time:.1f}s), "

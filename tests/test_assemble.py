@@ -15,7 +15,7 @@ from ftprep.assemble import (
 )
 from ftprep.bipartite import best_of_trials, synthesize_bipartite
 from ftprep.catalog import get_state
-from ftprep.circuit import Circuit, CXGate, FinalMeasure, flag_int
+from ftprep.circuit import Circuit, CXGate, FlagMeasure, flag_int
 from ftprep.css import CssState
 from ftprep.library import GadgetLibrary
 from ftprep.serialization import serialize_circuit
@@ -70,7 +70,7 @@ def test_steane_z_override_drops_z_gadgets(library):
     bip = best_of_trials(state, 200, 7)
     asm = assemble_ft_circuit(state, bip, library, z_gadget_t_override=0, seed=5)
     circ = schedule_circuit(asm, "min_max_qubits", shuffles=100, seed=3)
-    assert all(role != "flag_z" for role in circ.roles)
+    assert not any(isinstance(op, FlagMeasure) and op.basis == "X" for op in circ.ops)
     assert tableau_check_circuit(circ, state) is None
 
 
@@ -126,7 +126,7 @@ def test_schedule_invariance_of_propagation(library):
 
 
 def test_metrics_empty_circuit():
-    circ = Circuit(0, (), (), (), (FinalMeasure("Z"),))
+    circ = Circuit((), ())
     m = circuit_metrics(circ)
     assert m == CircuitMetrics(0, 0, 0, 0)
 
@@ -134,10 +134,9 @@ def test_metrics_empty_circuit():
 def test_depth_greedy_layering():
     ops = (
         *(CXGate(a, b) for a, b in ((0, 1), (2, 3), (1, 2))),
-        FinalMeasure("Z"),
     )
     # build a minimal raw circuit: inits implicit not needed for metrics
-    circ = Circuit(4, ("control",) * 4, ("c0", "c1", "c2", "c3"), (0, 1, 2, 3), ops)
+    circ = Circuit((0, 1, 2, 3), ops)
     assert circuit_metrics(circ).depth == 2  # first two commute, third stacks
 
 

@@ -44,7 +44,7 @@ def test_synthesis_passes_tableau(name):
     state = get_state(name)
     for seed in (0, 1, 2):
         bip = synthesize_bipartite(state, seed=seed)
-        assert tableau_check_circuit(bip.bare_circuit(state.n), state) is None
+        assert tableau_check_circuit(bip.bare_circuit(), state) is None
 
 
 def test_bipartiteness():

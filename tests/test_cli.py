@@ -7,10 +7,12 @@ import pytest
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
 from ftprep.catalog import get_state
+from ftprep import library
 from ftprep.cli import main
+from ftprep.decoder import build_ml_lut, build_mw_lut, evaluate_test_set
 from ftprep.library import GadgetLibrary
 from ftprep.noise import SampleSet
-from ftprep.serialization import save_sample_set, serialize_circuit
+from ftprep.serialization import load_sample_set, save_sample_set, serialize_circuit
 
 
 def test_gadget_command(tmp_path, capsys):
@@ -127,6 +129,31 @@ def test_simulate_decode_flow(tmp_path, capsys):
     rc = main(["decode", "--code", "golay", "--train", str(train), "--test", str(test)])
     assert rc == 2
     assert "syndrome" in capsys.readouterr().err
+
+
+def test_decode_uses_the_state_the_samples_came_from(tmp_path, capsys):
+    # color17's |0> and |+> MW tables give different classes: decoding |+>
+    # samples with the |0> table reports 0.000772 here instead of 0.000182.
+    circ_path, train, test = tmp_path / "plus.circuit", tmp_path / "train.npz", tmp_path / "test.npz"
+    assert main([
+        "assemble", "--code", "color17", "--state", "|+>", "--seed", "5", "--trials", "20",
+        "--shuffles", "5", "--circuit-out", str(circ_path),
+    ]) == 0
+    assert main([
+        "simulate", "--circuit", str(circ_path), "--code", "color17", "--p", "5e-3",
+        "--samples", "50000", "--seed", "2", "--train-out", str(train), "--test-out", str(test),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["decode", "--code", "color17", "--train", str(train), "--test", str(test)]) == 0
+    expected = evaluate_test_set(
+        load_sample_set(test), build_ml_lut(load_sample_set(train)),
+        build_mw_lut(get_state("color17", "|+>"), "X", 2),
+    )
+    assert capsys.readouterr().out == f"{expected}\n"
+    # Train and test sets from different states are an error.
+    save_sample_set(load_sample_set(test), test, "|0>")
+    assert main(["decode", "--code", "color17", "--train", str(train), "--test", str(test)]) == 2
+    assert "train samples are for |+>, test samples for |0>" in capsys.readouterr().err
 
 
 def test_decode_wmax_zero_builds_no_mw_table(tmp_path, capsys):
@@ -255,3 +282,18 @@ def test_invalid_bundled_library_is_an_error(monkeypatch, capsys):
     rc = main(["assemble", "--code", "steane", "--seed", "5", "--trials", "10", "--shuffles", "2"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_missing_bundled_library_is_an_error(monkeypatch, capsys):
+    # An empty library would fall back to minutes of gadget search.
+    def missing(cls):
+        raise FileNotFoundError("no bundled gadget library")
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("discover_gadget called")
+
+    monkeypatch.setattr(GadgetLibrary, "bundled", classmethod(missing))
+    monkeypatch.setattr(library, "discover_gadget", no_search)
+    rc = main(["assemble", "--code", "steane", "--seed", "5", "--trials", "10", "--shuffles", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: no bundled gadget library")

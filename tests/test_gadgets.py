@@ -12,7 +12,7 @@ from ftprep.gadgets import (
     trivial_gadget,
 )
 from ftprep.tableau import run_tableau
-from ftprep.circuit import Circuit, CXGate, FinalMeasure, FlagMeasure, Init
+from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 
 
 def test_single_cx_fails_at_five_targets():
@@ -131,15 +131,12 @@ def test_engine_matches_reference_on_random_circuits(monkeypatch):
 def test_noiseless_soundness_of_discovered_gadget():
     g = discover_gadget(2, 5, 2).gadget
     n = 1 + g.r + g.m
-    roles = ["control"] + ["target"] * g.r + ["flag_x"] * g.m
-    names = ["c0"] + [f"t{i}" for i in range(g.r)] + [f"f{i}" for i in range(g.m)]
     code_index = [0] + list(range(1, g.r + 1)) + [None] * g.m
     ops = [Init(0, "+")] + [Init(q, "0") for q in range(1, n)]
     ops += [CXGate(a, b) for a, b in g.gates]
     for i, f in enumerate(g.flag_labels):
         ops.append(FlagMeasure(f, "Z", i))
-    ops.append(FinalMeasure("Z"))
-    circ = Circuit(n, tuple(roles), tuple(names), tuple(code_index), tuple(ops))
+    circ = Circuit(tuple(code_index), tuple(ops))
     tab, outcomes, deterministic = run_tableau(circ)
     assert all(deterministic) and not any(outcomes)
     # final stabilizer X_c X_t1 ... X_tr

@@ -9,15 +9,7 @@ from ftprep import noise
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials, synthesize_bipartite
 from ftprep.catalog import get_state
-from ftprep.circuit import (
-    Circuit,
-    CXGate,
-    FinalMeasure,
-    FlagMeasure,
-    Init,
-    flag_int,
-    make_circuit,
-)
+from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init, flag_int
 from ftprep.css import CssState
 from ftprep.decoder import build_ml_lut, build_mw_lut, evaluate_test_set
 from ftprep.library import GadgetLibrary
@@ -53,16 +45,12 @@ def wide_flag_circuit(circ: Circuit, n_extra: int = 130) -> Circuit:
     """``circ`` padded with ``n_extra`` flags, each touching a code qubit with
     two CX gates that cancel when fault-free.  At 130 extra flags the flag
     layout spans three 64-bit words."""
-    assert isinstance(circ.ops[-1], FinalMeasure)
-    code = circ.code_qubits
-    ops = list(circ.ops[:-1])
+    code = [q for q, ci in enumerate(circ.code_index) if ci is not None]
+    ops = list(circ.ops)
     for k in range(n_extra):
         f, c = circ.n_qubits + k, code[k % len(code)]
         ops += [Init(f, "0"), CXGate(c, f), CXGate(c, f), FlagMeasure(f, "Z", circ.flag_count + k)]
-    ops.append(circ.ops[-1])
-    return make_circuit(
-        list(circ.roles) + ["flag_x"] * n_extra, list(circ.code_index) + [None] * n_extra, ops
-    )
+    return Circuit(circ.code_index + (None,) * n_extra, tuple(ops))
 
 
 @pytest.fixture(scope="module")
@@ -76,9 +64,8 @@ def toy_circuit() -> Circuit:
         Init(1, "0"),
         CXGate(0, 1),
         FlagMeasure(1, "Z", 0),
-        FinalMeasure("Z"),
     )
-    return Circuit(2, ("control", "flag_x"), ("c0", "f0"), (0, None), ops)
+    return Circuit((0, None), ops)
 
 
 def test_count_locations_toy():
@@ -86,7 +73,7 @@ def test_count_locations_toy():
 
 
 def test_count_locations_empty():
-    empty = Circuit(0, (), (), (), (FinalMeasure("Z"),))
+    empty = Circuit((), ())
     assert count_fault_locations(empty) == (0, 0)
 
 
@@ -322,8 +309,8 @@ def test_effect_tables_reject_more_than_64_syndrome_and_class_bits():
         logical_x=(1 << 64,),
         logical_z=(1 << 64,),
     )
-    ops = tuple(Init(q, "0") for q in range(n)) + (FinalMeasure("Z"),)
-    circ = Circuit(n, ("control",) * n, tuple(f"c{q}" for q in range(n)), tuple(range(n)), ops)
+    ops = tuple(Init(q, "0") for q in range(n))
+    circ = Circuit(tuple(range(n)), ops)
     with pytest.raises(ValueError, match="64-bit"):
         build_effect_tables(circ, state)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
 from ftprep.catalog import get_state
+from ftprep.circuit import Init
 from ftprep.decoder import build_mw_lut
 from ftprep.gadgets import discover_gadget, hadamard_conjugate_gadget
 from ftprep.library import GadgetLibrary
@@ -16,6 +18,7 @@ from ftprep.serialization import (
     load_sample_set,
     parse_circuit,
     parse_gadget,
+    sample_set_state,
     sample_set_to_csv,
     save_mw_table,
     save_sample_set,
@@ -38,6 +41,40 @@ def test_circuit_round_trip_byte_identical():
     parsed.validate()
     assert parsed.cx_count == circ.cx_count
     assert parsed.flag_count == circ.flag_count
+
+
+def test_flags_are_numbered_in_f_number_order():
+    # f1 appears before f0; flags get the qubits after the code qubits in
+    # f-number order, so the text survives a round trip.
+    text = (
+        "CIRCUIT code=? state=?\nINIT+ c0\nINIT0 f1\nCX c0 f1\nINIT0 t1\nCX c0 t1\n"
+        "INIT+ f0\nCX f0 t1\nMZ f1 -> m0\nMX f0 -> m1\nFINAL_MEAS Z\n"
+    )
+    circ, _, _ = parse_circuit(text)
+    assert circ.code_index == (0, 1, None, None)
+    assert circ.ops[1] == Init(3, "0") and circ.ops[5] == Init(2, "+")
+    assert serialize_circuit(circ) == text
+
+
+def test_bare_circuit_round_trip():
+    bip = best_of_trials(get_state("steane"), 20, 1)
+    text = serialize_circuit(bip.bare_circuit(), "steane", "|0>")
+    assert sum(line.startswith("INIT+ c") for line in text.splitlines()) == len(bip.controls)
+    assert sum(line.startswith("INIT0 t") for line in text.splitlines()) == len(bip.targets)
+    assert serialize_circuit(parse_circuit(text)[0], "steane", "|0>") == text
+
+
+@pytest.mark.parametrize("body, line_no, reason", [
+    ("INIT+ c0\nFINAL_MEAS X\n", 3, "FINAL_MEAS Z"),
+    ("INIT+ c0\nINIT0 fzz\nCX c0 fzz\nMZ fzz -> m0\nFINAL_MEAS Z\n", 3, "malformed index in 'fzz'"),
+    ("INIT+ c0\n", 2, "FINAL_MEAS Z"),
+    ("INIT+ c0\nFINAL_MEAS Z\nINIT0 t1\nFINAL_MEAS Z\n", 3, "FINAL_MEAS Z"),
+    ("INIT0 c0\nFINAL_MEAS Z\n", 2, "c-qubits start in |+>"),
+])
+def test_malformed_circuit_lines_are_reported(body, line_no, reason):
+    with pytest.raises(ParseError, match=re.escape(reason)) as err:
+        parse_circuit("CIRCUIT code=x state=y\n" + body)
+    assert err.value.line_no == line_no
 
 
 def test_gadget_round_trip_and_line_counts():
@@ -132,10 +169,13 @@ def test_sample_set_archive_layout(tmp_path):
         weights=weight, meta=np.array([4, 1], dtype=np.int64),
     )
     assert_same_histogram(load_sample_set(path), rows_histogram())
+    # An archive without a state entry was sampled from |0>.
+    assert sample_set_state(path) == "|0>"
     written = tmp_path / "written.npz"
-    save_sample_set(rows_histogram(), written)
+    save_sample_set(rows_histogram(), written, "|+>")
+    assert sample_set_state(written) == "|+>"
     with np.load(path) as legacy, np.load(written) as new:
-        assert sorted(legacy.files) == sorted(new.files)
+        assert sorted(new.files) == sorted(legacy.files + ["state"])
         for name in legacy.files:
             assert legacy[name].dtype == new[name].dtype, name
             assert legacy[name].tolist() == new[name].tolist(), name

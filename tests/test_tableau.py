@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftprep.circuit import Circuit, CXGate, FinalMeasure, FlagMeasure, Init
+from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 from ftprep.css import CssState
 from ftprep.tableau import Tableau, run_tableau, tableau_check_circuit
 
@@ -21,8 +23,8 @@ def bell_state() -> CssState:
 
 
 def bell_circuit() -> Circuit:
-    ops = (Init(0, "+"), Init(1, "0"), CXGate(0, 1), FinalMeasure("Z"))
-    return Circuit(2, ("control", "target"), ("c0", "t0"), (0, 1), ops)
+    ops = (Init(0, "+"), Init(1, "0"), CXGate(0, 1))
+    return Circuit((0, 1), ops)
 
 
 def test_bell_preparation_checks():
@@ -30,8 +32,8 @@ def test_bell_preparation_checks():
 
 
 def test_missing_gate_is_detected():
-    ops = (Init(0, "+"), Init(1, "0"), FinalMeasure("Z"))
-    circ = Circuit(2, ("control", "target"), ("c0", "t0"), (0, 1), ops)
+    ops = (Init(0, "+"), Init(1, "0"))
+    circ = Circuit((0, 1), ops)
     mismatch = tableau_check_circuit(circ, bell_state())
     assert mismatch is not None
     assert mismatch.kind == "unsatisfied-stabilizer"
@@ -46,11 +48,8 @@ def test_deterministic_flag_requirement():
         FlagMeasure(2, "Z", 0),
         Init(1, "0"),
         CXGate(0, 1),
-        FinalMeasure("Z"),
     )
-    circ = Circuit(
-        3, ("control", "target", "flag_x"), ("c0", "t0", "f0"), (0, 1, None), ops
-    )
+    circ = Circuit((0, 1, None), ops)
     mismatch = tableau_check_circuit(circ, bell_state())
     assert mismatch is not None
     assert mismatch.kind == "nondeterministic-flag"
@@ -66,11 +65,8 @@ def test_pauli_fault_flips_flag():
         CXGate(0, 1),
         CXGate(0, 2),
         FlagMeasure(2, "Z", 0),
-        FinalMeasure("Z"),
     )
-    circ = Circuit(
-        3, ("control", "target", "flag_x"), ("c0", "t0", "f0"), (0, 1, None), ops
-    )
+    circ = Circuit((0, 1, None), ops)
     # fault after op 2 (the first bracket CX): X on the control
     _, outcomes, deterministic = run_tableau(circ, faults=[(2, 0b001, 0)])
     assert deterministic[0] and outcomes[0] == 1
@@ -102,7 +98,7 @@ def test_assembled_circuit_mutation_detected():
     assert tableau_check_circuit(circ, state) is None
     # deleting any single CX breaks the prepared state or a flag outcome
     cut = next(i for i, op in enumerate(circ.ops) if isinstance(op, CXGate))
-    mutated = circ.with_ops([op for i, op in enumerate(circ.ops) if i != cut])
+    mutated = replace(circ, ops=tuple(op for i, op in enumerate(circ.ops) if i != cut))
     assert tableau_check_circuit(mutated, state) is not None
 
 

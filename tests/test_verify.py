@@ -9,7 +9,7 @@ from ftprep import verify
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
 from ftprep.catalog import _state_from_data, get_state, rotated_surface_data
-from ftprep.circuit import Circuit, CXGate, FinalMeasure, FlagMeasure, Init
+from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 from ftprep.css import CssState, min_weight_modulo
 from ftprep.library import GadgetLibrary
 from ftprep.noise import build_effect_tables
@@ -40,9 +40,8 @@ def toy_circuit() -> Circuit:
         Init(1, "0"),
         CXGate(0, 1),
         FlagMeasure(1, "Z", 0),
-        FinalMeasure("Z"),
     )
-    return Circuit(2, ("control", "flag_x"), ("c0", "f0"), (0, None), ops)
+    return Circuit((0, None), ops)
 
 
 def test_enumerate_counts_match_stated_rules():
@@ -53,7 +52,7 @@ def test_enumerate_counts_match_stated_rules():
     assert sum(len(l.variants) for l in x_locs) == 1 + 3 + 1
     z_locs = enumerate_fault_locations(circ, "Z")
     assert sum(len(l.variants) for l in z_locs) == 1 + 3
-    empty = Circuit(0, (), (), (), (FinalMeasure("Z"),))
+    empty = Circuit((), ())
     assert enumerate_fault_locations(empty, "X") == []
 
 
@@ -65,7 +64,7 @@ def test_steane_passes_both_types(steane_circuit):
 
 def test_stripped_circuit_fails_with_replayable_counterexample(steane_circuit):
     state, bip, _ = steane_circuit
-    bare = bip.bare_circuit(state.n)
+    bare = bip.bare_circuit()
     ce = verify_fault_tolerance(bare, state, 1, "X")
     assert ce is not None
     assert len(ce.faults) == 1
@@ -77,7 +76,7 @@ def test_stripped_circuit_fails_with_replayable_counterexample(steane_circuit):
 @pytest.mark.parametrize("name", ["color17", "golay"])
 def test_counterexample_reduced_weight_is_exact(name):
     state = get_state(name)
-    bare = best_of_trials(state, 5, 0).bare_circuit(state.n)
+    bare = best_of_trials(state, 5, 0).bare_circuit()
     for typ in ("X", "Z"):
         ce = verify_fault_tolerance(bare, state, 2, typ)
         assert ce is not None
@@ -88,7 +87,7 @@ def test_counterexample_reduced_weight_is_exact(name):
 def test_rotated_surface_d7_bare_counterexamples_replay():
     # 24 same-type generators: past any enumeration of the stabilizer group.
     state = _state_from_data(rotated_surface_data(7), "|0>")
-    bare = best_of_trials(state, 5, 0).bare_circuit(state.n)
+    bare = best_of_trials(state, 5, 0).bare_circuit()
     for typ in ("X", "Z"):
         ce = verify_fault_tolerance(bare, state, 1, typ)
         assert ce is not None
@@ -102,7 +101,7 @@ def test_stripped_z_side_safe_for_steane(steane_circuit):
     # Every Z error on the Steane state reduces to weight <= 1, so even the
     # bare circuit satisfies the Z-type criterion.
     state, bip, _ = steane_circuit
-    assert verify_fault_tolerance(bip.bare_circuit(state.n), state, 1, "Z") is None
+    assert verify_fault_tolerance(bip.bare_circuit(), state, 1, "Z") is None
 
 
 def test_monotone_soundness(steane_circuit):
@@ -134,8 +133,8 @@ def test_more_than_64_key_bits_rejected():
         logical_x=(1 << (n - 1),),
         logical_z=(1 << (n - 1),),
     )
-    ops = tuple(Init(q, "0") for q in range(n)) + (FinalMeasure("Z"),)
-    circ = Circuit(n, ("control",) * n, tuple(f"c{q}" for q in range(n)), tuple(range(n)), ops)
+    ops = tuple(Init(q, "0") for q in range(n))
+    circ = Circuit(tuple(range(n)), ops)
     with pytest.raises(ValueError, match="64 syndrome \\+ 1 class bits exceed the 64-bit key width"):
         verify_fault_tolerance(circ, state, 1, "X")
 
@@ -144,7 +143,7 @@ def test_more_than_64_code_qubits_verified():
     # Rotated surface d=9: 81 code qubits, 40 syndrome + 1 class key bits.
     state = _state_from_data(rotated_surface_data(9), "|0>")
     assert state.n > 64
-    bare = best_of_trials(state, 5, 0).bare_circuit(state.n)
+    bare = best_of_trials(state, 5, 0).bare_circuit()
     ce = verify_fault_tolerance(bare, state, 1, "X")
     assert ce is not None and len(ce.faults) == 1
     flips, residual = replay_faults(bare, "X", list(ce.faults))
@@ -160,10 +159,8 @@ def test_flag_outcome_index_out_of_range_rejected():
         *(Init(q, "0") for q in range(8)),
         CXGate(0, 7),
         FlagMeasure(7, "Z", 3),
-        FinalMeasure("Z"),
     )
-    circ = Circuit(8, ("control",) * 7 + ("flag_x",), tuple(f"q{i}" for i in range(8)),
-                   tuple(range(7)) + (None,), ops)
+    circ = Circuit(tuple(range(7)) + (None,), ops)
     with pytest.raises(ValueError, match="m3"):
         circ.validate()
     with pytest.raises(ValueError, match="m3"):
@@ -278,9 +275,7 @@ def _random_circuit(rng, n, n_flags, n_cx):
             a, b = rng.choice(n, 2, replace=False)
             ops.append(CXGate(int(a), int(b)))
     ops += [FlagMeasure(n + j, "Z", j) for j in range(n_flags)]
-    return Circuit(n + n_flags, ("control",) * n + ("flag_x",) * n_flags,
-                   tuple(f"q{i}" for i in range(n + n_flags)), tuple(range(n)) + (None,) * n_flags,
-                   tuple(ops) + (FinalMeasure("Z"),))
+    return Circuit(tuple(range(n)) + (None,) * n_flags, tuple(ops))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -299,8 +294,8 @@ def test_last_variant_of_a_join_range_is_checked():
     # One CX between two |+> qubits: its X_a X_b pattern, the last variant
     # of the circuit, is the only fault whose residual reduces above weight 1.
     state = get_state("steane")
-    ops = (*(Init(q, "+") for q in range(7)), CXGate(0, 1), FinalMeasure("Z"))
-    circ = Circuit(7, ("control",) * 7, tuple(f"c{q}" for q in range(7)), tuple(range(7)), ops)
+    ops = (*(Init(q, "+") for q in range(7)), CXGate(0, 1))
+    circ = Circuit(tuple(range(7)), ops)
     ce = verify_fault_tolerance(circ, state, 1, "X")
     assert ce is not None and ce.faults == ((7, 0b11),)
     assert (ce.faults, ce.residual_code_mask, ce.reduced_weight) == _brute_force(circ, state, 1, "X")
