@@ -80,8 +80,13 @@ class Circuit:
         """Raise ValueError if the op sequence breaks the circuit invariants.
 
         Besides the init/measure order, flag outcome indices must be
-        distinct and lie in ``range(flag_count)``.
+        distinct and lie in ``range(flag_count)``, and no two circuit qubits
+        may map to one code qubit.
         """
+        code = [ci for ci in self.code_index if ci is not None]
+        if len(set(code)) != len(code):
+            dup = next(ci for ci in code if code.count(ci) > 1)
+            raise ValueError(f"code qubit {dup} mapped from two circuit qubits")
         inited: set[int] = set()
         measured: set[int] = set()
         outcomes: set[int] = set()

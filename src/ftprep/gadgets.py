@@ -213,18 +213,27 @@ class _Engine:
     The engine also maintains the circuit's X-frame transfer map (column q
     = image of an X on qubit q injected at the current temporal front), so
     a prepended gate's new patterns are read off directly.
+
+    The checks run pattern-major: each new pattern is tested against every
+    level before the next pattern, XX (fa ^ fb, an X on the control before
+    the gate, copied onto its target) first.  That is the hook that spreads:
+    filling (t, r) = (2, 12), (2, 13), (3, 7) and (3, 8) at a 150k-node
+    budget rejects 339,781 pushes, all of them on it.  The verdict is an
+    "any" over the same combinations, so the order only changes how soon a
+    failing push stops.  A residual of w code bits reduces to weight
+    min(w, r+1-w), so an f-fault combination fails exactly when
+    f < w < r+1-f: one popcount per bucket entry.
     """
 
     def __init__(self, t: int, r: int, m: int) -> None:
         self.t = t
         self.r = r
         self.m = m
-        self.stab = (1 << (r + 1)) - 1
         self.flag_mask = ((1 << m) - 1) << (r + 1)
         levels: list[dict[int, list[int]]] = [{0: [0]}] + [{} for _ in range(1, t)]
-        # (f, level f-1), f ascending, so the cheap small combinations
-        # reject first.
-        self.checks = list(enumerate(levels, 1))
+        # (f, level f-1, r+1-f): the failing residual weights lie strictly
+        # between f and r+1-f.
+        self.checks = [(f, level, r + 1 - f) for f, level in enumerate(levels, 1)]
         # (level k-1, level k), top-down, so every level read during a
         # commit still predates the gate: a combination holding two of its
         # patterns would only repeat a smaller one.
@@ -246,19 +255,19 @@ class _Engine:
         transfer = self.transfer
         fa = transfer[a]
         fb = transfer[b]
-        new = (fa, fb, fa ^ fb)
+        xx = fa ^ fb
         fm = self.flag_mask
-        st = self.stab
-        for f, level in self.checks:
-            for s in new:
-                bucket = level.get(s & fm)
+        for s in (xx, fa, fb):
+            key = s & fm
+            for f, level, hi in self.checks:
+                bucket = level.get(key)
                 if bucket:
                     for o in bucket:
-                        res = s ^ o
-                        if res.bit_count() > f and (res ^ st).bit_count() > f:
+                        if f < (s ^ o).bit_count() < hi:
                             return False
 
         # Commit.
+        new = (fa, fb, xx)
         added: list[list[int]] = []
         for source, target in self.commits:
             for bucket in source.values():
@@ -273,7 +282,7 @@ class _Engine:
         self.undo.append(added)
         self.gates_time.insert(0, gate)
         self.transfer_undo.append((a, fa))
-        transfer[a] = fa ^ fb
+        transfer[a] = xx
         return True
 
     def pop(self) -> None:
@@ -309,91 +318,75 @@ def discover_gadget(
     if m == 0:
         return SearchResult(SEARCH_EXHAUSTED, None, 0)
     engine = _Engine(t, r, m)
-    c = 0
-    flag_label = lambda j: r + 1 + j  # noqa: E731
     nodes = 0
+    limit = budget if budget is not None else float("inf")
+    # c, then the entangled flags in label order.  Flags are entangled
+    # lowest label first, so every label below ``next_flag`` is entangled or
+    # retired and every label from it up is unused.
+    cluster = [0]
+    next_flag = r + 1
+    end_flag = r + 1 + m
+    result_gates: tuple[tuple[int, int], ...] | None = None
 
-    # status per flag: 0 unused, 1 entangled, 2 retired
-    status = [0] * m
+    def dfs(targets_done: int, earlier, prev: tuple[int, int]) -> str | None:
+        """Explore the children of one node; None means keep going.
 
-    def pools(targets_done: int) -> list[tuple[tuple[int, int], int | None, str]]:
-        entangled = [j for j in range(m) if status[j] == 1]
-        cluster = [c] + [flag_label(j) for j in entangled]
-        out: list[tuple[tuple[int, int], int | None, str]] = []
-        if targets_done < r:
-            nxt = 1 + targets_done
-            for x in cluster:
-                out.append(((x, nxt), None, "target"))
-        unused = next((j for j in range(m) if status[j] == 0), None)
-        if unused is not None:
-            for x in cluster:
-                out.append(((x, flag_label(unused)), unused, "entangle"))
-        for j in entangled:
-            f = flag_label(j)
-            for x in cluster:
-                if x != f:
-                    out.append(((x, f), j, "disentangle"))
-        return out
-
-    result_gates: list[tuple[int, int]] | None = None
-
-    def dfs(targets_done: int, parent_pool, prev_idx: int, prev_gate) -> str:
-        nonlocal nodes, result_gates
-        if targets_done == r and all(s == 2 for s in status):
+        ``earlier`` is the parent's ``seen`` set: its candidates up to
+        ``prev``.  A qubit-disjoint swap of one of them with ``prev`` was
+        explored first and is equivalent, so it is skipped (``prev`` itself
+        is never disjoint from ``prev``).  It grows only after we return.
+        """
+        nonlocal nodes, result_gates, next_flag
+        if targets_done == r and next_flag == end_flag and len(cluster) == 1:
             gates = tuple(engine.gates_time)
-            gadget = FlagGadget(t, r, m, "X", gates)
-            if _flags_deterministic(gadget):
-                result_gates = list(gates)
+            if _flags_deterministic(FlagGadget(t, r, m, "X", gates)):
+                result_gates = gates
                 return FOUND
-            return "continue"
-        pool = pools(targets_done)
-        skip_set: frozenset = frozenset()
-        if _por and prev_gate is not None:
-            earlier = set(parent_pool[:prev_idx]) if parent_pool is not None else set()
-            pa, pb = prev_gate
-            skipped = []
-            for cand in pool:
-                a, b = cand[0]
-                if cand in earlier and a != pa and a != pb and b != pa and b != pb:
-                    # Qubit-disjoint swap of two gates both available before:
-                    # the swapped order was explored first and is equivalent.
-                    skipped.append(cand)
-            skip_set = frozenset(skipped)
-        for idx, cand in enumerate(pool):
-            gate, flag_j, kind = cand
-            if cand in skip_set:
+            return None
+        pool = []
+        if targets_done < r:
+            pool += [(x, targets_done + 1) for x in cluster]
+        if next_flag < end_flag:
+            pool += [(x, next_flag) for x in cluster]
+        for f in cluster[1:]:
+            pool += [(x, f) for x in cluster if x != f]
+        pa, pb = prev
+        seen: set[tuple[int, int]] = set()
+        child_earlier = seen if _por else ()
+        for gate in pool:
+            seen.add(gate)
+            a, b = gate
+            if gate in earlier and a != pa and a != pb and b != pa and b != pb:
                 continue
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > limit:
                 return BUDGET_EXHAUSTED
             if not engine.push(gate):
                 continue
-            if kind == "target":
-                sub = dfs(targets_done + 1, pool, idx, gate)
-            elif kind == "entangle":
-                status[flag_j] = 1
-                sub = dfs(targets_done, pool, idx, gate)
-                status[flag_j] = 0
-            else:  # disentangle
-                status[flag_j] = 2
-                sub = dfs(targets_done, pool, idx, gate)
-                status[flag_j] = 1
-            if sub in (FOUND, BUDGET_EXHAUSTED):
-                if sub == FOUND:
-                    return FOUND
-                engine.pop()
-                return BUDGET_EXHAUSTED
+            if b <= r:  # entangle target b
+                sub = dfs(targets_done + 1, child_earlier, gate)
+            elif b == next_flag:  # entangle the next unused flag
+                cluster.append(b)
+                next_flag += 1
+                sub = dfs(targets_done, child_earlier, gate)
+                next_flag -= 1
+                cluster.pop()
+            else:  # disentangle flag b
+                i = cluster.index(b)
+                del cluster[i]
+                sub = dfs(targets_done, child_earlier, gate)
+                cluster.insert(i, b)
             engine.pop()
-        return "continue"
+            if sub is not None:
+                return sub
+        return None
 
-    outcome = dfs(0, None, 0, None)
-    if outcome == FOUND and result_gates is not None:
-        gadget = FlagGadget(t, r, m, "X", tuple(result_gates))
+    outcome = dfs(0, (), (-1, -1)) or SEARCH_EXHAUSTED
+    if outcome == FOUND:
+        gadget = FlagGadget(t, r, m, "X", result_gates)
         gadget.validate()
         return SearchResult(FOUND, gadget, nodes)
-    if outcome == BUDGET_EXHAUSTED:
-        return SearchResult(BUDGET_EXHAUSTED, None, nodes)
-    return SearchResult(SEARCH_EXHAUSTED, None, nodes)
+    return SearchResult(outcome, None, nodes)
 
 
 def _flags_deterministic(gadget: FlagGadget) -> bool:

@@ -152,14 +152,31 @@ def test_trivial_gadget_limits():
         trivial_gadget(1, 3)  # hooks exceed the bound without a flag
 
 
-def test_gadget_rows_t4_plus():
-    # t >= 4 runs the same DFS and engine as t <= 3.
+def test_gadget_rows_pinned():
+    # Status, node count and gates pin the search's node sequence at every
+    # t: a reordered pool, a changed prune or a wrong engine verdict moves
+    # them.  t >= 4 runs the same DFS and engine as t <= 3.
     expected = {
+        (2, 11, 2): (SEARCH_EXHAUSTED, 1_661),
+        (2, 11, 3): (FOUND, 37),
+        (3, 6, 2): (SEARCH_EXHAUSTED, 1_661),
+        (3, 7, 3): (SEARCH_EXHAUSTED, 47_651),
+        (3, 8, 4): (FOUND, 103),
         (4, 3, 1): (FOUND, 6),
         (4, 5, 1): (SEARCH_EXHAUSTED, 12),
         (4, 6, 2): (SEARCH_EXHAUSTED, 1_661),
         (5, 5, 2): (FOUND, 16),
         (4, 9, 3): (SEARCH_EXHAUSTED, 25_499),
+    }
+    gates = {
+        (2, 11, 3): (
+            (0, 14), (0, 13), (0, 11), (0, 10), (0, 12), (14, 9), (14, 8), (0, 7), (0, 6),
+            (0, 14), (13, 5), (13, 4), (0, 3), (0, 2), (0, 13), (0, 1), (0, 12),
+        ),
+        (3, 8, 4): (
+            (0, 12), (0, 11), (0, 8), (0, 7), (0, 10), (12, 6), (12, 9), (0, 5),
+            (0, 12), (0, 4), (0, 3), (0, 11), (0, 2), (0, 10), (0, 1), (0, 9),
+        ),
     }
     for (t, r, m), (status, nodes) in expected.items():
         res = discover_gadget(t, r, m)
@@ -168,3 +185,7 @@ def test_gadget_rows_t4_plus():
             res.gadget.validate()
             assert (res.gadget.t, res.gadget.r, res.gadget.m) == (t, r, m)
             assert gadget_ft_test(res.gadget)
+            if (t, r, m) in gates:
+                assert res.gadget.gates == gates[t, r, m]
+    res = discover_gadget(2, 12, 3, budget=150_000)
+    assert (res.status, res.nodes) == (BUDGET_EXHAUSTED, 150_001)

@@ -7,7 +7,7 @@ import pytest
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
 from ftprep.catalog import get_state
-from ftprep.circuit import Init
+from ftprep.circuit import Circuit, CXGate, Init
 from ftprep.decoder import build_mw_lut
 from ftprep.gadgets import discover_gadget, hadamard_conjugate_gadget
 from ftprep.library import GadgetLibrary
@@ -75,6 +75,15 @@ def test_malformed_circuit_lines_are_reported(body, line_no, reason):
     with pytest.raises(ParseError, match=re.escape(reason)) as err:
         parse_circuit("CIRCUIT code=x state=y\n" + body)
     assert err.value.line_no == line_no
+
+
+def test_two_qubits_on_one_code_qubit_are_rejected():
+    circ = Circuit((0, 0), (Init(0, "+"), Init(1, "0"), CXGate(0, 1)))
+    with pytest.raises(ValueError, match="code qubit 0 mapped from two circuit qubits"):
+        circ.validate()
+    # c0 and t0 both name code qubit 0.
+    with pytest.raises(ValueError, match="code qubit 0 mapped from two circuit qubits"):
+        parse_circuit("CIRCUIT code=x state=y\nINIT+ c0\nINIT0 t0\nCX c0 t0\nFINAL_MEAS Z\n")
 
 
 def test_gadget_round_trip_and_line_counts():
