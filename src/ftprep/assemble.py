@@ -57,8 +57,6 @@ class AssembledCircuit:
     plus: tuple[bool, ...]
     gates: tuple[tuple[int, int], ...]  # physical CX nodes
     chains: tuple[tuple[int, ...], ...]  # gadget-internal gate orders
-    t_x: int
-    t_z: int
     n_edges: int
     edge_priority: tuple[int, ...]
 
@@ -649,8 +647,6 @@ def _assemble_once(
         plus=tuple(plus),
         gates=tuple(gates),
         chains=tuple(chains),
-        t_x=t_x,
-        t_z=t_z,
         n_edges=n_edges,
         edge_priority=tuple(priority[i] for i in range(n_edges)),
     )

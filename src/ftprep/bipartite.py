@@ -133,26 +133,26 @@ def _synthesize(state: CssState, seed: int) -> BipartiteCircuit:
     return BipartiteCircuit(tuple(controls), tuple(targets), tuple(sorted(edges)))
 
 
-def best_of_trials(state: CssState, trials: int, seed: int) -> BipartiteCircuit:
-    """Best bipartite circuit over seeded trials.
+def ranked_trials(state: CssState, trials: int, seed: int) -> list[BipartiteCircuit]:
+    """The distinct bipartite circuits of ``trials`` seeded syntheses, best first.
 
-    Minimizes edge count; ties break toward the lower maximum vertex degree,
-    then toward the earlier trial, so the result is reproducible.
+    Trial i is seeded from child i of ``SeedSequence(seed)``.  Circuits rank
+    by edge count, then by maximum vertex degree, then by the trial that
+    first produced them, so the order is reproducible.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _require_valid(state)
-    seq = np.random.SeedSequence(seed)
-    best: BipartiteCircuit | None = None
-    best_key: tuple[int, int] | None = None
-    for child in seq.spawn(trials):
-        trial_seed = int(child.generate_state(1)[0])
-        bip = _synthesize(state, trial_seed)
-        key = (bip.edge_count, bip.max_degree)
-        if best_key is None or key < best_key:
-            best, best_key = bip, key
-    assert best is not None
-    return best
+    seen: dict[tuple[tuple[int, int], ...], BipartiteCircuit] = {}
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        bip = _synthesize(state, int(child.generate_state(1)[0]))
+        seen.setdefault(bip.edges, bip)
+    return sorted(seen.values(), key=lambda b: (b.edge_count, b.max_degree))
+
+
+def best_of_trials(state: CssState, trials: int, seed: int) -> BipartiteCircuit:
+    """Best bipartite circuit over seeded trials: the first of :func:`ranked_trials`."""
+    return ranked_trials(state, trials, seed)[0]
 
 
 def _random_invertible(n: int, rng: np.random.Generator) -> list[int]:

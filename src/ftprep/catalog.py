@@ -30,13 +30,9 @@ def _cyclic_shift(mask: int, n: int, k: int) -> int:
     return ((mask << k) | (mask >> (n - k))) & ((1 << n) - 1)
 
 
-def _poly_mask(exponents: list[int]) -> int:
-    return _mask(exponents)
-
-
 def _cyclic_dual_containing(n: int, g_exponents: list[int], rows: int) -> list[int]:
     """Stabilizer rows of a dual-containing cyclic code: shifts of (x+1)g(x)."""
-    g = _poly_mask(g_exponents)
+    g = _mask(g_exponents)
     gp = g ^ (g << 1)  # multiply by (x + 1)
     return [_cyclic_shift(gp, n, k) for k in range(rows)]
 
@@ -67,8 +63,8 @@ def golay_data() -> dict:
         "d": 7,
         "x_stabilizers": rows,
         "z_stabilizers": rows,
-        "logical_x": [_poly_mask(g)],
-        "logical_z": [_poly_mask(g)],
+        "logical_x": [_mask(g)],
+        "logical_z": [_mask(g)],
     }
 
 
@@ -85,8 +81,8 @@ def color17_data() -> dict:
         "d": 5,
         "x_stabilizers": _cyclic_dual_containing(17, f1, 8),
         "z_stabilizers": _cyclic_dual_containing(17, f2, 8),
-        "logical_x": [_poly_mask(f1)],
-        "logical_z": [_poly_mask(f2)],
+        "logical_x": [_mask(f1)],
+        "logical_z": [_mask(f2)],
     }
 
 

@@ -11,15 +11,13 @@ preparation graph and those started in |0> its targets; a flag measured in
 Z detects X errors and one measured in X detects Z errors.
 
 The module also owns the backward transfer-map sweep that both the exhaustive
-verifier and the Monte Carlo effect tables are built from, and the packed
-flag layout they share.
+verifier and the Monte Carlo effect tables are built from (it returns the
+transfer-map columns only), and the packed flag layout they share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .css import CssState, coset_key_columns
@@ -120,49 +118,30 @@ class Circuit:
                 raise ValueError(f"flag {q} never measured")
 
 
-class BackwardSweep(NamedTuple):
-    """Transfer-map columns recorded by :func:`propagate_backward`."""
+def propagate_backward(
+    circuit: Circuit, state: CssState, error_side: str
+) -> dict[int, tuple[list[int], list[int]]]:
+    """Transfer-map columns right after every Init and CX, by op position.
 
-    # Init/CX op position -> (col_x, col_z) over all qubits, for a Pauli
-    # inserted right after that op
-    cols: dict[int, tuple[list[int], list[int]]]
-    # CX op position, in time order -> qubits active at that step, in
-    # initialization order (a qubit is active from its initialization until
-    # its flag measurement)
-    active: dict[int, list[int]]
-
-
-def propagate_backward(circuit: Circuit, state: CssState, error_side: str) -> BackwardSweep:
-    """End-of-circuit effect of a Pauli inserted after every Init and CX.
-
-    The transfer-map column of qubit q is the effect (a bitmask) of an X
-    (``col_x``) or Z (``col_z``) on q at the current point of a backward
-    walk over the ops.  The columns start as the effect of a Pauli that
-    survives to the end: on ``error_side``, a code qubit's coset key
-    (:func:`css.coset_key_columns`) shifted above the flag bits, and 0
-    otherwise, so every effect reads ``key << flag_count | flag flips``.
-    Through a CX, X frames flow control -> target and Z frames target ->
-    control.  A flag measurement sets its qubit's column to ``1 << outcome``
-    on the side it detects (``col_x`` for a Z-basis measurement, ``col_z``
-    for an X-basis one) and to 0 on the other.  Raises ValueError for a key
-    wider than 64 bits, and for an outcome index outside
-    ``range(circuit.flag_count)``, whose bit would land among the key bits.
+    The columns at a position are ``(col_x, col_z)`` over all qubits: entry
+    q is the end-of-circuit effect (a bitmask) of an X (``col_x``) or Z
+    (``col_z``) on q inserted right after that op.  A backward walk over the
+    ops starts them as the effect of a Pauli that survives to the end: on
+    ``error_side``, a code qubit's coset key (:func:`css.coset_key_columns`)
+    shifted above the flag bits, and 0 otherwise, so every effect reads
+    ``key << flag_count | flag flips``.  Through a CX, X frames flow
+    control -> target and Z frames target -> control.  A flag measurement
+    sets its qubit's column to ``1 << outcome`` on the side it detects
+    (``col_x`` for a Z-basis measurement, ``col_z`` for an X-basis one) and
+    to 0 on the other.  Raises ValueError for a key wider than 64 bits, and
+    for an outcome index outside ``range(circuit.flag_count)``, whose bit
+    would land among the key bits.
     """
     n_flags = circuit.flag_count
     key_cols = coset_key_columns(state, error_side)
     seed = [0 if ci is None else key_cols[ci] << n_flags for ci in circuit.code_index]
     zeros = [0] * circuit.n_qubits
     col_x, col_z = (seed, zeros) if error_side == "X" else (zeros, seed)
-    active: dict[int, list[int]] = {}
-    live: dict[int, None] = {}  # insertion-ordered set
-    for pos, op in enumerate(circuit.ops):
-        if isinstance(op, Init):
-            live[op.qubit] = None
-        elif isinstance(op, CXGate):
-            active[pos] = list(live)
-        elif isinstance(op, FlagMeasure):
-            live.pop(op.qubit, None)
-
     cols: dict[int, tuple[list[int], list[int]]] = {}
     for pos in range(len(circuit.ops) - 1, -1, -1):
         op = circuit.ops[pos]
@@ -172,13 +151,12 @@ def propagate_backward(circuit: Circuit, state: CssState, error_side: str) -> Ba
             bit = 1 << op.outcome
             col_x[op.qubit] = bit if op.basis == "Z" else 0
             col_z[op.qubit] = bit if op.basis == "X" else 0
-        elif isinstance(op, CXGate):
-            cols[pos] = (col_x[:], col_z[:])
+            continue
+        cols[pos] = (col_x[:], col_z[:])
+        if isinstance(op, CXGate):
             col_x[op.control] ^= col_x[op.target]
             col_z[op.target] ^= col_z[op.control]
-        elif isinstance(op, Init):
-            cols[pos] = (col_x[:], col_z[:])
-    return BackwardSweep(cols, active)
+    return cols
 
 
 def pack_effects(effects: list[int], n_flags: int) -> tuple[np.ndarray, np.ndarray]:

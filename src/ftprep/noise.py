@@ -8,9 +8,10 @@ noise adds a depolarizing channel of rate ``p/100`` on every active qubit
 for every CX time step.  The final transversal measurement is noiseless.
 
 Frame propagation is linear, so every fault location's end-of-circuit
-effect (flag flips, syndrome, class) is precomputed once in the backward
-sweep of :func:`circuit.propagate_backward`; a Monte Carlo sample is then
-just an XOR of a few table entries.
+effect (flag flips, syndrome, class) is read once off the transfer-map
+columns of :func:`circuit.propagate_backward`; a Monte Carlo sample is then
+just an XOR of a few table entries.  The tables hold effects only; the
+tableau replay decodes each variant's Pauli from its location.
 Subset sampling draws the number of faults per sample from the nontrivial
 part of the binomial distribution and adds the fault-free mass back
 analytically.
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from statistics import NormalDist
 from types import MappingProxyType
 
@@ -29,7 +31,6 @@ import numpy as np
 from .circuit import (
     Circuit,
     CXGate,
-    FlagMeasure,
     Init,
     flag_int,
     pack_effects,
@@ -40,6 +41,10 @@ from .css import CssState, syndrome_and_class
 
 REPLAY_MAX_FAULTS = 4  # most faults per frame_replay_check sample
 SAMPLE_CHUNK = 1 << 18  # most samples drawn by one _sample_bucket call
+# Pauli bits (bit 0 X, bit 1 Z) of the variants of a single-qubit location,
+# in table order: X, Y, Z.
+SINGLE_QUBIT_BITS = (1, 3, 2)
+_pick_single = itemgetter(*SINGLE_QUBIT_BITS)
 
 
 class DegeneratePlanError(ValueError):
@@ -60,28 +65,32 @@ class NoiseModel:
         return self.p / 100
 
 
+def _idle_locations(circuit: Circuit) -> list[tuple[int, int]]:
+    """``(CX position, qubit)`` of every idle location, in table order.
+
+    One location per active qubit per CX time step, participants included,
+    the qubits in initialization order; a qubit is active from its
+    initialization until its measurement.
+    """
+    idle: list[tuple[int, int]] = []
+    live: dict[int, None] = {}  # insertion-ordered set
+    for pos, op in enumerate(circuit.ops):
+        if isinstance(op, Init):
+            live[op.qubit] = None
+        elif isinstance(op, CXGate):
+            idle += [(pos, q) for q in live]
+        else:
+            live.pop(op.qubit, None)
+    return idle
+
+
 def count_fault_locations(circuit: Circuit) -> tuple[int, int]:
     """(L_p, L_q): full-rate locations and idle locations.
 
-    L_p counts initializations, CX gates and flag measurements.  L_q counts
-    one idle location per active qubit per CX time step, participants
-    included; a qubit is active from its initialization until its
-    measurement.
+    Every op (initialization, CX gate, flag measurement) is one full-rate
+    location; the idle locations are those of :func:`_idle_locations`.
     """
-    l_p = 0
-    l_q = 0
-    active: set[int] = set()
-    for op in circuit.ops:
-        if isinstance(op, Init):
-            l_p += 1
-            active.add(op.qubit)
-        elif isinstance(op, CXGate):
-            l_p += 1
-            l_q += len(active)
-        elif isinstance(op, FlagMeasure):
-            l_p += 1
-            active.discard(op.qubit)
-    return l_p, l_q
+    return len(circuit.ops), len(_idle_locations(circuit))
 
 
 @dataclass(frozen=True)
@@ -163,14 +172,20 @@ class EffectTables:
     """Per-fault-location end-of-circuit effects for one circuit and state.
 
     Arrays are indexed by a flat variant id; locations map to contiguous
-    variant slices.  ``flags`` holds the flag-flip masks as word-major
-    uint64 words of shape (W, V) (see :func:`circuit.pack_effects`), ``sc``
-    the packed (syndrome | class << synd_bits) of the ``error_side``
-    residual.
+    variant slices.  The p locations are the ops in order: an Init holds the
+    X, Y and Z variants of ``SINGLE_QUBIT_BITS`` on its qubit, a CX the 15
+    nontrivial two-qubit Paulis, variant j being ``bits = j + 1`` (bit 0 X
+    on the control, bit 1 Z on the control, bit 2 X on the target, bit 3 Z
+    on the target), and a flag measurement its flip.  The q locations of
+    :func:`_idle_locations` follow, three ``SINGLE_QUBIT_BITS`` variants
+    each.  The tables hold effects only: :func:`frame_replay_check` decodes
+    a variant's Pauli from the circuit and this layout.  ``flags`` holds the
+    flag-flip masks as word-major uint64 words of shape (W, V) (see
+    :func:`circuit.pack_effects`), ``sc`` the packed
+    (syndrome | class << synd_bits) of the ``error_side`` residual.
     """
 
     error_side: str
-    n_flags: int
     synd_bits: int
     class_bits: int
     # p-type locations
@@ -181,10 +196,6 @@ class EffectTables:
     q_counts: np.ndarray
     flags: np.ndarray
     sc: np.ndarray
-    # replay info (op position and Pauli masks) for oracle cross-checks
-    var_pos: list[int] = field(default_factory=list)
-    var_x: list[int] = field(default_factory=list)
-    var_z: list[int] = field(default_factory=list)
 
     @property
     def l_p(self) -> int:
@@ -195,6 +206,13 @@ class EffectTables:
         return len(self.q_offsets)
 
 
+def _single_qubit_effects(cols: tuple[list[int], list[int]], q: int) -> tuple[int, ...]:
+    """Effects of the ``SINGLE_QUBIT_BITS`` variants on qubit q at
+    transfer-map ``cols``."""
+    ex, ez = cols[0][q], cols[1][q]
+    return _pick_single((0, ex, ez, ex ^ ez))  # indexed by Pauli bits
+
+
 def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X") -> EffectTables:
     """Every fault variant's propagated effect, from one backward sweep.
 
@@ -203,90 +221,45 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
     logical-zero preparation analysis), "Z" the Z residual against the
     X-type generators (Steane-QEC decoding of joint Z errors).  Raises
     ValueError when syndrome plus class bits exceed the 64-bit ``sc`` word.
+    The variant layout is the one :class:`EffectTables` describes.
     """
-    sweep = propagate_backward(circuit, state, error_side)
-    n_flags = circuit.flag_count
-
+    cols = propagate_backward(circuit, state, error_side)
     effects: list[int] = []
-    var_pos: list[int] = []
-    var_x: list[int] = []
-    var_z: list[int] = []
-    p_offsets: list[int] = []
     p_counts: list[int] = []
-    q_offsets: list[int] = []
-    q_counts: list[int] = []
-
-    def emit(eff: int, pos: int, x_mask: int, z_mask: int) -> None:
-        effects.append(eff)
-        var_pos.append(pos)
-        var_x.append(x_mask)
-        var_z.append(z_mask)
-
-    # p locations in op order: inits (X, Y, Z), CX (15 Paulis), meas (flip).
     for pos, op in enumerate(circuit.ops):
         if isinstance(op, Init):
-            col_x, col_z = sweep.cols[pos]
-            q = op.qubit
-            ex, ez = col_x[q], col_z[q]
-            p_offsets.append(len(effects))
-            p_counts.append(3)
-            emit(ex, pos, 1 << q, 0)  # X
-            emit(ex ^ ez, pos, 1 << q, 1 << q)  # Y
-            emit(ez, pos, 0, 1 << q)  # Z
+            variants = _single_qubit_effects(cols[pos], op.qubit)
         elif isinstance(op, CXGate):
-            col_x, col_z = sweep.cols[pos]
+            col_x, col_z = cols[pos]
             a, b = op.control, op.target
-            xa, za, xb, zb = col_x[a], col_z[a], col_x[b], col_z[b]
-            p_offsets.append(len(effects))
-            p_counts.append(15)
-            for bits in range(1, 16):
-                eff = 0
-                xm = zm = 0
-                if bits & 1:
-                    eff ^= xa
-                    xm |= 1 << a
-                if bits & 2:
-                    eff ^= za
-                    zm |= 1 << a
-                if bits & 4:
-                    eff ^= xb
-                    xm |= 1 << b
-                if bits & 8:
-                    eff ^= zb
-                    zm |= 1 << b
-                emit(eff, pos, xm, zm)
-        elif isinstance(op, FlagMeasure):
-            p_offsets.append(len(effects))
-            p_counts.append(1)
+            # variants[bits]: the XOR of the single Paulis that ``bits`` selects
+            variants = [0]
+            for single in (col_x[a], col_z[a], col_x[b], col_z[b]):
+                variants += [v ^ single for v in variants]
+            del variants[0]
+        else:
             # Literal bit-flip channel: an X before the measurement flips a
             # Z-basis outcome and is inert for an X-basis one.
-            emit((1 << op.outcome) if op.basis == "Z" else 0, pos, 0, 0)
-    # q locations: step-by-step, every active qubit (participants included).
-    for pos, qubits in sweep.active.items():
-        col_x, col_z = sweep.cols[pos]
-        for q in qubits:
-            ex, ez = col_x[q], col_z[q]
-            q_offsets.append(len(effects))
-            q_counts.append(3)
-            emit(ex, pos, 1 << q, 0)
-            emit(ex ^ ez, pos, 1 << q, 1 << q)
-            emit(ez, pos, 0, 1 << q)
+            variants = [(1 << op.outcome) if op.basis == "Z" else 0]
+        effects += variants
+        p_counts.append(len(variants))
+    n_p = len(effects)
+    idle = _idle_locations(circuit)
+    for pos, q in idle:
+        effects += _single_qubit_effects(cols[pos], q)
 
-    flags, sc = pack_effects(effects, n_flags)
+    counts = np.array(p_counts, dtype=np.int64)
+    flags, sc = pack_effects(effects, circuit.flag_count)
     return EffectTables(
         error_side=error_side,
-        n_flags=n_flags,
         synd_bits=len(state.checking_generators(error_side)),
         class_bits=len(state.class_logicals(error_side)),
-        p_offsets=np.array(p_offsets, dtype=np.int64),
-        p_counts=np.array(p_counts, dtype=np.int64),
-        q_offsets=np.array(q_offsets, dtype=np.int64),
-        q_counts=np.array(q_counts, dtype=np.int64),
+        p_offsets=np.cumsum(counts) - counts,
+        p_counts=counts,
+        q_offsets=n_p + 3 * np.arange(len(idle), dtype=np.int64),
+        q_counts=np.full(len(idle), 3, dtype=np.int64),
         flags=flags,
         sc=sc,
-        var_pos=var_pos,
-        var_x=var_x,
-        var_z=var_z,
     )
 
 
@@ -505,6 +478,31 @@ def wilson_interval(successes: float, trials: float, confidence: float = 0.95) -
     return (lo, hi)
 
 
+def _variant_fault(
+    circuit: Circuit, tables: EffectTables, idle: list[tuple[int, int]], v: int
+) -> tuple[int, int, int]:
+    """Variant ``v``'s Pauli as a ``run_tableau`` fault ``(op position, x_mask,
+    z_mask)``, decoded from the circuit and v's place in the location arrays
+    (the layout of :class:`EffectTables`), not from the effects."""
+    if tables.l_q and v >= tables.q_offsets[0]:
+        i = int(np.searchsorted(tables.q_offsets, v, "right")) - 1
+        pos, q = idle[i]
+        bits = SINGLE_QUBIT_BITS[v - int(tables.q_offsets[i])]
+        return pos, (bits & 1) << q, (bits >> 1) << q
+    pos = int(np.searchsorted(tables.p_offsets, v, "right")) - 1
+    j = v - int(tables.p_offsets[pos])
+    op = circuit.ops[pos]
+    if isinstance(op, Init):
+        bits, q = SINGLE_QUBIT_BITS[j], op.qubit
+        return pos, (bits & 1) << q, (bits >> 1) << q
+    if isinstance(op, CXGate):
+        bits, a, b = j + 1, op.control, op.target
+        return pos, (bits & 1) << a | (bits >> 2 & 1) << b, (bits >> 1 & 1) << a | (bits >> 3) << b
+    # The literal bit-flip channel: an X on the flag right before its
+    # measurement, after the previous op.
+    return pos - 1, 1 << op.qubit, 0
+
+
 def frame_replay_check(
     circuit: Circuit,
     state: CssState,
@@ -516,36 +514,29 @@ def frame_replay_check(
 
     Draws random fault sets, predicts flag flips and the residual's
     syndrome and class from the effect tables, then replays the same Paulis
-    inside a tableau simulation.  The code qubits are read out in the basis
-    that sees the tables' error side (Z for X errors, X for Z errors) and
-    graded by :func:`css.syndrome_and_class`.  Returns the number of
-    agreeing samples; raises on the first mismatch.
+    inside a tableau simulation.  Each drawn variant's Pauli is decoded from
+    the circuit and the variant's location (:func:`_variant_fault`), so a
+    table whose effects sit at the wrong variant fails too.  The code qubits
+    are read out in the basis that sees the tables' error side (Z for X
+    errors, X for Z errors) and graded by :func:`css.syndrome_and_class`.
+    Returns the number of agreeing samples; raises on the first mismatch.
     """
     from .tableau import run_tableau
 
     rng = np.random.default_rng(seed)
     side = tables.error_side
     code = [(q, ci) for q, ci in enumerate(circuit.code_index) if ci is not None]
-    n_vars = len(tables.var_pos)
+    idle = _idle_locations(circuit)
     for trial in range(n_samples):
         k = int(rng.integers(1, REPLAY_MAX_FAULTS + 1))
-        chosen = rng.integers(0, n_vars, size=k)
+        chosen = rng.integers(0, len(tables.sc), size=k)
         predicted_flags = eff_sc = 0
-        faults = []
-        flip_mask = 0
         for v in chosen:
-            fl = flag_int(tables.flags, v)
-            predicted_flags ^= fl
+            predicted_flags ^= flag_int(tables.flags, v)
             eff_sc ^= int(tables.sc[v])
-            xm, zm = tables.var_x[v], tables.var_z[v]
-            if xm == 0 and zm == 0:
-                # Measurement-flip variant: flips the recorded outcome (a
-                # no-op for X-basis flags under the literal bit-flip channel).
-                flip_mask ^= fl
-            else:
-                faults.append((tables.var_pos[v], xm, zm))
+        faults = [_variant_fault(circuit, tables, idle, int(v)) for v in chosen]
         tab, outcomes, _ = run_tableau(circuit, faults, rng=rng)
-        observed_flags = flip_mask ^ sum(bit << i for i, bit in enumerate(outcomes))
+        observed_flags = sum(bit << i for i, bit in enumerate(outcomes))
         if observed_flags != predicted_flags:
             raise AssertionError(
                 f"sample {trial}: flag mismatch {observed_flags:#x} != {predicted_flags:#x}"

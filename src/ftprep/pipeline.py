@@ -19,7 +19,7 @@ from .assemble import (
     circuit_metrics,
     schedule_circuit,
 )
-from .bipartite import BipartiteCircuit, _require_valid, _synthesize
+from .bipartite import BipartiteCircuit, ranked_trials
 from .circuit import Circuit
 from .css import CssState
 from .library import GadgetLibrary
@@ -54,20 +54,15 @@ def build_preparation_circuit(
     with the fewest edges, assembles each of the top ``assembly_candidates``
     and picks the result minimizing (cx_count, max_simultaneous_qubits).
     """
-    _require_valid(state)
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(bip_trials + 2)
-    seen: dict[tuple, BipartiteCircuit] = {}
-    for child in children[:bip_trials]:
-        bip = _synthesize(state, int(child.generate_state(1)[0]))
-        seen.setdefault((bip.edge_count, bip.edges), bip)
-    ranked = sorted(seen.values(), key=lambda b: (b.edge_count, b.max_degree))
-    candidates = ranked[: max(assembly_candidates, 1)]
+    candidates = ranked_trials(state, bip_trials, seed)[: max(assembly_candidates, 1)]
+    # Children bip_trials and bip_trials + 1 of the trials' seed sequence.
+    asm_seed, sched_seed = (
+        int(child.generate_state(1)[0])
+        for child in np.random.SeedSequence(seed).spawn(bip_trials + 2)[bip_trials:]
+    )
 
     best: PreparedCircuit | None = None
     best_key: tuple[int, int] | None = None
-    asm_seed = int(children[bip_trials].generate_state(1)[0])
-    sched_seed = int(children[bip_trials + 1].generate_state(1)[0])
     for i, bip in enumerate(candidates):
         asm = assemble_ft_circuit(
             state,

@@ -163,7 +163,7 @@ def _variant_effects(
     """Per-variant flag words as rows (V, max(W, 1)) and coset keys (V,),
     from the key-seeded :func:`circuit.propagate_backward`, and the index of
     the first variant at a later location than each variant's own."""
-    sweep = propagate_backward(circuit, state, fault_type)
+    cols = propagate_backward(circuit, state, fault_type)
     side = 0 if fault_type == "X" else 1
     effects: list[int] = []
     nxt: list[int] = []
@@ -172,7 +172,7 @@ def _variant_effects(
         if loc.kind == "meas":
             effs = [1 << op.outcome]
         else:
-            col = sweep.cols[loc.site][side]
+            col = cols[loc.site][side]
             if loc.kind == "init":
                 effs = [col[op.qubit]]
             else:

@@ -82,7 +82,8 @@ def test_uncertified_override_rejected(library):
     asm = assemble_ft_circuit(
         state, bip, library, z_gadget_t_override=0, allow_uncertified_override=True, seed=1
     )
-    assert asm.t_z == 0
+    # No Z gadget: no flag starts in |+> to be measured in X.
+    assert not any(plus for plus, ci in zip(asm.plus, asm.code_index) if ci is None)
 
 
 def test_golay_override_certified(library):

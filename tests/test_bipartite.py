@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ftprep import bipartite, gf2, pipeline
+from ftprep import bipartite, gf2
 from ftprep.bipartite import BipartiteCircuit, best_of_trials, synthesize_bipartite
 from ftprep.catalog import get_state
 from ftprep.css import CssState
@@ -92,7 +92,6 @@ def test_invalid_state_rejected(monkeypatch):
         raise AssertionError("a trial ran on an invalid state")
 
     monkeypatch.setattr(bipartite, "_synthesize", no_trial)
-    monkeypatch.setattr(pipeline, "_synthesize", no_trial)
     with pytest.raises(ValueError, match="invalid CSS state"):
         synthesize_bipartite(broken, seed=0)
     with pytest.raises(ValueError, match="invalid CSS state"):

@@ -214,6 +214,23 @@ def test_frame_replay_check_catches_a_corrupted_location(steane_prepared, side):
     bad_flags[0, start:start + 15] ^= np.uint64(1)
     with pytest.raises(AssertionError, match="flag mismatch"):
         frame_replay_check(circ, state, replace(tables, flags=bad_flags), 300, seed=11)
+    # The replay decodes each variant from its location, so effects emitted
+    # in the wrong order fail too: swap the X and Z effects of the first
+    # Init location where they differ, then shift every idle variant's
+    # effects by one location.  The replay stops at the first mismatch, so
+    # the long runs only make a miss unlikely.
+    inits = [int(s) for s, n in zip(tables.p_offsets, tables.p_counts) if n == 3]
+    x = next(s for s in inits if tables.sc[s] != tables.sc[s + 2]
+             or (tables.flags[:, s] != tables.flags[:, s + 2]).any())
+    swap = np.arange(len(tables.sc))
+    swap[[x, x + 2]] = x + 2, x
+    roll = np.arange(len(tables.sc))
+    idle = slice(int(tables.q_offsets[0]), None)
+    roll[idle] = np.roll(roll[idle], 3)
+    for order in (swap, roll):
+        bad = replace(tables, sc=tables.sc[order], flags=tables.flags[:, order])
+        with pytest.raises(AssertionError, match=r"sample \d+"):
+            frame_replay_check(circ, state, bad, 3000, seed=11)
 
 
 def test_effect_linearity(steane_prepared):
@@ -221,7 +238,7 @@ def test_effect_linearity(steane_prepared):
     state, circ = steane_prepared
     tables = build_effect_tables(circ, state)
     rng = np.random.default_rng(2)
-    n = len(tables.var_pos)
+    n = len(tables.sc)
     for _ in range(50):
         i, j = rng.integers(0, n, size=2)
         combined_flags = flag_int(tables.flags, i) ^ flag_int(tables.flags, j)
