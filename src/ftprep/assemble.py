@@ -1,12 +1,16 @@
 """Fusing bipartite circuits with flag gadgets, scheduling, and metrics.
 
 Every bipartite edge is simultaneously one entangling slot of the control's
-X-detecting gadget and one slot of the target's Z-detecting gadget.  Slot
-assignment is a seeded permutation; each gadget's internal gate order
-becomes a precedence chain, and any linear extension of the resulting DAG
-is a valid schedule.  Scheduling initializes qubits as late as possible,
-measures flags as early as possible, and measures all code qubits together
-at the end.
+X-detecting gadget and one slot of the target's Z-detecting gadget.  The
+gadget of each protected qubit is picked once, into one placement list that
+both the width annealer and the fuser read.  The library stores X gadgets
+only: a target's Z gadget is its X gadget placed mirrored, every CX
+reversed.  Each gadget fills its slots with its qubit's edges in one global
+edge priority (a seeded permutation or the annealed order), so its internal
+gate order becomes a precedence chain, and any linear extension of the
+resulting DAG is a valid schedule.  Scheduling initializes qubits as late
+as possible, measures flags as early as possible, and measures all code
+qubits together at the end.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from .bipartite import BipartiteCircuit
 from .circuit import Circuit, CXGate, FlagMeasure, Init
 from .css import CssState, GroupTooLargeError, max_coset_weight
-from .gadgets import FlagGadget, hadamard_conjugate_gadget, trivial_gadget
+from .gadgets import FlagGadget, trivial_gadget
 from .library import GadgetLibrary
 
 
@@ -89,9 +93,6 @@ class AssembledCircuit:
             if q not in inited:
                 ops.append(Init(q, "+" if plus[q] else "0"))
         return Circuit(self.code_index, tuple(ops))
-
-    def default_circuit(self) -> Circuit:
-        return self.schedule(self._topological_order())
 
     @cached_property
     def _dag(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], tuple[bool, ...]]:
@@ -232,11 +233,11 @@ class AssembledCircuit:
         the edge priority admits."""
         n = len(self.gates)
         scheduled = [False] * n
-        chain_pos = {i: 0 for i in range(len(self.chains))}
-        chains_of: dict[int, list[int]] = {}
+        chain_pos = [0] * len(self.chains)
+        chains_of: list[list[int]] = [[] for _ in range(n)]
         for ci, chain in enumerate(self.chains):
             for node in chain:
-                chains_of.setdefault(node, []).append(ci)
+                chains_of[node].append(ci)
         _, _, uses0, _ = self._dag
         uses = list(uses0)
         order: list[int] = []
@@ -260,18 +261,14 @@ class AssembledCircuit:
                     continue
                 if node < self.n_edges:
                     break
-                a, b = self.gates[node]
-                retires = any(
-                    self.code_index[q] is None and uses[q] == 1 for q in (a, b)
-                )
-                if not retires:
+                if not any(self.code_index[q] is None and uses[q] == 1 for q in self.gates[node]):
                     break
                 run(node)
                 chain_pos[ci] += 1
 
         edge_order = sorted(range(self.n_edges), key=lambda e: self.edge_priority[e])
         for e in edge_order:
-            for ci in chains_of.get(e, []):
+            for ci in chains_of[e]:
                 chain = self.chains[ci]
                 while True:
                     node = chain[chain_pos[ci]]
@@ -283,16 +280,11 @@ class AssembledCircuit:
                     run(node)
                     chain_pos[ci] += 1
             run(e)
-            for ci in chains_of.get(e, []):
+            for ci in chains_of[e]:
                 chain_pos[ci] += 1
                 retiring_run(ci)
-        for ci in range(len(self.chains)):
-            chain = self.chains[ci]
-            while chain_pos[ci] < len(chain):
-                run(chain[chain_pos[ci]])
-                chain_pos[ci] += 1
-        for node in range(n):
-            if not scheduled[node]:
+        for ci, chain in enumerate(self.chains):
+            for node in chain[chain_pos[ci]:]:
                 run(node)
         return order
 
@@ -340,56 +332,95 @@ def assemble_ft_circuit(
     steps to shrink the peak number of simultaneously live qubits before
     the chains are built (gadget flag windows track their edge windows).
     """
-    t = state.t
-    t_x = t
-    if z_gadget_t_override is None:
-        t_z = t
-    else:
+    t_z = state.t
+    if z_gadget_t_override is not None:
+        if z_gadget_t_override < 0:
+            raise ValueError(f"Z gadget override {z_gadget_t_override} is negative")
         if not allow_uncertified_override:
             cert = certified_z_override(state)
-            if z_gadget_t_override < t and (cert is None or z_gadget_t_override < cert):
+            if z_gadget_t_override < state.t and (cert is None or z_gadget_t_override < cert):
                 raise OverrideNotCertifiedError(
                     f"override {z_gadget_t_override} not certified (coset bound allows {cert})"
                 )
-        t_z = min(z_gadget_t_override, t)
-
-    rng = np.random.default_rng(seed)
+        t_z = min(z_gadget_t_override, state.t)
 
     def pick_gadget(t_side: int, degree: int) -> FlagGadget:
+        # With at most two slots the bare chain passes for every t >= 1: a
+        # residual on at most three qubits reduces to weight <= 1.
         if use_trivial_gadgets and degree <= 2:
-            try:
-                return trivial_gadget(t_side, degree)
-            except ValueError:
-                pass
-        return _gadget_for(library, t_side, degree)
+            return trivial_gadget(t_side, degree)
+        try:
+            return library.get(t_side, degree)
+        except Exception as exc:  # noqa: BLE001 - library reports its own reason
+            raise MissingGadgetError(f"no gadget for t={t_side}, r={degree}: {exc}") from exc
 
-    priority = None
+    edges = sorted(bip.edges)
+    placed = _placements(edges, bip, pick_gadget, state.t, t_z)
+    rng = np.random.default_rng(seed)
     if width_anneal > 0:
-        priority = _anneal_priority(bip, pick_gadget, t_x, t_z, width_anneal, rng)
-    return _assemble_once(bip, pick_gadget, t_x, t_z, rng, priority)
+        windows = [(mine, _flag_spans(gadget)) for _, _, mine, gadget in placed]
+        priority = _anneal_priority(edges, windows, width_anneal, rng)
+    else:
+        priority = rng.permutation(len(edges)).tolist()
+    return _fuse(bip, edges, placed, priority)
+
+
+def _placements(
+    edges: list[tuple[int, int]], bip: BipartiteCircuit, pick_gadget, t_x: int, t_z: int
+) -> list[tuple[int, bool, list[int], FlagGadget]]:
+    """Per protected code qubit, (qubit, detects Z, its edge ids, its X
+    gadget): sorted controls first, then sorted targets.  A side with t = 0
+    and a qubit without edges get no gadget."""
+    placed = []
+    for side, qubits, t_side in ((0, bip.controls, t_x), (1, bip.targets, t_z)):
+        if t_side < 1:
+            continue
+        for q in sorted(qubits):
+            mine = [i for i, e in enumerate(edges) if e[side] == q]
+            if mine:
+                placed.append((q, side == 1, mine, pick_gadget(t_side, len(mine))))
+    return placed
+
+
+def _flag_spans(gadget: FlagGadget) -> list[tuple[int, int]]:
+    """Per flag of an X gadget, the (first, last) index among its entangling
+    slots that the flag is live over under tight scheduling of its two
+    coupled gates."""
+    deg = gadget.r
+    slot_counter = 0
+    first_seen: dict[int, int] = {}
+    last_seen: dict[int, int] = {}
+    for a, b in gadget.gates:
+        for f in (a, b):
+            if f > deg:
+                first_seen.setdefault(f, slot_counter)
+                last_seen[f] = slot_counter
+        if 1 <= b <= deg:  # a slot is a CX onto a target
+            slot_counter += 1
+    spans = []
+    for f in gadget.flag_labels:
+        lo = min(first_seen[f], deg - 1)
+        spans.append((lo, max(last_seen[f] - 1, lo)))
+    return spans
 
 
 def _anneal_priority(
-    bip: BipartiteCircuit,
-    pick_gadget,
-    t_x: int,
-    t_z: int,
+    edges: list[tuple[int, int]],
+    windows: list[tuple[list[int], list[tuple[int, int]]]],
     steps: int,
     rng: np.random.Generator,
 ) -> list[int]:
     """Anneal the edge order to minimize estimated peak qubit width.
 
-    A gadget's flags are live while its edge window is open; a code qubit
+    ``windows`` holds per gadget its edge ids and its flags' slot spans.  A
+    gadget's flags are live while its edge window is open; a code qubit
     wakes at its first edge and stays live to the end.  The estimate tracks
     the true scheduled width closely because every gadget's bracket gates
     can be placed tight around its window.
     """
-    edges = sorted(bip.edges)
     n_e = len(edges)
-    model = _WidthModel(edges, _gadget_windows(edges, bip, pick_gadget, t_x, t_z),
-                        rng.permutation(n_e).tolist())
-    best = model.peak()
-    cur = best
+    model = _WidthModel(edges, windows, rng.permutation(n_e).tolist())
+    best = cur = model.peak()
     best_order = list(model.order)
     temp = 3.0
     for step in range(steps):
@@ -409,47 +440,6 @@ def _anneal_priority(
     for p, e in enumerate(best_order):
         prio[e] = p
     return prio
-
-
-def _gadget_windows(
-    edges: list[tuple[int, int]], bip: BipartiteCircuit, pick_gadget, t_x: int, t_z: int
-) -> list[tuple[list[int], list[tuple[int, int]]]]:
-    """Per flagged gadget, its edge ids and, per flag, the (first, last)
-    index among the gadget's entangling slots that the flag is live over
-    under tight scheduling of its two coupled gates."""
-
-    def flag_spans(gadget) -> list[tuple[int, int]]:
-        deg = gadget.r
-        slot_counter = 0
-        first_seen: dict[int, int] = {}
-        last_seen: dict[int, int] = {}
-        for a, b in gadget.gates:
-            for f in (a, b):
-                if f > deg:
-                    if f not in first_seen:
-                        first_seen[f] = slot_counter
-                    last_seen[f] = slot_counter
-            if 1 <= b <= deg:  # X-detecting gadgets: a slot is a CX onto a target
-                slot_counter += 1
-        spans = []
-        for f in gadget.flag_labels:
-            lo = min(first_seen[f], deg - 1)
-            hi = max(last_seen[f] - 1, 0)
-            if hi < lo:
-                hi = lo
-            spans.append((lo, hi))
-        return spans
-
-    windows: list[tuple[list[int], list[tuple[int, int]]]] = []
-    for c in bip.controls:
-        mine = [i for i, e in enumerate(edges) if e[0] == c]
-        if mine and t_x >= 1:
-            windows.append((mine, flag_spans(pick_gadget(t_x, len(mine)))))
-    for q in bip.targets:
-        mine = [i for i, e in enumerate(edges) if e[1] == q]
-        if mine and t_z >= 1:
-            windows.append((mine, flag_spans(pick_gadget(t_z, len(mine)))))
-    return windows
 
 
 class _WidthModel:
@@ -557,98 +547,52 @@ class _WidthModel:
             self._move_marks(g, m)
 
 
-def _gadget_for(library: GadgetLibrary, t: int, r: int) -> FlagGadget:
-    try:
-        return library.get(t, r)
-    except Exception as exc:  # noqa: BLE001 - library reports its own reason
-        raise MissingGadgetError(f"no gadget for t={t}, r={r}: {exc}") from exc
-
-
-def _assemble_once(
+def _fuse(
     bip: BipartiteCircuit,
-    pick_gadget,
-    t_x: int,
-    t_z: int,
-    rng: np.random.Generator,
-    priority_list: list[int] | None = None,
+    edges: list[tuple[int, int]],
+    placed: list[tuple[int, bool, list[int], FlagGadget]],
+    priority: list[int],
 ) -> AssembledCircuit:
-    edges = sorted(bip.edges)
-    edge_id = {e: i for i, e in enumerate(edges)}
-    ctrl_edges = {c: [e for e in edges if e[0] == c] for c in bip.controls}
-    tgt_edges = {q: [e for e in edges if e[1] == q] for q in bip.targets}
+    """Place every gadget on its qubit; a Z gadget is its X gadget mirrored.
 
+    Every gadget fills its entangling slots, in gadget-time order, with its
+    qubit's edges in global priority order, so all chains are subsequences
+    of one linear order and the precedence graph is always acyclic.  An
+    X gadget's slot gate becomes its edge with the control replaced by the
+    gadget's control-side label; mirrored, the edge's target is replaced.
+    """
     code_index: list[int | None] = sorted(bip.controls) + sorted(bip.targets)
-    qubit_of_code = {q: i for i, q in enumerate(code_index)}
+    wire = {q: i for i, q in enumerate(code_index)}
     plus = [True] * len(bip.controls) + [False] * len(bip.targets)
-
-    n_edges = len(edges)
-    # Edge gate endpoints default to the bare code qubits.
-    gate_ctrl = [qubit_of_code[e[0]] for e in edges]
-    gate_tgt = [qubit_of_code[e[1]] for e in edges]
-    extra_gates: list[tuple[int, int]] = []  # private flag gates, ids n_edges+...
+    # Edge gates first, on the bare code qubits; private gates follow.
+    gates = [(wire[c], wire[q]) for c, q in edges]
     chains: list[tuple[int, ...]] = []
-
-    # One global priority over edges; every gadget fills its entangling
-    # slots in priority order, so all chains are subsequences of a single
-    # linear order and the precedence graph is always acyclic.
-    if priority_list is None:
-        priority = {i: int(p) for i, p in enumerate(rng.permutation(n_edges))}
-    else:
-        priority = {i: priority_list[i] for i in range(n_edges)}
-
-    def new_flag(plus_basis: bool) -> int:
-        code_index.append(None)
-        plus.append(plus_basis)
-        return len(code_index) - 1
-
-    def add_gadget(code_q: int, my_edges: list[tuple[int, int]], detect: str, t_side: int) -> None:
-        degree = len(my_edges)
-        if degree == 0 or t_side == 0:
-            return  # no gadget on this side: the bare edges are unconstrained
-        base = pick_gadget(t_side, degree)
-        gadget = base if detect == "X" else hadamard_conjugate_gadget(base)
-        label_map: dict[int, int] = {0: qubit_of_code[code_q]}
-        for f in gadget.flag_labels:
-            label_map[f] = new_flag(detect == "Z")
-        # Slot labels in gadget-time order get this qubit's edges in global
-        # priority order.
-        slot_time_order = [
-            (a if detect == "Z" else b)
-            for a, b in gadget.gates
-            if 1 <= (a if detect == "Z" else b) <= degree
-        ]
-        edges_by_priority = sorted(my_edges, key=lambda e: priority[edge_id[e]])
-        slot_edge = dict(zip(slot_time_order, edges_by_priority))
-        chain: list[int] = []
+    for q, detects_z, mine, gadget in placed:
+        # Gadget label -> circuit qubit; slot labels (1..r) are never read.
+        flags = range(len(code_index), len(code_index) + gadget.m)
+        label = [wire[q]] * (gadget.r + 1) + [*flags]
+        code_index += [None] * gadget.m
+        plus += [detects_z] * gadget.m
+        slots = iter(sorted(mine, key=priority.__getitem__))
+        chain = []
         for a, b in gadget.gates:
-            slot = a if detect == "Z" else b
-            if 1 <= slot <= degree:
-                e = slot_edge[slot]
-                node = edge_id[e]
-                if detect == "X":
-                    gate_ctrl[node] = label_map[a]
-                else:
-                    gate_tgt[node] = label_map[b]
-                chain.append(node)
+            if 1 <= b <= gadget.r:
+                node = next(slots)
+                c, t = gates[node]
+                gates[node] = (c, label[a]) if detects_z else (label[a], t)
             else:
-                node = n_edges + len(extra_gates)
-                extra_gates.append((label_map[a], label_map[b]))
-                chain.append(node)
+                node = len(gates)
+                gates.append((label[b], label[a]) if detects_z else (label[a], label[b]))
+            chain.append(node)
         chains.append(tuple(chain))
 
-    for c in sorted(bip.controls):
-        add_gadget(c, ctrl_edges[c], "X", t_x)
-    for q in sorted(bip.targets):
-        add_gadget(q, tgt_edges[q], "Z", t_z)
-
-    gates = [(gate_ctrl[i], gate_tgt[i]) for i in range(n_edges)] + extra_gates
     assembled = AssembledCircuit(
         code_index=tuple(code_index),
         plus=tuple(plus),
         gates=tuple(gates),
         chains=tuple(chains),
-        n_edges=n_edges,
-        edge_priority=tuple(priority[i] for i in range(n_edges)),
+        n_edges=len(edges),
+        edge_priority=tuple(priority),
     )
     assembled._topological_order()  # raises CyclicPrecedenceError on a cycle
     return assembled

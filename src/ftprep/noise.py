@@ -20,7 +20,7 @@ analytically.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, KeysView, Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 from statistics import NormalDist
@@ -65,23 +65,25 @@ class NoiseModel:
         return self.p / 100
 
 
-def _idle_locations(circuit: Circuit) -> list[tuple[int, int]]:
-    """``(CX position, qubit)`` of every idle location, in table order.
-
-    One location per active qubit per CX time step, participants included,
-    the qubits in initialization order; a qubit is active from its
-    initialization until its measurement.
+def _idle_steps(circuit: Circuit) -> Iterator[tuple[int, KeysView[int]]]:
+    """``(CX position, live qubits)`` per CX time step, the qubits in
+    initialization order, participants included: a qubit is live from its
+    initialization until its measurement.  Read the view before the next step.
     """
-    idle: list[tuple[int, int]] = []
     live: dict[int, None] = {}  # insertion-ordered set
     for pos, op in enumerate(circuit.ops):
         if isinstance(op, Init):
             live[op.qubit] = None
         elif isinstance(op, CXGate):
-            idle += [(pos, q) for q in live]
+            yield pos, live.keys()
         else:
             live.pop(op.qubit, None)
-    return idle
+
+
+def _idle_locations(circuit: Circuit) -> list[tuple[int, int]]:
+    """``(CX position, qubit)`` of every idle location, in table order: one
+    location per live qubit per CX time step (:func:`_idle_steps`)."""
+    return [(pos, q) for pos, live in _idle_steps(circuit) for q in live]
 
 
 def count_fault_locations(circuit: Circuit) -> tuple[int, int]:
@@ -90,7 +92,7 @@ def count_fault_locations(circuit: Circuit) -> tuple[int, int]:
     Every op (initialization, CX gate, flag measurement) is one full-rate
     location; the idle locations are those of :func:`_idle_locations`.
     """
-    return len(circuit.ops), len(_idle_locations(circuit))
+    return len(circuit.ops), sum(len(live) for _, live in _idle_steps(circuit))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ import pytest
 from ftprep.assemble import (
     CircuitMetrics,
     OverrideNotCertifiedError,
-    _gadget_windows,
+    _flag_spans,
+    _placements,
     _WidthModel,
     assemble_ft_circuit,
     certified_z_override,
@@ -14,9 +15,10 @@ from ftprep.assemble import (
     schedule_circuit,
 )
 from ftprep.bipartite import best_of_trials, synthesize_bipartite
-from ftprep.catalog import get_state
+from ftprep.catalog import catalog_names, get_state
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, flag_int
 from ftprep.css import CssState
+from ftprep.gadgets import hadamard_conjugate_gadget, trivial_gadget
 from ftprep.library import GadgetLibrary
 from ftprep.serialization import serialize_circuit
 from ftprep.tableau import tableau_check_circuit
@@ -45,7 +47,7 @@ def test_bell_with_flagged_gadgets(library):
     state = bell_state()
     bip = synthesize_bipartite(state, seed=1)
     asm = assemble_ft_circuit(state, bip, library, seed=2, use_trivial_gadgets=False)
-    circ = asm.default_circuit()
+    circ = asm.schedule(asm._topological_order())
     m = circuit_metrics(circ)
     assert m.cx_count == 5  # one shared edge plus two CX per flag
     assert m.flag_count == 2
@@ -74,6 +76,17 @@ def test_steane_z_override_drops_z_gadgets(library):
     assert tableau_check_circuit(circ, state) is None
 
 
+@pytest.mark.parametrize("name", ["surface9", "steane"])
+def test_negative_override_rejected(library, name):
+    # surface9 has only degree <= 2 qubits, so no library lookup would fail.
+    state = get_state(name)
+    bip = best_of_trials(state, 20, 3)
+    with pytest.raises(ValueError, match="-1"):
+        assemble_ft_circuit(
+            state, bip, library, z_gadget_t_override=-1, allow_uncertified_override=True
+        )
+
+
 def test_uncertified_override_rejected(library):
     state = get_state("color17")  # max Z coset weight 3: no downgrade below 2
     bip = best_of_trials(state, 50, 3)
@@ -95,7 +108,7 @@ def test_gate_count_identity(library):
     state = get_state("surface9")
     bip = best_of_trials(state, 100, 2)
     asm = assemble_ft_circuit(state, bip, library, seed=4, use_trivial_gadgets=False)
-    circ = asm.default_circuit()
+    circ = asm.schedule(asm._topological_order())
     m = circuit_metrics(circ)
     assert m.cx_count == bip.edge_count + 2 * m.flag_count
     assert m.flag_count == len(bip.controls) + len(bip.targets)
@@ -285,7 +298,8 @@ def test_incremental_width_matches_full_recompute(library, name, t_z):
     state = get_state(name)
     bip = best_of_trials(state, 20, 3)
     edges = sorted(bip.edges)
-    windows = _gadget_windows(edges, bip, library.get, state.t, t_z)
+    placed = _placements(edges, bip, library.get, state.t, t_z)
+    windows = [(mine, _flag_spans(gadget)) for _, _, mine, gadget in placed]
     rng = np.random.default_rng(0)
     model = _WidthModel(edges, windows, rng.permutation(len(edges)).tolist())
     assert model.peak() == _full_width(edges, windows, model.order)
@@ -370,3 +384,65 @@ def test_sampled_orders_match_full_rescoring(library, name, kwargs):
         greedy = trial % 4 != 3
         assert asm._topological_order(fast, greedy=greedy) == _reference_order(asm, ref, greedy)
     assert fast.random() == ref.random()
+
+
+def test_golden_catalog_assemblies(library):
+    # Assembly outputs pinned on every catalog code in both states, under the
+    # default options, flagged gadgets with annealing, and no Z gadgets.
+    options = (
+        {},
+        {"use_trivial_gadgets": False, "width_anneal": 300},
+        {"z_gadget_t_override": 0, "allow_uncertified_override": True},
+    )
+    digest = hashlib.sha256()
+    count = 0
+    for name in catalog_names():
+        for label in ("|0>", "|+>"):
+            state = get_state(name, label)
+            bip = best_of_trials(state, 20, 7)
+            for kwargs in options:
+                asm = assemble_ft_circuit(state, bip, library, seed=5, **kwargs)
+                outputs = (asm.code_index, asm.plus, asm.gates, asm.chains, asm.edge_priority)
+                digest.update(repr(outputs).encode())
+                circ = schedule_circuit(asm, "min_max_qubits", shuffles=8, seed=3)
+                digest.update(serialize_circuit(circ).encode())
+                count += 1
+    assert count == 36
+    assert digest.hexdigest() == "8563ac24263a171fb3173ac42d09d3e73f223b653e2699999f6f8ae78604eb3a"
+
+
+def _relabeled(gates, first: int) -> list[tuple[int, int]]:
+    """``gates`` with qubits renamed by first appearance, ``first`` as 0."""
+    names = {first: 0}
+    return [tuple(names.setdefault(q, len(names)) for q in gate) for gate in gates]
+
+
+@pytest.mark.parametrize(
+    "name, label, kwargs",
+    [
+        ("color17", "|0>", {}),
+        ("color17", "|+>", {"use_trivial_gadgets": False}),
+        ("golay", "|0>", {"z_gadget_t_override": 2}),
+        ("surface9", "|0>", {"use_trivial_gadgets": False}),
+    ],
+)
+def test_every_chain_is_its_gadget(library, name, label, kwargs):
+    # A control's chain is its X gadget and a target's chain is the
+    # Hadamard-conjugated gadget, up to the names of the circuit qubits.
+    state = get_state(name, label)
+    bip = best_of_trials(state, 20, 7)
+    asm = assemble_ft_circuit(state, bip, library, seed=5, width_anneal=100, **kwargs)
+    trivial = kwargs.get("use_trivial_gadgets", True)
+
+    def pick(t, r):
+        return trivial_gadget(t, r) if trivial and r <= 2 else library.get(t, r)
+
+    t_z = kwargs.get("z_gadget_t_override", state.t)
+    placed = _placements(sorted(bip.edges), bip, pick, state.t, t_z)
+    assert len(placed) == len(asm.chains)
+    assert any(detects_z for _, detects_z, _, _ in placed)
+    for (q, detects_z, mine, gadget), chain in zip(placed, asm.chains):
+        expected = hadamard_conjugate_gadget(gadget) if detects_z else gadget
+        got = _relabeled([asm.gates[node] for node in chain], asm.code_index.index(q))
+        assert got == _relabeled(expected.gates, 0)
+        assert sorted(node for node in chain if node < asm.n_edges) == mine
