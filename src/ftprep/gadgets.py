@@ -193,34 +193,41 @@ class _Engine:
     Keeps the propagated signature of every fault variant as a python int
     (code bits low, flag bits high).  Prepending a gate never changes
     existing signatures, so each step only has to test the combinations
-    involving the gate's three new patterns, which share one location.
-
-    Flag-initialization and flag-measurement faults are omitted: an X after
-    a flag init propagates identically to one of the patterns of the flag's
-    first gate, and a measurement flip equals the X on the flag right after
-    its last gate.  Either swaps into a combination for a pattern at that
-    gate, which merges with any pattern already there, so every combination
-    containing one is dominated by an already-checked combination with fewer
-    or equal faults (the public reference test keeps them).
-
-    ``levels[k]`` buckets the XOR of every combination of ``k < t`` variants
-    at distinct locations by its flag signature; level 0 holds the empty
-    combination.  A combination is undetected exactly when its flag parts
-    cancel, so a new pattern completes an f-fault combination only with the
-    level-(f-1) bucket of its own flag signature, and each XOR with that
-    bucket is pure code bits.
+    involving the gate's new patterns, which share one location.
 
     The engine also maintains the circuit's X-frame transfer map (column q
     = image of an X on qubit q injected at the current temporal front), so
-    a prepended gate's new patterns are read off directly.
+    a prepended gate's patterns are read off directly: an X on qubit q right
+    after it propagates to ``transfer[q]``, and XX (an X on the control
+    before the gate, copied onto its target) to the XOR of both columns.
 
-    The checks run pattern-major: each new pattern is tested against every
-    level before the next pattern, XX (fa ^ fb, an X on the control before
-    the gate, copied onto its target) first.  That is the hook that spreads:
-    filling (t, r) = (2, 12), (2, 13), (3, 7) and (3, 8) at a 150k-node
-    budget rejects 339,781 pushes, all of them on it.  The verdict is an
-    "any" over the same combinations, so the order only changes how soon a
-    failing push stops.  A residual of w code bits reduces to weight
+    Only XX is tested, and only undominated patterns are stored.  For the
+    single-qubit pattern on q, ``uses[q]`` counts the later gates on q:
+
+    - Touched (``uses[q] > 0``): the X on q lasts unchanged until q's next
+      gate L, so it has the signature of one of L's patterns (its XX pattern
+      when q controls L, its target-side pattern when q is L's target).
+      Swapping it for that pattern keeps the combination's size, or, when
+      the combination already holds a pattern at L, merges the two into one
+      with fewer faults, whose failing window f' < w < r+1-f' is wider.
+      Repeated swaps end on stored patterns, so the pattern is neither
+      tested nor stored.  An X after a flag's initialization is this case
+      at the flag's first gate, and a measurement flip swaps the same way
+      for the flag's stored pattern after its last gate, so both are
+      omitted (the public reference test keeps them).
+    - Untouched: a fresh target, a fresh flag, or c at the very first gate,
+      with ``transfer[q] == 1 << q``.  A code bit moves the residual weight
+      of a stored, passing (f-1)-combination by one, so weight <= f-1
+      becomes <= f and weight >= r+2-f stays >= r+1-f; a fresh flag bit is
+      in no stored key, so the combination is detected.  The test always
+      passes and is skipped, but the pattern is stored.
+
+    ``levels[k]`` buckets the XOR of every combination of ``k < t`` stored
+    patterns at distinct locations by its flag signature; level 0 holds the
+    empty combination.  A combination is undetected exactly when its flag
+    parts cancel, so XX completes an f-fault combination only with the
+    level-(f-1) bucket of its own flag signature, and each XOR with that
+    bucket is pure code bits.  A residual of w code bits reduces to weight
     min(w, r+1-w), so an f-fault combination fails exactly when
     f < w < r+1-f: one popcount per bucket entry.
     """
@@ -241,7 +248,7 @@ class _Engine:
         self.undo: list[list[list[int]]] = []
         self.gates_time: list[tuple[int, int]] = []
         self.transfer = [1 << q for q in range(1 + r + m)]
-        self.transfer_undo: list[tuple[int, int]] = []
+        self.uses = [0] * (1 + r + m)
 
     def push(self, gate: tuple[int, int]) -> bool:
         """Prepend ``gate``; test and keep it if still fault-tolerant.
@@ -250,24 +257,25 @@ class _Engine:
         test.
         """
         a, b = gate
-        # A fault pattern injected right after the new gate propagates to
-        # exactly the transfer column of its qubit.
         transfer = self.transfer
         fa = transfer[a]
-        fb = transfer[b]
-        xx = fa ^ fb
+        xx = fa ^ transfer[b]
         fm = self.flag_mask
-        for s in (xx, fa, fb):
-            key = s & fm
-            for f, level, hi in self.checks:
-                bucket = level.get(key)
-                if bucket:
-                    for o in bucket:
-                        if f < (s ^ o).bit_count() < hi:
-                            return False
+        key = xx & fm
+        for f, level, hi in self.checks:
+            bucket = level.get(key)
+            if bucket:
+                for o in bucket:
+                    if f < (xx ^ o).bit_count() < hi:
+                        return False
 
-        # Commit.
-        new = (fa, fb, xx)
+        # Commit XX and the patterns on untouched qubits.
+        uses = self.uses
+        new = [xx]
+        if not uses[a]:
+            new.append(fa)
+        if not uses[b]:
+            new.append(transfer[b])
         added: list[list[int]] = []
         for source, target in self.commits:
             for bucket in source.values():
@@ -281,16 +289,18 @@ class _Engine:
                         added.append(tb)
         self.undo.append(added)
         self.gates_time.insert(0, gate)
-        self.transfer_undo.append((a, fa))
+        uses[a] += 1
+        uses[b] += 1
         transfer[a] = xx
         return True
 
     def pop(self) -> None:
         for bucket in self.undo.pop():
             bucket.pop()
-        self.gates_time.pop(0)
-        a, col = self.transfer_undo.pop()
-        self.transfer[a] = col
+        a, b = self.gates_time.pop(0)
+        self.uses[a] -= 1
+        self.uses[b] -= 1
+        self.transfer[a] ^= self.transfer[b]
 
 
 def discover_gadget(

@@ -1,8 +1,9 @@
 """Persistent library of discovered flag gadgets, keyed by (t, r).
 
 Entries store the smallest known X-detecting gadget for each key together
-with an optimality marker: ``optimal`` when the search at one fewer flag
-ran to exhaustion, ``possibly suboptimal`` when it only hit its budget.
+with an optimality marker: ``optimal`` when the search ran to exhaustion at
+every smaller flag count, ``possibly suboptimal`` when any of them only hit
+its budget.
 Z-detecting gadgets are produced on demand by Hadamard conjugation.
 """
 
@@ -33,7 +34,7 @@ class BudgetExhaustedError(RuntimeError):
 @dataclass(frozen=True)
 class LibraryEntry:
     gadget: FlagGadget
-    optimal: bool  # True when m-1 ended in SearchExhausted rather than budget
+    optimal: bool  # True when the search at every m' < m ended in SEARCH_EXHAUSTED
 
 
 class GadgetLibrary:

@@ -6,11 +6,13 @@ from ftprep.gadgets import (
     FOUND,
     SEARCH_EXHAUSTED,
     FlagGadget,
+    _flags_deterministic,
     discover_gadget,
     gadget_ft_test,
     hadamard_conjugate_gadget,
     trivial_gadget,
 )
+from ftprep.library import GadgetLibrary
 from ftprep.tableau import run_tableau
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 
@@ -88,9 +90,10 @@ def test_search_options_agree_on_small_rows():
 
 def test_engine_matches_reference_on_random_circuits(monkeypatch):
     # The incremental engine agrees with the exhaustive reference test
-    # step by step, through pushes and pops, at every t (the reference also
-    # enumerates flag-init and measurement faults, which are provably
-    # dominated; this cross-check backs that claim).
+    # step by step, through pushes and pops, at every t.  The reference
+    # tests every pattern, flag-init and measurement fault, where the engine
+    # tests only XX and stores only undominated patterns; this cross-check
+    # backs that claim.
     rng = np.random.default_rng(17)
     from ftprep import gadgets
     from ftprep.gadgets import _Engine
@@ -114,6 +117,14 @@ def test_engine_matches_reference_on_random_circuits(monkeypatch):
                 history.append(candidate)
             assert engine.gates_time == history[-1]
 
+    # An untouched control's own pattern must be stored although it is never
+    # tested: here the X on flag 9 after its only gate completes the failing
+    # pair with the XX pattern of (0, 5).
+    engine = _Engine(2, 7, 2)
+    assert engine.push((9, 7)) and engine.push((5, 9))
+    assert not engine.push((0, 5))
+    assert not gadget_ft_test([(0, 5), (5, 9), (9, 7)], 2, 7, 2)
+
     # Random circuits almost never reach a state where only f >= 3 fails;
     # the search's own prefixes and backtracking do, at every level.
     class CheckedEngine(_Engine):
@@ -124,8 +135,10 @@ def test_engine_matches_reference_on_random_circuits(monkeypatch):
             return accepted
 
     monkeypatch.setattr(gadgets, "_Engine", CheckedEngine)
-    for t, r, m in ((3, 7, 3), (4, 9, 3), (5, 11, 4)):
-        assert discover_gadget(t, r, m, budget=200).status == BUDGET_EXHAUSTED
+    for t, r, m, budget in ((2, 12, 3, 2_000), (3, 7, 3, 200), (4, 9, 3, 200), (5, 11, 4, 200)):
+        assert discover_gadget(t, r, m, budget=budget).status == BUDGET_EXHAUSTED
+    res = discover_gadget(3, 8, 4)
+    assert (res.status, res.nodes) == (FOUND, 103)
 
 
 def test_noiseless_soundness_of_discovered_gadget():
@@ -189,3 +202,27 @@ def test_gadget_rows_pinned():
                 assert res.gadget.gates == gates[t, r, m]
     res = discover_gadget(2, 12, 3, budget=150_000)
     assert (res.status, res.nodes) == (BUDGET_EXHAUSTED, 150_001)
+
+
+def test_target_deletion_keeps_a_gadget():
+    # The monotone lemma: deleting the one gate on a target of a (t, r, m)
+    # gadget, and relabelling the labels above it down by one, leaves a
+    # (t, r-1, m) gadget.  So the minimal flag count never decreases in r.
+    deletions = 0
+    for (t, r), entry in sorted(GadgetLibrary.bundled().entries.items()):
+        g = entry.gadget
+        if r < 2:
+            continue
+        for target in range(1, r + 1):
+            skip = g.entangling_gate_index(target)
+            gates = tuple(
+                tuple(q - (q > target) for q in gate)
+                for i, gate in enumerate(g.gates)
+                if i != skip
+            )
+            smaller = FlagGadget(t, r - 1, g.m, "X", gates)
+            smaller.validate()
+            assert gadget_ft_test(smaller), (t, r, target)
+            assert _flags_deterministic(smaller), (t, r, target)
+            deletions += 1
+    assert deletions == 347
