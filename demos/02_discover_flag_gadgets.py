@@ -6,16 +6,12 @@ gadget exists before finding the two-flag one.  Then sweeps the minimal
 flag counts at t = 2 and, with the same search, at t = 4 (distance 9).
 """
 
-from ftprep.gadgets import (
-    discover_gadget,
-    gadget_ft_test,
-    hadamard_conjugate_gadget,
-)
+from ftprep.gadgets import FlagGadget, discover_gadget, gadget_ft_test
 from ftprep.library import GadgetLibrary
 from ftprep.serialization import serialize_gadget
 
 # A bare CX fans a single control fault out to its targets: not FT.
-print("bare CX(c,t1) passes at t=2, r=5:", gadget_ft_test([(0, 1)], 2, 5, 2))
+print("bare CX(c,t1) passes at t=2, r=5:", gadget_ft_test(FlagGadget(2, 5, 2, ((0, 1),))))
 
 # One flag is provably not enough for five targets at t=2 ...
 res = discover_gadget(t=2, r=5, m=1, budget=None)
@@ -27,10 +23,9 @@ gadget = res.gadget
 print(f"two-flag gadget found: {len(gadget.gates)} CX")
 print(serialize_gadget(gadget))
 
-# The Z-detecting mirror is the Hadamard conjugate: every CX reverses.
-mirror = hadamard_conjugate_gadget(gadget)
-print("conjugated gadget detects Z faults:", gadget_ft_test(mirror))
-print(serialize_gadget(mirror))
+# A target's Z-detecting gadget is this one Hadamard-conjugated: assembly
+# places the same gates with every CX reversed.
+print("mirrored for Z faults:", [(b, a) for a, b in gadget.gates])
 
 
 # Flag counts across sweeps of target counts at t = 2 and t = 4, filled into

@@ -188,11 +188,17 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if label != test_label:
         raise ValueError(f"train samples are for {label}, test samples for {test_label}")
     state = catalog.get_state(args.code, label)
+    discard_weight = None
+    if args.even_discard:
+        if state.d % 2:
+            raise ValueError(f"--even-discard needs an even distance; {state.name} has d={state.d}")
+        discard_weight = state.d // 2
     train = serialization.load_sample_set(args.train)
     test = serialization.load_sample_set(args.test)
     ml = build_ml_lut(train)
-    mw = build_mw_lut(state, "X", args.wmax if args.wmax is not None else (state.d - 1) // 2)
-    report = evaluate_test_set(test, ml, mw, state.d // 2 if args.even_discard else None)
+    wmax = args.wmax if args.wmax is not None else discard_weight or (state.d - 1) // 2
+    mw = build_mw_lut(state, "X", wmax)
+    report = evaluate_test_set(test, ml, mw, discard_weight)
     print(report)
     lo, hi = report.logical_error_ci
     _write_out(args.out, {
@@ -322,8 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--wmax", type=int, default=None)
-    p.add_argument("--even-discard", action="store_true")
+    p.add_argument("--wmax", type=int, default=None,
+                   help="MW table weight limit (default (d-1)/2, or d/2 with --even-discard)")
+    p.add_argument("--even-discard", action="store_true",
+                   help="even-d codes only: discard syndromes whose MW weight is d/2; the "
+                   "default d/2 table exceeds the distance guarantee, so expect its warning")
     add_common(p, seed=False)
     p.set_defaults(func=cmd_decode)
 

@@ -15,7 +15,7 @@ r+1..r+m the flags.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import gf2
 
@@ -26,31 +26,22 @@ BUDGET_EXHAUSTED = "budget"
 
 @dataclass(frozen=True)
 class FlagGadget:
-    """A fault-tolerant flag gadget.
+    """A fault-tolerant X-detecting flag gadget.
 
-    ``gates`` is the CX list in time order over gadget-local labels.  For an
-    X-detecting gadget flags start in |0> and are measured in Z; the
-    Hadamard-conjugated Z-detecting version starts flags in |+> and measures
-    in X.
+    ``gates`` is the CX list in time order over gadget-local labels.  Flags
+    start in |0> and are measured in Z.  The Z-detecting gadget protecting a
+    target is this one Hadamard-conjugated (every CX reversed), which
+    assembly places directly; it is never stored.
     """
 
     t: int
     r: int
     m: int
-    detect_type: str  # "X" or "Z"
     gates: tuple[tuple[int, int], ...]
 
     @property
     def flag_labels(self) -> range:
         return range(self.r + 1, self.r + 1 + self.m)
-
-    @property
-    def flag_init_basis(self) -> str:
-        return "0" if self.detect_type == "X" else "+"
-
-    @property
-    def flag_meas_basis(self) -> str:
-        return "Z" if self.detect_type == "X" else "X"
 
     def entangling_gate_index(self, target_label: int) -> int:
         """Index into ``gates`` of the unique gate touching a target label."""
@@ -62,22 +53,21 @@ class FlagGadget:
         return hits[0]
 
     def validate(self) -> None:
-        """Check the structural gadget invariants."""
+        """Check the structural gadget invariants and flag determinism."""
         for i in range(1, self.r + 1):
-            a, b = self.gates[self.entangling_gate_index(i)]
-            expect_target = self.detect_type == "X"
-            if (b == i) != expect_target:
-                raise ValueError(f"target label {i} on the wrong side of its CX")
-        # Each flag contributes exactly two CX gates of its own (entangle and
-        # disentangle, the gates where it sits on the coupled side); it may
-        # additionally control entangling gates once GHZ-connected.
-        coupled = 1 if self.detect_type == "X" else 0
+            if self.gates[self.entangling_gate_index(i)][1] != i:
+                raise ValueError(f"target label {i} is not the target of its CX")
+        # Each flag is the target of exactly two CX gates (entangle and
+        # disentangle); it may additionally control entangling gates once
+        # GHZ-connected.
         for f in self.flag_labels:
-            uses = sum(1 for g in self.gates if g[coupled] == f)
+            uses = sum(1 for _, b in self.gates if b == f)
             if uses != 2:
-                raise ValueError(f"flag label {f} is coupled by {uses} CX gates, expected 2")
+                raise ValueError(f"flag label {f} is the target of {uses} CX gates, expected 2")
         if len(self.gates) != self.r + 2 * self.m:
             raise ValueError("gate count differs from r + 2m")
+        if not _flags_deterministic(self):
+            raise ValueError("flag measurements are not deterministic")
 
 
 def trivial_gadget(t: int, r: int) -> FlagGadget:
@@ -87,25 +77,13 @@ def trivial_gadget(t: int, r: int) -> FlagGadget:
     or two targets: with at most two fault locations and reduction modulo
     the full-support stabilizer, every combination stays within bound).
     """
-    gadget = FlagGadget(t, r, 0, "X", tuple((0, i) for i in range(1, r + 1)))
+    gadget = FlagGadget(t, r, 0, tuple((0, i) for i in range(1, r + 1)))
     if not gadget_ft_test(gadget):
         raise ValueError(f"no trivial gadget: the bare chain fails at t={t}, r={r}")
     return gadget
 
 
-def hadamard_conjugate_gadget(gadget: FlagGadget) -> FlagGadget:
-    """Conjugate every qubit by Hadamard: each CX reverses direction.
-
-    Turns an X-detecting gadget into the Z-detecting gadget protecting a
-    target qubit connected to r control qubits, and vice versa.  Applying it
-    twice returns the original gadget.
-    """
-    flipped = tuple((b, a) for a, b in gadget.gates)
-    new_type = "Z" if gadget.detect_type == "X" else "X"
-    return replace(gadget, detect_type=new_type, gates=flipped)
-
-
-def _propagate_x(frame: int, gates: tuple[tuple[int, int], ...] | list, start: int) -> int:
+def _propagate_x(frame: int, gates: list[tuple[int, int]], start: int) -> int:
     """Propagate an X frame through ``gates[start:]`` (time order)."""
     for a, b in gates[start:] if start else gates:
         if (frame >> a) & 1:
@@ -113,30 +91,16 @@ def _propagate_x(frame: int, gates: tuple[tuple[int, int], ...] | list, start: i
     return frame
 
 
-def gadget_ft_test(gadget_or_gates, t: int | None = None, r: int | None = None, m: int | None = None) -> bool:
-    """Reference fault-tolerance test for (partial) X-detecting gadgets.
+def gadget_ft_test(gadget: FlagGadget) -> bool:
+    """Reference fault-tolerance test for a (partial) gadget.
 
-    Enumerates every combination of ``f <= t`` single-type faults over
-    distinct locations: the three X patterns after each CX, an X after each
-    flag initialization, and a flip of each flag measurement.  Z-detecting
-    gadgets are tested through their Hadamard-conjugated mirror.
-
-    Accepts either a FlagGadget or a raw time-ordered gate list together
-    with explicit ``t``/``r``/``m``.
+    Enumerates every combination of ``f <= t`` X faults over distinct
+    locations: the three X patterns after each CX, an X after each flag
+    initialization, and a flip of each flag measurement.  The structure is
+    not checked, so a partial gate list can be tested as
+    ``FlagGadget(t, r, m, gates)``.
     """
-    if isinstance(gadget_or_gates, FlagGadget):
-        g = gadget_or_gates
-        if g.detect_type == "Z":
-            g = hadamard_conjugate_gadget(g)
-        gates, t, r, m = list(g.gates), g.t, g.r, g.m
-    else:
-        gates = list(gadget_or_gates)
-        if t is None or r is None:
-            raise ValueError("raw gate lists require explicit t and r")
-        if m is None:
-            m = 0
-            for a, b in gates:
-                m = max(m, a - r, b - r)
+    gates, t, r, m = list(gadget.gates), gadget.t, gadget.r, gadget.m
     code_mask = (1 << (r + 1)) - 1
     stab = code_mask
     flag_mask = ((1 << m) - 1) << (r + 1)
@@ -349,7 +313,7 @@ def discover_gadget(
         nonlocal nodes, result_gates, next_flag
         if targets_done == r and next_flag == end_flag and len(cluster) == 1:
             gates = tuple(engine.gates_time)
-            if _flags_deterministic(FlagGadget(t, r, m, "X", gates)):
+            if _flags_deterministic(FlagGadget(t, r, m, gates)):
                 result_gates = gates
                 return FOUND
             return None
@@ -393,7 +357,7 @@ def discover_gadget(
 
     outcome = dfs(0, (), (-1, -1)) or SEARCH_EXHAUSTED
     if outcome == FOUND:
-        gadget = FlagGadget(t, r, m, "X", result_gates)
+        gadget = FlagGadget(t, r, m, result_gates)
         gadget.validate()
         return SearchResult(FOUND, gadget, nodes)
     return SearchResult(outcome, None, nodes)

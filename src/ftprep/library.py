@@ -3,8 +3,8 @@
 Entries store the smallest known X-detecting gadget for each key together
 with an optimality marker: ``optimal`` when the search ran to exhaustion at
 every smaller flag count, ``possibly suboptimal`` when any of them only hit
-its budget.
-Z-detecting gadgets are produced on demand by Hadamard conjugation.
+its budget.  Assembly places a target's Z-detecting gadget as the X gadget
+mirrored (every CX reversed), so only the X form is stored.
 """
 
 from __future__ import annotations
@@ -93,13 +93,8 @@ class GadgetLibrary:
         payload = json.loads(Path(path).read_text())
         entries = {}
         for spec in payload.values():
-            gadget = FlagGadget(
-                t=spec["t"],
-                r=spec["r"],
-                m=spec["m"],
-                detect_type="X",
-                gates=tuple(tuple(g) for g in spec["gates"]),
-            )
+            gates = tuple(tuple(g) for g in spec["gates"])
+            gadget = FlagGadget(spec["t"], spec["r"], spec["m"], gates)
             gadget.validate()
             if not gadget_ft_test(gadget):
                 raise ValueError(f"library entry t={spec['t']} r={spec['r']} fails its FT test")

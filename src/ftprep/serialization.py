@@ -134,60 +134,52 @@ def parse_circuit(text: str) -> tuple[Circuit, str, str]:
 # -- gadgets -----------------------------------------------------------------
 
 
-def _gadget_qubit_name(label: int, r: int) -> str:
-    if label == 0:
-        return "c"
-    if label <= r:
-        return f"t{label}"
-    return f"f{label - r}"
-
-
 def serialize_gadget(gadget: FlagGadget) -> str:
-    lines = [f"GADGET t={gadget.t} r={gadget.r} m={gadget.m} type={gadget.detect_type}"]
-    basis = gadget.flag_init_basis
-    for f in gadget.flag_labels:
-        opcode = "INIT+" if basis == "+" else "INIT0"
-        lines.append(f"{opcode} {_gadget_qubit_name(f, gadget.r)}")
-    for a, b in gadget.gates:
-        lines.append(f"CX {_gadget_qubit_name(a, gadget.r)} {_gadget_qubit_name(b, gadget.r)}")
-    meas = "MZ" if gadget.flag_meas_basis == "Z" else "MX"
-    for i, f in enumerate(gadget.flag_labels):
-        lines.append(f"{meas} {_gadget_qubit_name(f, gadget.r)} -> m{i}")
+    names = ["c"] + [f"t{i}" for i in range(1, gadget.r + 1)]
+    flags = [f"f{k}" for k in range(1, gadget.m + 1)]
+    names += flags
+    lines = [f"GADGET t={gadget.t} r={gadget.r} m={gadget.m} type=X"]
+    lines += [f"INIT0 {f}" for f in flags]
+    lines += [f"CX {names[a]} {names[b]}" for a, b in gadget.gates]
+    lines += [f"MZ {f} -> m{i}" for i, f in enumerate(flags)]
     return "\n".join(lines) + "\n"
 
 
 def parse_gadget(text: str) -> FlagGadget:
+    """Parse gadget text.  Flag inits and readouts are implied (|0> and Z);
+    only the CX lines are read."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("GADGET"):
         raise ParseError(1, "expected a GADGET header")
     header = dict(part.split("=", 1) for part in lines[0].split()[1:] if "=" in part)
-    t = int(header["t"])
-    r = int(header["r"])
-    m = int(header["m"])
-    detect = header.get("type", "X")
+    if header.get("type", "X") != "X":
+        raise ParseError(1, f"unsupported gadget type {header['type']!r}; only X is stored")
+    try:
+        t, r, m = (int(header[key]) for key in ("t", "r", "m"))
+    except (KeyError, ValueError):
+        raise ParseError(1, "the header needs integer t=, r= and m=") from None
 
     def label(token: str, line_no: int) -> int:
         if token == "c":
             return 0
-        if token.startswith("t"):
-            return int(token[1:])
-        if token.startswith("f"):
-            return r + int(token[1:])
+        i = int(token[1:]) if token[1:].isdecimal() else 0
+        if token[0] == "t" and 1 <= i <= r:
+            return i
+        if token[0] == "f" and 1 <= i <= m:
+            return r + i
         raise ParseError(line_no, f"unknown gadget qubit {token!r}")
 
     gates = []
     for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#") or parts[0] in ("INIT0", "MZ"):
             continue
-        parts = line.split()
-        if parts[0] == "CX":
-            gates.append((label(parts[1], line_no), label(parts[2], line_no)))
-        elif parts[0] in ("INIT+", "INIT0", "MZ", "MX"):
-            continue  # implied by the gadget type
-        else:
+        if parts[0] != "CX":
             raise ParseError(line_no, f"unknown opcode {parts[0]!r}")
-    gadget = FlagGadget(t, r, m, detect, tuple(gates))
+        if len(parts) != 3:
+            raise ParseError(line_no, "CX takes two qubits")
+        gates.append((label(parts[1], line_no), label(parts[2], line_no)))
+    gadget = FlagGadget(t, r, m, tuple(gates))
     gadget.validate()
     return gadget
 

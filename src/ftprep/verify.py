@@ -105,11 +105,14 @@ def verify_fault_tolerance(
     Returns None on a pass, otherwise the lexicographically first failing
     combination of variants at the smallest failing fault count.  Raises
     VerificationBudgetError when the combination space exceeds
-    COMBINATION_CAP, and ValueError when syndrome plus class bits exceed 64.
+    COMBINATION_CAP, and ValueError when t < 1 or syndrome plus class bits
+    exceed 64.
 
     An undetected residual has reduced weight above f exactly when its coset
     key is not among the keys of the errors of weight <= f.
     """
+    if t < 1:
+        raise ValueError(f"require t >= 1, got t={t}")
     locations = enumerate_fault_locations(circuit, fault_type)
     faults = [(loc.site, mask) for loc in locations for mask in loc.variants]
     nv = len(faults)

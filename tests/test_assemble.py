@@ -18,7 +18,7 @@ from ftprep.bipartite import best_of_trials, synthesize_bipartite
 from ftprep.catalog import catalog_names, get_state
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, flag_int
 from ftprep.css import CssState
-from ftprep.gadgets import hadamard_conjugate_gadget, trivial_gadget
+from ftprep.gadgets import trivial_gadget
 from ftprep.library import GadgetLibrary
 from ftprep.serialization import serialize_circuit
 from ftprep.tableau import tableau_check_circuit
@@ -427,8 +427,8 @@ def _relabeled(gates, first: int) -> list[tuple[int, int]]:
     ],
 )
 def test_every_chain_is_its_gadget(library, name, label, kwargs):
-    # A control's chain is its X gadget and a target's chain is the
-    # Hadamard-conjugated gadget, up to the names of the circuit qubits.
+    # A control's chain is its X gadget and a target's chain is the X gadget
+    # with every CX reversed, up to the names of the circuit qubits.
     state = get_state(name, label)
     bip = best_of_trials(state, 20, 7)
     asm = assemble_ft_circuit(state, bip, library, seed=5, width_anneal=100, **kwargs)
@@ -442,7 +442,7 @@ def test_every_chain_is_its_gadget(library, name, label, kwargs):
     assert len(placed) == len(asm.chains)
     assert any(detects_z for _, detects_z, _, _ in placed)
     for (q, detects_z, mine, gadget), chain in zip(placed, asm.chains):
-        expected = hadamard_conjugate_gadget(gadget) if detects_z else gadget
+        expected = [(b, a) for a, b in gadget.gates] if detects_z else gadget.gates
         got = _relabeled([asm.gates[node] for node in chain], asm.code_index.index(q))
-        assert got == _relabeled(expected.gates, 0)
+        assert got == _relabeled(expected, 0)
         assert sorted(node for node in chain if node < asm.n_edges) == mine

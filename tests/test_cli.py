@@ -170,6 +170,35 @@ def test_decode_wmax_zero_builds_no_mw_table(tmp_path, capsys):
         assert layers in capsys.readouterr().out
 
 
+def test_even_discard_needs_an_even_distance(tmp_path, capsys):
+    train, test = tmp_path / "train.npz", tmp_path / "test.npz"
+    save_sample_set(SampleSet.tally(3, 1, [0], [100.0], [1.0]), train)
+    save_sample_set(SampleSet.tally(3, 1, [0b101], [10.0], [0.1]), test)
+    rc = main(["decode", "--code", "steane", "--train", str(train), "--test", str(test),
+               "--even-discard"])
+    assert rc == 2
+    assert "steane has d=3" in capsys.readouterr().err
+
+
+def test_even_discard_drops_weight_d_over_2_syndromes(tmp_path):
+    # selfdual20 has d=6: a test syndrome whose lightest X error has weight
+    # 3 = d/2 is discarded; the default table then reaches weight 3.
+    with pytest.warns(UserWarning, match="exceeds the distance guarantee"):
+        mw = build_mw_lut(get_state("selfdual20"), "X", 3)
+    heavy = int(mw.synd[mw.weight == 3][0])
+    train, test, out = tmp_path / "train.npz", tmp_path / "test.npz", tmp_path / "decode.json"
+    save_sample_set(SampleSet.tally(mw.synd_bits, mw.class_bits, [0], [100.0], [1.0]), train)
+    save_sample_set(SampleSet.tally(mw.synd_bits, mw.class_bits, [0, heavy], [90.0, 10.0],
+                                    [0.9, 0.1]), test)
+    args = ["decode", "--code", "selfdual20", "--train", str(train), "--test", str(test),
+            "--out", str(out)]
+    with pytest.warns(UserWarning, match="exceeds the distance guarantee"):
+        assert main(args + ["--even-discard"]) == 0
+    assert json.loads(out.read_text())["discarded"] == 10.0
+    assert main(args) == 0
+    assert json.loads(out.read_text())["discarded"] == 0.0
+
+
 def test_simulate_reproducible(tmp_path):
     circ_path = tmp_path / "c.circuit"
     main([

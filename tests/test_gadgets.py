@@ -6,10 +6,8 @@ from ftprep.gadgets import (
     FOUND,
     SEARCH_EXHAUSTED,
     FlagGadget,
-    _flags_deterministic,
     discover_gadget,
     gadget_ft_test,
-    hadamard_conjugate_gadget,
     trivial_gadget,
 )
 from ftprep.library import GadgetLibrary
@@ -18,13 +16,13 @@ from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 
 
 def test_single_cx_fails_at_five_targets():
-    assert not gadget_ft_test([(0, 1)], 2, 5, 2)
+    assert not gadget_ft_test(FlagGadget(2, 5, 2, ((0, 1),)))
 
 
 def test_flagged_partial_passes():
     # time order: CX(c,t1) then CX(c,f1); two faults including a
     # measurement flip stay within bound
-    assert gadget_ft_test([(0, 1), (0, 6)], 2, 5, 2)
+    assert gadget_ft_test(FlagGadget(2, 5, 2, ((0, 1), (0, 6))))
 
 
 def test_discovered_five_target_gadget():
@@ -36,9 +34,8 @@ def test_discovered_five_target_gadget():
     assert gadget_ft_test(g)
     # deleting the closing flag CX leaves later hooks undetected
     last_flag_gate = max(i for i, (a, b) in enumerate(g.gates) if b > g.r)
-    broken = list(g.gates)
-    del broken[last_flag_gate]
-    assert not gadget_ft_test(broken, g.t, g.r, g.m)
+    broken = g.gates[:last_flag_gate] + g.gates[last_flag_gate + 1:]
+    assert not gadget_ft_test(FlagGadget(g.t, g.r, g.m, broken))
 
 
 def test_search_exhausts_below_minimum():
@@ -62,14 +59,6 @@ def test_budget_exhaustion():
     res = discover_gadget(2, 12, 3, budget=1000)
     assert res.status == BUDGET_EXHAUSTED
     assert res.nodes >= 1000
-
-
-def test_conjugation_is_involution():
-    g = discover_gadget(2, 5, 2).gadget
-    z = hadamard_conjugate_gadget(g)
-    assert z.detect_type == "Z"
-    assert hadamard_conjugate_gadget(z) == g
-    assert gadget_ft_test(z)  # mirrored test via conjugation
 
 
 def test_determinism():
@@ -112,7 +101,7 @@ def test_engine_matches_reference_on_random_circuits(monkeypatch):
             a, b = (int(q) for q in rng.choice(1 + r + m, size=2, replace=False))
             candidate = [(a, b)] + history[-1]
             accepted = engine.push((a, b))
-            assert accepted == gadget_ft_test(candidate, t, r, m)
+            assert accepted == gadget_ft_test(FlagGadget(t, r, m, tuple(candidate)))
             if accepted:
                 history.append(candidate)
             assert engine.gates_time == history[-1]
@@ -123,15 +112,15 @@ def test_engine_matches_reference_on_random_circuits(monkeypatch):
     engine = _Engine(2, 7, 2)
     assert engine.push((9, 7)) and engine.push((5, 9))
     assert not engine.push((0, 5))
-    assert not gadget_ft_test([(0, 5), (5, 9), (9, 7)], 2, 7, 2)
+    assert not gadget_ft_test(FlagGadget(2, 7, 2, ((0, 5), (5, 9), (9, 7))))
 
     # Random circuits almost never reach a state where only f >= 3 fails;
     # the search's own prefixes and backtracking do, at every level.
     class CheckedEngine(_Engine):
         def push(self, gate):
-            candidate = [gate] + self.gates_time
+            candidate = FlagGadget(self.t, self.r, self.m, (gate, *self.gates_time))
             accepted = super().push(gate)
-            assert accepted == gadget_ft_test(candidate, self.t, self.r, self.m)
+            assert accepted == gadget_ft_test(candidate)
             return accepted
 
     monkeypatch.setattr(gadgets, "_Engine", CheckedEngine)
@@ -220,9 +209,8 @@ def test_target_deletion_keeps_a_gadget():
                 for i, gate in enumerate(g.gates)
                 if i != skip
             )
-            smaller = FlagGadget(t, r - 1, g.m, "X", gates)
-            smaller.validate()
+            smaller = FlagGadget(t, r - 1, g.m, gates)
+            smaller.validate()  # includes flag determinism
             assert gadget_ft_test(smaller), (t, r, target)
-            assert _flags_deterministic(smaller), (t, r, target)
             deletions += 1
     assert deletions == 347

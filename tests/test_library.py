@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
-from ftprep.gadgets import gadget_ft_test
+from ftprep.gadgets import FlagGadget, gadget_ft_test
 from ftprep.library import GadgetLibrary
+from ftprep.serialization import parse_gadget, serialize_gadget
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +61,19 @@ def test_on_miss_discovery_and_persistence(tmp_path):
 def test_gate_count_rule(bundled):
     for (t, r), entry in bundled.entries.items():
         assert len(entry.gadget.gates) == r + 2 * entry.gadget.m
+
+
+def test_nondeterministic_flags_are_rejected_on_load(tmp_path):
+    # Structurally sound and fault-tolerant, but flag 2's second coupling
+    # comes from flag 3, not c, so flag 2 stays entangled with c and its
+    # measurement is random: the search would reject it.
+    gates = ((0, 2), (2, 1), (3, 2), (2, 3), (2, 3))
+    gadget = FlagGadget(1, 1, 2, gates)
+    assert gadget_ft_test(gadget)
+    path = tmp_path / "lib.json"
+    spec = {"t": 1, "r": 1, "m": 2, "gates": [list(g) for g in gates], "optimal": True}
+    path.write_text(json.dumps({"1,1": spec}))
+    with pytest.raises(ValueError, match="not deterministic"):
+        GadgetLibrary.load(path)
+    with pytest.raises(ValueError, match="not deterministic"):
+        parse_gadget(serialize_gadget(gadget))

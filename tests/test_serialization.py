@@ -9,7 +9,7 @@ from ftprep.bipartite import best_of_trials
 from ftprep.catalog import get_state
 from ftprep.circuit import Circuit, CXGate, Init
 from ftprep.decoder import build_mw_lut
-from ftprep.gadgets import discover_gadget, hadamard_conjugate_gadget
+from ftprep.gadgets import discover_gadget
 from ftprep.library import GadgetLibrary
 from ftprep.noise import SampleSet
 from ftprep.serialization import (
@@ -94,10 +94,39 @@ def test_gadget_round_trip_and_line_counts():
     assert sum(1 for l in lines if l.startswith("MZ")) == 2
     parsed = parse_gadget(text)
     assert parsed == g
-    z = hadamard_conjugate_gadget(g)
-    z_text = serialize_gadget(z)
-    assert sum(1 for l in z_text.splitlines() if l.startswith("MX")) == 2
-    assert parse_gadget(z_text) == z
+
+
+def test_gadget_text_is_pinned():
+    # The gadget file format, byte for byte.
+    expected = (
+        "GADGET t=2 r=5 m=2 type=X\n"
+        "INIT0 f1\n"
+        "INIT0 f2\n"
+        "CX c f2\n"
+        "CX c f1\n"
+        "CX f2 t5\n"
+        "CX f2 t4\n"
+        "CX c t3\n"
+        "CX c t2\n"
+        "CX c f2\n"
+        "CX c t1\n"
+        "CX c f1\n"
+        "MZ f1 -> m0\n"
+        "MZ f2 -> m1\n"
+    )
+    assert serialize_gadget(discover_gadget(2, 5, 2).gadget) == expected
+
+
+@pytest.mark.parametrize("text, line_no, reason", [
+    ("GADGET t=1 r=1 m=0 type=X\nCX c\n", 2, "CX takes two qubits"),
+    ("GADGET r=1 m=0 type=X\nCX c t1\n", 1, "integer t=, r= and m="),
+    ("GADGET t=1 r=1 m=0 type=X\nCX c tx\n", 2, "unknown gadget qubit 'tx'"),
+    ("GADGET t=1 r=1 m=0 type=Z\nCX t1 c\n", 1, "unsupported gadget type 'Z'"),
+])
+def test_malformed_gadget_lines_are_reported(text, line_no, reason):
+    with pytest.raises(ParseError, match=re.escape(reason)) as err:
+        parse_gadget(text)
+    assert err.value.line_no == line_no
 
 
 def test_unknown_opcode_is_reported_with_line():

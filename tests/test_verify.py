@@ -169,6 +169,18 @@ def test_flag_outcome_index_out_of_range_rejected():
         build_effect_tables(circ, state)
 
 
+@pytest.mark.parametrize("t", [0, -2])
+def test_t_below_one_is_rejected_before_enumeration(monkeypatch, steane_circuit, t):
+    state, _, circ = steane_circuit
+
+    def no_enumeration(*args):
+        raise AssertionError("fault locations were enumerated")
+
+    monkeypatch.setattr(verify, "enumerate_fault_locations", no_enumeration)
+    with pytest.raises(ValueError, match="require t >= 1"):
+        verify_fault_tolerance(circ, state, t, "X")
+
+
 def test_combination_cap_raises_before_any_block(monkeypatch, steane_circuit):
     state, _, circ = steane_circuit
 
