@@ -23,7 +23,6 @@ class GroupTooLargeError(ValueError):
     """Enumerating the requested stabilizer subgroup would exceed the cap."""
 
 
-MIN_WEIGHT_CAP = 20  # min_weight_modulo enumerates at most 2**20 products
 COSET_CAP = 24  # max_coset_weight caps the opposite-type quotient at 2**24
 
 
@@ -108,24 +107,6 @@ def swap_xz(state: CssState) -> CssState:
         logical_z=state.logical_x,
         state_label="|+>" if state.state_label == "|0>" else "|0>",
     )
-
-
-def min_weight_modulo(error: int, group_generators: Sequence[int]) -> int:
-    """Exact minimum weight of the ``error`` mask over products with the
-    group of same-type generator masks.
-
-    Enumerates all 2**g group elements in Gray-code order so each step is a
-    single XOR; raises GroupTooLargeError beyond the 2**20 cap.
-    """
-    g = len(group_generators)
-    if g > MIN_WEIGHT_CAP:
-        raise GroupTooLargeError(f"{g} generators exceed the 2^{MIN_WEIGHT_CAP} cap")
-    best = error.bit_count()
-    cur = error
-    for i in range(1, 1 << g):
-        cur ^= group_generators[(i & -i).bit_length() - 1]  # Gray code step
-        best = min(best, cur.bit_count())
-    return best
 
 
 def coset_key_columns(state: CssState, error_type: str) -> list[int]:

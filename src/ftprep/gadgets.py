@@ -8,16 +8,23 @@ prepend.  A combination of ``f <= t`` faults passes if it flips at least one
 flag measurement or leaves a residual of weight <= f on {c} + targets after
 reduction modulo the full-support stabilizer X_c X_t1 ... X_tr.
 
+With c in |+> and the targets and flags in |0>, a gadget prepares the
+(r+1)-qubit GHZ state, whose one X stabilizer is X_c X_t1 ... X_tr, so
+``gadget_ft_test`` is the verifier's X check of that circuit, for r <= 64
+(one key bit per target).  The search uses the incremental ``_Engine``.
+
 Qubit labels inside a gadget: 0 is the protected qubit, 1..r the targets,
 r+1..r+m the flags.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import gf2
+from .circuit import Circuit, CXGate, FlagMeasure, Init, Operation
+from .css import CssState
+from .verify import verify_fault_tolerance
 
 FOUND = "found"
 SEARCH_EXHAUSTED = "exhausted"
@@ -54,6 +61,10 @@ class FlagGadget:
 
     def validate(self) -> None:
         """Check the structural gadget invariants and flag determinism."""
+        top = self.r + self.m
+        for gate in self.gates:
+            if not all(0 <= q <= top for q in gate):
+                raise ValueError(f"gate {gate} has a label outside 0..{top}")
         for i in range(1, self.r + 1):
             if self.gates[self.entangling_gate_index(i)][1] != i:
                 raise ValueError(f"target label {i} is not the target of its CX")
@@ -71,73 +82,61 @@ class FlagGadget:
 
 
 def trivial_gadget(t: int, r: int) -> FlagGadget:
-    """The zero-flag gadget: the bare entangling chain.
+    """The zero-flag gadget: the bare entangling chain, for r <= 2 targets.
 
-    Valid only where the chain itself passes the fault-tolerance test (one
-    or two targets: with at most two fault locations and reduction modulo
-    the full-support stabilizer, every combination stays within bound).
+    With one or two targets every residual reduces, modulo the full-support
+    stabilizer, to weight at most one, so the chain passes at every t.  From
+    three targets on, an X on c after gate k (2 <= k <= r-1) leaves the
+    undetected residual c + t_{k+1} ... t_r of reduced weight
+    min(k, r+1-k) >= 2, so no t passes.
     """
-    gadget = FlagGadget(t, r, 0, tuple((0, i) for i in range(1, r + 1)))
-    if not gadget_ft_test(gadget):
+    if r > 2:
         raise ValueError(f"no trivial gadget: the bare chain fails at t={t}, r={r}")
-    return gadget
+    return FlagGadget(t, r, 0, tuple((0, i) for i in range(1, r + 1)))
 
 
-def _propagate_x(frame: int, gates: list[tuple[int, int]], start: int) -> int:
-    """Propagate an X frame through ``gates[start:]`` (time order)."""
-    for a, b in gates[start:] if start else gates:
-        if (frame >> a) & 1:
-            frame ^= 1 << b
-    return frame
+def ghz_preparation(gadget: FlagGadget) -> tuple[Circuit, CssState]:
+    """The gadget as the circuit that prepares the (r+1)-qubit GHZ state.
+
+    c starts in |+>, the targets and flags in |0>; the gadget's CX follow in
+    time order, then every flag label r+1..r+m is measured in Z (outcomes
+    0..m-1).  Circuit qubits 0..r are the GHZ state's qubits.  The state
+    has the X stabilizer X_c X_t1 ... X_tr, the Z stabilizers Z_i Z_{i+1}
+    and no logicals, with d = 2t+1.
+    """
+    r, n = gadget.r, 1 + gadget.r + gadget.m
+    ops: list[Operation] = [Init(0, "+"), *(Init(q, "0") for q in range(1, n))]
+    ops += [CXGate(a, b) for a, b in gadget.gates]
+    ops += [FlagMeasure(f, "Z", i) for i, f in enumerate(gadget.flag_labels)]
+    circuit = Circuit(tuple(range(r + 1)) + (None,) * gadget.m, tuple(ops))
+    ghz = CssState(
+        name=f"ghz{r + 1}",
+        n=r + 1,
+        k=0,
+        d=2 * gadget.t + 1,
+        x_stabilizers=((1 << (r + 1)) - 1,),
+        z_stabilizers=tuple(3 << i for i in range(r)),
+        logical_x=(),
+        logical_z=(),
+    )
+    return circuit, ghz
 
 
 def gadget_ft_test(gadget: FlagGadget) -> bool:
-    """Reference fault-tolerance test for a (partial) gadget.
+    """Fault-tolerance test for a (partial) gadget: X verification of its
+    :func:`ghz_preparation` at the gadget's t.
 
-    Enumerates every combination of ``f <= t`` X faults over distinct
-    locations: the three X patterns after each CX, an X after each flag
-    initialization, and a flip of each flag measurement.  The structure is
-    not checked, so a partial gate list can be tested as
-    ``FlagGadget(t, r, m, gates)``.
+    The GHZ coset key of an X residual e is e modulo the all-ones vector,
+    so the verifier's reduced weight is min(|e|, r+1-|e|).  The circuit
+    form also faults each target's and each unused flag's initialization;
+    by the dominance argument of :class:`_Engine` neither changes a
+    verdict.  The structure is not checked, so a partial gate list can be
+    tested as ``FlagGadget(t, r, m, gates)``.  The key holds one syndrome
+    bit per target, so r > 64 raises the key-width ValueError of
+    :func:`css.coset_key_columns` (the bundled library's largest r is 16).
     """
-    gates, t, r, m = list(gadget.gates), gadget.t, gadget.r, gadget.m
-    code_mask = (1 << (r + 1)) - 1
-    stab = code_mask
-    flag_mask = ((1 << m) - 1) << (r + 1)
-    flags_present = sorted({q for a, b in gates for q in (a, b) if q > r})
-
-    variants: list[tuple[int, int]] = []  # (location id, signature)
-    loc = 0
-    for i, (a, b) in enumerate(gates):
-        fa = _propagate_x(1 << a, gates, i + 1)
-        fb = _propagate_x(1 << b, gates, i + 1)
-        for sig in (fa, fb, fa ^ fb):
-            variants.append((loc, sig))
-        loc += 1
-    for f in flags_present:
-        variants.append((loc, _propagate_x(1 << f, gates, 0)))  # X after flag init
-        loc += 1
-    for f in flags_present:
-        variants.append((loc, 1 << f))  # measurement flip
-        loc += 1
-
-    by_loc: dict[int, list[int]] = {}
-    for lid, sig in variants:
-        by_loc.setdefault(lid, []).append(sig)
-    locations = sorted(by_loc)
-    for f in range(1, t + 1):
-        for combo in itertools.combinations(locations, f):
-            for choice in itertools.product(*(by_loc[l] for l in combo)):
-                sig = 0
-                for s in choice:
-                    sig ^= s
-                if sig & flag_mask:
-                    continue
-                res = sig & code_mask
-                w = min(bin(res).count("1"), bin(res ^ stab).count("1"))
-                if w > f:
-                    return False
-    return True
+    circuit, ghz = ghz_preparation(gadget)
+    return verify_fault_tolerance(circuit, ghz, gadget.t, "X") is None
 
 
 @dataclass
@@ -178,7 +177,7 @@ class _Engine:
       tested nor stored.  An X after a flag's initialization is this case
       at the flag's first gate, and a measurement flip swaps the same way
       for the flag's stored pattern after its last gate, so both are
-      omitted (the public reference test keeps them).
+      omitted (:func:`gadget_ft_test` keeps them).
     - Untouched: a fresh target, a fresh flag, or c at the very first gate,
       with ``transfer[q] == 1 << q``.  A code bit moves the residual weight
       of a stored, passing (f-1)-combination by one, so weight <= f-1

@@ -95,9 +95,13 @@ class GadgetLibrary:
         for spec in payload.values():
             gates = tuple(tuple(g) for g in spec["gates"])
             gadget = FlagGadget(spec["t"], spec["r"], spec["m"], gates)
-            gadget.validate()
+            name = f"library entry t={gadget.t} r={gadget.r}"
+            try:
+                gadget.validate()
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
             if not gadget_ft_test(gadget):
-                raise ValueError(f"library entry t={spec['t']} r={spec['r']} fails its FT test")
+                raise ValueError(f"{name} fails its FT test")
             entries[(gadget.t, gadget.r)] = LibraryEntry(gadget, spec["optimal"])
         return cls(entries)
 

@@ -30,6 +30,12 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _decimal(digits: str) -> int | None:
+    """A qubit index written as ``digits``, or None unless it is a decimal
+    numeral of at most 4,300 digits, the most ``int`` reads by default."""
+    return int(digits) if digits.isdecimal() and len(digits) <= 4300 else None
+
+
 # -- circuits ----------------------------------------------------------------
 
 
@@ -85,9 +91,10 @@ def parse_circuit(text: str) -> tuple[Circuit, str, str]:
     raw_ops = []  # (op class, qubit keys, other fields)
 
     def index(token: str, line_no: int) -> int:
-        if not token[1:].isdecimal():
+        i = _decimal(token[1:])
+        if i is None:
             raise ParseError(line_no, f"malformed index in {token!r}")
-        return int(token[1:])
+        return i
 
     def qubit(token: str, line_no: int) -> tuple[str, int]:
         if token[:1] not in ("c", "t", "f"):
@@ -162,7 +169,7 @@ def parse_gadget(text: str) -> FlagGadget:
     def label(token: str, line_no: int) -> int:
         if token == "c":
             return 0
-        i = int(token[1:]) if token[1:].isdecimal() else 0
+        i = _decimal(token[1:]) or 0
         if token[0] == "t" and 1 <= i <= r:
             return i
         if token[0] == "f" and 1 <= i <= m:

@@ -1,0 +1,92 @@
+"""Brute-force oracles that the package's fast paths are checked against.
+
+``gadget_ft_reference`` enumerates every combination of up to t X faults
+on a (partial) flag gadget by forward propagation; ``min_weight_modulo``
+reduces an error over every product of a generator set.  Neither shares
+code with ``ftprep.verify``, the coset keys or the gadget engine.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections.abc import Sequence
+
+from ftprep.css import GroupTooLargeError
+from ftprep.gadgets import FlagGadget
+
+MIN_WEIGHT_CAP = 20  # min_weight_modulo enumerates at most 2**20 products
+
+
+def _propagate_x(frame: int, gates: list[tuple[int, int]], start: int) -> int:
+    """Propagate an X frame through ``gates[start:]`` (time order)."""
+    for a, b in gates[start:] if start else gates:
+        if (frame >> a) & 1:
+            frame ^= 1 << b
+    return frame
+
+
+def gadget_ft_reference(gadget: FlagGadget) -> bool:
+    """Brute-force fault-tolerance test for a (partial) gadget.
+
+    Enumerates every combination of ``f <= t`` X faults over distinct
+    locations: the three X patterns after each CX, an X after each flag
+    initialization, and a flip of each flag measurement.  The structure is
+    not checked, so a partial gate list can be tested as
+    ``FlagGadget(t, r, m, gates)``.
+    """
+    gates, t, r, m = list(gadget.gates), gadget.t, gadget.r, gadget.m
+    code_mask = (1 << (r + 1)) - 1
+    stab = code_mask
+    flag_mask = ((1 << m) - 1) << (r + 1)
+    flags_present = sorted({q for a, b in gates for q in (a, b) if q > r})
+
+    variants: list[tuple[int, int]] = []  # (location id, signature)
+    loc = 0
+    for i, (a, b) in enumerate(gates):
+        fa = _propagate_x(1 << a, gates, i + 1)
+        fb = _propagate_x(1 << b, gates, i + 1)
+        for sig in (fa, fb, fa ^ fb):
+            variants.append((loc, sig))
+        loc += 1
+    for f in flags_present:
+        variants.append((loc, _propagate_x(1 << f, gates, 0)))  # X after flag init
+        loc += 1
+    for f in flags_present:
+        variants.append((loc, 1 << f))  # measurement flip
+        loc += 1
+
+    by_loc: dict[int, list[int]] = {}
+    for lid, sig in variants:
+        by_loc.setdefault(lid, []).append(sig)
+    locations = sorted(by_loc)
+    for f in range(1, t + 1):
+        for combo in itertools.combinations(locations, f):
+            for choice in itertools.product(*(by_loc[l] for l in combo)):
+                sig = 0
+                for s in choice:
+                    sig ^= s
+                if sig & flag_mask:
+                    continue
+                res = sig & code_mask
+                w = min(bin(res).count("1"), bin(res ^ stab).count("1"))
+                if w > f:
+                    return False
+    return True
+
+
+def min_weight_modulo(error: int, group_generators: Sequence[int]) -> int:
+    """Exact minimum weight of the ``error`` mask over products with the
+    group of same-type generator masks.
+
+    Enumerates all 2**g group elements in Gray-code order so each step is a
+    single XOR; raises GroupTooLargeError beyond the 2**20 cap.
+    """
+    g = len(group_generators)
+    if g > MIN_WEIGHT_CAP:
+        raise GroupTooLargeError(f"{g} generators exceed the 2^{MIN_WEIGHT_CAP} cap")
+    best = error.bit_count()
+    cur = error
+    for i in range(1, 1 << g):
+        cur ^= group_generators[(i & -i).bit_length() - 1]  # Gray code step
+        best = min(best, cur.bit_count())
+    return best

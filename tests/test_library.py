@@ -73,7 +73,20 @@ def test_nondeterministic_flags_are_rejected_on_load(tmp_path):
     path = tmp_path / "lib.json"
     spec = {"t": 1, "r": 1, "m": 2, "gates": [list(g) for g in gates], "optimal": True}
     path.write_text(json.dumps({"1,1": spec}))
-    with pytest.raises(ValueError, match="not deterministic"):
+    with pytest.raises(ValueError, match="t=1 r=1: flag measurements are not deterministic"):
         GadgetLibrary.load(path)
     with pytest.raises(ValueError, match="not deterministic"):
         parse_gadget(serialize_gadget(gadget))
+
+
+@pytest.mark.parametrize("first", [(99, 1), (-1, 1)])
+def test_gate_labels_outside_the_gadget_are_rejected(tmp_path, first):
+    # Target 1 driven by a qubit the (1, 1, 1) gadget does not have.
+    gates = (first, (0, 2), (0, 2))
+    with pytest.raises(ValueError, match=r"label outside 0\.\.2"):
+        FlagGadget(1, 1, 1, gates).validate()
+    path = tmp_path / "lib.json"
+    spec = {"t": 1, "r": 1, "m": 1, "gates": [list(g) for g in gates], "optimal": True}
+    path.write_text(json.dumps({"1,1": spec}))
+    with pytest.raises(ValueError, match=r"library entry t=1 r=1: gate .* outside"):
+        GadgetLibrary.load(path)

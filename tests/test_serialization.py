@@ -70,6 +70,9 @@ def test_bare_circuit_round_trip():
     ("INIT+ c0\n", 2, "FINAL_MEAS Z"),
     ("INIT+ c0\nFINAL_MEAS Z\nINIT0 t1\nFINAL_MEAS Z\n", 3, "FINAL_MEAS Z"),
     ("INIT0 c0\nFINAL_MEAS Z\n", 2, "c-qubits start in |+>"),
+    # More digits than int() reads by default.
+    pytest.param("INIT+ c" + "1" * 5000 + "\nFINAL_MEAS Z\n", 2, "malformed index in 'c111",
+                 id="oversized-index"),
 ])
 def test_malformed_circuit_lines_are_reported(body, line_no, reason):
     with pytest.raises(ParseError, match=re.escape(reason)) as err:
@@ -122,6 +125,8 @@ def test_gadget_text_is_pinned():
     ("GADGET r=1 m=0 type=X\nCX c t1\n", 1, "integer t=, r= and m="),
     ("GADGET t=1 r=1 m=0 type=X\nCX c tx\n", 2, "unknown gadget qubit 'tx'"),
     ("GADGET t=1 r=1 m=0 type=Z\nCX t1 c\n", 1, "unsupported gadget type 'Z'"),
+    pytest.param("GADGET t=1 r=1 m=0 type=X\nCX c t" + "1" * 5000 + "\n", 2,
+                 "unknown gadget qubit 't111", id="oversized-label"),
 ])
 def test_malformed_gadget_lines_are_reported(text, line_no, reason):
     with pytest.raises(ParseError, match=re.escape(reason)) as err:

@@ -10,7 +10,7 @@ from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
 from ftprep.catalog import _state_from_data, get_state, rotated_surface_data
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
-from ftprep.css import CssState, min_weight_modulo
+from ftprep.css import CssState
 from ftprep.library import GadgetLibrary
 from ftprep.noise import build_effect_tables
 from ftprep.verify import (
@@ -19,6 +19,8 @@ from ftprep.verify import (
     replay_faults,
     verify_fault_tolerance,
 )
+
+from _reference import min_weight_modulo
 
 
 @pytest.fixture(scope="module")
