@@ -25,7 +25,7 @@ from .bipartite import BipartiteCircuit
 from .circuit import Circuit, CXGate, FlagMeasure, Init
 from .css import CssState, GroupTooLargeError, max_coset_weight
 from .gadgets import FlagGadget, trivial_gadget
-from .library import GadgetLibrary
+from .library import BudgetExhaustedError, GadgetLibrary
 
 
 class MissingGadgetError(KeyError):
@@ -242,49 +242,38 @@ class AssembledCircuit:
         uses = list(uses0)
         order: list[int] = []
 
+        def front(ci: int) -> int | None:
+            # The chain's first unscheduled gate, or None once it is done.
+            chain = self.chains[ci]
+            while chain_pos[ci] < len(chain) and scheduled[chain[chain_pos[ci]]]:
+                chain_pos[ci] += 1
+            return chain[chain_pos[ci]] if chain_pos[ci] < len(chain) else None
+
         def run(node: int) -> None:
-            if scheduled[node]:
-                return
             scheduled[node] = True
             order.append(node)
             a, b = self.gates[node]
             uses[a] -= 1
             uses[b] -= 1
 
-        def retiring_run(ci: int) -> None:
-            # Execute the maximal upcoming private prefix that only retires.
-            chain = self.chains[ci]
-            while chain_pos[ci] < len(chain):
-                node = chain[chain_pos[ci]]
-                if scheduled[node]:
-                    chain_pos[ci] += 1
-                    continue
-                if node < self.n_edges:
-                    break
-                if not any(self.code_index[q] is None and uses[q] == 1 for q in self.gates[node]):
-                    break
-                run(node)
-                chain_pos[ci] += 1
+        def retires(node: int) -> bool:
+            # A private gate that is the last use of one of its flags.
+            return node >= self.n_edges and any(
+                self.code_index[q] is None and uses[q] == 1 for q in self.gates[node]
+            )
 
         edge_order = sorted(range(self.n_edges), key=lambda e: self.edge_priority[e])
         for e in edge_order:
             for ci in chains_of[e]:
-                chain = self.chains[ci]
-                while True:
-                    node = chain[chain_pos[ci]]
-                    if scheduled[node]:
-                        chain_pos[ci] += 1
-                        continue
-                    if node == e:
-                        break
+                while (node := front(ci)) != e:
                     run(node)
-                    chain_pos[ci] += 1
             run(e)
+            # Then the maximal upcoming private prefix that only retires.
             for ci in chains_of[e]:
-                chain_pos[ci] += 1
-                retiring_run(ci)
-        for ci, chain in enumerate(self.chains):
-            for node in chain[chain_pos[ci]:]:
+                while (node := front(ci)) is not None and retires(node):
+                    run(node)
+        for ci in range(len(self.chains)):
+            while (node := front(ci)) is not None:
                 run(node)
         return order
 
@@ -351,7 +340,7 @@ def assemble_ft_circuit(
             return trivial_gadget(t_side, degree)
         try:
             return library.get(t_side, degree)
-        except Exception as exc:  # noqa: BLE001 - library reports its own reason
+        except BudgetExhaustedError as exc:
             raise MissingGadgetError(f"no gadget for t={t_side}, r={degree}: {exc}") from exc
 
     edges = sorted(bip.edges)

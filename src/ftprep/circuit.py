@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .css import CssState, coset_key_columns
-
 
 @dataclass(frozen=True)
 class Init:
@@ -119,7 +117,7 @@ class Circuit:
 
 
 def propagate_backward(
-    circuit: Circuit, state: CssState, error_side: str
+    circuit: Circuit, key_cols: list[int], error_side: str
 ) -> dict[int, tuple[list[int], list[int]]]:
     """Transfer-map columns right after every Init and CX, by op position.
 
@@ -127,18 +125,17 @@ def propagate_backward(
     q is the end-of-circuit effect (a bitmask) of an X (``col_x``) or Z
     (``col_z``) on q inserted right after that op.  A backward walk over the
     ops starts them as the effect of a Pauli that survives to the end: on
-    ``error_side``, a code qubit's coset key (:func:`css.coset_key_columns`)
-    shifted above the flag bits, and 0 otherwise, so every effect reads
+    ``error_side``, code qubit i's coset key ``key_cols[i]`` (the caller's
+    :func:`css.coset_key_columns`) shifted above the flag bits, and 0
+    otherwise, so every effect reads
     ``key << flag_count | flag flips``.  Through a CX, X frames flow
     control -> target and Z frames target -> control.  A flag measurement
     sets its qubit's column to ``1 << outcome`` on the side it detects
     (``col_x`` for a Z-basis measurement, ``col_z`` for an X-basis one) and
-    to 0 on the other.  Raises ValueError for a key wider than 64 bits, and
-    for an outcome index outside ``range(circuit.flag_count)``, whose bit
-    would land among the key bits.
+    to 0 on the other.  Raises ValueError for an outcome index outside
+    ``range(circuit.flag_count)``, whose bit would land among the key bits.
     """
     n_flags = circuit.flag_count
-    key_cols = coset_key_columns(state, error_side)
     seed = [0 if ci is None else key_cols[ci] << n_flags for ci in circuit.code_index]
     zeros = [0] * circuit.n_qubits
     col_x, col_z = (seed, zeros) if error_side == "X" else (zeros, seed)

@@ -29,7 +29,7 @@ from .noise import (
 )
 from .pipeline import build_preparation_circuit
 from .steane_qec import SteaneQecConfig, run_steane_qec_experiment
-from .verify import verify_fault_tolerance
+from .verify import VerificationBudgetError, verify_fault_tolerance
 
 
 def _load_library(path: str | None) -> GadgetLibrary:
@@ -369,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, FileNotFoundError, VerificationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

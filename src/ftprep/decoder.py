@@ -255,7 +255,7 @@ def evaluate_test_set(
     w_total = mass(kept_mask, test.weight)
     w_err = mass(kept_mask & wrong, test.weight)
     rate = errors / kept if kept else 0.0
-    ci = wilson_interval(errors, kept) if kept else (0.0, 1.0)
+    ci = wilson_interval(errors, kept)
     return EvaluationReport(
         total=total,
         discarded=discarded,

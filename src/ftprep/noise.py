@@ -36,11 +36,12 @@ from .circuit import (
     pack_effects,
     propagate_backward,
 )
-from .css import CssState, syndrome_and_class
+from .css import CssState, coset_key_columns, syndrome_and_class
 
 
 REPLAY_MAX_FAULTS = 4  # most faults per frame_replay_check sample
 SAMPLE_CHUNK = 1 << 18  # most samples drawn by one _sample_bucket call
+Z95 = NormalDist().inv_cdf(0.975)  # two-sided 95 % normal quantile of wilson_interval
 # Pauli bits (bit 0 X, bit 1 Z) of the variants of a single-qubit location,
 # in table order: X, Y, Z.
 SINGLE_QUBIT_BITS = (1, 3, 2)
@@ -129,10 +130,12 @@ def build_subset_plan(l_p: int, l_q: int, p: float, q: float, samples: int) -> S
 
     P(f_p, f_q) is the product of the two binomials; pairs with
     P <= 1/samples^2 are dropped, the trivial pair is excluded and its mass
-    added back analytically.
+    added back analytically.  Raises ValueError unless 0 < p, q < 1.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not (0 < p < 1 and 0 < q < 1):
+        raise ValueError(f"require rates 0 < p, q < 1, got p={p}, q={q}")
     pmf_p = _binom_pmf(l_p, p) if l_p else np.array([1.0])
     pmf_q = _binom_pmf(l_q, q) if l_q else np.array([1.0])
     cutoff = 1.0 / samples**2
@@ -225,7 +228,7 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
     ValueError when syndrome plus class bits exceed the 64-bit ``sc`` word.
     The variant layout is the one :class:`EffectTables` describes.
     """
-    cols = propagate_backward(circuit, state, error_side)
+    cols = propagate_backward(circuit, coset_key_columns(state, error_side), error_side)
     effects: list[int] = []
     p_counts: list[int] = []
     for pos, op in enumerate(circuit.ops):
@@ -466,15 +469,16 @@ def run_monte_carlo(
     )
 
 
-def wilson_interval(successes: float, trials: float, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: float, trials: float) -> tuple[float, float]:
+    """95 % Wilson score interval for a binomial proportion; (0, 1) for no
+    trials."""
     if trials <= 0:
         return (0.0, 1.0)
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2.0 * trials)) / denom
-    half = (z / denom) * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials))
+    z2 = Z95 * Z95
+    denom = 1.0 + z2 / trials
+    center = (phat + z2 / (2.0 * trials)) / denom
+    half = (Z95 / denom) * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)

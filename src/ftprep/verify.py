@@ -11,8 +11,10 @@ initialization the pattern does not stabilize, three after each CX, and a
 flip of each flag measurement the pattern anticommutes with.  Idle
 locations carry noise in simulation but are not adversarial fault sites.
 
-Each variant's flag flips and residual coset key come from the key-seeded
-backward sweep that also builds the Monte Carlo effect tables.  A
+Each variant's flag flips and residual coset key are read, in the one loop
+over the fault locations, off the backward sweep that also builds the Monte
+Carlo effect tables, seeded with the coset key columns that also key the
+light-error table and the counterexample's reduced weight.  A
 combination goes undetected exactly when its last variant's flag words
 equal the XOR of the other variants' words, so each (f - 1)-combination is
 joined only to the later variants carrying that XOR, and only these joined
@@ -29,7 +31,6 @@ import numpy as np
 
 from .circuit import Circuit, CXGate, FlagMeasure, Init, pack_effects, propagate_backward
 from .css import CssState, coset_enumeration, coset_key_columns
-from .decoder import _lookup
 
 
 JOIN_BLOCK = 1 << 18  # prefixes or joined candidates built per block
@@ -44,12 +45,12 @@ class VerificationBudgetError(RuntimeError):
 class FaultLocation:
     """One fault site with its insertable single-type patterns.
 
-    ``site`` names the op index in the scheduled circuit; each variant is a
-    qubit mask of the inserted Pauli (of the run's single type).
+    ``site`` names the op index in the scheduled circuit, whose op says
+    what the site is; each variant is a qubit mask of the inserted Pauli
+    (of the run's single type).
     """
 
     site: int
-    kind: str  # "init" | "cx" | "meas"
     variants: tuple[int, ...]
 
 
@@ -74,23 +75,19 @@ def enumerate_fault_locations(circuit: Circuit, fault_type: str) -> list[FaultLo
     Initializations the inserted Pauli stabilizes are skipped (X after |+>,
     Z after |0>), CX gates contribute the three two-qubit patterns, and flag
     measurements contribute a flip only when the type anticommutes with the
-    measurement basis.  The final transversal measurement is noiseless.
+    measurement basis, that is when the basis differs from the type.  The
+    final transversal measurement is noiseless.
     """
     if fault_type not in ("X", "Z"):
         raise ValueError("fault_type must be 'X' or 'Z'")
+    stabilized = "+" if fault_type == "X" else "0"  # the Init basis the type leaves alone
     locations: list[FaultLocation] = []
     for pos, op in enumerate(circuit.ops):
-        if isinstance(op, Init):
-            stabilized = (op.basis == "+") if fault_type == "X" else (op.basis == "0")
-            if not stabilized:
-                locations.append(FaultLocation(pos, "init", (1 << op.qubit,)))
-        elif isinstance(op, CXGate):
+        if isinstance(op, CXGate):
             a, b = 1 << op.control, 1 << op.target
-            locations.append(FaultLocation(pos, "cx", (a, b, a | b)))
-        elif isinstance(op, FlagMeasure):
-            flips = (op.basis == "Z") if fault_type == "X" else (op.basis == "X")
-            if flips:
-                locations.append(FaultLocation(pos, "meas", (1 << op.qubit,)))
+            locations.append(FaultLocation(pos, (a, b, a | b)))
+        elif op.basis != (fault_type if isinstance(op, FlagMeasure) else stabilized):
+            locations.append(FaultLocation(pos, (1 << op.qubit,)))
     return locations
 
 
@@ -114,17 +111,38 @@ def verify_fault_tolerance(
     if t < 1:
         raise ValueError(f"require t >= 1, got t={t}")
     locations = enumerate_fault_locations(circuit, fault_type)
-    faults = [(loc.site, mask) for loc in locations for mask in loc.variants]
-    nv = len(faults)
+    nv = sum(len(loc.variants) for loc in locations)
     total = sum(math.comb(nv, f) for f in range(1, t + 1))
     if total > COMBINATION_CAP:
         raise VerificationBudgetError(
             f"{total} fault combinations exceed the cap {COMBINATION_CAP} "
             f"({nv} variants over {len(locations)} locations, t={t})"
         )
-    words, keys, nxt = _variant_effects(circuit, state, locations, fault_type)
-    cols = coset_key_columns(state, fault_type)
-    light = list(coset_enumeration(cols, t))  # (weight, key) of every error of weight <= t
+    key_cols = coset_key_columns(state, fault_type)
+    cols = propagate_backward(circuit, key_cols, fault_type)
+    side = 0 if fault_type == "X" else 1
+    # Each variant's (site, mask), its effect ``key << flag_count | flags``
+    # in the variant order of enumerate_fault_locations, and the index of
+    # the first variant at a later location.
+    faults: list[tuple[int, int]] = []
+    effects: list[int] = []
+    nxt: list[int] = []
+    for loc in locations:
+        op = circuit.ops[loc.site]
+        if isinstance(op, FlagMeasure):
+            effects.append(1 << op.outcome)
+        elif isinstance(op, Init):
+            effects.append(cols[loc.site][side][op.qubit])
+        else:
+            col = cols[loc.site][side]
+            a, b = col[op.control], col[op.target]
+            effects += (a, b, a ^ b)
+        faults += [(loc.site, mask) for mask in loc.variants]
+        nxt += [len(faults)] * len(loc.variants)
+    flags, keys = pack_effects(effects, circuit.flag_count)
+    del cols, effects  # the sweep's Python ints are not needed by the join
+    words = np.ascontiguousarray(flags.T) if len(flags) else np.zeros((nv, 1), np.uint64)
+    light = list(coset_enumeration(key_cols, t))  # (weight, key) of every error of weight <= t
 
     # Variants sorted by (flag words, index) as ``words rank * nv + index``:
     # the later variants with given flag words are one contiguous run of
@@ -133,6 +151,7 @@ def verify_fault_tolerance(
     groups, rank = np.unique(words.view(as_bytes)[:, 0], return_inverse=True)
     codes = np.sort(rank * nv + np.arange(nv))
     sorted_keys = keys[codes % nv]
+    nxt = np.array(nxt, dtype=np.int64)
     for f in range(1, t + 1):
         allowed = np.array([key for w, key in light if w <= f], dtype=np.uint64)
         for prefix, start in _prefixes(f - 1, nxt):
@@ -141,9 +160,11 @@ def verify_fault_tolerance(
             for col in prefix.T:
                 pre_words ^= words[col]
                 pre_key ^= keys[col]
-            g, hit = _lookup(groups, pre_words.view(as_bytes)[:, 0])
-            lo = np.searchsorted(codes, g * nv + start)
-            hi = np.where(hit, np.searchsorted(codes, (g + 1) * nv), lo)
+            # The run of codes from the prefix's flag-word group on: a group
+            # that is absent has the same left and right rank, so an empty run.
+            query = pre_words.view(as_bytes)[:, 0]
+            lo = np.searchsorted(codes, np.searchsorted(groups, query, "left") * nv + start)
+            hi = np.maximum(lo, np.searchsorted(codes, np.searchsorted(groups, query, "right") * nv))
             for rows, pos in _ranges(lo, hi):
                 bad = np.flatnonzero(~np.isin(sorted_keys[pos] ^ pre_key[rows], allowed))
                 if len(bad):
@@ -154,37 +175,10 @@ def verify_fault_tolerance(
                     # The residual is in its own coset, so the first error of the
                     # weight-ordered enumeration sharing its key comes by its popcount.
                     key = sorted_keys[pos[i]] ^ pre_key[rows[i]]
-                    enum = coset_enumeration(cols, residual.bit_count())
+                    enum = coset_enumeration(key_cols, residual.bit_count())
                     reduced = next(w for w, k in enum if k == key)
                     return Counterexample(fault_type, found, residual, reduced)
     return None
-
-
-def _variant_effects(
-    circuit: Circuit, state: CssState, locations: list[FaultLocation], fault_type: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-variant flag words as rows (V, max(W, 1)) and coset keys (V,),
-    from the key-seeded :func:`circuit.propagate_backward`, and the index of
-    the first variant at a later location than each variant's own."""
-    cols = propagate_backward(circuit, state, fault_type)
-    side = 0 if fault_type == "X" else 1
-    effects: list[int] = []
-    nxt: list[int] = []
-    for loc in locations:
-        op = circuit.ops[loc.site]
-        if loc.kind == "meas":
-            effs = [1 << op.outcome]
-        else:
-            col = cols[loc.site][side]
-            if loc.kind == "init":
-                effs = [col[op.qubit]]
-            else:
-                effs = [col[op.control], col[op.target], col[op.control] ^ col[op.target]]
-        effects.extend(effs)
-        nxt.extend([len(effects)] * len(effs))
-    flags, keys = pack_effects(effects, circuit.flag_count)
-    words = np.ascontiguousarray(flags.T) if len(flags) else np.zeros((len(keys), 1), np.uint64)
-    return words, keys, np.array(nxt, dtype=np.int64)
 
 
 def _prefixes(k: int, nxt: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -230,15 +224,12 @@ def replay_faults(
         pending[pos] ^= mask
     for pos, op in enumerate(circuit.ops):
         if isinstance(op, CXGate):
-            if fault_type == "X":
-                if (frame >> op.control) & 1:
-                    frame ^= 1 << op.target
-            else:
-                if (frame >> op.target) & 1:
-                    frame ^= 1 << op.control
+            # X frames flow control -> target, Z frames target -> control.
+            src, dst = (op.control, op.target) if fault_type == "X" else (op.target, op.control)
+            if (frame >> src) & 1:
+                frame ^= 1 << dst
         elif isinstance(op, FlagMeasure):
-            flips = (op.basis == "Z") if fault_type == "X" else (op.basis == "X")
-            if flips and (frame >> op.qubit) & 1:
+            if op.basis != fault_type and (frame >> op.qubit) & 1:
                 flag_flips ^= 1 << op.outcome
         if pos in pending:
             if isinstance(op, FlagMeasure):

@@ -5,6 +5,7 @@ import pytest
 
 from ftprep.assemble import (
     CircuitMetrics,
+    MissingGadgetError,
     OverrideNotCertifiedError,
     _flag_spans,
     _placements,
@@ -19,7 +20,7 @@ from ftprep.catalog import catalog_names, get_state
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, flag_int
 from ftprep.css import CssState
 from ftprep.gadgets import trivial_gadget
-from ftprep.library import GadgetLibrary
+from ftprep.library import BudgetExhaustedError, GadgetLibrary
 from ftprep.serialization import serialize_circuit
 from ftprep.tableau import tableau_check_circuit
 from ftprep.noise import build_effect_tables
@@ -85,6 +86,31 @@ def test_negative_override_rejected(library, name):
         assemble_ft_circuit(
             state, bip, library, z_gadget_t_override=-1, allow_uncertified_override=True
         )
+
+
+class _FailingLibrary:
+    """A library whose every lookup raises ``error``."""
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+
+    def get(self, t: int, r: int) -> None:
+        raise self.error
+
+
+def test_library_miss_is_a_missing_gadget():
+    state = get_state("steane")  # t=1, control degrees 3 and 4
+    miss = BudgetExhaustedError("no gadget within budget")
+    with pytest.raises(MissingGadgetError, match=r"t=1, r=[34]: no gadget within budget") as info:
+        assemble_ft_circuit(state, best_of_trials(state, 20, 3), _FailingLibrary(miss))
+    assert info.value.__cause__ is miss
+
+
+def test_other_library_failures_propagate():
+    # Only a library miss is a missing gadget; any other fault surfaces as is.
+    state = get_state("steane")
+    with pytest.raises(TypeError, match="broken lookup"):
+        assemble_ft_circuit(state, best_of_trials(state, 20, 3), _FailingLibrary(TypeError("broken lookup")))
 
 
 def test_uncertified_override_rejected(library):
@@ -388,13 +414,14 @@ def test_sampled_orders_match_full_rescoring(library, name, kwargs):
 
 def test_golden_catalog_assemblies(library):
     # Assembly outputs pinned on every catalog code in both states, under the
-    # default options, flagged gadgets with annealing, and no Z gadgets.
+    # default options, flagged gadgets with annealing, and no Z gadgets; the
+    # second digest pins each assembly's tight_order().
     options = (
         {},
         {"use_trivial_gadgets": False, "width_anneal": 300},
         {"z_gadget_t_override": 0, "allow_uncertified_override": True},
     )
-    digest = hashlib.sha256()
+    digest, orders = hashlib.sha256(), hashlib.sha256()
     count = 0
     for name in catalog_names():
         for label in ("|0>", "|+>"):
@@ -404,11 +431,13 @@ def test_golden_catalog_assemblies(library):
                 asm = assemble_ft_circuit(state, bip, library, seed=5, **kwargs)
                 outputs = (asm.code_index, asm.plus, asm.gates, asm.chains, asm.edge_priority)
                 digest.update(repr(outputs).encode())
+                orders.update(repr(asm.tight_order()).encode())
                 circ = schedule_circuit(asm, "min_max_qubits", shuffles=8, seed=3)
                 digest.update(serialize_circuit(circ).encode())
                 count += 1
     assert count == 36
     assert digest.hexdigest() == "8563ac24263a171fb3173ac42d09d3e73f223b653e2699999f6f8ae78604eb3a"
+    assert orders.hexdigest() == "2b96c361748601b20a1f79a87988c1174f3a1ee2c6e107eaa824616d88c98d67"
 
 
 def _relabeled(gates, first: int) -> list[tuple[int, int]]:

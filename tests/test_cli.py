@@ -64,6 +64,21 @@ def test_verify_fails_on_stripped_circuit(tmp_path, capsys):
     assert "COUNTEREXAMPLE" in capsys.readouterr().out
 
 
+def test_verify_reports_the_combination_cap_as_an_error(tmp_path, capsys):
+    # A cap overflow is a usage error (exit 2), not a counterexample (exit 1).
+    circ_path = tmp_path / "steane.circuit"
+    main([
+        "assemble", "--code", "steane", "--seed", "5", "--trials", "100",
+        "--shuffles", "50", "--circuit-out", str(circ_path),
+    ])
+    capsys.readouterr()
+    rc = main(["verify", "--circuit", str(circ_path), "--code", "steane", "--t", "9"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert re.match(r"error: \d+ fault combinations exceed the cap 200000000 ", captured.err)
+    assert "COUNTEREXAMPLE" not in captured.out
+
+
 def test_verify_csv_quotes_counterexamples(tmp_path, capsys):
     # t=1 Z gadgets on color17 (d=5): two Z faults leave a weight-3 residual,
     # and the counterexample text lists both sites with a comma between.
@@ -214,6 +229,17 @@ def test_simulate_reproducible(tmp_path):
         ])
         outs.append((tmp_path / name).read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("p", ["0", "1", "1.5", "-0.1"])
+def test_simulate_rejects_a_rate_outside_the_unit_interval(tmp_path, capsys, p):
+    circ_path = tmp_path / "bare.circuit"
+    main(["synth", "--code", "steane", "--seed", "7", "--trials", "20", "--circuit-out", str(circ_path)])
+    capsys.readouterr()
+    rc = main(["simulate", "--circuit", str(circ_path), "--code", "steane",
+               "--p", p, "--samples", "1000", "--seed", "1"])
+    assert rc == 2
+    assert f"error: require rates 0 < p, q < 1, got p={float(p)}" in capsys.readouterr().err
 
 
 def test_lut_mw_command(tmp_path, capsys):

@@ -118,6 +118,13 @@ def test_degenerate_plan():
         build_subset_plan(1, 0, 1e-9, 1e-11, 10)
 
 
+@pytest.mark.parametrize("p, q", [(0.0, 0.0), (1.0, 1e-2), (1.5, 1e-2), (-0.1, 1e-3), (1e-3, 0.0), (1e-3, 1.0)])
+def test_plan_rejects_rates_outside_the_unit_interval(p, q):
+    # Named before any pmf is built, not as math.log's domain error.
+    with pytest.raises(ValueError, match=f"p={p}, q={q}"):
+        build_subset_plan(10, 10, p, q, 100)
+
+
 def test_plan_forced_bucket():
     plan = build_subset_plan(3, 0, 1e-4, 1e-6, 1000)
     assert plan.pairs == ((1, 0),)

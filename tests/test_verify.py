@@ -1,10 +1,15 @@
 import functools
 import itertools
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ftprep
 from ftprep import verify
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
@@ -44,6 +49,18 @@ def toy_circuit() -> Circuit:
         FlagMeasure(1, "Z", 0),
     )
     return Circuit((0, None), ops)
+
+
+def test_gadget_layer_loads_no_simulation_modules():
+    # The gadget search runs verify, which needs neither the Monte Carlo
+    # nor the decoder.
+    code = "import sys, ftprep.gadgets; print(sorted(m for m in sys.modules if m.startswith('ftprep')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(ftprep.__file__).parents[1])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert "ftprep.verify" in loaded
+    assert "ftprep.noise" not in loaded and "ftprep.decoder" not in loaded
 
 
 def test_enumerate_counts_match_stated_rules():
