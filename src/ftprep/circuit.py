@@ -160,15 +160,22 @@ def pack_effects(effects: list[int], n_flags: int) -> tuple[np.ndarray, np.ndarr
     """Split effects ``code << n_flags | flags`` into numpy arrays.
 
     Returns the flag part as word-major uint64 words of shape (W, V), with
-    W = ceil(n_flags / 64) and V = len(effects), and the code part as a 1-D
-    uint64 array.  Word-major rows keep each per-word gather contiguous.
+    W = ceil(n_flags / 64) and V = len(effects), and the code part (at most
+    64 bits) as a 1-D uint64 array.  Word-major rows keep each per-word
+    gather contiguous.  One pass writes every effect's little-endian words.
     """
-    flags = np.empty((-(-n_flags // 64), len(effects)), dtype=np.uint64)
-    for w in range(len(flags)):
-        shift = 64 * w
-        mask = (1 << min(64, n_flags - shift)) - 1
-        flags[w] = [(e >> shift) & mask for e in effects]
-    return flags, np.array([e >> n_flags for e in effects], dtype=np.uint64)
+    n_words, shift = divmod(n_flags, 64)
+    width = (n_flags + 127) // 64  # words reaching the code's top bit
+    words = np.frombuffer(
+        b"".join(e.to_bytes(8 * width, "little") for e in effects), dtype="<u8"
+    ).reshape(len(effects), width)
+    flags = np.array(words[:, : -(-n_flags // 64)].T, dtype=np.uint64, order="C")
+    code = words[:, n_words].astype(np.uint64)
+    if shift:
+        flags[-1] &= np.uint64((1 << shift) - 1)
+        code >>= np.uint64(shift)
+        code |= words[:, n_words + 1] << np.uint64(64 - shift)
+    return flags, code
 
 
 def flag_int(flags: np.ndarray, v: int) -> int:

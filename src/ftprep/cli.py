@@ -370,7 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, FileNotFoundError, VerificationBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its key: print the message bare.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -196,9 +196,8 @@ class EffectTables:
     # p-type locations
     p_offsets: np.ndarray
     p_counts: np.ndarray
-    # q-type locations
+    # q-type locations, three variants each
     q_offsets: np.ndarray
-    q_counts: np.ndarray
     flags: np.ndarray
     sc: np.ndarray
 
@@ -262,7 +261,6 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
         p_offsets=np.cumsum(counts) - counts,
         p_counts=counts,
         q_offsets=n_p + 3 * np.arange(len(idle), dtype=np.int64),
-        q_counts=np.full(len(idle), 3, dtype=np.int64),
         flags=flags,
         sc=sc,
     )
@@ -357,30 +355,49 @@ def _draw_distinct(rng: np.random.Generator, n_rows: int, k: int, limit: int) ->
     return out
 
 
+SLOTS = 15  # variant slots per p location: 1, 3 and 15 variants all divide it
+
+
+def _slot_table(tables: EffectTables) -> np.ndarray:
+    """Variant id of slot j of p location l at ``SLOTS * l + j``: the
+    location's variant ``j * count // SLOTS``, so a uniform slot picks a
+    uniform variant."""
+    j = np.arange(SLOTS, dtype=np.int64)
+    return (tables.p_offsets[:, None] + j * tables.p_counts[:, None] // SLOTS).ravel()
+
+
 def _sample_bucket(
-    tables: EffectTables, fp: int, fq: int, n: int, rng: np.random.Generator
+    tables: EffectTables, slots: np.ndarray, fp: int, fq: int, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Effects of ``n`` samples with ``fp`` p- and ``fq`` q-location faults.
 
     Each sample draws distinct locations of each kind and one uniform
     variant per location, and XORs their effects.  Returns the word-major
     flag words (W, n) and the ``sc`` words (n,).
+
+    A p location's variant is its slot ``floor(15 u)`` of ``slots``
+    (:func:`_slot_table`), for the location's uniform draw u; an idle
+    location's is its variant ``floor(3 u)``, its three variants sitting
+    at ``q_offsets[0] + 3 * loc``.  Both pick the variant
+    ``floor(count * u)`` of the location, draw for draw: with counts 1, 3
+    and 15, ``floor(fl(c u)) == floor(fl(15 u)) * c // 15`` for every u
+    ``Generator.random`` returns (multiples of 2^-53; checked exhaustively
+    in the tests).
     """
     flags = np.zeros((len(tables.flags), n), dtype=np.uint64)
     sc = np.zeros(n, dtype=np.uint64)
-    for k, offsets, counts in (
-        (fp, tables.p_offsets, tables.p_counts),
-        (fq, tables.q_offsets, tables.q_counts),
-    ):
-        if not k:
-            continue
-        locs = _draw_distinct(rng, n, k, len(offsets))
-        for col in range(k):
-            loc = locs[:, col]
-            var = offsets[loc] + (rng.random(n) * counts[loc]).astype(np.int64)
-            for acc, words in zip(flags, tables.flags):
-                acc ^= words[var]
-            sc ^= tables.sc[var]
+
+    def add(var: np.ndarray) -> None:
+        for acc, words in zip(flags, tables.flags):
+            acc ^= words[var]
+        np.bitwise_xor(sc, tables.sc[var], out=sc)
+
+    if fp:
+        for loc in _draw_distinct(rng, n, fp, tables.l_p).T:
+            add(slots[(rng.random(n) * float(SLOTS)).astype(np.int64) + SLOTS * loc])
+    if fq:
+        for loc in _draw_distinct(rng, n, fq, tables.l_q).T:
+            add((rng.random(n) * 3.0).astype(np.int64) + 3 * loc + tables.q_offsets[0])
     return flags, sc
 
 
@@ -393,12 +410,13 @@ def _accepted_chunks(tables: EffectTables, pairs, counts, rng):
     ``sc`` holds every sample's packed syndrome and class.  Draws the caller
     makes from ``rng`` between yields precede the next chunk's.
     """
+    slots = _slot_table(tables)
     for i, ((fp, fq), n_b) in enumerate(zip(pairs, counts)):
         done = 0
         while done < n_b:
             m = min(SAMPLE_CHUNK, n_b - done)
             done += m
-            flags, sc = _sample_bucket(tables, fp, fq, m, rng)
+            flags, sc = _sample_bucket(tables, slots, fp, fq, m, rng)
             yield i, (flags == 0).all(axis=0), sc
 
 

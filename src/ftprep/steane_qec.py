@@ -23,12 +23,13 @@ of the logical error rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .circuit import Circuit
 from .css import CssState, coset_key_columns, swap_xz
-from .decoder import build_ideal_class_table, build_ml_lut, build_mw_lut, decode
+from .decoder import MLTable, MWTable, build_ideal_class_table, build_ml_lut, build_mw_lut
 from .noise import (
     EffectTables,
     SampleSet,
@@ -83,6 +84,70 @@ class SteaneQecResult:
         )
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class _CodeTables:
+    """What the experiment needs of a code, whatever the circuit, p or mode.
+
+    Keys are coset keys of Z errors on the computational block's
+    ``|+..+>``: X-stabilizer syndrome low, logical-X class above.
+    """
+
+    key_cols: np.ndarray  # uint64 key of a Z on each qubit
+    mw: MWTable | None  # code-capacity layer under the trained ML table
+    ideal: np.ndarray  # uint64 minimum-weight class, indexed by syndrome
+
+
+@lru_cache(maxsize=8)
+def _code_tables(state: CssState) -> _CodeTables:
+    """Built once per state, so a sweep over p and modes pays it once.
+    Every array is read-only."""
+    # Z errors on the computational block are graded by the logical Xs that
+    # stabilize its |+..+> state: in the X<->Z swapped code they are X
+    # errors of a |0..0> state.
+    plus = swap_xz(state)
+    key_cols = np.array(coset_key_columns(plus, "X"), dtype=np.uint64)
+    mw = build_mw_lut(plus, "X", (state.d - 1) // 2) if state.d > 2 else None
+    table = build_ideal_class_table(plus, "X")
+    # build_ideal_class_table caps 2^synd_bits, so the dense form costs no
+    # more than the table's own two arrays.
+    ideal = _dense_classes(1 << table.synd_bits, table)
+    _read_only(key_cols, ideal, *((mw.synd, mw.cls, mw.weight) if mw else ()))
+    return _CodeTables(key_cols, mw, ideal)
+
+
+@lru_cache(maxsize=8)
+def _prep_tables(circuit: Circuit, state: CssState) -> EffectTables:
+    """Z-side effect tables of a resource circuit, built once per
+    (circuit, state); every array is read-only."""
+    tables = build_effect_tables(circuit, state, error_side="Z")
+    _read_only(tables.p_offsets, tables.p_counts, tables.q_offsets, tables.flags, tables.sc)
+    return tables
+
+
+def _dense_classes(n_synd: int, *tables: MLTable | MWTable | None) -> np.ndarray:
+    """Class of every syndrome below ``n_synd``: each table's classes
+    written over the previous ones', 0 where none holds the syndrome.
+    ``_dense_classes(n, mw, ml)`` gives the classes of
+    ``decoder.decode(synd, ml, mw)``, ML over MW over the trivial class."""
+    classes = np.zeros(n_synd, dtype=np.uint64)
+    for table in tables:
+        if table is not None:
+            classes[table.synd] = table.cls
+    return classes
+
+
+def _decoded(table: np.ndarray, synd: np.ndarray) -> np.ndarray:
+    """``table`` at every syndrome of ``synd``: the classes of a dense
+    decoder.  Syndromes sit below 2^synd_bits < 2^63, so reading them as
+    int64 is exact and spares numpy's cast of a uint64 index."""
+    return table[synd.view(np.int64)]
+
+
 def _fault_cells(
     rng: np.random.Generator, n_rows: int, n: int, rate: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -135,20 +200,13 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     so every fault XORs its qubit's key column into its sample's key.
     """
     state = cfg.state
-    # Z errors on the computational block are graded by the logical Xs that
-    # stabilize its |+..+> state: in the X<->Z swapped code they are X
-    # errors of a |0..0> state.  Keys: X-stabilizer syndrome low, logical-X
-    # class above.
-    plus = swap_xz(state)
-    key_cols = np.array(coset_key_columns(plus, "X"), dtype=np.uint64)
+    code = _code_tables(state)
+    key_cols, ideal = code.key_cols, code.ideal
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     n = state.n
     p = cfg.p
     n_samples = cfg.samples
     strong = cfg.data_noise_multiplier * p
-
-    mw = build_mw_lut(plus, "X", (state.d - 1) // 2) if state.d > 2 else None
-    ideal = build_ideal_class_table(plus, "X")
     synd_bits = np.uint64(len(state.x_stabilizers))
     synd_mask = (np.uint64(1) << synd_bits) - np.uint64(1)
 
@@ -161,13 +219,13 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
 
     if cfg.prep_mode == NO_QEC:
         keys = depolarizing_z(n_samples, strong) ^ depolarizing_z(n_samples, strong)
-        errors = int((decode(keys & synd_mask, ideal, None)[0] != keys >> synd_bits).sum())
+        errors = int((_decoded(ideal, keys & synd_mask) != keys >> synd_bits).sum())
         rate = errors / n_samples
         return SteaneQecResult(cfg, errors, n_samples, rate, wilson_interval(errors, n_samples), 1.0)
 
     if circuit is None:
         raise ValueError("preparation circuit required for QEC modes")
-    tables = build_effect_tables(circuit, state, error_side="Z")
+    tables = _prep_tables(circuit, state)
     plan = build_subset_plan(tables.l_p, tables.l_q, p, p / 100.0, max(n_samples, 10000))
     prep_synd, prep_acc = _sample_prep_syndromes(tables, plan, n_samples, rng)
 
@@ -205,7 +263,7 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     # junk contributed by the resource, gate and readout noise.
     n_train = n_samples // 2
     junk = synd[:n_train] ^ r1_synd[:n_train]
-    labels = r1_cls[:n_train] ^ decode(junk, ideal, None)[0]
+    labels = r1_cls[:n_train] ^ _decoded(ideal, junk)
     ones = np.ones(n_train)
     train = SampleSet.tally(
         int(synd_bits), state.k, synd[:n_train] | labels << synd_bits, ones, ones
@@ -215,12 +273,12 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     eval_slice = slice(n_train, n_samples)
     synd_eval = synd[eval_slice]
     keys_eval = keys[eval_slice] ^ depolarizing_z(n_samples - n_train, strong)
-    corr_class = decode(synd_eval, ml, mw)[0]
+    corr_class = _decoded(_dense_classes(len(ideal), code.mw, ml), synd_eval)
 
     synd_r = (keys_eval & synd_mask) ^ synd_eval
     cls_r = (keys_eval >> synd_bits) ^ corr_class
     # Ideal minimum-weight correction of the residual's syndrome.
-    errors = int((decode(synd_r, ideal, None)[0] != cls_r).sum())
+    errors = int((_decoded(ideal, synd_r) != cls_r).sum())
     kept = len(synd_eval)
     rate = errors / kept
     return SteaneQecResult(cfg, errors, kept, rate, wilson_interval(errors, kept), prep_acc)

@@ -352,3 +352,33 @@ def test_missing_bundled_library_is_an_error(monkeypatch, capsys):
     rc = main(["assemble", "--code", "steane", "--seed", "5", "--trials", "10", "--shuffles", "2"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: no bundled gadget library")
+
+
+def _assert_bare_error(captured) -> str:
+    # str() of a KeyError quotes its message; the CLI prints it bare.
+    err = captured.err
+    assert err.startswith("error: ") and not err.startswith("error: '")
+    assert '"' not in err
+    return err
+
+
+def test_unknown_code_error_is_printed_unquoted(capsys):
+    rc = main(["synth", "--code", "nope", "--seed", "1"])
+    assert rc == 2
+    err = _assert_bare_error(capsys.readouterr())
+    assert err.startswith("error: unknown code 'nope' (catalog: ")
+
+
+def test_missing_gadget_error_is_printed_unquoted(tmp_path, monkeypatch, capsys):
+    # An empty library searching no flag counts: the first gadget the
+    # assembly asks for is missing.
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    monkeypatch.setattr(library, "MAX_FLAGS", 0)
+    rc = main([
+        "assemble", "--code", "steane", "--seed", "5", "--trials", "10", "--shuffles", "2",
+        "--no-trivial-gadgets", "--library", str(empty),
+    ])
+    assert rc == 2
+    err = _assert_bare_error(capsys.readouterr())
+    assert re.match(r"error: no gadget for t=1, r=\d+: ", err)

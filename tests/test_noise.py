@@ -9,15 +9,18 @@ from ftprep import noise
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials, synthesize_bipartite
 from ftprep.catalog import get_state
-from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init, flag_int
+from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init, flag_int, pack_effects
 from ftprep.css import CssState
 from ftprep.decoder import build_ml_lut, build_mw_lut, evaluate_test_set
 from ftprep.library import GadgetLibrary
 from ftprep.noise import (
     DegeneratePlanError,
     NoiseModel,
+    SLOTS,
     _binom_pmf,
     _draw_distinct,
+    _sample_bucket,
+    _slot_table,
     build_effect_tables,
     build_subset_plan,
     count_fault_locations,
@@ -364,3 +367,108 @@ def test_golden_wide_circuit_large_buckets(steane_prepared, wide_prepared, monke
         15, "aa209ef3eaef198ca211d4188f6a9c06ec16b0fb8cca3a4a93acbd8eb6b85ee7")
     assert histogram_digest(res.test) == (
         15, "554809c77fd2be9f57339939f55a42a16c5871a322c43a99ce4713d6a40e5b72")
+
+
+def three_pass_pack_effects(effects, n_flags):
+    # The three-pass packing the one-pass pack_effects replaced.
+    flags = np.empty((-(-n_flags // 64), len(effects)), dtype=np.uint64)
+    for w in range(len(flags)):
+        shift = 64 * w
+        mask = (1 << min(64, n_flags - shift)) - 1
+        flags[w] = [(e >> shift) & mask for e in effects]
+    return flags, np.array([e >> n_flags for e in effects], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("n_flags", [0, 1, 63, 64, 80, 130])
+def test_pack_effects_matches_three_pass_packing(n_flags):
+    rng = np.random.default_rng(n_flags)
+    effects = [0, (1 << (n_flags + 64)) - 1]
+    for key_bits in (1, 17, 63, 64):
+        for _ in range(50):
+            key = int(rng.integers(0, 1 << key_bits, dtype=np.uint64, endpoint=False))
+            flags = sum(int(rng.integers(0, 2)) << i for i in range(n_flags))
+            effects.append(key << n_flags | flags)
+    got, want = pack_effects(effects, n_flags), three_pass_pack_effects(effects, n_flags)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype and g.flags.c_contiguous
+        assert np.array_equal(g, w)
+
+
+def _first_step(pick, value: int) -> int:
+    """Smallest k < 2^53 with pick(k) >= value (2^53 if none), by bisection
+    over the monotone step function ``pick``."""
+    lo, hi = 0, 1 << 53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pick(mid) >= value:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("count", [1, 3, 15])
+def test_slot_pick_is_the_count_pick_for_every_random_double(count):
+    # Generator.random returns u = k 2^-53 for k < 2^53.  Both picks are
+    # monotone step functions of k (rounding is monotone), so they agree
+    # for every k exactly when they agree at both ends and step at the
+    # same k.
+    def direct(k):
+        return math.floor(k * 2.0**-53 * count)
+
+    def slotted(k):
+        return math.floor(k * 2.0**-53 * SLOTS) * count // SLOTS
+
+    last = (1 << 53) - 1
+    assert direct(0) == slotted(0) == 0 and direct(last) == slotted(last) == count - 1
+    steps = [_first_step(direct, v) for v in range(1, count)]
+    assert steps == [_first_step(slotted, v) for v in range(1, count)]
+    if count == 3:
+        assert steps == [3002399751580331, 6004799503160661]
+
+
+@pytest.fixture(scope="module")
+def golay_tables(library):
+    state = get_state("golay")
+    bip = best_of_trials(state, 5, 9)
+    asm = assemble_ft_circuit(state, bip, library, z_gadget_t_override=2, seed=9)
+    return build_effect_tables(schedule_circuit(asm, "min_max_qubits", shuffles=2, seed=9), state)
+
+
+def offset_count_bucket(tables, fp, fq, n, rng):
+    # _sample_bucket's pick before the slot tables: offset plus
+    # floor(u * count), gathered per location.
+    flags = np.zeros((len(tables.flags), n), dtype=np.uint64)
+    sc = np.zeros(n, dtype=np.uint64)
+    for k, offsets, counts in (
+        (fp, tables.p_offsets, tables.p_counts),
+        (fq, tables.q_offsets, np.full(tables.l_q, 3)),
+    ):
+        if not k:
+            continue
+        locs = _draw_distinct(rng, n, k, len(offsets))
+        for col in range(k):
+            loc = locs[:, col]
+            var = offsets[loc] + (rng.random(n) * counts[loc]).astype(np.int64)
+            for acc, words in zip(flags, tables.flags):
+                acc ^= words[var]
+            sc ^= tables.sc[var]
+    return flags, sc
+
+
+def test_slot_pick_matches_offset_count_pick_on_golay(golay_tables):
+    tables = golay_tables
+    assert set(tables.p_counts.tolist()) == {1, 3, 15} and len(tables.flags) == 2
+    slots = _slot_table(tables)
+    rng = np.random.default_rng(5)
+    loc = rng.integers(0, tables.l_p, size=400_000)
+    u = rng.random(len(loc))
+    u[:4] = [0.0, 3002399751580331 * 2.0**-53, 6004799503160661 * 2.0**-53, 1 - 2.0**-53]
+    old = tables.p_offsets[loc] + (u * tables.p_counts[loc]).astype(np.int64)
+    assert np.array_equal(slots[(u * float(SLOTS)).astype(np.int64) + SLOTS * loc], old)
+    for fp, fq in [(1, 0), (0, 1), (2, 3), (5, 1)]:
+        rng_a, rng_b = np.random.default_rng([fp, fq]), np.random.default_rng([fp, fq])
+        got = _sample_bucket(tables, slots, fp, fq, 20_000, rng_a)
+        want = offset_count_bucket(tables, fp, fq, 20_000, rng_b)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from ftprep import steane_qec
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
-from ftprep.catalog import _state_from_data, get_state, rotated_surface_data
+from ftprep.catalog import _state_from_data, catalog_names, get_state, rotated_surface_data
 from ftprep.css import CssState, GroupTooLargeError, coset_key_columns, coset_keys, swap_xz
-from ftprep.decoder import build_ideal_class_table, decode
+from ftprep.decoder import build_ideal_class_table, build_ml_lut, build_mw_lut, decode
+from ftprep.noise import SampleSet
 from ftprep.library import GadgetLibrary
 from ftprep.pipeline import build_preparation_circuit
 from ftprep.steane_qec import (
@@ -12,6 +14,9 @@ from ftprep.steane_qec import (
     FULL_FT,
     NO_QEC,
     SteaneQecConfig,
+    _code_tables,
+    _dense_classes,
+    _prep_tables,
     run_steane_qec_experiment,
 )
 from ftprep.verify import verify_fault_tolerance
@@ -229,3 +234,63 @@ def test_ideal_table_past_the_cap_fails_at_once():
     cfg = SteaneQecConfig(state, 1e-3, samples=10, prep_mode=NO_QEC)
     with pytest.raises(GroupTooLargeError):
         run_steane_qec_experiment(cfg)
+
+
+BUILDERS = ("coset_key_columns", "build_mw_lut", "build_ideal_class_table", "build_effect_tables")
+
+
+def test_warm_call_builds_no_tables_and_matches_the_cold_call(color17_prep, monkeypatch):
+    state, prep = color17_prep
+    calls = dict.fromkeys(BUILDERS, 0)
+    for name in BUILDERS:
+        def counted(*args, _name=name, _build=getattr(steane_qec, name), **kwargs):
+            calls[_name] += 1
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(steane_qec, name, counted)
+    _code_tables.cache_clear()
+    _prep_tables.cache_clear()
+    cfg = SteaneQecConfig(state, 5e-3, samples=4_000, prep_mode=FULL_FT, seed=2)
+    cold = run_steane_qec_experiment(cfg, prep.circuit)
+    assert calls == dict.fromkeys(BUILDERS, 1)
+    warm = run_steane_qec_experiment(cfg, prep.circuit)
+    # Another p and another mode of the same sweep reuse the tables too.
+    run_steane_qec_experiment(SteaneQecConfig(state, 2e-3, samples=4_000), prep.circuit)
+    run_steane_qec_experiment(SteaneQecConfig(state, 2e-3, samples=4_000, prep_mode=NO_QEC))
+    assert calls == dict.fromkeys(BUILDERS, 1)
+    assert warm == cold
+
+
+def test_cached_tables_are_read_only(color17_prep):
+    state, prep = color17_prep
+    code = _code_tables(state)
+    tables = _prep_tables(prep.circuit, state)
+    for array in (code.key_cols, code.ideal, code.mw.synd, code.mw.cls, code.mw.weight,
+                  tables.p_offsets, tables.p_counts, tables.q_offsets, tables.flags, tables.sc):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_dense_ideal_table_decodes_as_the_sorted_one(name):
+    state = get_state(name)
+    ideal = build_ideal_class_table(swap_xz(state), "X")
+    synd = np.arange(1 << ideal.synd_bits, dtype=np.uint64)
+    dense = _code_tables(state).ideal
+    assert np.array_equal(dense, decode(synd, ideal, None)[0])
+    assert np.array_equal(steane_qec._decoded(dense, synd[::-1]), dense[::-1])
+
+
+def test_dense_ml_over_mw_decodes_as_decode():
+    # A random ML table over color17's MW table: the two share some
+    # syndromes, where ML must win, and miss others, which read 0.
+    plus = swap_xz(get_state("color17"))
+    mw = build_mw_lut(plus, "X", 2)
+    rng = np.random.default_rng(4)
+    keys = rng.integers(0, 1 << 9, size=300, dtype=np.uint64)
+    ones = np.ones(len(keys))
+    ml = build_ml_lut(SampleSet.tally(8, 1, keys, ones, ones))
+    synd = np.arange(1 << 8, dtype=np.uint64)
+    assert 0 < len(np.intersect1d(ml.synd, mw.synd)) < len(ml)
+    for table in (mw, None):
+        assert np.array_equal(_dense_classes(len(synd), table, ml), decode(synd, ml, table)[0])
