@@ -67,10 +67,12 @@ class BipartiteCircuit:
 def synthesize_bipartite(state: CssState, seed: int) -> BipartiteCircuit:
     """Construct one bipartite circuit for ``state``.
 
-    The seed drives two randomizations: an invertible recombination of the
-    generator basis and a shuffle of the qubit order used for greedy pivot
-    selection.  Together they explore different control/target partitions.
-    Raises ``ValueError`` for an invalid state.
+    The seed's shuffle of the qubit order used for greedy pivot selection
+    explores different control/target partitions.  The seed also draws a
+    random invertible recombination of each generator basis, but that
+    changes neither the pivot rows nor X2 X1^-1 (nor Z1 Z2^-1), so not the
+    circuit; its draws stay only so that seeded syntheses reproduce.  Raises
+    ``ValueError`` for an invalid state.
     """
     _require_valid(state)
     return _synthesize(state, seed)

@@ -130,14 +130,6 @@ def coset_key_columns(state: CssState, error_type: str) -> list[int]:
     ]
 
 
-def coset_keys(masks: np.ndarray, cols: Sequence[int]) -> np.ndarray:
-    """Coset keys of packed uint64 qubit masks, given per-qubit key columns."""
-    out = np.zeros(masks.shape, dtype=np.uint64)
-    for q, col in enumerate(cols):
-        out ^= ((masks >> np.uint64(q)) & np.uint64(1)) * np.uint64(col)
-    return out
-
-
 def coset_enumeration(cols: Sequence[int], w_max: int) -> Iterator[tuple[int, int]]:
     """(weight, key) of every error of weight 0..w_max, lightest first.
 

@@ -121,8 +121,10 @@ def build_mw_lut(state: CssState, error_type: str, w_max: int) -> MWTable:
 
     Beyond the code's guarantee floor((d-1)/2) a syndrome's lightest class
     can be ambiguous; the first-enumerated one is kept, with one warning per
-    call.
+    call.  Raises ValueError for a negative ``w_max``.
     """
+    if w_max < 0:
+        raise ValueError(f"w_max must be >= 0, got {w_max}")
     total = sum(comb(state.n, w) for w in range(1, w_max + 1))
     if total > ENUMERATION_CAP:
         raise ValueError(f"{total} errors exceed the enumeration cap {ENUMERATION_CAP}")

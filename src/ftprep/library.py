@@ -90,20 +90,13 @@ class GadgetLibrary:
 
     @classmethod
     def load(cls, path: str | Path) -> GadgetLibrary:
+        """Read a library saved by :meth:`save`.  Raises ValueError, naming
+        the entry, for a malformed entry or a gadget that fails its FT test."""
         payload = json.loads(Path(path).read_text())
-        entries = {}
-        for spec in payload.values():
-            gates = tuple(tuple(g) for g in spec["gates"])
-            gadget = FlagGadget(spec["t"], spec["r"], spec["m"], gates)
-            name = f"library entry t={gadget.t} r={gadget.r}"
-            try:
-                gadget.validate()
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
-            if not gadget_ft_test(gadget):
-                raise ValueError(f"{name} fails its FT test")
-            entries[(gadget.t, gadget.r)] = LibraryEntry(gadget, spec["optimal"])
-        return cls(entries)
+        if not isinstance(payload, dict):
+            raise ValueError(f"library {path} is not a JSON object")
+        entries = [_load_entry(key, spec) for key, spec in payload.items()]
+        return cls({(e.gadget.t, e.gadget.r): e for e in entries})
 
     @classmethod
     def bundled(cls) -> GadgetLibrary:
@@ -111,3 +104,31 @@ class GadgetLibrary:
         ref = resources.files("ftprep").joinpath("data/gadget_library.json")
         with resources.as_file(ref) as path:
             return cls.load(path)
+
+
+def _load_entry(key: str, spec: object) -> LibraryEntry:
+    """One ``save`` entry as a checked :class:`LibraryEntry`."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"library entry {key!r} is a JSON {type(spec).__name__}, not an object")
+    t, r = spec.get("t"), spec.get("r")
+    name = f"library entry t={t} r={r}" if "t" in spec and "r" in spec else f"library entry {key!r}"
+    missing = [f for f in ("t", "r", "m", "gates", "optimal") if f not in spec]
+    if missing:
+        raise ValueError(f"{name}: missing {', '.join(map(repr, missing))}")
+    not_int = [f for f in "trm" if type(spec[f]) is not int]
+    if not_int:
+        raise ValueError(f"{name}: {', '.join(not_int)} must be integers")
+    if type(spec["optimal"]) is not bool:
+        raise ValueError(f"{name}: optimal must be true or false")
+    gates = spec["gates"]
+    if not (isinstance(gates, list) and all(
+            isinstance(g, list) and len(g) == 2 and all(type(q) is int for q in g) for g in gates)):
+        raise ValueError(f"{name}: gates must be a list of [control, target] integer pairs")
+    gadget = FlagGadget(t, r, spec["m"], tuple(tuple(g) for g in gates))
+    try:
+        gadget.validate()
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if not gadget_ft_test(gadget):
+        raise ValueError(f"{name} fails its FT test")
+    return LibraryEntry(gadget, spec["optimal"])

@@ -45,6 +45,7 @@ Z95 = NormalDist().inv_cdf(0.975)  # two-sided 95 % normal quantile of wilson_in
 # Pauli bits (bit 0 X, bit 1 Z) of the variants of a single-qubit location,
 # in table order: X, Y, Z.
 SINGLE_QUBIT_BITS = (1, 3, 2)
+SLOTS = 15  # variant ids per op: 1, 3 and 15 variants all divide it
 _pick_single = itemgetter(*SINGLE_QUBIT_BITS)
 
 
@@ -176,16 +177,19 @@ def build_subset_plan(l_p: int, l_q: int, p: float, q: float, samples: int) -> S
 class EffectTables:
     """Per-fault-location end-of-circuit effects for one circuit and state.
 
-    Arrays are indexed by a flat variant id; locations map to contiguous
-    variant slices.  The p locations are the ops in order: an Init holds the
-    X, Y and Z variants of ``SINGLE_QUBIT_BITS`` on its qubit, a CX the 15
-    nontrivial two-qubit Paulis, variant j being ``bits = j + 1`` (bit 0 X
-    on the control, bit 1 Z on the control, bit 2 X on the target, bit 3 Z
-    on the target), and a flag measurement its flip.  The q locations of
-    :func:`_idle_locations` follow, three ``SINGLE_QUBIT_BITS`` variants
-    each.  The tables hold effects only: :func:`frame_replay_check` decodes
-    a variant's Pauli from the circuit and this layout.  ``flags`` holds the
-    flag-flip masks as word-major uint64 words of shape (W, V) (see
+    Arrays are indexed by a variant id that is arithmetic on the variant's
+    location.  Op ``pos`` (every op is one full-rate location) owns the
+    ``SLOTS`` ids ``SLOTS * pos + j``: a CX's slot j is the two-qubit Pauli
+    ``bits = j + 1`` (bit 0 X on the control, bit 1 Z on the control, bit 2
+    X on the target, bit 3 Z on the target), an Init's X, Y and Z variants
+    (``SINGLE_QUBIT_BITS``) fill five slots each, so slot j is
+    ``SINGLE_QUBIT_BITS[j // 5]``, and a flag measurement's flip fills all
+    15.  Idle location i of :func:`_idle_locations` owns the three ids
+    ``SLOTS * l_p + 3 * i + j``, slot j being ``SINGLE_QUBIT_BITS[j]``.  A
+    uniform slot of a location is thus a uniform variant of it.  The tables
+    hold effects only: :func:`frame_replay_check` decodes a variant's Pauli
+    from the circuit and this layout.  ``flags`` holds the flag-flip masks
+    as word-major uint64 words of shape (W, V) (see
     :func:`circuit.pack_effects`), ``sc`` the packed
     (syndrome | class << synd_bits) of the ``error_side`` residual.
     """
@@ -193,21 +197,10 @@ class EffectTables:
     error_side: str
     synd_bits: int
     class_bits: int
-    # p-type locations
-    p_offsets: np.ndarray
-    p_counts: np.ndarray
-    # q-type locations, three variants each
-    q_offsets: np.ndarray
+    l_p: int  # full-rate locations: the ops
+    l_q: int  # idle locations
     flags: np.ndarray
     sc: np.ndarray
-
-    @property
-    def l_p(self) -> int:
-        return len(self.p_offsets)
-
-    @property
-    def l_q(self) -> int:
-        return len(self.q_offsets)
 
 
 def _single_qubit_effects(cols: tuple[list[int], list[int]], q: int) -> tuple[int, ...]:
@@ -229,10 +222,10 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
     """
     cols = propagate_backward(circuit, coset_key_columns(state, error_side), error_side)
     effects: list[int] = []
-    p_counts: list[int] = []
     for pos, op in enumerate(circuit.ops):
         if isinstance(op, Init):
-            variants = _single_qubit_effects(cols[pos], op.qubit)
+            # Each variant fills 5 of the op's 15 slots (see EffectTables).
+            variants = [e for e in _single_qubit_effects(cols[pos], op.qubit) for _ in range(5)]
         elif isinstance(op, CXGate):
             col_x, col_z = cols[pos]
             a, b = op.control, op.target
@@ -244,23 +237,19 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
         else:
             # Literal bit-flip channel: an X before the measurement flips a
             # Z-basis outcome and is inert for an X-basis one.
-            variants = [(1 << op.outcome) if op.basis == "Z" else 0]
+            variants = [(1 << op.outcome) if op.basis == "Z" else 0] * SLOTS
         effects += variants
-        p_counts.append(len(variants))
-    n_p = len(effects)
     idle = _idle_locations(circuit)
     for pos, q in idle:
         effects += _single_qubit_effects(cols[pos], q)
 
-    counts = np.array(p_counts, dtype=np.int64)
     flags, sc = pack_effects(effects, circuit.flag_count)
     return EffectTables(
         error_side=error_side,
         synd_bits=len(state.checking_generators(error_side)),
         class_bits=len(state.class_logicals(error_side)),
-        p_offsets=np.cumsum(counts) - counts,
-        p_counts=counts,
-        q_offsets=n_p + 3 * np.arange(len(idle), dtype=np.int64),
+        l_p=len(circuit.ops),
+        l_q=len(idle),
         flags=flags,
         sc=sc,
     )
@@ -355,19 +344,8 @@ def _draw_distinct(rng: np.random.Generator, n_rows: int, k: int, limit: int) ->
     return out
 
 
-SLOTS = 15  # variant slots per p location: 1, 3 and 15 variants all divide it
-
-
-def _slot_table(tables: EffectTables) -> np.ndarray:
-    """Variant id of slot j of p location l at ``SLOTS * l + j``: the
-    location's variant ``j * count // SLOTS``, so a uniform slot picks a
-    uniform variant."""
-    j = np.arange(SLOTS, dtype=np.int64)
-    return (tables.p_offsets[:, None] + j * tables.p_counts[:, None] // SLOTS).ravel()
-
-
 def _sample_bucket(
-    tables: EffectTables, slots: np.ndarray, fp: int, fq: int, n: int, rng: np.random.Generator
+    tables: EffectTables, fp: int, fq: int, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Effects of ``n`` samples with ``fp`` p- and ``fq`` q-location faults.
 
@@ -375,12 +353,11 @@ def _sample_bucket(
     variant per location, and XORs their effects.  Returns the word-major
     flag words (W, n) and the ``sc`` words (n,).
 
-    A p location's variant is its slot ``floor(15 u)`` of ``slots``
-    (:func:`_slot_table`), for the location's uniform draw u; an idle
-    location's is its variant ``floor(3 u)``, its three variants sitting
-    at ``q_offsets[0] + 3 * loc``.  Both pick the variant
-    ``floor(count * u)`` of the location, draw for draw: with counts 1, 3
-    and 15, ``floor(fl(c u)) == floor(fl(15 u)) * c // 15`` for every u
+    A p location's variant is its slot ``floor(15 u)``, for the location's
+    uniform draw u, and an idle location's its slot ``floor(3 u)``, at the
+    ids of :class:`EffectTables`.  Both pick the variant ``floor(count *
+    u)`` of the location, draw for draw: with counts 1, 3 and 15,
+    ``floor(fl(c u)) == floor(fl(15 u)) * c // 15`` for every u
     ``Generator.random`` returns (multiples of 2^-53; checked exhaustively
     in the tests).
     """
@@ -394,10 +371,10 @@ def _sample_bucket(
 
     if fp:
         for loc in _draw_distinct(rng, n, fp, tables.l_p).T:
-            add(slots[(rng.random(n) * float(SLOTS)).astype(np.int64) + SLOTS * loc])
+            add((rng.random(n) * float(SLOTS)).astype(np.int64) + SLOTS * loc)
     if fq:
         for loc in _draw_distinct(rng, n, fq, tables.l_q).T:
-            add((rng.random(n) * 3.0).astype(np.int64) + 3 * loc + tables.q_offsets[0])
+            add((rng.random(n) * 3.0).astype(np.int64) + 3 * loc + SLOTS * tables.l_p)
     return flags, sc
 
 
@@ -410,13 +387,12 @@ def _accepted_chunks(tables: EffectTables, pairs, counts, rng):
     ``sc`` holds every sample's packed syndrome and class.  Draws the caller
     makes from ``rng`` between yields precede the next chunk's.
     """
-    slots = _slot_table(tables)
     for i, ((fp, fq), n_b) in enumerate(zip(pairs, counts)):
         done = 0
         while done < n_b:
             m = min(SAMPLE_CHUNK, n_b - done)
             done += m
-            flags, sc = _sample_bucket(tables, slots, fp, fq, m, rng)
+            flags, sc = _sample_bucket(tables, fp, fq, m, rng)
             yield i, (flags == 0).all(axis=0), sc
 
 
@@ -502,22 +478,19 @@ def wilson_interval(successes: float, trials: float) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _variant_fault(
-    circuit: Circuit, tables: EffectTables, idle: list[tuple[int, int]], v: int
-) -> tuple[int, int, int]:
+def _variant_fault(circuit: Circuit, idle: list[tuple[int, int]], v: int) -> tuple[int, int, int]:
     """Variant ``v``'s Pauli as a ``run_tableau`` fault ``(op position, x_mask,
-    z_mask)``, decoded from the circuit and v's place in the location arrays
+    z_mask)``, decoded from the circuit, its ``idle`` locations and v's id
     (the layout of :class:`EffectTables`), not from the effects."""
-    if tables.l_q and v >= tables.q_offsets[0]:
-        i = int(np.searchsorted(tables.q_offsets, v, "right")) - 1
+    pos, j = divmod(v, SLOTS)
+    if pos >= len(circuit.ops):
+        i, j = divmod(v - SLOTS * len(circuit.ops), 3)
         pos, q = idle[i]
-        bits = SINGLE_QUBIT_BITS[v - int(tables.q_offsets[i])]
+        bits = SINGLE_QUBIT_BITS[j]
         return pos, (bits & 1) << q, (bits >> 1) << q
-    pos = int(np.searchsorted(tables.p_offsets, v, "right")) - 1
-    j = v - int(tables.p_offsets[pos])
     op = circuit.ops[pos]
     if isinstance(op, Init):
-        bits, q = SINGLE_QUBIT_BITS[j], op.qubit
+        bits, q = SINGLE_QUBIT_BITS[j // 5], op.qubit
         return pos, (bits & 1) << q, (bits >> 1) << q
     if isinstance(op, CXGate):
         bits, a, b = j + 1, op.control, op.target
@@ -558,7 +531,7 @@ def frame_replay_check(
         for v in chosen:
             predicted_flags ^= flag_int(tables.flags, v)
             eff_sc ^= int(tables.sc[v])
-        faults = [_variant_fault(circuit, tables, idle, int(v)) for v in chosen]
+        faults = [_variant_fault(circuit, idle, int(v)) for v in chosen]
         tab, outcomes, _ = run_tableau(circuit, faults, rng=rng)
         observed_flags = sum(bit << i for i, bit in enumerate(outcomes))
         if observed_flags != predicted_flags:

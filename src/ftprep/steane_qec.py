@@ -29,10 +29,9 @@ import numpy as np
 
 from .circuit import Circuit
 from .css import CssState, coset_key_columns, swap_xz
-from .decoder import MLTable, MWTable, build_ideal_class_table, build_ml_lut, build_mw_lut
+from .decoder import build_ideal_class_table, build_mw_lut
 from .noise import (
     EffectTables,
-    SampleSet,
     SubsetPlan,
     _accepted_chunks,
     build_effect_tables,
@@ -94,12 +93,13 @@ class _CodeTables:
     """What the experiment needs of a code, whatever the circuit, p or mode.
 
     Keys are coset keys of Z errors on the computational block's
-    ``|+..+>``: X-stabilizer syndrome low, logical-X class above.
+    ``|+..+>``: X-stabilizer syndrome low, logical-X class above.  The
+    class arrays are dense decoders, indexed by syndrome.
     """
 
     key_cols: np.ndarray  # uint64 key of a Z on each qubit
-    mw: MWTable | None  # code-capacity layer under the trained ML table
-    ideal: np.ndarray  # uint64 minimum-weight class, indexed by syndrome
+    mw: np.ndarray  # uint64 code-capacity class under the trained layer, 0 where unreached
+    ideal: np.ndarray  # uint64 minimum-weight class
 
 
 @lru_cache(maxsize=8)
@@ -111,12 +111,13 @@ def _code_tables(state: CssState) -> _CodeTables:
     # errors of a |0..0> state.
     plus = swap_xz(state)
     key_cols = np.array(coset_key_columns(plus, "X"), dtype=np.uint64)
-    mw = build_mw_lut(plus, "X", (state.d - 1) // 2) if state.d > 2 else None
     table = build_ideal_class_table(plus, "X")
-    # build_ideal_class_table caps 2^synd_bits, so the dense form costs no
+    # build_ideal_class_table caps 2^synd_bits, so the dense forms cost no
     # more than the table's own two arrays.
-    ideal = _dense_classes(1 << table.synd_bits, table)
-    _read_only(key_cols, ideal, *((mw.synd, mw.cls, mw.weight) if mw else ()))
+    n_synd = 1 << table.synd_bits
+    ideal = _dense_classes(n_synd, table)
+    mw = _dense_classes(n_synd, build_mw_lut(plus, "X", (state.d - 1) // 2) if state.d > 2 else None)
+    _read_only(key_cols, ideal, mw)
     return _CodeTables(key_cols, mw, ideal)
 
 
@@ -125,20 +126,28 @@ def _prep_tables(circuit: Circuit, state: CssState) -> EffectTables:
     """Z-side effect tables of a resource circuit, built once per
     (circuit, state); every array is read-only."""
     tables = build_effect_tables(circuit, state, error_side="Z")
-    _read_only(tables.p_offsets, tables.p_counts, tables.q_offsets, tables.flags, tables.sc)
+    _read_only(tables.flags, tables.sc)
     return tables
 
 
-def _dense_classes(n_synd: int, *tables: MLTable | MWTable | None) -> np.ndarray:
-    """Class of every syndrome below ``n_synd``: each table's classes
-    written over the previous ones', 0 where none holds the syndrome.
-    ``_dense_classes(n, mw, ml)`` gives the classes of
-    ``decoder.decode(synd, ml, mw)``, ML over MW over the trivial class."""
+def _dense_classes(n_synd: int, table) -> np.ndarray:
+    """Class of every syndrome below ``n_synd`` under a decoder table
+    (``MLTable`` or ``MWTable``, sorted ``synd`` and ``cls`` arrays), 0
+    where it misses or is None."""
     classes = np.zeros(n_synd, dtype=np.uint64)
-    for table in tables:
-        if table is not None:
-            classes[table.synd] = table.cls
+    if table is not None:
+        classes[table.synd] = table.cls
     return classes
+
+
+def _trained_classes(keys: np.ndarray, synd_bits: int, class_bits: int, mw: np.ndarray) -> np.ndarray:
+    """Dense two-layer decoder trained on packed ``synd | cls << synd_bits``
+    keys: a trained syndrome takes its most frequent class, ties broken
+    toward the smallest class (as ``decoder.build_ml_lut``), every other
+    syndrome its class in the dense ``mw``."""
+    hist = np.bincount(keys.view(np.int64), minlength=1 << (synd_bits + class_bits))
+    hist = hist.reshape(1 << class_bits, 1 << synd_bits)
+    return np.where(hist.any(axis=0), hist.argmax(axis=0).astype(np.uint64), mw)
 
 
 def _decoded(table: np.ndarray, synd: np.ndarray) -> np.ndarray:
@@ -264,16 +273,12 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     n_train = n_samples // 2
     junk = synd[:n_train] ^ r1_synd[:n_train]
     labels = r1_cls[:n_train] ^ _decoded(ideal, junk)
-    ones = np.ones(n_train)
-    train = SampleSet.tally(
-        int(synd_bits), state.k, synd[:n_train] | labels << synd_bits, ones, ones
-    )
-    ml = build_ml_lut(train)
+    corr = _trained_classes(synd[:n_train] | labels << synd_bits, int(synd_bits), state.k, code.mw)
 
     eval_slice = slice(n_train, n_samples)
     synd_eval = synd[eval_slice]
     keys_eval = keys[eval_slice] ^ depolarizing_z(n_samples - n_train, strong)
-    corr_class = _decoded(_dense_classes(len(ideal), code.mw, ml), synd_eval)
+    corr_class = _decoded(corr, synd_eval)
 
     synd_r = (keys_eval & synd_mask) ^ synd_eval
     cls_r = (keys_eval >> synd_bits) ^ corr_class

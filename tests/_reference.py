@@ -4,12 +4,16 @@
 on a (partial) flag gadget by forward propagation; ``min_weight_modulo``
 reduces an error over every product of a generator set.  Neither shares
 code with ``ftprep.verify``, the coset keys or the gadget engine.
+``coset_keys`` computes the coset keys of many packed error masks at once,
+one qubit column at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
+
+import numpy as np
 
 from ftprep.css import GroupTooLargeError
 from ftprep.gadgets import FlagGadget
@@ -90,3 +94,11 @@ def min_weight_modulo(error: int, group_generators: Sequence[int]) -> int:
         cur ^= group_generators[(i & -i).bit_length() - 1]  # Gray code step
         best = min(best, cur.bit_count())
     return best
+
+
+def coset_keys(masks: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+    """Coset keys of packed uint64 qubit masks, given per-qubit key columns."""
+    out = np.zeros(masks.shape, dtype=np.uint64)
+    for q, col in enumerate(cols):
+        out ^= ((masks >> np.uint64(q)) & np.uint64(1)) * np.uint64(col)
+    return out

@@ -252,6 +252,11 @@ def test_lut_mw_command(tmp_path, capsys):
     rc = main(["lut-mw", "--code", "steane", "--wmax", "3"])
     assert rc == 0
     assert "7 syndromes" in capsys.readouterr().out
+    # A negative weight is a usage error, not an empty table.
+    rc = main(["lut-mw", "--code", "steane", "--wmax", "-1"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "syndromes" not in out and err == "error: w_max must be >= 0, got -1\n"
 
 
 def test_verify_rejects_invalid_circuit_files(tmp_path, capsys):
@@ -337,6 +342,21 @@ def test_invalid_bundled_library_is_an_error(monkeypatch, capsys):
     rc = main(["assemble", "--code", "steane", "--seed", "5", "--trials", "10", "--shuffles", "2"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"t": 1, "r": 1, "m": 1, "gates": [[0, 2], [0, 1], [0, 2]]},
+     "error: library entry t=1 r=1: missing 'optimal'\n"),
+    ([1, 1, 1, [[0, 2], [0, 1], [0, 2]], True],
+     "error: library entry '1,1' is a JSON list, not an object\n"),
+])
+def test_malformed_library_entry_is_an_error(tmp_path, capsys, entry, message):
+    lib = tmp_path / "lib.json"
+    lib.write_text(json.dumps({"1,1": entry}))
+    rc = main(["assemble", "--code", "steane", "--library", str(lib), "--seed", "5",
+               "--trials", "10", "--shuffles", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == message
 
 
 def test_missing_bundled_library_is_an_error(monkeypatch, capsys):

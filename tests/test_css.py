@@ -10,13 +10,12 @@ from ftprep.css import (
     GroupTooLargeError,
     coset_enumeration,
     coset_key_columns,
-    coset_keys,
     max_coset_weight,
     syndrome_and_class,
     validate_css_state,
 )
 
-from _reference import min_weight_modulo
+from _reference import coset_keys, min_weight_modulo
 
 
 def test_min_weight_of_group_element_is_zero():

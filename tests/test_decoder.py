@@ -105,6 +105,12 @@ def test_mw_empty_at_zero_weight():
     assert len(build_mw_lut(steane, "X", 0)) == 0
 
 
+@pytest.mark.parametrize("w_max", [-1, -5])
+def test_mw_rejects_a_negative_weight(w_max):
+    with pytest.raises(ValueError, match=f"w_max must be >= 0, got {w_max}"):
+        build_mw_lut(get_state("steane"), "X", w_max)
+
+
 def test_mw_table_has_no_syndrome_zero_row():
     # The empty error explains syndrome 0; the weight-3 logical must not.
     steane = get_state("steane")

@@ -90,3 +90,33 @@ def test_gate_labels_outside_the_gadget_are_rejected(tmp_path, first):
     path.write_text(json.dumps({"1,1": spec}))
     with pytest.raises(ValueError, match=r"library entry t=1 r=1: gate .* outside"):
         GadgetLibrary.load(path)
+
+
+GOOD_SPEC = {"t": 1, "r": 1, "m": 1, "gates": [[0, 2], [0, 1], [0, 2]], "optimal": True}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({k: v for k, v in GOOD_SPEC.items() if k != "optimal"}, r"entry t=1 r=1: missing 'optimal'"),
+    ({k: v for k, v in GOOD_SPEC.items() if k not in "tr"}, r"entry '1,1': missing 't', 'r'"),
+    ([1, 1, 1], r"entry '1,1' is a JSON list, not an object"),
+    ("1,1", r"entry '1,1' is a JSON str, not an object"),
+    ({**GOOD_SPEC, "t": "1"}, r"entry t=1 r=1: t must be integers"),
+    ({**GOOD_SPEC, "r": 1.0, "m": True}, r"entry t=1 r=1.0: r, m must be integers"),
+    ({**GOOD_SPEC, "gates": [[0, 2], [0], [0, 2]]}, r"entry t=1 r=1: gates must be"),
+    ({**GOOD_SPEC, "gates": 3}, r"entry t=1 r=1: gates must be"),
+    ({**GOOD_SPEC, "optimal": "no"}, r"entry t=1 r=1: optimal must be true or false"),
+])
+def test_malformed_entries_are_rejected_by_name(tmp_path, spec, message):
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps({"1,1": GOOD_SPEC}))
+    assert GadgetLibrary.load(path).get(1, 1).gates == ((0, 2), (0, 1), (0, 2))
+    path.write_text(json.dumps({"1,1": spec}))
+    with pytest.raises(ValueError, match=message):
+        GadgetLibrary.load(path)
+
+
+def test_a_library_that_is_not_an_object_is_rejected(tmp_path):
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps([GOOD_SPEC]))
+    with pytest.raises(ValueError, match="not a JSON object"):
+        GadgetLibrary.load(path)

@@ -10,7 +10,7 @@ from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials, synthesize_bipartite
 from ftprep.catalog import get_state
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init, flag_int, pack_effects
-from ftprep.css import CssState
+from ftprep.css import CssState, syndrome_and_class
 from ftprep.decoder import build_ml_lut, build_mw_lut, evaluate_test_set
 from ftprep.library import GadgetLibrary
 from ftprep.noise import (
@@ -20,7 +20,6 @@ from ftprep.noise import (
     _binom_pmf,
     _draw_distinct,
     _sample_bucket,
-    _slot_table,
     build_effect_tables,
     build_subset_plan,
     count_fault_locations,
@@ -28,6 +27,7 @@ from ftprep.noise import (
     run_monte_carlo,
     wilson_interval,
 )
+from ftprep.tableau import run_tableau
 
 
 @pytest.fixture(scope="module")
@@ -213,34 +213,54 @@ def test_frame_replay_check_catches_a_corrupted_location(steane_prepared, side):
     tables = build_effect_tables(circ, state, error_side=side)
     assert tables.error_side == side
     assert frame_replay_check(circ, state, tables, 300, seed=11) == 300
-    cx = int(np.flatnonzero(tables.p_counts == 15)[0])
-    start = int(tables.p_offsets[cx])
+    cx = SLOTS * next(pos for pos, op in enumerate(circ.ops) if isinstance(op, CXGate))
     for bit in (1, 1 << (tables.synd_bits + tables.class_bits - 1)):
         bad_sc = tables.sc.copy()
-        bad_sc[start:start + 15] ^= np.uint64(bit)
+        bad_sc[cx:cx + SLOTS] ^= np.uint64(bit)
         with pytest.raises(AssertionError, match="syndrome/class"):
             frame_replay_check(circ, state, replace(tables, sc=bad_sc), 300, seed=11)
     bad_flags = tables.flags.copy()
-    bad_flags[0, start:start + 15] ^= np.uint64(1)
+    bad_flags[0, cx:cx + SLOTS] ^= np.uint64(1)
     with pytest.raises(AssertionError, match="flag mismatch"):
         frame_replay_check(circ, state, replace(tables, flags=bad_flags), 300, seed=11)
-    # The replay decodes each variant from its location, so effects emitted
-    # in the wrong order fail too: swap the X and Z effects of the first
-    # Init location where they differ, then shift every idle variant's
-    # effects by one location.  The replay stops at the first mismatch, so
-    # the long runs only make a miss unlikely.
-    inits = [int(s) for s, n in zip(tables.p_offsets, tables.p_counts) if n == 3]
-    x = next(s for s in inits if tables.sc[s] != tables.sc[s + 2]
-             or (tables.flags[:, s] != tables.flags[:, s + 2]).any())
+    # The replay decodes each variant from its id, so effects emitted in
+    # the wrong order fail too: reverse the slots of the first Init location
+    # whose X and Z effects differ (Z, Y, X instead of X, Y, Z), then shift
+    # every idle variant's effects by one location.  The replay stops at the
+    # first mismatch, so the long runs only make a miss unlikely; every id
+    # is replayed alone in test_every_variant_id_replays_alone.
+    inits = [SLOTS * pos for pos, op in enumerate(circ.ops) if isinstance(op, Init)]
+    x = next(s for s in inits if tables.sc[s] != tables.sc[s + 10]
+             or (tables.flags[:, s] != tables.flags[:, s + 10]).any())
     swap = np.arange(len(tables.sc))
-    swap[[x, x + 2]] = x + 2, x
+    swap[x:x + SLOTS] = swap[x:x + SLOTS][::-1].copy()
     roll = np.arange(len(tables.sc))
-    idle = slice(int(tables.q_offsets[0]), None)
+    idle = slice(SLOTS * tables.l_p, None)
     roll[idle] = np.roll(roll[idle], 3)
     for order in (swap, roll):
         bad = replace(tables, sc=tables.sc[order], flags=tables.flags[:, order])
         with pytest.raises(AssertionError, match=r"sample \d+"):
             frame_replay_check(circ, state, bad, 3000, seed=11)
+
+
+@pytest.mark.parametrize("side", ["X", "Z"])
+def test_every_variant_id_replays_alone(steane_prepared, side):
+    # Every id of the tables, each slot of each op and each idle id, is
+    # replayed alone through the tableau, as its decoded Pauli, and must
+    # match its flags and sc entry.
+    state, circ = steane_prepared
+    tables = build_effect_tables(circ, state, error_side=side)
+    idle = noise._idle_locations(circ)
+    assert (tables.l_p, tables.l_q) == (len(circ.ops), len(idle))
+    assert len(tables.sc) == SLOTS * tables.l_p + 3 * tables.l_q
+    code = [(q, ci) for q, ci in enumerate(circ.code_index) if ci is not None]
+    rng = np.random.default_rng(0)
+    for v in range(len(tables.sc)):
+        tab, outcomes, _ = run_tableau(circ, [noise._variant_fault(circ, idle, v)], rng=rng)
+        assert sum(bit << i for i, bit in enumerate(outcomes)) == flag_int(tables.flags, v), v
+        readout = tab.measure_z if side == "X" else tab.measure_x
+        synd, cls = syndrome_and_class(sum(readout(q, rng)[0] << ci for q, ci in code), state, side)
+        assert synd | cls << tables.synd_bits == int(tables.sc[v]), v
 
 
 def test_effect_linearity(steane_prepared):
@@ -432,43 +452,60 @@ def golay_tables(library):
     state = get_state("golay")
     bip = best_of_trials(state, 5, 9)
     asm = assemble_ft_circuit(state, bip, library, z_gadget_t_override=2, seed=9)
-    return build_effect_tables(schedule_circuit(asm, "min_max_qubits", shuffles=2, seed=9), state)
+    circ = schedule_circuit(asm, "min_max_qubits", shuffles=2, seed=9)
+    return circ, build_effect_tables(circ, state)
 
 
-def offset_count_bucket(tables, fp, fq, n, rng):
-    # _sample_bucket's pick before the slot tables: offset plus
-    # floor(u * count), gathered per location.
+def variant_counts(circ: Circuit) -> np.ndarray:
+    """Variants per op: 3 per Init, 15 per CX, 1 per flag measurement."""
+    return np.array([3 if isinstance(op, Init) else 15 if isinstance(op, CXGate) else 1
+                     for op in circ.ops])
+
+
+def offset_count_bucket(circ, tables, fp, fq, n, rng):
+    # _sample_bucket's pick before the fixed stride, on the compact layout
+    # rebuilt from the circuit's op types: each op's variants, then three
+    # per idle location, a location's variant being its offset plus
+    # floor(u * count).  Op variant k is read at its first padded slot,
+    # k * 15 // count.
+    counts = variant_counts(circ)
+    offsets = np.cumsum(counts) - counts
+    loc_of = np.repeat(np.arange(len(counts)), counts)
+    k_of = np.arange(len(loc_of)) - offsets[loc_of]
+    ids = np.concatenate([SLOTS * loc_of + k_of * SLOTS // counts[loc_of],
+                          SLOTS * len(counts) + np.arange(3 * tables.l_q)])
+    compact_flags, compact_sc = tables.flags[:, ids], tables.sc[ids]
     flags = np.zeros((len(tables.flags), n), dtype=np.uint64)
     sc = np.zeros(n, dtype=np.uint64)
-    for k, offsets, counts in (
-        (fp, tables.p_offsets, tables.p_counts),
-        (fq, tables.q_offsets, np.full(tables.l_q, 3)),
+    for k, offs, cnts in (
+        (fp, offsets, counts),
+        (fq, len(loc_of) + 3 * np.arange(tables.l_q), np.full(tables.l_q, 3)),
     ):
         if not k:
             continue
-        locs = _draw_distinct(rng, n, k, len(offsets))
+        locs = _draw_distinct(rng, n, k, len(offs))
         for col in range(k):
             loc = locs[:, col]
-            var = offsets[loc] + (rng.random(n) * counts[loc]).astype(np.int64)
-            for acc, words in zip(flags, tables.flags):
+            var = offs[loc] + (rng.random(n) * cnts[loc]).astype(np.int64)
+            for acc, words in zip(flags, compact_flags):
                 acc ^= words[var]
-            sc ^= tables.sc[var]
+            sc ^= compact_sc[var]
     return flags, sc
 
 
 def test_slot_pick_matches_offset_count_pick_on_golay(golay_tables):
-    tables = golay_tables
-    assert set(tables.p_counts.tolist()) == {1, 3, 15} and len(tables.flags) == 2
-    slots = _slot_table(tables)
+    circ, tables = golay_tables
+    counts = variant_counts(circ)
+    assert set(counts.tolist()) == {1, 3, 15} and len(tables.flags) == 2
     rng = np.random.default_rng(5)
     loc = rng.integers(0, tables.l_p, size=400_000)
     u = rng.random(len(loc))
     u[:4] = [0.0, 3002399751580331 * 2.0**-53, 6004799503160661 * 2.0**-53, 1 - 2.0**-53]
-    old = tables.p_offsets[loc] + (u * tables.p_counts[loc]).astype(np.int64)
-    assert np.array_equal(slots[(u * float(SLOTS)).astype(np.int64) + SLOTS * loc], old)
+    slot = (u * float(SLOTS)).astype(np.int64)
+    assert np.array_equal(slot * counts[loc] // SLOTS, (u * counts[loc]).astype(np.int64))
     for fp, fq in [(1, 0), (0, 1), (2, 3), (5, 1)]:
         rng_a, rng_b = np.random.default_rng([fp, fq]), np.random.default_rng([fp, fq])
-        got = _sample_bucket(tables, slots, fp, fq, 20_000, rng_a)
-        want = offset_count_bucket(tables, fp, fq, 20_000, rng_b)
+        got = _sample_bucket(tables, fp, fq, 20_000, rng_a)
+        want = offset_count_bucket(circ, tables, fp, fq, 20_000, rng_b)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert rng_a.bit_generator.state == rng_b.bit_generator.state

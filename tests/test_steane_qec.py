@@ -4,7 +4,7 @@ import pytest
 from ftprep import steane_qec
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.catalog import _state_from_data, catalog_names, get_state, rotated_surface_data
-from ftprep.css import CssState, GroupTooLargeError, coset_key_columns, coset_keys, swap_xz
+from ftprep.css import CssState, GroupTooLargeError, coset_key_columns, swap_xz
 from ftprep.decoder import build_ideal_class_table, build_ml_lut, build_mw_lut, decode
 from ftprep.noise import SampleSet
 from ftprep.library import GadgetLibrary
@@ -15,11 +15,13 @@ from ftprep.steane_qec import (
     NO_QEC,
     SteaneQecConfig,
     _code_tables,
-    _dense_classes,
     _prep_tables,
+    _trained_classes,
     run_steane_qec_experiment,
 )
 from ftprep.verify import verify_fault_tolerance
+
+from _reference import coset_keys
 
 
 @pytest.fixture(scope="module")
@@ -265,8 +267,7 @@ def test_cached_tables_are_read_only(color17_prep):
     state, prep = color17_prep
     code = _code_tables(state)
     tables = _prep_tables(prep.circuit, state)
-    for array in (code.key_cols, code.ideal, code.mw.synd, code.mw.cls, code.mw.weight,
-                  tables.p_offsets, tables.p_counts, tables.q_offsets, tables.flags, tables.sc):
+    for array in (code.key_cols, code.ideal, code.mw, tables.flags, tables.sc):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
 
@@ -282,15 +283,25 @@ def test_dense_ideal_table_decodes_as_the_sorted_one(name):
 
 
 def test_dense_ml_over_mw_decodes_as_decode():
-    # A random ML table over color17's MW table: the two share some
-    # syndromes, where ML must win, and miss others, which read 0.
+    # Random training keys over color17's MW table: the trained syndromes
+    # share some with the MW table, where ML must win, and miss others,
+    # which read 0.  Few key values and many repeats make class ties, which
+    # both sides break toward the smallest class.
     plus = swap_xz(get_state("color17"))
     mw = build_mw_lut(plus, "X", 2)
+    dense_mw = _code_tables(get_state("color17")).mw
     rng = np.random.default_rng(4)
-    keys = rng.integers(0, 1 << 9, size=300, dtype=np.uint64)
-    ones = np.ones(len(keys))
-    ml = build_ml_lut(SampleSet.tally(8, 1, keys, ones, ones))
     synd = np.arange(1 << 8, dtype=np.uint64)
-    assert 0 < len(np.intersect1d(ml.synd, mw.synd)) < len(ml)
-    for table in (mw, None):
-        assert np.array_equal(_dense_classes(len(synd), table, ml), decode(synd, ml, table)[0])
+    ties = 0
+    for n_keys in (300, 2_000):
+        keys = rng.integers(0, 1 << 9, size=n_keys, dtype=np.uint64)
+        per_class = np.bincount(keys.astype(np.int64), minlength=1 << 9).reshape(2, -1)
+        ties += int(((per_class[0] == per_class[1]) & (per_class[0] > 0)).sum())
+        ones = np.ones(len(keys))
+        ml = build_ml_lut(SampleSet.tally(8, 1, keys, ones, ones))
+        assert 0 < len(np.intersect1d(ml.synd, mw.synd)) < len(ml)
+        for table, dense in ((mw, dense_mw), (None, np.zeros_like(dense_mw))):
+            got = _trained_classes(keys, 8, 1, dense)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, decode(synd, ml, table)[0])
+    assert ties
