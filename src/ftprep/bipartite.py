@@ -5,7 +5,9 @@ Any CSS state can be prepared by initializing one qubit partition in |+>
 gates along the edges of a bipartite graph.  The graph's adjacency is
 X2 X1^-1 where X1 is an invertible row-submatrix of the stacked X-type
 generator matrix; commutation forces the same matrix to equal
-(Z1 Z2^-1)^T, which is asserted on every synthesis.
+(Z1 Z2^-1)^T, which is asserted on every synthesis.  Both entry points
+run ``validate_css_state`` once per call, so an invalid state raises its
+ValueError before any trial.
 """
 
 from __future__ import annotations
@@ -74,22 +76,12 @@ def synthesize_bipartite(state: CssState, seed: int) -> BipartiteCircuit:
     circuit; its draws stay only so that seeded syntheses reproduce.  Raises
     ``ValueError`` for an invalid state.
     """
-    _require_valid(state)
+    validate_css_state(state)
     return _synthesize(state, seed)
 
 
-def _require_valid(state: CssState) -> None:
-    """Raise ``ValueError`` unless ``state`` passes ``validate_css_state``.
-
-    Callers that synthesize many trials of one state check it once here.
-    """
-    report = validate_css_state(state)
-    if not report.ok:
-        raise ValueError(f"invalid CSS state: {report}")
-
-
 def _synthesize(state: CssState, seed: int) -> BipartiteCircuit:
-    """``synthesize_bipartite`` for a state already checked by ``_require_valid``."""
+    """``synthesize_bipartite`` for a state already checked by ``validate_css_state``."""
     rng = np.random.default_rng(seed)
     n = state.n
     # Generator matrices with qubits as rows: bit j of xrows[q] is the X part
@@ -144,7 +136,7 @@ def ranked_trials(state: CssState, trials: int, seed: int) -> list[BipartiteCirc
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _require_valid(state)
+    validate_css_state(state)
     seen: dict[tuple[tuple[int, int], ...], BipartiteCircuit] = {}
     for child in np.random.SeedSequence(seed).spawn(trials):
         bip = _synthesize(state, int(child.generate_state(1)[0]))

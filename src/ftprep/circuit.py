@@ -76,8 +76,9 @@ class Circuit:
         """Raise ValueError if the op sequence breaks the circuit invariants.
 
         Besides the init/measure order, flag outcome indices must be
-        distinct and lie in ``range(flag_count)``, and no two circuit qubits
-        may map to one code qubit.
+        distinct and lie in ``range(flag_count)``, no CX may act on one qubit
+        as both control and target, and no two circuit qubits may map to one
+        code qubit.
         """
         code = [ci for ci in self.code_index if ci is not None]
         if len(set(code)) != len(code):
@@ -93,6 +94,8 @@ class Circuit:
                     raise ValueError(f"qubit {op.qubit} initialized twice")
                 inited.add(op.qubit)
             elif isinstance(op, CXGate):
+                if op.control == op.target:
+                    raise ValueError(f"CX on qubit {op.control} has it as both control and target")
                 for q in (op.control, op.target):
                     if q not in inited:
                         raise ValueError(f"qubit {q} used before initialization")

@@ -5,7 +5,8 @@ by the code's pure X-type and pure Z-type stabilizers plus its Z logicals.
 Every stabilizer and logical is one qubit mask (bit i is qubit i), the X
 support of an X-type operator or the Z support of a Z-type one.  The
 logical ``|+..+>`` is the ``|0..0>`` of the X<->Z swapped code
-(:func:`swap_xz`).
+(:func:`swap_xz`).  :func:`validate_css_state` returns None for a valid
+state and otherwise raises one ValueError naming every broken invariant.
 """
 
 from __future__ import annotations
@@ -24,29 +25,6 @@ class GroupTooLargeError(ValueError):
 
 
 COSET_CAP = 24  # max_coset_weight caps the opposite-type quotient at 2**24
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    kind: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind}: {self.detail}"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "; ".join(str(i) for i in self.issues)
 
 
 @dataclass(frozen=True)
@@ -187,18 +165,21 @@ def max_coset_weight(state: CssState, error_type: str) -> int:
     return 0  # only reachable for trivial codes
 
 
-def validate_css_state(state: CssState) -> ValidationReport:
-    """Check the structural invariants of a CSS state.
+def validate_css_state(state: CssState) -> None:
+    """Raise ValueError unless ``state`` meets the structural invariants of
+    a CSS state.
 
-    Verifies that every mask fits in n qubits, pairwise commutation, full
-    rank of each stabilizer block, and that stabilizers plus the Z logicals
-    form n independent operators.
+    The one error lists every broken invariant as ``kind: detail``:
+    ``length`` for a mask acting beyond n qubits, ``commutation`` for an
+    X/Z pair with odd overlap, ``rank`` for a dependent stabilizer block or
+    stabilizers plus Z logicals not spanning n independent operators, and
+    ``counts`` for generator or logical counts that do not fit n and k.
     """
-    issues: list[ValidationIssue] = []
+    issues: list[str] = []
     for kind in ("x_stabilizers", "z_stabilizers", "logical_x", "logical_z"):
         for i, mask in enumerate(getattr(state, kind)):
             if mask >> state.n:
-                issues.append(ValidationIssue("length", f"{kind}[{i}] acts beyond {state.n} qubits"))
+                issues.append(f"length: {kind}[{i}] acts beyond {state.n} qubits")
     # X/Z pairs must have even overlap.
     for kind, ops, opposite in (
         ("x_stabilizers", state.x_stabilizers, "z_stabilizers"),
@@ -208,27 +189,20 @@ def validate_css_state(state: CssState) -> ValidationReport:
         for i, a in enumerate(ops):
             for j, b in enumerate(getattr(state, opposite)):
                 if (a & b).bit_count() & 1:
-                    issues.append(
-                        ValidationIssue("commutation", f"{kind}[{i}] anticommutes with {opposite}[{j}]")
-                    )
+                    issues.append(f"commutation: {kind}[{i}] anticommutes with {opposite}[{j}]")
     for kind in ("x_stabilizers", "z_stabilizers"):
         if rank(list(getattr(state, kind))) != len(getattr(state, kind)):
-            issues.append(ValidationIssue("rank", f"{kind} are linearly dependent"))
+            issues.append(f"rank: {kind} are linearly dependent")
     # Full state group must have n independent generators.
     total = rank(state.reduction_group("X")) + rank(state.reduction_group("Z"))
     if total != state.n:
+        issues.append(f"rank: state group has rank {total}, expected {state.n}")
+    if len(state.x_stabilizers) + len(state.z_stabilizers) + state.k != state.n:
         issues.append(
-            ValidationIssue("rank", f"state group has rank {total}, expected {state.n}")
-        )
-    expected_counts = len(state.x_stabilizers) + len(state.z_stabilizers) + state.k
-    if expected_counts != state.n:
-        issues.append(
-            ValidationIssue(
-                "counts",
-                f"{len(state.x_stabilizers)}+{len(state.z_stabilizers)} stabilizers with k={state.k} "
-                f"do not account for n={state.n}",
-            )
+            f"counts: {len(state.x_stabilizers)}+{len(state.z_stabilizers)} stabilizers "
+            f"with k={state.k} do not account for n={state.n}"
         )
     if len(state.logical_x) != state.k or len(state.logical_z) != state.k:
-        issues.append(ValidationIssue("counts", "logical representative count differs from k"))
-    return ValidationReport(tuple(issues))
+        issues.append("counts: logical representative count differs from k")
+    if issues:
+        raise ValueError(f"invalid CSS state {state.name}: {'; '.join(issues)}")

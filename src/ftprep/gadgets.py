@@ -60,11 +60,19 @@ class FlagGadget:
         return hits[0]
 
     def validate(self) -> None:
-        """Check the structural gadget invariants and flag determinism."""
+        """Check the structural gadget invariants and flag determinism.
+
+        Needs t, r >= 1 and m >= 0; every gate's control is c or a flag
+        other than its target.
+        """
+        if self.t < 1 or self.r < 1 or self.m < 0:
+            raise ValueError(f"require t, r >= 1 and m >= 0, got t={self.t} r={self.r} m={self.m}")
         top = self.r + self.m
         for gate in self.gates:
             if not all(0 <= q <= top for q in gate):
                 raise ValueError(f"gate {gate} has a label outside 0..{top}")
+            if 1 <= gate[0] <= self.r or gate[0] == gate[1]:
+                raise ValueError(f"gate {gate}: the control must be c or a flag, not the target")
         for i in range(1, self.r + 1):
             if self.gates[self.entangling_gate_index(i)][1] != i:
                 raise ValueError(f"target label {i} is not the target of its CX")

@@ -115,7 +115,10 @@ def parse_circuit(text: str) -> tuple[Circuit, str, str]:
         elif opcode == "CX":
             if len(parts) != 3:
                 raise ParseError(line_no, "CX takes two qubits")
-            raw_ops.append((CXGate, (qubit(parts[1], line_no), qubit(parts[2], line_no)), ()))
+            keys = (qubit(parts[1], line_no), qubit(parts[2], line_no))
+            if keys[0] == keys[1]:
+                raise ParseError(line_no, f"CX control and target are both {parts[1]}")
+            raw_ops.append((CXGate, keys, ()))
         elif opcode in ("MZ", "MX"):
             if len(parts) != 4 or parts[2] != "->" or not parts[3].startswith("m"):
                 raise ParseError(line_no, f"{opcode} syntax: {opcode} <q> -> m<i>")
@@ -165,6 +168,8 @@ def parse_gadget(text: str) -> FlagGadget:
         t, r, m = (int(header[key]) for key in ("t", "r", "m"))
     except (KeyError, ValueError):
         raise ParseError(1, "the header needs integer t=, r= and m=") from None
+    if t < 1 or r < 1 or m < 0:
+        raise ParseError(1, f"the header needs t, r >= 1 and m >= 0, got t={t} r={r} m={m}")
 
     def label(token: str, line_no: int) -> int:
         if token == "c":

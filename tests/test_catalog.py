@@ -1,14 +1,16 @@
+import dataclasses
 import json
 
 import pytest
 
-from ftprep import gf2
+from ftprep import catalog, gf2
 from ftprep.catalog import (
     ParseError,
     catalog_names,
     export_code_file,
     get_state,
     parse_code_file,
+    rotated_surface,
 )
 from ftprep.css import validate_css_state
 
@@ -62,8 +64,14 @@ def kernel_min_weight(check_rows, op_rows, n):
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_entry_validates(name):
-    state = get_state(name)
-    assert validate_css_state(state).ok
+    validate_css_state(get_state(name))
+
+
+@pytest.mark.parametrize("d", [7, 9])
+def test_larger_rotated_surface_codes_validate(d):
+    state = rotated_surface(d)
+    assert (state.name, state.n, state.k, state.d) == (f"surface{d * d}", d * d, 1, d)
+    validate_css_state(state)
 
 
 @pytest.mark.parametrize("name", ["steane", "surface9", "color17", "surface25", "golay", "selfdual20"])
@@ -86,8 +94,7 @@ def test_export_parse_round_trip(tmp_path):
     path = tmp_path / "steane.json"
     export_code_file("steane", path)
     state = parse_code_file(path)
-    assert state.n == 7 and state.k == 1 and state.d == 3
-    assert validate_css_state(state).ok
+    assert state == get_state("steane")
 
 
 def test_parse_rejects_wrong_length(tmp_path):
@@ -106,7 +113,38 @@ def test_parse_rejects_anticommuting(tmp_path):
     raw = json.loads(path.read_text())
     raw["z_stabilizers"][0] = "Z" + "I" * 6
     path.write_text(json.dumps(raw))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"invalid CSS state steane: commutation: x_stabilizers\[2\]"):
+        parse_code_file(path)
+
+
+def test_invalid_catalog_entry_is_a_parse_error_naming_it(monkeypatch):
+    bad = dataclasses.replace(rotated_surface(3), k=2)
+    monkeypatch.setitem(catalog._BUILDERS, "surface9", lambda: bad)
+    with pytest.raises(ParseError, match="invalid CSS state surface9: counts: "):
+        get_state("surface9")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("d", "3", "d must be an integer"),
+    ("n", 7.0, "n must be an integer"),
+    ("k", True, "k must be an integer"),
+    ("x_stabilizers", "XXXXIII", "x_stabilizers must be a list of strings"),
+    ("logical_z", [127], "logical_z must be a list of strings"),
+])
+def test_parse_rejects_malformed_fields(tmp_path, field, value, message):
+    path = tmp_path / "bad.json"
+    export_code_file("steane", path)
+    raw = json.loads(path.read_text())
+    raw[field] = value
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ParseError, match=message):
+        parse_code_file(path)
+
+
+def test_parse_rejects_a_file_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ParseError, match="not a JSON object"):
         parse_code_file(path)
 
 

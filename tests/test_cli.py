@@ -6,7 +6,7 @@ import pytest
 
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
-from ftprep.catalog import get_state
+from ftprep.catalog import export_code_file, get_state
 from ftprep import library
 from ftprep.cli import main
 from ftprep.decoder import build_ml_lut, build_mw_lut, evaluate_test_set
@@ -278,12 +278,15 @@ def test_verify_rejects_invalid_circuit_files(tmp_path, capsys):
     bad_qubit.write_text("CIRCUIT code=steane state=|0>\nINIT0 cx\n")
     bad_outcome = tmp_path / "bad_outcome.circuit"
     bad_outcome.write_text("CIRCUIT code=steane state=|0>\nINIT0 f0\nMZ f0 -> mx\n")
+    self_cx = tmp_path / "self_cx.circuit"
+    self_cx.write_text("CIRCUIT code=steane state=|0>\nINIT+ c0\nCX c0 c0\nFINAL_MEAS Z\n")
     capsys.readouterr()
     for path, reason in (
         (early, "before initialization"),
         (shared, "m0 recorded twice"),
         (bad_qubit, "line 2: malformed index in 'cx'"),
         (bad_outcome, "line 3: malformed index in 'mx'"),
+        (self_cx, "line 3: CX control and target are both c0"),
     ):
         rc = main(["verify", "--circuit", str(path), "--code", "steane", "--t", "1"])
         assert rc == 2
@@ -329,6 +332,18 @@ def test_coset_command(capsys):
     assert "max coset weight (Z): 3" in out
 
 
+def test_code_file_with_a_string_distance_is_an_error(tmp_path, capsys):
+    path = tmp_path / "steane.json"
+    export_code_file("steane", path)
+    raw = json.loads(path.read_text())
+    raw["d"] = "3"
+    path.write_text(json.dumps(raw))
+    rc = main(["coset", "--code", str(path), "--type", "Z"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {path}: d must be an integer\n"
+
+
 def test_seed_required_for_stochastic_commands(capsys):
     with pytest.raises(SystemExit):
         main(["synth", "--code", "steane"])
@@ -349,6 +364,8 @@ def test_invalid_bundled_library_is_an_error(monkeypatch, capsys):
      "error: library entry t=1 r=1: missing 'optimal'\n"),
     ([1, 1, 1, [[0, 2], [0, 1], [0, 2]], True],
      "error: library entry '1,1' is a JSON list, not an object\n"),
+    ({"t": 0, "r": 1, "m": 1, "gates": [[0, 2], [0, 1], [0, 2]], "optimal": True},
+     "error: library entry t=0 r=1: require t, r >= 1 and m >= 0, got t=0 r=1 m=1\n"),
 ])
 def test_malformed_library_entry_is_an_error(tmp_path, capsys, entry, message):
     lib = tmp_path / "lib.json"

@@ -94,7 +94,7 @@ def test_syndrome_linearity():
 
 def test_validate_catalog_entries():
     for name in ("steane", "color17", "surface9", "surface25", "golay"):
-        assert validate_css_state(get_state(name)).ok
+        validate_css_state(get_state(name))
 
 
 def test_validate_flags_anticommuting_generator():
@@ -109,9 +109,8 @@ def test_validate_flags_anticommuting_generator():
         logical_x=steane.logical_x,
         logical_z=steane.logical_z,
     )
-    report = validate_css_state(bad)
-    assert not report.ok
-    assert any(i.kind == "commutation" for i in report.issues)
+    with pytest.raises(ValueError, match=r"invalid CSS state bad: .*commutation: x_stabilizers\[\d\] "):
+        validate_css_state(bad)
 
 
 def test_validate_flags_duplicate_generator():
@@ -126,16 +125,36 @@ def test_validate_flags_duplicate_generator():
         logical_x=steane.logical_x,
         logical_z=steane.logical_z,
     )
-    report = validate_css_state(bad)
-    assert not report.ok
-    assert any(i.kind == "rank" for i in report.issues)
+    with pytest.raises(ValueError, match="rank: x_stabilizers are linearly dependent"):
+        validate_css_state(bad)
 
 
 def test_validate_flags_mask_beyond_n():
     steane = get_state("steane")
     bad = dataclasses.replace(steane, logical_x=(steane.logical_x[0] | 1 << 7,))
-    report = validate_css_state(bad)
-    assert [i.kind for i in report.issues] == ["length"]
+    with pytest.raises(ValueError) as err:
+        validate_css_state(bad)
+    assert str(err.value) == "invalid CSS state steane: length: logical_x[0] acts beyond 7 qubits"
+
+
+def test_validate_flags_wrong_counts():
+    steane = get_state("steane")
+    with pytest.raises(ValueError, match="counts: logical representative count differs from k"):
+        validate_css_state(dataclasses.replace(steane, logical_x=()))
+    with pytest.raises(ValueError, match=r"counts: 3\+3 stabilizers with k=2 do not account for n=7"):
+        validate_css_state(dataclasses.replace(steane, k=2))
+
+
+def test_validate_lists_every_issue_in_one_message():
+    # A logical beyond n that also anticommutes with a Z stabilizer: both
+    # kinds come back in one error, in check order.
+    steane = get_state("steane")
+    bad = dataclasses.replace(steane, logical_x=(1 << 7 | 1,))
+    with pytest.raises(ValueError) as err:
+        validate_css_state(bad)
+    message = str(err.value)
+    assert message.startswith("invalid CSS state steane: length: logical_x[0] acts beyond 7 qubits; ")
+    assert "; commutation: logical_x[0] anticommutes with z_stabilizers[" in message
 
 
 def test_max_coset_weight_paper_values():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ftprep import decoder
-from ftprep.catalog import _state_from_data, get_state, rotated_surface_data
+from ftprep.catalog import get_state, rotated_surface
 from ftprep.css import GroupTooLargeError, syndrome_and_class
 from ftprep.decoder import (
     DISCARD,
@@ -301,7 +301,7 @@ def test_color17_logical_ceiling_at_reference_rate():
 def test_ideal_class_table_past_the_cap_fails_at_once(error_type):
     # Rotated surface d=7 has 24 checks per side: 2^24 syndromes, each of
     # which needs an enumerated error, exceed the cap before any enumeration.
-    state = _state_from_data(rotated_surface_data(7), "|0>")
+    state = rotated_surface(7)
     start = time.perf_counter()
     with pytest.raises(GroupTooLargeError, match="2\\^24 syndromes"):
         build_ideal_class_table(state, error_type)

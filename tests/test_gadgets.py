@@ -13,7 +13,7 @@ from ftprep.gadgets import (
 )
 from ftprep.css import validate_css_state
 from ftprep.library import GadgetLibrary
-from ftprep.tableau import run_tableau
+from ftprep.tableau import run_tableau, tableau_check_circuit
 
 from _reference import gadget_ft_reference
 
@@ -139,7 +139,7 @@ def test_noiseless_soundness_of_discovered_gadget():
     g = discover_gadget(2, 5, 2).gadget
     circ, ghz = ghz_preparation(g)
     circ.validate()
-    assert validate_css_state(ghz).ok
+    validate_css_state(ghz)
     tab, outcomes, deterministic = run_tableau(circ)
     assert all(deterministic) and not any(outcomes)
     # the builder's GHZ state: X_c X_t1 ... X_tr and every Z_i Z_{i+1}, sign +
@@ -160,6 +160,28 @@ def test_trivial_gadget_limits():
         for r in range(1, 9):
             bare = FlagGadget(t, r, 0, tuple((0, i) for i in range(1, r + 1)))
             assert gadget_ft_test(bare) == (r <= 2), (t, r)
+
+
+@pytest.mark.parametrize("gadget, message", [
+    (FlagGadget(0, 1, 1, ((0, 2), (0, 1), (0, 2))), "require t, r >= 1 and m >= 0, got t=0"),
+    (FlagGadget(1, 0, 0, ()), "got t=1 r=0"),
+    (FlagGadget(1, 1, -1, ((0, 1),)), "got t=1 r=1 m=-1"),
+    (FlagGadget(1, 2, 1, ((0, 3), (0, 1), (1, 2), (0, 3))), r"gate \(1, 2\): the control must be"),
+    (FlagGadget(1, 1, 1, ((0, 2), (0, 1), (2, 2))), r"gate \(2, 2\): the control must be"),
+])
+def test_validate_rejects_impossible_gadgets(gadget, message):
+    with pytest.raises(ValueError, match=message):
+        gadget.validate()
+
+
+def test_validate_rejects_a_target_controlling_itself():
+    # The FT test sees no fault it misses, yet the circuit does not prepare
+    # the GHZ state: CX t1 t1 is no gate the search ever places.
+    gadget = FlagGadget(1, 1, 1, ((0, 2), (0, 2), (1, 1)))
+    assert gadget_ft_test(gadget)
+    assert tableau_check_circuit(*ghz_preparation(gadget)).kind == "unsatisfied-stabilizer"
+    with pytest.raises(ValueError, match=r"gate \(1, 1\): the control must be c or a flag"):
+        gadget.validate()
 
 
 def test_ft_test_key_width_limit():

@@ -105,6 +105,8 @@ GOOD_SPEC = {"t": 1, "r": 1, "m": 1, "gates": [[0, 2], [0, 1], [0, 2]], "optimal
     ({**GOOD_SPEC, "gates": [[0, 2], [0], [0, 2]]}, r"entry t=1 r=1: gates must be"),
     ({**GOOD_SPEC, "gates": 3}, r"entry t=1 r=1: gates must be"),
     ({**GOOD_SPEC, "optimal": "no"}, r"entry t=1 r=1: optimal must be true or false"),
+    ({**GOOD_SPEC, "t": 0}, r"library entry t=0 r=1: require t, r >= 1 and m >= 0"),
+    ({**GOOD_SPEC, "gates": [[0, 2], [0, 2], [1, 1]]}, r"entry t=1 r=1: gate \(1, 1\): the control"),
 ])
 def test_malformed_entries_are_rejected_by_name(tmp_path, spec, message):
     path = tmp_path / "lib.json"

@@ -70,6 +70,7 @@ def test_bare_circuit_round_trip():
     ("INIT+ c0\n", 2, "FINAL_MEAS Z"),
     ("INIT+ c0\nFINAL_MEAS Z\nINIT0 t1\nFINAL_MEAS Z\n", 3, "FINAL_MEAS Z"),
     ("INIT0 c0\nFINAL_MEAS Z\n", 2, "c-qubits start in |+>"),
+    ("INIT+ c0\nCX c0 c0\nFINAL_MEAS Z\n", 3, "CX control and target are both c0"),
     # More digits than int() reads by default.
     pytest.param("INIT+ c" + "1" * 5000 + "\nFINAL_MEAS Z\n", 2, "malformed index in 'c111",
                  id="oversized-index"),
@@ -87,6 +88,12 @@ def test_two_qubits_on_one_code_qubit_are_rejected():
     # c0 and t0 both name code qubit 0.
     with pytest.raises(ValueError, match="code qubit 0 mapped from two circuit qubits"):
         parse_circuit("CIRCUIT code=x state=y\nINIT+ c0\nINIT0 t0\nCX c0 t0\nFINAL_MEAS Z\n")
+
+
+def test_cx_onto_its_own_control_is_rejected():
+    circ = Circuit((0,), (Init(0, "+"), CXGate(0, 0)))
+    with pytest.raises(ValueError, match="CX on qubit 0 has it as both control and target"):
+        circ.validate()
 
 
 def test_gadget_round_trip_and_line_counts():
@@ -125,6 +132,8 @@ def test_gadget_text_is_pinned():
     ("GADGET r=1 m=0 type=X\nCX c t1\n", 1, "integer t=, r= and m="),
     ("GADGET t=1 r=1 m=0 type=X\nCX c tx\n", 2, "unknown gadget qubit 'tx'"),
     ("GADGET t=1 r=1 m=0 type=Z\nCX t1 c\n", 1, "unsupported gadget type 'Z'"),
+    ("GADGET t=0 r=1 m=1 type=X\nCX c f1\nCX c t1\nCX c f1\n", 1,
+     "the header needs t, r >= 1 and m >= 0, got t=0 r=1 m=1"),
     pytest.param("GADGET t=1 r=1 m=0 type=X\nCX c t" + "1" * 5000 + "\n", 2,
                  "unknown gadget qubit 't111", id="oversized-label"),
 ])

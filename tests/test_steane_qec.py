@@ -3,7 +3,7 @@ import pytest
 
 from ftprep import steane_qec
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
-from ftprep.catalog import _state_from_data, catalog_names, get_state, rotated_surface_data
+from ftprep.catalog import catalog_names, get_state, rotated_surface
 from ftprep.css import CssState, GroupTooLargeError, coset_key_columns, swap_xz
 from ftprep.decoder import build_ideal_class_table, build_ml_lut, build_mw_lut, decode
 from ftprep.noise import SampleSet
@@ -232,7 +232,7 @@ def test_nonpositive_samples_rejected():
 def test_ideal_table_past_the_cap_fails_at_once():
     # Rotated surface d=7: 2^24 X-stabilizer syndromes exceed the ideal
     # table's enumeration cap, so the experiment stops before sampling.
-    state = _state_from_data(rotated_surface_data(7), "|0>")
+    state = rotated_surface(7)
     cfg = SteaneQecConfig(state, 1e-3, samples=10, prep_mode=NO_QEC)
     with pytest.raises(GroupTooLargeError):
         run_steane_qec_experiment(cfg)

@@ -13,7 +13,7 @@ import ftprep
 from ftprep import verify
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
-from ftprep.catalog import _state_from_data, get_state, rotated_surface_data
+from ftprep.catalog import get_state, rotated_surface
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 from ftprep.css import CssState
 from ftprep.library import GadgetLibrary
@@ -105,7 +105,7 @@ def test_counterexample_reduced_weight_is_exact(name):
 
 def test_rotated_surface_d7_bare_counterexamples_replay():
     # 24 same-type generators: past any enumeration of the stabilizer group.
-    state = _state_from_data(rotated_surface_data(7), "|0>")
+    state = rotated_surface(7)
     bare = best_of_trials(state, 5, 0).bare_circuit()
     for typ in ("X", "Z"):
         ce = verify_fault_tolerance(bare, state, 1, typ)
@@ -160,7 +160,7 @@ def test_more_than_64_key_bits_rejected():
 
 def test_more_than_64_code_qubits_verified():
     # Rotated surface d=9: 81 code qubits, 40 syndrome + 1 class key bits.
-    state = _state_from_data(rotated_surface_data(9), "|0>")
+    state = rotated_surface(9)
     assert state.n > 64
     bare = best_of_trials(state, 5, 0).bare_circuit()
     ce = verify_fault_tolerance(bare, state, 1, "X")
