@@ -173,9 +173,9 @@ def _parse_pauli_rows(rows: object, n: int, kind: str, allowed: str) -> tuple[in
 def parse_code_file(path: str | Path, state_label: str | None = None) -> CssState:
     """Parse a JSON code file into a validated CssState.
 
-    The format mirrors the catalog: name, integer n, k and d,
-    ``x_stabilizers`` and ``z_stabilizers`` as strings over I/X and I/Z,
-    logical representatives, and an optional ``default_state`` label.
+    The format mirrors the catalog: a whitespace-free name, integer n, k
+    and d, ``x_stabilizers`` and ``z_stabilizers`` as strings over I/X and
+    I/Z, logical representatives, and an optional ``default_state`` label.
     """
     path = Path(path)
     try:
@@ -187,6 +187,9 @@ def parse_code_file(path: str | Path, state_label: str | None = None) -> CssStat
     for field in ("name", "n", "k", "d", "x_stabilizers", "z_stabilizers", "logical_x", "logical_z"):
         if field not in raw:
             raise ParseError(f"{path}: missing field {field!r}")
+    # The name is one token of a serialized circuit's header.
+    if not isinstance(raw["name"], str) or raw["name"].split() != [raw["name"]]:
+        raise ParseError(f"{path}: name must be a non-empty string without whitespace")
     for field in ("n", "k", "d"):
         if type(raw[field]) is not int:
             raise ParseError(f"{path}: {field} must be an integer")

@@ -29,11 +29,8 @@ class ClassConflictError(ValueError):
 
 @dataclass(frozen=True)
 class MLTable:
-    """Syndrome -> decoded class, as two arrays sorted by syndrome.
-
-    Holds the trained maximum-likelihood layer (:func:`build_ml_lut`) or
-    the ideal minimum-weight table (:func:`build_ideal_class_table`).
-    """
+    """Trained maximum-likelihood layer (:func:`build_ml_lut`): syndrome
+    -> decoded class, as two arrays sorted by syndrome."""
 
     synd_bits: int
     class_bits: int
@@ -57,8 +54,9 @@ def build_ml_lut(training: SampleSet) -> MLTable:
 
 @dataclass(frozen=True)
 class MWTable:
-    """Syndrome -> (class, minimum weight) for low-weight ideal-state errors,
-    as three arrays sorted by syndrome."""
+    """Syndrome -> (class, minimum weight) for ideal-state errors of weight
+    <= w_max (:func:`build_mw_lut`, or every weight for
+    :func:`build_ideal_class_table`), as three arrays sorted by syndrome."""
 
     synd_bits: int
     class_bits: int
@@ -135,22 +133,23 @@ def build_mw_lut(state: CssState, error_type: str, w_max: int) -> MWTable:
     return replace(table, synd=table.synd[1:], cls=table.cls[1:], weight=table.weight[1:])
 
 
-def build_ideal_class_table(state: CssState, error_type: str) -> MLTable:
-    """Minimum-weight class for every syndrome.
+def build_ideal_class_table(state: CssState, error_type: str) -> MWTable:
+    """Minimum-weight class and weight for every syndrome, syndrome 0 (the
+    empty error) included.
 
-    Beyond the distance guarantee a syndrome's minimum-weight class can be
-    ambiguous; the first-enumerated representative is kept, as any fixed
-    ideal decoder would.  Every syndrome takes at least one enumerated
-    error, so more than ``ENUMERATION_CAP`` syndromes raise
-    GroupTooLargeError before any enumeration.
+    The enumeration order is fixed, so the entries of weight <= w are
+    :func:`build_mw_lut` at w_max = w plus the syndrome-0 row.  Beyond the
+    distance guarantee a syndrome's minimum-weight class can be ambiguous;
+    the first-enumerated representative is kept, as any fixed ideal decoder
+    would.  Every syndrome takes at least one enumerated error, so more
+    than ``ENUMERATION_CAP`` syndromes raise GroupTooLargeError first.
     """
     synd_bits = len(state.checking_generators(error_type))
     if 1 << synd_bits > ENUMERATION_CAP:
         raise GroupTooLargeError(
             f"2^{synd_bits} syndromes exceed the enumeration cap {ENUMERATION_CAP}"
         )
-    table = _first_hits(state, error_type, state.n)
-    return MLTable(table.synd_bits, table.class_bits, table.synd, table.cls)
+    return _first_hits(state, error_type, state.n)
 
 
 # Layer codes returned by :func:`decode`.

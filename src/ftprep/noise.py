@@ -129,34 +129,27 @@ def _binom_pmf(n: int, p: float) -> np.ndarray:
 def build_subset_plan(l_p: int, l_q: int, p: float, q: float, samples: int) -> SubsetPlan:
     """Retain the (f_p, f_q) fault-count pairs worth sampling.
 
-    P(f_p, f_q) is the product of the two binomials; pairs with
-    P <= 1/samples^2 are dropped, the trivial pair is excluded and its mass
-    added back analytically.  Raises ValueError unless 0 < p, q < 1.
+    P(f_p, f_q) is the product of the two binomials.  The retained pairs
+    are exactly those with P > 1/samples^2 other than the trivial (0, 0),
+    whose mass is added back analytically; they come in (f_p, f_q) order.
+    Raises ValueError unless 0 < p, q < 1, and DegeneratePlanError when no
+    pair is retained.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not (0 < p < 1 and 0 < q < 1):
         raise ValueError(f"require rates 0 < p, q < 1, got p={p}, q={q}")
-    pmf_p = _binom_pmf(l_p, p) if l_p else np.array([1.0])
-    pmf_q = _binom_pmf(l_q, q) if l_q else np.array([1.0])
+    pmf_p, pmf_q = _binom_pmf(l_p, p), _binom_pmf(l_q, q)
     cutoff = 1.0 / samples**2
     pairs: list[tuple[int, int]] = []
     probs: list[float] = []
-    for fp in range(len(pmf_p)):
-        if pmf_p[fp] <= cutoff:
-            if fp > np.argmax(pmf_p):
-                break
-            continue
-        for fq in range(len(pmf_q)):
-            prob = float(pmf_p[fp] * pmf_q[fq])
-            if prob <= cutoff:
-                if fq > np.argmax(pmf_q):
-                    break
-                continue
-            if fp == 0 and fq == 0:
-                continue
-            pairs.append((fp, fq))
-            probs.append(prob)
+    for fp in np.flatnonzero(pmf_p > cutoff).tolist():
+        row = pmf_p[fp] * pmf_q
+        keep = row > cutoff
+        keep[0] &= fp > 0  # the trivial pair is added back, not sampled
+        fqs = np.flatnonzero(keep).tolist()
+        pairs += [(fp, fq) for fq in fqs]
+        probs += row[fqs].tolist()
     if not pairs:
         raise DegeneratePlanError("P(0,0) leaves no nontrivial pair above the cutoff")
     p_trivial = float(pmf_p[0] * pmf_q[0])

@@ -29,9 +29,10 @@ import numpy as np
 
 from .circuit import Circuit
 from .css import CssState, coset_key_columns, swap_xz
-from .decoder import build_ideal_class_table, build_mw_lut
+from .decoder import build_ideal_class_table
 from .noise import (
     EffectTables,
+    NoiseModel,
     SubsetPlan,
     _accepted_chunks,
     build_effect_tables,
@@ -111,12 +112,12 @@ def _code_tables(state: CssState) -> _CodeTables:
     # errors of a |0..0> state.
     plus = swap_xz(state)
     key_cols = np.array(coset_key_columns(plus, "X"), dtype=np.uint64)
+    # The MW layer is the ideal entries within the distance guarantee; both
+    # scatter by syndrome, as dependent checks can leave some unreached.
     table = build_ideal_class_table(plus, "X")
-    # build_ideal_class_table caps 2^synd_bits, so the dense forms cost no
-    # more than the table's own two arrays.
-    n_synd = 1 << table.synd_bits
-    ideal = _dense_classes(n_synd, table)
-    mw = _dense_classes(n_synd, build_mw_lut(plus, "X", (state.d - 1) // 2) if state.d > 2 else None)
+    ideal, mw = np.zeros((2, 1 << table.synd_bits), dtype=np.uint64)
+    ideal[table.synd] = table.cls
+    mw[table.synd] = np.where(table.weight <= (state.d - 1) // 2, table.cls, np.uint64(0))
     _read_only(key_cols, ideal, mw)
     return _CodeTables(key_cols, mw, ideal)
 
@@ -128,16 +129,6 @@ def _prep_tables(circuit: Circuit, state: CssState) -> EffectTables:
     tables = build_effect_tables(circuit, state, error_side="Z")
     _read_only(tables.flags, tables.sc)
     return tables
-
-
-def _dense_classes(n_synd: int, table) -> np.ndarray:
-    """Class of every syndrome below ``n_synd`` under a decoder table
-    (``MLTable`` or ``MWTable``, sorted ``synd`` and ``cls`` arrays), 0
-    where it misses or is None."""
-    classes = np.zeros(n_synd, dtype=np.uint64)
-    if table is not None:
-        classes[table.synd] = table.cls
-    return classes
 
 
 def _trained_classes(keys: np.ndarray, synd_bits: int, class_bits: int, mw: np.ndarray) -> np.ndarray:
@@ -214,6 +205,7 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     n = state.n
     p = cfg.p
+    q = NoiseModel(p).q
     n_samples = cfg.samples
     strong = cfg.data_noise_multiplier * p
     synd_bits = np.uint64(len(state.x_stabilizers))
@@ -235,7 +227,7 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     if circuit is None:
         raise ValueError("preparation circuit required for QEC modes")
     tables = _prep_tables(circuit, state)
-    plan = build_subset_plan(tables.l_p, tables.l_q, p, p / 100.0, max(n_samples, 10000))
+    plan = build_subset_plan(tables.l_p, tables.l_q, p, q, max(n_samples, 10000))
     prep_synd, prep_acc = _sample_prep_syndromes(tables, plan, n_samples, rng)
 
     # Computational block round 1 (copied into the syndrome via the
@@ -256,10 +248,9 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
     # Idle accounting during the gadget: one memory location per qubit of
     # both blocks for the transversal step, one per computational qubit
     # while the resource is measured.
-    q_rate = p / 100.0
-    synd ^= depolarizing_z(n_samples, q_rate)  # resource idles
+    synd ^= depolarizing_z(n_samples, q)  # resource idles
     synd &= synd_mask  # the resource readout holds syndrome bits only
-    keys ^= depolarizing_z(n_samples, q_rate) ^ depolarizing_z(n_samples, q_rate)
+    keys ^= depolarizing_z(n_samples, q) ^ depolarizing_z(n_samples, q)
 
     # Destructive X-basis readout of the resource: the literal bit-flip
     # measurement channel (an X before the measurement) commutes with the

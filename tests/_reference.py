@@ -5,7 +5,9 @@ on a (partial) flag gadget by forward propagation; ``min_weight_modulo``
 reduces an error over every product of a generator set.  Neither shares
 code with ``ftprep.verify``, the coset keys or the gadget engine.
 ``coset_keys`` computes the coset keys of many packed error masks at once,
-one qubit column at a time.
+one qubit column at a time.  ``subset_plan_reference`` selects the subset
+plan's pairs by a per-cell scan that stops each binomial's walk past its
+mode; it shares only the binomial pmfs with ``ftprep.noise``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from ftprep.css import GroupTooLargeError
 from ftprep.gadgets import FlagGadget
+from ftprep.noise import DegeneratePlanError, SubsetPlan, _binom_pmf
 
 MIN_WEIGHT_CAP = 20  # min_weight_modulo enumerates at most 2**20 products
 
@@ -102,3 +105,47 @@ def coset_keys(masks: np.ndarray, cols: Sequence[int]) -> np.ndarray:
     for q, col in enumerate(cols):
         out ^= ((masks >> np.uint64(q)) & np.uint64(1)) * np.uint64(col)
     return out
+
+
+def subset_plan_reference(l_p: int, l_q: int, p: float, q: float, samples: int) -> SubsetPlan:
+    """``noise.build_subset_plan`` by a per-cell scan: each binomial is walked
+    upward, cells at or below 1/samples^2 are skipped before its mode and end
+    the walk after it."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if not (0 < p < 1 and 0 < q < 1):
+        raise ValueError(f"require rates 0 < p, q < 1, got p={p}, q={q}")
+    pmf_p = _binom_pmf(l_p, p) if l_p else np.array([1.0])
+    pmf_q = _binom_pmf(l_q, q) if l_q else np.array([1.0])
+    cutoff = 1.0 / samples**2
+    pairs: list[tuple[int, int]] = []
+    probs: list[float] = []
+    for fp in range(len(pmf_p)):
+        if pmf_p[fp] <= cutoff:
+            if fp > np.argmax(pmf_p):
+                break
+            continue
+        for fq in range(len(pmf_q)):
+            prob = float(pmf_p[fp] * pmf_q[fq])
+            if prob <= cutoff:
+                if fq > np.argmax(pmf_q):
+                    break
+                continue
+            if fp == 0 and fq == 0:
+                continue
+            pairs.append((fp, fq))
+            probs.append(prob)
+    if not pairs:
+        raise DegeneratePlanError("P(0,0) leaves no nontrivial pair above the cutoff")
+    p_trivial = float(pmf_p[0] * pmf_q[0])
+    total = sum(probs)
+    return SubsetPlan(
+        l_p=l_p,
+        l_q=l_q,
+        p=p,
+        q=q,
+        samples=samples,
+        pairs=tuple(pairs),
+        probabilities=tuple(pr / total for pr in probs),
+        p_trivial=p_trivial,
+    )

@@ -130,6 +130,8 @@ def test_invalid_catalog_entry_is_a_parse_error_naming_it(monkeypatch):
     ("k", True, "k must be an integer"),
     ("x_stabilizers", "XXXXIII", "x_stabilizers must be a list of strings"),
     ("logical_z", [127], "logical_z must be a list of strings"),
+    ("name", "my steane", "name must be a non-empty string without whitespace"),
+    ("name", 5, "name must be a non-empty string without whitespace"),
 ])
 def test_parse_rejects_malformed_fields(tmp_path, field, value, message):
     path = tmp_path / "bad.json"

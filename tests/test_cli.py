@@ -344,6 +344,22 @@ def test_code_file_with_a_string_distance_is_an_error(tmp_path, capsys):
     assert captured.out == "" and captured.err == f"error: {path}: d must be an integer\n"
 
 
+def test_code_file_with_a_spaced_name_is_an_error(tmp_path, capsys):
+    # A serialized circuit's header holds the name as one token, so a name
+    # with a space would write a circuit that no longer names its code.
+    path = tmp_path / "steane.json"
+    export_code_file("steane", path)
+    raw = json.loads(path.read_text())
+    raw["name"] = "my steane"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "steane.circuit"
+    rc = main(["synth", "--code", str(path), "--seed", "1", "--circuit-out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    message = "name must be a non-empty string without whitespace"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_seed_required_for_stochastic_commands(capsys):
     with pytest.raises(SystemExit):
         main(["synth", "--code", "steane"])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from ftprep import decoder
-from ftprep.catalog import get_state, rotated_surface
-from ftprep.css import GroupTooLargeError, syndrome_and_class
+from ftprep.catalog import catalog_names, get_state, rotated_surface
+from ftprep.css import GroupTooLargeError, max_coset_weight, syndrome_and_class
 from ftprep.decoder import (
     DISCARD,
     FALLBACK,
@@ -250,6 +250,17 @@ def test_ideal_class_table_covers_all_syndromes():
     steane = get_state("steane")
     table = build_ideal_class_table(steane, "Z")
     assert len(table) == 8  # the Z side quotients to the syndrome space
+
+
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("label", ["|0>", "|+>"])
+def test_ideal_table_heaviest_first_hit_is_the_max_coset_weight(name, label):
+    # Two independent lightest-first passes: Z keys carry no class bits, so
+    # each syndrome is one coset and its first hit is the coset minimum.
+    state = get_state(name, label)
+    table = build_ideal_class_table(state, "Z")
+    assert table.class_bits == 0
+    assert table.weight.max() == max_coset_weight(state, "Z")
 
 
 def test_even_distance_code_discard_flow():

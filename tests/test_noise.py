@@ -29,6 +29,8 @@ from ftprep.noise import (
 )
 from ftprep.tableau import run_tableau
 
+from _reference import subset_plan_reference
+
 
 @pytest.fixture(scope="module")
 def library():
@@ -131,6 +133,74 @@ def test_plan_rejects_rates_outside_the_unit_interval(p, q):
 def test_plan_forced_bucket():
     plan = build_subset_plan(3, 0, 1e-4, 1e-6, 1000)
     assert plan.pairs == ((1, 0),)
+
+
+def _benchmark_plan_args():
+    """(l_p, l_q, p, q, samples) of every plan the benchmark builds, at both
+    of its sizes: (L_p, L_q) of its Steane, [[17,1,5]] and Golay recipe
+    circuits and of its X-only [[17,1,5]] circuit."""
+    full = {"steane": (44, 156), "color17": (173, 2764), "golay": (420, 12752)}
+    tiny = {"steane": (44, 159), "color17": (173, 2866), "golay": (420, 12207)}
+    args = [(44, 156, 1e-3, 1e-5, 1_000)]  # set-up warm run
+    for locs in (full, tiny):
+        for l_p, l_q in locs.values():  # prep-mc: effective samples per round
+            for p in (1e-3, 5e-3):
+                p_triv = (1 - p) ** l_p * (1 - p / 100) ** l_q
+                for effective in (1.75e7, 3.5e6, 1e5):
+                    samples = max(int(effective * (1 - p_triv)), 10_000)
+                    args.append((l_p, l_q, p, p / 100, samples))
+        for l_p, l_q in (locs["color17"], (121, 1015)):  # qec-ablation
+            for p in (2.5e-3, 5e-3, 1e-2):
+                for samples in (100_000, 4_000, 2_000):
+                    args.append((l_p, l_q, p, p / 100, max(samples, 10_000)))
+    return args
+
+
+# Plans the tests build, as (L_p, L_q, p, samples) with q = p / 100.
+TEST_PLAN_ARGS = [
+    (1, 0, 1e-9, 10), (3, 0, 1e-4, 1_000), (121, 1015, 2.5e-3, 3_000_000),
+    (121, 993, 5e-3, 20_000), (169, 2759, 5e-3, 50_000), (173, 2753, 2e-3, 10_000),
+    (173, 2753, 2.5e-3, 400_000), (173, 2753, 5e-3, 20_000), (173, 2764, 1e-3, 18_368_263),
+    (173, 2764, 5e-3, 12_681_838), (173, 2764, 7.5e-3, 15_580_465),
+    (173, 2764, 1e-2, 17_333_917), (32, 132, 1e-3, 1_000_000), (32, 132, 5e-2, 1_000),
+    (32, 132, 1e-6, 10_000), (44, 156, 2.5e-3, 3_233_272), (44, 156, 1e-2, 11_020_075),
+    (552, 2212, 1e-2, 20_000), (552, 2212, 5e-2, 1_000),
+]
+
+
+def _edge_plan_args():
+    """Empty location sets, one sample, and rates up to 0.5, with q = p / 100
+    and, where L_q is small, q = p."""
+    args = []
+    for l_p in (0, 1, 3, 44, 420):
+        for l_q in (0, 1, 156, 12752):
+            for p in (1e-9, 1e-4, 1e-3, 5e-2, 0.2, 0.5):
+                for samples in (1, 2, 10, 1_000, 10**7):
+                    args.append((l_p, l_q, p, p / 100, samples))
+                    if l_q < 1000:
+                        args.append((l_p, l_q, p, p, samples))
+    return args
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(_benchmark_plan_args(), id="benchmark"),
+    pytest.param([(l_p, l_q, p, p / 100, n) for l_p, l_q, p, n in TEST_PLAN_ARGS], id="tests"),
+    pytest.param(_edge_plan_args(), id="edges"),
+])
+def test_plan_matches_the_per_cell_scan(args):
+    # Binomial pmfs are unimodal, so one mask per f_p row keeps what the
+    # scan keeps, in the same order and with the same probabilities.
+    degenerate = 0
+    for case in args:
+        try:
+            expected = subset_plan_reference(*case)
+        except DegeneratePlanError:
+            degenerate += 1
+            with pytest.raises(DegeneratePlanError):
+                build_subset_plan(*case)
+            continue
+        assert build_subset_plan(*case) == expected, case
+    assert degenerate < len(args)
 
 
 def test_wilson_interval_bounds():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -238,7 +240,7 @@ def test_ideal_table_past_the_cap_fails_at_once():
         run_steane_qec_experiment(cfg)
 
 
-BUILDERS = ("coset_key_columns", "build_mw_lut", "build_ideal_class_table", "build_effect_tables")
+BUILDERS = ("coset_key_columns", "build_ideal_class_table", "build_effect_tables")
 
 
 def test_warm_call_builds_no_tables_and_matches_the_cold_call(color17_prep, monkeypatch):
@@ -280,6 +282,31 @@ def test_dense_ideal_table_decodes_as_the_sorted_one(name):
     dense = _code_tables(state).ideal
     assert np.array_equal(dense, decode(synd, ideal, None)[0])
     assert np.array_equal(steane_qec._decoded(dense, synd[::-1]), dense[::-1])
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_dense_mw_layer_is_the_mw_table(name):
+    # The MW layer is read off the ideal table within the distance
+    # guarantee; a separate MW enumeration must give the same dense array.
+    state = get_state(name)
+    mw = build_mw_lut(swap_xz(state), "X", (state.d - 1) // 2)
+    dense = np.zeros(1 << mw.synd_bits, dtype=np.uint64)
+    dense[mw.synd] = mw.cls
+    got = _code_tables(state).mw
+    assert got.dtype == np.uint64 and np.array_equal(got, dense)
+
+
+def test_dense_tables_are_indexed_by_syndrome_under_dependent_checks():
+    # An unvalidated state with a redundant X check reaches half of its
+    # 2^4 syndromes; the dense arrays still hold each class at its syndrome.
+    steane = get_state("steane")
+    x = steane.x_stabilizers
+    state = dataclasses.replace(steane, x_stabilizers=(*x, x[0] ^ x[1]))
+    table = build_ideal_class_table(swap_xz(state), "X")
+    code = _code_tables(state)
+    assert len(code.ideal) == len(code.mw) == 2 * len(table) == 16
+    assert np.array_equal(code.ideal[table.synd], table.cls)
+    assert np.array_equal(code.mw[table.synd], np.where(table.weight <= 1, table.cls, 0))
 
 
 def test_dense_ml_over_mw_decodes_as_decode():
