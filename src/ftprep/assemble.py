@@ -328,8 +328,9 @@ def assemble_ft_circuit(
         if not allow_uncertified_override:
             cert = certified_z_override(state)
             if z_gadget_t_override < state.t and (cert is None or z_gadget_t_override < cert):
+                bound = "is past the enumeration cap" if cert is None else f"allows {cert}"
                 raise OverrideNotCertifiedError(
-                    f"override {z_gadget_t_override} not certified (coset bound allows {cert})"
+                    f"override {z_gadget_t_override} not certified (coset bound {bound})"
                 )
         t_z = min(z_gadget_t_override, state.t)
 

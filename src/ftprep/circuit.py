@@ -62,16 +62,6 @@ class Circuit:
     def flag_count(self) -> int:
         return sum(1 for op in self.ops if isinstance(op, FlagMeasure))
 
-    def code_mask(self, circuit_mask: int) -> int:
-        """Project a circuit-qubit bitmask down to code-qubit bits."""
-        out = 0
-        for q in range(self.n_qubits):
-            if (circuit_mask >> q) & 1:
-                ci = self.code_index[q]
-                if ci is not None:
-                    out |= 1 << ci
-        return out
-
     def validate(self) -> None:
         """Raise ValueError if the op sequence breaks the circuit invariants.
 

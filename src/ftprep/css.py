@@ -7,15 +7,16 @@ support of an X-type operator or the Z support of a Z-type one.  The
 logical ``|+..+>`` is the ``|0..0>`` of the X<->Z swapped code
 (:func:`swap_xz`).  :func:`validate_css_state` returns None for a valid
 state and otherwise raises one ValueError naming every broken invariant.
+:func:`max_coset_weight` and the decoder's tables read one lightest-first
+cover of the cosets or syndromes, :func:`lightest_cover`, capped up front.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from itertools import combinations
-
-import numpy as np
+from itertools import combinations, islice
+from math import comb
 
 from .gf2 import rank
 
@@ -24,7 +25,7 @@ class GroupTooLargeError(ValueError):
     """Enumerating the requested stabilizer subgroup would exceed the cap."""
 
 
-COSET_CAP = 24  # max_coset_weight caps the opposite-type quotient at 2**24
+ENUMERATION_CAP = 10_000_000  # values a cover may reach; errors build_mw_lut may enumerate
 
 
 @dataclass(frozen=True)
@@ -138,31 +139,45 @@ def syndrome_and_class(error: int, state: CssState, error_type: str) -> tuple[in
     return synd, cls
 
 
+def lightest_cover(cols: Sequence[int], bits: int, keep: int, w_max: int) -> list[tuple[int, int]]:
+    """(weight, key) of every error of weight <= ``keep``, then of the first
+    error of weight <= ``w_max`` to reach each value of the low ``bits`` key
+    bits not reached yet, in :func:`coset_enumeration` order, until every
+    value is reached.  Each value reached past ``keep`` costs an enumerated
+    error, so with ``w_max > keep`` more than ``ENUMERATION_CAP`` values
+    raise GroupTooLargeError before any enumeration."""
+    if w_max > keep and 1 << bits > ENUMERATION_CAP:
+        raise GroupTooLargeError(f"2^{bits} syndromes exceed the enumeration cap {ENUMERATION_CAP}")
+    enum = coset_enumeration(cols, w_max)
+    rows = list(islice(enum, sum(comb(len(cols), w) for w in range(keep + 1))))
+    if w_max <= keep:
+        return rows
+    low = (1 << bits) - 1
+    seen = bytearray(low + 1)
+    for _, key in rows:
+        seen[key & low] = 1
+    left = seen.count(0)
+    for w, key in enum if left else ():
+        if not seen[value := key & low]:
+            seen[value] = 1
+            rows.append((w, key))
+            left -= 1
+            if not left:
+                break
+    return rows
+
+
 def max_coset_weight(state: CssState, error_type: str) -> int:
     """Largest coset-minimum weight over all pure-type errors.
 
     The quotient is taken modulo the full same-type stabilizer group of the
-    state (``state.reduction_group(error_type)``), so cosets are
-    indexed by the coset key.  Found by enumerating errors in order of
-    increasing weight until every key has been reached.
+    state (``state.reduction_group(error_type)``), so cosets are indexed
+    by the coset key: the answer is the weight of the last error of the
+    :func:`lightest_cover` over every key bit.  Raises GroupTooLargeError
+    for more than ``ENUMERATION_CAP`` cosets.
     """
-    group = state.reduction_group(error_type)
     key_bits = len(state.checking_generators(error_type)) + len(state.class_logicals(error_type))
-    n_cosets_log = state.n - len(group)
-    if n_cosets_log > COSET_CAP or key_bits > COSET_CAP:
-        raise GroupTooLargeError(
-            f"2^{n_cosets_log} cosets exceed the 2^{COSET_CAP} enumeration cap"
-        )
-    target = 1 << key_bits
-    seen = np.zeros(target, dtype=bool)
-    found = 0
-    for w, key in coset_enumeration(coset_key_columns(state, error_type), state.n):
-        if not seen[key]:
-            seen[key] = True
-            found += 1
-            if found == target:
-                return w
-    return 0  # only reachable for trivial codes
+    return lightest_cover(coset_key_columns(state, error_type), key_bits, 0, state.n)[-1][0]
 
 
 def validate_css_state(state: CssState) -> None:

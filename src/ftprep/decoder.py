@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from itertools import islice
 from math import comb
 
 import numpy as np
 
-from .css import CssState, GroupTooLargeError, coset_enumeration, coset_key_columns
+from .css import ENUMERATION_CAP, CssState, coset_key_columns, lightest_cover
 from .noise import SampleSet, wilson_interval
 
 
@@ -69,35 +68,16 @@ class MWTable:
         return len(self.synd)
 
 
-ENUMERATION_CAP = 10_000_000  # errors build_mw_lut may enumerate
-
-
 def _first_hits(state: CssState, error_type: str, w_max: int) -> MWTable:
     """Class and weight of the first error of weight <= w_max to reach each
-    syndrome.
-
-    Errors come lightest first from the empty one, so the first hit is the
-    lightest, first-enumerated explanation.  Every error within the code's
-    guarantee floor((d-1)/2) must agree with the class kept for its
-    syndrome; heavier errors only fill syndromes not yet reached, and the
-    pass stops once every syndrome has been reached.
-    """
+    syndrome: the :func:`css.lightest_cover` of the syndrome bits that keeps
+    every error within the guarantee floor((d-1)/2), each of which must
+    agree with the class of its syndrome's lightest, first-enumerated error."""
     synd_bits = len(state.checking_generators(error_type))
-    target = 1 << synd_bits
     guarantee = (state.d - 1) // 2
-    enum = coset_enumeration(coset_key_columns(state, error_type), w_max)
-    rows = list(islice(enum, sum(comb(state.n, w) for w in range(min(w_max, guarantee) + 1))))
-    reached = {key & (target - 1) for _, key in rows}
-    if len(reached) < target:
-        for w, key in enum:
-            synd = key & (target - 1)
-            if synd not in reached:
-                reached.add(synd)
-                rows.append((w, key))
-                if len(reached) == target:
-                    break
+    rows = lightest_cover(coset_key_columns(state, error_type), synd_bits, guarantee, w_max)
     weight, key = np.array(rows, dtype=np.uint64).T
-    synd, cls = key & np.uint64(target - 1), key >> np.uint64(synd_bits)
+    synd, cls = key & np.uint64((1 << synd_bits) - 1), key >> np.uint64(synd_bits)
     synd_u, first, inverse = np.unique(synd, return_index=True, return_inverse=True)
     kept = first[inverse]  # row of the class kept for each error's syndrome
     clash = np.flatnonzero((weight <= guarantee) & (cls != cls[kept]))
@@ -119,7 +99,8 @@ def build_mw_lut(state: CssState, error_type: str, w_max: int) -> MWTable:
 
     Beyond the code's guarantee floor((d-1)/2) a syndrome's lightest class
     can be ambiguous; the first-enumerated one is kept, with one warning per
-    call.  Raises ValueError for a negative ``w_max``.
+    call.  Raises ValueError for a negative ``w_max``, and, past the
+    guarantee, GroupTooLargeError for over ``ENUMERATION_CAP`` syndromes.
     """
     if w_max < 0:
         raise ValueError(f"w_max must be >= 0, got {w_max}")
@@ -144,11 +125,6 @@ def build_ideal_class_table(state: CssState, error_type: str) -> MWTable:
     would.  Every syndrome takes at least one enumerated error, so more
     than ``ENUMERATION_CAP`` syndromes raise GroupTooLargeError first.
     """
-    synd_bits = len(state.checking_generators(error_type))
-    if 1 << synd_bits > ENUMERATION_CAP:
-        raise GroupTooLargeError(
-            f"2^{synd_bits} syndromes exceed the enumeration cap {ENUMERATION_CAP}"
-        )
     return _first_hits(state, error_type, state.n)
 
 

@@ -91,7 +91,8 @@ class GadgetLibrary:
     @classmethod
     def load(cls, path: str | Path) -> GadgetLibrary:
         """Read a library saved by :meth:`save`.  Raises ValueError, naming
-        the entry, for a malformed entry or a gadget that fails its FT test."""
+        the entry, for a malformed entry, a key other than ``"t,r"`` of its
+        own t and r, or a gadget that fails its FT test."""
         payload = json.loads(Path(path).read_text())
         if not isinstance(payload, dict):
             raise ValueError(f"library {path} is not a JSON object")
@@ -129,6 +130,8 @@ def _load_entry(key: str, spec: object) -> LibraryEntry:
         gadget.validate()
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
+    if key != f"{t},{r}":
+        raise ValueError(f"{name}: key {key!r} is not '{t},{r}'")
     if not gadget_ft_test(gadget):
         raise ValueError(f"{name} fails its FT test")
     return LibraryEntry(gadget, spec["optimal"])

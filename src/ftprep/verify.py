@@ -18,7 +18,9 @@ light-error table and the counterexample's reduced weight.  A
 combination goes undetected exactly when its last variant's flag words
 equal the XOR of the other variants' words, so each (f - 1)-combination is
 joined only to the later variants carrying that XOR, and only these joined
-candidates have their coset keys checked.
+candidates have their coset keys checked.  A counterexample's residual on
+the code qubits comes off the same sweep, seeded with each code qubit's
+own bit instead of its key column.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
@@ -171,7 +175,13 @@ def verify_fault_tolerance(
                     i = bad[0]
                     members = [*prefix[rows[i]], codes[pos[i]] % nv]
                     found = tuple(faults[v] for v in members)
-                    residual = replay_faults(circuit, fault_type, list(found))[1]
+                    # The residual is the XOR of the members' entries (a flag flip
+                    # has none) in the sweep seeded with each code qubit's own bit.
+                    unit = propagate_backward(circuit, [1 << q for q in range(state.n)], fault_type)
+                    residual = reduce(xor, (
+                        unit[site][side][q] for site, mask in found if site in unit
+                        for q in range(circuit.n_qubits) if mask >> q & 1
+                    ), 0) >> circuit.flag_count
                     # The residual is in its own coset, so the first error of the
                     # weight-ordered enumeration sharing its key comes by its popcount.
                     key = sorted_keys[pos[i]] ^ pre_key[rows[i]]
@@ -206,34 +216,3 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.nda
         rows = np.repeat(np.arange(first, stop), counts[first:stop])
         yield rows, np.arange(starts[first], ends[stop - 1]) + shift[rows]
         first = stop
-
-
-def replay_faults(
-    circuit: Circuit, fault_type: str, faults: list[tuple[int, int]]
-) -> tuple[int, int]:
-    """Forward-propagate an explicit fault set; returns (flag flips, residual).
-
-    Independent of the backward-sweep machinery, so counterexamples can be
-    checked against it directly.
-    """
-    frame = 0
-    flag_flips = 0
-    pending = dict()
-    for pos, mask in faults:
-        pending.setdefault(pos, 0)
-        pending[pos] ^= mask
-    for pos, op in enumerate(circuit.ops):
-        if isinstance(op, CXGate):
-            # X frames flow control -> target, Z frames target -> control.
-            src, dst = (op.control, op.target) if fault_type == "X" else (op.target, op.control)
-            if (frame >> src) & 1:
-                frame ^= 1 << dst
-        elif isinstance(op, FlagMeasure):
-            if op.basis != fault_type and (frame >> op.qubit) & 1:
-                flag_flips ^= 1 << op.outcome
-        if pos in pending:
-            if isinstance(op, FlagMeasure):
-                flag_flips ^= 1 << op.outcome  # measurement flip fault
-            else:
-                frame ^= pending[pos]
-    return flag_flips, circuit.code_mask(frame)

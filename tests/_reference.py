@@ -5,7 +5,9 @@ on a (partial) flag gadget by forward propagation; ``min_weight_modulo``
 reduces an error over every product of a generator set.  Neither shares
 code with ``ftprep.verify``, the coset keys or the gadget engine.
 ``coset_keys`` computes the coset keys of many packed error masks at once,
-one qubit column at a time.  ``subset_plan_reference`` selects the subset
+one qubit column at a time.  ``replay_faults`` propagates an explicit fault
+set forward through a circuit, apart from the backward sweep the verifier
+reads its counterexamples off.  ``subset_plan_reference`` selects the subset
 plan's pairs by a per-cell scan that stops each binomial's walk past its
 mode; it shares only the binomial pmfs with ``ftprep.noise``.
 """
@@ -17,6 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ftprep.circuit import Circuit, CXGate, FlagMeasure
 from ftprep.css import GroupTooLargeError
 from ftprep.gadgets import FlagGadget
 from ftprep.noise import DegeneratePlanError, SubsetPlan, _binom_pmf
@@ -149,3 +152,39 @@ def subset_plan_reference(l_p: int, l_q: int, p: float, q: float, samples: int) 
         probabilities=tuple(pr / total for pr in probs),
         p_trivial=p_trivial,
     )
+
+
+def replay_faults(
+    circuit: Circuit, fault_type: str, faults: list[tuple[int, int]]
+) -> tuple[int, int]:
+    """Forward-propagate an explicit fault set; returns (flag flips, residual).
+
+    Independent of the backward-sweep machinery, so counterexamples can be
+    checked against it directly.
+    """
+    frame = 0
+    flag_flips = 0
+    pending = dict()
+    for pos, mask in faults:
+        pending.setdefault(pos, 0)
+        pending[pos] ^= mask
+    for pos, op in enumerate(circuit.ops):
+        if isinstance(op, CXGate):
+            # X frames flow control -> target, Z frames target -> control.
+            src, dst = (op.control, op.target) if fault_type == "X" else (op.target, op.control)
+            if (frame >> src) & 1:
+                frame ^= 1 << dst
+        elif isinstance(op, FlagMeasure):
+            if op.basis != fault_type and (frame >> op.qubit) & 1:
+                flag_flips ^= 1 << op.outcome
+        if pos in pending:
+            if isinstance(op, FlagMeasure):
+                flag_flips ^= 1 << op.outcome  # measurement flip fault
+            else:
+                frame ^= pending[pos]
+    # Project the circuit-qubit frame down to code-qubit bits.
+    residual = 0
+    for q, ci in enumerate(circuit.code_index):
+        if ci is not None and (frame >> q) & 1:
+            residual |= 1 << ci
+    return flag_flips, residual

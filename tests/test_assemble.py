@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ftprep.assemble import (
     schedule_circuit,
 )
 from ftprep.bipartite import best_of_trials, synthesize_bipartite
-from ftprep.catalog import catalog_names, get_state
+from ftprep.catalog import catalog_names, get_state, rotated_surface
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, flag_int
 from ftprep.css import CssState
 from ftprep.gadgets import trivial_gadget
@@ -123,6 +124,20 @@ def test_uncertified_override_rejected(library):
     )
     # No Z gadget: no flag starts in |+> to be measured in X.
     assert not any(plus for plus, ci in zip(asm.plus, asm.code_index) if ci is None)
+
+
+def test_override_past_the_enumeration_cap_is_not_certified(library):
+    # Rotated surface d=7 has 2^24 Z cosets: the bound is refused at once.
+    state = rotated_surface(7)
+    start = time.perf_counter()
+    assert certified_z_override(state) is None
+    assert time.perf_counter() - start < 1.0
+    message = r"^override 2 not certified \(coset bound is past the enumeration cap\)$"
+    with pytest.raises(OverrideNotCertifiedError, match=message):
+        assemble_ft_circuit(state, best_of_trials(state, 1, 3), library, z_gadget_t_override=2)
+    color17 = get_state("color17")
+    with pytest.raises(OverrideNotCertifiedError, match=r"\(coset bound allows 2\)$"):
+        assemble_ft_circuit(color17, best_of_trials(color17, 1, 3), library, z_gadget_t_override=1)
 
 
 def test_golay_override_certified(library):

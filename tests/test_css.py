@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-from ftprep.catalog import get_state
+from ftprep.catalog import get_state, rotated_surface
 from ftprep.css import (
     CssState,
     GroupTooLargeError,
@@ -194,6 +195,17 @@ def test_coset_table_matches_group_reduction(name, error_type):
     for mask, key in zip(masks, keys):
         ref = min_weight_modulo(mask, group)
         assert min(table.get(key, t + 1), t + 1) == min(ref, t + 1)
+
+
+@pytest.mark.parametrize("error_type, bits", [("X", 25), ("Z", 24)])
+def test_max_coset_weight_past_the_cap_fails_at_once(error_type, bits):
+    # Rotated surface d=7: 24 checks per side, plus the class bit on the X
+    # side, give more cosets than ENUMERATION_CAP before any enumeration.
+    state = rotated_surface(7)
+    start = time.perf_counter()
+    with pytest.raises(GroupTooLargeError, match=f"2\\^{bits} syndromes exceed the enumeration cap"):
+        max_coset_weight(state, error_type)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_max_coset_weight_x_side():

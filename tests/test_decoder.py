@@ -263,6 +263,37 @@ def test_ideal_table_heaviest_first_hit_is_the_max_coset_weight(name, label):
     assert table.weight.max() == max_coset_weight(state, "Z")
 
 
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("label", ["|0>", "|+>"])
+@pytest.mark.parametrize("error_type", ["X", "Z"])
+def test_mw_table_is_the_ideal_table_up_to_its_weight(name, label, error_type):
+    # One lightest-first cover: at w_max = w = 0..t+1 the MW table is the
+    # ideal table's rows of weight <= w without the syndrome-0 row.
+    state = get_state(name, label)
+    ideal = build_ideal_class_table(state, error_type)
+    for w in range(state.t + 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # w past the distance guarantee
+            mw = build_mw_lut(state, error_type, w)
+        rows = (ideal.weight <= w) & (ideal.synd != 0)
+        assert (mw.synd_bits, mw.class_bits, mw.w_max) == (ideal.synd_bits, ideal.class_bits, w)
+        for got, want in ((mw.synd, ideal.synd), (mw.cls, ideal.cls), (mw.weight, ideal.weight)):
+            assert got.dtype == want.dtype and got.tolist() == want[rows].tolist()
+
+
+def test_mw_table_is_capped_only_past_the_guarantee():
+    # Within floor((d-1)/2) = 3 the table keeps every error and reaches no
+    # further, so rotated surface d=7 builds it although its 2^24 syndromes
+    # exceed the cap; one weight more must reach syndromes past the kept
+    # errors, and is refused before enumerating.
+    state = rotated_surface(7)
+    assert build_mw_lut(state, "X", 3).weight.max() == 3
+    start = time.perf_counter()
+    with pytest.warns(UserWarning), pytest.raises(GroupTooLargeError, match="2\\^24 syndromes"):
+        build_mw_lut(state, "X", 4)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_even_distance_code_discard_flow():
     # The [[20,2,6]] code: syndromes only explicable at weight t = 3 are
     # detectable but not correctable, so decoding discards them.

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import ftprep
 from ftprep.gadgets import FlagGadget, gadget_ft_test
 from ftprep.library import GadgetLibrary
 from ftprep.serialization import parse_gadget, serialize_gadget
@@ -115,6 +117,19 @@ def test_malformed_entries_are_rejected_by_name(tmp_path, spec, message):
     path.write_text(json.dumps({"1,1": spec}))
     with pytest.raises(ValueError, match=message):
         GadgetLibrary.load(path)
+
+
+@pytest.mark.parametrize("key", ["zzz", "9,9", "1, 1"])
+def test_an_entry_under_another_key_is_rejected(tmp_path, key):
+    # Beside the bundled entries, or alone: either would load silently
+    # under its own (t, r), so the key would say nothing.
+    saved = json.loads((Path(ftprep.__file__).parent / "data/gadget_library.json").read_text())
+    assert all(k == f"{spec['t']},{spec['r']}" for k, spec in saved.items())
+    path = tmp_path / "lib.json"
+    for payload in ({**saved, key: GOOD_SPEC}, {key: GOOD_SPEC}):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"library entry t=1 r=1: key '{key}' is not '1,1'"):
+            GadgetLibrary.load(path)
 
 
 def test_a_library_that_is_not_an_object_is_rejected(tmp_path):

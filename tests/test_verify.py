@@ -21,11 +21,10 @@ from ftprep.noise import build_effect_tables
 from ftprep.verify import (
     VerificationBudgetError,
     enumerate_fault_locations,
-    replay_faults,
     verify_fault_tolerance,
 )
 
-from _reference import min_weight_modulo
+from _reference import min_weight_modulo, replay_faults
 
 
 @pytest.fixture(scope="module")
