@@ -32,10 +32,6 @@ class MissingGadgetError(KeyError):
     """The library lacks a gadget size required by the assembly."""
 
 
-class CyclicPrecedenceError(RuntimeError):
-    """The gadget chains form a precedence cycle, so no schedule exists."""
-
-
 class OverrideNotCertifiedError(ValueError):
     """A gadget downgrade was requested that the coset bound does not allow."""
 
@@ -112,10 +108,8 @@ class AssembledCircuit:
         flag = tuple(ci is None for ci in self.code_index)
         return tuple(map(tuple, succ)), tuple(indeg), tuple(uses), flag
 
-    def _topological_order(
-        self, rng: np.random.Generator | None = None, greedy: bool = False
-    ) -> list[int]:
-        """A linear extension of the precedence DAG.
+    def _topological_order(self, rng: np.random.Generator, greedy: bool = False) -> list[int]:
+        """A random linear extension of the precedence DAG.
 
         With ``greedy`` set, ready gates are scored to keep the live-qubit
         window narrow: retiring a flag is rewarded, waking a fresh qubit is
@@ -129,7 +123,6 @@ class AssembledCircuit:
         ready = [i for i in range(len(gates)) if indeg[i] == 0]
         order = []
         if greedy:
-            assert rng is not None
             uses = list(uses0)
             # Per-qubit score term: +1 while the qubit must still be woken,
             # -2 while its next gate is a flag's last; a gate scores the sum
@@ -176,7 +169,7 @@ class AssembledCircuit:
                         n_ready[y] += 1
         else:
             while ready:
-                if rng is None or len(ready) == 1:
+                if len(ready) == 1:
                     node = ready.pop()
                 else:
                     node = ready.pop(int(rng.integers(0, len(ready))))
@@ -185,8 +178,6 @@ class AssembledCircuit:
                     indeg[v] -= 1
                     if indeg[v] == 0:
                         ready.append(v)
-        if len(order) != len(gates):
-            raise CyclicPrecedenceError("gadget chains form a precedence cycle")
         return order
 
     def order_metrics(self, order: list[int]) -> tuple[int, int]:
@@ -547,7 +538,8 @@ def _fuse(
 
     Every gadget fills its entangling slots, in gadget-time order, with its
     qubit's edges in global priority order, so all chains are subsequences
-    of one linear order and the precedence graph is always acyclic.  An
+    of one linear order and the precedence graph is acyclic by
+    construction (``tight_order`` schedules every gate), not checked.  An
     X gadget's slot gate becomes its edge with the control replaced by the
     gadget's control-side label; mirrored, the edge's target is replaced.
     """
@@ -576,7 +568,7 @@ def _fuse(
             chain.append(node)
         chains.append(tuple(chain))
 
-    assembled = AssembledCircuit(
+    return AssembledCircuit(
         code_index=tuple(code_index),
         plus=tuple(plus),
         gates=tuple(gates),
@@ -584,8 +576,6 @@ def _fuse(
         n_edges=len(edges),
         edge_priority=tuple(priority),
     )
-    assembled._topological_order()  # raises CyclicPrecedenceError on a cycle
-    return assembled
 
 
 def schedule_circuit(

@@ -224,6 +224,14 @@ def cmd_lut_mw(args: argparse.Namespace) -> int:
 def cmd_steane(args: argparse.Namespace) -> int:
     library = _load_library(args.library)
     state = catalog.get_state(args.code, None)
+    # Every rate of the series is checked before the circuit is built.
+    configs = [
+        SteaneQecConfig(
+            state, float(p), samples=args.samples, prep_mode=args.mode,
+            data_noise_multiplier=args.multiplier, seed=args.seed,
+        )
+        for p in args.p.split(",")
+    ]
     circ = None
     if args.mode != "no_qec":
         prep = build_preparation_circuit(
@@ -238,16 +246,12 @@ def cmd_steane(args: argparse.Namespace) -> int:
         else:
             circ = prep.circuit
     rows = []
-    for p in (float(v) for v in args.p.split(",")):
-        cfg = SteaneQecConfig(
-            state, p, samples=args.samples, prep_mode=args.mode,
-            data_noise_multiplier=args.multiplier, seed=args.seed,
-        )
+    for cfg in configs:
         res = run_steane_qec_experiment(cfg, circ)
         print(res)
         lo, hi = res.logical_error_ci
         rows.append({
-            "p": p, "mode": args.mode, "logical_error_rate": res.logical_error_rate,
+            "p": cfg.p, "mode": args.mode, "logical_error_rate": res.logical_error_rate,
             "ci_lo": lo, "ci_hi": hi, "prep_acceptance": res.prep_acceptance,
         })
     _write_out(args.out, rows)

@@ -177,7 +177,13 @@ def max_coset_weight(state: CssState, error_type: str) -> int:
     for more than ``ENUMERATION_CAP`` cosets.
     """
     key_bits = len(state.checking_generators(error_type)) + len(state.class_logicals(error_type))
-    return lightest_cover(coset_key_columns(state, error_type), key_bits, 0, state.n)[-1][0]
+    cols = coset_key_columns(state, error_type)
+    try:
+        return lightest_cover(cols, key_bits, 0, state.n)[-1][0]
+    except GroupTooLargeError:
+        raise GroupTooLargeError(
+            f"2^{key_bits} cosets exceed the enumeration cap {ENUMERATION_CAP}"
+        ) from None
 
 
 def validate_css_state(state: CssState) -> None:

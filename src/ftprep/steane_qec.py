@@ -61,8 +61,11 @@ class SteaneQecConfig:
             )
         if not 0 < self.p < 1:
             raise ValueError(f"require 0 < p < 1, got p={self.p:g}")
-        if self.data_noise_multiplier * self.p > 1:
-            raise ValueError(f"data_noise_multiplier {self.data_noise_multiplier:g} * p {self.p:g} > 1")
+        if not 0 <= self.data_noise_multiplier * self.p <= 1:
+            raise ValueError(
+                "require 0 <= data_noise_multiplier * p <= 1, got data_noise_multiplier "
+                f"{self.data_noise_multiplier:g} * p {self.p:g}"
+            )
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
 

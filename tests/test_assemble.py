@@ -49,7 +49,7 @@ def test_bell_with_flagged_gadgets(library):
     state = bell_state()
     bip = synthesize_bipartite(state, seed=1)
     asm = assemble_ft_circuit(state, bip, library, seed=2, use_trivial_gadgets=False)
-    circ = asm.schedule(asm._topological_order())
+    circ = asm.schedule(asm.tight_order())
     m = circuit_metrics(circ)
     assert m.cx_count == 5  # one shared edge plus two CX per flag
     assert m.flag_count == 2
@@ -149,7 +149,7 @@ def test_gate_count_identity(library):
     state = get_state("surface9")
     bip = best_of_trials(state, 100, 2)
     asm = assemble_ft_circuit(state, bip, library, seed=4, use_trivial_gadgets=False)
-    circ = asm.schedule(asm._topological_order())
+    circ = asm.schedule(asm.tight_order())
     m = circuit_metrics(circ)
     assert m.cx_count == bip.edge_count + 2 * m.flag_count
     assert m.flag_count == len(bip.controls) + len(bip.targets)
@@ -294,7 +294,7 @@ def test_order_metrics_match_scheduled_circuit(library, name, kwargs):
     bip = best_of_trials(state, 20, 7)
     asm = assemble_ft_circuit(state, bip, library, seed=5, width_anneal=200, **kwargs)
     rng = np.random.default_rng(1)
-    orders = [asm.tight_order(), asm._topological_order()]
+    orders = [asm.tight_order()]
     for _ in range(4):
         orders.append(asm._topological_order(rng, greedy=True))
         orders.append(asm._topological_order(rng))
@@ -430,7 +430,8 @@ def test_sampled_orders_match_full_rescoring(library, name, kwargs):
 def test_golden_catalog_assemblies(library):
     # Assembly outputs pinned on every catalog code in both states, under the
     # default options, flagged gadgets with annealing, and no Z gadgets; the
-    # second digest pins each assembly's tight_order().
+    # second digest pins each assembly's tight_order(), which must be a
+    # linear extension of the precedence graph.
     options = (
         {},
         {"use_trivial_gadgets": False, "width_anneal": 300},
@@ -446,7 +447,12 @@ def test_golden_catalog_assemblies(library):
                 asm = assemble_ft_circuit(state, bip, library, seed=5, **kwargs)
                 outputs = (asm.code_index, asm.plus, asm.gates, asm.chains, asm.edge_priority)
                 digest.update(repr(outputs).encode())
-                orders.update(repr(asm.tight_order()).encode())
+                order = asm.tight_order()
+                orders.update(repr(order).encode())
+                # Every gate once, every chain in order: the graph is acyclic.
+                assert sorted(order) == list(range(len(asm.gates)))
+                pos = {node: i for i, node in enumerate(order)}
+                assert all(pos[u] < pos[v] for chain in asm.chains for u, v in zip(chain, chain[1:]))
                 circ = schedule_circuit(asm, "min_max_qubits", shuffles=8, seed=3)
                 digest.update(serialize_circuit(circ).encode())
                 count += 1

@@ -3,7 +3,7 @@ import pytest
 
 from ftprep import bipartite, gf2
 from ftprep.bipartite import BipartiteCircuit, best_of_trials, synthesize_bipartite
-from ftprep.catalog import get_state
+from ftprep.catalog import catalog_names, get_state
 from ftprep.css import CssState
 from ftprep.library import GadgetLibrary
 from ftprep.pipeline import build_preparation_circuit
@@ -39,12 +39,20 @@ def test_steane_best_edge_count():
     assert 7 <= single.edge_count <= 12
 
 
-@pytest.mark.parametrize("name", ["steane", "surface9", "color17"])
+@pytest.mark.parametrize("name", catalog_names())
 def test_synthesis_passes_tableau(name):
-    state = get_state(name)
-    for seed in (0, 1, 2):
-        bip = synthesize_bipartite(state, seed=seed)
-        assert tableau_check_circuit(bip.bare_circuit(), state) is None
+    # The tableau check proves that the bare circuit prepares the state, so
+    # no synthesis re-derives the adjacency from the Z side.
+    for label in ("|0>", "|+>"):
+        state = get_state(name, label)
+        for seed in (0, 1, 2):
+            bip = synthesize_bipartite(state, seed=seed)
+            assert tableau_check_circuit(bip.bare_circuit(), state) is None
+            degree = {q: 0 for q in bip.controls + bip.targets}
+            for a, b in bip.edges:
+                degree[a] += 1
+                degree[b] += 1
+            assert bip.max_degree == max(degree.values())
 
 
 def test_bipartiteness():

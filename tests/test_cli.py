@@ -7,7 +7,7 @@ import pytest
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
 from ftprep.catalog import export_code_file, get_state
-from ftprep import library
+from ftprep import cli, library
 from ftprep.cli import main
 from ftprep.decoder import build_ml_lut, build_mw_lut, evaluate_test_set
 from ftprep.library import GadgetLibrary
@@ -112,6 +112,23 @@ def test_steane_out_json_and_csv(tmp_path):
     with (tmp_path / "r.csv").open(newline="") as fh:
         csv_rows = list(csv.DictReader(fh))
     assert [{k: float(v) if k != "mode" else v for k, v in row.items()} for row in csv_rows] == rows
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        (["--p", "1e-3,2"], "require 0 < p < 1, got p=2"),
+        (["--p", "1e-3", "--multiplier", "-1"], "data_noise_multiplier -1 * p 0.001"),
+    ],
+)
+def test_steane_rates_are_checked_before_preparation(monkeypatch, capsys, rate, message):
+    def no_preparation(*args, **kwargs):
+        raise AssertionError("a circuit was built for a bad rate")
+
+    monkeypatch.setattr(cli, "build_preparation_circuit", no_preparation)
+    rc = main(["steane", "--code", "golay", "--samples", "10", "--seed", "1", *rate])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_simulate_decode_flow(tmp_path, capsys):

@@ -203,7 +203,7 @@ def test_max_coset_weight_past_the_cap_fails_at_once(error_type, bits):
     # side, give more cosets than ENUMERATION_CAP before any enumeration.
     state = rotated_surface(7)
     start = time.perf_counter()
-    with pytest.raises(GroupTooLargeError, match=f"2\\^{bits} syndromes exceed the enumeration cap"):
+    with pytest.raises(GroupTooLargeError, match=f"2\\^{bits} cosets exceed the enumeration cap"):
         max_coset_weight(state, error_type)
     assert time.perf_counter() - start < 1.0
 

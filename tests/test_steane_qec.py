@@ -220,8 +220,17 @@ def test_p_outside_unit_interval_rejected():
 
 def test_data_noise_above_one_rejected():
     state = get_state("steane")
-    with pytest.raises(ValueError, match=r"data_noise_multiplier 10 \* p 0.2 > 1"):
+    with pytest.raises(ValueError, match=r"data_noise_multiplier 10 \* p 0.2$"):
         SteaneQecConfig(state, 0.2, samples=100, prep_mode=NO_QEC)
+
+
+def test_negative_or_nan_data_noise_rejected():
+    # Either must fail here, not later inside numpy's sampler.
+    state = get_state("steane")
+    for multiplier in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match=r"require 0 <= data_noise_multiplier \* p <= 1"):
+            SteaneQecConfig(state, 1e-3, samples=100, prep_mode=NO_QEC,
+                            data_noise_multiplier=multiplier)
 
 
 def test_nonpositive_samples_rejected():
