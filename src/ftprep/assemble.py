@@ -15,6 +15,7 @@ qubits together at the end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -111,17 +112,20 @@ class AssembledCircuit:
     def _topological_order(self, rng: np.random.Generator, greedy: bool = False) -> list[int]:
         """A random linear extension of the precedence DAG.
 
-        With ``greedy`` set, ready gates are scored to keep the live-qubit
-        window narrow: retiring a flag is rewarded, waking a fresh qubit is
-        penalized, and ties break randomly so repeated calls sample
-        different low-width schedules.  A draw from a single candidate is
-        skipped: ``rng.integers(0, 1)`` consumes no random bits.
+        One ``rng.random(len(gates))`` draw serves the whole order: step s
+        places candidate ``int(u[s] * n)`` of its n candidates, the ready
+        gates in ready-list order.  With ``greedy`` set, the candidates are
+        the best-scoring ready gates, scored to keep the live-qubit window
+        narrow: retiring a flag is rewarded and waking a fresh qubit is
+        penalized, so ties break randomly and repeated calls sample
+        different low-width schedules.
         """
         succ, indeg0, uses0, flag = self._dag
         gates = self.gates
         indeg = list(indeg0)
         ready = [i for i in range(len(gates)) if indeg[i] == 0]
         order = []
+        u = rng.random(len(gates)).tolist()  # one uniform per placed gate
         if greedy:
             uses = list(uses0)
             # Per-qubit score term: +1 while the qubit must still be woken,
@@ -136,13 +140,12 @@ class AssembledCircuit:
             for v in ready:
                 for q in gates[v]:
                     n_ready[q] += 1
-            while ready:
+            for draw in u:
                 best_s = min(scores)
-                n_best = scores.count(best_s)
-                # The pick-th best-scoring gate in ready-list order.
-                pick = int(rng.integers(0, n_best)) if n_best > 1 else 0
+                # Of the n best-scoring gates, the int(draw * n)-th in
+                # ready-list order.
                 k = scores.index(best_s)
-                for _ in range(pick):
+                for _ in range(int(draw * scores.count(best_s))):
                     k = scores.index(best_s, k + 1)
                 node = ready[k]
                 del ready[k], scores[k]
@@ -168,11 +171,8 @@ class AssembledCircuit:
                         n_ready[x] += 1
                         n_ready[y] += 1
         else:
-            while ready:
-                if len(ready) == 1:
-                    node = ready.pop()
-                else:
-                    node = ready.pop(int(rng.integers(0, len(ready))))
+            for draw in u:
+                node = ready.pop(int(draw * len(ready)))
                 order.append(node)
                 for v in succ[node]:
                     indeg[v] -= 1
@@ -311,7 +311,10 @@ def assemble_ft_circuit(
     ``width_anneal`` > 0 anneals the global edge priority for that many
     steps to shrink the peak number of simultaneously live qubits before
     the chains are built (gadget flag windows track their edge windows).
+    Raises ValueError for a negative ``width_anneal``.
     """
+    if width_anneal < 0:
+        raise ValueError(f"width_anneal {width_anneal} is negative")
     t_z = state.t
     if z_gadget_t_override is not None:
         if z_gadget_t_override < 0:
@@ -397,19 +400,21 @@ def _anneal_priority(
     gadget's flags are live while its edge window is open; a code qubit
     wakes at its first edge and stays live to the end.  The estimate tracks
     the true scheduled width closely because every gadget's bracket gates
-    can be placed tight around its window.
+    can be placed tight around its window.  Each step draws one
+    ``rng.random(3)``: the two swap positions and the acceptance coin.
     """
     n_e = len(edges)
     model = _WidthModel(edges, windows, rng.permutation(n_e).tolist())
     best = cur = model.peak()
     best_order = list(model.order)
     temp = 3.0
-    for step in range(steps):
-        i, j = rng.integers(0, n_e, size=2).tolist()
+    for _ in range(steps):
+        a, b, coin = rng.random(3).tolist()
+        i, j = int(a * n_e), int(b * n_e)
         if i == j:
             continue
         w = model.swap(i, j)
-        if w <= cur or rng.random() < np.exp((cur - w) / max(temp, 1e-9)):
+        if w <= cur or coin < math.exp((cur - w) / max(temp, 1e-9)):
             cur = w
             if w < best:
                 best = w
@@ -590,10 +595,13 @@ def schedule_circuit(
     is order-invariant because every sampled order respects the
     gadget-internal precedence chains.  Sampled orders are compared by
     ``AssembledCircuit.order_metrics``; only the winning order is built
-    into a ``Circuit``.
+    into a ``Circuit``.  ``shuffles`` 0 samples as 1 does (the tight order
+    alone); a negative one raises ValueError.
     """
     if objective not in ("min_max_qubits", "min_depth"):
         raise ValueError(f"unknown objective {objective!r}")
+    if shuffles < 0:
+        raise ValueError(f"shuffles {shuffles} is negative")
     rng = np.random.default_rng(seed)
     best: list[int] = []
     best_val: tuple[int, int] | None = None

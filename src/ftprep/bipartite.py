@@ -55,12 +55,10 @@ class BipartiteCircuit:
 def synthesize_bipartite(state: CssState, seed: int) -> BipartiteCircuit:
     """Construct one bipartite circuit for ``state``.
 
-    The seed's shuffle of the qubit order used for greedy pivot selection
-    explores different control/target partitions.  The seed first draws a
-    random invertible recombination of each generator basis and discards
-    it: a recombination changes neither the pivot rows nor X2 X1^-1, so
-    not the circuit, and the draws stay only so that seeded syntheses
-    reproduce.  Raises ``ValueError`` for an invalid state.
+    The seed draws one shuffle of the qubit order used for greedy pivot
+    selection, which explores different control/target partitions; it is
+    the only draw, since no recombination of the generators changes the
+    pivot rows or X2 X1^-1.  Raises ``ValueError`` for an invalid state.
     """
     validate_css_state(state)
     return _synthesize(state, seed)
@@ -68,19 +66,13 @@ def synthesize_bipartite(state: CssState, seed: int) -> BipartiteCircuit:
 
 def _synthesize(state: CssState, seed: int) -> BipartiteCircuit:
     """``synthesize_bipartite`` for a state already checked by ``validate_css_state``."""
-    rng = np.random.default_rng(seed)
     n = state.n
     # The generator matrix with qubits as rows: bit j of xrows[q] is the X
     # part of generator j on qubit q.
     x_gens = state.reduction_group("X")
     xrows = gf2.transpose(x_gens, n)
     r = len(x_gens)
-    # A recombination of either basis changes no circuit: both are drawn and
-    # discarded so that seeded syntheses reproduce.
-    for size in (r, len(state.reduction_group("Z"))):
-        if size:
-            _random_invertible(size, rng)
-    order = rng.permutation(n)
+    order = np.random.default_rng(seed).permutation(n)
 
     # Greedy pivot selection: scan qubits in shuffled order, keep rows that
     # grow the span of X1.
@@ -125,11 +117,3 @@ def best_of_trials(state: CssState, trials: int, seed: int) -> BipartiteCircuit:
     """Best bipartite circuit over seeded trials: the first of :func:`ranked_trials`."""
     return ranked_trials(state, trials, seed)[0]
 
-
-def _random_invertible(n: int, rng: np.random.Generator) -> list[int]:
-    """A uniformly-seeded invertible GF(2) matrix (int rows) via rejection sampling."""
-    while True:
-        m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
-        rows = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(m, axis=1, bitorder="little")]
-        if gf2.rank(rows) == n:
-            return rows

@@ -321,8 +321,11 @@ def _repeats(rows: np.ndarray) -> np.ndarray:
     return dup
 
 
-def _draw_distinct(rng: np.random.Generator, n_rows: int, k: int, limit: int) -> np.ndarray:
-    """n_rows x k integer matrix, entries < limit, distinct within each row.
+def _draw_distinct(
+    rng: np.random.Generator, n_rows: int, k: int, limit: int, stride: int = 1
+) -> np.ndarray:
+    """n_rows x k integer matrix, entries < limit, with ``entry // stride``
+    distinct within each row.
 
     Rows with a repeat are redrawn whole, in row order, until none is left;
     only the redrawn rows are checked again.
@@ -330,10 +333,10 @@ def _draw_distinct(rng: np.random.Generator, n_rows: int, k: int, limit: int) ->
     out = rng.integers(0, limit, size=(n_rows, k), dtype=np.int64)
     if k == 1:
         return out
-    bad = np.flatnonzero(_repeats(out))
+    bad = np.flatnonzero(_repeats(out // stride))
     while len(bad):
         out[bad] = rng.integers(0, limit, size=(len(bad), k), dtype=np.int64)
-        bad = bad[_repeats(out[bad])]
+        bad = bad[_repeats(out[bad] // stride)]
     return out
 
 
@@ -342,17 +345,14 @@ def _sample_bucket(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Effects of ``n`` samples with ``fp`` p- and ``fq`` q-location faults.
 
-    Each sample draws distinct locations of each kind and one uniform
-    variant per location, and XORs their effects.  Returns the word-major
-    flag words (W, n) and the ``sc`` words (n,).
-
-    A p location's variant is its slot ``floor(15 u)``, for the location's
-    uniform draw u, and an idle location's its slot ``floor(3 u)``, at the
-    ids of :class:`EffectTables`.  Both pick the variant ``floor(count *
-    u)`` of the location, draw for draw: with counts 1, 3 and 15,
-    ``floor(fl(c u)) == floor(fl(15 u)) * c // 15`` for every u
-    ``Generator.random`` returns (multiples of 2^-53; checked exhaustively
-    in the tests).
+    Each fault is one uniform variant id of :class:`EffectTables`: below
+    ``15 L_p`` for a p location, and ``15 L_p`` plus one below ``3 L_q`` for
+    an idle one.  Every location of a kind owns equally many ids and each of
+    its variants an equal share of them, so an id is a uniform location and
+    a uniform variant of it.  A sample's ids sit at distinct locations
+    of each kind (``_draw_distinct`` by ``id // stride``), and the sample
+    XORs their effects.  Returns the word-major flag words (W, n) and the
+    ``sc`` words (n,).
     """
     flags = np.zeros((len(tables.flags), n), dtype=np.uint64)
     sc = np.zeros(n, dtype=np.uint64)
@@ -363,11 +363,11 @@ def _sample_bucket(
         np.bitwise_xor(sc, tables.sc[var], out=sc)
 
     if fp:
-        for loc in _draw_distinct(rng, n, fp, tables.l_p).T:
-            add((rng.random(n) * float(SLOTS)).astype(np.int64) + SLOTS * loc)
+        for var in _draw_distinct(rng, n, fp, SLOTS * tables.l_p, SLOTS).T:
+            add(var)
     if fq:
-        for loc in _draw_distinct(rng, n, fq, tables.l_q).T:
-            add((rng.random(n) * 3.0).astype(np.int64) + 3 * loc + SLOTS * tables.l_p)
+        for var in _draw_distinct(rng, n, fq, 3 * tables.l_q, 3).T:
+            add(var + SLOTS * tables.l_p)
     return flags, sc
 
 

@@ -231,6 +231,14 @@ def test_even_discard_drops_weight_d_over_2_syndromes(tmp_path):
     assert json.loads(out.read_text())["discarded"] == 0.0
 
 
+@pytest.mark.parametrize("knob", ["--width-anneal", "--shuffles"])
+def test_negative_assembly_knob_is_an_error(capsys, knob):
+    rc = main(["assemble", "--code", "steane", "--seed", "5", "--trials", "10", knob, "-1"])
+    assert rc == 2
+    name = knob[2:].replace("-", "_")
+    assert f"error: {name} -1 is negative" in capsys.readouterr().err
+
+
 def test_simulate_reproducible(tmp_path):
     circ_path = tmp_path / "c.circuit"
     main([

@@ -234,28 +234,28 @@ def histogram_digest(samples):
 
 
 def test_golden_steane_histogram_and_report(steane_prepared, monkeypatch):
-    # Recorded from the dict-backed histogram.  With 1000-sample chunks the
-    # 20,000 samples arrive in 25 chunks, so per-key sums must follow draw order.
+    # With 1000-sample chunks the 20,000 samples arrive in 25 chunks, so
+    # per-key sums must follow draw order.
     monkeypatch.setattr(noise, "SAMPLE_CHUNK", 1000)
     state, circ = steane_prepared
     l_p, l_q = count_fault_locations(circ)
     plan = build_subset_plan(l_p, l_q, 5e-3, 5e-5, 20_000)
     res = run_monte_carlo(circ, state, NoiseModel(5e-3), plan, seed=5)
-    assert res.accepted == 120042.6074972369
+    assert res.accepted == 120488.48392595924
     assert histogram_digest(res.train) == (
-        15, "2d258cf4b2a933baa20cf6f63963f89841550968a8d4dd07a0cb42c6d093116e")
+        15, "36d76e665ba0e3f7004c7169a932a050303d01db940cb722df6e66a373b0423b")
     assert histogram_digest(res.test) == (
-        15, "310810720dc81e0a3bfe0d55b85dfb32abf30999899400387cf0f4590969ab9e")
-    assert res.test.counts[(1, 1)] == 377.0
+        14, "a42d7c7c18d05279eaa4ad48fa664fdc1381be5e63155a94c27f47afec7a23c0")
+    assert res.test.counts[(1, 1)] == 106.0
     rep = evaluate_test_set(res.test, build_ml_lut(res.train), build_mw_lut(state, "X", 1))
     assert (rep.errors, rep.ml_errors, rep.discarded, rep.mw_hits, rep.fallback) == (
-        28.0, 28.0, 0.0, 0.0, 0.0)
+        35.0, 35.0, 0.0, 0.0, 0.0)
     for got, want in (
-        (rep.total, 59927.80374861845),
-        (rep.kept, 59927.80374861845),
-        (rep.ml_hits, 59927.80374861845),
-        (rep.logical_error_rate, 0.0004672288695486442),
-        (rep.weighted_logical_error_rate, 0.0004544134241011311),
+        (rep.total, 60169.24196297962),
+        (rep.kept, 60169.24196297962),
+        (rep.ml_hits, 60169.24196297962),
+        (rep.logical_error_rate, 0.0005816925535065653),
+        (rep.weighted_logical_error_rate, 0.0005770617617512759),
     ):
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -375,13 +375,14 @@ def test_tables_plan_mismatch_rejected(steane_prepared, wide_prepared):
         run_monte_carlo(circ, state, NoiseModel(5e-2), plan, seed=1, tables=wide_tables)
 
 
-def sorted_draw_distinct(rng, n_rows, k, limit):
-    """The sort-based `_draw_distinct` that the column-pair version replaced."""
+def sorted_draw_distinct(rng, n_rows, k, limit, stride=1):
+    """The sort-based `_draw_distinct` that the column-pair version replaced,
+    keyed by ``entry // stride``."""
     out = rng.integers(0, limit, size=(n_rows, k), dtype=np.int64)
     if k == 1:
         return out
     while True:
-        srt = np.sort(out, axis=1)
+        srt = np.sort(out // stride, axis=1)
         dup = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
         n_bad = int(dup.sum())
         if not n_bad:
@@ -391,16 +392,21 @@ def sorted_draw_distinct(rng, n_rows, k, limit):
 
 @pytest.mark.parametrize("k", range(1, 21))
 def test_draw_distinct_matches_sort_based_draw(k):
-    # A tight limit forces many redraw passes: k + 1 up to k = 9, then 2k
-    # (at k + 1 a row of k = 20 needs about 5e6 draws to come out distinct).
-    for limit in (k + 1 if k < 10 else 2 * k, 420):
-        rng_a = np.random.default_rng([k, limit])
-        rng_b = np.random.default_rng([k, limit])
-        got = _draw_distinct(rng_a, 64, k, limit)
-        want = sorted_draw_distinct(rng_b, 64, k, limit)
+    # A tight key count forces many redraw passes: k + 1 keys up to k = 9,
+    # then 2k (at k + 1 a row of k = 20 needs about 5e6 draws to come out
+    # distinct).  Strides 15 and 3 are the fault sampler's, where a key is
+    # an id's location; 3k keys still force redraws there, at less cost.
+    tight = k + 1 if k < 10 else 2 * k
+    for stride, keys in ((1, tight), (1, 420), (SLOTS, 3 * k), (SLOTS, 420), (3, 3 * k), (3, 420)):
+        limit = stride * keys
+        rng_a = np.random.default_rng([k, limit, stride])
+        rng_b = np.random.default_rng([k, limit, stride])
+        got = _draw_distinct(rng_a, 64, k, limit, stride)
+        want = sorted_draw_distinct(rng_b, 64, k, limit, stride)
         assert np.array_equal(got, want)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
-        assert all(len(set(row)) == k for row in got.tolist())
+        assert all(len(set(row)) == k for row in (got // stride).tolist())
+        assert 0 <= got.min() and got.max() < limit
 
 
 @pytest.mark.parametrize("n, p", [(44, 1e-3), (420, 5e-3), (12752, 5e-5)])
@@ -444,19 +450,18 @@ def test_more_than_128_flags(steane_prepared, wide_prepared):
 
 def test_golden_wide_circuit_large_buckets(steane_prepared, wide_prepared, monkeypatch):
     # Three flag words and buckets up to f_p = 16 (1,035 samples at f_p >= 10),
-    # so `_draw_distinct` runs many redraw passes.  Recorded on the
-    # sort-based `_draw_distinct`, before the column-pair rewrite.
+    # so `_draw_distinct` runs many redraw passes.
     state, _ = steane_prepared
     l_p, l_q = count_fault_locations(wide_prepared)
     plan = build_subset_plan(l_p, l_q, 1e-2, 1e-4, 20_000)
     assert max(fp for fp, _ in plan.pairs) >= 10
     monkeypatch.setattr(noise, "SAMPLE_CHUNK", 1000)
     res = run_monte_carlo(wide_prepared, state, NoiseModel(1e-2), plan, seed=7)
-    assert res.accepted == 466.6534581018312
+    assert res.accepted == 533.7352203070623
     assert histogram_digest(res.train) == (
-        15, "aa209ef3eaef198ca211d4188f6a9c06ec16b0fb8cca3a4a93acbd8eb6b85ee7")
+        16, "9971be2b75485a8632a8a6616b8093c7b53a28cded3f7015b429e339fc063ce0")
     assert histogram_digest(res.test) == (
-        15, "554809c77fd2be9f57339939f55a42a16c5871a322c43a99ce4713d6a40e5b72")
+        15, "d0f49ac7bf257d548da20855c43b4e16e4c76ec3243e00a509a7cb84534c6689")
 
 
 def three_pass_pack_effects(effects, n_flags):
@@ -484,98 +489,48 @@ def test_pack_effects_matches_three_pass_packing(n_flags):
         assert np.array_equal(g, w)
 
 
-def _first_step(pick, value: int) -> int:
-    """Smallest k < 2^53 with pick(k) >= value (2^53 if none), by bisection
-    over the monotone step function ``pick``."""
-    lo, hi = 0, 1 << 53
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pick(mid) >= value:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-@pytest.mark.parametrize("count", [1, 3, 15])
-def test_slot_pick_is_the_count_pick_for_every_random_double(count):
-    # Generator.random returns u = k 2^-53 for k < 2^53.  Both picks are
-    # monotone step functions of k (rounding is monotone), so they agree
-    # for every k exactly when they agree at both ends and step at the
-    # same k.
-    def direct(k):
-        return math.floor(k * 2.0**-53 * count)
-
-    def slotted(k):
-        return math.floor(k * 2.0**-53 * SLOTS) * count // SLOTS
-
-    last = (1 << 53) - 1
-    assert direct(0) == slotted(0) == 0 and direct(last) == slotted(last) == count - 1
-    steps = [_first_step(direct, v) for v in range(1, count)]
-    assert steps == [_first_step(slotted, v) for v in range(1, count)]
-    if count == 3:
-        assert steps == [3002399751580331, 6004799503160661]
-
-
 @pytest.fixture(scope="module")
 def golay_tables(library):
     state = get_state("golay")
     bip = best_of_trials(state, 5, 9)
     asm = assemble_ft_circuit(state, bip, library, z_gadget_t_override=2, seed=9)
-    circ = schedule_circuit(asm, "min_max_qubits", shuffles=2, seed=9)
-    return circ, build_effect_tables(circ, state)
+    return build_effect_tables(schedule_circuit(asm, "min_max_qubits", shuffles=2, seed=9), state)
 
 
-def variant_counts(circ: Circuit) -> np.ndarray:
-    """Variants per op: 3 per Init, 15 per CX, 1 per flag measurement."""
-    return np.array([3 if isinstance(op, Init) else 15 if isinstance(op, CXGate) else 1
-                     for op in circ.ops])
+def test_sample_bucket_xors_uniform_variants_at_distinct_locations(golay_tables, monkeypatch):
+    # A bucket's faults are the ids `_draw_distinct` returns: p ids below
+    # 15 L_p and idle ids below 3 L_q, offset by 15 L_p.  Each row's ids sit
+    # at distinct locations, the outputs XOR exactly their table entries,
+    # and every location and slot is drawn equally often within 5 binomial
+    # standard deviations.
+    tables = golay_tables
+    assert len(tables.flags) == 2
+    real = noise._draw_distinct
+    drawn = []
 
+    def recording(rng, n_rows, k, limit, stride=1):
+        out = real(rng, n_rows, k, limit, stride)
+        drawn.append((limit, stride, out))
+        return out
 
-def offset_count_bucket(circ, tables, fp, fq, n, rng):
-    # _sample_bucket's pick before the fixed stride, on the compact layout
-    # rebuilt from the circuit's op types: each op's variants, then three
-    # per idle location, a location's variant being its offset plus
-    # floor(u * count).  Op variant k is read at its first padded slot,
-    # k * 15 // count.
-    counts = variant_counts(circ)
-    offsets = np.cumsum(counts) - counts
-    loc_of = np.repeat(np.arange(len(counts)), counts)
-    k_of = np.arange(len(loc_of)) - offsets[loc_of]
-    ids = np.concatenate([SLOTS * loc_of + k_of * SLOTS // counts[loc_of],
-                          SLOTS * len(counts) + np.arange(3 * tables.l_q)])
-    compact_flags, compact_sc = tables.flags[:, ids], tables.sc[ids]
-    flags = np.zeros((len(tables.flags), n), dtype=np.uint64)
-    sc = np.zeros(n, dtype=np.uint64)
-    for k, offs, cnts in (
-        (fp, offsets, counts),
-        (fq, len(loc_of) + 3 * np.arange(tables.l_q), np.full(tables.l_q, 3)),
-    ):
-        if not k:
-            continue
-        locs = _draw_distinct(rng, n, k, len(offs))
-        for col in range(k):
-            loc = locs[:, col]
-            var = offs[loc] + (rng.random(n) * cnts[loc]).astype(np.int64)
-            for acc, words in zip(flags, compact_flags):
-                acc ^= words[var]
-            sc ^= compact_sc[var]
-    return flags, sc
-
-
-def test_slot_pick_matches_offset_count_pick_on_golay(golay_tables):
-    circ, tables = golay_tables
-    counts = variant_counts(circ)
-    assert set(counts.tolist()) == {1, 3, 15} and len(tables.flags) == 2
-    rng = np.random.default_rng(5)
-    loc = rng.integers(0, tables.l_p, size=400_000)
-    u = rng.random(len(loc))
-    u[:4] = [0.0, 3002399751580331 * 2.0**-53, 6004799503160661 * 2.0**-53, 1 - 2.0**-53]
-    slot = (u * float(SLOTS)).astype(np.int64)
-    assert np.array_equal(slot * counts[loc] // SLOTS, (u * counts[loc]).astype(np.int64))
+    monkeypatch.setattr(noise, "_draw_distinct", recording)
+    ids = {SLOTS: [], 3: []}
     for fp, fq in [(1, 0), (0, 1), (2, 3), (5, 1)]:
-        rng_a, rng_b = np.random.default_rng([fp, fq]), np.random.default_rng([fp, fq])
-        got = _sample_bucket(tables, fp, fq, 20_000, rng_a)
-        want = offset_count_bucket(circ, tables, fp, fq, 20_000, rng_b)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        drawn.clear()
+        flags, sc = _sample_bucket(tables, fp, fq, 20_000, np.random.default_rng([fp, fq]))
+        calls = [(limit, stride, out.shape[1]) for limit, stride, out in drawn]
+        assert calls == [(SLOTS * tables.l_p, SLOTS, fp)] * bool(fp) + [(3 * tables.l_q, 3, fq)] * bool(fq)
+        want_flags, want_sc = np.zeros_like(flags), np.zeros_like(sc)
+        for _, stride, out in drawn:
+            assert all(len(set(row)) == len(row) for row in (out // stride).tolist())
+            ids[stride].append(out.ravel())
+            var = out if stride == SLOTS else out + SLOTS * tables.l_p
+            want_flags ^= np.bitwise_xor.reduce(tables.flags[:, var], axis=2)
+            want_sc ^= np.bitwise_xor.reduce(tables.sc[var], axis=1)
+        assert np.array_equal(flags, want_flags) and np.array_equal(sc, want_sc)
+    for stride, n_loc in ((SLOTS, tables.l_p), (3, tables.l_q)):
+        every = np.concatenate(ids[stride])
+        for cells, key in ((n_loc, every // stride), (stride, every % stride)):
+            counts = np.bincount(key, minlength=cells)
+            mean = len(every) / cells
+            assert np.abs(counts - mean).max() <= 5 * math.sqrt(mean * (1 - 1 / cells)), (stride, cells)

@@ -188,12 +188,13 @@ def test_more_than_64_key_bits_rejected():
 
 
 def test_golden_color17_modes(color17_prep, color17_x_only):
-    # Recorded with the shared stratum sampler and the sparse data-channel
-    # and transversal-CX draws.
+    # Recorded with the shared stratum sampler drawing each preparation
+    # fault as one variant id, and the sparse data-channel and
+    # transversal-CX draws.
     state, prep = color17_prep
     golden = {
-        FULL_FT: (prep.circuit, 146, 10_000, 0.5467664638414733),
-        FT_X_ONLY: (color17_x_only, 224, 10_000, 0.7047904554263565),
+        FULL_FT: (prep.circuit, 138, 10_000, 0.5501079330814895),
+        FT_X_ONLY: (color17_x_only, 264, 10_000, 0.7075460271317829),
         NO_QEC: (None, 269, 20_000, 1.0),
     }
     for mode, (circ, errors, samples, acceptance) in golden.items():
