@@ -373,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, VerificationBudgetError) as exc:
+    except (ValueError, KeyError, OSError, VerificationBudgetError) as exc:
         # str() of a KeyError is the repr of its key: print the message bare.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

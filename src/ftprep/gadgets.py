@@ -135,12 +135,10 @@ def gadget_ft_test(gadget: FlagGadget) -> bool:
     :func:`ghz_preparation` at the gadget's t.
 
     The GHZ coset key of an X residual e is e modulo the all-ones vector,
-    so the verifier's reduced weight is min(|e|, r+1-|e|).  The circuit
-    form also faults each target's and each unused flag's initialization;
-    by the dominance argument of :class:`_Engine` neither changes a
-    verdict.  The structure is not checked, so a partial gate list can be
-    tested as ``FlagGadget(t, r, m, gates)``.  The key holds one syndrome
-    bit per target, so r > 64 raises the key-width ValueError of
+    so the verifier's reduced weight is min(|e|, r+1-|e|).  The structure
+    is not checked, so a partial gate list can be tested as
+    ``FlagGadget(t, r, m, gates)``.  The key holds one syndrome bit per
+    target, so r > 64 raises the key-width ValueError of
     :func:`css.coset_key_columns` (the bundled library's largest r is 16).
     """
     circuit, ghz = ghz_preparation(gadget)
@@ -176,16 +174,14 @@ class _Engine:
     single-qubit pattern on q, ``uses[q]`` counts the later gates on q:
 
     - Touched (``uses[q] > 0``): the X on q lasts unchanged until q's next
-      gate L, so it has the signature of one of L's patterns (its XX pattern
-      when q controls L, its target-side pattern when q is L's target).
-      Swapping it for that pattern keeps the combination's size, or, when
-      the combination already holds a pattern at L, merges the two into one
-      with fewer faults, whose failing window f' < w < r+1-f' is wider.
-      Repeated swaps end on stored patterns, so the pattern is neither
-      tested nor stored.  An X after a flag's initialization is this case
-      at the flag's first gate, and a measurement flip swaps the same way
-      for the flag's stored pattern after its last gate, so both are
-      omitted (:func:`gadget_ft_test` keeps them).
+      gate L, so it is one of L's patterns (XX when q controls L, the
+      target-side pattern when q is L's target).  Moving it forward, as in
+      the lemma of :mod:`ftprep.verify`, keeps or shrinks the combination
+      and ends on stored patterns, so it is neither tested nor stored.  An
+      X after a flag's initialization is this case at the flag's first
+      gate, and a measurement flip swaps the same way for the flag's stored
+      pattern after its last gate, so both are omitted
+      (:func:`gadget_ft_test` keeps the flips).
     - Untouched: a fresh target, a fresh flag, or c at the very first gate,
       with ``transfer[q] == 1 << q``.  A code bit moves the residual weight
       of a stored, passing (f-1)-combination by one, so weight <= f-1

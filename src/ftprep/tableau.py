@@ -142,9 +142,8 @@ def run_tableau(
     """Run a circuit on a tableau, optionally injecting Pauli faults.
 
     ``faults`` is a list of ``(op_position, x_mask, z_mask)`` triples: after
-    executing the op at that position the Pauli is applied (position -1 means
-    before the first op).  Returns the final tableau, flag outcomes, and
-    per-flag determinism.
+    executing the op at that position the Pauli is applied.  Returns the
+    final tableau, flag outcomes, and per-flag determinism.
     """
     tab = Tableau(circuit.n_qubits)
     n_outcomes = circuit.flag_count
@@ -153,8 +152,6 @@ def run_tableau(
     by_pos: dict[int, list[tuple[int, int]]] = {}
     for pos, xm, zm in faults or []:
         by_pos.setdefault(pos, []).append((xm, zm))
-    for xm, zm in by_pos.get(-1, []):
-        tab.apply_pauli(xm, zm)
     for pos, op in enumerate(circuit.ops):
         if isinstance(op, Init):
             if op.basis == "+":

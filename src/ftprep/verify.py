@@ -6,18 +6,30 @@ leaves a residual error on the code qubits whose minimum weight modulo the
 same-type stabilizer group of the state (including state-stabilizing
 logicals) is at most f.
 
-Faults are single-type Pauli patterns: one variant after each qubit
-initialization the pattern does not stabilize, three after each CX, and a
-flip of each flag measurement the pattern anticommutes with.  Idle
-locations carry noise in simulation but are not adversarial fault sites.
+Faults are single-type Pauli patterns at two kinds of site: the pattern on
+both qubits right after each CX, and a flip of each flag measurement the
+pattern anticommutes with.  A CX copies X from control to target and Z
+from target to control, so X_c X_t after it is X_c before it and Z_c Z_t
+after it is Z_t before it.  Any other single-qubit fault (after an
+initialization, or on one qubit after a CX) moves forward unchanged to the
+next gate that copies it, where it is that gate's pattern, or to the end of
+its qubit: a listed flag flip, nothing, or one code-qubit bit.  Moved faults
+meeting at one site merge or cancel.  A code-qubit bit changes the reduced
+weight by at most one, so a failing combination of f faults still fails at
+f - 1 without it.  So every failing combination becomes a failing one of at
+most f listed faults with the same flags, and verdicts and the smallest
+failing f are those over every single-qubit site: the hook-error argument
+of Chao & Reichardt, PRL 121, 050502 (2018), arXiv:1705.02329, which the
+gadget search's ``_Engine`` shares.  Idle locations carry noise in
+simulation but are not adversarial fault sites.
 
-Each variant's flag flips and residual coset key are read, in the one loop
+Each fault's flag flips and residual coset key are read, in the one loop
 over the fault locations, off the backward sweep that also builds the Monte
 Carlo effect tables, seeded with the coset key columns that also key the
 light-error table and the counterexample's reduced weight.  A
-combination goes undetected exactly when its last variant's flag words
-equal the XOR of the other variants' words, so each (f - 1)-combination is
-joined only to the later variants carrying that XOR, and only these joined
+combination goes undetected exactly when its last fault's flag words
+equal the XOR of the other faults' words, so each (f - 1)-combination is
+joined only to the later faults carrying that XOR, and only these joined
 candidates have their coset keys checked.  A counterexample's residual on
 the code qubits comes off the same sweep, seeded with each code qubit's
 own bit instead of its key column.
@@ -33,7 +45,7 @@ from operator import xor
 
 import numpy as np
 
-from .circuit import Circuit, CXGate, FlagMeasure, Init, pack_effects, propagate_backward
+from .circuit import Circuit, CXGate, FlagMeasure, pack_effects, propagate_backward
 from .css import CssState, coset_enumeration, coset_key_columns
 
 
@@ -47,11 +59,11 @@ class VerificationBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class FaultLocation:
-    """One fault site with its insertable single-type patterns.
+    """One fault site with its insertable single-type pattern.
 
     ``site`` names the op index in the scheduled circuit, whose op says
-    what the site is; each variant is a qubit mask of the inserted Pauli
-    (of the run's single type).
+    what the site is; ``variants`` holds one qubit mask of the inserted
+    Pauli (of the run's single type).
     """
 
     site: int
@@ -76,21 +88,19 @@ class Counterexample:
 def enumerate_fault_locations(circuit: Circuit, fault_type: str) -> list[FaultLocation]:
     """Adversarial fault sites of one type in a scheduled circuit.
 
-    Initializations the inserted Pauli stabilizes are skipped (X after |+>,
-    Z after |0>), CX gates contribute the three two-qubit patterns, and flag
-    measurements contribute a flip only when the type anticommutes with the
-    measurement basis, that is when the basis differs from the type.  The
-    final transversal measurement is noiseless.
+    Each CX contributes its one two-qubit pattern, and each flag measurement
+    a flip when the type anticommutes with the measurement basis, that is
+    when the basis differs from the type; every other single-type fault
+    moves forward to one of these (module docstring).  The final transversal
+    measurement is noiseless.
     """
     if fault_type not in ("X", "Z"):
         raise ValueError("fault_type must be 'X' or 'Z'")
-    stabilized = "+" if fault_type == "X" else "0"  # the Init basis the type leaves alone
     locations: list[FaultLocation] = []
     for pos, op in enumerate(circuit.ops):
         if isinstance(op, CXGate):
-            a, b = 1 << op.control, 1 << op.target
-            locations.append(FaultLocation(pos, (a, b, a | b)))
-        elif op.basis != (fault_type if isinstance(op, FlagMeasure) else stabilized):
+            locations.append(FaultLocation(pos, (1 << op.control | 1 << op.target,)))
+        elif isinstance(op, FlagMeasure) and op.basis != fault_type:
             locations.append(FaultLocation(pos, (1 << op.qubit,)))
     return locations
 
@@ -104,7 +114,7 @@ def verify_fault_tolerance(
     """Exhaustively test the FT criterion for one fault type.
 
     Returns None on a pass, otherwise the lexicographically first failing
-    combination of variants at the smallest failing fault count.  Raises
+    combination of faults at the smallest failing fault count.  Raises
     VerificationBudgetError when the combination space exceeds
     COMBINATION_CAP, and ValueError when t < 1 or syndrome plus class bits
     exceed 64.
@@ -115,50 +125,41 @@ def verify_fault_tolerance(
     if t < 1:
         raise ValueError(f"require t >= 1, got t={t}")
     locations = enumerate_fault_locations(circuit, fault_type)
-    nv = sum(len(loc.variants) for loc in locations)
-    total = sum(math.comb(nv, f) for f in range(1, t + 1))
+    nloc = len(locations)
+    total = sum(math.comb(nloc, f) for f in range(1, t + 1))
     if total > COMBINATION_CAP:
         raise VerificationBudgetError(
             f"{total} fault combinations exceed the cap {COMBINATION_CAP} "
-            f"({nv} variants over {len(locations)} locations, t={t})"
+            f"({nloc} fault locations, t={t})"
         )
     key_cols = coset_key_columns(state, fault_type)
     cols = propagate_backward(circuit, key_cols, fault_type)
     side = 0 if fault_type == "X" else 1
-    # Each variant's (site, mask), its effect ``key << flag_count | flags``
-    # in the variant order of enumerate_fault_locations, and the index of
-    # the first variant at a later location.
-    faults: list[tuple[int, int]] = []
+    # Each fault's (site, mask) and its effect ``key << flag_count | flags``:
+    # a flag's own outcome bit, or the XOR of the CX's two column entries.
+    faults = [(loc.site, loc.variants[0]) for loc in locations]
     effects: list[int] = []
-    nxt: list[int] = []
-    for loc in locations:
-        op = circuit.ops[loc.site]
+    for site, _ in faults:
+        op = circuit.ops[site]
         if isinstance(op, FlagMeasure):
             effects.append(1 << op.outcome)
-        elif isinstance(op, Init):
-            effects.append(cols[loc.site][side][op.qubit])
         else:
-            col = cols[loc.site][side]
-            a, b = col[op.control], col[op.target]
-            effects += (a, b, a ^ b)
-        faults += [(loc.site, mask) for mask in loc.variants]
-        nxt += [len(faults)] * len(loc.variants)
+            effects.append(cols[site][side][op.control] ^ cols[site][side][op.target])
     flags, keys = pack_effects(effects, circuit.flag_count)
     del cols, effects  # the sweep's Python ints are not needed by the join
-    words = np.ascontiguousarray(flags.T) if len(flags) else np.zeros((nv, 1), np.uint64)
+    words = np.ascontiguousarray(flags.T) if len(flags) else np.zeros((nloc, 1), np.uint64)
     light = list(coset_enumeration(key_cols, t))  # (weight, key) of every error of weight <= t
 
-    # Variants sorted by (flag words, index) as ``words rank * nv + index``:
-    # the later variants with given flag words are one contiguous run of
-    # codes.  A variant's row of words compares as one byte string.
+    # Faults sorted by (flag words, index) as ``words rank * nloc + index``:
+    # the later faults with given flag words are one contiguous run of
+    # codes.  A fault's row of words compares as one byte string.
     as_bytes = np.dtype((np.void, words.itemsize * words.shape[1]))
     groups, rank = np.unique(words.view(as_bytes)[:, 0], return_inverse=True)
-    codes = np.sort(rank * nv + np.arange(nv))
-    sorted_keys = keys[codes % nv]
-    nxt = np.array(nxt, dtype=np.int64)
+    codes = np.sort(rank * nloc + np.arange(nloc))
+    sorted_keys = keys[codes % nloc]
     for f in range(1, t + 1):
         allowed = np.array([key for w, key in light if w <= f], dtype=np.uint64)
-        for prefix, start in _prefixes(f - 1, nxt):
+        for prefix, start in _prefixes(f - 1, nloc):
             pre_words = np.zeros((len(prefix), words.shape[1]), dtype=np.uint64)
             pre_key = np.zeros(len(prefix), dtype=np.uint64)
             for col in prefix.T:
@@ -167,13 +168,13 @@ def verify_fault_tolerance(
             # The run of codes from the prefix's flag-word group on: a group
             # that is absent has the same left and right rank, so an empty run.
             query = pre_words.view(as_bytes)[:, 0]
-            lo = np.searchsorted(codes, np.searchsorted(groups, query, "left") * nv + start)
-            hi = np.maximum(lo, np.searchsorted(codes, np.searchsorted(groups, query, "right") * nv))
+            lo = np.searchsorted(codes, np.searchsorted(groups, query, "left") * nloc + start)
+            hi = np.maximum(lo, np.searchsorted(codes, np.searchsorted(groups, query, "right") * nloc))
             for rows, pos in _ranges(lo, hi):
                 bad = np.flatnonzero(~np.isin(sorted_keys[pos] ^ pre_key[rows], allowed))
                 if len(bad):
                     i = bad[0]
-                    members = [*prefix[rows[i]], codes[pos[i]] % nv]
+                    members = [*prefix[rows[i]], codes[pos[i]] % nloc]
                     found = tuple(faults[v] for v in members)
                     # The residual is the XOR of the members' entries (a flag flip
                     # has none) in the sweep seeded with each code qubit's own bit.
@@ -191,16 +192,16 @@ def verify_fault_tolerance(
     return None
 
 
-def _prefixes(k: int, nxt: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The k-combinations of variants at distinct locations in lexicographic
-    order, as (m, k) blocks of about JOIN_BLOCK rows, each with the index of
-    the first variant that may extend each row."""
+def _prefixes(k: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The k-combinations of range(n) in lexicographic order, as (m, k)
+    blocks of about JOIN_BLOCK rows, each with the first index that may
+    extend each row."""
     if k == 0:
         yield np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
         return
-    for block, start in _prefixes(k - 1, nxt):
-        for rows, pos in _ranges(start, np.full(len(block), len(nxt))):
-            yield np.column_stack((block[rows], pos)), nxt[pos]
+    for block, start in _prefixes(k - 1, n):
+        for rows, pos in _ranges(start, np.full(len(block), n)):
+            yield np.column_stack((block[rows], pos)), pos + 1
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -5,11 +5,14 @@ on a (partial) flag gadget by forward propagation; ``min_weight_modulo``
 reduces an error over every product of a generator set.  Neither shares
 code with ``ftprep.verify``, the coset keys or the gadget engine.
 ``coset_keys`` computes the coset keys of many packed error masks at once,
-one qubit column at a time.  ``replay_faults`` propagates an explicit fault
-set forward through a circuit, apart from the backward sweep the verifier
-reads its counterexamples off.  ``subset_plan_reference`` selects the subset
-plan's pairs by a per-cell scan that stops each binomial's walk past its
-mode; it shares only the binomial pmfs with ``ftprep.noise``.
+one qubit column at a time.  ``all_fault_locations`` lists every
+single-qubit fault site of a circuit, where the verifier lists only the
+sites every other fault moves forward to.  ``replay_faults`` propagates an
+explicit fault set forward through a circuit, apart from the backward sweep
+the verifier reads its counterexamples off.  ``subset_plan_reference``
+selects the subset plan's pairs by a per-cell scan that stops each
+binomial's walk past its mode; it shares only the binomial pmfs with
+``ftprep.noise``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ftprep.circuit import Circuit, CXGate, FlagMeasure
+from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 from ftprep.css import GroupTooLargeError
 from ftprep.gadgets import FlagGadget
 from ftprep.noise import DegeneratePlanError, SubsetPlan, _binom_pmf
@@ -152,6 +155,24 @@ def subset_plan_reference(l_p: int, l_q: int, p: float, q: float, samples: int) 
         probabilities=tuple(pr / total for pr in probs),
         p_trivial=p_trivial,
     )
+
+
+def all_fault_locations(circuit: Circuit, fault_type: str) -> list[tuple[int, tuple[int, ...]]]:
+    """Every single-type fault site as ``(op index, qubit masks)``: one
+    pattern after each initialization the type does not stabilize (X after
+    |0>, Z after |+>), the three patterns after each CX, and a flip of each
+    flag measurement whose basis differs from the type."""
+    stabilized = "+" if fault_type == "X" else "0"
+    locations = []
+    for pos, op in enumerate(circuit.ops):
+        if isinstance(op, CXGate):
+            a, b = 1 << op.control, 1 << op.target
+            locations.append((pos, (a, b, a | b)))
+        elif isinstance(op, Init) and op.basis != stabilized:
+            locations.append((pos, (1 << op.qubit,)))
+        elif isinstance(op, FlagMeasure) and op.basis != fault_type:
+            locations.append((pos, (1 << op.qubit,)))
+    return locations
 
 
 def replay_faults(

@@ -66,17 +66,30 @@ def test_verify_fails_on_stripped_circuit(tmp_path, capsys):
 
 def test_verify_reports_the_combination_cap_as_an_error(tmp_path, capsys):
     # A cap overflow is a usage error (exit 2), not a counterexample (exit 1).
-    circ_path = tmp_path / "steane.circuit"
+    # The color17 circuit has about a hundred X fault locations, so up to 9
+    # faults make trillions of combinations.
+    circ_path = tmp_path / "c17.circuit"
     main([
-        "assemble", "--code", "steane", "--seed", "5", "--trials", "100",
-        "--shuffles", "50", "--circuit-out", str(circ_path),
+        "assemble", "--code", "color17", "--seed", "5", "--trials", "50",
+        "--shuffles", "20", "--circuit-out", str(circ_path),
     ])
     capsys.readouterr()
-    rc = main(["verify", "--circuit", str(circ_path), "--code", "steane", "--t", "9"])
+    rc = main(["verify", "--circuit", str(circ_path), "--code", "color17", "--t", "9"])
     assert rc == 2
     captured = capsys.readouterr()
     assert re.match(r"error: \d+ fault combinations exceed the cap 200000000 ", captured.err)
     assert "COUNTEREXAMPLE" not in captured.out
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--circuit", "{dir}", "--code", "steane", "--t", "1"],
+    ["coset", "--code", "steane", "--out", "{dir}"],
+])
+def test_a_directory_path_is_an_error(tmp_path, capsys, command):
+    # Reading or writing a directory as a file is an OS error: exit 2.
+    rc = main([arg.format(dir=tmp_path) for arg in command])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
 
 
 def test_verify_csv_quotes_counterexamples(tmp_path, capsys):
@@ -112,6 +125,20 @@ def test_steane_out_json_and_csv(tmp_path):
     with (tmp_path / "r.csv").open(newline="") as fh:
         csv_rows = list(csv.DictReader(fh))
     assert [{k: float(v) if k != "mode" else v for k, v in row.items()} for row in csv_rows] == rows
+
+
+def test_steane_qec_modes_build_their_preparation(tmp_path):
+    # full_ft runs the preparation circuit as built; ft_x_only re-assembles
+    # it without Z gadgets.
+    for mode in ("full_ft", "ft_x_only"):
+        out = tmp_path / f"{mode}.json"
+        rc = main(["steane", "--code", "steane", "--p", "1e-3,2e-3", "--mode", mode,
+                   "--samples", "2000", "--trials", "20", "--shuffles", "10", "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        rows = json.loads(out.read_text())
+        assert [(row["p"], row["mode"]) for row in rows] == [(1e-3, mode), (2e-3, mode)]
+        assert all(0 < row["prep_acceptance"] <= 1 for row in rows)
 
 
 @pytest.mark.parametrize(

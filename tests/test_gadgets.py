@@ -83,9 +83,10 @@ def test_search_options_agree_on_small_rows():
 def test_engine_matches_reference_on_random_circuits(monkeypatch):
     # The incremental engine agrees with the brute-force reference test and
     # with gadget_ft_test (GHZ-preparation verify) step by step, through
-    # pushes and pops, at every t.  Both tests fault every pattern, flag
-    # init and measurement, where the engine tests only XX and stores only
-    # undominated patterns; this cross-check backs that claim.
+    # pushes and pops, at every t.  The reference faults every pattern, flag
+    # init and measurement, and gadget_ft_test every XX and flag flip, where
+    # the engine tests only XX and stores only undominated patterns; this
+    # cross-check backs both claims.
     rng = np.random.default_rng(17)
     from ftprep import gadgets
     from ftprep.gadgets import _Engine

@@ -7,7 +7,7 @@ import pytest
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
 from ftprep.catalog import get_state
-from ftprep.circuit import Circuit, CXGate, Init
+from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 from ftprep.decoder import build_mw_lut
 from ftprep.gadgets import discover_gadget
 from ftprep.library import GadgetLibrary
@@ -96,6 +96,34 @@ def test_cx_onto_its_own_control_is_rejected():
         circ.validate()
 
 
+@pytest.mark.parametrize("code_index, ops, reason", [
+    ((0,), (Init(0, "+"), Init(0, "0")), "qubit 0 initialized twice"),
+    ((0, None), (Init(0, "+"), Init(1, "0"), FlagMeasure(1, "Z", 0), CXGate(0, 1)),
+     "qubit 1 used after measurement"),
+    ((0, None), (Init(0, "+"), Init(1, "0"), FlagMeasure(1, "Z", 0), FlagMeasure(1, "Z", 1)),
+     "flag 1 measured twice"),
+    ((0,), (Init(0, "0"), FlagMeasure(0, "Z", 0)), "code qubits may only be measured transversally"),
+    ((0, 1), (Init(0, "+"),), "qubit 1 never initialized"),
+    ((0, None), (Init(0, "+"), Init(1, "0"), CXGate(0, 1)), "flag 1 never measured"),
+])
+def test_circuit_validate_names_each_broken_invariant(code_index, ops, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        Circuit(code_index, ops).validate()
+
+
+@pytest.mark.parametrize("text, line_no, reason", [
+    ("INIT+ c0\nFINAL_MEAS Z\n", 1, "expected a CIRCUIT header"),
+    ("CIRCUIT code=x state=y\nINIT0 q0\nFINAL_MEAS Z\n", 2, "unknown qubit name 'q0'"),
+    ("CIRCUIT code=x state=y\nINIT+ c0 c1\nFINAL_MEAS Z\n", 2, "INIT+ takes one qubit"),
+    ("CIRCUIT code=x state=y\nINIT+ c0\nINIT0 t1\nCX c0\nFINAL_MEAS Z\n", 4, "CX takes two qubits"),
+    ("CIRCUIT code=x state=y\nINIT0 f0\nMZ f0 m0\nFINAL_MEAS Z\n", 3, "MZ syntax: MZ <q> -> m<i>"),
+])
+def test_circuit_parse_errors_name_their_line(text, line_no, reason):
+    with pytest.raises(ParseError, match=re.escape(reason)) as err:
+        parse_circuit(text)
+    assert err.value.line_no == line_no
+
+
 def test_gadget_round_trip_and_line_counts():
     g = discover_gadget(2, 5, 2).gadget
     text = serialize_gadget(g)
@@ -136,6 +164,8 @@ def test_gadget_text_is_pinned():
      "the header needs t, r >= 1 and m >= 0, got t=0 r=1 m=1"),
     pytest.param("GADGET t=1 r=1 m=0 type=X\nCX c t" + "1" * 5000 + "\n", 2,
                  "unknown gadget qubit 't111", id="oversized-label"),
+    ("CX c t1\n", 1, "expected a GADGET header"),
+    ("GADGET t=1 r=1 m=0 type=X\nCX c t1\nMX c -> m0\n", 3, "unknown opcode 'MX'"),
 ])
 def test_malformed_gadget_lines_are_reported(text, line_no, reason):
     with pytest.raises(ParseError, match=re.escape(reason)) as err:

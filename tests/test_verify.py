@@ -16,6 +16,7 @@ from ftprep.bipartite import best_of_trials
 from ftprep.catalog import get_state, rotated_surface
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 from ftprep.css import CssState
+from ftprep.gadgets import FlagGadget, ghz_preparation
 from ftprep.library import GadgetLibrary
 from ftprep.noise import build_effect_tables
 from ftprep.verify import (
@@ -24,7 +25,7 @@ from ftprep.verify import (
     verify_fault_tolerance,
 )
 
-from _reference import min_weight_modulo, replay_faults
+from _reference import all_fault_locations, min_weight_modulo, replay_faults
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +65,13 @@ def test_gadget_layer_loads_no_simulation_modules():
 
 def test_enumerate_counts_match_stated_rules():
     circ = toy_circuit()
+    # X: the CX's copied pair and the Z-basis measurement's flip; no Init
+    # site and no single-qubit CX pattern.
     x_locs = enumerate_fault_locations(circ, "X")
-    # X after |+> skipped, X after |0> included, CX has three patterns,
-    # and the Z-basis measurement flips.
-    assert sum(len(l.variants) for l in x_locs) == 1 + 3 + 1
+    assert [(l.site, l.variants) for l in x_locs] == [(2, (0b11,)), (3, (0b10,))]
+    # Z: the CX's pair only; the Z-basis measurement does not see Z.
     z_locs = enumerate_fault_locations(circ, "Z")
-    assert sum(len(l.variants) for l in z_locs) == 1 + 3
+    assert [(l.site, l.variants) for l in z_locs] == [(2, (0b11,))]
     empty = Circuit((), ())
     assert enumerate_fault_locations(empty, "X") == []
 
@@ -221,16 +223,18 @@ def _filed_under(library, t_from, t_to):
     return weak
 
 
-def _brute_force(circuit, state, t, fault_type):
+def _brute_force(circuit, state, t, fault_type, locations=None):
     """Reference verdict: scan every combination of f <= t variants at
     distinct locations in lexicographic order, smallest f first, and return
     the first undetected one whose residual reduces by group enumeration to
-    weight above f, as (faults, residual, reduced weight).  Replay is linear
-    in the fault set, so each variant is replayed once and a combination
-    XORs its variants' flips and residuals."""
-    locations = enumerate_fault_locations(circuit, fault_type)
-    loc = [i for i, l in enumerate(locations) for _ in l.variants]
-    faults = [(l.site, mask) for l in locations for mask in l.variants]
+    weight above f, as (faults, residual, reduced weight).  ``locations``
+    are ``(site, masks)`` pairs, by default the verifier's own.  Replay is
+    linear in the fault set, so each variant is replayed once and a
+    combination XORs its variants' flips and residuals."""
+    if locations is None:
+        locations = [(l.site, l.variants) for l in enumerate_fault_locations(circuit, fault_type)]
+    loc = [i for i, (_, masks) in enumerate(locations) for _ in masks]
+    faults = [(site, mask) for site, masks in locations for mask in masks]
     flips, resid = zip(*(replay_faults(circuit, fault_type, [f]) for f in faults))
     group = state.reduction_group(fault_type)
 
@@ -293,6 +297,72 @@ def test_join_matches_brute_force_scan(monkeypatch, steane_circuit, color17_weak
         assert (None if ce is None else (ce.faults, ce.residual_code_mask, ce.reduced_weight)) == ref
 
 
+def _smallest_failures_match_all_sites(circuit, state, t, fault_type):
+    """Check verify at every t' <= t against the brute force over every
+    single-qubit fault site: the same verdict and the same smallest failing
+    f, and each counterexample replays undetected with its residual and a
+    reduced weight above f.  Returns the smallest failing f up to t, or
+    None."""
+    ref = _brute_force(circuit, state, t, fault_type, all_fault_locations(circuit, fault_type))
+    first = None if ref is None else len(ref[0])
+    group = state.reduction_group(fault_type)
+    for t_ in range(1, t + 1):
+        ce = verify_fault_tolerance(circuit, state, t_, fault_type)
+        assert (None if ce is None else len(ce.faults)) == (first if first and first <= t_ else None)
+        if ce is not None:
+            flips, residual = replay_faults(circuit, fault_type, list(ce.faults))
+            assert flips == 0 and residual == ce.residual_code_mask
+            assert ce.reduced_weight == min_weight_modulo(residual, group) > len(ce.faults)
+    return first
+
+
+def _without_cx(circuit, rng, k):
+    """``circuit`` with k of its CX gates, chosen by ``rng``, removed."""
+    cx = [pos for pos, op in enumerate(circuit.ops) if isinstance(op, CXGate)]
+    drop = set(rng.choice(cx, size=k, replace=False).tolist())
+    return Circuit(circuit.code_index, tuple(op for pos, op in enumerate(circuit.ops) if pos not in drop))
+
+
+@pytest.mark.parametrize("name", ["steane", "surface9", "color17"])
+def test_verify_matches_all_sites_brute_force_on_catalog_circuits(library, name):
+    # The verifier lists one pattern per CX and the detecting flag flips;
+    # every other fault moves forward to one of these.  Bare circuits,
+    # default and no-Z-gadget assemblies, and each with 1-3 CX removed.
+    state = get_state(name)
+    bip = best_of_trials(state, 5, 0)
+    circuits = [bip.bare_circuit()]
+    for kwargs in ({}, {"z_gadget_t_override": 0, "allow_uncertified_override": True}):
+        asm = assemble_ft_circuit(state, bip, library, seed=5, **kwargs)
+        circuits.append(schedule_circuit(asm, "min_max_qubits", shuffles=5, seed=3))
+    rng = np.random.default_rng(11)
+    circuits += [_without_cx(c, rng, k) for c in circuits[1:] for k in (1, 2, 3)]
+    firsts = [
+        _smallest_failures_match_all_sites(circ, state, 2, fault_type)
+        for circ in circuits for fault_type in ("X", "Z")
+    ]
+    assert None in firsts and 1 in firsts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_matches_all_sites_brute_force_on_random_gadgets(library, seed):
+    # Random partial gadgets as the circuits that prepare their GHZ states:
+    # a bundled gadget's last gates (the search builds from the temporal end
+    # backwards), with a random gate put in at random, checked up to one
+    # fault past the gadget's t (at most 3).
+    rng = np.random.default_rng(seed)
+    entries = [e.gadget for (t, r), e in sorted(library.entries.items()) if r <= 8]
+    firsts = []
+    for _ in range(25):
+        g = entries[int(rng.integers(len(entries)))]
+        gates = list(g.gates[int(rng.integers(len(g.gates))):])
+        if rng.random() < 0.5:
+            gate = tuple(int(q) for q in rng.choice(1 + g.r + g.m, size=2, replace=False))
+            gates.insert(int(rng.integers(len(gates) + 1)), gate)
+        circuit, ghz = ghz_preparation(FlagGadget(g.t, g.r, g.m, tuple(gates)))
+        firsts.append(_smallest_failures_match_all_sites(circuit, ghz, min(g.t + 1, 3), "X"))
+    assert None in firsts and any(f is not None and f > 1 for f in firsts)
+
+
 def _random_circuit(rng, n, n_flags, n_cx):
     """Code qubits in random bases, random CX gates among them, and CX gates
     onto Z-measured flags: arbitrary structure for reference comparisons."""
@@ -320,6 +390,16 @@ def test_join_matches_brute_force_on_random_circuits(seed):
             assert (None if ce is None else (ce.faults, ce.residual_code_mask, ce.reduced_weight)) == ref
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_matches_all_sites_brute_force_on_random_circuits(seed):
+    state = get_state("steane")
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(20):
+        circ = _random_circuit(rng, state.n, 2, int(rng.integers(3, 14)))
+        for fault_type in ("X", "Z"):
+            _smallest_failures_match_all_sites(circ, state, 3, fault_type)
+
+
 def test_last_variant_of_a_join_range_is_checked():
     # One CX between two |+> qubits: its X_a X_b pattern, the last variant
     # of the circuit, is the only fault whose residual reduces above weight 1.
@@ -334,16 +414,15 @@ def test_last_variant_of_a_join_range_is_checked():
 @pytest.mark.parametrize("block", [1, 4, 1000])
 def test_prefixes_are_distinct_location_combinations_in_order(monkeypatch, block):
     monkeypatch.setattr(verify, "JOIN_BLOCK", block)
-    loc = [0, 0, 1, 2, 2, 2, 3]  # the location of each variant
-    nxt = np.array([loc.index(l + 1) if l + 1 in loc else len(loc) for l in loc])
+    n = 7  # one fault per location
     for k in range(4):
         rows, starts = [], []
-        for prefix, start in verify._prefixes(k, nxt):
+        for prefix, start in verify._prefixes(k, n):
             rows += map(tuple, prefix.tolist())
             starts += start.tolist()
-        want = [c for c in itertools.combinations(range(len(loc)), k) if len({loc[v] for v in c}) == k]
+        want = list(itertools.combinations(range(n), k))
         assert rows == want
-        assert starts == [nxt[c[-1]] if c else 0 for c in want]
+        assert starts == [c[-1] + 1 if c else 0 for c in want]
 
 
 def test_golay_t2_gadgets_under_t3_labels_fail_at_three_faults(library):
