@@ -169,8 +169,3 @@ def pack_effects(effects: list[int], n_flags: int) -> tuple[np.ndarray, np.ndarr
         code >>= np.uint64(shift)
         code |= words[:, n_words + 1] << np.uint64(64 - shift)
     return flags, code
-
-
-def flag_int(flags: np.ndarray, v: int) -> int:
-    """Column ``v`` of word-major flag words as one Python int."""
-    return sum(int(w) << (64 * i) for i, w in enumerate(flags[:, v]))

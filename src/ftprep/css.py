@@ -125,20 +125,6 @@ def coset_enumeration(cols: Sequence[int], w_max: int) -> Iterator[tuple[int, in
             yield w, key
 
 
-def syndrome_and_class(error: int, state: CssState, error_type: str) -> tuple[int, int]:
-    """Syndrome and equivalence-class bits of a pure-type error mask.
-
-    Syndrome bit i is the anticommutation with the i-th opposite-type
-    stabilizer; class bit j is the anticommutation with the j-th
-    state-stabilizing logical.  Both are returned as packed integer masks.
-    """
-    synd = sum(((error & c).bit_count() & 1) << i
-               for i, c in enumerate(state.checking_generators(error_type)))
-    cls = sum(((error & m).bit_count() & 1) << j
-              for j, m in enumerate(state.class_logicals(error_type)))
-    return synd, cls
-
-
 def lightest_cover(cols: Sequence[int], bits: int, keep: int, w_max: int) -> list[tuple[int, int]]:
     """(weight, key) of every error of weight <= ``keep``, then of the first
     error of weight <= ``w_max`` to reach each value of the low ``bits`` key

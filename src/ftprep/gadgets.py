@@ -287,11 +287,14 @@ def discover_gadget(
     checks for every t.  Success requires every target entangled, every flag
     used and disentangled, and deterministic flag measurements.
 
-    ``budget`` caps the number of attempted gate placements.  A gadget needs
-    at least one flag, so ``m = 0`` is exhausted by definition.
+    ``budget`` caps the number of attempted gate placements (None for no
+    cap); a negative budget raises ValueError.  A gadget needs at least one
+    flag, so ``m = 0`` is exhausted by definition.
     """
     if t < 1 or r < 1 or m < 0:
         raise ValueError("require t >= 1, r >= 1, m >= 0")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget {budget} is negative")
     if m == 0:
         return SearchResult(SEARCH_EXHAUSTED, None, 0)
     engine = _Engine(t, r, m)

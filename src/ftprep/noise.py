@@ -10,8 +10,8 @@ for every CX time step.  The final transversal measurement is noiseless.
 Frame propagation is linear, so every fault location's end-of-circuit
 effect (flag flips, syndrome, class) is read once off the transfer-map
 columns of :func:`circuit.propagate_backward`; a Monte Carlo sample is then
-just an XOR of a few table entries.  The tables hold effects only; the
-tableau replay decodes each variant's Pauli from its location.
+just an XOR of a few table entries.  The tables hold effects only; a
+variant's Pauli follows from its id and the circuit.
 Subset sampling draws the number of faults per sample from the nontrivial
 part of the binomial distribution and adds the fault-free mass back
 analytically.
@@ -32,14 +32,12 @@ from .circuit import (
     Circuit,
     CXGate,
     Init,
-    flag_int,
     pack_effects,
     propagate_backward,
 )
-from .css import CssState, coset_key_columns, syndrome_and_class
+from .css import CssState, coset_key_columns
 
 
-REPLAY_MAX_FAULTS = 4  # most faults per frame_replay_check sample
 SAMPLE_CHUNK = 1 << 18  # most samples drawn by one _sample_bucket call
 Z95 = NormalDist().inv_cdf(0.975)  # two-sided 95 % normal quantile of wilson_interval
 # Pauli bits (bit 0 X, bit 1 Z) of the variants of a single-qubit location,
@@ -180,8 +178,8 @@ class EffectTables:
     15.  Idle location i of :func:`_idle_locations` owns the three ids
     ``SLOTS * l_p + 3 * i + j``, slot j being ``SINGLE_QUBIT_BITS[j]``.  A
     uniform slot of a location is thus a uniform variant of it.  The tables
-    hold effects only: :func:`frame_replay_check` decodes a variant's Pauli
-    from the circuit and this layout.  ``flags`` holds the flag-flip masks
+    hold effects only: a variant's Pauli follows from the circuit and this
+    layout.  ``flags`` holds the flag-flip masks
     as word-major uint64 words of shape (W, V) (see
     :func:`circuit.pack_effects`), ``sc`` the packed
     (syndrome | class << synd_bits) of the ``error_side`` residual.
@@ -469,78 +467,3 @@ def wilson_interval(successes: float, trials: float) -> tuple[float, float]:
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)
-
-
-def _variant_fault(circuit: Circuit, idle: list[tuple[int, int]], v: int) -> tuple[int, int, int]:
-    """Variant ``v``'s Pauli as a ``run_tableau`` fault ``(op position, x_mask,
-    z_mask)``, decoded from the circuit, its ``idle`` locations and v's id
-    (the layout of :class:`EffectTables`), not from the effects."""
-    pos, j = divmod(v, SLOTS)
-    if pos >= len(circuit.ops):
-        i, j = divmod(v - SLOTS * len(circuit.ops), 3)
-        pos, q = idle[i]
-        bits = SINGLE_QUBIT_BITS[j]
-        return pos, (bits & 1) << q, (bits >> 1) << q
-    op = circuit.ops[pos]
-    if isinstance(op, Init):
-        bits, q = SINGLE_QUBIT_BITS[j // 5], op.qubit
-        return pos, (bits & 1) << q, (bits >> 1) << q
-    if isinstance(op, CXGate):
-        bits, a, b = j + 1, op.control, op.target
-        return pos, (bits & 1) << a | (bits >> 2 & 1) << b, (bits >> 1 & 1) << a | (bits >> 3) << b
-    # The literal bit-flip channel: an X on the flag right before its
-    # measurement, after the previous op.
-    return pos - 1, 1 << op.qubit, 0
-
-
-def frame_replay_check(
-    circuit: Circuit,
-    state: CssState,
-    tables: EffectTables,
-    n_samples: int,
-    seed: int,
-) -> int:
-    """Cross-check frame propagation against the stabilizer tableau.
-
-    Draws random fault sets, predicts flag flips and the residual's
-    syndrome and class from the effect tables, then replays the same Paulis
-    inside a tableau simulation.  Each drawn variant's Pauli is decoded from
-    the circuit and the variant's location (:func:`_variant_fault`), so a
-    table whose effects sit at the wrong variant fails too.  The code qubits
-    are read out in the basis that sees the tables' error side (Z for X
-    errors, X for Z errors) and graded by :func:`css.syndrome_and_class`.
-    Returns the number of agreeing samples; raises on the first mismatch.
-    """
-    from .tableau import run_tableau
-
-    rng = np.random.default_rng(seed)
-    side = tables.error_side
-    code = [(q, ci) for q, ci in enumerate(circuit.code_index) if ci is not None]
-    idle = _idle_locations(circuit)
-    for trial in range(n_samples):
-        k = int(rng.integers(1, REPLAY_MAX_FAULTS + 1))
-        chosen = rng.integers(0, len(tables.sc), size=k)
-        predicted_flags = eff_sc = 0
-        for v in chosen:
-            predicted_flags ^= flag_int(tables.flags, v)
-            eff_sc ^= int(tables.sc[v])
-        faults = [_variant_fault(circuit, idle, int(v)) for v in chosen]
-        tab, outcomes, _ = run_tableau(circuit, faults, rng=rng)
-        observed_flags = sum(bit << i for i, bit in enumerate(outcomes))
-        if observed_flags != predicted_flags:
-            raise AssertionError(
-                f"sample {trial}: flag mismatch {observed_flags:#x} != {predicted_flags:#x}"
-            )
-        readout = tab.measure_z if side == "X" else tab.measure_x
-        bits = 0
-        for q, ci in code:
-            bits |= readout(q, rng)[0] << ci
-        # The readout is a codeword of the state plus the residual's support;
-        # syndrome_and_class grades a support, so it serves either side.
-        synd, cls = syndrome_and_class(bits, state, side)
-        observed_sc = synd | cls << tables.synd_bits
-        if observed_sc != eff_sc:
-            raise AssertionError(
-                f"sample {trial}: {side} syndrome/class {observed_sc:#x} != {eff_sc:#x}"
-            )
-    return n_samples

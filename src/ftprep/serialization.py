@@ -213,21 +213,6 @@ def save_mw_table(table: MWTable, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
-def load_mw_table(path: str | Path) -> MWTable:
-    raw = json.loads(Path(path).read_text())
-    if raw.get("kind") != "mw":
-        raise ValueError("not a MW table file")
-    rows = sorted((int(s, 16), c, w) for s, (c, w) in raw["entries"].items())
-    return MWTable(
-        raw["synd_bits"],
-        raw["class_bits"],
-        raw["w_max"],
-        synd=np.array([s for s, _, _ in rows], dtype=np.uint64),
-        cls=np.array([c for _, c, _ in rows], dtype=np.uint64),
-        weight=np.array([w for _, _, w in rows], dtype=np.int64),
-    )
-
-
 # -- outcome streams ---------------------------------------------------------
 
 
@@ -243,15 +228,17 @@ def save_sample_set(samples: SampleSet, path: str | Path, state_label: str = DEF
     (syndrome, class) order, with the label of the state it was sampled
     from."""
     synd, cls, order = _rows(samples)
-    np.savez_compressed(
-        path,
-        synd=synd,
-        cls=cls,
-        counts=samples.count[order],
-        weights=samples.weight[order],
-        meta=np.array([samples.synd_bits, samples.class_bits], dtype=np.int64),
-        state=np.array(state_label),
-    )
+    # A file object keeps numpy from appending ".npz" to the path.
+    with open(path, "wb") as f:
+        np.savez_compressed(
+            f,
+            synd=synd,
+            cls=cls,
+            counts=samples.count[order],
+            weights=samples.weight[order],
+            meta=np.array([samples.synd_bits, samples.class_bits], dtype=np.int64),
+            state=np.array(state_label),
+        )
 
 
 def load_sample_set(path: str | Path) -> SampleSet:

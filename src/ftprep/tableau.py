@@ -6,8 +6,9 @@ Python-int qubit masks plus a sign bit, so gates, Pauli faults and row
 products are mask operations on rows of any width.  This is the
 slow-but-trusted reference against which the bit-level Pauli-frame machinery
 is checked: it validates that synthesized circuits prepare their target
-state, that flag measurements are deterministic, and (with injected Pauli
-faults) that frame propagation predicts measurement flips exactly.
+state and that flag measurements are deterministic.  Pauli faults and
+random measurement outcomes are applied through ``apply_pauli`` and
+``measure_z(q, rng)``.
 """
 
 from __future__ import annotations
@@ -134,25 +135,13 @@ class TableauMismatch:
         return f"{self.kind}: {self.detail}"
 
 
-def run_tableau(
-    circuit: Circuit,
-    faults: list[tuple[int, int, int]] | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[Tableau, list[int], list[bool]]:
-    """Run a circuit on a tableau, optionally injecting Pauli faults.
-
-    ``faults`` is a list of ``(op_position, x_mask, z_mask)`` triples: after
-    executing the op at that position the Pauli is applied.  Returns the
-    final tableau, flag outcomes, and per-flag determinism.
-    """
+def run_tableau(circuit: Circuit) -> tuple[Tableau, list[int], list[bool]]:
+    """Run a circuit noiselessly on a tableau.  Returns the final tableau,
+    flag outcomes, and per-flag determinism."""
     tab = Tableau(circuit.n_qubits)
-    n_outcomes = circuit.flag_count
-    outcomes = [0] * n_outcomes
-    deterministic = [True] * n_outcomes
-    by_pos: dict[int, list[tuple[int, int]]] = {}
-    for pos, xm, zm in faults or []:
-        by_pos.setdefault(pos, []).append((xm, zm))
-    for pos, op in enumerate(circuit.ops):
+    outcomes = [0] * circuit.flag_count
+    deterministic = [True] * circuit.flag_count
+    for op in circuit.ops:
         if isinstance(op, Init):
             if op.basis == "+":
                 tab.h(op.qubit)
@@ -160,9 +149,7 @@ def run_tableau(
             tab.cx(op.control, op.target)
         elif isinstance(op, FlagMeasure):
             measure = tab.measure_z if op.basis == "Z" else tab.measure_x
-            outcomes[op.outcome], deterministic[op.outcome] = measure(op.qubit, rng)
-        for xm, zm in by_pos.get(pos, []):
-            tab.apply_pauli(xm, zm)
+            outcomes[op.outcome], deterministic[op.outcome] = measure(op.qubit)
     return tab, outcomes, deterministic
 
 

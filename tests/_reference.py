@@ -13,21 +13,40 @@ the verifier reads its counterexamples off.  ``subset_plan_reference``
 selects the subset plan's pairs by a per-cell scan that stops each
 binomial's walk past its mode; it shares only the binomial pmfs with
 ``ftprep.noise``.
+
+``frame_replay_check`` replays sampled fault sets of the effect tables
+through the stabilizer tableau (``run_tableau_with_faults``), decoding each
+variant's Pauli from its id and grading the readout with
+``syndrome_and_class``; ``replay_sample`` is one such sample.
+``load_mw_table`` reads back a table ``serialization.save_mw_table`` wrote.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections.abc import Sequence
+from pathlib import Path
 
 import numpy as np
 
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
-from ftprep.css import GroupTooLargeError
+from ftprep.css import CssState, GroupTooLargeError
+from ftprep.decoder import MWTable
 from ftprep.gadgets import FlagGadget
-from ftprep.noise import DegeneratePlanError, SubsetPlan, _binom_pmf
+from ftprep.noise import (
+    SINGLE_QUBIT_BITS,
+    SLOTS,
+    DegeneratePlanError,
+    EffectTables,
+    SubsetPlan,
+    _binom_pmf,
+    _idle_locations,
+)
+from ftprep.tableau import Tableau
 
 MIN_WEIGHT_CAP = 20  # min_weight_modulo enumerates at most 2**20 products
+REPLAY_MAX_FAULTS = 4  # most faults per frame_replay_check sample
 
 
 def _propagate_x(frame: int, gates: list[tuple[int, int]], start: int) -> int:
@@ -209,3 +228,161 @@ def replay_faults(
         if ci is not None and (frame >> q) & 1:
             residual |= 1 << ci
     return flag_flips, residual
+
+
+def flag_int(flags: np.ndarray, v: int) -> int:
+    """Column ``v`` of word-major flag words as one Python int."""
+    return sum(int(w) << (64 * i) for i, w in enumerate(flags[:, v]))
+
+
+def syndrome_and_class(error: int, state: CssState, error_type: str) -> tuple[int, int]:
+    """Syndrome and equivalence-class bits of a pure-type error mask.
+
+    Syndrome bit i is the anticommutation with the i-th opposite-type
+    stabilizer; class bit j is the anticommutation with the j-th
+    state-stabilizing logical.  Both are returned as packed integer masks.
+    """
+    synd = sum(((error & c).bit_count() & 1) << i
+               for i, c in enumerate(state.checking_generators(error_type)))
+    cls = sum(((error & m).bit_count() & 1) << j
+              for j, m in enumerate(state.class_logicals(error_type)))
+    return synd, cls
+
+
+def run_tableau_with_faults(
+    circuit: Circuit,
+    faults: list[tuple[int, int, int]],
+    rng: np.random.Generator | None = None,
+) -> tuple[Tableau, list[int], list[bool]]:
+    """``tableau.run_tableau`` with injected Pauli faults.
+
+    ``faults`` is a list of ``(op_position, x_mask, z_mask)`` triples: after
+    executing the op at that position the Pauli is applied.  A random flag
+    outcome is drawn from ``rng`` (0 without one).  Returns the final
+    tableau, flag outcomes, and per-flag determinism.
+    """
+    tab = Tableau(circuit.n_qubits)
+    n_outcomes = circuit.flag_count
+    outcomes = [0] * n_outcomes
+    deterministic = [True] * n_outcomes
+    by_pos: dict[int, list[tuple[int, int]]] = {}
+    for pos, xm, zm in faults:
+        by_pos.setdefault(pos, []).append((xm, zm))
+    for pos, op in enumerate(circuit.ops):
+        if isinstance(op, Init):
+            if op.basis == "+":
+                tab.h(op.qubit)
+        elif isinstance(op, CXGate):
+            tab.cx(op.control, op.target)
+        elif isinstance(op, FlagMeasure):
+            measure = tab.measure_z if op.basis == "Z" else tab.measure_x
+            outcomes[op.outcome], deterministic[op.outcome] = measure(op.qubit, rng)
+        for xm, zm in by_pos.get(pos, []):
+            tab.apply_pauli(xm, zm)
+    return tab, outcomes, deterministic
+
+
+def _variant_fault(circuit: Circuit, idle: list[tuple[int, int]], v: int) -> tuple[int, int, int]:
+    """Variant ``v``'s Pauli as a ``run_tableau_with_faults`` fault ``(op
+    position, x_mask, z_mask)``, decoded from the circuit, its ``idle``
+    locations and v's id (the layout of ``noise.EffectTables``), not from
+    the effects."""
+    pos, j = divmod(v, SLOTS)
+    if pos >= len(circuit.ops):
+        i, j = divmod(v - SLOTS * len(circuit.ops), 3)
+        pos, q = idle[i]
+        bits = SINGLE_QUBIT_BITS[j]
+        return pos, (bits & 1) << q, (bits >> 1) << q
+    op = circuit.ops[pos]
+    if isinstance(op, Init):
+        bits, q = SINGLE_QUBIT_BITS[j // 5], op.qubit
+        return pos, (bits & 1) << q, (bits >> 1) << q
+    if isinstance(op, CXGate):
+        bits, a, b = j + 1, op.control, op.target
+        return pos, (bits & 1) << a | (bits >> 2 & 1) << b, (bits >> 1 & 1) << a | (bits >> 3) << b
+    # The literal bit-flip channel: an X on the flag right before its
+    # measurement, after the previous op.
+    return pos - 1, 1 << op.qubit, 0
+
+
+def replay_sample(
+    circuit: Circuit,
+    state: CssState,
+    tables: EffectTables,
+    idle: list[tuple[int, int]],
+    variants: Sequence[int],
+    rng: np.random.Generator,
+) -> tuple[int, int]:
+    """Replay the Paulis of ``variants`` together on a tableau; returns the
+    observed flag flips and packed (syndrome | class << synd_bits).
+
+    The code qubits are read out in the basis that sees the tables' error
+    side (Z for X errors, X for Z errors).  The readout is a codeword of the
+    state plus the residual's support; ``syndrome_and_class`` grades a
+    support, so it serves either side.
+    """
+    faults = [_variant_fault(circuit, idle, int(v)) for v in variants]
+    tab, outcomes, _ = run_tableau_with_faults(circuit, faults, rng=rng)
+    side = tables.error_side
+    readout = tab.measure_z if side == "X" else tab.measure_x
+    bits = 0
+    for q, ci in enumerate(circuit.code_index):
+        if ci is not None:
+            bits |= readout(q, rng)[0] << ci
+    synd, cls = syndrome_and_class(bits, state, side)
+    return sum(bit << i for i, bit in enumerate(outcomes)), synd | cls << tables.synd_bits
+
+
+def frame_replay_check(
+    circuit: Circuit,
+    state: CssState,
+    tables: EffectTables,
+    n_samples: int,
+    seed: int,
+) -> int:
+    """Cross-check frame propagation against the stabilizer tableau.
+
+    Draws random fault sets, predicts flag flips and the residual's
+    syndrome and class from the effect tables, then replays the same Paulis
+    inside a tableau simulation (:func:`replay_sample`).  Each drawn
+    variant's Pauli is decoded from the circuit and the variant's location
+    (:func:`_variant_fault`), so a table whose effects sit at the wrong
+    variant fails too.  Returns the number of agreeing samples; raises on
+    the first mismatch.
+    """
+    rng = np.random.default_rng(seed)
+    side = tables.error_side
+    idle = _idle_locations(circuit)
+    for trial in range(n_samples):
+        k = int(rng.integers(1, REPLAY_MAX_FAULTS + 1))
+        chosen = rng.integers(0, len(tables.sc), size=k)
+        predicted_flags = eff_sc = 0
+        for v in chosen:
+            predicted_flags ^= flag_int(tables.flags, v)
+            eff_sc ^= int(tables.sc[v])
+        observed_flags, observed_sc = replay_sample(circuit, state, tables, idle, chosen, rng)
+        if observed_flags != predicted_flags:
+            raise AssertionError(
+                f"sample {trial}: flag mismatch {observed_flags:#x} != {predicted_flags:#x}"
+            )
+        if observed_sc != eff_sc:
+            raise AssertionError(
+                f"sample {trial}: {side} syndrome/class {observed_sc:#x} != {eff_sc:#x}"
+            )
+    return n_samples
+
+
+def load_mw_table(path: str | Path) -> MWTable:
+    """The MW table ``serialization.save_mw_table`` wrote to ``path``."""
+    raw = json.loads(Path(path).read_text())
+    if raw.get("kind") != "mw":
+        raise ValueError("not a MW table file")
+    rows = sorted((int(s, 16), c, w) for s, (c, w) in raw["entries"].items())
+    return MWTable(
+        raw["synd_bits"],
+        raw["class_bits"],
+        raw["w_max"],
+        synd=np.array([s for s, _, _ in rows], dtype=np.uint64),
+        cls=np.array([c for _, c, _ in rows], dtype=np.uint64),
+        weight=np.array([w for _, _, w in rows], dtype=np.int64),
+    )

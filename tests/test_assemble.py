@@ -18,13 +18,15 @@ from ftprep.assemble import (
 )
 from ftprep.bipartite import best_of_trials, synthesize_bipartite
 from ftprep.catalog import catalog_names, get_state, rotated_surface
-from ftprep.circuit import Circuit, CXGate, FlagMeasure, flag_int
+from ftprep.circuit import Circuit, CXGate, FlagMeasure
 from ftprep.css import CssState
 from ftprep.gadgets import trivial_gadget
 from ftprep.library import BudgetExhaustedError, GadgetLibrary
 from ftprep.serialization import serialize_circuit
 from ftprep.tableau import tableau_check_circuit
 from ftprep.noise import SLOTS, build_effect_tables
+
+from _reference import flag_int
 
 
 @pytest.fixture(scope="module")

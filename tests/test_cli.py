@@ -29,6 +29,13 @@ def test_gadget_command_exhausted(capsys):
     assert "exhausted" in capsys.readouterr().out
 
 
+def test_gadget_command_negative_budget(capsys):
+    rc = main(["gadget", "--t", "2", "--r", "5", "--m", "2", "--budget", "-1"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "no gadget" not in out and err == "error: budget -1 is negative\n"
+
+
 def test_gadget_command_exhausted_t4(capsys):
     rc = main(["gadget", "--t", "4", "--r", "6", "--m", "2"])
     assert rc == 1
@@ -188,6 +195,26 @@ def test_simulate_decode_flow(tmp_path, capsys):
     rc = main(["decode", "--code", "golay", "--train", str(train), "--test", str(test)])
     assert rc == 2
     assert "syndrome" in capsys.readouterr().err
+
+
+def test_sample_sets_land_at_paths_without_npz(tmp_path):
+    # numpy appends ".npz" to a bare file name; the archives must be
+    # written at exactly the paths given, so decode finds them.
+    circ_path = tmp_path / "steane.circuit"
+    main([
+        "assemble", "--code", "steane", "--seed", "5", "--trials", "100",
+        "--shuffles", "50", "--circuit-out", str(circ_path),
+    ])
+    train, test = tmp_path / "tr.bin", tmp_path / "te.bin"
+    rc = main([
+        "simulate", "--circuit", str(circ_path), "--code", "steane",
+        "--p", "1e-3", "--samples", "20000", "--seed", "42",
+        "--train-out", str(train), "--test-out", str(test),
+    ])
+    assert rc == 0
+    assert train.is_file() and test.is_file()
+    assert not list(tmp_path.glob("*.npz"))
+    assert main(["decode", "--code", "steane", "--train", str(train), "--test", str(test)]) == 0
 
 
 def test_decode_uses_the_state_the_samples_came_from(tmp_path, capsys):

@@ -12,11 +12,10 @@ from ftprep.css import (
     coset_enumeration,
     coset_key_columns,
     max_coset_weight,
-    syndrome_and_class,
     validate_css_state,
 )
 
-from _reference import coset_keys, min_weight_modulo
+from _reference import coset_keys, min_weight_modulo, syndrome_and_class
 
 
 def test_min_weight_of_group_element_is_zero():

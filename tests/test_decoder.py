@@ -8,7 +8,7 @@ import pytest
 
 from ftprep import decoder
 from ftprep.catalog import catalog_names, get_state, rotated_surface
-from ftprep.css import GroupTooLargeError, max_coset_weight, syndrome_and_class
+from ftprep.css import GroupTooLargeError, max_coset_weight
 from ftprep.decoder import (
     DISCARD,
     FALLBACK,
@@ -22,6 +22,8 @@ from ftprep.decoder import (
     evaluate_test_set,
 )
 from ftprep.noise import SampleSet
+
+from _reference import syndrome_and_class
 
 
 def histogram(synd_bits, class_bits, *rows):

@@ -64,6 +64,17 @@ def test_budget_exhaustion():
     assert res.nodes >= 1000
 
 
+def test_negative_budget_is_an_error():
+    # A negative budget is a usage error, not a search that stops at once;
+    # a library miss raises it on its first flag count.
+    with pytest.raises(ValueError, match="budget -1 is negative"):
+        discover_gadget(2, 5, 2, budget=-1)
+    with pytest.raises(ValueError, match="budget -3 is negative"):
+        GadgetLibrary().get(2, 5, budget=-3)
+    assert discover_gadget(2, 5, 2, budget=0).status == BUDGET_EXHAUSTED
+    assert discover_gadget(2, 5, 2, budget=None).found
+
+
 def test_determinism():
     a = discover_gadget(2, 7, 3)
     b = discover_gadget(2, 7, 3)

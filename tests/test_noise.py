@@ -9,8 +9,8 @@ from ftprep import noise
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials, synthesize_bipartite
 from ftprep.catalog import get_state
-from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init, flag_int, pack_effects
-from ftprep.css import CssState, syndrome_and_class
+from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init, pack_effects
+from ftprep.css import CssState
 from ftprep.decoder import build_ml_lut, build_mw_lut, evaluate_test_set
 from ftprep.library import GadgetLibrary
 from ftprep.noise import (
@@ -23,13 +23,10 @@ from ftprep.noise import (
     build_effect_tables,
     build_subset_plan,
     count_fault_locations,
-    frame_replay_check,
     run_monte_carlo,
     wilson_interval,
 )
-from ftprep.tableau import run_tableau
-
-from _reference import subset_plan_reference
+from _reference import flag_int, frame_replay_check, replay_sample, subset_plan_reference
 
 
 @pytest.fixture(scope="module")
@@ -323,14 +320,11 @@ def test_every_variant_id_replays_alone(steane_prepared, side):
     idle = noise._idle_locations(circ)
     assert (tables.l_p, tables.l_q) == (len(circ.ops), len(idle))
     assert len(tables.sc) == SLOTS * tables.l_p + 3 * tables.l_q
-    code = [(q, ci) for q, ci in enumerate(circ.code_index) if ci is not None]
     rng = np.random.default_rng(0)
     for v in range(len(tables.sc)):
-        tab, outcomes, _ = run_tableau(circ, [noise._variant_fault(circ, idle, v)], rng=rng)
-        assert sum(bit << i for i, bit in enumerate(outcomes)) == flag_int(tables.flags, v), v
-        readout = tab.measure_z if side == "X" else tab.measure_x
-        synd, cls = syndrome_and_class(sum(readout(q, rng)[0] << ci for q, ci in code), state, side)
-        assert synd | cls << tables.synd_bits == int(tables.sc[v]), v
+        flags, sc = replay_sample(circ, state, tables, idle, [v], rng)
+        assert flags == flag_int(tables.flags, v), v
+        assert sc == int(tables.sc[v]), v
 
 
 def test_effect_linearity(steane_prepared):

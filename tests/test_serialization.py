@@ -14,7 +14,6 @@ from ftprep.library import GadgetLibrary
 from ftprep.noise import SampleSet
 from ftprep.serialization import (
     ParseError,
-    load_mw_table,
     load_sample_set,
     parse_circuit,
     parse_gadget,
@@ -25,6 +24,8 @@ from ftprep.serialization import (
     serialize_circuit,
     serialize_gadget,
 )
+
+from _reference import load_mw_table
 
 
 def test_circuit_round_trip_byte_identical():
@@ -240,6 +241,14 @@ def test_sample_set_round_trip_and_csv(tmp_path):
         "0x3,1,17.000000,0.25\n"
         "0xf,1,1.000000,3.3e-09\n"
     )
+
+
+def test_sample_set_is_written_at_a_path_without_npz(tmp_path):
+    path = tmp_path / "samples.bin"
+    save_sample_set(rows_histogram(), path, "|+>")
+    assert [p.name for p in tmp_path.iterdir()] == ["samples.bin"]
+    assert_same_histogram(load_sample_set(path), rows_histogram())
+    assert sample_set_state(path) == "|+>"
 
 
 def test_sample_set_archive_layout(tmp_path):

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 from ftprep.css import CssState
-from ftprep.tableau import Tableau, run_tableau, tableau_check_circuit
+from ftprep.tableau import Tableau, tableau_check_circuit
+
+from _reference import run_tableau_with_faults
 
 
 def bell_state() -> CssState:
@@ -68,10 +70,10 @@ def test_pauli_fault_flips_flag():
     )
     circ = Circuit((0, 1, None), ops)
     # fault after op 2 (the first bracket CX): X on the control
-    _, outcomes, deterministic = run_tableau(circ, faults=[(2, 0b001, 0)])
+    _, outcomes, deterministic = run_tableau_with_faults(circ, faults=[(2, 0b001, 0)])
     assert deterministic[0] and outcomes[0] == 1
     # the same fault after the closing bracket CX leaves the flag at +1
-    _, outcomes, _ = run_tableau(circ, faults=[(5, 0b001, 0)])
+    _, outcomes, _ = run_tableau_with_faults(circ, faults=[(5, 0b001, 0)])
     assert outcomes[0] == 0
 
 

@@ -13,12 +13,13 @@ import ftprep
 from ftprep import verify
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
-from ftprep.catalog import get_state, rotated_surface
+from ftprep.catalog import catalog_names, get_state, rotated_surface
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 from ftprep.css import CssState
 from ftprep.gadgets import FlagGadget, ghz_preparation
 from ftprep.library import GadgetLibrary
 from ftprep.noise import build_effect_tables
+from ftprep.pipeline import build_preparation_circuit
 from ftprep.verify import (
     VerificationBudgetError,
     enumerate_fault_locations,
@@ -436,3 +437,21 @@ def test_golay_t2_gadgets_under_t3_labels_fail_at_three_faults(library):
     assert flips == 0
     assert residual == ce.residual_code_mask
     assert ce.reduced_weight == min_weight_modulo(residual, state.reduction_group("X")) > 3
+
+
+@functools.cache
+def _criterion_10_circuit(name):
+    """``name``'s state and its circuit as criterion 10 builds it."""
+    state = get_state(name)
+    prep = build_preparation_circuit(
+        state, GadgetLibrary.bundled(), bip_trials=100, assembly_candidates=4, shuffles=50,
+        seed=9, use_trivial_gadgets=True,
+    )
+    return state, prep.circuit
+
+
+@pytest.mark.parametrize("side", ["X", "Z"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_every_catalog_circuit_is_fault_tolerant_at_full_t(name, side):
+    state, circ = _criterion_10_circuit(name)
+    assert verify_fault_tolerance(circ, state, state.t, side) is None
