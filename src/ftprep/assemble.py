@@ -67,15 +67,12 @@ class AssembledCircuit:
 
     def schedule(self, order: list[int]) -> Circuit:
         """Materialize a schedule from a linear extension of the DAG."""
-        last_touch: dict[int, int] = {}
-        for pos, node in enumerate(order):
-            for q in self.gates[node]:
-                last_touch[q] = pos
+        last = self._dag[2]
         plus = self.plus
         ops = []
         inited: set[int] = set()
         outcome = 0
-        for pos, node in enumerate(order):
+        for node in order:
             a, b = self.gates[node]
             for q in (a, b):
                 if q not in inited:
@@ -83,7 +80,7 @@ class AssembledCircuit:
                     inited.add(q)
             ops.append(CXGate(a, b))
             for q in (a, b):
-                if self.code_index[q] is None and last_touch[q] == pos:
+                if last[q] == node:
                     ops.append(FlagMeasure(q, "X" if plus[q] else "Z", outcome))
                     outcome += 1
         for q in range(self.n_qubits):
@@ -92,22 +89,34 @@ class AssembledCircuit:
         return Circuit(self.code_index, tuple(ops))
 
     @cached_property
-    def _dag(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], tuple[bool, ...]]:
-        """Successors and in-degree per gate, gate count and flag bit per
-        qubit; built once per circuit and shared by every sampled order."""
+    def _dag(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int | None, ...], tuple[int, ...]]:
+        """Successors and in-degree per gate, each flag's last gate (None for
+        code qubits), and the number of flags each gate retires; built once
+        per circuit and shared by every order.
+
+        All of a flag's gates lie in its gadget's chain, in chain order, so
+        its last gate there is its last gate in every linear extension.  A
+        flag's chain is the one holding its private gates (it is the target
+        of two): an edge it controls lies in the other side's chain too.
+        """
         n = len(self.gates)
         succ: list[list[int]] = [[] for _ in range(n)]
         indeg = [0] * n
+        last: list[int | None] = [None] * self.n_qubits
         for chain in self.chains:
             for u, v in zip(chain, chain[1:]):
                 succ[u].append(v)
                 indeg[v] += 1
-        uses = [0] * self.n_qubits
-        for a, b in self.gates:
-            uses[a] += 1
-            uses[b] += 1
-        flag = tuple(ci is None for ci in self.code_index)
-        return tuple(map(tuple, succ)), tuple(indeg), tuple(uses), flag
+            private = (q for v in chain if v >= self.n_edges for q in self.gates[v])
+            flags = {q for q in private if self.code_index[q] is None}
+            for v in chain:
+                for q in flags.intersection(self.gates[v]):
+                    last[q] = v
+        retire = [0] * n
+        for v in last:
+            if v is not None:
+                retire[v] += 1
+        return tuple(map(tuple, succ)), tuple(indeg), tuple(last), tuple(retire)
 
     def _topological_order(self, rng: np.random.Generator, greedy: bool = False) -> list[int]:
         """A random linear extension of the precedence DAG.
@@ -116,30 +125,19 @@ class AssembledCircuit:
         places candidate ``int(u[s] * n)`` of its n candidates, the ready
         gates in ready-list order.  With ``greedy`` set, the candidates are
         the best-scoring ready gates, scored to keep the live-qubit window
-        narrow: retiring a flag is rewarded and waking a fresh qubit is
-        penalized, so ties break randomly and repeated calls sample
-        different low-width schedules.
+        narrow: +1 per qubit the gate wakes, -2 per flag it retires, so ties
+        break randomly and repeated calls sample different low-width
+        schedules.  Only a waking qubit changes the scores of ready gates.
         """
-        succ, indeg0, uses0, flag = self._dag
+        succ, indeg0, _, retire = self._dag
         gates = self.gates
         indeg = list(indeg0)
         ready = [i for i in range(len(gates)) if indeg[i] == 0]
         order = []
         u = rng.random(len(gates)).tolist()  # one uniform per placed gate
         if greedy:
-            uses = list(uses0)
-            # Per-qubit score term: +1 while the qubit must still be woken,
-            # -2 while its next gate is a flag's last; a gate scores the sum
-            # over its two qubits, so placing a gate rescores only the ready
-            # gates on its qubits.
-            qscore = [1 - 2 * (f and u == 1) for f, u in zip(flag, uses)]
-            scores = [qscore[gates[v][0]] + qscore[gates[v][1]] for v in ready]
-            # Number of ready gates per qubit: a qubit whose other gates all
-            # sit in one chain never has a ready gate left to rescore.
-            n_ready = [0] * self.n_qubits
-            for v in ready:
-                for q in gates[v]:
-                    n_ready[q] += 1
+            woken = [False] * self.n_qubits
+            scores = [2 - 2 * retire[v] for v in ready]  # nothing is woken yet
             for draw in u:
                 best_s = min(scores)
                 # Of the n best-scoring gates, the int(draw * n)-th in
@@ -151,25 +149,17 @@ class AssembledCircuit:
                 del ready[k], scores[k]
                 order.append(node)
                 for q in gates[node]:
-                    uses[q] -= 1
-                    n_ready[q] -= 1
-                    s = -2 if flag[q] and uses[q] == 1 else 0
-                    if s != qscore[q]:
-                        qscore[q] = s
-                        if not n_ready[q]:
-                            continue
+                    if not woken[q]:
+                        woken[q] = True
                         for k, v in enumerate(ready):
-                            x, y = gates[v]
-                            if x == q or y == q:
-                                scores[k] = qscore[x] + qscore[y]
+                            if q in gates[v]:
+                                scores[k] -= 1
                 for v in succ[node]:
                     indeg[v] -= 1
                     if indeg[v] == 0:
                         ready.append(v)
                         x, y = gates[v]
-                        scores.append(qscore[x] + qscore[y])
-                        n_ready[x] += 1
-                        n_ready[y] += 1
+                        scores.append((not woken[x]) + (not woken[y]) - 2 * retire[v])
         else:
             for draw in u:
                 node = ready.pop(int(draw * len(ready)))
@@ -183,8 +173,7 @@ class AssembledCircuit:
     def order_metrics(self, order: list[int]) -> tuple[int, int]:
         """(max_simultaneous_qubits, depth) of ``schedule(order)``, computed
         from the order alone, for a linear extension ``order`` of the DAG."""
-        _, _, uses0, flag = self._dag
-        uses = list(uses0)
+        retire = self._dag[3]
         woken = [False] * self.n_qubits
         layer = [0] * self.n_qubits
         n_woken = alive = peak = depth = 0
@@ -208,12 +197,7 @@ class AssembledCircuit:
             layer[a] = layer[b] = lay
             if lay > depth:
                 depth = lay
-            uses[a] -= 1
-            uses[b] -= 1
-            if flag[a] and not uses[a]:
-                alive -= 1
-            if flag[b] and not uses[b]:
-                alive -= 1
+            alive -= retire[node]
         # Qubits no gate touches are initialized after the last gate.
         return max(peak, alive + self.n_qubits - n_woken), depth
 
@@ -221,52 +205,31 @@ class AssembledCircuit:
         """Schedule edges strictly in priority order, opening each gadget's
         bracket gates as late as its next edge requires and retiring flags
         as soon as a closing run allows.  Minimizes the live-qubit window
-        the edge priority admits."""
-        n = len(self.gates)
-        scheduled = [False] * n
-        chain_pos = [0] * len(self.chains)
-        chains_of: list[list[int]] = [[] for _ in range(n)]
-        for ci, chain in enumerate(self.chains):
-            for node in chain:
-                chains_of[node].append(ci)
-        _, _, uses0, _ = self._dag
-        uses = list(uses0)
-        order: list[int] = []
+        the edge priority admits.
 
-        def front(ci: int) -> int | None:
-            # The chain's first unscheduled gate, or None once it is done.
-            chain = self.chains[ci]
-            while chain_pos[ci] < len(chain) and scheduled[chain[chain_pos[ci]]]:
-                chain_pos[ci] += 1
-            return chain[chain_pos[ci]] if chain_pos[ci] < len(chain) else None
-
-        def run(node: int) -> None:
-            scheduled[node] = True
-            order.append(node)
-            a, b = self.gates[node]
-            uses[a] -= 1
-            uses[b] -= 1
-
-        def retires(node: int) -> bool:
-            # A private gate that is the last use of one of its flags.
-            return node >= self.n_edges and any(
-                self.code_index[q] is None and uses[q] == 1 for q in self.gates[node]
-            )
-
-        edge_order = sorted(range(self.n_edges), key=lambda e: self.edge_priority[e])
-        for e in edge_order:
-            for ci in chains_of[e]:
-                while (node := front(ci)) != e:
-                    run(node)
-            run(e)
-            # Then the maximal upcoming private prefix that only retires.
-            for ci in chains_of[e]:
-                while (node := front(ci)) is not None and retires(node):
-                    run(node)
-        for ci in range(len(self.chains)):
-            while (node := front(ci)) is not None:
-                run(node)
-        return order
+        One stable sort by a static key: an edge sorts by its priority; a
+        private gate in the run of flag-retiring gates just after its
+        chain's previous edge sorts right after that edge, any other just
+        before its chain's next edge, or last.  Private gates are numbered
+        chain by chain in chain order, so ties keep chain order.
+        """
+        prio, n_e = self.edge_priority, self.n_edges
+        retire = self._dag[3]
+        key = [(p, 0) for p in prio] + [(n_e, 0)] * (len(self.gates) - n_e)
+        for chain in self.chains:
+            after = None  # the previous edge's priority while its retiring run lasts
+            waiting = []  # private gates placed before the chain's next edge
+            for v in chain:
+                if v < n_e:
+                    for w in waiting:
+                        key[w] = (prio[v], -1)
+                    after, waiting = prio[v], []
+                elif after is not None and retire[v]:
+                    key[v] = (after, 1)
+                else:
+                    after = None
+                    waiting.append(v)
+        return sorted(range(len(self.gates)), key=key.__getitem__)
 
 
 def certified_z_override(state: CssState) -> int | None:
@@ -544,9 +507,10 @@ def _fuse(
     Every gadget fills its entangling slots, in gadget-time order, with its
     qubit's edges in global priority order, so all chains are subsequences
     of one linear order and the precedence graph is acyclic by
-    construction (``tight_order`` schedules every gate), not checked.  An
-    X gadget's slot gate becomes its edge with the control replaced by the
-    gadget's control-side label; mirrored, the edge's target is replaced.
+    construction, not checked.  An X gadget's slot gate becomes its edge
+    with the control replaced by the gadget's control-side label; mirrored,
+    the edge's target is replaced.  Private gates are numbered gadget by
+    gadget in chain order, which ``tight_order`` breaks its ties by.
     """
     code_index: list[int | None] = sorted(bip.controls) + sorted(bip.targets)
     wire = {q: i for i, q in enumerate(code_index)}

@@ -204,22 +204,23 @@ def parse_code_file(path: str | Path, state_label: str | None = None) -> CssStat
     return _validated(state, state_label or raw.get("default_state", DEFAULT_STATE))
 
 
-def export_code_file(name: str, path: str | Path) -> None:
-    """Write a catalog entry in the code-file format."""
-    state = _BUILDERS[name]()
+def export_code_file(state: CssState, path: str | Path) -> None:
+    """Write ``state``'s code in the code-file format, ``state``'s basis as
+    the file's default, so ``parse_code_file`` reads ``state`` back."""
+    code = swap_xz(state) if state.state_label == "|+>" else state
 
     def rows_to_str(rows: tuple[int, ...], ch: str) -> list[str]:
-        return ["".join(ch if (row >> j) & 1 else "I" for j in range(state.n)) for row in rows]
+        return ["".join(ch if (row >> j) & 1 else "I" for j in range(code.n)) for row in rows]
 
     payload = {
-        "name": state.name,
-        "n": state.n,
-        "k": state.k,
-        "d": state.d,
-        "x_stabilizers": rows_to_str(state.x_stabilizers, "X"),
-        "z_stabilizers": rows_to_str(state.z_stabilizers, "Z"),
-        "logical_x": rows_to_str(state.logical_x, "X"),
-        "logical_z": rows_to_str(state.logical_z, "Z"),
-        "default_state": DEFAULT_STATE,
+        "name": code.name,
+        "n": code.n,
+        "k": code.k,
+        "d": code.d,
+        "x_stabilizers": rows_to_str(code.x_stabilizers, "X"),
+        "z_stabilizers": rows_to_str(code.z_stabilizers, "Z"),
+        "logical_x": rows_to_str(code.logical_x, "X"),
+        "logical_z": rows_to_str(code.logical_z, "Z"),
+        "default_state": state.state_label,
     }
     Path(path).write_text(json.dumps(payload, indent=1))

@@ -157,9 +157,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     state, circ = _load_circuit(args)
+    noise = NoiseModel(args.p)
     tables = build_effect_tables(circ, state)
-    plan = build_subset_plan(tables.l_p, tables.l_q, args.p, args.p / 100.0, args.samples)
-    res = run_monte_carlo(circ, state, NoiseModel(args.p), plan, seed=args.seed, tables=tables)
+    plan = build_subset_plan(tables.l_p, tables.l_q, noise.p, noise.q, args.samples)
+    res = run_monte_carlo(circ, state, noise, plan, seed=args.seed, tables=tables)
     lo, hi = res.acceptance_ci
     print(
         f"acceptance {res.acceptance_rate:.6f} [{lo:.6f}, {hi:.6f}] over "

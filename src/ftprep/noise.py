@@ -57,7 +57,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         if not 0 < self.p < 1:
-            raise ValueError("require 0 < p < 1")
+            raise ValueError(f"require rates 0 < p, q < 1, got p={self.p}, q={self.q}")
 
     @property
     def q(self) -> float:

@@ -10,6 +10,8 @@ label of the state they were sampled from, and export to CSV.
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from itertools import count
 from pathlib import Path
 
@@ -241,8 +243,30 @@ def save_sample_set(samples: SampleSet, path: str | Path, state_label: str = DEF
         )
 
 
+_SAMPLE_SET_ARRAYS = ("synd", "cls", "counts", "weights", "meta")
+
+
+def _read_sample_set(path: str | Path, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Those of ``names`` that the archive at ``path`` holds, read and
+    checked as they are decompressed; ValueError unless ``save_sample_set``
+    wrote it."""
+    with open(path, "rb") as f:
+        try:
+            data = np.load(f)
+            arrays = data.files if isinstance(data, np.lib.npyio.NpzFile) else []
+            if set(_SAMPLE_SET_ARRAYS) <= set(arrays):
+                return {name: data[name] for name in names if name in arrays}
+        # A CSV export or an empty file, a zip cut short or a damaged member.
+        except (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile, zlib.error):
+            pass
+    raise ValueError(
+        f"{path} is not a sample-set archive written by ftprep simulate "
+        "(CSV exports cannot be decoded)"
+    )
+
+
 def load_sample_set(path: str | Path) -> SampleSet:
-    data = np.load(path)
+    data = _read_sample_set(path, _SAMPLE_SET_ARRAYS)
     synd_bits, class_bits = (int(x) for x in data["meta"])
     keys = data["synd"].astype(np.uint64) | data["cls"].astype(np.uint64) << np.uint64(synd_bits)
     return SampleSet.tally(synd_bits, class_bits, keys, data["counts"], data["weights"])
@@ -251,8 +275,7 @@ def load_sample_set(path: str | Path) -> SampleSet:
 def sample_set_state(path: str | Path) -> str:
     """The state label a sample-set archive records; an archive without one
     was sampled from |0>."""
-    with np.load(path) as data:
-        return str(data["state"]) if "state" in data.files else DEFAULT_STATE
+    return str(_read_sample_set(path, ("state",)).get("state", DEFAULT_STATE))
 
 
 def sample_set_to_csv(samples: SampleSet, path: str | Path) -> None:

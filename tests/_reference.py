@@ -19,6 +19,9 @@ through the stabilizer tableau (``run_tableau_with_faults``), decoding each
 variant's Pauli from its id and grading the readout with
 ``syndrome_and_class``; ``replay_sample`` is one such sample.
 ``load_mw_table`` reads back a table ``serialization.save_mw_table`` wrote.
+``tight_order_reference`` replays the tight schedule's policy gate by gate,
+counting each qubit's remaining uses, where ``AssembledCircuit.tight_order``
+sorts by a static key read off the flags' last gates.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ftprep.assemble import AssembledCircuit
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 from ftprep.css import CssState, GroupTooLargeError
 from ftprep.decoder import MWTable
@@ -386,3 +390,54 @@ def load_mw_table(path: str | Path) -> MWTable:
         cls=np.array([c for _, c, _ in rows], dtype=np.uint64),
         weight=np.array([w for _, _, w in rows], dtype=np.int64),
     )
+
+
+def tight_order_reference(asm: AssembledCircuit) -> list[int]:
+    """The tight order by its policy: edges strictly in priority order, each
+    preceded by its chains' pending gates and followed by the maximal run of
+    private gates that each retire a flag; leftovers chain by chain."""
+    n = len(asm.gates)
+    scheduled = [False] * n
+    chain_pos = [0] * len(asm.chains)
+    chains_of: list[list[int]] = [[] for _ in range(n)]
+    for ci, chain in enumerate(asm.chains):
+        for node in chain:
+            chains_of[node].append(ci)
+    uses = [0] * asm.n_qubits
+    for a, b in asm.gates:
+        uses[a] += 1
+        uses[b] += 1
+    order: list[int] = []
+
+    def front(ci: int) -> int | None:
+        # The chain's first unscheduled gate, or None once it is done.
+        chain = asm.chains[ci]
+        while chain_pos[ci] < len(chain) and scheduled[chain[chain_pos[ci]]]:
+            chain_pos[ci] += 1
+        return chain[chain_pos[ci]] if chain_pos[ci] < len(chain) else None
+
+    def run(node: int) -> None:
+        scheduled[node] = True
+        order.append(node)
+        a, b = asm.gates[node]
+        uses[a] -= 1
+        uses[b] -= 1
+
+    def retires(node: int) -> bool:
+        # A private gate that is the last use of one of its flags.
+        return node >= asm.n_edges and any(
+            asm.code_index[q] is None and uses[q] == 1 for q in asm.gates[node]
+        )
+
+    for e in sorted(range(asm.n_edges), key=lambda e: asm.edge_priority[e]):
+        for ci in chains_of[e]:
+            while (node := front(ci)) != e:
+                run(node)
+        run(e)
+        for ci in chains_of[e]:
+            while (node := front(ci)) is not None and retires(node):
+                run(node)
+    for ci in range(len(asm.chains)):
+        while (node := front(ci)) is not None:
+            run(node)
+    return order

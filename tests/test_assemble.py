@@ -17,16 +17,20 @@ from ftprep.assemble import (
     schedule_circuit,
 )
 from ftprep.bipartite import best_of_trials, synthesize_bipartite
-from ftprep.catalog import catalog_names, get_state, rotated_surface
+from ftprep.catalog import get_state, rotated_surface
 from ftprep.circuit import Circuit, CXGate, FlagMeasure
 from ftprep.css import CssState
-from ftprep.gadgets import trivial_gadget
+from ftprep.gadgets import FlagGadget, trivial_gadget
 from ftprep.library import BudgetExhaustedError, GadgetLibrary
 from ftprep.serialization import serialize_circuit
 from ftprep.tableau import tableau_check_circuit
 from ftprep.noise import SLOTS, build_effect_tables
 
-from _reference import flag_int
+from _reference import flag_int, tight_order_reference
+
+
+# The catalog codes the golden digests were recorded on, in catalog order.
+GOLDEN_CODES = ("color17", "golay", "selfdual20", "steane", "surface25", "surface9")
 
 
 @pytest.fixture(scope="module")
@@ -464,8 +468,51 @@ def test_sampled_orders_match_full_rescoring(library, name, kwargs):
     assert fast.random() == ref.random()
 
 
+@pytest.mark.parametrize("name", GOLDEN_CODES)
+def test_tight_order_matches_its_policy(library, name):
+    # The sort by static keys equals the gate-by-gate replay of the policy,
+    # on assemblies the golden digests do not pin: other seeds, annealed
+    # flagged gadgets and no Z gadgets, in both states.
+    options = (
+        {"use_trivial_gadgets": False, "width_anneal": 100},
+        {"z_gadget_t_override": 0, "allow_uncertified_override": True, "width_anneal": 100},
+    )
+    for label in ("|0>", "|+>"):
+        state = get_state(name, label)
+        bip = best_of_trials(state, 5, 3)
+        for kwargs in options:
+            for seed in (1, 2, 3):
+                asm = assemble_ft_circuit(state, bip, library, seed=seed, **kwargs)
+                assert asm.tight_order() == tight_order_reference(asm), (label, kwargs, seed)
+
+
+class _PatchedLibrary:
+    """The bundled library with one (t, r) entry replaced by ``gadget``."""
+
+    def __init__(self, base: GadgetLibrary, gadget: FlagGadget) -> None:
+        self.base, self.gadget = base, gadget
+
+    def get(self, t: int, r: int) -> FlagGadget:
+        return self.gadget if (t, r) == (self.gadget.t, self.gadget.r) else self.base.get(t, r)
+
+
+def test_tight_order_retiring_run_stops_at_an_opening_gate(library):
+    # No bundled gadget opens a flag between a slot and a closing gate, so
+    # this one does: after slot 1, opening flag 5 ends the retiring run and
+    # closing flag 4 waits for slot 2.
+    gadget = FlagGadget(1, 3, 2, ((0, 4), (0, 1), (0, 5), (0, 4), (0, 2), (0, 5), (0, 3)))
+    gadget.validate()
+    state = get_state("steane")
+    patched = _PatchedLibrary(library, gadget)
+    for seed in range(4):
+        asm = assemble_ft_circuit(
+            state, best_of_trials(state, 5, seed), patched, seed=seed, use_trivial_gadgets=False
+        )
+        assert asm.tight_order() == tight_order_reference(asm), seed
+
+
 def test_golden_catalog_assemblies(library):
-    # Assembly outputs pinned on every catalog code in both states, under the
+    # Assembly outputs pinned on the GOLDEN_CODES in both states, under the
     # default options, flagged gadgets with annealing, and no Z gadgets; the
     # second digest pins each assembly's tight_order(), which must be a
     # linear extension of the precedence graph.
@@ -476,7 +523,7 @@ def test_golden_catalog_assemblies(library):
     )
     digest, orders = hashlib.sha256(), hashlib.sha256()
     count = 0
-    for name in catalog_names():
+    for name in GOLDEN_CODES:
         for label in ("|0>", "|+>"):
             state = get_state(name, label)
             bip = best_of_trials(state, 20, 7)

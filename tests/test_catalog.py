@@ -11,6 +11,7 @@ from ftprep.catalog import (
     get_state,
     parse_code_file,
     rotated_surface,
+    steane,
 )
 from ftprep.css import validate_css_state
 
@@ -92,14 +93,20 @@ def test_plus_state_swaps_roles():
 
 def test_export_parse_round_trip(tmp_path):
     path = tmp_path / "steane.json"
-    export_code_file("steane", path)
+    export_code_file(steane(), path)
     state = parse_code_file(path)
     assert state == get_state("steane")
+    # A |+> state is written as its code with |+> as the default basis.
+    plus = get_state("color17", "|+>")
+    export_code_file(plus, path)
+    assert json.loads(path.read_text())["default_state"] == "|+>"
+    assert parse_code_file(path) == plus
+    assert parse_code_file(path, "|0>") == get_state("color17")
 
 
 def test_parse_rejects_wrong_length(tmp_path):
     path = tmp_path / "bad.json"
-    export_code_file("steane", path)
+    export_code_file(steane(), path)
     raw = json.loads(path.read_text())
     raw["x_stabilizers"][0] = raw["x_stabilizers"][0][:-1]
     path.write_text(json.dumps(raw))
@@ -109,7 +116,7 @@ def test_parse_rejects_wrong_length(tmp_path):
 
 def test_parse_rejects_anticommuting(tmp_path):
     path = tmp_path / "bad2.json"
-    export_code_file("steane", path)
+    export_code_file(steane(), path)
     raw = json.loads(path.read_text())
     raw["z_stabilizers"][0] = "Z" + "I" * 6
     path.write_text(json.dumps(raw))
@@ -135,7 +142,7 @@ def test_invalid_catalog_entry_is_a_parse_error_naming_it(monkeypatch):
 ])
 def test_parse_rejects_malformed_fields(tmp_path, field, value, message):
     path = tmp_path / "bad.json"
-    export_code_file("steane", path)
+    export_code_file(steane(), path)
     raw = json.loads(path.read_text())
     raw[field] = value
     path.write_text(json.dumps(raw))

@@ -1,18 +1,25 @@
 import csv
 import json
 import re
+import zipfile
 
+import numpy as np
 import pytest
 
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
-from ftprep.catalog import export_code_file, get_state
+from ftprep.catalog import export_code_file, get_state, steane
 from ftprep import cli, library
 from ftprep.cli import main
 from ftprep.decoder import build_ml_lut, build_mw_lut, evaluate_test_set
 from ftprep.library import GadgetLibrary
 from ftprep.noise import SampleSet
-from ftprep.serialization import load_sample_set, save_sample_set, serialize_circuit
+from ftprep.serialization import (
+    load_sample_set,
+    sample_set_to_csv,
+    save_sample_set,
+    serialize_circuit,
+)
 
 
 def test_gadget_command(tmp_path, capsys):
@@ -242,6 +249,37 @@ def test_decode_uses_the_state_the_samples_came_from(tmp_path, capsys):
     assert "train samples are for |+>, test samples for |0>" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["npy", "csv", "npz", "truncated", "corrupt"])
+def test_decode_rejects_a_file_that_is_not_a_sample_set(tmp_path, capsys, kind):
+    # A plain array, a CSV export, an archive of other arrays, a zip header
+    # with nothing after it, and a sample set with one byte flipped in the
+    # middle of a member's compressed data (the archive still opens).
+    samples = SampleSet.tally(3, 1, [0], [100.0], [1.0])
+    good, bad = tmp_path / "good.npz", tmp_path / f"bad.{kind}"
+    save_sample_set(samples, good)
+    if kind == "npy":
+        np.save(bad, np.zeros(3))
+    elif kind == "csv":
+        sample_set_to_csv(samples, bad)
+    elif kind == "npz":
+        np.savez(bad, synd=np.zeros(3))
+    elif kind == "truncated":
+        bad.write_bytes(b"PK\x03\x04")
+    else:
+        raw = bytearray(good.read_bytes())
+        with zipfile.ZipFile(good) as z:
+            counts, weights = z.getinfo("counts.npy"), z.getinfo("weights.npy")
+        raw[weights.header_offset - counts.compress_size // 2] ^= 0xFF
+        bad.write_bytes(bytes(raw))
+    message = f"{bad} is not a sample-set archive written by ftprep simulate"
+    for train, test in ((bad, good), (good, bad)):
+        rc = main(["decode", "--code", "steane", "--train", str(train), "--test", str(test)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message} (CSV exports cannot be decoded)\n"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_sample_set(bad)
+
+
 def test_decode_wmax_zero_builds_no_mw_table(tmp_path, capsys):
     # Steane X side: 3 syndrome bits, 1 class bit.  The training set holds
     # only syndrome 0, so the ten test samples at syndrome 0b101 miss the
@@ -413,7 +451,7 @@ def test_coset_command(capsys):
 
 def test_code_file_with_a_string_distance_is_an_error(tmp_path, capsys):
     path = tmp_path / "steane.json"
-    export_code_file("steane", path)
+    export_code_file(steane(), path)
     raw = json.loads(path.read_text())
     raw["d"] = "3"
     path.write_text(json.dumps(raw))
@@ -427,7 +465,7 @@ def test_code_file_with_a_spaced_name_is_an_error(tmp_path, capsys):
     # A serialized circuit's header holds the name as one token, so a name
     # with a space would write a circuit that no longer names its code.
     path = tmp_path / "steane.json"
-    export_code_file("steane", path)
+    export_code_file(steane(), path)
     raw = json.loads(path.read_text())
     raw["name"] = "my steane"
     path.write_text(json.dumps(raw))
