@@ -2,10 +2,12 @@
 
 Any CSS state can be prepared by initializing one qubit partition in |+>
 (the controls) and the complement in |0> (the targets), then applying CX
-gates along the edges of a bipartite graph.  The graph's adjacency is
-X2 X1^-1 where X1 is an invertible row-submatrix of the stacked X-type
-generator matrix; commutation makes the same matrix equal (Z1 Z2^-1)^T,
-so the Z side is never read.  Both entry points run
+gates along the edges of a bipartite graph.  The graph is the X-type
+generator matrix in standard form (``gf2.standard_form``): each reduced
+row holds exactly one control, and its other bits are the targets that
+control drives, so the CX fan-out from each control creates that row's X
+stabilizer.  The Z stabilizers follow by commutation, so the Z side is
+never read.  Both entry points run
 ``validate_css_state`` once per call, so an invalid state raises its
 ValueError before any trial, and a validated state always has r
 independent X rows.
@@ -55,10 +57,11 @@ class BipartiteCircuit:
 def synthesize_bipartite(state: CssState, seed: int) -> BipartiteCircuit:
     """Construct one bipartite circuit for ``state``.
 
-    The seed draws one shuffle of the qubit order used for greedy pivot
-    selection, which explores different control/target partitions; it is
-    the only draw, since no recombination of the generators changes the
-    pivot rows or X2 X1^-1.  Raises ``ValueError`` for an invalid state.
+    The seed draws one shuffle of the qubit order, the column order of the
+    standard-form elimination: a qubit becomes a control when its column is
+    independent of the earlier controls' columns.  It is the only draw,
+    since no recombination of the generators changes the pivots or the
+    reduced rows.  Raises ``ValueError`` for an invalid state.
     """
     validate_css_state(state)
     return _synthesize(state, seed)
@@ -67,33 +70,12 @@ def synthesize_bipartite(state: CssState, seed: int) -> BipartiteCircuit:
 def _synthesize(state: CssState, seed: int) -> BipartiteCircuit:
     """``synthesize_bipartite`` for a state already checked by ``validate_css_state``."""
     n = state.n
-    # The generator matrix with qubits as rows: bit j of xrows[q] is the X
-    # part of generator j on qubit q.
-    x_gens = state.reduction_group("X")
-    xrows = gf2.transpose(x_gens, n)
-    r = len(x_gens)
-    order = np.random.default_rng(seed).permutation(n)
-
-    # Greedy pivot selection: scan qubits in shuffled order, keep rows that
-    # grow the span of X1.
-    basis: list[int] = []
-    rows: list[int] = []
-    for q in order:
-        if gf2.extend(basis, xrows[q]):
-            rows.append(int(q))
-            if len(rows) == r:
-                break
-    controls = sorted(rows)
+    order = np.random.default_rng(seed).permutation(n).tolist()
+    # Pivot row j's other bits are the targets its control drives.
+    controls, rows = gf2.standard_form(state.reduction_group("X"), order)
+    edges = [(c, q) for c, row in zip(controls, rows) for q in range(n) if q != c and (row >> q) & 1]
     targets = sorted(set(range(n)) - set(controls))
-
-    adjacency = gf2.matmul([xrows[q] for q in targets], gf2.invert([xrows[q] for q in controls]))
-    edges = [
-        (cq, tq)
-        for tq, row in zip(targets, adjacency)
-        for j, cq in enumerate(controls)
-        if (row >> j) & 1
-    ]
-    return BipartiteCircuit(tuple(controls), tuple(targets), tuple(sorted(edges)))
+    return BipartiteCircuit(tuple(sorted(controls)), tuple(targets), tuple(sorted(edges)))
 
 
 def ranked_trials(state: CssState, trials: int, seed: int) -> list[BipartiteCircuit]:

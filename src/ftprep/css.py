@@ -179,8 +179,9 @@ def validate_css_state(state: CssState) -> None:
     The one error lists every broken invariant as ``kind: detail``:
     ``length`` for a mask acting beyond n qubits, ``commutation`` for an
     X/Z pair with odd overlap, ``rank`` for a dependent stabilizer block or
-    stabilizers plus Z logicals not spanning n independent operators, and
-    ``counts`` for generator or logical counts that do not fit n and k.
+    stabilizers plus Z logicals not spanning n independent operators,
+    ``counts`` for generator or logical counts that do not fit n and k, and
+    ``distance`` for a distance below 1.
     """
     issues: list[str] = []
     for kind in ("x_stabilizers", "z_stabilizers", "logical_x", "logical_z"):
@@ -211,5 +212,7 @@ def validate_css_state(state: CssState) -> None:
         )
     if len(state.logical_x) != state.k or len(state.logical_z) != state.k:
         issues.append("counts: logical representative count differs from k")
+    if state.d < 1:
+        issues.append(f"distance: d={state.d} is below 1")
     if issues:
         raise ValueError(f"invalid CSS state {state.name}: {'; '.join(issues)}")

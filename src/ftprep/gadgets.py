@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import gf2
 from .circuit import Circuit, CXGate, FlagMeasure, Init, Operation
 from .css import CssState
 from .verify import verify_fault_tolerance
@@ -63,7 +62,8 @@ class FlagGadget:
         """Check the structural gadget invariants and flag determinism.
 
         Needs t, r >= 1 and m >= 0; every gate's control is c or a flag
-        other than its target.
+        other than its target.  The flags are deterministic when no X from
+        c or a target reaches a flag (:func:`_flags_deterministic`).
         """
         if self.t < 1 or self.r < 1 or self.m < 0:
             raise ValueError(f"require t, r >= 1 and m >= 0, got t={self.t} r={self.r} m={self.m}")
@@ -372,17 +372,16 @@ def discover_gadget(
 def _flags_deterministic(gadget: FlagGadget) -> bool:
     """Noiseless soundness: every flag measurement must be deterministic.
 
-    Each flag's initial Z operator is evolved symplectically through the
-    gates.  Since the gadget must work with its control and target wires in
-    arbitrary external states, determinism has to come from the flags alone:
-    every Z_f must lie in the GF(2) span of the evolved flag-Z frames.
-    Teleport-style circuits fail this and are rejected at success time.
+    One forward X sweep tracks, for each wire, the initial wires whose X
+    reaches it (a CX XORs its control's set into its target's).  A flag's
+    Z outcome is the parity of those initial wires' values; the gadget must
+    work with its control and target wires in arbitrary external states,
+    so it is deterministic exactly when no X from c or a target reaches a
+    flag.  Teleport-style circuits fail this and are rejected at success
+    time.
     """
-    basis: list[int] = []
-    for f in gadget.flag_labels:
-        mask = 1 << f
-        for a, b in gadget.gates:
-            if (mask >> b) & 1:  # Z on the target side copies onto the control
-                mask ^= 1 << a
-        gf2.extend(basis, mask)
-    return not any(gf2.reduce(1 << f, basis) for f in gadget.flag_labels)
+    src = [1 << q for q in range(gadget.r + 1 + gadget.m)]
+    for a, b in gadget.gates:
+        src[b] ^= src[a]
+    data = (1 << (gadget.r + 1)) - 1
+    return not any(src[f] & data for f in gadget.flag_labels)

@@ -3,86 +3,38 @@
 A matrix is a list of ints, one per row: bit j of row i is entry (i, j).
 Python ints have no width limit, and the matrices handled here have at most
 a few dozen columns, so plain integer XOR beats any packed-array layout.
-
-An *echelon basis* is a list of nonzero rows with distinct leading bits,
-kept in decreasing order; ``reduce`` and ``extend`` maintain one.
 """
 
 from __future__ import annotations
 
-
-class SingularMatrixError(ValueError):
-    """Raised when inverting a square matrix whose GF(2) rank is deficient."""
+from collections.abc import Iterable
 
 
-def reduce(vec: int, basis: list[int]) -> int:
-    """``vec`` reduced against an echelon basis; 0 iff it lies in the span."""
-    for row in basis:
-        vec = min(vec, vec ^ row)
-    return vec
+def standard_form(rows: list[int], columns: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan elimination of ``rows``, pivoting on ``columns`` in order.
 
-
-def extend(basis: list[int], vec: int) -> bool:
-    """Add ``vec`` to the echelon basis in place; True iff the span grew."""
-    vec = reduce(vec, basis)
-    if not vec:
-        return False
-    basis.append(vec)
-    basis.sort(reverse=True)
-    return True
+    A column becomes the next pivot when it is independent of the pivot
+    columns before it; the scan stops once every row has a pivot.  Returns
+    ``(pivots, reduced)``: reduced row i holds pivot i's bit and no other
+    pivot's, the rows past the pivots are zero on the scanned columns, and
+    the reduced rows span the same space as ``rows``.
+    """
+    rows = list(rows)
+    pivots: list[int] = []
+    for col in columns:
+        p = len(pivots)
+        if p == len(rows):
+            break
+        bit = 1 << col
+        i = next((i for i in range(p, len(rows)) if rows[i] & bit), None)
+        if i is None:
+            continue
+        rows[p], rows[i] = rows[i], rows[p]
+        rows = [row ^ rows[p] if row & bit and k != p else row for k, row in enumerate(rows)]
+        pivots.append(col)
+    return pivots, rows
 
 
 def rank(rows: list[int]) -> int:
     """GF(2) rank of the rows."""
-    basis: list[int] = []
-    for row in rows:
-        extend(basis, row)
-    return len(basis)
-
-
-def invert(rows: list[int]) -> list[int]:
-    """Inverse of a square matrix over GF(2), by Gauss-Jordan elimination.
-
-    Raises:
-        SingularMatrixError: if the matrix is not square or not full rank.
-    """
-    n = len(rows)
-    if any(row >> n for row in rows):
-        raise SingularMatrixError(f"matrix has {n} rows but a column index >= {n}")
-    a = list(rows)
-    inv = [1 << i for i in range(n)]
-    for col in range(n):
-        bit = 1 << col
-        pivot = next((i for i in range(col, n) if a[i] & bit), None)
-        if pivot is None:
-            raise SingularMatrixError(f"rank {col} < dimension {n}")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        for i in range(n):
-            if i != col and a[i] & bit:
-                a[i] ^= a[col]
-                inv[i] ^= inv[col]
-    return inv
-
-
-def matmul(a: list[int], b: list[int]) -> list[int]:
-    """Product ``a @ b``: row i is the XOR of the rows of ``b`` that row i of ``a`` selects."""
-    out = []
-    for row in a:
-        acc = 0
-        j = 0
-        while row:
-            if row & 1:
-                acc ^= b[j]
-            row >>= 1
-            j += 1
-        out.append(acc)
-    return out
-
-
-def transpose(rows: list[int], cols: int) -> list[int]:
-    """Transpose of a ``len(rows) x cols`` matrix."""
-    return [
-        sum(((row >> j) & 1) << i for i, row in enumerate(rows))
-        for j in range(cols)
-    ]
+    return len(standard_form(rows, range(max(rows, default=0).bit_length()))[0])

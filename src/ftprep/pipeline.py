@@ -53,8 +53,11 @@ def build_preparation_circuit(
     Samples ``bip_trials`` bipartite syntheses, keeps the distinct graphs
     with the fewest edges, assembles each of the top ``assembly_candidates``
     and picks the result minimizing (cx_count, max_simultaneous_qubits).
+    Raises ``ValueError`` when ``assembly_candidates`` is below 1.
     """
-    candidates = ranked_trials(state, bip_trials, seed)[: max(assembly_candidates, 1)]
+    if assembly_candidates < 1:
+        raise ValueError(f"assembly_candidates {assembly_candidates} is below 1")
+    candidates = ranked_trials(state, bip_trials, seed)[:assembly_candidates]
     # Children bip_trials and bip_trials + 1 of the trials' seed sequence.
     asm_seed, sched_seed = (
         int(child.generate_state(1)[0])

@@ -22,6 +22,12 @@ variant's Pauli from its id and grading the readout with
 ``tight_order_reference`` replays the tight schedule's policy gate by gate,
 counting each qubit's remaining uses, where ``AssembledCircuit.tight_order``
 sorts by a static key read off the flags' last gates.
+``bipartite_reference`` builds a bipartite circuit by an echelon scan, an
+inverse and a product (X2 X1^-1), where ``bipartite`` reads the graph off
+one standard-form elimination; ``flags_deterministic_reference`` decides
+flag determinism by a span test, where ``gadgets`` runs one forward X
+sweep.  ``transpose`` and the private echelon, inverse and product helpers
+are theirs.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from ftprep.assemble import AssembledCircuit
+from ftprep.bipartite import BipartiteCircuit
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 from ftprep.css import CssState, GroupTooLargeError
 from ftprep.decoder import MWTable
@@ -441,3 +448,98 @@ def tight_order_reference(asm: AssembledCircuit) -> list[int]:
         while (node := front(ci)) is not None:
             run(node)
     return order
+
+
+def _reduce(vec: int, basis: list[int]) -> int:
+    """``vec`` reduced against an echelon basis (distinct leading bits, in
+    decreasing order); 0 iff it lies in the span."""
+    for row in basis:
+        vec = min(vec, vec ^ row)
+    return vec
+
+
+def _extend(basis: list[int], vec: int) -> bool:
+    """Add ``vec`` to the echelon basis in place; True iff the span grew."""
+    vec = _reduce(vec, basis)
+    if not vec:
+        return False
+    basis.append(vec)
+    basis.sort(reverse=True)
+    return True
+
+
+def transpose(rows: list[int], cols: int) -> list[int]:
+    """Transpose of a ``len(rows) x cols`` matrix."""
+    return [sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(cols)]
+
+
+def _invert(rows: list[int]) -> list[int]:
+    """Inverse of a full-rank square matrix, by Gauss-Jordan elimination."""
+    n = len(rows)
+    a = list(rows)
+    inv = [1 << i for i in range(n)]
+    for col in range(n):
+        bit = 1 << col
+        pivot = next(i for i in range(col, n) if a[i] & bit)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        for i in range(n):
+            if i != col and a[i] & bit:
+                a[i] ^= a[col]
+                inv[i] ^= inv[col]
+    return inv
+
+
+def _matmul(a: list[int], b: list[int]) -> list[int]:
+    """Product ``a @ b``: row i is the XOR of the rows of ``b`` that row i of ``a`` selects."""
+    out = []
+    for row in a:
+        acc = 0
+        for j, bj in enumerate(b):
+            if (row >> j) & 1:
+                acc ^= bj
+        out.append(acc)
+    return out
+
+
+def bipartite_reference(state: CssState, seed: int) -> BipartiteCircuit:
+    """``bipartite.synthesize_bipartite`` by the adjacency X2 X1^-1.
+
+    The qubits are scanned in the seeded order and a qubit joins the
+    controls when its row of the transposed X generator matrix grows the
+    span of the rows before it; X1 stacks the controls' rows and X2 the
+    targets'.  Entry (t, j) of X2 X1^-1 is the edge from control j to t.
+    """
+    n = state.n
+    x_gens = state.reduction_group("X")
+    xrows = transpose(list(x_gens), n)
+    basis: list[int] = []
+    picked: list[int] = []
+    for q in np.random.default_rng(seed).permutation(n):
+        if _extend(basis, xrows[q]):
+            picked.append(int(q))
+            if len(picked) == len(x_gens):
+                break
+    controls = sorted(picked)
+    targets = sorted(set(range(n)) - set(controls))
+    adjacency = _matmul([xrows[q] for q in targets], _invert([xrows[q] for q in controls]))
+    edges = [
+        (cq, tq)
+        for tq, row in zip(targets, adjacency)
+        for j, cq in enumerate(controls)
+        if (row >> j) & 1
+    ]
+    return BipartiteCircuit(tuple(controls), tuple(targets), tuple(sorted(edges)))
+
+
+def flags_deterministic_reference(gadget: FlagGadget) -> bool:
+    """Flag determinism by spans: each flag's Z evolved forward through the
+    gates, and every initial Z_f in the span of the evolved flag-Z frames."""
+    basis: list[int] = []
+    for f in gadget.flag_labels:
+        mask = 1 << f
+        for a, b in gadget.gates:
+            if (mask >> b) & 1:  # Z on the target side copies onto the control
+                mask ^= 1 << a
+        _extend(basis, mask)
+    return not any(_reduce(1 << f, basis) for f in gadget.flag_labels)

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from ftprep import pipeline
 from ftprep.assemble import (
     CircuitMetrics,
     MissingGadgetError,
@@ -95,6 +96,16 @@ def test_negative_shuffles_rejected(library):
     asm = assemble_ft_circuit(state, best_of_trials(state, 20, 3), library)
     with pytest.raises(ValueError, match="^shuffles -1 is negative$"):
         schedule_circuit(asm, shuffles=-1)
+
+
+@pytest.mark.parametrize("candidates", [0, -2])
+def test_assembly_candidates_below_one_rejected(library, monkeypatch, candidates):
+    # Rejected before any synthesis trial runs.
+    monkeypatch.setattr(pipeline, "ranked_trials", None)
+    with pytest.raises(ValueError, match=f"^assembly_candidates {candidates} is below 1$"):
+        pipeline.build_preparation_circuit(
+            get_state("steane"), library, assembly_candidates=candidates
+        )
 
 
 @pytest.mark.parametrize("name", ["surface9", "steane"])

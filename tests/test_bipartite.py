@@ -3,11 +3,13 @@ import pytest
 
 from ftprep import bipartite, gf2
 from ftprep.bipartite import BipartiteCircuit, best_of_trials, synthesize_bipartite
-from ftprep.catalog import catalog_names, get_state
+from ftprep.catalog import catalog_names, get_state, rotated_surface
 from ftprep.css import CssState
 from ftprep.library import GadgetLibrary
 from ftprep.pipeline import build_preparation_circuit
 from ftprep.tableau import tableau_check_circuit
+
+from _reference import bipartite_reference
 
 
 def bell_state() -> CssState:
@@ -53,6 +55,24 @@ def test_synthesis_passes_tableau(name):
                 degree[a] += 1
                 degree[b] += 1
             assert bip.max_degree == max(degree.values())
+
+
+def test_standard_form_synthesis_matches_inverse_reference():
+    # Reading the graph off the standard form gives the circuit that the
+    # seeded echelon scan and X2 X1^-1 give, seed for seed.
+    states = [get_state(name, label) for name in catalog_names() for label in ("|0>", "|+>")]
+    for state in states + [rotated_surface(7)]:
+        for seed in range(100):
+            assert bipartite._synthesize(state, seed) == bipartite_reference(state, seed)
+    rng = np.random.default_rng(33)
+    for seed in range(500):
+        n = int(rng.integers(1, 41))
+        rows: list[int] = []
+        for row in rng.integers(1, 1 << n, size=int(rng.integers(1, n + 1))).tolist():
+            if gf2.rank(rows + [row]) > len(rows):
+                rows.append(row)
+        state = CssState("rows", n, 0, 1, tuple(rows), (), (), ())
+        assert bipartite._synthesize(state, seed) == bipartite_reference(state, seed)
 
 
 def test_bipartiteness():

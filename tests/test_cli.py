@@ -461,6 +461,22 @@ def test_code_file_with_a_string_distance_is_an_error(tmp_path, capsys):
     assert captured.out == "" and captured.err == f"error: {path}: d must be an integer\n"
 
 
+@pytest.mark.parametrize("d, command", [
+    (0, ["assemble", "--seed", "1", "--trials", "5", "--shuffles", "2"]),
+    (-3, ["coset"]),
+])
+def test_code_file_with_a_distance_below_one_is_an_error(tmp_path, capsys, d, command):
+    path = tmp_path / "steane.json"
+    export_code_file(steane(), path)
+    raw = json.loads(path.read_text())
+    raw["d"] = d
+    path.write_text(json.dumps(raw))
+    rc = main([command[0], "--code", str(path), *command[1:]])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"distance: d={d} is below 1" in captured.err
+
+
 def test_code_file_with_a_spaced_name_is_an_error(tmp_path, capsys):
     # A serialized circuit's header holds the name as one token, so a name
     # with a space would write a circuit that no longer names its code.

@@ -145,6 +145,15 @@ def test_validate_flags_wrong_counts():
         validate_css_state(dataclasses.replace(steane, k=2))
 
 
+def test_validate_flags_distance_below_one():
+    # t = d // 2 would be 0 or negative: no gadget placed, or a negative
+    # gadget override.
+    steane = get_state("steane")
+    for d in (0, -3):
+        with pytest.raises(ValueError, match=rf"distance: d={d} is below 1"):
+            validate_css_state(dataclasses.replace(steane, d=d))
+
+
 def test_validate_lists_every_issue_in_one_message():
     # A logical beyond n that also anticommutes with a Z stabilizer: both
     # kinds come back in one error, in check order.

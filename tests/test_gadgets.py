@@ -6,6 +6,7 @@ from ftprep.gadgets import (
     FOUND,
     SEARCH_EXHAUSTED,
     FlagGadget,
+    _flags_deterministic,
     discover_gadget,
     gadget_ft_test,
     ghz_preparation,
@@ -15,7 +16,7 @@ from ftprep.css import validate_css_state
 from ftprep.library import GadgetLibrary
 from ftprep.tableau import run_tableau, tableau_check_circuit
 
-from _reference import gadget_ft_reference
+from _reference import flags_deterministic_reference, gadget_ft_reference
 
 
 def test_single_cx_fails_at_five_targets():
@@ -158,6 +159,29 @@ def test_noiseless_soundness_of_discovered_gadget():
     assert ghz.x_stabilizers == ((1 << (g.r + 1)) - 1,)
     assert all(tab.stabilizer_sign(x, 0) == 0 for x in ghz.x_stabilizers)
     assert all(tab.stabilizer_sign(0, z) == 0 for z in ghz.z_stabilizers)
+
+
+def test_flags_deterministic_matches_span_reference():
+    # The forward X sweep and the span test of the evolved flag-Z frames
+    # agree on every bundled gadget and on random gate lists: on odd trials
+    # every control is c or a flag, as the search places them, and on even
+    # trials any label may control.
+    for entry in GadgetLibrary.bundled().entries.values():
+        assert _flags_deterministic(entry.gadget) and flags_deterministic_reference(entry.gadget)
+    rng = np.random.default_rng(33)
+    verdicts = []
+    for trial in range(5_000):
+        t, r, m = (int(v) for v in rng.integers((1, 1, 1), (5, 10, 5)))
+        controls = [0, *range(r + 1, r + 1 + m)] if trial % 2 else list(range(r + 1 + m))
+        gates = []
+        for _ in range(r + 2 * m):
+            a = controls[int(rng.integers(len(controls)))]
+            b = int(rng.integers(r + m))
+            gates.append((a, b + (b >= a)))
+        gadget = FlagGadget(t, r, m, tuple(gates))
+        verdicts.append(_flags_deterministic(gadget))
+        assert verdicts[-1] == flags_deterministic_reference(gadget), gates
+    assert 500 < sum(verdicts) < 4_500
 
 
 def test_trivial_gadget_limits():
