@@ -16,6 +16,7 @@ qubits together at the end.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -305,8 +306,7 @@ def assemble_ft_circuit(
     placed = _placements(edges, bip, pick_gadget, state.t, t_z)
     rng = np.random.default_rng(seed)
     if width_anneal > 0:
-        windows = [(mine, _flag_spans(gadget)) for _, _, mine, gadget in placed]
-        priority = _anneal_priority(edges, windows, width_anneal, rng)
+        priority = _anneal_priority(len(edges), _width_windows(edges, placed), width_anneal, rng)
     else:
         priority = rng.permutation(len(edges)).tolist()
     return _fuse(bip, edges, placed, priority)
@@ -351,40 +351,58 @@ def _flag_spans(gadget: FlagGadget) -> list[tuple[int, int]]:
     return spans
 
 
-def _anneal_priority(
-    edges: list[tuple[int, int]],
-    windows: list[tuple[list[int], list[tuple[int, int]]]],
-    steps: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    """Anneal the edge order to minimize estimated peak qubit width.
+def _width_windows(
+    edges: list[tuple[int, int]], placed: list[tuple[int, bool, list[int], FlagGadget]]
+) -> list[tuple[list[int], list[int], list[int]]]:
+    """Per code qubit with edges, (its edge ids, opens per rank, closes per
+    rank), where rank r is its r-th edge in the order.  The qubit wakes at
+    rank 0 and stays live to the end; a flag of its gadget with span
+    (lo, hi) opens at rank lo and closes just after rank hi.  A qubit
+    without a gadget has only its wake."""
+    spans = {q: _flag_spans(gadget) for q, _, _, gadget in placed}
+    mine: dict[int, list[int]] = {}
+    for i, edge in enumerate(edges):
+        for q in edge:
+            mine.setdefault(q, []).append(i)
+    windows = []
+    for q, ids in mine.items():
+        opens, closes = [1] + [0] * (len(ids) - 1), [0] * len(ids)
+        for lo, hi in spans.get(q, ()):
+            opens[lo] += 1
+            closes[hi] += 1
+        windows.append((ids, opens, closes))
+    return windows
 
-    ``windows`` holds per gadget its edge ids and its flags' slot spans.  A
-    gadget's flags are live while its edge window is open; a code qubit
-    wakes at its first edge and stays live to the end.  The estimate tracks
-    the true scheduled width closely because every gadget's bracket gates
-    can be placed tight around its window.  Each step draws one
-    ``rng.random(3)``: the two swap positions and the acceptance coin.
+
+def _anneal_priority(n_e: int, windows: list, steps: int, rng: np.random.Generator) -> list[int]:
+    """Anneal the order of ``n_e`` edges to minimize estimated peak width.
+
+    ``windows`` come from ``_width_windows``.  The estimate tracks the true
+    scheduled width closely because every gadget's bracket gates can be
+    placed tight around its window.  Step s reads row s of
+    ``rng.random((steps, 3))``, drawn in blocks of at most 512 rows (the
+    same stream as one ``rng.random(3)`` per step): the two swap positions
+    and the acceptance coin.  A step whose two positions coincide swaps
+    nothing and leaves the temperature as it is.
     """
-    n_e = len(edges)
-    model = _WidthModel(edges, windows, rng.permutation(n_e).tolist())
+    model = _WidthModel(windows, rng.permutation(n_e).tolist())
     best = cur = model.peak()
     best_order = list(model.order)
     temp = 3.0
-    for _ in range(steps):
-        a, b, coin = rng.random(3).tolist()
-        i, j = int(a * n_e), int(b * n_e)
-        if i == j:
-            continue
-        w = model.swap(i, j)
-        if w <= cur or coin < math.exp((cur - w) / max(temp, 1e-9)):
-            cur = w
-            if w < best:
-                best = w
-                best_order = list(model.order)
-        else:
-            model.undo()
-        temp *= 0.9995
+    for start in range(0, steps, 512):
+        for a, b, coin in rng.random((min(512, steps - start), 3)).tolist():
+            i, j = int(a * n_e), int(b * n_e)
+            if i == j:
+                continue
+            w = model.swap(i, j)
+            if w <= cur or coin < math.exp((cur - w) / max(temp, 1e-9)):
+                cur = w
+                if w < best:
+                    best = w
+                    best_order = list(model.order)
+            else:
+                model.undo()
+            temp *= 0.9995
     prio = [0] * n_e
     for p, e in enumerate(best_order):
         prio[e] = p
@@ -394,106 +412,73 @@ def _anneal_priority(
 class _WidthModel:
     """The annealer's width estimate of an edge order, updated per swap.
 
-    ``delta[p]`` counts the code qubits woken at position p plus the flag
-    windows opened at p, minus the windows closed just before p; the width
-    is the peak of its running sum over the edge positions.  A swap of two
-    edges moves only the first positions of their (at most four) code
-    qubits and the windows of their (at most four) gadgets.
+    ``slots[w]`` holds window w's edge positions, sorted: its rank-r edge
+    sits at ``slots[w][r]``.  ``delta[p]`` counts the opens at p minus the
+    closes just before p; the width is the peak of its running sum.  Each
+    edge lies in two windows, its control's and its target's.
     """
 
-    def __init__(
-        self,
-        edges: list[tuple[int, int]],
-        windows: list[tuple[list[int], list[tuple[int, int]]]],
-        order: list[int],
-    ) -> None:
-        n_e = len(edges)
-        self.edges = edges
-        self.windows = windows
-        self.order = order
-        self.pos = [0] * n_e
+    def __init__(self, windows: list, order: list[int]) -> None:
+        self.windows, self.order = windows, order
+        self.pos = pos = [0] * len(order)
         for p, e in enumerate(order):
-            self.pos[e] = p
-        self.incident: dict[int, list[int]] = {}
-        for i, (a, b) in enumerate(edges):
-            self.incident.setdefault(a, []).append(i)
-            self.incident.setdefault(b, []).append(i)
-        self.gadgets_of: list[list[int]] = [[] for _ in range(n_e)]
-        for g, (mine, _) in enumerate(windows):
+            pos[e] = p
+        self.windows_of: list[list[int]] = [[] for _ in order]
+        self.slots = [sorted([pos[i] for i in mine]) for mine, _, _ in windows]
+        self.delta = [0] * (len(order) + 1)
+        for w, (mine, opens, closes) in enumerate(windows):
             for i in mine:
-                self.gadgets_of[i].append(g)
-        self.delta = [0] * (n_e + 1)
-        self.first = {q: min(self.pos[i] for i in inc) for q, inc in self.incident.items()}
-        for p in self.first.values():
-            self.delta[p] += 1
-        self.marks = [self._marks(g) for g in range(len(windows))]
-        for m in self.marks:
-            for lo, hi in m:
-                self.delta[lo] += 1
-                self.delta[hi] -= 1
-        self._undo: tuple = ()
-
-    def _marks(self, g: int) -> list[tuple[int, int]]:
-        """Gadget ``g``'s (open, close) positions, one pair per flag."""
-        mine, spans = self.windows[g]
-        slots = sorted([self.pos[i] for i in mine])
-        return [(slots[lo], slots[hi] + 1) for lo, hi in spans]
-
-    def _move_marks(self, g: int, new: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        """Replace gadget ``g``'s marks by ``new``; return the old ones."""
-        delta = self.delta
-        old = self.marks[g]
-        for (lo, hi), (lo2, hi2) in zip(old, new):
-            if lo != lo2:
-                delta[lo] -= 1
-                delta[lo2] += 1
-            if hi != hi2:
-                delta[hi] += 1
-                delta[hi2] -= 1
-        self.marks[g] = new
-        return old
+                self.windows_of[i].append(w)
+            for p, o, c in zip(self.slots[w], opens, closes):
+                self.delta[p] += o
+                self.delta[p + 1] -= c
 
     def peak(self) -> int:
-        return max(accumulate(self.delta[: len(self.edges)]), default=0)
+        # The last entry only closes windows: it never raises the peak.
+        return max(accumulate(self.delta))
 
     def swap(self, i: int, j: int) -> int:
         """Swap the edges at positions ``i`` and ``j``; return the new peak.
 
-        A qubit or gadget holding both edges keeps its set of positions, so
-        only those holding exactly one of them are updated.
+        Only the windows holding exactly one of the two edges change: each
+        moves that edge's slot, and only the ranks it passes over change
+        position.  ``delta`` and the list of slot lists are saved for
+        ``undo`` first; a moved window gets a new slot list.
         """
-        order, pos, delta, first = self.order, self.pos, self.delta, self.first
+        order, pos = self.order, self.pos
         ei, ej = order[i], order[j]
         order[i], order[j] = ej, ei
         pos[ei], pos[ej] = j, i
-        old_first = []
-        for q in {*self.edges[ei]} ^ {*self.edges[ej]}:
-            p = min([pos[e] for e in self.incident[q]])
-            if p != first[q]:
-                old_first.append((q, first[q]))
-                delta[first[q]] -= 1
-                delta[p] += 1
-                first[q] = p
-        old_marks = [
-            (g, self._move_marks(g, self._marks(g)))
-            for g in {*self.gadgets_of[ei]} ^ {*self.gadgets_of[ej]}
-        ]
-        self._undo = (i, j, old_first, old_marks)
+        self._saved = (i, j, self.delta, self.slots)
+        self.delta = delta = self.delta[:]
+        self.slots = all_slots = self.slots[:]
+        of_i = self.windows_of[ei]
+        for w in {*of_i} ^ {*self.windows_of[ej]}:
+            src, dst = (i, j) if w in of_i else (j, i)
+            old = all_slots[w]
+            r = bisect_left(old, src)
+            new = old[:r] + old[r + 1 :]
+            k = bisect_left(new, dst)
+            new.insert(k, dst)
+            all_slots[w] = new
+            _, opens, closes = self.windows[w]
+            for m in range(min(r, k), max(r, k) + 1):
+                if o := opens[m]:
+                    delta[old[m]] -= o
+                    delta[new[m]] += o
+                if c := closes[m]:
+                    delta[old[m] + 1] += c
+                    delta[new[m] + 1] -= c
         return self.peak()
 
     def undo(self) -> None:
-        """Revert the last swap from its cached first positions and marks."""
-        i, j, old_first, old_marks = self._undo
-        order, pos, delta, first = self.order, self.pos, self.delta, self.first
+        """Revert the last swap: restore the saved ``delta`` and slots and
+        swap the two edges back."""
+        i, j, self.delta, self.slots = self._saved
+        order, pos = self.order, self.pos
         ei, ej = order[i], order[j]
         order[i], order[j] = ej, ei
         pos[ei], pos[ej] = j, i
-        for q, p in old_first:
-            delta[first[q]] -= 1
-            delta[p] += 1
-            first[q] = p
-        for g, m in old_marks:
-            self._move_marks(g, m)
 
 
 def _fuse(

@@ -27,14 +27,20 @@ inverse and a product (X2 X1^-1), where ``bipartite`` reads the graph off
 one standard-form elimination; ``flags_deterministic_reference`` decides
 flag determinism by a span test, where ``gadgets`` runs one forward X
 sweep.  ``transpose`` and the private echelon, inverse and product helpers
-are theirs.
+are theirs.  ``anneal_priority_reference`` anneals the edge order with a
+width model that keeps each code qubit's first position and each gadget's
+flag marks and restores them field by field on a rejected swap, drawing one
+``rng.random(3)`` per step, where ``assemble._anneal_priority`` moves one
+slot per window, undoes by snapshot and draws in blocks.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Sequence
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +454,151 @@ def tight_order_reference(asm: AssembledCircuit) -> list[int]:
         while (node := front(ci)) is not None:
             run(node)
     return order
+
+
+def anneal_priority_reference(
+    edges: list[tuple[int, int]],
+    windows: list[tuple[list[int], list[tuple[int, int]]]],
+    steps: int,
+    rng: np.random.Generator,
+) -> list[int]:
+    """Anneal the edge order to minimize estimated peak qubit width.
+
+    ``windows`` holds per gadget its edge ids and its flags' slot spans.  A
+    gadget's flags are live while its edge window is open; a code qubit
+    wakes at its first edge and stays live to the end.  The estimate tracks
+    the true scheduled width closely because every gadget's bracket gates
+    can be placed tight around its window.  Each step draws one
+    ``rng.random(3)``: the two swap positions and the acceptance coin.
+    """
+    n_e = len(edges)
+    model = _WidthModel(edges, windows, rng.permutation(n_e).tolist())
+    best = cur = model.peak()
+    best_order = list(model.order)
+    temp = 3.0
+    for _ in range(steps):
+        a, b, coin = rng.random(3).tolist()
+        i, j = int(a * n_e), int(b * n_e)
+        if i == j:
+            continue
+        w = model.swap(i, j)
+        if w <= cur or coin < math.exp((cur - w) / max(temp, 1e-9)):
+            cur = w
+            if w < best:
+                best = w
+                best_order = list(model.order)
+        else:
+            model.undo()
+        temp *= 0.9995
+    prio = [0] * n_e
+    for p, e in enumerate(best_order):
+        prio[e] = p
+    return prio
+
+
+class _WidthModel:
+    """The annealer's width estimate of an edge order, updated per swap.
+
+    ``delta[p]`` counts the code qubits woken at position p plus the flag
+    windows opened at p, minus the windows closed just before p; the width
+    is the peak of its running sum over the edge positions.  A swap of two
+    edges moves only the first positions of their (at most four) code
+    qubits and the windows of their (at most four) gadgets.
+    """
+
+    def __init__(
+        self,
+        edges: list[tuple[int, int]],
+        windows: list[tuple[list[int], list[tuple[int, int]]]],
+        order: list[int],
+    ) -> None:
+        n_e = len(edges)
+        self.edges = edges
+        self.windows = windows
+        self.order = order
+        self.pos = [0] * n_e
+        for p, e in enumerate(order):
+            self.pos[e] = p
+        self.incident: dict[int, list[int]] = {}
+        for i, (a, b) in enumerate(edges):
+            self.incident.setdefault(a, []).append(i)
+            self.incident.setdefault(b, []).append(i)
+        self.gadgets_of: list[list[int]] = [[] for _ in range(n_e)]
+        for g, (mine, _) in enumerate(windows):
+            for i in mine:
+                self.gadgets_of[i].append(g)
+        self.delta = [0] * (n_e + 1)
+        self.first = {q: min(self.pos[i] for i in inc) for q, inc in self.incident.items()}
+        for p in self.first.values():
+            self.delta[p] += 1
+        self.marks = [self._marks(g) for g in range(len(windows))]
+        for m in self.marks:
+            for lo, hi in m:
+                self.delta[lo] += 1
+                self.delta[hi] -= 1
+        self._undo: tuple = ()
+
+    def _marks(self, g: int) -> list[tuple[int, int]]:
+        """Gadget ``g``'s (open, close) positions, one pair per flag."""
+        mine, spans = self.windows[g]
+        slots = sorted([self.pos[i] for i in mine])
+        return [(slots[lo], slots[hi] + 1) for lo, hi in spans]
+
+    def _move_marks(self, g: int, new: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        """Replace gadget ``g``'s marks by ``new``; return the old ones."""
+        delta = self.delta
+        old = self.marks[g]
+        for (lo, hi), (lo2, hi2) in zip(old, new):
+            if lo != lo2:
+                delta[lo] -= 1
+                delta[lo2] += 1
+            if hi != hi2:
+                delta[hi] += 1
+                delta[hi2] -= 1
+        self.marks[g] = new
+        return old
+
+    def peak(self) -> int:
+        return max(accumulate(self.delta[: len(self.edges)]), default=0)
+
+    def swap(self, i: int, j: int) -> int:
+        """Swap the edges at positions ``i`` and ``j``; return the new peak.
+
+        A qubit or gadget holding both edges keeps its set of positions, so
+        only those holding exactly one of them are updated.
+        """
+        order, pos, delta, first = self.order, self.pos, self.delta, self.first
+        ei, ej = order[i], order[j]
+        order[i], order[j] = ej, ei
+        pos[ei], pos[ej] = j, i
+        old_first = []
+        for q in {*self.edges[ei]} ^ {*self.edges[ej]}:
+            p = min([pos[e] for e in self.incident[q]])
+            if p != first[q]:
+                old_first.append((q, first[q]))
+                delta[first[q]] -= 1
+                delta[p] += 1
+                first[q] = p
+        old_marks = [
+            (g, self._move_marks(g, self._marks(g)))
+            for g in {*self.gadgets_of[ei]} ^ {*self.gadgets_of[ej]}
+        ]
+        self._undo = (i, j, old_first, old_marks)
+        return self.peak()
+
+    def undo(self) -> None:
+        """Revert the last swap from its cached first positions and marks."""
+        i, j, old_first, old_marks = self._undo
+        order, pos, delta, first = self.order, self.pos, self.delta, self.first
+        ei, ej = order[i], order[j]
+        order[i], order[j] = ej, ei
+        pos[ei], pos[ej] = j, i
+        for q, p in old_first:
+            delta[first[q]] -= 1
+            delta[p] += 1
+            first[q] = p
+        for g, m in old_marks:
+            self._move_marks(g, m)
 
 
 def _reduce(vec: int, basis: list[int]) -> int:

@@ -9,8 +9,10 @@ from ftprep.assemble import (
     CircuitMetrics,
     MissingGadgetError,
     OverrideNotCertifiedError,
+    _anneal_priority,
     _flag_spans,
     _placements,
+    _width_windows,
     _WidthModel,
     assemble_ft_circuit,
     certified_z_override,
@@ -27,7 +29,7 @@ from ftprep.serialization import serialize_circuit
 from ftprep.tableau import tableau_check_circuit
 from ftprep.noise import SLOTS, build_effect_tables
 
-from _reference import flag_int, tight_order_reference
+from _reference import anneal_priority_reference, flag_int, tight_order_reference
 
 
 # The catalog codes the golden digests were recorded on, in catalog order.
@@ -385,26 +387,86 @@ def _full_width(edges, windows, order) -> int:
     return peak
 
 
-@pytest.mark.parametrize("name, t_z", [("color17", 2), ("golay", 2), ("golay", 3)])
+@pytest.mark.parametrize("name, t_z", [("color17", 2), ("golay", 2), ("golay", 3), ("golay", 0)])
 def test_incremental_width_matches_full_recompute(library, name, t_z):
+    # t_z = 0 places no Z gadget: every target's window holds only its wake.
     state = get_state(name)
     bip = best_of_trials(state, 20, 3)
     edges = sorted(bip.edges)
     placed = _placements(edges, bip, library.get, state.t, t_z)
     windows = [(mine, _flag_spans(gadget)) for _, _, mine, gadget in placed]
     rng = np.random.default_rng(0)
-    model = _WidthModel(edges, windows, rng.permutation(len(edges)).tolist())
+    model = _WidthModel(_width_windows(edges, placed), rng.permutation(len(edges)).tolist())
     assert model.peak() == _full_width(edges, windows, model.order)
     for _ in range(600):
         i, j = rng.integers(0, len(edges), size=2).tolist()
         if i == j:
             continue
+        before = (list(model.order), list(model.pos), list(model.delta), [list(s) for s in model.slots])
         w = model.swap(i, j)
         assert w == model.peak() == _full_width(edges, windows, model.order)
         if rng.random() < 0.5:
             model.undo()
+            assert (model.order, model.pos, model.delta, model.slots) == before
             assert model.peak() == _full_width(edges, windows, model.order)
         assert [model.order[p] for p in model.pos] == list(range(len(edges)))
+
+
+@pytest.mark.parametrize("name", GOLDEN_CODES)
+@pytest.mark.parametrize("label", ["|0>", "|+>"])
+@pytest.mark.parametrize(
+    "trivial, z_override",
+    [(True, None), (False, None), (True, 0)],
+    ids=["default", "flagged", "no-z"],
+)
+def test_anneal_matches_reference_seed_for_seed(library, name, label, trivial, z_override):
+    # The windowed annealer returns the reference annealer's priority and
+    # leaves the RNG where it does.  511-513 steps straddle the first block
+    # of draws; on the short codes many steps draw i == j and are skipped.
+    state = get_state(name, label)
+    bip = best_of_trials(state, 20, 7)
+    edges = sorted(bip.edges)
+
+    def pick(t, r):
+        return trivial_gadget(t, r) if trivial and r <= 2 else library.get(t, r)
+
+    t_z = state.t if z_override is None else z_override
+    placed = _placements(edges, bip, pick, state.t, t_z)
+    old_windows = [(mine, _flag_spans(gadget)) for _, _, mine, gadget in placed]
+    for steps in (1, 511, 512, 513, 1_500):
+        rng_ref, rng = np.random.default_rng(steps), np.random.default_rng(steps)
+        expected = anneal_priority_reference(edges, old_windows, steps, rng_ref)
+        assert _anneal_priority(len(edges), _width_windows(edges, placed), steps, rng) == expected, steps
+        assert rng.random() == rng_ref.random(), steps
+
+
+def test_golden_annealed_without_z_gadgets(library):
+    # The annealed assembly with no Z gadget, whose targets have only their
+    # wake in the width estimate; the catalog digest does not anneal it.
+    expected = {
+        "color17": (
+            12, 7, 4, 13, 20, 2, 14, 9, 26, 1, 28, 38, 32, 29, 39, 5, 22, 8, 16, 0, 25, 36, 21, 27,
+            30, 31, 17, 37, 33, 35, 34, 24, 23, 10, 3, 18, 6, 19, 15, 11,
+        ),
+        "golay": (
+            67, 6, 74, 34, 25, 7, 52, 76, 59, 54, 60, 73, 40, 42, 4, 10, 24, 8, 33, 14, 21, 19, 22,
+            69, 23, 31, 27, 9, 12, 1, 53, 38, 13, 15, 5, 11, 29, 28, 39, 32, 2, 36, 43, 64, 66, 71,
+            41, 49, 0, 48, 45, 44, 70, 56, 61, 57, 3, 18, 30, 50, 72, 62, 65, 35, 68, 47, 26, 17,
+            16, 58, 46, 51, 75, 37, 55, 63, 20,
+        ),
+    }
+    for name, priority in expected.items():
+        state = get_state(name)
+        asm = assemble_ft_circuit(
+            state,
+            best_of_trials(state, 20, 3),
+            library,
+            z_gadget_t_override=0,
+            allow_uncertified_override=True,
+            seed=5,
+            width_anneal=2_000,
+        )
+        assert asm.edge_priority == priority, name
 
 
 def _reference_order(asm, rng, greedy):
