@@ -1,9 +1,10 @@
 """Build a fault-tolerant preparation circuit and verify it exhaustively.
 
 Walks the full construction for the Steane code's logical zero: synthesize
-the bipartite CX circuit, attach flag gadgets, schedule, check the result
-against a stabilizer-tableau oracle, and run the exhaustive single-fault
-verification for both error types.
+the bipartite CX circuit, attach flag gadgets, schedule, check noiselessly
+that the result prepares the state with deterministic flags (the
+zero-fault case of the backward sweep that verification also reads), and
+run the exhaustive single-fault verification for both error types.
 """
 
 from ftprep.assemble import circuit_metrics

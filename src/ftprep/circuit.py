@@ -10,9 +10,9 @@ from its ops: code qubits started in |+> are the controls of the bipartite
 preparation graph and those started in |0> its targets; a flag measured in
 Z detects X errors and one measured in X detects Z errors.
 
-The module also owns the backward transfer-map sweep that both the exhaustive
-verifier and the Monte Carlo effect tables are built from (it returns the
-transfer-map columns only), and the packed flag layout they share.
+The module also owns the backward transfer-map sweep that the noiseless
+check, the exhaustive verifier and the Monte Carlo effect tables are built
+from (it returns the transfer-map columns only), and the packed flag layout.
 """
 
 from __future__ import annotations
@@ -125,9 +125,14 @@ def propagate_backward(
     control -> target and Z frames target -> control.  A flag measurement
     sets its qubit's column to ``1 << outcome`` on the side it detects
     (``col_x`` for a Z-basis measurement, ``col_z`` for an X-basis one) and
-    to 0 on the other.  Raises ValueError for an outcome index outside
-    ``range(circuit.flag_count)``, whose bit would land among the key bits.
+    to 0 on the other.  Raises ValueError unless the circuit's code qubits
+    are exactly ``0..len(key_cols)-1``, each used once, and for an outcome
+    index outside ``range(circuit.flag_count)``, whose bit would land among
+    the key bits.
     """
+    n = len(key_cols)
+    if sorted(ci for ci in circuit.code_index if ci is not None) != list(range(n)):
+        raise ValueError(f"circuit code qubits are not exactly 0..{n - 1}, each used once")
     n_flags = circuit.flag_count
     seed = [0 if ci is None else key_cols[ci] << n_flags for ci in circuit.code_index]
     zeros = [0] * circuit.n_qubits

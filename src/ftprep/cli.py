@@ -125,15 +125,12 @@ def _load_circuit(args: argparse.Namespace):
     """The ``--circuit`` file and the ``--code`` state its header names.
 
     The header's ``state=`` label picks the logical state.  Raises
-    ValueError when the header names another code than ``--code`` or the
-    code qubits are not exactly 0..n-1, each used once.
+    ValueError when the header names another code than ``--code``.
     """
     circ, code, label = serialization.parse_circuit(Path(args.circuit).read_text())
     state = catalog.get_state(args.code, None if label == "?" else label)
     if code not in ("?", state.name):
         raise ValueError(f"circuit is for code {code!r}, not {state.name!r}")
-    if sorted(ci for ci in circ.code_index if ci is not None) != list(range(state.n)):
-        raise ValueError(f"circuit code qubits are not exactly 0..{state.n - 1}, each used once")
     return state, circ
 
 

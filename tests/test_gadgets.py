@@ -14,9 +14,9 @@ from ftprep.gadgets import (
 )
 from ftprep.css import validate_css_state
 from ftprep.library import GadgetLibrary
-from ftprep.tableau import run_tableau, tableau_check_circuit
+from ftprep.tableau import tableau_check_circuit
 
-from _reference import flags_deterministic_reference, gadget_ft_reference
+from _reference import flags_deterministic_reference, gadget_ft_reference, run_tableau
 
 
 def test_single_cx_fails_at_five_targets():
@@ -211,11 +211,12 @@ def test_validate_rejects_impossible_gadgets(gadget, message):
 
 
 def test_validate_rejects_a_target_controlling_itself():
-    # The FT test sees no fault it misses, yet the circuit does not prepare
-    # the GHZ state: CX t1 t1 is no gate the search ever places.
+    # The FT test sees no fault it misses, yet CX t1 t1 is no gate: the
+    # noiseless check rejects the circuit, and the search never places it.
     gadget = FlagGadget(1, 1, 1, ((0, 2), (0, 2), (1, 1)))
     assert gadget_ft_test(gadget)
-    assert tableau_check_circuit(*ghz_preparation(gadget)).kind == "unsatisfied-stabilizer"
+    with pytest.raises(ValueError, match="both control and target"):
+        tableau_check_circuit(*ghz_preparation(gadget))
     with pytest.raises(ValueError, match=r"gate \(1, 1\): the control must be c or a flag"):
         gadget.validate()
 

@@ -1,14 +1,23 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftprep.assemble import assemble_ft_circuit
+from ftprep.bipartite import synthesize_bipartite
+from ftprep.catalog import catalog_names, get_state
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
-from ftprep.css import CssState
-from ftprep.tableau import Tableau, tableau_check_circuit
+from ftprep.css import CssState, swap_xz
+from ftprep.gadgets import ghz_preparation
+from ftprep.library import GadgetLibrary
+from ftprep.noise import build_effect_tables
+from ftprep.tableau import tableau_check_circuit
+from ftprep.verify import verify_fault_tolerance
 
-from _reference import run_tableau_with_faults
+from _reference import Tableau, run_tableau_with_faults, tableau_check_reference
 
 
 def bell_state() -> CssState:
@@ -55,6 +64,97 @@ def test_deterministic_flag_requirement():
     mismatch = tableau_check_circuit(circ, bell_state())
     assert mismatch is not None
     assert mismatch.kind == "nondeterministic-flag"
+
+
+def bell_plus_zero() -> CssState:
+    """A Bell pair with a third qubit in |0>: X0X1, Z0Z1 and Z2."""
+    return CssState(
+        name="bell+0",
+        n=3,
+        k=0,
+        d=1,
+        x_stabilizers=(0b011,),
+        z_stabilizers=(0b011, 0b100),
+        logical_x=(),
+        logical_z=(),
+    )
+
+
+CHECKS = {
+    "noiseless": tableau_check_circuit,
+    "verify": lambda circ, state: verify_fault_tolerance(circ, state, 1, "X"),
+    "effect-tables": build_effect_tables,
+}
+
+
+@pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
+@pytest.mark.parametrize("circ", [
+    bell_circuit(),  # code qubit 2 missing
+    Circuit((0, 1, 2, 3), (*(Init(q, "+" if q == 0 else "0") for q in range(4)), CXGate(0, 1))),
+], ids=["missing", "extra"])
+def test_code_qubits_must_be_the_states(check, circ):
+    # A missing code qubit would go unchecked, and an extra one indexes past
+    # the key columns.
+    with pytest.raises(ValueError, match=r"^circuit code qubits are not exactly 0\.\.2, each used once$"):
+        check(circ, bell_plus_zero())
+
+
+def test_uninitialized_qubit_raises():
+    # The tableau starts an uninitialized qubit in |0>, so it passes this
+    # circuit for |+>|0>; the check requires every qubit initialized.
+    state = replace(bell_state(), x_stabilizers=(0b01,), z_stabilizers=(0b10,))
+    circ = Circuit((0, 1), (Init(0, "+"),))
+    assert tableau_check_reference(circ, state) is None
+    with pytest.raises(ValueError, match="^qubit 1 never initialized$"):
+        tableau_check_circuit(circ, state)
+
+
+def _mutants(circ: Circuit, rng: np.random.Generator) -> list[Circuit]:
+    """One CX deleted, two CX swapped, one CX reversed and one Init's basis
+    flipped, each kept only when it still passes ``Circuit.validate``."""
+    ops = list(circ.ops)
+    cx = [i for i, op in enumerate(ops) if isinstance(op, CXGate)]
+    inits = [i for i, op in enumerate(ops) if isinstance(op, Init)]
+    cut, (i, j), k = rng.choice(cx), rng.choice(cx, 2, replace=False), rng.choice(cx)
+    m = rng.choice(inits)
+    swapped, reversed_, flipped = ops[:], ops[:], ops[:]
+    swapped[i], swapped[j] = ops[j], ops[i]
+    reversed_[k] = CXGate(ops[k].target, ops[k].control)
+    flipped[m] = Init(ops[m].qubit, "0" if ops[m].basis == "+" else "+")
+    mutants = []
+    for mutant_ops in (ops[:cut] + ops[cut + 1:], swapped, reversed_, flipped):
+        mutant = replace(circ, ops=tuple(mutant_ops))
+        try:
+            mutant.validate()
+        except ValueError:
+            continue
+        mutants.append(mutant)
+    return mutants
+
+
+def test_check_matches_tableau_reference():
+    # Catalog assemblies of both states, checked against their own state and
+    # the other basis's, their seeded mutants, and every bundled gadget's
+    # GHZ preparation: the sweep's verdict is the tableau's, kind and detail.
+    library = GadgetLibrary.bundled()
+    rng = np.random.default_rng(36)
+    cases = [ghz_preparation(entry.gadget) for entry in library.entries.values()]
+    for name in catalog_names():
+        for label in ("|0>", "|+>"):
+            state = get_state(name, label)
+            for seed in range(3):
+                bip = synthesize_bipartite(state, seed=seed)
+                for trivial in (True, False):
+                    asm = assemble_ft_circuit(state, bip, library, seed=seed, use_trivial_gadgets=trivial)
+                    circ = asm.schedule(asm.tight_order())
+                    cases += [(circ, state), (circ, swap_xz(state))]
+                    cases += [(mutant, state) for mutant in _mutants(circ, rng)]
+    kinds = Counter()
+    for circ, state in cases:
+        mismatch = tableau_check_circuit(circ, state)
+        assert mismatch == tableau_check_reference(circ, state), (state.name, circ)
+        kinds[mismatch and mismatch.kind] += 1
+    assert kinds.keys() == {None, "nondeterministic-flag", "unsatisfied-stabilizer"}, kinds
 
 
 def test_pauli_fault_flips_flag():
