@@ -11,7 +11,9 @@ Frame propagation is linear, so every fault location's end-of-circuit
 effect (flag flips, syndrome, class) is read once off the transfer-map
 columns of :func:`circuit.propagate_backward`; a Monte Carlo sample is then
 just an XOR of a few table entries.  The tables hold effects only; a
-variant's Pauli follows from its id and the circuit.
+variant's Pauli follows from its id and the circuit.  Only unflagged samples
+count, so each flag word is read only for the rows the earlier words left
+clean, and the (syndrome, class) word only for the unflagged rows.
 Subset sampling draws the number of faults per sample from the nontrivial
 part of the binomial distribution and adds the fault-free mass back
 analytically.
@@ -22,7 +24,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, KeysView, Mapping
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, ixor
 from statistics import NormalDist
 from types import MappingProxyType
 
@@ -38,7 +41,7 @@ from .circuit import (
 from .css import CssState, coset_key_columns
 
 
-SAMPLE_CHUNK = 1 << 18  # most samples drawn by one _sample_bucket call
+SAMPLE_CHUNK = 1 << 18  # rows per _sample_bucket call; later words and sc read unflagged rows only
 Z95 = NormalDist().inv_cdf(0.975)  # two-sided 95 % normal quantile of wilson_interval
 # Pauli bits (bit 0 X, bit 1 Z) of the variants of a single-qubit location,
 # in table order: X, Y, Z.
@@ -341,7 +344,7 @@ def _draw_distinct(
 def _sample_bucket(
     tables: EffectTables, fp: int, fq: int, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Effects of ``n`` samples with ``fp`` p- and ``fq`` q-location faults.
+    """Accepted effects of ``n`` samples with ``fp`` p- and ``fq`` idle faults.
 
     Each fault is one uniform variant id of :class:`EffectTables`: below
     ``15 L_p`` for a p location, and ``15 L_p`` plus one below ``3 L_q`` for
@@ -349,24 +352,28 @@ def _sample_bucket(
     its variants an equal share of them, so an id is a uniform location and
     a uniform variant of it.  A sample's ids sit at distinct locations
     of each kind (``_draw_distinct`` by ``id // stride``), and the sample
-    XORs their effects.  Returns the word-major flag words (W, n) and the
-    ``sc`` words (n,).
+    XORs their effects.  Flag word w is read only for the rows that words
+    0..w-1 left clean, ``sc`` only for the rows no word flags.  Returns the
+    accept mask ``ok`` (n,) and the accepted rows' ``sc``, in row order.
+    A bucket holds at least one fault, as every plan pair does.
     """
-    flags = np.zeros((len(tables.flags), n), dtype=np.uint64)
-    sc = np.zeros(n, dtype=np.uint64)
-
-    def add(var: np.ndarray) -> None:
-        for acc, words in zip(flags, tables.flags):
-            acc ^= words[var]
-        np.bitwise_xor(sc, tables.sc[var], out=sc)
-
+    draws = []  # (id matrix (n, k), offset of its ids in the tables)
     if fp:
-        for var in _draw_distinct(rng, n, fp, SLOTS * tables.l_p, SLOTS).T:
-            add(var)
+        draws.append((_draw_distinct(rng, n, fp, SLOTS * tables.l_p, SLOTS), 0))
     if fq:
-        for var in _draw_distinct(rng, n, fq, 3 * tables.l_q, 3).T:
-            add(var + SLOTS * tables.l_p)
-    return flags, sc
+        draws.append((_draw_distinct(rng, n, fq, 3 * tables.l_q, 3), SLOTS * tables.l_p))
+
+    def xor(table: np.ndarray) -> np.ndarray:
+        return reduce(ixor, (table[offset:][var] for ids, offset in draws for var in ids.T))
+
+    rows = None  # indices of the rows every flag word so far left clean
+    for words in tables.flags:
+        keep = np.flatnonzero(xor(words) == 0)
+        rows = keep if rows is None else rows[keep]
+        draws = [(ids[keep], offset) for ids, offset in draws]
+    ok = np.zeros(n, dtype=bool)
+    ok[slice(None) if rows is None else rows] = True
+    return ok, xor(tables.sc)
 
 
 def _accepted_chunks(tables: EffectTables, pairs, counts, rng):
@@ -375,16 +382,13 @@ def _accepted_chunks(tables: EffectTables, pairs, counts, rng):
 
     Stratum i, a plan's fault-count pair ``pairs[i]`` = (f_p, f_q), draws
     ``counts[i]`` samples; ``ok`` marks the accepted ones (no flag flips),
-    ``sc`` holds every sample's packed syndrome and class.  Draws the caller
-    makes from ``rng`` between yields precede the next chunk's.
+    ``sc`` holds the accepted ones' packed syndrome and class, in sample
+    order.  Draws the caller makes from ``rng`` between yields precede the
+    next chunk's.
     """
     for i, ((fp, fq), n_b) in enumerate(zip(pairs, counts)):
-        done = 0
-        while done < n_b:
-            m = min(SAMPLE_CHUNK, n_b - done)
-            done += m
-            flags, sc = _sample_bucket(tables, fp, fq, m, rng)
-            yield i, (flags == 0).all(axis=0), sc
+        for done in range(0, n_b, SAMPLE_CHUNK):
+            yield i, *_sample_bucket(tables, fp, fq, min(SAMPLE_CHUNK, n_b - done), rng)
 
 
 def run_monte_carlo(
@@ -427,9 +431,10 @@ def run_monte_carlo(
     for i, ok, acc_sc in _accepted_chunks(tables, plan.pairs, counts, rng):
         # weight of one sample = true mass of the stratum / samples drawn
         weight_each = plan.probabilities[i] * (1.0 - plan.p_trivial) / counts[i]
-        accepted_nontrivial += float(ok.sum())
-        is_train = rng.random(len(ok)) < 0.5
-        for part, mask in zip(parts, (is_train & ok, ~is_train & ok)):
+        accepted_nontrivial += len(acc_sc)
+        # one coin per drawn sample, rejected ones included, kept for the accepted
+        is_train = (rng.random(len(ok)) < 0.5)[ok]
+        for part, mask in zip(parts, (is_train, ~is_train)):
             keys, kcounts = np.unique(acc_sc[mask], return_counts=True)
             part.append((keys, kcounts, kcounts * weight_each))
     addback = plan.trivial_addback
@@ -442,15 +447,8 @@ def run_monte_carlo(
     )
     accepted = accepted_nontrivial + addback
     effective = plan.effective_samples
-    rate = accepted / effective
-    ci = wilson_interval(accepted, effective)
     return MonteCarloResult(
-        plan=plan,
-        accepted=accepted,
-        acceptance_rate=rate,
-        acceptance_ci=ci,
-        train=train,
-        test=test,
+        plan, accepted, accepted / effective, wilson_interval(accepted, effective), train, test
     )
 
 

@@ -183,9 +183,9 @@ def _sample_prep_syndromes(
         attempts += m
         accepted += int(counts[0])
         collected.append(np.zeros(counts[0], dtype=np.uint64))
-        for _, ok, sc in _accepted_chunks(tables, plan.pairs, counts[1:], rng):
-            accepted += int(ok.sum())
-            collected.append(sc[ok])
+        for _, _, sc in _accepted_chunks(tables, plan.pairs, counts[1:], rng):
+            accepted += len(sc)
+            collected.append(sc)
     all_synd = np.concatenate(collected)
     rng.shuffle(all_synd)
     return all_synd[:n_needed], accepted / attempts

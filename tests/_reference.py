@@ -12,7 +12,10 @@ explicit fault set forward through a circuit, apart from the backward sweep
 the verifier reads its counterexamples off.  ``subset_plan_reference``
 selects the subset plan's pairs by a per-cell scan that stops each
 binomial's walk past its mode; it shares only the binomial pmfs with
-``ftprep.noise``.
+``ftprep.noise``.  ``sample_bucket_reference`` draws a bucket's fault ids
+as ``noise._sample_bucket`` does and gathers every flag word and the
+``sc`` word for every row, where the sampler filters the rows word by
+word and reads ``sc`` only for the rows no flag rejects.
 
 ``Tableau`` is the Aaronson-Gottesman stabilizer tableau with sign
 tracking (PRA 70, 052328 (2004), arXiv:quant-ph/0406196), each row two
@@ -64,6 +67,7 @@ from ftprep.noise import (
     EffectTables,
     SubsetPlan,
     _binom_pmf,
+    _draw_distinct,
     _idle_locations,
 )
 from ftprep.tableau import TableauMismatch
@@ -197,6 +201,37 @@ def subset_plan_reference(l_p: int, l_q: int, p: float, q: float, samples: int) 
         probabilities=tuple(pr / total for pr in probs),
         p_trivial=p_trivial,
     )
+
+
+def sample_bucket_reference(
+    tables: EffectTables, fp: int, fq: int, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Effects of ``n`` samples with ``fp`` p- and ``fq`` q-location faults.
+
+    Each fault is one uniform variant id of :class:`EffectTables`: below
+    ``15 L_p`` for a p location, and ``15 L_p`` plus one below ``3 L_q`` for
+    an idle one.  Every location of a kind owns equally many ids and each of
+    its variants an equal share of them, so an id is a uniform location and
+    a uniform variant of it.  A sample's ids sit at distinct locations
+    of each kind (``_draw_distinct`` by ``id // stride``), and the sample
+    XORs their effects.  Returns the word-major flag words (W, n) and the
+    ``sc`` words (n,).
+    """
+    flags = np.zeros((len(tables.flags), n), dtype=np.uint64)
+    sc = np.zeros(n, dtype=np.uint64)
+
+    def add(var: np.ndarray) -> None:
+        for acc, words in zip(flags, tables.flags):
+            acc ^= words[var]
+        np.bitwise_xor(sc, tables.sc[var], out=sc)
+
+    if fp:
+        for var in _draw_distinct(rng, n, fp, SLOTS * tables.l_p, SLOTS).T:
+            add(var)
+    if fq:
+        for var in _draw_distinct(rng, n, fq, 3 * tables.l_q, 3).T:
+            add(var + SLOTS * tables.l_p)
+    return flags, sc
 
 
 def all_fault_locations(circuit: Circuit, fault_type: str) -> list[tuple[int, tuple[int, ...]]]:

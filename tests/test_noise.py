@@ -26,7 +26,13 @@ from ftprep.noise import (
     run_monte_carlo,
     wilson_interval,
 )
-from _reference import flag_int, frame_replay_check, replay_sample, subset_plan_reference
+from _reference import (
+    flag_int,
+    frame_replay_check,
+    replay_sample,
+    sample_bucket_reference,
+    subset_plan_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -484,21 +490,36 @@ def test_pack_effects_matches_three_pass_packing(n_flags):
 
 
 @pytest.fixture(scope="module")
-def golay_tables(library):
+def golay_prepared(library):
     state = get_state("golay")
     bip = best_of_trials(state, 5, 9)
     asm = assemble_ft_circuit(state, bip, library, z_gadget_t_override=2, seed=9)
-    return build_effect_tables(schedule_circuit(asm, "min_max_qubits", shuffles=2, seed=9), state)
+    return state, schedule_circuit(asm, "min_max_qubits", shuffles=2, seed=9)
 
 
-def test_sample_bucket_xors_uniform_variants_at_distinct_locations(golay_tables, monkeypatch):
+@pytest.fixture(scope="module")
+def golay_tables(golay_prepared):
+    state, circ = golay_prepared
+    return build_effect_tables(circ, state)
+
+
+@pytest.fixture(scope="module")
+def wide_tables(steane_prepared, wide_prepared):
+    return build_effect_tables(wide_prepared, steane_prepared[0])
+
+
+def test_sample_bucket_xors_uniform_variants_at_distinct_locations(
+    golay_tables, wide_tables, monkeypatch
+):
     # A bucket's faults are the ids `_draw_distinct` returns: p ids below
     # 15 L_p and idle ids below 3 L_q, offset by 15 L_p.  Each row's ids sit
-    # at distinct locations, the outputs XOR exactly their table entries,
-    # and every location and slot is drawn equally often within 5 binomial
-    # standard deviations.
-    tables = golay_tables
-    assert len(tables.flags) == 2
+    # at distinct locations, and the full-gather reference XORs exactly
+    # their table entries.  The sampler accepts exactly the rows whose flag
+    # words are all zero there and returns the reference's `sc` of those
+    # rows, in row order; some rows are clean in word 0 and flagged later.
+    # Every location and slot is drawn equally often within 5 binomial
+    # standard deviations.  Golay's tables have two flag words, the wide
+    # circuit's three.
     real = noise._draw_distinct
     drawn = []
 
@@ -508,23 +529,121 @@ def test_sample_bucket_xors_uniform_variants_at_distinct_locations(golay_tables,
         return out
 
     monkeypatch.setattr(noise, "_draw_distinct", recording)
-    ids = {SLOTS: [], 3: []}
-    for fp, fq in [(1, 0), (0, 1), (2, 3), (5, 1)]:
-        drawn.clear()
-        flags, sc = _sample_bucket(tables, fp, fq, 20_000, np.random.default_rng([fp, fq]))
-        calls = [(limit, stride, out.shape[1]) for limit, stride, out in drawn]
-        assert calls == [(SLOTS * tables.l_p, SLOTS, fp)] * bool(fp) + [(3 * tables.l_q, 3, fq)] * bool(fq)
-        want_flags, want_sc = np.zeros_like(flags), np.zeros_like(sc)
-        for _, stride, out in drawn:
-            assert all(len(set(row)) == len(row) for row in (out // stride).tolist())
-            ids[stride].append(out.ravel())
-            var = out if stride == SLOTS else out + SLOTS * tables.l_p
-            want_flags ^= np.bitwise_xor.reduce(tables.flags[:, var], axis=2)
-            want_sc ^= np.bitwise_xor.reduce(tables.sc[var], axis=1)
-        assert np.array_equal(flags, want_flags) and np.array_equal(sc, want_sc)
-    for stride, n_loc in ((SLOTS, tables.l_p), (3, tables.l_q)):
-        every = np.concatenate(ids[stride])
-        for cells, key in ((n_loc, every // stride), (stride, every % stride)):
-            counts = np.bincount(key, minlength=cells)
-            mean = len(every) / cells
-            assert np.abs(counts - mean).max() <= 5 * math.sqrt(mean * (1 - 1 / cells)), (stride, cells)
+    for tables, n_words in ((golay_tables, 2), (wide_tables, 3)):
+        assert len(tables.flags) == n_words
+        ids = {SLOTS: [], 3: []}
+        later_word_rejects = 0
+        for fp, fq in [(1, 0), (0, 1), (2, 3), (5, 1)]:
+            drawn.clear()
+            ok, sc = _sample_bucket(tables, fp, fq, 20_000, np.random.default_rng([fp, fq]))
+            calls = [(limit, stride, out.shape[1]) for limit, stride, out in drawn]
+            assert calls == [(SLOTS * tables.l_p, SLOTS, fp)] * bool(fp) + [(3 * tables.l_q, 3, fq)] * bool(fq)
+            flags, full_sc = sample_bucket_reference(
+                tables, fp, fq, 20_000, np.random.default_rng([fp, fq]))
+            want_flags, want_sc = np.zeros_like(flags), np.zeros_like(full_sc)
+            for _, stride, out in drawn:
+                assert all(len(set(row)) == len(row) for row in (out // stride).tolist())
+                ids[stride].append(out.ravel())
+                var = out if stride == SLOTS else out + SLOTS * tables.l_p
+                want_flags ^= np.bitwise_xor.reduce(tables.flags[:, var], axis=2)
+                want_sc ^= np.bitwise_xor.reduce(tables.sc[var], axis=1)
+            assert np.array_equal(flags, want_flags) and np.array_equal(full_sc, want_sc)
+            assert np.array_equal(ok, (flags == 0).all(axis=0))
+            assert sc.dtype == np.uint64 and np.array_equal(sc, full_sc[ok])
+            later_word_rejects += int(((flags[0] == 0) & ~ok).sum())
+        assert later_word_rejects > 0
+        for stride, n_loc in ((SLOTS, tables.l_p), (3, tables.l_q)):
+            every = np.concatenate(ids[stride])
+            for cells, key in ((n_loc, every // stride), (stride, every % stride)):
+                counts = np.bincount(key, minlength=cells)
+                mean = len(every) / cells
+                assert np.abs(counts - mean).max() <= 5 * math.sqrt(mean * (1 - 1 / cells)), (stride, cells)
+
+
+def fixed_draws(monkeypatch, rows_for):
+    """Make `_draw_distinct` return ``rows_for(n_rows, k, limit)``."""
+    monkeypatch.setattr(
+        noise, "_draw_distinct", lambda rng, n_rows, k, limit, stride=1: rows_for(n_rows, k, limit))
+
+
+def equal_flag_pair(tables, ids, word):
+    """Two ids at distinct locations with equal flag words, nonzero in
+    ``word`` and zero in every word before it."""
+    flags = tables.flags[:, ids]
+    seen = {}
+    for v, col in zip(ids.tolist(), map(tuple, flags.T.tolist())):
+        if col[word] and not any(col[:word]):
+            other = seen.setdefault(col, v)
+            if other // SLOTS != v // SLOTS:
+                return other, v
+    raise AssertionError(f"no equal pair in word {word}")
+
+
+def test_sample_bucket_rejects_on_the_xor_of_each_word(golay_tables, monkeypatch):
+    # (a) Two faults that flip the same word-0 flag cancel and the row is
+    # accepted, while either one with a flag-free fault is rejected.
+    # (b) A row clean in word 0 that flips a flag >= 64 is rejected, and two
+    # faults that cancel there are accepted.
+    tables = golay_tables
+    p_ids = np.arange(SLOTS * tables.l_p)
+    a, b = equal_flag_pair(tables, p_ids, 0)
+    d, e = equal_flag_pair(tables, p_ids, 1)
+    clean = [v for v in p_ids[~tables.flags[:, p_ids].any(axis=0)].tolist()
+             if v // SLOTS not in {a // SLOTS, b // SLOTS, d // SLOTS, e // SLOTS}]
+    c, c2 = clean[0], clean[-1]
+    rows = np.array([[a, b], [a, c], [b, c], [d, c], [d, e], [c, c2]])
+    fixed_draws(monkeypatch, lambda n_rows, k, limit: rows)
+    ok, sc = _sample_bucket(tables, 2, 0, len(rows), np.random.default_rng(0))
+    assert ok.tolist() == [True, False, False, False, True, True]
+    assert sc.tolist() == [int(tables.sc[x] ^ tables.sc[y]) for x, y in rows[ok]]
+
+
+def test_all_rejected_chunks_leave_only_the_trivial_addback(golay_prepared, golay_tables, monkeypatch):
+    # (c) Every drawn row flips a flag: every chunk yields an empty `sc`, and
+    # each histogram holds only its half of the trivial add-back on key 0.
+    state, circ = golay_prepared
+    tables = golay_tables
+    offset = SLOTS * tables.l_p
+    flagged = tables.flags.any(axis=0)
+    p_flag = int(np.flatnonzero(flagged[:offset])[0])
+    q_flag = next(v for v in np.flatnonzero(flagged[offset:]).tolist()
+                  if (tables.flags[:, offset + v] != tables.flags[:, p_flag]).any())
+    p_clean, q_clean = (int(np.flatnonzero(~part)[0]) for part in (flagged[:offset], flagged[offset:]))
+
+    def rows_for(n_rows, k, limit):
+        first, rest = (p_flag, p_clean) if limit == offset else (q_flag, q_clean)
+        rows = np.full((n_rows, k), rest)
+        rows[:, 0] = first
+        return rows
+
+    fixed_draws(monkeypatch, rows_for)
+    monkeypatch.setattr(noise, "SAMPLE_CHUNK", 100)
+    plan = build_subset_plan(tables.l_p, tables.l_q, 5e-3, 5e-5, 2000)
+    assert any(fp == 0 for fp, _ in plan.pairs) and any(fp and fq for fp, fq in plan.pairs)
+    counts = np.full(len(plan.pairs), 150)
+    chunks = list(noise._accepted_chunks(tables, plan.pairs, counts, np.random.default_rng(0)))
+    assert len(chunks) == 2 * len(plan.pairs)
+    for _, ok, sc in chunks:
+        assert not ok.any() and sc.shape == (0,) and sc.dtype == np.uint64
+    res = run_monte_carlo(circ, state, NoiseModel(5e-3), plan, seed=3, tables=tables)
+    assert res.accepted == plan.trivial_addback
+    for half in (res.train, res.test):
+        assert half.keys.tolist() == [0]
+        assert half.count.tolist() == [plan.trivial_addback / 2]
+        assert half.weight.tolist() == [plan.p_trivial / 2]
+
+
+def test_flagless_circuit_accepts_every_sample():
+    # (d) A bare bipartite circuit has no flag word, so every row is kept.
+    state = get_state("steane")
+    circ = best_of_trials(state, 20, 1).bare_circuit()
+    tables = build_effect_tables(circ, state)
+    assert tables.flags.shape == (0, len(tables.sc))
+    ok, sc = _sample_bucket(tables, 2, 1, 1000, np.random.default_rng(4))
+    _, want_sc = sample_bucket_reference(tables, 2, 1, 1000, np.random.default_rng(4))
+    assert ok.all() and np.array_equal(sc, want_sc)
+    l_p, l_q = count_fault_locations(circ)
+    plan = build_subset_plan(l_p, l_q, 1e-2, 1e-4, 5000)
+    res = run_monte_carlo(circ, state, NoiseModel(1e-2), plan, seed=2, tables=tables)
+    assert res.accepted == pytest.approx(plan.effective_samples, rel=1e-12)
+    assert res.train.count.sum() + res.test.count.sum() == pytest.approx(res.accepted, rel=1e-12)
