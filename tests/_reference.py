@@ -31,6 +31,12 @@ variant's Pauli from its id and grading the readout with
 ``tight_order_reference`` replays the tight schedule's policy gate by gate,
 counting each qubit's remaining uses, where ``AssembledCircuit.tight_order``
 sorts by a static key read off the flags' last gates.
+``topological_order_reference`` samples an order with every ready gate
+rescored at every step and one ``rng.random()`` per placed gate, where
+``AssembledCircuit._topological_order`` keeps its ready gates in score
+buckets, rescores only a waking qubit's gates and stops once the order is
+wider than its bound; ``schedule_reference`` scores every sampled order in
+full, by the ``circuit_metrics`` of its scheduled circuit.
 ``bipartite_reference`` builds a bipartite circuit by an echelon scan, an
 inverse and a product (X2 X1^-1), where ``bipartite`` reads the graph off
 one standard-form elimination; ``flags_deterministic_reference`` decides
@@ -54,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ftprep.assemble import AssembledCircuit
+from ftprep.assemble import AssembledCircuit, circuit_metrics
 from ftprep.bipartite import BipartiteCircuit
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 from ftprep.css import CssState, GroupTooLargeError
@@ -645,6 +651,79 @@ def tight_order_reference(asm: AssembledCircuit) -> list[int]:
         while (node := front(ci)) is not None:
             run(node)
     return order
+
+
+def topological_order_reference(
+    asm: AssembledCircuit, rng: np.random.Generator, greedy: bool
+) -> list[int]:
+    """The sampler with every ready gate rescored at every step, drawing one
+    uniform per placed gate."""
+    n = len(asm.gates)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for chain in asm.chains:
+        for u, v in zip(chain, chain[1:]):
+            succ[u].append(v)
+            indeg[v] += 1
+    uses = [0] * asm.n_qubits
+    for a, b in asm.gates:
+        uses[a] += 1
+        uses[b] += 1
+    alive = [False] * asm.n_qubits
+    flag = [ci is None for ci in asm.code_index]
+
+    def score(node: int) -> int:
+        s = 0
+        for q in asm.gates[node]:
+            s += not alive[q]
+            s -= 2 * (flag[q] and uses[q] == 1)
+        return s
+
+    ready = [i for i in range(n) if indeg[i] == 0]
+    order = []
+    while ready:
+        if greedy:
+            best = min(score(v) for v in ready)
+            pool = [v for v in ready if score(v) == best]
+            node = pool[int(rng.random() * len(pool))]
+            ready.remove(node)
+        else:
+            node = ready.pop(int(rng.random() * len(ready)))
+        order.append(node)
+        for q in asm.gates[node]:
+            alive[q] = True
+            uses[q] -= 1
+            if flag[q] and uses[q] == 0:
+                alive[q] = False
+        for v in succ[node]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    return order
+
+
+def schedule_reference(
+    asm: AssembledCircuit, objective: str = "min_max_qubits", shuffles: int = 1, seed: int = 0
+) -> Circuit:
+    """The scheduler that scores every order in full: the tight order, then
+    ``shuffles - 1`` sampled orders (greedy under ``min_max_qubits`` except
+    every fourth), each by the ``circuit_metrics`` of its circuit; the first
+    best order wins."""
+    rng = np.random.default_rng(seed)
+    best: list[int] = []
+    best_val: tuple[int, int] | None = None
+    for trial in range(max(shuffles, 1)):
+        if trial == 0:
+            order = asm.tight_order()
+        else:
+            greedy = objective == "min_max_qubits" and trial % 4 != 3
+            order = topological_order_reference(asm, rng, greedy)
+        m = circuit_metrics(asm.schedule(order))
+        width, depth = m.max_simultaneous_qubits, m.depth
+        val = (width, depth) if objective == "min_max_qubits" else (depth, width)
+        if best_val is None or val < best_val:
+            best, best_val = order, val
+    return asm.schedule(best)
 
 
 def anneal_priority_reference(

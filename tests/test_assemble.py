@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from ftprep import pipeline
 from ftprep.assemble import (
+    AssembledCircuit,
     CircuitMetrics,
     MissingGadgetError,
     OverrideNotCertifiedError,
@@ -29,7 +31,13 @@ from ftprep.serialization import serialize_circuit
 from ftprep.tableau import tableau_check_circuit
 from ftprep.noise import SLOTS, build_effect_tables
 
-from _reference import anneal_priority_reference, flag_int, tight_order_reference
+from _reference import (
+    anneal_priority_reference,
+    flag_int,
+    schedule_reference,
+    tight_order_reference,
+    topological_order_reference,
+)
 
 
 # The catalog codes the golden digests were recorded on, in catalog order.
@@ -469,76 +477,126 @@ def test_golden_annealed_without_z_gadgets(library):
         assert asm.edge_priority == priority, name
 
 
-def _reference_order(asm, rng, greedy):
-    """The sampler with every ready gate rescored at every step, drawing one
-    uniform per placed gate."""
-    n = len(asm.gates)
-    succ = [[] for _ in range(n)]
-    indeg = [0] * n
-    for chain in asm.chains:
-        for u, v in zip(chain, chain[1:]):
-            succ[u].append(v)
-            indeg[v] += 1
-    uses = [0] * asm.n_qubits
-    for a, b in asm.gates:
-        uses[a] += 1
-        uses[b] += 1
-    alive = [False] * asm.n_qubits
-    flag = [ci is None for ci in asm.code_index]
-
-    def score(node):
-        s = 0
-        for q in asm.gates[node]:
-            s += not alive[q]
-            s -= 2 * (flag[q] and uses[q] == 1)
-        return s
-
-    ready = [i for i in range(n) if indeg[i] == 0]
-    order = []
-    while ready:
-        if greedy:
-            best = min(score(v) for v in ready)
-            pool = [v for v in ready if score(v) == best]
-            node = pool[int(rng.random() * len(pool))]
-            ready.remove(node)
-        else:
-            node = ready.pop(int(rng.random() * len(ready)))
-        order.append(node)
-        for q in asm.gates[node]:
-            alive[q] = True
-            uses[q] -= 1
-            if flag[q] and uses[q] == 0:
-                alive[q] = False
-        for v in succ[node]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    return order
+# Assemblies the sampler tests run on.
+SAMPLER_CASES = [
+    ("steane", {"z_gadget_t_override": 0}),
+    ("color17", {"z_gadget_t_override": 0, "allow_uncertified_override": True}),
+    # Targets without gadgets: ready gates share an unwoken target, so
+    # placing one of them rescores the others.
+    ("surface25", {"z_gadget_t_override": 0, "allow_uncertified_override": True}),
+    ("color17", {}),
+    ("golay", {"z_gadget_t_override": 2}),
+    ("idle", {"use_trivial_gadgets": False}),
+]
 
 
-@pytest.mark.parametrize(
-    "name, kwargs",
-    [
-        ("steane", {"z_gadget_t_override": 0}),
-        ("color17", {"z_gadget_t_override": 0, "allow_uncertified_override": True}),
-        # Targets without gadgets: ready gates share an unwoken target, so
-        # placing one of them rescores the others.
-        ("surface25", {"z_gadget_t_override": 0, "allow_uncertified_override": True}),
-        ("color17", {}),
-        ("golay", {"z_gadget_t_override": 2}),
-        ("idle", {"use_trivial_gadgets": False}),
-    ],
-)
+def _sampler_assembly(library, name: str, kwargs: dict):
+    state = idle_qubit_state() if name == "idle" else get_state(name)
+    return assemble_ft_circuit(state, best_of_trials(state, 20, 3), library, seed=2, **kwargs)
+
+
+@pytest.mark.parametrize("name, kwargs", SAMPLER_CASES)
 def test_sampled_orders_match_full_rescoring(library, name, kwargs):
     # Incremental scoring and the one batched draw per order must give the
     # same orders and leave the RNG in the same state.
-    state = idle_qubit_state() if name == "idle" else get_state(name)
-    asm = assemble_ft_circuit(state, best_of_trials(state, 20, 3), library, seed=2, **kwargs)
+    asm = _sampler_assembly(library, name, kwargs)
     fast, ref = np.random.default_rng(8), np.random.default_rng(8)
     for trial in range(12):
         greedy = trial % 4 != 3
-        assert asm._topological_order(fast, greedy=greedy) == _reference_order(asm, ref, greedy)
+        assert asm._topological_order(fast, greedy=greedy) == topological_order_reference(asm, ref, greedy)
     assert fast.random() == ref.random()
+
+
+def _running_peak(asm, order: list[int]) -> int:
+    """The most qubits live after any gate of ``order`` is placed, before
+    the flags it retires are measured: a qubit is live from its first gate,
+    a flag until its last."""
+    uses = [0] * asm.n_qubits
+    for gate in asm.gates:
+        for q in gate:
+            uses[q] += 1
+    live: set[int] = set()
+    peak = 0
+    for node in order:
+        live.update(asm.gates[node])
+        peak = max(peak, len(live))
+        for q in asm.gates[node]:
+            uses[q] -= 1
+            if uses[q] == 0 and asm.code_index[q] is None:
+                live.discard(q)
+    return peak
+
+
+@pytest.mark.parametrize("name, kwargs", SAMPLER_CASES)
+def test_bounded_sampler_stops_exactly_when_wider(library, name, kwargs):
+    # Under every bound up to the order's unbounded width, the sampler
+    # returns None exactly when the reference order's running peak passes
+    # the bound, the reference order otherwise, and leaves the RNG where the
+    # reference does.
+    asm = _sampler_assembly(library, name, kwargs)
+    stopped = finished = 0
+    for trial in range(8):
+        greedy = trial % 4 != 3
+        ref_rng = np.random.default_rng(trial)
+        ref = topological_order_reference(asm, ref_rng, greedy)
+        after = ref_rng.random()
+        peak = _running_peak(asm, ref)
+        assert peak <= asm.order_metrics(ref)[0]
+        for bound in range(1, peak + 1):
+            rng = np.random.default_rng(trial)
+            order = asm._topological_order(rng, greedy, bound)
+            if peak > bound:
+                assert order is None, (trial, bound)
+                stopped += 1
+            else:
+                assert order == ref, (trial, bound)
+                finished += 1
+            assert rng.random() == after, (trial, bound)
+    assert stopped and finished
+
+
+def test_schedule_matches_reference(library):
+    # The bounded scheduler picks the circuit the full-scoring scheduler
+    # does, under both objectives.  Under each objective, the cases hold a
+    # win of the tight order and a win of a sampled order.  Without Z
+    # gadgets many orders tie on width, so sampled orders there also win on
+    # depth alone: an order as wide as the best must not be stopped.
+    options = (
+        {},
+        {"width_anneal": 2_000},
+        {"z_gadget_t_override": 0, "allow_uncertified_override": True},
+    )
+    wins = set()
+    for name in GOLDEN_CODES:
+        for label in ("|0>", "|+>"):
+            state = get_state(name, label)
+            bip = best_of_trials(state, 20, 7)
+            for seed, kwargs in itertools.product((0, 1, 2), options):
+                asm = assemble_ft_circuit(state, bip, library, seed=seed, **kwargs)
+                tight = asm.schedule(asm.tight_order()).ops
+                for objective in ("min_max_qubits", "min_depth"):
+                    circ = schedule_circuit(asm, objective, shuffles=12, seed=seed)
+                    expected = schedule_reference(asm, objective, shuffles=12, seed=seed)
+                    assert circ.ops == expected.ops, (name, label, seed, kwargs, objective)
+                    wins.add((objective, circ.ops == tight))
+    assert wins == set(itertools.product(("min_max_qubits", "min_depth"), (True, False)))
+
+
+def test_bounded_sampler_counts_a_wake_before_a_retirement():
+    # The flag's last gate wakes code qubit 1: three qubits are live there,
+    # past a bound of 2, though the flag is measured right after.
+    asm = AssembledCircuit(
+        code_index=(0, 1, None),
+        plus=(True, True, False),
+        gates=((0, 2), (1, 2)),
+        chains=((0, 1),),
+        n_edges=0,
+        edge_priority=(),
+    )
+    assert asm.order_metrics([0, 1]) == (3, 2)
+    for greedy in (True, False):
+        assert asm._topological_order(np.random.default_rng(0), greedy, 2) is None
+        assert asm._topological_order(np.random.default_rng(0), greedy, 3) == [0, 1]
 
 
 @pytest.mark.parametrize("name", GOLDEN_CODES)
