@@ -93,7 +93,8 @@ class AssembledCircuit:
     def _dag(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int | None, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """Successors and in-degree per gate, each flag's last gate (None for
         code qubits), the number of flags each gate retires, and each
-        qubit's gates; built once per circuit and shared by every order.
+        qubit's gates; built once per circuit and read by ``schedule``,
+        ``tight_order``, the greedy sampler and ``order_metrics``.
 
         All of a flag's gates lie in its gadget's chain, in chain order, so
         its last gate there is its last gate in every linear extension.  A
@@ -123,67 +124,59 @@ class AssembledCircuit:
             gates_of[b].append(v)
         return tuple(map(tuple, succ)), tuple(indeg), tuple(last), tuple(retire), tuple(map(tuple, gates_of))
 
-    def _topological_order(
-        self, rng: np.random.Generator, greedy: bool = False, bound: float = math.inf
-    ) -> list[int] | None:
-        """A random linear extension of the precedence DAG, or None as soon as
-        its live-qubit count, counted as in ``order_metrics``, passes ``bound``:
-        the running peak never falls, so the order is wider.
+    def _topological_order(self, rng: np.random.Generator, bound: float = math.inf) -> list[int] | None:
+        """A random greedy linear extension of the precedence DAG, or None as
+        soon as its live-qubit count, counted as in ``order_metrics``, passes
+        ``bound``: the running peak never falls, so the order is wider.
 
-        One ``rng.random(len(gates))`` draw serves the whole order, stopped or
-        not: step s places candidate ``int(u[s] * n)`` of its n candidates, the
-        ready gates in ready-list order.  With ``greedy`` set, the candidates
-        are the best-scoring ready gates, scored to keep the live-qubit window
-        narrow: +1 per qubit the gate wakes, -2 per flag it retires, so ties
-        break randomly and repeated calls sample different low-width schedules.
-        Ready gates sit in one list per score, in [-4, 2], each in ready-list
-        order; a waking qubit rescores only its own ready gates.
+        Each step places one of the best-scoring ready gates, scored to keep
+        the live-qubit window narrow: +1 per qubit the gate wakes, -2 per
+        flag it retires, so ties break randomly and repeated calls sample
+        different low-width schedules.  One ``rng.random(len(gates))`` draw
+        serves the whole order, stopped or not: step s places candidate
+        ``int(u[s] * n)`` of its n candidates.  Ready gates sit in one list
+        per score, in [-4, 2], each in ready-list order; a waking qubit
+        rescores only its own ready gates.
         """
         succ, indeg0, _, retire, gates_of = self._dag
         gates = self.gates
         indeg = list(indeg0)
-        ready = [i for i, d in enumerate(indeg0) if not d]
+        ready = [i for i, d in enumerate(indeg0) if not d]  # only grows: a gate's position is its rank
         order = []
         u = rng.random(len(gates)).tolist()  # one uniform per placed gate
         woken = [False] * self.n_qubits
         alive = 0
-        if greedy:  # ``ready`` only grows: a gate's position in it is its rank
-            score: list[int | None] = [None] * len(gates)
-            rank, buckets = [0] * len(gates), [[] for _ in range(7)]  # score + 4 -> ranks
-            for k, v in enumerate(ready):
-                score[v], rank[v] = 2 - 2 * retire[v], k  # nothing is woken yet
-                buckets[score[v] + 4].append(k)
+        score: list[int | None] = [None] * len(gates)
+        rank, buckets = [0] * len(gates), [[] for _ in range(7)]  # score + 4 -> ranks
+        for k, v in enumerate(ready):
+            score[v], rank[v] = 2 - 2 * retire[v], k  # nothing is woken yet
+            buckets[score[v] + 4].append(k)
         for draw in u:
-            if greedy:
-                for pool in buckets:
-                    if pool:
-                        break
-                node = ready[pool.pop(int(draw * len(pool)))]
-                score[node] = None
-            else:
-                node = ready.pop(int(draw * len(ready)))
+            for pool in buckets:
+                if pool:
+                    break
+            node = ready[pool.pop(int(draw * len(pool)))]
+            score[node] = None
             order.append(node)
             for q in gates[node]:
                 if not woken[q]:
                     woken[q] = True
                     alive += 1
-                    if greedy:
-                        for v in gates_of[q]:
-                            if (s := score[v]) is not None:
-                                pool = buckets[s + 4]
-                                del pool[bisect_left(pool, rank[v])]
-                                insort(buckets[s + 3], rank[v])
-                                score[v] = s - 1
+                    for v in gates_of[q]:
+                        if (s := score[v]) is not None:
+                            pool = buckets[s + 4]
+                            del pool[bisect_left(pool, rank[v])]
+                            insort(buckets[s + 3], rank[v])
+                            score[v] = s - 1
             if alive > bound:
                 return None
             alive -= retire[node]
             for v in succ[node]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
-                    if greedy:
-                        x, y = gates[v]
-                        score[v], rank[v] = (not woken[x]) + (not woken[y]) - 2 * retire[v], len(ready)
-                        buckets[score[v] + 4].append(len(ready))
+                    x, y = gates[v]
+                    score[v], rank[v] = (not woken[x]) + (not woken[y]) - 2 * retire[v], len(ready)
+                    buckets[score[v] + 4].append(len(ready))
                     ready.append(v)
         return order
 
@@ -554,37 +547,31 @@ def schedule_circuit(
     shuffles: int = 1,
     seed: int = 0,
 ) -> Circuit:
-    """Best schedule over randomly sampled linear extensions of the DAG.
+    """The narrowest schedule over the tight order and ``shuffles - 1``
+    greedy linear extensions of the DAG, ties broken by depth.
 
-    ``objective`` is ``min_max_qubits`` or ``min_depth``.  Fault tolerance
-    is order-invariant because every sampled order respects the
-    gadget-internal precedence chains.  The tight order, the narrowest
-    window the edge priority admits, is scored first; under
-    ``min_max_qubits`` each sampled order is then bounded by the best width
-    so far and stops, unfinished, once it is wider: it cannot win.
-    Finished orders are compared by ``AssembledCircuit.order_metrics``;
-    only the winning order is built into a ``Circuit``.  Every order draws
-    its whole vector of uniforms, so the RNG stream does not depend on
-    where orders stop.  ``shuffles`` 0 samples as 1 does (the tight order
-    alone); a negative one raises ValueError.
+    Fault tolerance is order-invariant because every order respects the
+    gadget-internal precedence chains, so the order serves width alone.
+    The tight order, the narrowest window the edge priority admits, is
+    scored first; each sampled order is bounded by the best width so far
+    and stops, unfinished, once it is wider: it cannot win.  Finished
+    orders are compared by ``AssembledCircuit.order_metrics``; only the
+    winning order is built into a ``Circuit``.  Every order draws its whole
+    vector of uniforms, so the RNG stream does not depend on where orders
+    stop.  ``objective`` must be ``min_max_qubits``, the only one; it stays
+    so that existing callers keep their signature.  ``shuffles`` 0 samples
+    as 1 does (the tight order alone); a negative one raises ValueError.
     """
-    if objective not in ("min_max_qubits", "min_depth"):
+    if objective != "min_max_qubits":
         raise ValueError(f"unknown objective {objective!r}")
     if shuffles < 0:
         raise ValueError(f"shuffles {shuffles} is negative")
     rng = np.random.default_rng(seed)
-    narrow = objective == "min_max_qubits"
-
-    def value(order: list[int]) -> tuple[int, int]:
-        width, depth = assembled.order_metrics(order)
-        return (width, depth) if narrow else (depth, width)
-
     best = assembled.tight_order()
-    best_val = value(best)
-    for trial in range(1, shuffles):
-        greedy = narrow and trial % 4 != 3
-        order = assembled._topological_order(rng, greedy, best_val[0] if narrow else math.inf)
-        if order is not None and (val := value(order)) < best_val:
+    best_val = assembled.order_metrics(best)
+    for _ in range(1, shuffles):
+        order = assembled._topological_order(rng, best_val[0])
+        if order is not None and (val := assembled.order_metrics(order)) < best_val:
             best, best_val = order, val
     return assembled.schedule(best)
 

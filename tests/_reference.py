@@ -31,8 +31,9 @@ variant's Pauli from its id and grading the readout with
 ``tight_order_reference`` replays the tight schedule's policy gate by gate,
 counting each qubit's remaining uses, where ``AssembledCircuit.tight_order``
 sorts by a static key read off the flags' last gates.
-``topological_order_reference`` samples an order with every ready gate
-rescored at every step and one ``rng.random()`` per placed gate, where
+``topological_order_reference`` samples a greedy order with every ready
+gate rescored at every step and one ``rng.random()`` per placed gate (or,
+without ``greedy``, an order drawn from all ready gates), where
 ``AssembledCircuit._topological_order`` keeps its ready gates in score
 buckets, rescores only a waking qubit's gates and stops once the order is
 wider than its bound; ``schedule_reference`` scores every sampled order in
@@ -656,8 +657,10 @@ def tight_order_reference(asm: AssembledCircuit) -> list[int]:
 def topological_order_reference(
     asm: AssembledCircuit, rng: np.random.Generator, greedy: bool
 ) -> list[int]:
-    """The sampler with every ready gate rescored at every step, drawing one
-    uniform per placed gate."""
+    """The greedy sampler with every ready gate rescored at every step,
+    drawing one uniform per placed gate.  Without ``greedy`` every ready
+    gate is a candidate, which gives the tests orders that the scheduler
+    never samples."""
     n = len(asm.gates)
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
@@ -702,25 +705,17 @@ def topological_order_reference(
     return order
 
 
-def schedule_reference(
-    asm: AssembledCircuit, objective: str = "min_max_qubits", shuffles: int = 1, seed: int = 0
-) -> Circuit:
+def schedule_reference(asm: AssembledCircuit, shuffles: int = 1, seed: int = 0) -> Circuit:
     """The scheduler that scores every order in full: the tight order, then
-    ``shuffles - 1`` sampled orders (greedy under ``min_max_qubits`` except
-    every fourth), each by the ``circuit_metrics`` of its circuit; the first
-    best order wins."""
+    ``shuffles - 1`` greedy sampled orders, each by the (width, depth) of
+    the ``circuit_metrics`` of its circuit; the first narrowest order wins."""
     rng = np.random.default_rng(seed)
     best: list[int] = []
     best_val: tuple[int, int] | None = None
     for trial in range(max(shuffles, 1)):
-        if trial == 0:
-            order = asm.tight_order()
-        else:
-            greedy = objective == "min_max_qubits" and trial % 4 != 3
-            order = topological_order_reference(asm, rng, greedy)
+        order = topological_order_reference(asm, rng, True) if trial else asm.tight_order()
         m = circuit_metrics(asm.schedule(order))
-        width, depth = m.max_simultaneous_qubits, m.depth
-        val = (width, depth) if objective == "min_max_qubits" else (depth, width)
+        val = (m.max_simultaneous_qubits, m.depth)
         if best_val is None or val < best_val:
             best, best_val = order, val
     return asm.schedule(best)

@@ -108,6 +108,15 @@ def test_negative_shuffles_rejected(library):
         schedule_circuit(asm, shuffles=-1)
 
 
+@pytest.mark.parametrize("objective", ["min_depth", "min_max_qubit"])
+def test_unknown_objective_rejected(library, objective):
+    # Width is the only objective, and a misspelt name is not read as it.
+    state = get_state("steane")
+    asm = assemble_ft_circuit(state, best_of_trials(state, 20, 3), library)
+    with pytest.raises(ValueError, match=f"^unknown objective '{objective}'$"):
+        schedule_circuit(asm, objective, shuffles=2)
+
+
 @pytest.mark.parametrize("candidates", [0, -2])
 def test_assembly_candidates_below_one_rejected(library, monkeypatch, candidates):
     # Rejected before any synthesis trial runs.
@@ -220,12 +229,14 @@ def _op_effects(circ: Circuit, state: CssState, side: str) -> list[tuple[tuple[i
 
 def _effects_over_orders(library, name: str, side: str, **kwargs) -> list:
     """``_op_effects`` of five distinct schedules of one assembly: the tight
-    order, two greedy and two uniform sampled orders."""
+    order, two greedy sampled orders and two orders drawn from all ready
+    gates."""
     state = get_state(name)
     asm = assemble_ft_circuit(state, best_of_trials(state, 20, 3), library, seed=2, **kwargs)
     rng = np.random.default_rng(1)
     orders = [asm.tight_order()]
-    orders += [asm._topological_order(rng, greedy=greedy) for greedy in (True, True, False, False)]
+    orders += [asm._topological_order(rng) for _ in range(2)]
+    orders += [topological_order_reference(asm, rng, False) for _ in range(2)]
     circuits = [asm.schedule(order) for order in orders]
     assert len({circ.ops for circ in circuits}) == 5, name
     return [_op_effects(circ, state, side) for circ in circuits]
@@ -307,9 +318,9 @@ def test_golden_golay_build(library):
 
 
 def test_golden_color17_schedules(library):
-    # Fixed outputs of the scheduler's RNG stream: here a greedy order wins
-    # min_max_qubits (shuffle 21) and a uniform order wins min_depth
-    # (shuffle 9), so a shift in either sampler changes the circuit.
+    # Fixed outputs of the scheduler's RNG stream: here sampled orders
+    # narrow the tight order's 46 qubits to 40, the last step at shuffle
+    # 35, so a shift in the sampler changes the circuit.
     state = get_state("color17")
     bip = best_of_trials(state, 100, 3)
     asm = assemble_ft_circuit(state, bip, library, seed=2)
@@ -317,13 +328,8 @@ def test_golden_color17_schedules(library):
         22, 32, 23, 7, 34, 12, 33, 6, 3, 37, 24, 28, 27, 10, 26, 14, 16, 15, 38, 25, 20, 39, 2,
         18, 11, 13, 0, 4, 17, 19, 9, 5, 21, 29, 31, 30, 35, 36, 8, 1,
     )
-    expected = {
-        "min_max_qubits": "63be79359768035ed2f5cbaf9ebaa1790083b4a43c7fa64c54e961e4d37f6c62",
-        "min_depth": "c28a8699857aba96ca9f85c5d1b7e592fe23b63bc851a684da67a25e7ca7d840",
-    }
-    for objective, sha in expected.items():
-        circ = schedule_circuit(asm, objective, shuffles=50, seed=3)
-        assert _serialized_sha(circ) == sha, objective
+    circ = schedule_circuit(asm, "min_max_qubits", shuffles=50, seed=3)
+    assert _serialized_sha(circ) == "3fe0aecc656d5e8ed5ad670fc32a76ee59388b4c56fa8d3d21748bc6c0f12173"
 
 
 def idle_qubit_state() -> CssState:
@@ -357,8 +363,8 @@ def test_order_metrics_match_scheduled_circuit(library, name, kwargs):
     rng = np.random.default_rng(1)
     orders = [asm.tight_order()]
     for _ in range(4):
-        orders.append(asm._topological_order(rng, greedy=True))
         orders.append(asm._topological_order(rng))
+        orders.append(topological_order_reference(asm, rng, False))
     if name == "idle":
         assert any(q not in {q for g in asm.gates for q in g} for q in range(asm.n_qubits))
     for order in orders:
@@ -501,9 +507,8 @@ def test_sampled_orders_match_full_rescoring(library, name, kwargs):
     # same orders and leave the RNG in the same state.
     asm = _sampler_assembly(library, name, kwargs)
     fast, ref = np.random.default_rng(8), np.random.default_rng(8)
-    for trial in range(12):
-        greedy = trial % 4 != 3
-        assert asm._topological_order(fast, greedy=greedy) == topological_order_reference(asm, ref, greedy)
+    for _ in range(12):
+        assert asm._topological_order(fast) == topological_order_reference(asm, ref, True)
     assert fast.random() == ref.random()
 
 
@@ -536,15 +541,14 @@ def test_bounded_sampler_stops_exactly_when_wider(library, name, kwargs):
     asm = _sampler_assembly(library, name, kwargs)
     stopped = finished = 0
     for trial in range(8):
-        greedy = trial % 4 != 3
         ref_rng = np.random.default_rng(trial)
-        ref = topological_order_reference(asm, ref_rng, greedy)
+        ref = topological_order_reference(asm, ref_rng, True)
         after = ref_rng.random()
         peak = _running_peak(asm, ref)
         assert peak <= asm.order_metrics(ref)[0]
         for bound in range(1, peak + 1):
             rng = np.random.default_rng(trial)
-            order = asm._topological_order(rng, greedy, bound)
+            order = asm._topological_order(rng, bound)
             if peak > bound:
                 assert order is None, (trial, bound)
                 stopped += 1
@@ -557,10 +561,10 @@ def test_bounded_sampler_stops_exactly_when_wider(library, name, kwargs):
 
 def test_schedule_matches_reference(library):
     # The bounded scheduler picks the circuit the full-scoring scheduler
-    # does, under both objectives.  Under each objective, the cases hold a
-    # win of the tight order and a win of a sampled order.  Without Z
-    # gadgets many orders tie on width, so sampled orders there also win on
-    # depth alone: an order as wide as the best must not be stopped.
+    # does.  The cases hold wins of the tight order and wins of sampled
+    # orders.  Without Z gadgets many orders tie on width, so sampled
+    # orders there also win on depth alone: an order as wide as the best
+    # must not be stopped.
     options = (
         {},
         {"width_anneal": 2_000},
@@ -574,12 +578,11 @@ def test_schedule_matches_reference(library):
             for seed, kwargs in itertools.product((0, 1, 2), options):
                 asm = assemble_ft_circuit(state, bip, library, seed=seed, **kwargs)
                 tight = asm.schedule(asm.tight_order()).ops
-                for objective in ("min_max_qubits", "min_depth"):
-                    circ = schedule_circuit(asm, objective, shuffles=12, seed=seed)
-                    expected = schedule_reference(asm, objective, shuffles=12, seed=seed)
-                    assert circ.ops == expected.ops, (name, label, seed, kwargs, objective)
-                    wins.add((objective, circ.ops == tight))
-    assert wins == set(itertools.product(("min_max_qubits", "min_depth"), (True, False)))
+                circ = schedule_circuit(asm, shuffles=12, seed=seed)
+                expected = schedule_reference(asm, shuffles=12, seed=seed)
+                assert circ.ops == expected.ops, (name, label, seed, kwargs)
+                wins.add(circ.ops == tight)
+    assert wins == {True, False}
 
 
 def test_bounded_sampler_counts_a_wake_before_a_retirement():
@@ -594,9 +597,8 @@ def test_bounded_sampler_counts_a_wake_before_a_retirement():
         edge_priority=(),
     )
     assert asm.order_metrics([0, 1]) == (3, 2)
-    for greedy in (True, False):
-        assert asm._topological_order(np.random.default_rng(0), greedy, 2) is None
-        assert asm._topological_order(np.random.default_rng(0), greedy, 3) == [0, 1]
+    assert asm._topological_order(np.random.default_rng(0), 2) is None
+    assert asm._topological_order(np.random.default_rng(0), 3) == [0, 1]
 
 
 @pytest.mark.parametrize("name", GOLDEN_CODES)
@@ -672,7 +674,7 @@ def test_golden_catalog_assemblies(library):
                 digest.update(serialize_circuit(circ).encode())
                 count += 1
     assert count == 36
-    assert digest.hexdigest() == "9dd22f48bd25646e94a0bdf637d5f6efb23b6d2367ccd80cbd17070576ead476"
+    assert digest.hexdigest() == "210cc959dbf93a0e5b3fdf4f001bedfadc805dbbd2eafa3d54e713721f218d64"
     assert orders.hexdigest() == "903fd1ffcbf6c3a7f0e8a0f7cf629528ff02e7a0bc958dc775f1decf4f4b89d0"
 
 
