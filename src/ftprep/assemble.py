@@ -124,6 +124,20 @@ class AssembledCircuit:
             gates_of[b].append(v)
         return tuple(map(tuple, succ)), tuple(indeg), tuple(last), tuple(retire), tuple(map(tuple, gates_of))
 
+    @cached_property
+    def _roots(self) -> tuple[tuple[int, ...], tuple[int | None, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The greedy sampler's start: the gates of in-degree 0 in index
+        order, each gate's score (None unless ready) and rank in that list,
+        and the ranks per score + 4.  Tuples, so no order can change them."""
+        _, indeg, _, retire, _ = self._dag
+        ready = [i for i, d in enumerate(indeg) if not d]
+        score: list[int | None] = [None] * len(self.gates)
+        rank, buckets = [0] * len(self.gates), [[] for _ in range(7)]
+        for k, v in enumerate(ready):
+            score[v], rank[v] = 2 - 2 * retire[v], k  # nothing is woken yet
+            buckets[score[v] + 4].append(k)
+        return tuple(ready), tuple(score), tuple(rank), tuple(map(tuple, buckets))
+
     def _topological_order(self, rng: np.random.Generator, bound: float = math.inf) -> list[int] | None:
         """A random greedy linear extension of the precedence DAG, or None as
         soon as its live-qubit count, counted as in ``order_metrics``, passes
@@ -136,21 +150,20 @@ class AssembledCircuit:
         serves the whole order, stopped or not: step s places candidate
         ``int(u[s] * n)`` of its n candidates.  Ready gates sit in one list
         per score, in [-4, 2], each in ready-list order; a waking qubit
-        rescores only its own ready gates.
+        rescores only its own ready gates.  Every order starts from copies
+        of the cached ``_roots``, so a stopped order costs only its own
+        steps and leaves nothing behind for the next.
         """
         succ, indeg0, _, retire, gates_of = self._dag
         gates = self.gates
         indeg = list(indeg0)
-        ready = [i for i, d in enumerate(indeg0) if not d]  # only grows: a gate's position is its rank
+        ready, score, rank, buckets = self._roots
+        ready, score, rank = list(ready), list(score), list(rank)  # ready only grows: a position is a rank
+        buckets = [list(pool) for pool in buckets]  # score + 4 -> ranks
         order = []
         u = rng.random(len(gates)).tolist()  # one uniform per placed gate
         woken = [False] * self.n_qubits
         alive = 0
-        score: list[int | None] = [None] * len(gates)
-        rank, buckets = [0] * len(gates), [[] for _ in range(7)]  # score + 4 -> ranks
-        for k, v in enumerate(ready):
-            score[v], rank[v] = 2 - 2 * retire[v], k  # nothing is woken yet
-            buckets[score[v] + 4].append(k)
         for draw in u:
             for pool in buckets:
                 if pool:
@@ -422,9 +435,11 @@ class _WidthModel:
     """The annealer's width estimate of an edge order, updated per swap.
 
     ``slots[w]`` holds window w's edge positions, sorted: its rank-r edge
-    sits at ``slots[w][r]``.  ``delta[p]`` counts the opens at p minus the
-    closes just before p; the width is the peak of its running sum.  Each
-    edge lies in two windows, its control's and its target's.
+    sits at ``slots[w][r]``.  ``events[w]`` lists, in rank order,
+    ``(rank, opens, closes)`` for each rank of window w that opens or closes
+    something.  ``delta[p]`` counts the opens at p minus the closes just
+    before p; the width is the peak of its running sum.  Each edge lies in
+    exactly two windows, its control's and its target's: ``windows_of``.
     """
 
     def __init__(self, windows: list, order: list[int]) -> None:
@@ -432,15 +447,18 @@ class _WidthModel:
         self.pos = pos = [0] * len(order)
         for p, e in enumerate(order):
             pos[e] = p
-        self.windows_of: list[list[int]] = [[] for _ in order]
+        of: list[list[int]] = [[] for _ in order]
         self.slots = [sorted([pos[i] for i in mine]) for mine, _, _ in windows]
+        self.events = [[(r, o, c) for r, (o, c) in enumerate(zip(opens, closes)) if o or c]
+                       for _, opens, closes in windows]
         self.delta = [0] * (len(order) + 1)
         for w, (mine, opens, closes) in enumerate(windows):
             for i in mine:
-                self.windows_of[i].append(w)
+                of[i].append(w)
             for p, o, c in zip(self.slots[w], opens, closes):
                 self.delta[p] += o
                 self.delta[p + 1] -= c
+        self.windows_of = [(a, b) for a, b in of]
 
     def peak(self) -> int:
         # The last entry only closes windows: it never raises the peak.
@@ -450,9 +468,11 @@ class _WidthModel:
         """Swap the edges at positions ``i`` and ``j``; return the new peak.
 
         Only the windows holding exactly one of the two edges change: each
-        moves that edge's slot, and only the ranks it passes over change
-        position.  ``delta`` and the list of slot lists are saved for
-        ``undo`` first; a moved window gets a new slot list.
+        moves that edge's slot from src to dst.  When dst lies between the
+        same two neighbours the slot keeps its rank, and only that rank's
+        events move; otherwise the ranks it passes over shift by one, and
+        only their listed events move.  ``delta`` and the list of slot lists
+        are saved for ``undo`` first; a moved window gets a new slot list.
         """
         order, pos = self.order, self.pos
         ei, ej = order[i], order[j]
@@ -461,21 +481,36 @@ class _WidthModel:
         self._saved = (i, j, self.delta, self.slots)
         self.delta = delta = self.delta[:]
         self.slots = all_slots = self.slots[:]
-        of_i = self.windows_of[ei]
-        for w in {*of_i} ^ {*self.windows_of[ej]}:
-            src, dst = (i, j) if w in of_i else (j, i)
+        of_i, of_j = self.windows_of[ei], self.windows_of[ej]
+        moves = ((of_i[0], i, j, of_j), (of_i[1], i, j, of_j), (of_j[0], j, i, of_i), (of_j[1], j, i, of_i))
+        for w, src, dst, shared in moves:
+            if w in shared:
+                continue
             old = all_slots[w]
             r = bisect_left(old, src)
-            new = old[:r] + old[r + 1 :]
-            k = bisect_left(new, dst)
-            new.insert(k, dst)
-            all_slots[w] = new
-            _, opens, closes = self.windows[w]
-            for m in range(min(r, k), max(r, k) + 1):
-                if o := opens[m]:
+            all_slots[w] = new = old[:]
+            if (not r or old[r - 1] < dst) and (r + 1 == len(old) or dst < old[r + 1]):
+                new[r] = dst
+                _, opens, closes = self.windows[w]
+                delta[src] -= opens[r]
+                delta[dst] += opens[r]
+                delta[src + 1] += closes[r]
+                delta[dst + 1] -= closes[r]
+                continue
+            if dst < src:
+                k = bisect_left(old, dst, 0, r)
+                new[k + 1 : r + 1] = old[k:r]
+            else:
+                k = bisect_left(old, dst, r + 1) - 1
+                new[r:k] = old[r + 1 : k + 1]
+            new[k] = dst
+            lo, hi = (k, r) if k < r else (r, k)
+            for m, o, c in self.events[w]:
+                if m > hi:
+                    break
+                if m >= lo:
                     delta[old[m]] -= o
                     delta[new[m]] += o
-                if c := closes[m]:
                     delta[old[m] + 1] += c
                     delta[new[m] + 1] -= c
         return self.peak()

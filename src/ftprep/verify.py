@@ -158,7 +158,9 @@ def verify_fault_tolerance(
     codes = np.sort(rank * nloc + np.arange(nloc))
     sorted_keys = keys[codes % nloc]
     for f in range(1, t + 1):
-        allowed = np.array([key for w, key in light if w <= f], dtype=np.uint64)
+        # Sorted, for membership by search; it holds key 0, so it is never
+        # empty and the clipped index is valid.
+        allowed = np.sort(np.array([key for w, key in light if w <= f], dtype=np.uint64))
         for prefix, start in _prefixes(f - 1, nloc):
             pre_words = np.zeros((len(prefix), words.shape[1]), dtype=np.uint64)
             pre_key = np.zeros(len(prefix), dtype=np.uint64)
@@ -171,7 +173,9 @@ def verify_fault_tolerance(
             lo = np.searchsorted(codes, np.searchsorted(groups, query, "left") * nloc + start)
             hi = np.maximum(lo, np.searchsorted(codes, np.searchsorted(groups, query, "right") * nloc))
             for rows, pos in _ranges(lo, hi):
-                bad = np.flatnonzero(~np.isin(sorted_keys[pos] ^ pre_key[rows], allowed))
+                cand = sorted_keys[pos] ^ pre_key[rows]
+                at = np.minimum(np.searchsorted(allowed, cand), len(allowed) - 1)
+                bad = np.flatnonzero(allowed[at] != cand)
                 if len(bad):
                     i = bad[0]
                     members = [*prefix[rows[i]], codes[pos[i]] % nloc]

@@ -412,18 +412,37 @@ def test_incremental_width_matches_full_recompute(library, name, t_z):
     rng = np.random.default_rng(0)
     model = _WidthModel(_width_windows(edges, placed), rng.permutation(len(edges)).tolist())
     assert model.peak() == _full_width(edges, windows, model.order)
+
+    def sorted_slots():
+        return [sorted(model.pos[i] for i in mine) for mine, _, _ in model.windows]
+
+    def ranks(e):
+        return {w: model.slots[w].index(model.pos[e]) for w in model.windows_of[e]}
+
+    moves = {"kept": 0, "changed": 0}
     for _ in range(600):
         i, j = rng.integers(0, len(edges), size=2).tolist()
         if i == j:
             continue
         before = (list(model.order), list(model.pos), list(model.delta), [list(s) for s in model.slots])
+        ei, ej = model.order[i], model.order[j]
+        old = (ranks(ei), ranks(ej))
         w = model.swap(i, j)
         assert w == model.peak() == _full_width(edges, windows, model.order)
+        assert model.slots == sorted_slots()
+        # A window holding exactly one of the two edges moves its slot,
+        # keeping its rank (one slot edited) or changing it.
+        for e, was, other in ((ei, old[0], ej), (ej, old[1], ei)):
+            for win, r in ranks(e).items():
+                if win not in model.windows_of[other]:
+                    moves["kept" if r == was[win] else "changed"] += 1
         if rng.random() < 0.5:
             model.undo()
             assert (model.order, model.pos, model.delta, model.slots) == before
+            assert model.slots == sorted_slots()
             assert model.peak() == _full_width(edges, windows, model.order)
         assert [model.order[p] for p in model.pos] == list(range(len(edges)))
+    assert moves["kept"] and moves["changed"], moves
 
 
 @pytest.mark.parametrize("name", GOLDEN_CODES)
@@ -510,6 +529,19 @@ def test_sampled_orders_match_full_rescoring(library, name, kwargs):
     for _ in range(12):
         assert asm._topological_order(fast) == topological_order_reference(asm, ref, True)
     assert fast.random() == ref.random()
+
+
+@pytest.mark.parametrize("name, kwargs", SAMPLER_CASES)
+def test_sampled_orders_share_no_state(library, name, kwargs):
+    # Every order starts from copies of the cached roots, which hold only
+    # tuples, so a finished or stopped order leaves nothing for the next.
+    asm = _sampler_assembly(library, name, kwargs)
+    first = asm._topological_order(np.random.default_rng(4))
+    ready, score, rank, buckets = asm._roots
+    assert all(type(part) is tuple for part in (ready, score, rank, buckets, *buckets))
+    asm._topological_order(np.random.default_rng(5))
+    assert asm._topological_order(np.random.default_rng(6), 1) is None
+    assert asm._topological_order(np.random.default_rng(4)) == first
 
 
 def _running_peak(asm, order: list[int]) -> int:
