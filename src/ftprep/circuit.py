@@ -10,9 +10,10 @@ from its ops: code qubits started in |+> are the controls of the bipartite
 preparation graph and those started in |0> its targets; a flag measured in
 Z detects X errors and one measured in X detects Z errors.
 
-The module also owns the backward transfer-map sweep that the noiseless
-check, the exhaustive verifier and the Monte Carlo effect tables are built
-from (it returns the transfer-map columns only), and the packed flag layout.
+The module also owns the backward sweep that the noiseless check, the
+exhaustive verifier and the Monte Carlo effect tables read every fault off
+(how a Pauli propagates and what a flag flip is are encoded there only),
+and the packed flag layout.
 """
 
 from __future__ import annotations
@@ -111,24 +112,23 @@ class Circuit:
 
 def propagate_backward(
     circuit: Circuit, key_cols: list[int], error_side: str
-) -> dict[int, tuple[list[int], list[int]]]:
-    """Transfer-map columns right after every Init and CX, by op position.
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """The fault-site record: ``(x, z)`` per op position and qubit of that op.
 
-    The columns at a position are ``(col_x, col_z)`` over all qubits: entry
-    q is the end-of-circuit effect (a bitmask) of an X (``col_x``) or Z
-    (``col_z``) on q inserted right after that op.  A backward walk over the
-    ops starts them as the effect of a Pauli that survives to the end: on
-    ``error_side``, code qubit i's coset key ``key_cols[i]`` (the caller's
-    :func:`css.coset_key_columns`) shifted above the flag bits, and 0
-    otherwise, so every effect reads
-    ``key << flag_count | flag flips``.  Through a CX, X frames flow
-    control -> target and Z frames target -> control.  A flag measurement
-    sets its qubit's column to ``1 << outcome`` on the side it detects
-    (``col_x`` for a Z-basis measurement, ``col_z`` for an X-basis one) and
-    to 0 on the other.  Raises ValueError unless the circuit's code qubits
-    are exactly ``0..len(key_cols)-1``, each used once, and for an outcome
-    index outside ``range(circuit.flag_count)``, whose bit would land among
-    the key bits.
+    Entry ``(pos, q)`` holds the end-of-circuit effects (bitmasks) of an X
+    and of a Z on q right after op ``pos``, an Init or a CX, or right before
+    it, a flag measurement.  A fault's effect is the XOR of its qubits'
+    entries at its site; a qubit's effect changes only at its own ops.  The
+    backward walk starts each effect as that of a Pauli surviving to the
+    end: on ``error_side``, code qubit i's coset key ``key_cols[i]``
+    (:func:`css.coset_key_columns`) shifted above the flag bits, else 0, so
+    every effect reads ``key << flag_count | flag flips``.  Through a CX, X
+    effects flow control -> target and Z effects target -> control.  A flag
+    measurement's entry is its flip ``1 << outcome`` on the side it detects
+    (x for a Z-basis measurement, z for an X-basis one), 0 on the other.
+    Raises ValueError unless the code qubits are exactly
+    ``0..len(key_cols)-1``, each used once, and for an outcome index outside
+    ``range(circuit.flag_count)``, whose bit would land among the key bits.
     """
     n = len(key_cols)
     if sorted(ci for ci in circuit.code_index if ci is not None) != list(range(n)):
@@ -137,21 +137,22 @@ def propagate_backward(
     seed = [0 if ci is None else key_cols[ci] << n_flags for ci in circuit.code_index]
     zeros = [0] * circuit.n_qubits
     col_x, col_z = (seed, zeros) if error_side == "X" else (zeros, seed)
-    cols: dict[int, tuple[list[int], list[int]]] = {}
+    sites: dict[tuple[int, int], tuple[int, int]] = {}
     for pos in range(len(circuit.ops) - 1, -1, -1):
         op = circuit.ops[pos]
-        if isinstance(op, FlagMeasure):
+        if isinstance(op, CXGate):
+            c, t = op.control, op.target
+            sites[pos, c], sites[pos, t] = (col_x[c], col_z[c]), (col_x[t], col_z[t])
+            col_x[c] ^= col_x[t]
+            col_z[t] ^= col_z[c]
+        elif isinstance(op, Init):
+            sites[pos, op.qubit] = col_x[op.qubit], col_z[op.qubit]
+        else:
             if not 0 <= op.outcome < n_flags:
                 raise ValueError(f"flag outcome m{op.outcome} outside 0..{n_flags - 1}")
-            bit = 1 << op.outcome
-            col_x[op.qubit] = bit if op.basis == "Z" else 0
-            col_z[op.qubit] = bit if op.basis == "X" else 0
-            continue
-        cols[pos] = (col_x[:], col_z[:])
-        if isinstance(op, CXGate):
-            col_x[op.control] ^= col_x[op.target]
-            col_z[op.target] ^= col_z[op.control]
-    return cols
+            q, bit = op.qubit, 1 << op.outcome
+            sites[pos, q] = (col_x[q], col_z[q]) = (bit, 0) if op.basis == "Z" else (0, bit)
+    return sites
 
 
 def pack_effects(effects: list[int], n_flags: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,11 +4,15 @@ Entries store the smallest known X-detecting gadget for each key together
 with an optimality marker: ``optimal`` when the search ran to exhaustion at
 every smaller flag count, ``possibly suboptimal`` when any of them only hit
 its budget.  Assembly places a target's Z-detecting gadget as the X gadget
-mirrored (every CX reversed), so only the X form is stored.
+mirrored (every CX reversed), so only the X form is stored.  A user's
+library file is checked entry by entry, its gadgets' FT tests included; the
+shipped one is trusted by its sha256, which tier-1 tests tie to gadgets
+that pass every check.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -25,6 +29,7 @@ from .gadgets import (
 
 
 MAX_FLAGS = 16  # largest flag count a library miss searches
+BUNDLED_SHA256 = "d9794ce33a31e0b44b9f1e4e9875c809b84dd15bfc5dd77eb2cf0e75cd01a97b"  # data/gadget_library.json
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -93,22 +98,31 @@ class GadgetLibrary:
         """Read a library saved by :meth:`save`.  Raises ValueError, naming
         the entry, for a malformed entry, a key other than ``"t,r"`` of its
         own t and r, or a gadget that fails its FT test."""
-        payload = json.loads(Path(path).read_text())
-        if not isinstance(payload, dict):
-            raise ValueError(f"library {path} is not a JSON object")
-        entries = [_load_entry(key, spec) for key, spec in payload.items()]
-        return cls({(e.gadget.t, e.gadget.r): e for e in entries})
+        return cls._parse(Path(path).read_bytes(), path, ft_test=True)
 
     @classmethod
     def bundled(cls) -> GadgetLibrary:
-        """The library shipped with the package."""
+        """The library shipped with the package, trusted by its sha256: its
+        entries skip the FT test.  Raises ValueError, naming the file, when
+        the file's sha256 is not ``BUNDLED_SHA256``."""
         ref = resources.files("ftprep").joinpath("data/gadget_library.json")
-        with resources.as_file(ref) as path:
-            return cls.load(path)
+        raw = ref.read_bytes()
+        if hashlib.sha256(raw).hexdigest() != BUNDLED_SHA256:
+            raise ValueError(f"bundled library {ref} does not match its sha256 {BUNDLED_SHA256}")
+        return cls._parse(raw, ref, ft_test=False)
+
+    @classmethod
+    def _parse(cls, raw: bytes, path: object, ft_test: bool) -> GadgetLibrary:
+        payload = json.loads(raw)
+        if not isinstance(payload, dict):
+            raise ValueError(f"library {path} is not a JSON object")
+        entries = [_load_entry(key, spec, ft_test) for key, spec in payload.items()]
+        return cls({(e.gadget.t, e.gadget.r): e for e in entries})
 
 
-def _load_entry(key: str, spec: object) -> LibraryEntry:
-    """One ``save`` entry as a checked :class:`LibraryEntry`."""
+def _load_entry(key: str, spec: object, ft_test: bool) -> LibraryEntry:
+    """One ``save`` entry as a checked :class:`LibraryEntry`, its gadget's
+    FT test run when ``ft_test`` holds."""
     if not isinstance(spec, dict):
         raise ValueError(f"library entry {key!r} is a JSON {type(spec).__name__}, not an object")
     t, r = spec.get("t"), spec.get("r")
@@ -132,6 +146,6 @@ def _load_entry(key: str, spec: object) -> LibraryEntry:
         raise ValueError(f"{name}: {exc}") from None
     if key != f"{t},{r}":
         raise ValueError(f"{name}: key {key!r} is not '{t},{r}'")
-    if not gadget_ft_test(gadget):
+    if ft_test and not gadget_ft_test(gadget):
         raise ValueError(f"{name} fails its FT test")
     return LibraryEntry(gadget, spec["optimal"])

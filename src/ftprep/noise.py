@@ -8,21 +8,21 @@ noise adds a depolarizing channel of rate ``p/100`` on every active qubit
 for every CX time step.  The final transversal measurement is noiseless.
 
 Frame propagation is linear, so every fault location's end-of-circuit
-effect (flag flips, syndrome, class) is read once off the transfer-map
-columns of :func:`circuit.propagate_backward`; a Monte Carlo sample is then
-just an XOR of a few table entries.  The tables hold effects only; a
-variant's Pauli follows from its id and the circuit.  Only unflagged samples
-count, so each flag word is read only for the rows the earlier words left
-clean, and the (syndrome, class) word only for the unflagged rows.
-Subset sampling draws the number of faults per sample from the nontrivial
-part of the binomial distribution and adds the fault-free mass back
-analytically.
+effect (flag flips, syndrome, class) is read once off the fault-site record
+of :func:`circuit.propagate_backward`, the XOR of its qubits' entries at its
+site; a Monte Carlo sample is then an XOR of a few table entries.  The
+tables hold effects only; a variant's Pauli follows from its id and the
+circuit.  Only unflagged samples count, so each flag word is read only for
+the rows the earlier words left clean, and the (syndrome, class) word only
+for the unflagged rows.  Subset sampling draws the number of faults per
+sample from the nontrivial part of the binomial distribution and adds the
+fault-free mass back analytically.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, KeysView, Mapping
+from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter, ixor
@@ -68,17 +68,20 @@ class NoiseModel:
         return self.p / 100
 
 
-def _idle_steps(circuit: Circuit) -> Iterator[tuple[int, KeysView[int]]]:
-    """``(CX position, live qubits)`` per CX time step, the qubits in
-    initialization order, participants included: a qubit is live from its
-    initialization until its measurement.  Read the view before the next step.
+def _idle_steps(circuit: Circuit) -> Iterator[tuple[int, ItemsView[int, int]]]:
+    """``(CX position, live qubits)`` per CX time step: a qubit is live from
+    its initialization until its measurement, and each live qubit, in
+    initialization order, maps to the position of its last Init or CX (this
+    CX for its two qubits), whose record entry its idle fault has.  Read the
+    view before the next step.
     """
-    live: dict[int, None] = {}  # insertion-ordered set
+    live: dict[int, int] = {}
     for pos, op in enumerate(circuit.ops):
         if isinstance(op, Init):
-            live[op.qubit] = None
+            live[op.qubit] = pos
         elif isinstance(op, CXGate):
-            yield pos, live.keys()
+            live[op.control] = live[op.target] = pos
+            yield pos, live.items()
         else:
             live.pop(op.qubit, None)
 
@@ -86,7 +89,7 @@ def _idle_steps(circuit: Circuit) -> Iterator[tuple[int, KeysView[int]]]:
 def _idle_locations(circuit: Circuit) -> list[tuple[int, int]]:
     """``(CX position, qubit)`` of every idle location, in table order: one
     location per live qubit per CX time step (:func:`_idle_steps`)."""
-    return [(pos, q) for pos, live in _idle_steps(circuit) for q in live]
+    return [(pos, q) for pos, live in _idle_steps(circuit) for q, _ in live]
 
 
 def count_fault_locations(circuit: Circuit) -> tuple[int, int]:
@@ -180,11 +183,12 @@ class EffectTables:
     ``SINGLE_QUBIT_BITS[j // 5]``, and a flag measurement's flip fills all
     15.  Idle location i of :func:`_idle_locations` owns the three ids
     ``SLOTS * l_p + 3 * i + j``, slot j being ``SINGLE_QUBIT_BITS[j]``.  A
-    uniform slot of a location is thus a uniform variant of it.  The tables
-    hold effects only: a variant's Pauli follows from the circuit and this
-    layout.  ``flags`` holds the flag-flip masks
-    as word-major uint64 words of shape (W, V) (see
-    :func:`circuit.pack_effects`), ``sc`` the packed
+    uniform slot of a location is thus a uniform variant of it.  An effect
+    is the XOR of its qubits' record entries at its site (an idle
+    location's site is its qubit's last Init or CX).  The tables hold
+    effects only: a variant's Pauli follows from the circuit and this
+    layout.  ``flags`` holds the flag-flip masks as word-major uint64 words
+    of shape (W, V) (:func:`circuit.pack_effects`), ``sc`` the packed
     (syndrome | class << synd_bits) of the ``error_side`` residual.
     """
 
@@ -197,10 +201,10 @@ class EffectTables:
     sc: np.ndarray
 
 
-def _single_qubit_effects(cols: tuple[list[int], list[int]], q: int) -> tuple[int, ...]:
-    """Effects of the ``SINGLE_QUBIT_BITS`` variants on qubit q at
-    transfer-map ``cols``."""
-    ex, ez = cols[0][q], cols[1][q]
+def _single_qubit_effects(entry: tuple[int, int]) -> tuple[int, ...]:
+    """Effects of the ``SINGLE_QUBIT_BITS`` variants of a qubit's (x, z)
+    ``entry``."""
+    ex, ez = entry
     return _pick_single((0, ex, ez, ex ^ ez))  # indexed by Pauli bits
 
 
@@ -214,29 +218,23 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
     ValueError when syndrome plus class bits exceed the 64-bit ``sc`` word.
     The variant layout is the one :class:`EffectTables` describes.
     """
-    cols = propagate_backward(circuit, coset_key_columns(state, error_side), error_side)
+    sites = propagate_backward(circuit, coset_key_columns(state, error_side), error_side)
     effects: list[int] = []
     for pos, op in enumerate(circuit.ops):
         if isinstance(op, Init):
             # Each variant fills 5 of the op's 15 slots (see EffectTables).
-            variants = [e for e in _single_qubit_effects(cols[pos], op.qubit) for _ in range(5)]
+            variants = [e for e in _single_qubit_effects(sites[pos, op.qubit]) for _ in range(5)]
         elif isinstance(op, CXGate):
-            col_x, col_z = cols[pos]
-            a, b = op.control, op.target
             # variants[bits]: the XOR of the single Paulis that ``bits`` selects
             variants = [0]
-            for single in (col_x[a], col_z[a], col_x[b], col_z[b]):
+            for single in (*sites[pos, op.control], *sites[pos, op.target]):
                 variants += [v ^ single for v in variants]
             del variants[0]
         else:
-            # Literal bit-flip channel: an X before the measurement flips a
-            # Z-basis outcome and is inert for an X-basis one.
-            variants = [(1 << op.outcome) if op.basis == "Z" else 0] * SLOTS
+            variants = [sites[pos, op.qubit][0]] * SLOTS  # the literal X flip
         effects += variants
-    idle = _idle_locations(circuit)
-    for pos, q in idle:
-        effects += _single_qubit_effects(cols[pos], q)
-
+    idle = [sites[last, q] for _, live in _idle_steps(circuit) for q, last in live]
+    effects += [e for entry in idle for e in _single_qubit_effects(entry)]
     flags, sc = pack_effects(effects, circuit.flag_count)
     return EffectTables(
         error_side=error_side,
@@ -406,7 +404,8 @@ def run_monte_carlo(
     their X-residual syndrome and class.  The trivial add-back mass is
     divided between the halves.  Deterministic for a fixed
     (seed, plan, circuit).  Raises ValueError when ``model`` and ``plan``
-    disagree on p or q, or ``tables`` and ``plan`` on the location counts.
+    disagree on p or q, or ``tables`` are not the state's X side (its
+    syndrome and class widths) with the plan's location counts.
     """
     if not (math.isclose(model.p, plan.p) and math.isclose(model.q, plan.q)):
         raise ValueError(
@@ -415,10 +414,12 @@ def run_monte_carlo(
         )
     if tables is None:
         tables = build_effect_tables(circuit, state)
-    if (tables.l_p, tables.l_q) != (plan.l_p, plan.l_q):
+    got = (tables.error_side, tables.synd_bits, tables.class_bits, tables.l_p, tables.l_q)
+    want = ("X", len(state.checking_generators("X")), len(state.class_logicals("X")), plan.l_p, plan.l_q)
+    if got != want:
         raise ValueError(
-            f"effect tables (L_p={tables.l_p}, L_q={tables.l_q}) disagree with the subset "
-            f"plan (L_p={plan.l_p}, L_q={plan.l_q})"
+            f"effect tables (side, syndrome bits, class bits, L_p, L_q) {got} are not the "
+            f"state's X side with the subset plan's location counts {want}"
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = rng.multinomial(plan.samples, plan.probabilities)

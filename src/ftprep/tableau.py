@@ -5,8 +5,8 @@ so the image of each Init's stabilizer (Z for |0>, X for |+>) stays a pure
 Z or pure X Pauli with sign +, and no stabilizer tableau (Aaronson &
 Gottesman, PRA 70, 052328 (2004), arXiv:quant-ph/0406196) is needed.  The
 check is the zero-fault case of :func:`circuit.propagate_backward`, seeded
-with each code qubit's own bit: an Init's image is its own qubit's entry at
-its own position on its own side, the flags it flips in the low bits and
+with each code qubit's own bit: an Init's image is its site's entry
+``(pos, qubit)`` on its own side, the flags it flips in the low bits and
 its code-qubit mask above them.
 
 - While every earlier flag is deterministic the state is the images'
@@ -56,11 +56,9 @@ def tableau_check_circuit(circuit: Circuit, state: CssState) -> TableauMismatch 
     unit = [1 << q for q in range(state.n)]
     images: dict[str, list[int]] = {}
     for i, side in enumerate("XZ"):
-        cols = propagate_backward(circuit, unit, side)
-        images[side] = [
-            cols[pos][i][op.qubit] for pos, op in enumerate(circuit.ops)
-            if isinstance(op, Init) and (op.basis == "+") == (side == "X")
-        ]
+        sites = propagate_backward(circuit, unit, side)
+        images[side] = [sites[pos, op.qubit][i] for pos, op in enumerate(circuit.ops)
+                        if isinstance(op, Init) and (op.basis == "+") == (side == "X")]
     flipped = 0
     for image in images["X"] + images["Z"]:
         flipped |= image

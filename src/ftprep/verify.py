@@ -23,16 +23,16 @@ of Chao & Reichardt, PRL 121, 050502 (2018), arXiv:1705.02329, which the
 gadget search's ``_Engine`` shares.  Idle locations carry noise in
 simulation but are not adversarial fault sites.
 
-Each fault's flag flips and residual coset key are read, in the one loop
-over the fault locations, off the backward sweep that also builds the Monte
-Carlo effect tables, seeded with the coset key columns that also key the
-light-error table and the counterexample's reduced weight.  A
-combination goes undetected exactly when its last fault's flag words
-equal the XOR of the other faults' words, so each (f - 1)-combination is
-joined only to the later faults carrying that XOR, and only these joined
-candidates have their coset keys checked.  A counterexample's residual on
-the code qubits comes off the same sweep, seeded with each code qubit's
-own bit instead of its key column.
+Each fault's flag flips and residual coset key, its effect, are the XOR of
+its qubits' entries at its site in the backward sweep's record, which also
+builds the Monte Carlo effect tables, seeded with the coset key columns
+that also key the light-error table and the counterexample's reduced
+weight.  A combination goes undetected exactly when its last fault's flag
+words equal the XOR of the other faults' words, so each (f - 1)-combination
+is joined only to the later faults carrying that XOR, and only these
+joined candidates have their coset keys checked.  A counterexample's residual on
+the code qubits is read by the same rule off the record seeded with each
+code qubit's own bit instead of its key column.
 """
 
 from __future__ import annotations
@@ -133,20 +133,13 @@ def verify_fault_tolerance(
             f"({nloc} fault locations, t={t})"
         )
     key_cols = coset_key_columns(state, fault_type)
-    cols = propagate_backward(circuit, key_cols, fault_type)
-    side = 0 if fault_type == "X" else 1
-    # Each fault's (site, mask) and its effect ``key << flag_count | flags``:
-    # a flag's own outcome bit, or the XOR of the CX's two column entries.
+    side = "XZ".index(fault_type)
+    # Each fault's (site, mask) and its effect ``key << flag_count | flags``.
     faults = [(loc.site, loc.variants[0]) for loc in locations]
-    effects: list[int] = []
-    for site, _ in faults:
-        op = circuit.ops[site]
-        if isinstance(op, FlagMeasure):
-            effects.append(1 << op.outcome)
-        else:
-            effects.append(cols[site][side][op.control] ^ cols[site][side][op.target])
+    sites = propagate_backward(circuit, key_cols, fault_type)
+    effects = [_effect(sites, fault, side) for fault in faults]
     flags, keys = pack_effects(effects, circuit.flag_count)
-    del cols, effects  # the sweep's Python ints are not needed by the join
+    del sites, effects  # the sweep's Python ints are not needed by the join
     words = np.ascontiguousarray(flags.T) if len(flags) else np.zeros((nloc, 1), np.uint64)
     light = list(coset_enumeration(key_cols, t))  # (weight, key) of every error of weight <= t
 
@@ -180,13 +173,10 @@ def verify_fault_tolerance(
                     i = bad[0]
                     members = [*prefix[rows[i]], codes[pos[i]] % nloc]
                     found = tuple(faults[v] for v in members)
-                    # The residual is the XOR of the members' entries (a flag flip
-                    # has none) in the sweep seeded with each code qubit's own bit.
+                    # The residual: the members' effects in the record seeded
+                    # with each code qubit's own bit, above the flag bits.
                     unit = propagate_backward(circuit, [1 << q for q in range(state.n)], fault_type)
-                    residual = reduce(xor, (
-                        unit[site][side][q] for site, mask in found if site in unit
-                        for q in range(circuit.n_qubits) if mask >> q & 1
-                    ), 0) >> circuit.flag_count
+                    residual = reduce(xor, (_effect(unit, f, side) for f in found)) >> circuit.flag_count
                     # The residual is in its own coset, so the first error of the
                     # weight-ordered enumeration sharing its key comes by its popcount.
                     key = sorted_keys[pos[i]] ^ pre_key[rows[i]]
@@ -194,6 +184,16 @@ def verify_fault_tolerance(
                     reduced = next(w for w, k in enum if k == key)
                     return Counterexample(fault_type, found, residual, reduced)
     return None
+
+
+def _effect(sites: dict[tuple[int, int], tuple[int, int]], fault: tuple[int, int], side: int) -> int:
+    """A fault's effect: the XOR of its qubits' entries at its site in the
+    record ``sites``, on ``side`` (0 for X, 1 for Z)."""
+    (site, mask), effect = fault, 0
+    while mask:
+        effect ^= sites[site, (mask & -mask).bit_length() - 1][side]
+        mask &= mask - 1
+    return effect
 
 
 def _prefixes(k: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -9,7 +9,10 @@ one qubit column at a time.  ``all_fault_locations`` lists every
 single-qubit fault site of a circuit, where the verifier lists only the
 sites every other fault moves forward to.  ``replay_faults`` propagates an
 explicit fault set forward through a circuit, apart from the backward sweep
-the verifier reads its counterexamples off.  ``subset_plan_reference``
+the verifier reads its counterexamples off.  ``transfer_columns_reference``
+is that sweep in the form that copies both full transfer-map columns at
+every Init and CX, where ``circuit.propagate_backward`` keeps only each
+op's own qubits' entries.  ``subset_plan_reference``
 selects the subset plan's pairs by a per-cell scan that stops each
 binomial's walk past its mode; it shares only the binomial pmfs with
 ``ftprep.noise``.  ``sample_bucket_reference`` draws a bucket's fault ids
@@ -293,6 +296,51 @@ def replay_faults(
         if ci is not None and (frame >> q) & 1:
             residual |= 1 << ci
     return flag_flips, residual
+
+
+def transfer_columns_reference(
+    circuit: Circuit, key_cols: list[int], error_side: str
+) -> dict[int, tuple[list[int], list[int]]]:
+    """Transfer-map columns right after every Init and CX, by op position.
+
+    The columns at a position are ``(col_x, col_z)`` over all qubits: entry
+    q is the end-of-circuit effect (a bitmask) of an X (``col_x``) or Z
+    (``col_z``) on q inserted right after that op.  A backward walk over the
+    ops starts them as the effect of a Pauli that survives to the end: on
+    ``error_side``, code qubit i's coset key ``key_cols[i]`` (the caller's
+    :func:`css.coset_key_columns`) shifted above the flag bits, and 0
+    otherwise, so every effect reads
+    ``key << flag_count | flag flips``.  Through a CX, X frames flow
+    control -> target and Z frames target -> control.  A flag measurement
+    sets its qubit's column to ``1 << outcome`` on the side it detects
+    (``col_x`` for a Z-basis measurement, ``col_z`` for an X-basis one) and
+    to 0 on the other.  Raises ValueError unless the circuit's code qubits
+    are exactly ``0..len(key_cols)-1``, each used once, and for an outcome
+    index outside ``range(circuit.flag_count)``, whose bit would land among
+    the key bits.
+    """
+    n = len(key_cols)
+    if sorted(ci for ci in circuit.code_index if ci is not None) != list(range(n)):
+        raise ValueError(f"circuit code qubits are not exactly 0..{n - 1}, each used once")
+    n_flags = circuit.flag_count
+    seed = [0 if ci is None else key_cols[ci] << n_flags for ci in circuit.code_index]
+    zeros = [0] * circuit.n_qubits
+    col_x, col_z = (seed, zeros) if error_side == "X" else (zeros, seed)
+    cols: dict[int, tuple[list[int], list[int]]] = {}
+    for pos in range(len(circuit.ops) - 1, -1, -1):
+        op = circuit.ops[pos]
+        if isinstance(op, FlagMeasure):
+            if not 0 <= op.outcome < n_flags:
+                raise ValueError(f"flag outcome m{op.outcome} outside 0..{n_flags - 1}")
+            bit = 1 << op.outcome
+            col_x[op.qubit] = bit if op.basis == "Z" else 0
+            col_z[op.qubit] = bit if op.basis == "X" else 0
+            continue
+        cols[pos] = (col_x[:], col_z[:])
+        if isinstance(op, CXGate):
+            col_x[op.control] ^= col_x[op.target]
+            col_z[op.target] ^= col_z[op.control]
+    return cols
 
 
 def flag_int(flags: np.ndarray, v: int) -> int:

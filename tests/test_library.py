@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 import ftprep
+from ftprep import library
 from ftprep.gadgets import FlagGadget, gadget_ft_test
 from ftprep.library import GadgetLibrary
 from ftprep.serialization import parse_gadget, serialize_gadget
@@ -37,8 +39,21 @@ def test_bundled_entries_match_published_flag_counts(bundled):
 
 
 def test_bundled_entries_pass_ft_test(bundled):
-    for (t, r), entry in list(bundled.entries.items())[:12]:
-        assert gadget_ft_test(entry.gadget)
+    # bundled() trusts the file by its digest, so every entry is tested here.
+    assert len(bundled.entries) == 44
+    for (t, r), entry in bundled.entries.items():
+        assert gadget_ft_test(entry.gadget), (t, r)
+
+
+def test_bundled_digest_is_the_shipped_files():
+    path = Path(ftprep.__file__).parent / "data" / "gadget_library.json"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == library.BUNDLED_SHA256
+
+
+def test_bundled_refuses_a_file_off_its_digest(monkeypatch):
+    monkeypatch.setattr(library, "BUNDLED_SHA256", "0" * 64)
+    with pytest.raises(ValueError, match=r"gadget_library\.json does not match its sha256 0{64}"):
+        GadgetLibrary.bundled()
 
 
 def test_optimality_markers(bundled):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from ftprep import noise
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials, synthesize_bipartite
-from ftprep.catalog import get_state
-from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init, pack_effects
-from ftprep.css import CssState
+from ftprep.catalog import catalog_names, get_state
+from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init, pack_effects, propagate_backward
+from ftprep.css import CssState, coset_key_columns
 from ftprep.decoder import build_ml_lut, build_mw_lut, evaluate_test_set
 from ftprep.library import GadgetLibrary
 from ftprep.noise import (
@@ -32,6 +33,7 @@ from _reference import (
     replay_sample,
     sample_bucket_reference,
     subset_plan_reference,
+    transfer_columns_reference,
 )
 
 
@@ -347,6 +349,45 @@ def test_effect_linearity(steane_prepared):
         assert combined_sc == int(tables.sc[i] ^ tables.sc[j])
 
 
+@pytest.fixture(scope="module")
+def catalog_circuits(library, steane_prepared, golay_prepared):
+    """One assembly per catalog code and state, in tight order, and the
+    scheduled Steane and Golay circuits."""
+    cases = [steane_prepared, golay_prepared]
+    for name in catalog_names():
+        for label in ("|0>", "|+>"):
+            state = get_state(name, label)
+            asm = assemble_ft_circuit(state, synthesize_bipartite(state, seed=0), library, seed=0)
+            cases.append((state, asm.schedule(asm.tight_order())))
+    return cases
+
+
+def test_site_record_is_the_transfer_columns_at_each_ops_qubits(catalog_circuits):
+    # The record keeps, per op, exactly its qubits' entries of the full
+    # columns: after an Init or CX, and before a flag measurement, where the
+    # columns are those after the last Init or CX.  An idle location reads
+    # the entry at its qubit's last Init or CX, which is the columns' entry
+    # at the idle location's own CX.
+    for state, circ in catalog_circuits:
+        for side in "XZ":
+            for seed in (coset_key_columns(state, side), [1 << q for q in range(state.n)]):
+                sites = propagate_backward(circ, seed, side)
+                cols = transfer_columns_reference(circ, seed, side)
+                expected = {}
+                for pos, op in enumerate(circ.ops):
+                    if isinstance(op, FlagMeasure):
+                        at = max(p for p in cols if p < pos)
+                        expected[pos, op.qubit] = (cols[at][0][op.qubit], cols[at][1][op.qubit])
+                    else:
+                        for q in (op.control, op.target) if isinstance(op, CXGate) else (op.qubit,):
+                            expected[pos, q] = (cols[pos][0][q], cols[pos][1][q])
+                assert sites == expected, (state.name, side)
+                idle = [(pos, q, last) for pos, live in noise._idle_steps(circ) for q, last in live]
+                assert [(pos, q) for pos, q, _ in idle] == noise._idle_locations(circ)
+                for pos, q, last in idle:
+                    assert sites[last, q] == (cols[pos][0][q], cols[pos][1][q]), (pos, q)
+
+
 def test_model_plan_mismatch_rejected(steane_prepared):
     state, circ = steane_prepared
     l_p, l_q = count_fault_locations(circ)
@@ -373,6 +414,21 @@ def test_tables_plan_mismatch_rejected(steane_prepared, wide_prepared):
     plan = build_subset_plan(*count_fault_locations(circ), 5e-2, 5e-4, 1000)
     with pytest.raises(ValueError, match="effect tables"):
         run_monte_carlo(circ, state, NoiseModel(5e-2), plan, seed=1, tables=wide_tables)
+
+
+def test_tables_of_the_wrong_side_rejected(steane_prepared):
+    # Z-side tables carry the Z syndrome and no class bit on Steane |0>, so
+    # no logical error could be counted; tables of other widths would
+    # misread every key.
+    state, circ = steane_prepared
+    l_p, l_q = count_fault_locations(circ)
+    plan = build_subset_plan(l_p, l_q, 1e-3, 1e-5, 1000)
+    z_tables = build_effect_tables(circ, state, "Z")
+    assert z_tables.class_bits == 0
+    narrow = replace(build_effect_tables(circ, state), synd_bits=2)
+    for tables, got in ((z_tables, ("Z", 3, 0, l_p, l_q)), (narrow, ("X", 2, 1, l_p, l_q))):
+        with pytest.raises(ValueError, match=re.escape(f"{got} are not the state's X side")):
+            run_monte_carlo(circ, state, NoiseModel(1e-3), plan, seed=1, tables=tables)
 
 
 def sorted_draw_distinct(rng, n_rows, k, limit, stride=1):

@@ -67,10 +67,12 @@ def test_gadget_layer_loads_no_simulation_modules():
 def test_verify_loads_no_masked_arrays():
     # np.isin sorts through np.unique, which imports numpy.ma (12-17 ms of
     # CPU and 1.2 MB); verify tests membership by a sorted search instead.
-    # Loading the bundled library verifies every bundled gadget.
+    # The FT test of every bundled gadget runs verify.
     code = (
         "import sys, numpy; before = 'numpy.ma' in sys.modules\n"
-        "from ftprep.library import GadgetLibrary; GadgetLibrary.bundled()\n"
+        "from ftprep.gadgets import gadget_ft_test\n"
+        "from ftprep.library import GadgetLibrary\n"
+        "assert all(gadget_ft_test(e.gadget) for e in GadgetLibrary.bundled().entries.values())\n"
         "print(before, 'numpy.ma' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(ftprep.__file__).parents[1])}
