@@ -72,7 +72,6 @@ class AssembledCircuit:
         plus = self.plus
         ops = []
         inited: set[int] = set()
-        outcome = 0
         for node in order:
             a, b = self.gates[node]
             for q in (a, b):
@@ -82,8 +81,7 @@ class AssembledCircuit:
             ops.append(CXGate(a, b))
             for q in (a, b):
                 if last[q] == node:
-                    ops.append(FlagMeasure(q, "X" if plus[q] else "Z", outcome))
-                    outcome += 1
+                    ops.append(FlagMeasure(q, "X" if plus[q] else "Z"))
         for q in range(self.n_qubits):
             if q not in inited:
                 ops.append(Init(q, "+" if plus[q] else "0"))

@@ -4,16 +4,17 @@ A circuit is its code-qubit map and its ops.  Qubits are integer-indexed;
 ``code_index`` maps each one to its code qubit, or to None for a flag.
 Operations appear in time order: every qubit is initialized exactly once
 before its first gate, flags are measured exactly once after their last
-gate, and code qubits are only read by the final transversal Z
-measurement, which stays implicit and noiseless.  A qubit's role follows
-from its ops: code qubits started in |+> are the controls of the bipartite
-preparation graph and those started in |0> its targets; a flag measured in
-Z detects X errors and one measured in X detects Z errors.
+gate (the k-th flag measurement records flag outcome k), and code qubits
+are only read by the final transversal Z measurement, which stays implicit
+and noiseless.  A qubit's role follows from its ops: code qubits started
+in |+> are the controls of the bipartite preparation graph and those
+started in |0> its targets; a flag measured in Z detects X errors and one
+measured in X detects Z errors.
 
 The module also owns the backward sweep that the noiseless check, the
 exhaustive verifier and the Monte Carlo effect tables read every fault off
-(how a Pauli propagates and what a flag flip is are encoded there only),
-and the packed flag layout.
+(how a Pauli propagates and what a flag flip is are encoded there only,
+and it rejects a circuit outside the model), and the packed flag layout.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ class CXGate:
 
 @dataclass(frozen=True)
 class FlagMeasure:
+    """A flag's measurement; the k-th in op order records flag outcome k."""
+
     qubit: int
     basis: str  # "Z" or "X"
-    outcome: int  # index into the circuit's flag-outcome vector
 
 
 Operation = Init | CXGate | FlagMeasure
@@ -66,10 +68,10 @@ class Circuit:
     def validate(self) -> None:
         """Raise ValueError if the op sequence breaks the circuit invariants.
 
-        Besides the init/measure order, flag outcome indices must be
-        distinct and lie in ``range(flag_count)``, no CX may act on one qubit
-        as both control and target, and no two circuit qubits may map to one
-        code qubit.
+        Besides the init/measure order, no CX may act on one qubit as both
+        control and target, and no two circuit qubits may map to one code
+        qubit.  Flag outcomes follow the measurement order, so they need no
+        check.
         """
         code = [ci for ci in self.code_index if ci is not None]
         if len(set(code)) != len(code):
@@ -77,8 +79,6 @@ class Circuit:
             raise ValueError(f"code qubit {dup} mapped from two circuit qubits")
         inited: set[int] = set()
         measured: set[int] = set()
-        outcomes: set[int] = set()
-        n_flags = self.flag_count
         for op in self.ops:
             if isinstance(op, Init):
                 if op.qubit in inited:
@@ -97,12 +97,7 @@ class Circuit:
                     raise ValueError(f"flag {op.qubit} measured twice")
                 if self.code_index[op.qubit] is not None:
                     raise ValueError("code qubits may only be measured transversally")
-                if not 0 <= op.outcome < n_flags:
-                    raise ValueError(f"flag outcome m{op.outcome} outside 0..{n_flags - 1}")
-                if op.outcome in outcomes:
-                    raise ValueError(f"flag outcome m{op.outcome} recorded twice")
                 measured.add(op.qubit)
-                outcomes.add(op.outcome)
         for q in range(self.n_qubits):
             if q not in inited:
                 raise ValueError(f"qubit {q} never initialized")
@@ -123,17 +118,18 @@ def propagate_backward(
     end: on ``error_side``, code qubit i's coset key ``key_cols[i]``
     (:func:`css.coset_key_columns`) shifted above the flag bits, else 0, so
     every effect reads ``key << flag_count | flag flips``.  Through a CX, X
-    effects flow control -> target and Z effects target -> control.  A flag
-    measurement's entry is its flip ``1 << outcome`` on the side it detects
-    (x for a Z-basis measurement, z for an X-basis one), 0 on the other.
-    Raises ValueError unless the code qubits are exactly
-    ``0..len(key_cols)-1``, each used once, and for an outcome index outside
-    ``range(circuit.flag_count)``, whose bit would land among the key bits.
+    effects flow control -> target and Z effects target -> control.  The
+    k-th flag measurement's entry is its flip ``1 << k`` on the side it
+    detects (x for a Z-basis measurement, z for an X-basis one), 0 on the
+    other.  Raises ValueError when the circuit fails
+    :meth:`Circuit.validate` or its code qubits are not exactly
+    ``0..len(key_cols)-1``, each used once.
     """
+    circuit.validate()
     n = len(key_cols)
     if sorted(ci for ci in circuit.code_index if ci is not None) != list(range(n)):
         raise ValueError(f"circuit code qubits are not exactly 0..{n - 1}, each used once")
-    n_flags = circuit.flag_count
+    k = n_flags = circuit.flag_count  # the walk meets flag outcomes last to first
     seed = [0 if ci is None else key_cols[ci] << n_flags for ci in circuit.code_index]
     zeros = [0] * circuit.n_qubits
     col_x, col_z = (seed, zeros) if error_side == "X" else (zeros, seed)
@@ -148,9 +144,8 @@ def propagate_backward(
         elif isinstance(op, Init):
             sites[pos, op.qubit] = col_x[op.qubit], col_z[op.qubit]
         else:
-            if not 0 <= op.outcome < n_flags:
-                raise ValueError(f"flag outcome m{op.outcome} outside 0..{n_flags - 1}")
-            q, bit = op.qubit, 1 << op.outcome
+            k -= 1
+            q, bit = op.qubit, 1 << k
             sites[pos, q] = (col_x[q], col_z[q]) = (bit, 0) if op.basis == "Z" else (0, bit)
     return sites
 

@@ -115,7 +115,7 @@ def ghz_preparation(gadget: FlagGadget) -> tuple[Circuit, CssState]:
     r, n = gadget.r, 1 + gadget.r + gadget.m
     ops: list[Operation] = [Init(0, "+"), *(Init(q, "0") for q in range(1, n))]
     ops += [CXGate(a, b) for a, b in gadget.gates]
-    ops += [FlagMeasure(f, "Z", i) for i, f in enumerate(gadget.flag_labels)]
+    ops += [FlagMeasure(f, "Z") for f in gadget.flag_labels]
     circuit = Circuit(tuple(range(r + 1)) + (None,) * gadget.m, tuple(ops))
     ghz = CssState(
         name=f"ghz{r + 1}",

@@ -215,8 +215,9 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
     bits read: "X" checks the X residual against the Z-type generators (the
     logical-zero preparation analysis), "Z" the Z residual against the
     X-type generators (Steane-QEC decoding of joint Z errors).  Raises
-    ValueError when syndrome plus class bits exceed the 64-bit ``sc`` word.
-    The variant layout is the one :class:`EffectTables` describes.
+    ValueError when syndrome plus class bits exceed the 64-bit ``sc`` word
+    or the circuit is outside the model.  The variant layout is the one
+    :class:`EffectTables` describes.
     """
     sites = propagate_backward(circuit, coset_key_columns(state, error_side), error_side)
     effects: list[int] = []

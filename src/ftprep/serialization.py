@@ -55,7 +55,7 @@ def _qubit_names(circuit: Circuit) -> list[str]:
 def serialize_circuit(circuit: Circuit, code: str = "?", state_label: str = "?") -> str:
     """One op per line, then the implicit final transversal readout as
     ``FINAL_MEAS Z``."""
-    names = _qubit_names(circuit)
+    names, outcomes = _qubit_names(circuit), count()
     lines = [f"CIRCUIT code={code} state={state_label}"]
     for op in circuit.ops:
         if isinstance(op, Init):
@@ -65,7 +65,7 @@ def serialize_circuit(circuit: Circuit, code: str = "?", state_label: str = "?")
             lines.append(f"CX {names[op.control]} {names[op.target]}")
         elif isinstance(op, FlagMeasure):
             opcode = "MZ" if op.basis == "Z" else "MX"
-            lines.append(f"{opcode} {names[op.qubit]} -> m{op.outcome}")
+            lines.append(f"{opcode} {names[op.qubit]} -> m{next(outcomes)}")
     lines.append("FINAL_MEAS Z")
     return "\n".join(lines) + "\n"
 
@@ -75,7 +75,7 @@ def parse_circuit(text: str) -> tuple[Circuit, str, str]:
 
     Code qubits are numbered in order of first appearance and flags after
     them in f-number order, so ``serialize_circuit`` gives back any text it
-    wrote.  The last line must be ``FINAL_MEAS Z``.
+    wrote.  Measurement k must record ``m<k>``; the last line is ``FINAL_MEAS Z``.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("CIRCUIT"):
@@ -91,6 +91,7 @@ def parse_circuit(text: str) -> tuple[Circuit, str, str]:
     trailer = "a circuit ends with one FINAL_MEAS Z line"
     qubits: dict[tuple[str, int], None] = {}  # (prefix, number), in order of first appearance
     raw_ops = []  # (op class, qubit keys, other fields)
+    measurements = count()
 
     def index(token: str, line_no: int) -> int:
         i = _decimal(token[1:])
@@ -125,7 +126,10 @@ def parse_circuit(text: str) -> tuple[Circuit, str, str]:
             if len(parts) != 4 or parts[2] != "->" or not parts[3].startswith("m"):
                 raise ParseError(line_no, f"{opcode} syntax: {opcode} <q> -> m<i>")
             key = qubit(parts[1], line_no)
-            raw_ops.append((FlagMeasure, (key,), (opcode[1], index(parts[3], line_no))))
+            k = next(measurements)
+            if index(parts[3], line_no) != k:
+                raise ParseError(line_no, f"measurement {k} must record m{k}, not {parts[3]}")
+            raw_ops.append((FlagMeasure, (key,), (opcode[1],)))
         elif opcode == "FINAL_MEAS":
             if parts != ["FINAL_MEAS", "Z"] or line_no != body[-1][0]:
                 raise ParseError(line_no, trailer)

@@ -11,13 +11,15 @@ its code-qubit mask above them.
 
 - While every earlier flag is deterministic the state is the images'
   state, so a flag is random exactly when an image of the other type
-  flips it.  A deterministic flag reads +1, since products of pure-type
-  Paulis with sign + have sign +.
+  flips it, and the first random flag in op order is the lowest flipped
+  outcome bit.  A deterministic flag reads +1, since products of
+  pure-type Paulis with sign + have sign +.
 - With every flag deterministic the images generate a maximal stabilizer
   group whose signs are all +.  So a state generator stabilizes the state,
   with sign +, exactly when it commutes with every image of the other type.
 
-A flag or stabilizer of sign -1 therefore cannot occur.  The tableau
+A flag or stabilizer of sign -1 therefore cannot occur.  The sweep
+rejects a circuit outside the model of :mod:`circuit`.  The tableau
 itself is a test oracle in ``tests/_reference.py``.  The module keeps its
 name because the benchmark harness times
 ``ftprep.tableau.tableau_check_circuit`` by that name.
@@ -26,8 +28,10 @@ name because the benchmark harness times
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .circuit import Circuit, FlagMeasure, Init, propagate_backward
+from .circuit import Circuit, Init, propagate_backward
 from .css import CssState
 
 
@@ -52,20 +56,16 @@ def tableau_check_circuit(circuit: Circuit, state: CssState) -> TableauMismatch 
     fails :meth:`Circuit.validate` or its code qubits are not exactly
     ``0..state.n-1``.
     """
-    circuit.validate()
     unit = [1 << q for q in range(state.n)]
     images: dict[str, list[int]] = {}
     for i, side in enumerate("XZ"):
         sites = propagate_backward(circuit, unit, side)
         images[side] = [sites[pos, op.qubit][i] for pos, op in enumerate(circuit.ops)
                         if isinstance(op, Init) and (op.basis == "+") == (side == "X")]
-    flipped = 0
-    for image in images["X"] + images["Z"]:
-        flipped |= image
-    for op in circuit.ops:
-        if isinstance(op, FlagMeasure) and flipped >> op.outcome & 1:
-            return TableauMismatch("nondeterministic-flag", f"flag outcome {op.outcome}")
     n_flags = circuit.flag_count
+    flipped = reduce(or_, images["X"] + images["Z"], 0) & ((1 << n_flags) - 1)
+    if flipped:
+        return TableauMismatch("nondeterministic-flag", f"flag outcome {(flipped & -flipped).bit_length() - 1}")
     for typ, other in (("X", "Z"), ("Z", "X")):
         codes = [image >> n_flags for image in images[other]]
         for gen in state.reduction_group(typ):

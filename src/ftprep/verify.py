@@ -116,8 +116,8 @@ def verify_fault_tolerance(
     Returns None on a pass, otherwise the lexicographically first failing
     combination of faults at the smallest failing fault count.  Raises
     VerificationBudgetError when the combination space exceeds
-    COMBINATION_CAP, and ValueError when t < 1 or syndrome plus class bits
-    exceed 64.
+    COMBINATION_CAP, and ValueError when t < 1, syndrome plus class bits
+    exceed 64 or the circuit is outside the model.
 
     An undetected residual has reduced weight above f exactly when its coset
     key is not among the keys of the errors of weight <= f.

@@ -272,6 +272,7 @@ def replay_faults(
     """
     frame = 0
     flag_flips = 0
+    k = -1  # the k-th flag measurement records outcome k
     pending = dict()
     for pos, mask in faults:
         pending.setdefault(pos, 0)
@@ -283,11 +284,12 @@ def replay_faults(
             if (frame >> src) & 1:
                 frame ^= 1 << dst
         elif isinstance(op, FlagMeasure):
+            k += 1
             if op.basis != fault_type and (frame >> op.qubit) & 1:
-                flag_flips ^= 1 << op.outcome
+                flag_flips ^= 1 << k
         if pos in pending:
             if isinstance(op, FlagMeasure):
-                flag_flips ^= 1 << op.outcome  # measurement flip fault
+                flag_flips ^= 1 << k  # measurement flip fault
             else:
                 frame ^= pending[pos]
     # Project the circuit-qubit frame down to code-qubit bits.
@@ -311,18 +313,16 @@ def transfer_columns_reference(
     :func:`css.coset_key_columns`) shifted above the flag bits, and 0
     otherwise, so every effect reads
     ``key << flag_count | flag flips``.  Through a CX, X frames flow
-    control -> target and Z frames target -> control.  A flag measurement
-    sets its qubit's column to ``1 << outcome`` on the side it detects
+    control -> target and Z frames target -> control.  The k-th flag
+    measurement sets its qubit's column to ``1 << k`` on the side it detects
     (``col_x`` for a Z-basis measurement, ``col_z`` for an X-basis one) and
     to 0 on the other.  Raises ValueError unless the circuit's code qubits
-    are exactly ``0..len(key_cols)-1``, each used once, and for an outcome
-    index outside ``range(circuit.flag_count)``, whose bit would land among
-    the key bits.
+    are exactly ``0..len(key_cols)-1``, each used once.
     """
     n = len(key_cols)
     if sorted(ci for ci in circuit.code_index if ci is not None) != list(range(n)):
         raise ValueError(f"circuit code qubits are not exactly 0..{n - 1}, each used once")
-    n_flags = circuit.flag_count
+    k = n_flags = circuit.flag_count
     seed = [0 if ci is None else key_cols[ci] << n_flags for ci in circuit.code_index]
     zeros = [0] * circuit.n_qubits
     col_x, col_z = (seed, zeros) if error_side == "X" else (zeros, seed)
@@ -330,9 +330,8 @@ def transfer_columns_reference(
     for pos in range(len(circuit.ops) - 1, -1, -1):
         op = circuit.ops[pos]
         if isinstance(op, FlagMeasure):
-            if not 0 <= op.outcome < n_flags:
-                raise ValueError(f"flag outcome m{op.outcome} outside 0..{n_flags - 1}")
-            bit = 1 << op.outcome
+            k -= 1
+            bit = 1 << k
             col_x[op.qubit] = bit if op.basis == "Z" else 0
             col_z[op.qubit] = bit if op.basis == "X" else 0
             continue
@@ -470,19 +469,7 @@ class Tableau:
 def run_tableau(circuit: Circuit) -> tuple[Tableau, list[int], list[bool]]:
     """Run a circuit noiselessly on a tableau.  Returns the final tableau,
     flag outcomes, and per-flag determinism."""
-    tab = Tableau(circuit.n_qubits)
-    outcomes = [0] * circuit.flag_count
-    deterministic = [True] * circuit.flag_count
-    for op in circuit.ops:
-        if isinstance(op, Init):
-            if op.basis == "+":
-                tab.h(op.qubit)
-        elif isinstance(op, CXGate):
-            tab.cx(op.control, op.target)
-        elif isinstance(op, FlagMeasure):
-            measure = tab.measure_z if op.basis == "Z" else tab.measure_x
-            outcomes[op.outcome], deterministic[op.outcome] = measure(op.qubit)
-    return tab, outcomes, deterministic
+    return run_tableau_with_faults(circuit, [])
 
 
 def tableau_check_reference(circuit: Circuit, state: CssState) -> TableauMismatch | None:
@@ -495,11 +482,11 @@ def tableau_check_reference(circuit: Circuit, state: CssState) -> TableauMismatc
     when everything holds, otherwise the first mismatch.
     """
     tab, outcomes, deterministic = run_tableau(circuit)
-    for meas in (op for op in circuit.ops if isinstance(op, FlagMeasure)):
-        if not deterministic[meas.outcome]:
-            return TableauMismatch("nondeterministic-flag", f"flag outcome {meas.outcome}")
-        if outcomes[meas.outcome] != 0:
-            return TableauMismatch("flag-sign", f"flag outcome {meas.outcome} is -1")
+    for k, (outcome, det) in enumerate(zip(outcomes, deterministic)):
+        if not det:
+            return TableauMismatch("nondeterministic-flag", f"flag outcome {k}")
+        if outcome != 0:
+            return TableauMismatch("flag-sign", f"flag outcome {k} is -1")
     lift = [(ci, q) for q, ci in enumerate(circuit.code_index) if ci is not None]
     for typ in ("X", "Z"):
         for gen in state.reduction_group(typ):
@@ -525,9 +512,8 @@ def run_tableau_with_faults(
     tableau, flag outcomes, and per-flag determinism.
     """
     tab = Tableau(circuit.n_qubits)
-    n_outcomes = circuit.flag_count
-    outcomes = [0] * n_outcomes
-    deterministic = [True] * n_outcomes
+    outcomes: list[int] = []
+    deterministic: list[bool] = []
     by_pos: dict[int, list[tuple[int, int]]] = {}
     for pos, xm, zm in faults:
         by_pos.setdefault(pos, []).append((xm, zm))
@@ -539,7 +525,9 @@ def run_tableau_with_faults(
             tab.cx(op.control, op.target)
         elif isinstance(op, FlagMeasure):
             measure = tab.measure_z if op.basis == "Z" else tab.measure_x
-            outcomes[op.outcome], deterministic[op.outcome] = measure(op.qubit, rng)
+            outcome, det = measure(op.qubit, rng)  # the k-th measurement is outcome k
+            outcomes.append(outcome)
+            deterministic.append(det)
         for xm, zm in by_pos.get(pos, []):
             tab.apply_pauli(xm, zm)
     return tab, outcomes, deterministic

@@ -218,7 +218,7 @@ def _op_effects(circ: Circuit, state: CssState, side: str) -> list[tuple[tuple[i
     below 15 L_p): flag bits are keyed by flag qubit, since the outcome
     numbers follow the schedule."""
     tables = build_effect_tables(circ, state, side)
-    qubit_of = {op.outcome: op.qubit for op in circ.ops if isinstance(op, FlagMeasure)}
+    qubit_of = dict(enumerate(op.qubit for op in circ.ops if isinstance(op, FlagMeasure)))
     entries = []
     for v in range(SLOTS * tables.l_p):
         flags = flag_int(tables.flags, v)

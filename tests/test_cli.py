@@ -390,6 +390,7 @@ def test_verify_rejects_invalid_circuit_files(tmp_path, capsys):
     ])
     assert rc == 0
     shared.write_text(re.sub(r"-> m\d+", "-> m0", shared.read_text()))
+    second = [n for n, line in enumerate(shared.read_text().splitlines(), 1) if line.startswith("M")][1]
     # Malformed qubit and outcome indices.
     bad_qubit = tmp_path / "bad_qubit.circuit"
     bad_qubit.write_text("CIRCUIT code=steane state=|0>\nINIT0 cx\n")
@@ -400,7 +401,7 @@ def test_verify_rejects_invalid_circuit_files(tmp_path, capsys):
     capsys.readouterr()
     for path, reason in (
         (early, "before initialization"),
-        (shared, "m0 recorded twice"),
+        (shared, f"line {second}: measurement 1 must record m1, not m0"),
         (bad_qubit, "line 2: malformed index in 'cx'"),
         (bad_outcome, "line 3: malformed index in 'mx'"),
         (self_cx, "line 3: CX control and target are both c0"),

@@ -211,10 +211,11 @@ def test_validate_rejects_impossible_gadgets(gadget, message):
 
 
 def test_validate_rejects_a_target_controlling_itself():
-    # The FT test sees no fault it misses, yet CX t1 t1 is no gate: the
-    # noiseless check rejects the circuit, and the search never places it.
+    # CX t1 t1 is no gate: the FT test and the noiseless check reject the
+    # circuit, and the search never places it.
     gadget = FlagGadget(1, 1, 1, ((0, 2), (0, 2), (1, 1)))
-    assert gadget_ft_test(gadget)
+    with pytest.raises(ValueError, match="both control and target"):
+        gadget_ft_test(gadget)
     with pytest.raises(ValueError, match="both control and target"):
         tableau_check_circuit(*ghz_preparation(gadget))
     with pytest.raises(ValueError, match=r"gate \(1, 1\): the control must be c or a flag"):

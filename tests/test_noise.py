@@ -59,7 +59,7 @@ def wide_flag_circuit(circ: Circuit, n_extra: int = 130) -> Circuit:
     ops = list(circ.ops)
     for k in range(n_extra):
         f, c = circ.n_qubits + k, code[k % len(code)]
-        ops += [Init(f, "0"), CXGate(c, f), CXGate(c, f), FlagMeasure(f, "Z", circ.flag_count + k)]
+        ops += [Init(f, "0"), CXGate(c, f), CXGate(c, f), FlagMeasure(f, "Z")]
     return Circuit(circ.code_index + (None,) * n_extra, tuple(ops))
 
 
@@ -73,7 +73,7 @@ def toy_circuit() -> Circuit:
         Init(0, "+"),
         Init(1, "0"),
         CXGate(0, 1),
-        FlagMeasure(1, "Z", 0),
+        FlagMeasure(1, "Z"),
     )
     return Circuit((0, None), ops)
 

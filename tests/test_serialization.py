@@ -99,11 +99,11 @@ def test_cx_onto_its_own_control_is_rejected():
 
 @pytest.mark.parametrize("code_index, ops, reason", [
     ((0,), (Init(0, "+"), Init(0, "0")), "qubit 0 initialized twice"),
-    ((0, None), (Init(0, "+"), Init(1, "0"), FlagMeasure(1, "Z", 0), CXGate(0, 1)),
+    ((0, None), (Init(0, "+"), Init(1, "0"), FlagMeasure(1, "Z"), CXGate(0, 1)),
      "qubit 1 used after measurement"),
-    ((0, None), (Init(0, "+"), Init(1, "0"), FlagMeasure(1, "Z", 0), FlagMeasure(1, "Z", 1)),
+    ((0, None), (Init(0, "+"), Init(1, "0"), FlagMeasure(1, "Z"), FlagMeasure(1, "Z")),
      "flag 1 measured twice"),
-    ((0,), (Init(0, "0"), FlagMeasure(0, "Z", 0)), "code qubits may only be measured transversally"),
+    ((0,), (Init(0, "0"), FlagMeasure(0, "Z")), "code qubits may only be measured transversally"),
     ((0, 1), (Init(0, "+"),), "qubit 1 never initialized"),
     ((0, None), (Init(0, "+"), Init(1, "0"), CXGate(0, 1)), "flag 1 never measured"),
 ])
@@ -118,6 +118,13 @@ def test_circuit_validate_names_each_broken_invariant(code_index, ops, reason):
     ("CIRCUIT code=x state=y\nINIT+ c0 c1\nFINAL_MEAS Z\n", 2, "INIT+ takes one qubit"),
     ("CIRCUIT code=x state=y\nINIT+ c0\nINIT0 t1\nCX c0\nFINAL_MEAS Z\n", 4, "CX takes two qubits"),
     ("CIRCUIT code=x state=y\nINIT0 f0\nMZ f0 m0\nFINAL_MEAS Z\n", 3, "MZ syntax: MZ <q> -> m<i>"),
+    # The k-th measurement records m<k>: swapped, repeated and past the flag count.
+    ("CIRCUIT code=x state=y\nINIT0 f0\nINIT0 f1\nMZ f0 -> m1\nMZ f1 -> m0\nFINAL_MEAS Z\n", 4,
+     "measurement 0 must record m0, not m1"),
+    ("CIRCUIT code=x state=y\nINIT0 f0\nINIT0 f1\nMZ f0 -> m0\nMZ f1 -> m0\nFINAL_MEAS Z\n", 5,
+     "measurement 1 must record m1, not m0"),
+    ("CIRCUIT code=x state=y\nINIT0 f0\nINIT0 f1\nMZ f0 -> m0\nMZ f1 -> m2\nFINAL_MEAS Z\n", 5,
+     "measurement 1 must record m1, not m2"),
 ])
 def test_circuit_parse_errors_name_their_line(text, line_no, reason):
     with pytest.raises(ParseError, match=re.escape(reason)) as err:

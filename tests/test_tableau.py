@@ -13,7 +13,14 @@ from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
 from ftprep.css import CssState, swap_xz
 from ftprep.gadgets import ghz_preparation
 from ftprep.library import GadgetLibrary
-from ftprep.noise import build_effect_tables
+from ftprep.noise import (
+    NoiseModel,
+    build_effect_tables,
+    build_subset_plan,
+    count_fault_locations,
+    run_monte_carlo,
+)
+from ftprep.steane_qec import SteaneQecConfig, run_steane_qec_experiment
 from ftprep.tableau import tableau_check_circuit
 from ftprep.verify import verify_fault_tolerance
 
@@ -56,7 +63,7 @@ def test_deterministic_flag_requirement():
         Init(0, "+"),
         Init(2, "0"),
         CXGate(0, 2),
-        FlagMeasure(2, "Z", 0),
+        FlagMeasure(2, "Z"),
         Init(1, "0"),
         CXGate(0, 1),
     )
@@ -97,6 +104,32 @@ def test_code_qubits_must_be_the_states(check, circ):
     # the key columns.
     with pytest.raises(ValueError, match=r"^circuit code qubits are not exactly 0\.\.2, each used once$"):
         check(circ, bell_plus_zero())
+
+
+def _monte_carlo(circ: Circuit, state: CssState):
+    plan = build_subset_plan(*count_fault_locations(circ), 1e-3, 1e-5, 1_000)
+    return run_monte_carlo(circ, state, NoiseModel(1e-3), plan, seed=1)
+
+
+ENTRIES = {
+    "verify-X": lambda circ, state: verify_fault_tolerance(circ, state, 1, "X"),
+    "verify-Z": lambda circ, state: verify_fault_tolerance(circ, state, 1, "Z"),
+    "effect-tables": build_effect_tables,
+    "monte-carlo": _monte_carlo,
+    "steane-qec": lambda circ, state: run_steane_qec_experiment(SteaneQecConfig(state, 1e-3, 1_000), circ),
+    "noiseless": tableau_check_circuit,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+def test_every_analysis_rejects_a_circuit_outside_the_model(entry):
+    # The Steane bare circuit with its first Init moved last: every entry
+    # reads the backward sweep, which validates the circuit first.
+    state = get_state("steane")
+    bare = synthesize_bipartite(state, 7).bare_circuit()
+    circ = Circuit(bare.code_index, bare.ops[1:] + bare.ops[:1])
+    with pytest.raises(ValueError, match="^qubit 0 used before initialization$"):
+        entry(circ, state)
 
 
 def test_uninitialized_qubit_raises():
@@ -166,7 +199,7 @@ def test_pauli_fault_flips_flag():
         Init(1, "0"),
         CXGate(0, 1),
         CXGate(0, 2),
-        FlagMeasure(2, "Z", 0),
+        FlagMeasure(2, "Z"),
     )
     circ = Circuit((0, 1, None), ops)
     # fault after op 2 (the first bracket CX): X on the control

@@ -14,12 +14,12 @@ from ftprep import verify
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.bipartite import best_of_trials
 from ftprep.catalog import catalog_names, get_state, rotated_surface
-from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
-from ftprep.css import CssState
+from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init, propagate_backward
+from ftprep.css import CssState, coset_key_columns
 from ftprep.gadgets import FlagGadget, ghz_preparation
 from ftprep.library import GadgetLibrary
-from ftprep.noise import build_effect_tables
 from ftprep.pipeline import build_preparation_circuit
+from ftprep.serialization import ParseError, parse_circuit
 from ftprep.verify import (
     VerificationBudgetError,
     enumerate_fault_locations,
@@ -47,7 +47,7 @@ def toy_circuit() -> Circuit:
         Init(0, "+"),
         Init(1, "0"),
         CXGate(0, 1),
-        FlagMeasure(1, "Z", 0),
+        FlagMeasure(1, "Z"),
     )
     return Circuit((0, None), ops)
 
@@ -193,21 +193,16 @@ def test_more_than_64_code_qubits_verified():
 
 
 def test_flag_outcome_index_out_of_range_rejected():
-    # Flag bits sit at 1 << outcome below the seed bits; an index past the
-    # flag count would be read as a syndrome or residual bit.
+    # The k-th flag measurement's bit is 1 << k, below the seed bits, so no
+    # stored index can land among the syndrome or residual bits.  In the
+    # text form a label past the flag count is an error on its line.
     state = get_state("steane")
-    ops = (
-        *(Init(q, "0") for q in range(8)),
-        CXGate(0, 7),
-        FlagMeasure(7, "Z", 3),
-    )
-    circ = Circuit(tuple(range(7)) + (None,), ops)
-    with pytest.raises(ValueError, match="m3"):
-        circ.validate()
-    with pytest.raises(ValueError, match="m3"):
-        verify_fault_tolerance(circ, state, 1, "X")
-    with pytest.raises(ValueError, match="m3"):
-        build_effect_tables(circ, state)
+    text = ("CIRCUIT code=steane state=|0>\n" + "".join(f"INIT0 t{q}\n" for q in range(7))
+            + "INIT0 f0\nCX t0 f0\nMZ f0 -> m3\nFINAL_MEAS Z\n")
+    with pytest.raises(ParseError, match=r"^line 11: measurement 0 must record m0, not m3$"):
+        parse_circuit(text)
+    circ, _, _ = parse_circuit(text.replace("m3", "m0"))
+    assert propagate_backward(circ, coset_key_columns(state, "X"), "X")[9, 7] == (1, 0)
 
 
 @pytest.mark.parametrize("t", [0, -2])
@@ -395,7 +390,7 @@ def _random_circuit(rng, n, n_flags, n_cx):
         else:
             a, b = rng.choice(n, 2, replace=False)
             ops.append(CXGate(int(a), int(b)))
-    ops += [FlagMeasure(n + j, "Z", j) for j in range(n_flags)]
+    ops += [FlagMeasure(n + j, "Z") for j in range(n_flags)]
     return Circuit(tuple(range(n)) + (None,) * n_flags, tuple(ops))
 
 
