@@ -14,9 +14,11 @@ site; a Monte Carlo sample is then an XOR of a few table entries.  The
 tables hold effects only; a variant's Pauli follows from its id and the
 circuit.  Only unflagged samples count, so each flag word is read only for
 the rows the earlier words left clean, and the (syndrome, class) word only
-for the unflagged rows.  Subset sampling draws the number of faults per
-sample from the nontrivial part of the binomial distribution and adds the
-fault-free mass back analytically.
+for the unflagged rows, and the sampler returns the accepted rows' words
+alone.  Subset sampling draws the number of faults per sample from the
+nontrivial part of the binomial distribution and adds the fault-free mass
+back analytically; accepted samples alternate between the train and test
+halves in draw order.
 """
 
 from __future__ import annotations
@@ -342,7 +344,7 @@ def _draw_distinct(
 
 def _sample_bucket(
     tables: EffectTables, fp: int, fq: int, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Accepted effects of ``n`` samples with ``fp`` p- and ``fq`` idle faults.
 
     Each fault is one uniform variant id of :class:`EffectTables`: below
@@ -353,8 +355,8 @@ def _sample_bucket(
     of each kind (``_draw_distinct`` by ``id // stride``), and the sample
     XORs their effects.  Flag word w is read only for the rows that words
     0..w-1 left clean, ``sc`` only for the rows no word flags.  Returns the
-    accept mask ``ok`` (n,) and the accepted rows' ``sc``, in row order.
-    A bucket holds at least one fault, as every plan pair does.
+    accepted rows' ``sc``, in row order.  A bucket holds at least one
+    fault, as every plan pair does.
     """
     draws = []  # (id matrix (n, k), offset of its ids in the tables)
     if fp:
@@ -365,29 +367,23 @@ def _sample_bucket(
     def xor(table: np.ndarray) -> np.ndarray:
         return reduce(ixor, (table[offset:][var] for ids, offset in draws for var in ids.T))
 
-    rows = None  # indices of the rows every flag word so far left clean
     for words in tables.flags:
         keep = np.flatnonzero(xor(words) == 0)
-        rows = keep if rows is None else rows[keep]
         draws = [(ids[keep], offset) for ids, offset in draws]
-    ok = np.zeros(n, dtype=bool)
-    ok[slice(None) if rows is None else rows] = True
-    return ok, xor(tables.sc)
+    return xor(tables.sc)
 
 
 def _accepted_chunks(tables: EffectTables, pairs, counts, rng):
-    """Yield ``(i, ok, sc)`` per chunk of at most ``SAMPLE_CHUNK`` samples of
+    """Yield ``(i, sc)`` per chunk of at most ``SAMPLE_CHUNK`` samples of
     stratum i.
 
     Stratum i, a plan's fault-count pair ``pairs[i]`` = (f_p, f_q), draws
-    ``counts[i]`` samples; ``ok`` marks the accepted ones (no flag flips),
-    ``sc`` holds the accepted ones' packed syndrome and class, in sample
-    order.  Draws the caller makes from ``rng`` between yields precede the
-    next chunk's.
+    ``counts[i]`` samples; ``sc`` holds the packed syndrome and class of the
+    accepted ones (no flag flips), in draw order.
     """
     for i, ((fp, fq), n_b) in enumerate(zip(pairs, counts)):
         for done in range(0, n_b, SAMPLE_CHUNK):
-            yield i, *_sample_bucket(tables, fp, fq, min(SAMPLE_CHUNK, n_b - done), rng)
+            yield i, _sample_bucket(tables, fp, fq, min(SAMPLE_CHUNK, n_b - done), rng)
 
 
 def run_monte_carlo(
@@ -400,13 +396,16 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Draw the plan's samples, propagate, and tally (syndrome, class).
 
-    Samples are split into equal train/test halves by a per-sample coin.
     A sample is accepted when no flag flips; accepted samples contribute
-    their X-residual syndrome and class.  The trivial add-back mass is
-    divided between the halves.  Deterministic for a fixed
-    (seed, plan, circuit).  Raises ValueError when ``model`` and ``plan``
-    disagree on p or q, or ``tables`` are not the state's X side (its
-    syndrome and class widths) with the plan's location counts.
+    their X-residual syndrome and class.  Each chunk's accepted samples
+    alternate between train and test in draw order (even positions train,
+    odd test): rows are drawn i.i.d., so a sample's position says nothing
+    of its outcome.  The trivial add-back mass is divided between the
+    halves.  The generator draws only the multinomial and the faults.
+    Deterministic for a fixed (seed, plan, circuit).  Raises ValueError
+    when ``model`` and ``plan`` disagree on p or q, or ``tables`` are not
+    the state's X side (its syndrome and class widths) with the plan's
+    location counts.
     """
     if not (math.isclose(model.p, plan.p) and math.isclose(model.q, plan.q)):
         raise ValueError(
@@ -430,14 +429,12 @@ def run_monte_carlo(
     parts: tuple[list, list] = ([], [])
     accepted_nontrivial = 0.0
 
-    for i, ok, acc_sc in _accepted_chunks(tables, plan.pairs, counts, rng):
+    for i, acc_sc in _accepted_chunks(tables, plan.pairs, counts, rng):
         # weight of one sample = true mass of the stratum / samples drawn
         weight_each = plan.probabilities[i] * (1.0 - plan.p_trivial) / counts[i]
         accepted_nontrivial += len(acc_sc)
-        # one coin per drawn sample, rejected ones included, kept for the accepted
-        is_train = (rng.random(len(ok)) < 0.5)[ok]
-        for part, mask in zip(parts, (is_train, ~is_train)):
-            keys, kcounts = np.unique(acc_sc[mask], return_counts=True)
+        for part, half in zip(parts, (acc_sc[0::2], acc_sc[1::2])):
+            keys, kcounts = np.unique(half, return_counts=True)
             part.append((keys, kcounts, kcounts * weight_each))
     addback = plan.trivial_addback
     trivial = (np.zeros(1, dtype=np.uint64), [addback / 2.0], [plan.p_trivial / 2.0])

@@ -183,7 +183,7 @@ def _sample_prep_syndromes(
         attempts += m
         accepted += int(counts[0])
         collected.append(np.zeros(counts[0], dtype=np.uint64))
-        for _, _, sc in _accepted_chunks(tables, plan.pairs, counts[1:], rng):
+        for _, sc in _accepted_chunks(tables, plan.pairs, counts[1:], rng):
             accepted += len(sc)
             collected.append(sc)
     all_synd = np.concatenate(collected)

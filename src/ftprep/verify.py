@@ -124,6 +124,9 @@ def verify_fault_tolerance(
     """
     if t < 1:
         raise ValueError(f"require t >= 1, got t={t}")
+    key_cols = coset_key_columns(state, fault_type)
+    # The sweep validates the circuit, so that error comes before the cap's.
+    sites = propagate_backward(circuit, key_cols, fault_type)
     locations = enumerate_fault_locations(circuit, fault_type)
     nloc = len(locations)
     total = sum(math.comb(nloc, f) for f in range(1, t + 1))
@@ -132,11 +135,9 @@ def verify_fault_tolerance(
             f"{total} fault combinations exceed the cap {COMBINATION_CAP} "
             f"({nloc} fault locations, t={t})"
         )
-    key_cols = coset_key_columns(state, fault_type)
     side = "XZ".index(fault_type)
     # Each fault's (site, mask) and its effect ``key << flag_count | flags``.
     faults = [(loc.site, loc.variants[0]) for loc in locations]
-    sites = propagate_backward(circuit, key_cols, fault_type)
     effects = [_effect(sites, fault, side) for fault in faults]
     flags, keys = pack_effects(effects, circuit.flag_count)
     del sites, effects  # the sweep's Python ints are not needed by the join

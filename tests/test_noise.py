@@ -18,6 +18,7 @@ from ftprep.noise import (
     DegeneratePlanError,
     NoiseModel,
     SLOTS,
+    SampleSet,
     _binom_pmf,
     _draw_distinct,
     _sample_bucket,
@@ -246,21 +247,21 @@ def test_golden_steane_histogram_and_report(steane_prepared, monkeypatch):
     l_p, l_q = count_fault_locations(circ)
     plan = build_subset_plan(l_p, l_q, 5e-3, 5e-5, 20_000)
     res = run_monte_carlo(circ, state, NoiseModel(5e-3), plan, seed=5)
-    assert res.accepted == 120488.48392595924
+    assert res.accepted == 120559.48392595924
     assert histogram_digest(res.train) == (
-        15, "36d76e665ba0e3f7004c7169a932a050303d01db940cb722df6e66a373b0423b")
+        15, "3ffd3b519cb08bbe1498fb6ee1bfa5b3e5ab2b3bfd14f1487ea63754fca9fd29")
     assert histogram_digest(res.test) == (
-        14, "a42d7c7c18d05279eaa4ad48fa664fdc1381be5e63155a94c27f47afec7a23c0")
-    assert res.test.counts[(1, 1)] == 106.0
+        15, "0af30238ce2c52c3a8990b0238adc3a4f2fc752eb333e0e6c65a0ca39b80f685")
+    assert res.test.counts[(1, 1)] == 110.0
     rep = evaluate_test_set(res.test, build_ml_lut(res.train), build_mw_lut(state, "X", 1))
     assert (rep.errors, rep.ml_errors, rep.discarded, rep.mw_hits, rep.fallback) == (
-        35.0, 35.0, 0.0, 0.0, 0.0)
+        30.0, 30.0, 0.0, 0.0, 0.0)
     for got, want in (
-        (rep.total, 60169.24196297962),
-        (rep.kept, 60169.24196297962),
-        (rep.ml_hits, 60169.24196297962),
-        (rep.logical_error_rate, 0.0005816925535065653),
-        (rep.weighted_logical_error_rate, 0.0005770617617512759),
+        (rep.total, 60273.24196297962),
+        (rep.kept, 60273.24196297962),
+        (rep.ml_hits, 60273.24196297962),
+        (rep.logical_error_rate, 0.0004977333062393803),
+        (rep.weighted_logical_error_rate, 0.0004979457326523143),
     ):
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -513,11 +514,11 @@ def test_golden_wide_circuit_large_buckets(steane_prepared, wide_prepared, monke
     assert max(fp for fp, _ in plan.pairs) >= 10
     monkeypatch.setattr(noise, "SAMPLE_CHUNK", 1000)
     res = run_monte_carlo(wide_prepared, state, NoiseModel(1e-2), plan, seed=7)
-    assert res.accepted == 533.7352203070623
+    assert res.accepted == 538.7352203070623
     assert histogram_digest(res.train) == (
-        16, "9971be2b75485a8632a8a6616b8093c7b53a28cded3f7015b429e339fc063ce0")
+        16, "d40535bb9a131628bedb9bf63cda76d74aa4eb56cad457d88276c40f4cc929d5")
     assert histogram_digest(res.test) == (
-        15, "d0f49ac7bf257d548da20855c43b4e16e4c76ec3243e00a509a7cb84534c6689")
+        16, "b8b9bb221d86d4f9bba08a60238b32f6e152fcdad6a10db39d6f5d084885a0cf")
 
 
 def three_pass_pack_effects(effects, n_flags):
@@ -591,7 +592,7 @@ def test_sample_bucket_xors_uniform_variants_at_distinct_locations(
         later_word_rejects = 0
         for fp, fq in [(1, 0), (0, 1), (2, 3), (5, 1)]:
             drawn.clear()
-            ok, sc = _sample_bucket(tables, fp, fq, 20_000, np.random.default_rng([fp, fq]))
+            sc = _sample_bucket(tables, fp, fq, 20_000, np.random.default_rng([fp, fq]))
             calls = [(limit, stride, out.shape[1]) for limit, stride, out in drawn]
             assert calls == [(SLOTS * tables.l_p, SLOTS, fp)] * bool(fp) + [(3 * tables.l_q, 3, fq)] * bool(fq)
             flags, full_sc = sample_bucket_reference(
@@ -604,7 +605,7 @@ def test_sample_bucket_xors_uniform_variants_at_distinct_locations(
                 want_flags ^= np.bitwise_xor.reduce(tables.flags[:, var], axis=2)
                 want_sc ^= np.bitwise_xor.reduce(tables.sc[var], axis=1)
             assert np.array_equal(flags, want_flags) and np.array_equal(full_sc, want_sc)
-            assert np.array_equal(ok, (flags == 0).all(axis=0))
+            ok = (flags == 0).all(axis=0)
             assert sc.dtype == np.uint64 and np.array_equal(sc, full_sc[ok])
             later_word_rejects += int(((flags[0] == 0) & ~ok).sum())
         assert later_word_rejects > 0
@@ -639,7 +640,9 @@ def test_sample_bucket_rejects_on_the_xor_of_each_word(golay_tables, monkeypatch
     # (a) Two faults that flip the same word-0 flag cancel and the row is
     # accepted, while either one with a flag-free fault is rejected.
     # (b) A row clean in word 0 that flips a flag >= 64 is rejected, and two
-    # faults that cancel there are accepted.
+    # faults that cancel there are accepted.  On tables whose `sc` gives
+    # each of the six ids its own bit, every row's `sc` differs, so the
+    # returned words name the accepted rows.
     tables = golay_tables
     p_ids = np.arange(SLOTS * tables.l_p)
     a, b = equal_flag_pair(tables, p_ids, 0)
@@ -649,9 +652,15 @@ def test_sample_bucket_rejects_on_the_xor_of_each_word(golay_tables, monkeypatch
     c, c2 = clean[0], clean[-1]
     rows = np.array([[a, b], [a, c], [b, c], [d, c], [d, e], [c, c2]])
     fixed_draws(monkeypatch, lambda n_rows, k, limit: rows)
-    ok, sc = _sample_bucket(tables, 2, 0, len(rows), np.random.default_rng(0))
-    assert ok.tolist() == [True, False, False, False, True, True]
-    assert sc.tolist() == [int(tables.sc[x] ^ tables.sc[y]) for x, y in rows[ok]]
+    sc = _sample_bucket(tables, 2, 0, len(rows), np.random.default_rng(0))
+    assert sc.dtype == np.uint64
+    assert sc.tolist() == [int(tables.sc[x] ^ tables.sc[y]) for x, y in rows[[0, 4, 5]]]
+    tagged = np.zeros_like(tables.sc)
+    tagged[[a, b, c, d, e, c2]] = 1 << np.arange(6, dtype=np.uint64)
+    row_sc = [int(tagged[x] ^ tagged[y]) for x, y in rows]
+    want = [row_sc[i] for i in (0, 4, 5)]
+    assert _sample_bucket(replace(tables, sc=tagged), 2, 0, len(rows), np.random.default_rng(0)).tolist() == want
+    assert all(row_sc[i] not in want for i in (1, 2, 3))
 
 
 def test_all_rejected_chunks_leave_only_the_trivial_addback(golay_prepared, golay_tables, monkeypatch):
@@ -679,8 +688,8 @@ def test_all_rejected_chunks_leave_only_the_trivial_addback(golay_prepared, gola
     counts = np.full(len(plan.pairs), 150)
     chunks = list(noise._accepted_chunks(tables, plan.pairs, counts, np.random.default_rng(0)))
     assert len(chunks) == 2 * len(plan.pairs)
-    for _, ok, sc in chunks:
-        assert not ok.any() and sc.shape == (0,) and sc.dtype == np.uint64
+    for _, sc in chunks:
+        assert sc.shape == (0,) and sc.dtype == np.uint64
     res = run_monte_carlo(circ, state, NoiseModel(5e-3), plan, seed=3, tables=tables)
     assert res.accepted == plan.trivial_addback
     for half in (res.train, res.test):
@@ -689,15 +698,42 @@ def test_all_rejected_chunks_leave_only_the_trivial_addback(golay_prepared, gola
         assert half.weight.tolist() == [plan.p_trivial / 2]
 
 
+def test_train_and_test_take_alternate_accepted_samples(golay_prepared, golay_tables, monkeypatch):
+    # The generator serves the plan's multinomial and then the fault draws
+    # alone, so replaying both on one generator gives every chunk's accepted
+    # `sc`: its even positions are the train half, its odd ones the test
+    # half, and each half holds half the trivial add-back on key 0.
+    monkeypatch.setattr(noise, "SAMPLE_CHUNK", 500)
+    state, circ = golay_prepared
+    tables = golay_tables
+    plan = build_subset_plan(tables.l_p, tables.l_q, 5e-3, 5e-5, 5000)
+    rng = np.random.default_rng(np.random.SeedSequence(3))
+    counts = rng.multinomial(plan.samples, plan.probabilities)
+    chunks = list(noise._accepted_chunks(tables, plan.pairs, counts, rng))
+    assert len(chunks) > np.count_nonzero(counts)  # some stratum spans several chunks
+    res = run_monte_carlo(circ, state, NoiseModel(5e-3), plan, seed=3, tables=tables)
+    for half, start in ((res.train, 0), (res.test, 1)):
+        taken = [(i, sc[start::2]) for i, sc in chunks]
+        keys = np.concatenate([sc for _, sc in taken] + [np.zeros(1, dtype=np.uint64)])
+        weight = [plan.probabilities[i] * (1.0 - plan.p_trivial) / counts[i] for i, sc in taken for _ in sc]
+        want = SampleSet.tally(
+            tables.synd_bits, tables.class_bits, keys,
+            [1.0] * (len(keys) - 1) + [plan.trivial_addback / 2], weight + [plan.p_trivial / 2])
+        assert np.array_equal(half.keys, want.keys) and np.array_equal(half.count, want.count)
+        assert half.weight == pytest.approx(want.weight, rel=1e-12)
+    assert 0 <= res.train.count.sum() - res.test.count.sum() <= len(chunks)
+
+
 def test_flagless_circuit_accepts_every_sample():
     # (d) A bare bipartite circuit has no flag word, so every row is kept.
     state = get_state("steane")
     circ = best_of_trials(state, 20, 1).bare_circuit()
     tables = build_effect_tables(circ, state)
     assert tables.flags.shape == (0, len(tables.sc))
-    ok, sc = _sample_bucket(tables, 2, 1, 1000, np.random.default_rng(4))
-    _, want_sc = sample_bucket_reference(tables, 2, 1, 1000, np.random.default_rng(4))
-    assert ok.all() and np.array_equal(sc, want_sc)
+    sc = _sample_bucket(tables, 2, 1, 1000, np.random.default_rng(4))
+    flags, full_sc = sample_bucket_reference(tables, 2, 1, 1000, np.random.default_rng(4))
+    clean = (flags == 0).all(axis=0)
+    assert clean.all() and np.array_equal(sc, full_sc[clean])
     l_p, l_q = count_fault_locations(circ)
     plan = build_subset_plan(l_p, l_q, 1e-2, 1e-4, 5000)
     res = run_monte_carlo(circ, state, NoiseModel(1e-2), plan, seed=2, tables=tables)

@@ -22,7 +22,7 @@ from ftprep.noise import (
 )
 from ftprep.steane_qec import SteaneQecConfig, run_steane_qec_experiment
 from ftprep.tableau import tableau_check_circuit
-from ftprep.verify import verify_fault_tolerance
+from ftprep.verify import VerificationBudgetError, verify_fault_tolerance
 
 from _reference import Tableau, run_tableau_with_faults, tableau_check_reference
 
@@ -130,6 +130,18 @@ def test_every_analysis_rejects_a_circuit_outside_the_model(entry):
     circ = Circuit(bare.code_index, bare.ops[1:] + bare.ops[:1])
     with pytest.raises(ValueError, match="^qubit 0 used before initialization$"):
         entry(circ, state)
+
+
+def test_verify_rejects_a_circuit_outside_the_model_before_the_cap():
+    # At t = 9 the Golay bare circuit holds far more fault combinations than
+    # the cap; with its first Init moved last, the circuit error comes first.
+    state = get_state("golay")
+    bare = synthesize_bipartite(state, 7).bare_circuit()
+    with pytest.raises(VerificationBudgetError, match="exceed the cap"):
+        verify_fault_tolerance(bare, state, 9, "X")
+    circ = Circuit(bare.code_index, bare.ops[1:] + bare.ops[:1])
+    with pytest.raises(ValueError, match="^qubit 0 used before initialization$"):
+        verify_fault_tolerance(circ, state, 9, "X")
 
 
 def test_uninitialized_qubit_raises():
