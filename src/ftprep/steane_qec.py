@@ -18,22 +18,32 @@ Z errors on the resource never reach the computational block; they only
 corrupt the syndrome, which is why the resource's Z-side fault tolerance
 (Appendix-style ablation: ``ft_x_only``) shows up directly in the scaling
 of the logical error rate.
+
+Samples are drawn in chunks of ``noise.SAMPLE_CHUNK`` rows, in two phases:
+the first half of the samples trains the ML layer chunk by chunk into one
+dense histogram, then the second half is drawn afresh and decoded chunk by
+chunk, so memory does not grow with the sample count and no array is split
+or shuffled.  Each chunk draws exactly the accepted preparations it keeps
+(:class:`_PrepSampler`).
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import noise
 from .circuit import Circuit
 from .css import CssState, coset_key_columns, swap_xz
 from .decoder import build_ideal_class_table
 from .noise import (
+    DegeneratePlanError,
     EffectTables,
     NoiseModel,
-    SubsetPlan,
     _accepted_chunks,
     build_effect_tables,
     build_subset_plan,
@@ -134,13 +144,13 @@ def _prep_tables(circuit: Circuit, state: CssState) -> EffectTables:
     return tables
 
 
-def _trained_classes(keys: np.ndarray, synd_bits: int, class_bits: int, mw: np.ndarray) -> np.ndarray:
-    """Dense two-layer decoder trained on packed ``synd | cls << synd_bits``
-    keys: a trained syndrome takes its most frequent class, ties broken
-    toward the smallest class (as ``decoder.build_ml_lut``), every other
-    syndrome its class in the dense ``mw``."""
-    hist = np.bincount(keys.view(np.int64), minlength=1 << (synd_bits + class_bits))
-    hist = hist.reshape(1 << class_bits, 1 << synd_bits)
+def _trained_classes(hist: np.ndarray, mw: np.ndarray) -> np.ndarray:
+    """Dense two-layer decoder trained on ``hist``, the counts of the packed
+    ``synd | cls << synd_bits`` keys: a trained syndrome takes its most
+    frequent class, ties broken toward the smallest class (as
+    ``decoder.build_ml_lut``), every other syndrome its class in the dense
+    ``mw``."""
+    hist = hist.reshape(-1, len(mw))
     return np.where(hist.any(axis=0), hist.argmax(axis=0).astype(np.uint64), mw)
 
 
@@ -161,34 +171,68 @@ def _fault_cells(
     return np.divmod(hits, n)
 
 
-def _sample_prep_syndromes(
-    tables: EffectTables,
-    plan: SubsetPlan,
-    n_needed: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
-    """Accepted-preparation Z-side syndromes, with the acceptance rate.
+def _chunk_rows(total: int) -> Iterator[int]:
+    """Row counts of ``total`` rows cut into chunks of ``noise.SAMPLE_CHUNK``
+    (read at call time)."""
+    chunk = noise.SAMPLE_CHUNK
+    return (min(chunk, total - done) for done in range(0, total, chunk))
 
-    Rejected preparations are redrawn (the experiment restarts them); each
-    round splits its attempts between the fault-free outcome (zero
-    syndrome) and the plan's strata by one multinomial draw.
+
+@dataclass
+class _PrepSampler:
+    """Accepted-preparation Z-side syndromes, drawn to an exact count.
+
+    Rejected preparations are redrawn (the experiment restarts them).  Each
+    round sizes its attempts from the acceptance measured so far, times a
+    2 % margin, and splits them between the fault-free outcome (zero
+    syndrome) and the plan's strata by one multinomial draw.  The last
+    round's overshoot is dropped as a uniform subset of the round: its
+    accepted rows come grouped by stratum, so keeping its first ones would
+    bias the strata.  ``accepted`` and ``attempts`` count every round,
+    dropped rows included.
     """
-    split = [plan.p_trivial, *(1.0 - plan.p_trivial) * np.array(plan.probabilities)]
-    collected: list[np.ndarray] = []
-    attempts = 0
-    accepted = 0
-    while accepted < n_needed:
-        m = max(int((n_needed - accepted) * 1.6) + 1024, 2048)
-        counts = rng.multinomial(m, split)
-        attempts += m
-        accepted += int(counts[0])
-        collected.append(np.zeros(counts[0], dtype=np.uint64))
-        for _, sc in _accepted_chunks(tables, plan.pairs, counts[1:], rng):
-            accepted += len(sc)
-            collected.append(sc)
-    all_synd = np.concatenate(collected)
-    rng.shuffle(all_synd)
-    return all_synd[:n_needed], accepted / attempts
+
+    tables: EffectTables
+    pairs: tuple[tuple[int, int], ...]  # the plan's strata (f_p, f_q)
+    split: np.ndarray  # probabilities of the fault-free outcome, then of each stratum
+    rng: np.random.Generator
+    accepted: int = 0
+    attempts: int = 0
+
+    def draw(self, n_needed: int) -> np.ndarray:
+        kept: list[np.ndarray] = []
+        while n_needed:
+            # (accepted + 1) / (attempts + 1): 1 before any round, never 0
+            m = math.ceil(n_needed * 1.02 * (self.attempts + 1) / (self.accepted + 1))
+            counts = self.rng.multinomial(m, self.split)
+            got = np.concatenate([
+                np.zeros(counts[0], dtype=np.uint64),
+                *(sc for _, sc in _accepted_chunks(self.tables, self.pairs, counts[1:], self.rng)),
+            ])
+            self.attempts += m
+            self.accepted += len(got)
+            if len(got) > n_needed:
+                drop = self.rng.choice(len(got), len(got) - n_needed, replace=False, shuffle=False)
+                got = np.delete(got, drop)
+            kept.append(got)
+            n_needed -= len(got)
+        return np.concatenate(kept)
+
+
+def _prep_sampler(
+    circuit: Circuit, state: CssState, p: float, samples: int, rng: np.random.Generator
+) -> _PrepSampler:
+    """The resource circuit's sampler under the rate-p model, its strata
+    planned for ``samples`` (at least 10,000)."""
+    tables = _prep_tables(circuit, state)
+    try:
+        plan = build_subset_plan(tables.l_p, tables.l_q, p, NoiseModel(p).q, max(samples, 10000))
+    except DegeneratePlanError:
+        # No stratum above the cutoff: at the plan's resolution every
+        # preparation is fault-free, accepted with a zero syndrome.
+        return _PrepSampler(tables, (), np.ones(1), rng)
+    split = np.array([plan.p_trivial, *(1.0 - plan.p_trivial) * np.array(plan.probabilities)])
+    return _PrepSampler(tables, plan.pairs, split, rng)
 
 
 def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = None) -> SteaneQecResult:
@@ -201,6 +245,7 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
 
     Z errors are tracked as coset keys, not qubit frames: keys are linear,
     so every fault XORs its qubit's key column into its sample's key.
+    Training and evaluation run in chunks (see the module docstring).
     """
     state = cfg.state
     code = _code_tables(state)
@@ -222,63 +267,72 @@ def run_steane_qec_experiment(cfg: SteaneQecConfig, circuit: Circuit | None = No
         return keys
 
     if cfg.prep_mode == NO_QEC:
-        keys = depolarizing_z(n_samples, strong) ^ depolarizing_z(n_samples, strong)
-        errors = int((_decoded(ideal, keys & synd_mask) != keys >> synd_bits).sum())
+        errors = 0
+        for n_rows in _chunk_rows(n_samples):
+            keys = depolarizing_z(n_rows, strong) ^ depolarizing_z(n_rows, strong)
+            errors += int((_decoded(ideal, keys & synd_mask) != keys >> synd_bits).sum())
         rate = errors / n_samples
         return SteaneQecResult(cfg, errors, n_samples, rate, wilson_interval(errors, n_samples), 1.0)
 
     if circuit is None:
         raise ValueError("preparation circuit required for QEC modes")
-    tables = _prep_tables(circuit, state)
-    plan = build_subset_plan(tables.l_p, tables.l_q, p, q, max(n_samples, 10000))
-    prep_synd, prep_acc = _sample_prep_syndromes(tables, plan, n_samples, rng)
+    prep = _prep_sampler(circuit, state, p, n_samples, rng)
 
-    # Computational block round 1 (copied into the syndrome via the
-    # transversal CX) and round 2 (after the correction).
-    keys = depolarizing_z(n_samples, strong)
-    r1_synd, r1_cls = keys & synd_mask, keys >> synd_bits
-    synd = prep_synd ^ r1_synd
+    def gadget(n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One chunk's resource readout syndrome, with the computational
+        block's key after round 1 and before round 2."""
+        prep_synd = prep.draw(n_rows)
+        # Computational block round 1, copied into the syndrome via the
+        # transversal CX.
+        r1 = depolarizing_z(n_rows, strong)
+        synd = prep_synd ^ (r1 & synd_mask)
+        keys = r1.copy()
 
-    # Transversal CX noise: two-qubit depolarizing per pair, resource as
-    # control, one of the 15 Paulis with bits (X_a, Z_a, X_b, Z_b); a Z on
-    # the resource side corrupts the syndrome, a Z on the computational side
-    # joins the residual.
-    rows, cols = _fault_cells(rng, n_samples, n, p)
-    pat = rng.integers(1, 16, size=len(rows), dtype=np.uint64)
-    np.bitwise_xor.at(synd, rows, ((pat >> 1) & 1) * key_cols[cols])
-    np.bitwise_xor.at(keys, rows, (pat >> 3) * key_cols[cols])
+        # Transversal CX noise: two-qubit depolarizing per pair, resource as
+        # control, one of the 15 Paulis with bits (X_a, Z_a, X_b, Z_b); a Z
+        # on the resource side corrupts the syndrome, a Z on the
+        # computational side joins the residual.
+        rows, cols = _fault_cells(rng, n_rows, n, p)
+        pat = rng.integers(1, 16, size=len(rows), dtype=np.uint64)
+        np.bitwise_xor.at(synd, rows, ((pat >> 1) & 1) * key_cols[cols])
+        np.bitwise_xor.at(keys, rows, (pat >> 3) * key_cols[cols])
 
-    # Idle accounting during the gadget: one memory location per qubit of
-    # both blocks for the transversal step, one per computational qubit
-    # while the resource is measured.
-    synd ^= depolarizing_z(n_samples, q)  # resource idles
-    synd &= synd_mask  # the resource readout holds syndrome bits only
-    keys ^= depolarizing_z(n_samples, q) ^ depolarizing_z(n_samples, q)
+        # Idle accounting during the gadget: one memory location per qubit
+        # of both blocks for the transversal step, one per computational
+        # qubit while the resource is measured.
+        synd ^= depolarizing_z(n_rows, q)  # resource idles
+        synd &= synd_mask  # the resource readout holds syndrome bits only
+        keys ^= depolarizing_z(n_rows, q) ^ depolarizing_z(n_rows, q)
 
-    # Destructive X-basis readout of the resource: the literal bit-flip
-    # measurement channel (an X before the measurement) commutes with the
-    # X-basis readout, so it contributes no outcome flips, matching the
-    # treatment of X-basis flag measurements in the preparation circuit.
+        # Destructive X-basis readout of the resource: the literal bit-flip
+        # measurement channel (an X before the measurement) commutes with
+        # the X-basis readout, so it contributes no outcome flips, matching
+        # the treatment of X-basis flag measurements in the preparation
+        # circuit.
+        return synd, r1, keys
 
-    # Train the ML layer on half the samples, evaluate on the other half.
-    # The target class makes the corrected block benign for later ideal
-    # decoding: the block's own class plus the ideal class of the syndrome
-    # junk contributed by the resource, gate and readout noise.
+    # Train the ML layer on the first half of the samples.  The target
+    # class makes the corrected block benign for later ideal decoding: the
+    # block's own class plus the ideal class of the syndrome junk
+    # contributed by the resource, gate and readout noise.
     n_train = n_samples // 2
-    junk = synd[:n_train] ^ r1_synd[:n_train]
-    labels = r1_cls[:n_train] ^ _decoded(ideal, junk)
-    corr = _trained_classes(synd[:n_train] | labels << synd_bits, int(synd_bits), state.k, code.mw)
+    hist = np.zeros(1 << (int(synd_bits) + state.k), dtype=np.int64)
+    for n_rows in _chunk_rows(n_train):
+        synd, r1, _ = gadget(n_rows)
+        labels = (r1 >> synd_bits) ^ _decoded(ideal, synd ^ (r1 & synd_mask))
+        hist += np.bincount((synd | labels << synd_bits).view(np.int64), minlength=len(hist))
+    corr = _trained_classes(hist, code.mw)
 
-    eval_slice = slice(n_train, n_samples)
-    synd_eval = synd[eval_slice]
-    keys_eval = keys[eval_slice] ^ depolarizing_z(n_samples - n_train, strong)
-    corr_class = _decoded(corr, synd_eval)
-
-    synd_r = (keys_eval & synd_mask) ^ synd_eval
-    cls_r = (keys_eval >> synd_bits) ^ corr_class
-    # Ideal minimum-weight correction of the residual's syndrome.
-    errors = int((_decoded(ideal, synd_r) != cls_r).sum())
-    kept = len(synd_eval)
+    # Evaluate on the second half, drawn afresh.
+    kept = n_samples - n_train
+    errors = 0
+    for n_rows in _chunk_rows(kept):
+        synd, _, keys = gadget(n_rows)
+        keys ^= depolarizing_z(n_rows, strong)  # round 2
+        synd_r = (keys & synd_mask) ^ synd
+        cls_r = (keys >> synd_bits) ^ _decoded(corr, synd)
+        # Ideal minimum-weight correction of the residual's syndrome.
+        errors += int((_decoded(ideal, synd_r) != cls_r).sum())
     rate = errors / kept
+    prep_acc = prep.accepted / prep.attempts
     return SteaneQecResult(cfg, errors, kept, rate, wilson_interval(errors, kept), prep_acc)
-

@@ -155,6 +155,18 @@ def test_steane_qec_modes_build_their_preparation(tmp_path):
         assert all(0 < row["prep_acceptance"] <= 1 for row in rows)
 
 
+@pytest.mark.parametrize("mode", ["full_ft", "ft_x_only"])
+def test_steane_qec_below_the_plan_resolution_prepares_fault_free(tmp_path, mode):
+    # At p = 1e-12 the subset plan keeps no stratum: every preparation is
+    # fault-free at its resolution, so all are accepted and none fails.
+    out = tmp_path / "rows.json"
+    rc = main(["steane", "--code", "steane", "--p", "1e-12", "--mode", mode, "--samples", "1000",
+               "--seed", "1", "--trials", "20", "--shuffles", "5", "--out", str(out)])
+    assert rc == 0
+    [row] = json.loads(out.read_text())
+    assert (row["logical_error_rate"], row["prep_acceptance"]) == (0.0, 1.0)
+
+
 @pytest.mark.parametrize(
     "rate, message",
     [

@@ -1,22 +1,25 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ftprep import steane_qec
+from ftprep import noise, steane_qec
 from ftprep.assemble import assemble_ft_circuit, schedule_circuit
 from ftprep.catalog import catalog_names, get_state, rotated_surface
 from ftprep.css import CssState, GroupTooLargeError, coset_key_columns, swap_xz
 from ftprep.decoder import build_ideal_class_table, build_ml_lut, build_mw_lut, decode
-from ftprep.noise import SampleSet
 from ftprep.library import GadgetLibrary
 from ftprep.pipeline import build_preparation_circuit
+from ftprep.noise import SampleSet
 from ftprep.steane_qec import (
     FT_X_ONLY,
     FULL_FT,
     NO_QEC,
     SteaneQecConfig,
+    _accepted_chunks,
     _code_tables,
+    _prep_sampler,
     _prep_tables,
     _trained_classes,
     run_steane_qec_experiment,
@@ -189,12 +192,14 @@ def test_more_than_64_key_bits_rejected():
 
 def test_golden_color17_modes(color17_prep, color17_x_only):
     # Recorded with the shared stratum sampler drawing each preparation
-    # fault as one variant id, and the sparse data-channel and
-    # transversal-CX draws.
+    # fault as one variant id, the sparse data-channel and transversal-CX
+    # draws, and chunked phases whose preparation sampler draws exactly the
+    # preparations it keeps.  One chunk per phase here; no_qec's single
+    # chunk draws as the unchunked run did.
     state, prep = color17_prep
     golden = {
-        FULL_FT: (prep.circuit, 138, 10_000, 0.5501079330814895),
-        FT_X_ONLY: (color17_x_only, 264, 10_000, 0.7075460271317829),
+        FULL_FT: (prep.circuit, 145, 10_000, 0.5460549370569049),
+        FT_X_ONLY: (color17_x_only, 242, 10_000, 0.7002088409328229),
         NO_QEC: (None, 269, 20_000, 1.0),
     }
     for mode, (circ, errors, samples, acceptance) in golden.items():
@@ -337,8 +342,91 @@ def test_dense_ml_over_mw_decodes_as_decode():
         ones = np.ones(len(keys))
         ml = build_ml_lut(SampleSet.tally(8, 1, keys, ones, ones))
         assert 0 < len(np.intersect1d(ml.synd, mw.synd)) < len(ml)
+        hist = np.bincount(keys.astype(np.int64), minlength=1 << 9)
         for table, dense in ((mw, dense_mw), (None, np.zeros_like(dense_mw))):
-            got = _trained_classes(keys, 8, 1, dense)
+            got = _trained_classes(hist, dense)
             assert got.dtype == np.uint64
             assert np.array_equal(got, decode(synd, ml, table)[0])
     assert ties
+
+
+def _sampler_at(circ, state, p, seed, **tally):
+    sampler = _prep_sampler(circ, state, p, 10_000, np.random.default_rng(seed))
+    return dataclasses.replace(sampler, **tally)
+
+
+@pytest.mark.parametrize("p", [2.5e-3, 1e-2])
+def test_prep_sampler_draws_exactly_the_requested_count(color17_prep, p):
+    # Counts that end inside a round and counts that need several rounds
+    # (the first round assumes full acceptance; at 1e-2 about 30 % pass).
+    state, prep = color17_prep
+    sampler = _sampler_at(prep.circuit, state, p, 3)
+    total = 0
+    for n_needed in (1, 7, 1_000, 20_011, 3):
+        synd = sampler.draw(n_needed)
+        total += n_needed
+        assert synd.dtype == np.uint64 and len(synd) == n_needed
+        assert total <= sampler.accepted <= sampler.attempts
+
+
+def test_prep_sampler_keeps_a_uniform_subset_of_its_last_round(color17_prep):
+    # A prior tally of 1 accepted in 9 attempts sizes the first round for
+    # 20 % acceptance, so at about 30 % the round overshoots by half and
+    # keeps two thirds of its accepted rows.  The round lists the fault-free
+    # rows first (about 73 % of the accepted ones) and the strata after, so
+    # keeping its first rows would keep zero syndromes only.  The kept rows'
+    # nonzero share and the round's acceptance must match a population
+    # drawn directly, with every accepted row kept.
+    state, prep = color17_prep
+    n_needed = 30_000
+    sampler = _sampler_at(prep.circuit, state, 1e-2, 5, accepted=1, attempts=9)
+    synd = sampler.draw(n_needed)
+    assert len(synd) == n_needed and sampler.attempts - 9 > n_needed / 0.3
+    rng = np.random.default_rng(6)
+    attempts = 400_000
+    counts = rng.multinomial(attempts, sampler.split)
+    chunks = [sc for _, sc in _accepted_chunks(sampler.tables, sampler.pairs, counts[1:], rng)]
+    accepted = counts[0] + sum(map(len, chunks))
+    share = sum(np.count_nonzero(sc) for sc in chunks) / accepted
+    assert 0.1 < share < 0.5
+    assert np.count_nonzero(synd) / n_needed == pytest.approx(share, abs=5 * np.sqrt(share / n_needed))
+    rate = accepted / attempts
+    sigma = np.sqrt(rate * (1 - rate) / (sampler.attempts - 9))
+    assert (sampler.accepted - 1) / (sampler.attempts - 9) == pytest.approx(rate, abs=5 * sigma)
+
+
+def test_every_sample_draws_a_preparation_of_its_own(color17_prep, monkeypatch):
+    # Training and evaluation each draw their own preparations: the
+    # sampler is asked for exactly one per sample, in chunk-sized calls.
+    state, prep = color17_prep
+    monkeypatch.setattr(noise, "SAMPLE_CHUNK", 1_000)
+    asked = []
+    draw = steane_qec._PrepSampler.draw
+
+    def counted(self, n_needed):
+        asked.append(n_needed)
+        return draw(self, n_needed)
+
+    monkeypatch.setattr(steane_qec._PrepSampler, "draw", counted)
+    cfg = SteaneQecConfig(state, 5e-3, samples=4_501, prep_mode=FULL_FT, seed=2)
+    run_steane_qec_experiment(cfg, prep.circuit)
+    assert asked == [1_000, 1_000, 250, 1_000, 1_000, 251]
+
+
+def test_memory_does_not_grow_with_the_sample_count(color17_prep, monkeypatch):
+    # With 2,000-row chunks, 8,000 samples make two chunks per phase and
+    # 80,000 make twenty.  The traced peak of a warm run stays put (both
+    # measured at 0.25 MB); holding every sample, it would grow tenfold.
+    state, prep = color17_prep
+    monkeypatch.setattr(noise, "SAMPLE_CHUNK", 2_000)
+    run_steane_qec_experiment(SteaneQecConfig(state, 1e-2, samples=100), prep.circuit)  # warm
+    peaks = []
+    for samples in (8_000, 80_000):
+        cfg = SteaneQecConfig(state, 1e-2, samples=samples, data_noise_multiplier=6.0, seed=1)
+        tracemalloc.start()
+        try:
+            run_steane_qec_experiment(cfg, prep.circuit)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.3 * peaks[0], peaks
