@@ -27,11 +27,7 @@ from .bipartite import BipartiteCircuit
 from .circuit import Circuit, CXGate, FlagMeasure, Init
 from .css import CssState, GroupTooLargeError, max_coset_weight
 from .gadgets import FlagGadget, trivial_gadget
-from .library import BudgetExhaustedError, GadgetLibrary
-
-
-class MissingGadgetError(KeyError):
-    """The library lacks a gadget size required by the assembly."""
+from .library import GadgetLibrary
 
 
 class OverrideNotCertifiedError(ValueError):
@@ -317,10 +313,7 @@ def assemble_ft_circuit(
         # residual on at most three qubits reduces to weight <= 1.
         if use_trivial_gadgets and degree <= 2:
             return trivial_gadget(t_side, degree)
-        try:
-            return library.get(t_side, degree)
-        except BudgetExhaustedError as exc:
-            raise MissingGadgetError(f"no gadget for t={t_side}, r={degree}: {exc}") from exc
+        return library.get(t_side, degree)
 
     edges = sorted(bip.edges)
     placed = _placements(edges, bip, pick_gadget, state.t, t_z)

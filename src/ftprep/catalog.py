@@ -144,13 +144,13 @@ def _validated(state: CssState, state_label: str) -> CssState:
 
 
 def get_state(name: str, state_label: str | None = None) -> CssState:
-    """A validated CssState for a catalog code (or a code-file path)."""
+    """A validated CssState for a catalog code or a code-file path; ValueError otherwise."""
     if name in _BUILDERS:
         return _validated(_BUILDERS[name](), state_label or DEFAULT_STATE)
     path = Path(name)
     if path.exists():
         return parse_code_file(path, state_label)
-    raise KeyError(f"unknown code {name!r} (catalog: {', '.join(catalog_names())})")
+    raise ValueError(f"unknown code {name!r} (catalog: {', '.join(catalog_names())})")
 
 
 def _parse_pauli_rows(rows: object, n: int, kind: str, allowed: str) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from .assemble import assemble_ft_circuit, certified_z_override, schedule_circui
 from .bipartite import best_of_trials
 from .css import max_coset_weight
 from .decoder import build_ml_lut, build_mw_lut, evaluate_test_set
-from .gadgets import discover_gadget
+from .gadgets import NODE_BUDGET, discover_gadget
 from .library import GadgetLibrary
 from .noise import (
     NoiseModel,
@@ -29,7 +29,7 @@ from .noise import (
 )
 from .pipeline import build_preparation_circuit
 from .steane_qec import SteaneQecConfig, run_steane_qec_experiment
-from .verify import VerificationBudgetError, verify_fault_tolerance
+from .verify import verify_fault_tolerance
 
 
 def _load_library(path: str | None) -> GadgetLibrary:
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=NODE_BUDGET)
     add_common(p, seed=False)
     p.set_defaults(func=cmd_gadget)
 
@@ -367,14 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a refusal (ValueError, OSError) prints ``error: ...``, exit 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, VerificationBudgetError) as exc:
-        # str() of a KeyError is the repr of its key: print the message bare.
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -28,6 +28,7 @@ from .verify import verify_fault_tolerance
 FOUND = "found"
 SEARCH_EXHAUSTED = "exhausted"
 BUDGET_EXHAUSTED = "budget"
+NODE_BUDGET = 2_000_000  # default cap on one search's gate placements
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,7 @@ def discover_gadget(
     t: int,
     r: int,
     m: int,
-    budget: int | None = 2_000_000,
+    budget: int | None = NODE_BUDGET,
     _por: bool = True,
 ) -> SearchResult:
     """Depth-first search for an X-detecting gadget using exactly ``m`` flags.

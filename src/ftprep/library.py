@@ -20,8 +20,7 @@ from pathlib import Path
 
 from .gadgets import (
     BUDGET_EXHAUSTED,
-    FOUND,
-    SEARCH_EXHAUSTED,
+    NODE_BUDGET,
     FlagGadget,
     discover_gadget,
     gadget_ft_test,
@@ -32,8 +31,8 @@ MAX_FLAGS = 16  # largest flag count a library miss searches
 BUNDLED_SHA256 = "d9794ce33a31e0b44b9f1e4e9875c809b84dd15bfc5dd77eb2cf0e75cd01a97b"  # data/gadget_library.json
 
 
-class BudgetExhaustedError(RuntimeError):
-    """No gadget found within the node budget at any attempted flag count."""
+class MissingGadgetError(ValueError):
+    """No gadget within the node budget at any flag count up to MAX_FLAGS."""
 
 
 @dataclass(frozen=True)
@@ -52,13 +51,13 @@ class GadgetLibrary:
         self,
         t: int,
         r: int,
-        budget: int | None = 2_000_000,
+        budget: int | None = NODE_BUDGET,
     ) -> FlagGadget:
         """Smallest known X-detecting gadget for ``(t, r)``.
 
-        On a miss, runs discovery at m = 1, 2, ... with the given per-m
-        budget, stores the first hit, and marks it optimal only when every
-        smaller m was fully exhausted.
+        On a miss, runs discovery at m = 1, ..., MAX_FLAGS with the given
+        per-m budget, stores the first hit, and marks it optimal only when
+        every smaller m was fully exhausted; MissingGadgetError if none hits.
         """
         key = (t, r)
         if key in self.entries:
@@ -66,13 +65,13 @@ class GadgetLibrary:
         all_exhausted = True
         for m in range(1, MAX_FLAGS + 1):
             res = discover_gadget(t, r, m, budget=budget)
-            if res.status == FOUND:
-                assert res.gadget is not None
+            if res.gadget is not None:
                 self.entries[key] = LibraryEntry(res.gadget, optimal=all_exhausted)
                 return res.gadget
             if res.status == BUDGET_EXHAUSTED:
                 all_exhausted = False
-        raise BudgetExhaustedError(f"no gadget for t={t}, r={r} within budget up to m={MAX_FLAGS}")
+        raise MissingGadgetError(f"no gadget for t={t}, r={r} with at most MAX_FLAGS={MAX_FLAGS} "
+                                 f"flags within the node budget {budget} per flag count")
 
     def is_optimal(self, t: int, r: int) -> bool | None:
         entry = self.entries.get((t, r))

@@ -49,6 +49,7 @@ Z95 = NormalDist().inv_cdf(0.975)  # two-sided 95 % normal quantile of wilson_in
 # in table order: X, Y, Z.
 SINGLE_QUBIT_BITS = (1, 3, 2)
 SLOTS = 15  # variant ids per op: 1, 3 and 15 variants all divide it
+ROW_ACCEPT_MIN = 1e-3  # below this whole-row acceptance, _draw_distinct redraws entry by entry
 _pick_single = itemgetter(*SINGLE_QUBIT_BITS)
 
 
@@ -157,7 +158,8 @@ def build_subset_plan(l_p: int, l_q: int, p: float, q: float, samples: int) -> S
         pairs += [(fp, fq) for fq in fqs]
         probs += row[fqs].tolist()
     if not pairs:
-        raise DegeneratePlanError("P(0,0) leaves no nontrivial pair above the cutoff")
+        raise DegeneratePlanError(f"no fault-count pair but (0, 0) has P > 1/samples^2 = {cutoff:.3g} "
+                                  f"(L_p={l_p}, L_q={l_q}, p={p:g}, q={q:g}, samples={samples})")
     p_trivial = float(pmf_p[0] * pmf_q[0])
     total = sum(probs)
     return SubsetPlan(
@@ -327,13 +329,26 @@ def _draw_distinct(
     rng: np.random.Generator, n_rows: int, k: int, limit: int, stride: int = 1
 ) -> np.ndarray:
     """n_rows x k integer matrix, entries < limit, with ``entry // stride``
-    distinct within each row.
+    distinct within each row, uniform over such rows; a k above the
+    L = limit // stride locations raises ValueError.
 
     Rows with a repeat are redrawn whole, in row order, until none is left;
-    only the redrawn rows are checked again.
+    only the redrawn rows are checked again.  A whole row is distinct with
+    probability prod_{i<k} (1 - i/L); below ``ROW_ACCEPT_MIN`` each column
+    j >= 1 in turn is instead redrawn on its own where it repeats an earlier
+    one: a draw without replacement, which ends at every k <= L.
     """
+    locations = limit // stride
+    if k > locations:
+        raise ValueError(f"cannot draw {k} distinct locations out of {locations}")
     out = rng.integers(0, limit, size=(n_rows, k), dtype=np.int64)
     if k == 1:
+        return out
+    if math.prod(1 - i / locations for i in range(k)) < ROW_ACCEPT_MIN:
+        for j in range(1, k):
+            bad = np.arange(n_rows)
+            while len(bad := bad[(out[bad, :j] // stride == out[bad, j, None] // stride).any(1)]):
+                out[bad, j] = rng.integers(0, limit, size=len(bad), dtype=np.int64)
         return out
     bad = np.flatnonzero(_repeats(out // stride))
     while len(bad):

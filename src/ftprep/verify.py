@@ -53,7 +53,7 @@ JOIN_BLOCK = 1 << 18  # prefixes or joined candidates built per block
 COMBINATION_CAP = 200_000_000  # fault combinations one call may cover
 
 
-class VerificationBudgetError(RuntimeError):
+class VerificationBudgetError(ValueError):
     """The exhaustive combination space exceeds the configured cap."""
 
 

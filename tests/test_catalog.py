@@ -158,5 +158,5 @@ def test_parse_rejects_a_file_that_is_not_an_object(tmp_path):
 
 
 def test_unknown_code_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^unknown code 'nonexistent-code' \(catalog: .*\bsteane\b"):
         get_state("nonexistent-code")

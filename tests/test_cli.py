@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import time
 import zipfile
 
 import numpy as np
@@ -554,7 +555,7 @@ def test_missing_bundled_library_is_an_error(monkeypatch, capsys):
 
 
 def _assert_bare_error(captured) -> str:
-    # str() of a KeyError quotes its message; the CLI prints it bare.
+    # Each message is printed once, as written, without quotes around it.
     err = captured.err
     assert err.startswith("error: ") and not err.startswith("error: '")
     assert '"' not in err
@@ -580,4 +581,34 @@ def test_missing_gadget_error_is_printed_unquoted(tmp_path, monkeypatch, capsys)
     ])
     assert rc == 2
     err = _assert_bare_error(capsys.readouterr())
-    assert re.match(r"error: no gadget for t=1, r=\d+: ", err)
+    assert re.fullmatch(r"error: no gadget for t=1, r=\d+ with at most MAX_FLAGS=0 flags "
+                        r"within the node budget 2000000 per flag count\n", err)
+    assert err.count("no gadget") == 1
+
+
+def test_a_bug_inside_a_subcommand_shows_its_traceback(monkeypatch):
+    # Only refused inputs and limits (ValueError, OSError) exit 2; a
+    # KeyError from a bug propagates out of main.
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "best_of_trials", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["synth", "--code", "steane", "--seed", "1"])
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--circuit", "{circuit}", "--code", "steane", "--p", "0.9", "--samples", "2000",
+     "--seed", "1"],
+    ["steane", "--code", "steane", "--p", "0.9", "--multiplier", "1", "--samples", "2000",
+     "--trials", "20", "--shuffles", "5", "--seed", "1"],
+])
+def test_simulation_at_a_high_rate_finishes(tmp_path, command):
+    # At p = 0.9 the Steane circuit's strata hold up to all 32 ops, whose
+    # distinct-location rows are drawn column by column.
+    circ_path = tmp_path / "steane.circuit"
+    main(["assemble", "--code", "steane", "--seed", "5", "--trials", "50", "--shuffles", "20",
+          "--circuit-out", str(circ_path)])
+    start = time.perf_counter()
+    assert main([arg.format(circuit=circ_path) for arg in command]) == 0
+    assert time.perf_counter() - start < 30

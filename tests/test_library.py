@@ -7,7 +7,7 @@ import pytest
 import ftprep
 from ftprep import library
 from ftprep.gadgets import FlagGadget, gadget_ft_test
-from ftprep.library import GadgetLibrary
+from ftprep.library import GadgetLibrary, MissingGadgetError
 from ftprep.serialization import parse_gadget, serialize_gadget
 
 
@@ -73,6 +73,20 @@ def test_on_miss_discovery_and_persistence(tmp_path):
     loaded = GadgetLibrary.load(path)
     assert loaded.get(2, 5) == g
     assert loaded.is_optimal(2, 5)
+
+
+def test_a_miss_within_no_budget_is_a_missing_gadget():
+    # budget=0 stops every flag count's search at once: the library raises
+    # its own ValueError, naming t, r, MAX_FLAGS and the budget once.
+    lib = GadgetLibrary()
+    with pytest.raises(MissingGadgetError) as info:
+        lib.get(1, 3, budget=0)
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == (
+        f"no gadget for t=1, r=3 with at most MAX_FLAGS={library.MAX_FLAGS} flags "
+        "within the node budget 0 per flag count"
+    )
+    assert (1, 3) not in lib.entries
 
 
 def test_gate_count_rule(bundled):

@@ -125,7 +125,9 @@ def test_effective_count_grows_at_high_rate(steane_prepared):
 
 
 def test_degenerate_plan():
-    with pytest.raises(DegeneratePlanError):
+    message = ("no fault-count pair but (0, 0) has P > 1/samples^2 = 0.01 "
+               "(L_p=1, L_q=0, p=1e-09, q=1e-11, samples=10)")
+    with pytest.raises(DegeneratePlanError, match=f"^{re.escape(message)}$"):
         build_subset_plan(1, 0, 1e-9, 1e-11, 10)
 
 
@@ -464,6 +466,53 @@ def test_draw_distinct_matches_sort_based_draw(k):
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
         assert all(len(set(row)) == k for row in (got // stride).tolist())
         assert 0 <= got.min() and got.max() < limit
+
+
+def _row_acceptance(k, keys):
+    return math.prod(1 - i / keys for i in range(k))
+
+
+def test_draw_distinct_column_path_is_uniform_over_distinct_rows(monkeypatch):
+    # Forced onto the column-by-column path, every ordered row of entries
+    # with distinct keys is equally likely: chi-squared over all 5*4*3 key
+    # tuples times 3^3 offsets within the keys, 100 rows expected in each.
+    monkeypatch.setattr(noise, "ROW_ACCEPT_MIN", 1.0)
+    k, stride, keys = 3, 3, 5
+    cells = math.perm(keys, k) * stride**k
+    rows = _draw_distinct(np.random.default_rng(11), 100 * cells, k, keys * stride, stride)
+    assert all(len(set(row)) == k for row in (rows // stride).tolist())
+    _, counts = np.unique(rows, axis=0, return_counts=True)
+    assert len(counts) == cells
+    chi2, dof = float(((counts - 100.0) ** 2 / 100.0).sum()), cells - 1
+    assert abs(chi2 - dof) < 5 * math.sqrt(2 * dof), chi2
+
+
+@pytest.mark.parametrize("keys, stride", [(10, 1), (32, SLOTS), (130, 3)])
+def test_draw_distinct_ends_when_every_location_is_drawn(keys, stride):
+    # k = L: a whole row would be a permutation with probability L!/L^L,
+    # so each column is drawn on its own; the last column's key is uniform.
+    assert _row_acceptance(keys, keys) < noise.ROW_ACCEPT_MIN
+    n = 2000
+    rows = _draw_distinct(np.random.default_rng(keys), n, keys, keys * stride, stride)
+    assert (np.sort(rows // stride, axis=1) == np.arange(keys)).all()
+    counts = np.bincount(rows[:, -1] // stride, minlength=keys)
+    expected = n / keys
+    chi2, dof = float(((counts - expected) ** 2 / expected).sum()), keys - 1
+    assert chi2 < dof + 5 * math.sqrt(2 * dof), chi2
+
+
+def test_draw_distinct_refuses_more_keys_than_locations():
+    with pytest.raises(ValueError, match="cannot draw 4 distinct locations out of 3"):
+        _draw_distinct(np.random.default_rng(0), 1, 4, 9, 3)
+
+
+def test_draw_distinct_sort_cases_keep_the_whole_row_path():
+    # Every case of test_draw_distinct_matches_sort_based_draw is drawn
+    # whole-row: its acceptance is at least 3e-3.
+    for k in range(1, 21):
+        tight = k + 1 if k < 10 else 2 * k
+        assert _row_acceptance(k, tight) >= 3e-3 > noise.ROW_ACCEPT_MIN
+        assert _row_acceptance(k, 3 * k) >= 3e-3
 
 
 @pytest.mark.parametrize("n, p", [(44, 1e-3), (420, 5e-3), (12752, 5e-5)])

@@ -225,8 +225,9 @@ def test_combination_cap_raises_before_any_block(monkeypatch, steane_circuit):
 
     monkeypatch.setattr(verify, "COMBINATION_CAP", 10)
     monkeypatch.setattr(verify, "_ranges", no_blocks)
-    with pytest.raises(VerificationBudgetError, match="exceed the cap 10"):
+    with pytest.raises(VerificationBudgetError, match="exceed the cap 10") as info:
         verify_fault_tolerance(circ, state, 1, "X")
+    assert isinstance(info.value, ValueError)
 
 
 def _filed_under(library, t_from, t_to):
