@@ -129,11 +129,12 @@ def lightest_cover(cols: Sequence[int], bits: int, keep: int, w_max: int) -> lis
     """(weight, key) of every error of weight <= ``keep``, then of the first
     error of weight <= ``w_max`` to reach each value of the low ``bits`` key
     bits not reached yet, in :func:`coset_enumeration` order, until every
-    value is reached.  Each value reached past ``keep`` costs an enumerated
-    error, so with ``w_max > keep`` more than ``ENUMERATION_CAP`` values
-    raise GroupTooLargeError before any enumeration."""
+    value is reached.  Each value (a coset of the errors that share those
+    key bits) reached past ``keep`` costs an enumerated error, so with
+    ``w_max > keep`` more than ``ENUMERATION_CAP`` values raise
+    GroupTooLargeError before any enumeration."""
     if w_max > keep and 1 << bits > ENUMERATION_CAP:
-        raise GroupTooLargeError(f"2^{bits} syndromes exceed the enumeration cap {ENUMERATION_CAP}")
+        raise GroupTooLargeError(f"2^{bits} cosets exceed the enumeration cap {ENUMERATION_CAP}")
     enum = coset_enumeration(cols, w_max)
     rows = list(islice(enum, sum(comb(len(cols), w) for w in range(keep + 1))))
     if w_max <= keep:
@@ -163,13 +164,7 @@ def max_coset_weight(state: CssState, error_type: str) -> int:
     for more than ``ENUMERATION_CAP`` cosets.
     """
     key_bits = len(state.checking_generators(error_type)) + len(state.class_logicals(error_type))
-    cols = coset_key_columns(state, error_type)
-    try:
-        return lightest_cover(cols, key_bits, 0, state.n)[-1][0]
-    except GroupTooLargeError:
-        raise GroupTooLargeError(
-            f"2^{key_bits} cosets exceed the enumeration cap {ENUMERATION_CAP}"
-        ) from None
+    return lightest_cover(coset_key_columns(state, error_type), key_bits, 0, state.n)[-1][0]
 
 
 def validate_css_state(state: CssState) -> None:

@@ -27,7 +27,7 @@ import math
 from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
 from functools import reduce
-from operator import itemgetter, ixor
+from operator import ixor
 from statistics import NormalDist
 from types import MappingProxyType
 
@@ -50,7 +50,7 @@ Z95 = NormalDist().inv_cdf(0.975)  # two-sided 95 % normal quantile of wilson_in
 SINGLE_QUBIT_BITS = (1, 3, 2)
 SLOTS = 15  # variant ids per op: 1, 3 and 15 variants all divide it
 ROW_ACCEPT_MIN = 1e-3  # below this whole-row acceptance, _draw_distinct redraws entry by entry
-_pick_single = itemgetter(*SINGLE_QUBIT_BITS)
+_log_factorials = np.zeros(0)  # lgamma(k + 1) at k = 0, 1, ..., grown by _binom_pmf
 
 
 class DegeneratePlanError(ValueError):
@@ -126,10 +126,15 @@ class SubsetPlan:
 
 def _binom_pmf(n: int, p: float) -> np.ndarray:
     # log-space for numerical stability at large n; lgamma(n - k + 1) is
-    # lgamma(k' + 1) at k' = n - k, so one lgamma per k serves both terms
+    # lgamma(k' + 1) at k' = n - k, so one slice of the log-factorials
+    # serves both terms
+    global _log_factorials
+    if len(_log_factorials) <= n:
+        grown = [math.lgamma(k + 1) for k in range(len(_log_factorials), n + 1)]
+        _log_factorials = np.concatenate([_log_factorials, grown])
     ks = np.arange(n + 1)
-    lg = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    log_comb = math.lgamma(n + 1) - lg - lg[::-1]
+    lg = _log_factorials[: n + 1]
+    log_comb = lg[n] - lg - lg[::-1]
     return np.exp(log_comb + ks * math.log(p) + (n - ks) * math.log1p(-p))
 
 
@@ -205,13 +210,6 @@ class EffectTables:
     sc: np.ndarray
 
 
-def _single_qubit_effects(entry: tuple[int, int]) -> tuple[int, ...]:
-    """Effects of the ``SINGLE_QUBIT_BITS`` variants of a qubit's (x, z)
-    ``entry``."""
-    ex, ez = entry
-    return _pick_single((0, ex, ez, ex ^ ez))  # indexed by Pauli bits
-
-
 def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X") -> EffectTables:
     """Every fault variant's propagated effect, from one backward sweep.
 
@@ -221,34 +219,34 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
     X-type generators (Steane-QEC decoding of joint Z errors).  Raises
     ValueError when syndrome plus class bits exceed the 64-bit ``sc`` word
     or the circuit is outside the model.  The variant layout is the one
-    :class:`EffectTables` describes.
+    :class:`EffectTables` describes.  The x and z of every record entry are
+    packed once, with a zero entry last, and each variant XORs at most four
+    of them: bit i of its Pauli bits selects column i of its location's
+    (x, z, x', z'), where the primed pair is a CX's target entry.
     """
     sites = propagate_backward(circuit, coset_key_columns(state, error_side), error_side)
-    effects: list[int] = []
-    for pos, op in enumerate(circuit.ops):
-        if isinstance(op, Init):
-            # Each variant fills 5 of the op's 15 slots (see EffectTables).
-            variants = [e for e in _single_qubit_effects(sites[pos, op.qubit]) for _ in range(5)]
-        elif isinstance(op, CXGate):
-            # variants[bits]: the XOR of the single Paulis that ``bits`` selects
-            variants = [0]
-            for single in (*sites[pos, op.control], *sites[pos, op.target]):
-                variants += [v ^ single for v in variants]
-            del variants[0]
-        else:
-            variants = [sites[pos, op.qubit][0]] * SLOTS  # the literal X flip
-        effects += variants
-    idle = [sites[last, q] for _, live in _idle_steps(circuit) for q, last in live]
-    effects += [e for entry in idle for e in _single_qubit_effects(entry)]
-    flags, sc = pack_effects(effects, circuit.flag_count)
+    entry = {site: i for i, site in enumerate(sites)}  # packed as x at 2i, z at 2i + 1
+    # per op: its two entries (a CX's control and target, else its qubit's
+    # twice) and its kind, Init 0, CX 1 or flag 2, which sets its slots' bits
+    ops = [(entry[pos, op.control], entry[pos, op.target], 1) if isinstance(op, CXGate)
+           else (entry[pos, op.qubit],) * 2 + (0 if isinstance(op, Init) else 2,)
+           for pos, op in enumerate(circuit.ops)]
+    first, second, kinds = np.array(ops, dtype=np.intp).reshape(-1, 3).T
+    idle = np.array([entry[at, q] for _, live in _idle_steps(circuit) for q, at in live], dtype=np.intp)
+    slot_bits = np.array([np.repeat(SINGLE_QUBIT_BITS, 5), np.arange(1, SLOTS + 1), [1] * SLOTS])
+    bits = np.concatenate([slot_bits[kinds].ravel(), np.tile(SINGLE_QUBIT_BITS, len(idle))])
+    a, b = (2 * np.concatenate([np.repeat(e, SLOTS), np.repeat(idle, 3)]) for e in (first, second))
+    zero = 2 * len(sites)
+    picks = [np.where(bits >> i & 1, col, zero) for i, col in enumerate((a, a + 1, b, b + 1))]
+    flags, sc = pack_effects([e for xz in sites.values() for e in xz] + [0], circuit.flag_count)
     return EffectTables(
         error_side=error_side,
         synd_bits=len(state.checking_generators(error_side)),
         class_bits=len(state.class_logicals(error_side)),
         l_p=len(circuit.ops),
         l_q=len(idle),
-        flags=flags,
-        sc=sc,
+        flags=reduce(ixor, (flags.take(col, axis=1) for col in picks)),
+        sc=reduce(ixor, (sc[col] for col in picks)),
     )
 
 
@@ -315,13 +313,12 @@ class MonteCarloResult:
         return self.plan.effective_samples
 
 
-def _repeats(rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows of the (n, k) matrix ``rows`` that hold an entry twice."""
-    dup = rows[:, 0] == rows[:, 1]
-    for j in range(2, rows.shape[1]):
-        col = rows[:, j]
+def _repeats(block: np.ndarray) -> np.ndarray:
+    """Mask of the samples (columns) of the (k, n) ``block`` that hold an entry twice."""
+    dup = block[0] == block[1]
+    for j in range(2, len(block)):
         for i in range(j):
-            dup |= rows[:, i] == col
+            dup |= block[i] == block[j]
     return dup
 
 
@@ -332,29 +329,33 @@ def _draw_distinct(
     distinct within each row, uniform over such rows; a k above the
     L = limit // stride locations raises ValueError.
 
-    Rows with a repeat are redrawn whole, in row order, until none is left;
-    only the redrawn rows are checked again.  A whole row is distinct with
-    probability prod_{i<k} (1 - i/L); below ``ROW_ACCEPT_MIN`` each column
-    j >= 1 in turn is instead redrawn on its own where it repeats an earlier
-    one: a draw without replacement, which ends at every k <= L.
+    The rows are drawn as one (k, n_rows) block, so column j (fault j of
+    every row) is one contiguous row of it, and the block's transpose is
+    returned.  Rows with a repeat are redrawn whole, as one (k, bad) block,
+    until none is left; only the redrawn rows are checked again.  A whole
+    row is distinct with probability prod_{i<k} (1 - i/L); below
+    ``ROW_ACCEPT_MIN`` each column j >= 1 in turn is instead redrawn on its
+    own where it repeats an earlier one: a draw without replacement, which
+    ends at every k <= L.  Locations are compared as int32 keys, exact
+    since every id is below a table's length.
     """
     locations = limit // stride
     if k > locations:
         raise ValueError(f"cannot draw {k} distinct locations out of {locations}")
-    out = rng.integers(0, limit, size=(n_rows, k), dtype=np.int64)
+    out = rng.integers(0, limit, size=(k, n_rows), dtype=np.int64)
     if k == 1:
-        return out
+        return out.T
     if math.prod(1 - i / locations for i in range(k)) < ROW_ACCEPT_MIN:
         for j in range(1, k):
             bad = np.arange(n_rows)
-            while len(bad := bad[(out[bad, :j] // stride == out[bad, j, None] // stride).any(1)]):
-                out[bad, j] = rng.integers(0, limit, size=len(bad), dtype=np.int64)
-        return out
-    bad = np.flatnonzero(_repeats(out // stride))
+            while len(bad := bad[(out[:j, bad] // stride == out[j, bad] // stride).any(0)]):
+                out[j, bad] = rng.integers(0, limit, size=len(bad), dtype=np.int64)
+        return out.T
+    bad = np.flatnonzero(_repeats(out.astype(np.int32) // stride))
     while len(bad):
-        out[bad] = rng.integers(0, limit, size=(len(bad), k), dtype=np.int64)
-        bad = bad[_repeats(out[bad] // stride)]
-    return out
+        out[:, bad] = rng.integers(0, limit, size=(k, len(bad)), dtype=np.int64)
+        bad = bad[_repeats(out[:, bad].astype(np.int32) // stride)]
+    return out.T
 
 
 def _sample_bucket(
@@ -368,23 +369,24 @@ def _sample_bucket(
     its variants an equal share of them, so an id is a uniform location and
     a uniform variant of it.  A sample's ids sit at distinct locations
     of each kind (``_draw_distinct`` by ``id // stride``), and the sample
-    XORs their effects.  Flag word w is read only for the rows that words
-    0..w-1 left clean, ``sc`` only for the rows no word flags.  Returns the
-    accepted rows' ``sc``, in row order.  A bucket holds at least one
-    fault, as every plan pair does.
+    XORs their effects, gathered one contiguous fault column at a time.
+    Flag word w is read only for the rows that words 0..w-1 left clean,
+    ``sc`` only for the rows no word flags.  Returns the accepted rows'
+    ``sc``, in row order.  A bucket holds at least one fault, as every plan
+    pair does.
     """
-    draws = []  # (id matrix (n, k), offset of its ids in the tables)
+    draws = []  # (id matrix (k, n), offset of its ids in the tables)
     if fp:
-        draws.append((_draw_distinct(rng, n, fp, SLOTS * tables.l_p, SLOTS), 0))
+        draws.append((_draw_distinct(rng, n, fp, SLOTS * tables.l_p, SLOTS).T, 0))
     if fq:
-        draws.append((_draw_distinct(rng, n, fq, 3 * tables.l_q, 3), SLOTS * tables.l_p))
+        draws.append((_draw_distinct(rng, n, fq, 3 * tables.l_q, 3).T, SLOTS * tables.l_p))
 
     def xor(table: np.ndarray) -> np.ndarray:
-        return reduce(ixor, (table[offset:][var] for ids, offset in draws for var in ids.T))
+        return reduce(ixor, (table[offset:].take(var) for ids, offset in draws for var in ids))
 
     for words in tables.flags:
         keep = np.flatnonzero(xor(words) == 0)
-        draws = [(ids[keep], offset) for ids, offset in draws]
+        draws = [(ids.take(keep, axis=1), offset) for ids, offset in draws]
     return xor(tables.sc)
 
 

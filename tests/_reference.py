@@ -19,6 +19,9 @@ binomial's walk past its mode; it shares only the binomial pmfs with
 as ``noise._sample_bucket`` does and gathers every flag word and the
 ``sc`` word for every row, where the sampler filters the rows word by
 word and reads ``sc`` only for the rows no flag rejects.
+``effect_tables_reference`` forms and packs every variant's effect on its
+own, where ``noise.build_effect_tables`` gathers at most four packed
+record entries per variant.
 
 ``Tableau`` is the Aaronson-Gottesman stabilizer tableau with sign
 tracking (PRA 70, 052328 (2004), arXiv:quant-ph/0406196), each row two
@@ -66,8 +69,8 @@ import numpy as np
 
 from ftprep.assemble import AssembledCircuit, circuit_metrics
 from ftprep.bipartite import BipartiteCircuit
-from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init
-from ftprep.css import CssState, GroupTooLargeError
+from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init, pack_effects, propagate_backward
+from ftprep.css import CssState, GroupTooLargeError, coset_key_columns
 from ftprep.decoder import MWTable
 from ftprep.gadgets import FlagGadget
 from ftprep.noise import (
@@ -79,6 +82,7 @@ from ftprep.noise import (
     _binom_pmf,
     _draw_distinct,
     _idle_locations,
+    _idle_steps,
 )
 from ftprep.tableau import TableauMismatch
 
@@ -242,6 +246,43 @@ def sample_bucket_reference(
         for var in _draw_distinct(rng, n, fq, 3 * tables.l_q, 3).T:
             add(var + SLOTS * tables.l_p)
     return flags, sc
+
+
+def effect_tables_reference(circuit: Circuit, state: CssState, error_side: str = "X") -> EffectTables:
+    """``noise.build_effect_tables`` entry by entry: each variant's effect is
+    formed as a Python int from its qubits' record entries and packed on its
+    own, where the package packs each record entry once and gathers."""
+    sites = propagate_backward(circuit, coset_key_columns(state, error_side), error_side)
+
+    def single(entry: tuple[int, int]) -> list[int]:
+        ex, ez = entry
+        return [(0, ex, ez, ex ^ ez)[bits] for bits in SINGLE_QUBIT_BITS]  # indexed by Pauli bits
+
+    effects: list[int] = []
+    for pos, op in enumerate(circuit.ops):
+        if isinstance(op, Init):
+            # Each variant fills 5 of the op's 15 slots.
+            effects += [e for e in single(sites[pos, op.qubit]) for _ in range(5)]
+        elif isinstance(op, CXGate):
+            # variants[bits]: the XOR of the single Paulis that ``bits`` selects
+            variants = [0]
+            for one in (*sites[pos, op.control], *sites[pos, op.target]):
+                variants += [v ^ one for v in variants]
+            effects += variants[1:]
+        else:
+            effects += [sites[pos, op.qubit][0]] * SLOTS  # the literal X flip
+    idle = [sites[last, q] for _, live in _idle_steps(circuit) for q, last in live]
+    effects += [e for entry in idle for e in single(entry)]
+    flags, sc = pack_effects(effects, circuit.flag_count)
+    return EffectTables(
+        error_side=error_side,
+        synd_bits=len(state.checking_generators(error_side)),
+        class_bits=len(state.class_logicals(error_side)),
+        l_p=len(circuit.ops),
+        l_q=len(idle),
+        flags=flags,
+        sc=sc,
+    )
 
 
 def all_fault_locations(circuit: Circuit, fault_type: str) -> list[tuple[int, tuple[int, ...]]]:

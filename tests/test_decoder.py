@@ -291,7 +291,7 @@ def test_mw_table_is_capped_only_past_the_guarantee():
     state = rotated_surface(7)
     assert build_mw_lut(state, "X", 3).weight.max() == 3
     start = time.perf_counter()
-    with pytest.warns(UserWarning), pytest.raises(GroupTooLargeError, match="2\\^24 syndromes"):
+    with pytest.warns(UserWarning), pytest.raises(GroupTooLargeError, match="2\\^24 cosets"):
         build_mw_lut(state, "X", 4)
     assert time.perf_counter() - start < 1.0
 
@@ -347,6 +347,6 @@ def test_ideal_class_table_past_the_cap_fails_at_once(error_type):
     # which needs an enumerated error, exceed the cap before any enumeration.
     state = rotated_surface(7)
     start = time.perf_counter()
-    with pytest.raises(GroupTooLargeError, match="2\\^24 syndromes"):
+    with pytest.raises(GroupTooLargeError, match="2\\^24 cosets"):
         build_ideal_class_table(state, error_type)
     assert time.perf_counter() - start < 1.0

@@ -29,6 +29,7 @@ from ftprep.noise import (
     wilson_interval,
 )
 from _reference import (
+    effect_tables_reference,
     flag_int,
     frame_replay_check,
     replay_sample,
@@ -249,21 +250,21 @@ def test_golden_steane_histogram_and_report(steane_prepared, monkeypatch):
     l_p, l_q = count_fault_locations(circ)
     plan = build_subset_plan(l_p, l_q, 5e-3, 5e-5, 20_000)
     res = run_monte_carlo(circ, state, NoiseModel(5e-3), plan, seed=5)
-    assert res.accepted == 120559.48392595924
+    assert res.accepted == 120589.48392595924
     assert histogram_digest(res.train) == (
-        15, "3ffd3b519cb08bbe1498fb6ee1bfa5b3e5ab2b3bfd14f1487ea63754fca9fd29")
+        15, "b08731eed789d49f14eb4ba4503514a5fa88777c2afeb96071469fe9a0513fed")
     assert histogram_digest(res.test) == (
-        15, "0af30238ce2c52c3a8990b0238adc3a4f2fc752eb333e0e6c65a0ca39b80f685")
-    assert res.test.counts[(1, 1)] == 110.0
+        15, "dd8c43f1ade351aa3c4b9be3ef02886f780b2887d2942ee517e5bfba9b9bfd09")
+    assert res.test.counts[(1, 1)] == 112.0
     rep = evaluate_test_set(res.test, build_ml_lut(res.train), build_mw_lut(state, "X", 1))
     assert (rep.errors, rep.ml_errors, rep.discarded, rep.mw_hits, rep.fallback) == (
-        30.0, 30.0, 0.0, 0.0, 0.0)
+        31.0, 31.0, 0.0, 0.0, 0.0)
     for got, want in (
-        (rep.total, 60273.24196297962),
-        (rep.kept, 60273.24196297962),
-        (rep.ml_hits, 60273.24196297962),
-        (rep.logical_error_rate, 0.0004977333062393803),
-        (rep.weighted_logical_error_rate, 0.0004979457326523143),
+        (rep.total, 60288.24196297962),
+        (rep.kept, 60288.24196297962),
+        (rep.ml_hits, 60288.24196297962),
+        (rep.logical_error_rate, 0.0005141964500977777),
+        (rep.weighted_logical_error_rate, 0.0005113185742452478),
     ):
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -336,6 +337,29 @@ def test_every_variant_id_replays_alone(steane_prepared, side):
         flags, sc = replay_sample(circ, state, tables, idle, [v], rng)
         assert flags == flag_int(tables.flags, v), v
         assert sc == int(tables.sc[v]), v
+
+
+def test_effect_tables_match_the_per_entry_builder(catalog_circuits, wide_prepared):
+    # Gathering at most four packed record entries per variant gives the
+    # tables of forming and packing every variant's effect on its own, on
+    # both sides: every catalog assembly, the two-word Golay circuit, the
+    # three-word wide circuit, a flagless circuit and one without a CX (no
+    # idle location).
+    steane = get_state("steane")
+    bare = best_of_trials(steane, 20, 1).bare_circuit()
+    inits = Circuit(tuple(range(steane.n)), tuple(Init(q, "0") for q in range(steane.n)))
+    cases = catalog_circuits + [(steane, wide_prepared), (steane, bare), (steane, inits)]
+    golay, golay_circ = catalog_circuits[1]
+    assert len(build_effect_tables(golay_circ, golay).flags) == 2
+    for state, circ in cases:
+        for side in "XZ":
+            got, want = build_effect_tables(circ, state, side), effect_tables_reference(circ, state, side)
+            for name in ("flags", "sc"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.shape == w.shape and g.dtype == w.dtype and np.array_equal(g, w), (state.name, side)
+            assert replace(got, flags=None, sc=None) == replace(want, flags=None, sc=None)
+    assert build_effect_tables(bare, steane).flags.shape[0] == 0
+    assert build_effect_tables(inits, steane).l_q == 0
 
 
 def test_effect_linearity(steane_prepared):
@@ -436,17 +460,19 @@ def test_tables_of_the_wrong_side_rejected(steane_prepared):
 
 def sorted_draw_distinct(rng, n_rows, k, limit, stride=1):
     """The sort-based `_draw_distinct` that the column-pair version replaced,
-    keyed by ``entry // stride``."""
-    out = rng.integers(0, limit, size=(n_rows, k), dtype=np.int64)
+    keyed by ``entry // stride``: like the sampler, it draws and redraws
+    (k, rows) blocks, one fault column per block row, and returns their
+    transpose."""
+    out = rng.integers(0, limit, size=(k, n_rows), dtype=np.int64)
     if k == 1:
-        return out
+        return out.T
     while True:
-        srt = np.sort(out // stride, axis=1)
-        dup = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        srt = np.sort(out // stride, axis=0)
+        dup = (srt[1:] == srt[:-1]).any(axis=0)
         n_bad = int(dup.sum())
         if not n_bad:
-            return out
-        out[dup] = rng.integers(0, limit, size=(n_bad, k), dtype=np.int64)
+            return out.T
+        out[:, dup] = rng.integers(0, limit, size=(k, n_bad), dtype=np.int64)
 
 
 @pytest.mark.parametrize("k", range(1, 21))
@@ -515,14 +541,26 @@ def test_draw_distinct_sort_cases_keep_the_whole_row_path():
         assert _row_acceptance(k, 3 * k) >= 3e-3
 
 
-@pytest.mark.parametrize("n, p", [(44, 1e-3), (420, 5e-3), (12752, 5e-5)])
-def test_binom_pmf_matches_per_k_lgamma(n, p):
+def per_k_lgamma_pmf(n, p):
     ks = np.arange(n + 1)
     log_comb = np.array(
         [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in ks]
     )
-    want = np.exp(log_comb + ks * math.log(p) + (n - ks) * math.log1p(-p))
-    assert np.array_equal(_binom_pmf(n, p), want)
+    return np.exp(log_comb + ks * math.log(p) + (n - ks) * math.log1p(-p))
+
+
+@pytest.mark.parametrize("n, p", [(44, 1e-3), (420, 5e-3), (12752, 5e-5)])
+def test_binom_pmf_matches_per_k_lgamma(n, p):
+    assert np.array_equal(_binom_pmf(n, p), per_k_lgamma_pmf(n, p))
+
+
+def test_binom_pmf_grows_and_slices_one_log_factorial_table(monkeypatch):
+    # From an empty table: n = 12,752 grows it, 44 and 420 slice it, and
+    # 20,000 grows it again; every pmf equals the per-k formula.
+    monkeypatch.setattr(noise, "_log_factorials", np.zeros(0))
+    for n, p, size in ((12752, 5e-5, 12753), (44, 1e-3, 12753), (420, 5e-3, 12753), (20000, 1e-4, 20001)):
+        assert np.array_equal(_binom_pmf(n, p), per_k_lgamma_pmf(n, p))
+        assert len(noise._log_factorials) == size
 
 
 def test_effect_tables_reject_more_than_64_syndrome_and_class_bits():
@@ -563,11 +601,11 @@ def test_golden_wide_circuit_large_buckets(steane_prepared, wide_prepared, monke
     assert max(fp for fp, _ in plan.pairs) >= 10
     monkeypatch.setattr(noise, "SAMPLE_CHUNK", 1000)
     res = run_monte_carlo(wide_prepared, state, NoiseModel(1e-2), plan, seed=7)
-    assert res.accepted == 538.7352203070623
+    assert res.accepted == 495.7352203070622
     assert histogram_digest(res.train) == (
-        16, "d40535bb9a131628bedb9bf63cda76d74aa4eb56cad457d88276c40f4cc929d5")
+        16, "6c2887f6d69ef11d1b57f4278c4821bf750d1a5dc2b7a7d6caa93941fbb7b663")
     assert histogram_digest(res.test) == (
-        16, "b8b9bb221d86d4f9bba08a60238b32f6e152fcdad6a10db39d6f5d084885a0cf")
+        16, "ea73fcced0cc09a02d2ec48fd7bf9fc6097e95b131abc73fd04f09d80edca6e0")
 
 
 def three_pass_pack_effects(effects, n_flags):

@@ -193,13 +193,13 @@ def test_more_than_64_key_bits_rejected():
 def test_golden_color17_modes(color17_prep, color17_x_only):
     # Recorded with the shared stratum sampler drawing each preparation
     # fault as one variant id, the sparse data-channel and transversal-CX
-    # draws, and chunked phases whose preparation sampler draws exactly the
-    # preparations it keeps.  One chunk per phase here; no_qec's single
+    # draws, chunked phases whose preparation sampler draws exactly the
+    # preparations it keeps, and fault ids drawn one fault column at a time.  One chunk per phase here; no_qec's single
     # chunk draws as the unchunked run did.
     state, prep = color17_prep
     golden = {
-        FULL_FT: (prep.circuit, 145, 10_000, 0.5460549370569049),
-        FT_X_ONLY: (color17_x_only, 242, 10_000, 0.7002088409328229),
+        FULL_FT: (prep.circuit, 146, 10_000, 0.5488642793630264),
+        FT_X_ONLY: (color17_x_only, 226, 10_000, 0.7048574813575859),
         NO_QEC: (None, 269, 20_000, 1.0),
     }
     for mode, (circ, errors, samples, acceptance) in golden.items():
