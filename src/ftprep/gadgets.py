@@ -20,6 +20,7 @@ r+1..r+m the flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import Circuit, CXGate, FlagMeasure, Init, Operation
 from .css import CssState
@@ -197,7 +198,9 @@ class _Engine:
     level-(f-1) bucket of its own flag signature, and each XOR with that
     bucket is pure code bits.  A residual of w code bits reduces to weight
     min(w, r+1-w), so an f-fault combination fails exactly when
-    f < w < r+1-f: one popcount per bucket entry.
+    f < w < r+1-f: one popcount per bucket entry, and for f = 1, whose
+    bucket is the empty combination alone, one popcount of XX when its flag
+    part is 0.
     """
 
     def __init__(self, t: int, r: int, m: int) -> None:
@@ -206,17 +209,22 @@ class _Engine:
         self.m = m
         self.flag_mask = ((1 << m) - 1) << (r + 1)
         levels: list[dict[int, list[int]]] = [{0: [0]}] + [{} for _ in range(1, t)]
-        # (f, level f-1, r+1-f): the failing residual weights lie strictly
-        # between f and r+1-f.
-        self.checks = [(f, level, r + 1 - f) for f, level in enumerate(levels, 1)]
+        # (f, level f-1, r+1-f) for f >= 2: the failing residual weights lie
+        # strictly between f and r+1-f.
+        self.checks = [(f, level, r + 1 - f) for f, level in enumerate(levels[1:], 2)]
         # (level k-1, level k), top-down, so every level read during a
         # commit still predates the gate: a combination holding two of its
         # patterns would only repeat a smaller one.
         self.commits = [(levels[k - 1], levels[k]) for k in range(t - 1, 0, -1)]
         self.undo: list[list[list[int]]] = []
-        self.gates_time: list[tuple[int, int]] = []
+        self.stack: list[tuple[int, int]] = []  # the kept gates, last in time first
         self.transfer = [1 << q for q in range(1 + r + m)]
         self.uses = [0] * (1 + r + m)
+
+    @property
+    def gates_time(self) -> list[tuple[int, int]]:
+        """The kept gates in time order."""
+        return self.stack[::-1]
 
     def push(self, gate: tuple[int, int]) -> bool:
         """Prepend ``gate``; test and keep it if still fault-tolerant.
@@ -230,6 +238,8 @@ class _Engine:
         xx = fa ^ transfer[b]
         fm = self.flag_mask
         key = xx & fm
+        if key == 0 and 1 < xx.bit_count() < self.r:
+            return False
         for f, level, hi in self.checks:
             bucket = level.get(key)
             if bucket:
@@ -256,7 +266,7 @@ class _Engine:
                         tb.append(x)
                         added.append(tb)
         self.undo.append(added)
-        self.gates_time.insert(0, gate)
+        self.stack.append(gate)
         uses[a] += 1
         uses[b] += 1
         transfer[a] = xx
@@ -265,10 +275,26 @@ class _Engine:
     def pop(self) -> None:
         for bucket in self.undo.pop():
             bucket.pop()
-        a, b = self.gates_time.pop(0)
+        a, b = self.stack.pop()
         self.uses[a] -= 1
         self.uses[b] -= 1
         self.transfer[a] ^= self.transfer[b]
+
+
+class _Pool(NamedTuple):
+    """One search state's candidates, in priority order.
+
+    ``state`` is (targets entangled, next unused flag, cluster), the
+    cluster being c and then the entangled flags in label order.  Flags are
+    entangled lowest label first, so every label below the next unused flag
+    is entangled or retired and every label from it up is unused.
+    ``links[i]`` stays None until the search keeps ``gates[i]``, then holds
+    that child's pool and the indices of the candidates it tries.
+    """
+
+    state: tuple[int, int, tuple[int, ...]]
+    gates: list[tuple[int, int]]
+    links: list[tuple[_Pool, tuple[int, ...]] | None]
 
 
 def discover_gadget(
@@ -288,6 +314,16 @@ def discover_gadget(
     checks for every t.  Success requires every target entangled, every flag
     used and disentangled, and deterministic flag measurements.
 
+    A node's pool depends only on its state: the next target (if any), the
+    next unused flag (if any) and the entangled cluster.  So each state's
+    pool is built once per call, in a dict local to the call, and so is
+    each kept candidate's link to its child: the child's pool and the
+    candidates it tries.  The link holds the partial-order reduction: a
+    child candidate that the parent's pool lists up to the kept gate, and
+    that shares no qubit with it, swaps two commuting gates whose other
+    order was explored first, so the child skips it.  A skipped candidate
+    is not a node.
+
     ``budget`` caps the number of attempted gate placements (None for no
     cap); a negative budget raises ValueError.  A gadget needs at least one
     flag, so ``m = 0`` is exhausted by definition.
@@ -299,72 +335,68 @@ def discover_gadget(
     if m == 0:
         return SearchResult(SEARCH_EXHAUSTED, None, 0)
     engine = _Engine(t, r, m)
+    push, pop = engine.push, engine.pop
     nodes = 0
     limit = budget if budget is not None else float("inf")
-    # c, then the entangled flags in label order.  Flags are entangled
-    # lowest label first, so every label below ``next_flag`` is entangled or
-    # retired and every label from it up is unused.
-    cluster = [0]
-    next_flag = r + 1
     end_flag = r + 1 + m
-    result_gates: tuple[tuple[int, int], ...] | None = None
+    pools: dict[tuple[int, int, tuple[int, ...]], _Pool] = {}
 
-    def dfs(targets_done: int, earlier, prev: tuple[int, int]) -> str | None:
-        """Explore the children of one node; None means keep going.
+    def pool(done: int, flag: int, cluster: tuple[int, ...]) -> _Pool:
+        state = (done, flag, cluster)
+        found = pools.get(state)
+        if found is None:
+            gates = []
+            if done < r:
+                gates += [(x, done + 1) for x in cluster]
+            if flag < end_flag:
+                gates += [(x, flag) for x in cluster]
+            for f in cluster[1:]:
+                gates += [(x, f) for x in cluster if x != f]
+            found = pools[state] = _Pool(state, gates, [None] * len(gates))
+        return found
 
-        ``earlier`` is the parent's ``seen`` set: its candidates up to
-        ``prev``.  A qubit-disjoint swap of one of them with ``prev`` was
-        explored first and is equivalent, so it is skipped (``prev`` itself
-        is never disjoint from ``prev``).  It grows only after we return.
-        """
-        nonlocal nodes, result_gates, next_flag
-        if targets_done == r and next_flag == end_flag and len(cluster) == 1:
-            gates = tuple(engine.gates_time)
-            if _flags_deterministic(FlagGadget(t, r, m, gates)):
-                result_gates = gates
+    def link(parent: _Pool, i: int) -> tuple[_Pool, tuple[int, ...]]:
+        (done, flag, cluster), gates, links = parent
+        pa, pb = gates[i]
+        if pb <= r:  # entangle target pb
+            child = pool(done + 1, flag, cluster)
+        elif pb == flag:  # entangle the next unused flag
+            child = pool(done, flag + 1, cluster + (pb,))
+        else:  # disentangle flag pb
+            child = pool(done, flag, tuple(x for x in cluster if x != pb))
+        earlier = set(gates[: i + 1]) if _por else ()
+        todo = tuple(
+            j for j, (a, b) in enumerate(child.gates)
+            if (a, b) not in earlier or pa in (a, b) or pb in (a, b)
+        )
+        links[i] = (child, todo)
+        return links[i]
+
+    def dfs(node: _Pool, todo: tuple[int, ...]) -> str | None:
+        """Try the candidates ``todo`` of one node; None means keep going.
+        On FOUND the engine keeps the gadget's gates."""
+        nonlocal nodes
+        gates, links = node.gates, node.links
+        if not gates:  # every target entangled, every flag used and retired
+            if _flags_deterministic(FlagGadget(t, r, m, tuple(engine.gates_time))):
                 return FOUND
             return None
-        pool = []
-        if targets_done < r:
-            pool += [(x, targets_done + 1) for x in cluster]
-        if next_flag < end_flag:
-            pool += [(x, next_flag) for x in cluster]
-        for f in cluster[1:]:
-            pool += [(x, f) for x in cluster if x != f]
-        pa, pb = prev
-        seen: set[tuple[int, int]] = set()
-        child_earlier = seen if _por else ()
-        for gate in pool:
-            seen.add(gate)
-            a, b = gate
-            if gate in earlier and a != pa and a != pb and b != pa and b != pb:
-                continue
+        for i in todo:
             nodes += 1
             if nodes > limit:
                 return BUDGET_EXHAUSTED
-            if not engine.push(gate):
+            if not push(gates[i]):
                 continue
-            if b <= r:  # entangle target b
-                sub = dfs(targets_done + 1, child_earlier, gate)
-            elif b == next_flag:  # entangle the next unused flag
-                cluster.append(b)
-                next_flag += 1
-                sub = dfs(targets_done, child_earlier, gate)
-                next_flag -= 1
-                cluster.pop()
-            else:  # disentangle flag b
-                i = cluster.index(b)
-                del cluster[i]
-                sub = dfs(targets_done, child_earlier, gate)
-                cluster.insert(i, b)
-            engine.pop()
+            sub = dfs(*(links[i] or link(node, i)))
             if sub is not None:
                 return sub
+            pop()
         return None
 
-    outcome = dfs(0, (), (-1, -1)) or SEARCH_EXHAUSTED
+    root = pool(0, r + 1, (0,))
+    outcome = dfs(root, tuple(range(len(root.gates)))) or SEARCH_EXHAUSTED
     if outcome == FOUND:
-        gadget = FlagGadget(t, r, m, result_gates)
+        gadget = FlagGadget(t, r, m, tuple(engine.gates_time))
         gadget.validate()
         return SearchResult(FOUND, gadget, nodes)
     return SearchResult(outcome, None, nodes)

@@ -225,20 +225,39 @@ def build_effect_tables(circuit: Circuit, state: CssState, error_side: str = "X"
     (x, z, x', z'), where the primed pair is a CX's target entry.
     """
     sites = propagate_backward(circuit, coset_key_columns(state, error_side), error_side)
-    entry = {site: i for i, site in enumerate(sites)}  # packed as x at 2i, z at 2i + 1
-    # per op: its two entries (a CX's control and target, else its qubit's
-    # twice) and its kind, Init 0, CX 1 or flag 2, which sets its slots' bits
-    ops = [(entry[pos, op.control], entry[pos, op.target], 1) if isinstance(op, CXGate)
-           else (entry[pos, op.qubit],) * 2 + (0 if isinstance(op, Init) else 2,)
-           for pos, op in enumerate(circuit.ops)]
+    # The walk of _idle_steps, numbering the record entries in op order
+    # (packed as x at 2i, z at 2i + 1): each live qubit maps to its last
+    # Init or CX entry, so a CX step's idle entries are the live map's
+    # values.  Per op: its two entries (a CX's control and target, else its
+    # qubit's twice) and its kind, Init 0, CX 1 or flag 2, which sets its
+    # slots' bits.
+    record: list[int] = []
+    ops: list[tuple[int, int, int]] = []
+    idle: list[int] = []
+    live: dict[int, int] = {}
+    for pos, op in enumerate(circuit.ops):
+        at = len(record) // 2
+        if isinstance(op, Init):
+            record += sites[pos, op.qubit]
+            live[op.qubit] = at
+            ops.append((at, at, 0))
+        elif isinstance(op, CXGate):
+            record += (*sites[pos, op.control], *sites[pos, op.target])
+            live[op.control], live[op.target] = at, at + 1
+            ops.append((at, at + 1, 1))
+            idle += live.values()
+        else:
+            record += sites[pos, op.qubit]
+            live.pop(op.qubit, None)
+            ops.append((at, at, 2))
     first, second, kinds = np.array(ops, dtype=np.intp).reshape(-1, 3).T
-    idle = np.array([entry[at, q] for _, live in _idle_steps(circuit) for q, at in live], dtype=np.intp)
+    idle = np.array(idle, dtype=np.intp)
     slot_bits = np.array([np.repeat(SINGLE_QUBIT_BITS, 5), np.arange(1, SLOTS + 1), [1] * SLOTS])
     bits = np.concatenate([slot_bits[kinds].ravel(), np.tile(SINGLE_QUBIT_BITS, len(idle))])
     a, b = (2 * np.concatenate([np.repeat(e, SLOTS), np.repeat(idle, 3)]) for e in (first, second))
-    zero = 2 * len(sites)
+    zero = len(record)
     picks = [np.where(bits >> i & 1, col, zero) for i, col in enumerate((a, a + 1, b, b + 1))]
-    flags, sc = pack_effects([e for xz in sites.values() for e in xz] + [0], circuit.flag_count)
+    flags, sc = pack_effects(record + [0], circuit.flag_count)
     return EffectTables(
         error_side=error_side,
         synd_bits=len(state.checking_generators(error_side)),

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -265,6 +268,59 @@ def test_gadget_rows_pinned():
                 assert res.gadget.gates == gates[t, r, m]
     res = discover_gadget(2, 12, 3, budget=150_000)
     assert (res.status, res.nodes) == (BUDGET_EXHAUSTED, 150_001)
+
+
+def _grid(calls, **options):
+    """Total nodes and the sha256 of the (t, r, m, status, nodes, gates)
+    rows of ``discover_gadget(t, r, m, budget=60_000)`` over ``calls``."""
+    rows = []
+    for t, r, m in calls:
+        res = discover_gadget(t, r, m, budget=60_000, **options)
+        gates = [list(g) for g in res.gadget.gates] if res.found else None
+        rows.append([t, r, m, res.status, res.nodes, gates])
+    return sum(row[4] for row in rows), hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_search_grids_pinned():
+    # The node sequence of 273 searches, found, exhausted and cut by the
+    # budget, with and without the partial-order reduction: a reordered
+    # pool, a changed prune or a wrong engine verdict anywhere moves a
+    # digest.
+    grid = [(t, r, m) for t in (1, 2, 3, 4) for r in range(1, 14 if t < 4 else 10) for m in range(1, 5)]
+    assert _grid(grid) == (
+        956_741, "284ad14d2bce5c28d7c71a6bf53229b1672cab4bec8e1bd85a3b215204379cb7")
+    unpruned = [(t, r, m) for t in (1, 2, 3) for r in range(1, 10) for m in range(1, 4)]
+    assert _grid(unpruned, _por=False) == (
+        192_296, "bd6ba5bee98d811160d3c7bd630a364cfca16dbe2ff87c7940354961a81c1183")
+
+
+def test_no_search_state_leaks_between_calls():
+    # Calls with different (t, r, m), with the reduction on and off, and
+    # budgets that stop a search midway, interleaved: each gives what a
+    # call in a fresh process gives (recorded below), so nothing one search
+    # builds reaches the next.  The reduction moves (2, 6, 2)'s node count.
+    t273 = ((0, 10), (0, 9), (0, 8), (0, 7), (0, 6), (0, 10), (9, 5), (9, 4), (0, 3),
+            (0, 2), (0, 9), (0, 1), (0, 8))
+    t252 = ((0, 7), (0, 6), (7, 5), (7, 4), (0, 3), (0, 2), (0, 7), (0, 1), (0, 6))
+    t384 = ((0, 12), (0, 11), (0, 8), (0, 7), (0, 10), (12, 6), (12, 9), (0, 5),
+            (0, 12), (0, 4), (0, 3), (0, 11), (0, 2), (0, 10), (0, 1), (0, 9))
+    calls = [
+        ((2, 7, 3), {}, (FOUND, 23, t273)),
+        ((3, 8, 4), {"budget": 50}, (BUDGET_EXHAUSTED, 51, None)),
+        ((2, 5, 2), {"_por": False}, (FOUND, 16, t252)),
+        ((2, 6, 2), {"_por": False}, (SEARCH_EXHAUSTED, 2_021, None)),
+        ((2, 7, 3), {}, (FOUND, 23, t273)),
+        ((2, 6, 2), {}, (SEARCH_EXHAUSTED, 1_661, None)),
+        ((3, 8, 4), {}, (FOUND, 103, t384)),
+        ((2, 6, 2), {"_por": False}, (SEARCH_EXHAUSTED, 2_021, None)),
+        ((3, 8, 4), {"budget": 50, "_por": False}, (BUDGET_EXHAUSTED, 51, None)),
+        ((2, 5, 2), {}, (FOUND, 16, t252)),
+        ((2, 6, 2), {"budget": 700}, (BUDGET_EXHAUSTED, 701, None)),
+        ((2, 6, 2), {}, (SEARCH_EXHAUSTED, 1_661, None)),
+    ]
+    for (t, r, m), options, expected in calls:
+        res = discover_gadget(t, r, m, **options)
+        assert (res.status, res.nodes, res.gadget and res.gadget.gates) == expected, (t, r, m, options)
 
 
 def test_target_deletion_keeps_a_gadget():
