@@ -11,7 +11,8 @@ reduction modulo the full-support stabilizer X_c X_t1 ... X_tr.
 With c in |+> and the targets and flags in |0>, a gadget prepares the
 (r+1)-qubit GHZ state, whose one X stabilizer is X_c X_t1 ... X_tr, so
 ``gadget_ft_test`` is the verifier's X check of that circuit, for r <= 64
-(one key bit per target).  The search uses the incremental ``_Engine``.
+(one key bit per target).  The search runs an incremental form of the same
+test inline in its loop (:func:`discover_gadget`).
 
 Qubit labels inside a gadget: 0 is the protected qubit, 1..r the targets,
 r+1..r+m the flags.
@@ -19,6 +20,7 @@ r+1..r+m the flags.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -158,19 +160,59 @@ class SearchResult:
         return self.status == FOUND
 
 
-class _Engine:
-    """Incremental fault-tolerance checker for the backward search, for any t.
+class _Pool(NamedTuple):
+    """One search state's candidates, in priority order.
 
-    Keeps the propagated signature of every fault variant as a python int
-    (code bits low, flag bits high).  Prepending a gate never changes
-    existing signatures, so each step only has to test the combinations
-    involving the gate's new patterns, which share one location.
+    ``state`` is (targets entangled, next unused flag, cluster), the
+    cluster being c and then the entangled flags in label order.  Flags are
+    entangled lowest label first, so every label below the next unused flag
+    is entangled or retired and every label from it up is unused.
+    ``links[i]`` stays None until the search keeps ``gates[i]``, then holds
+    that child's pool and the indices of the candidates it tries.
+    """
 
-    The engine also maintains the circuit's X-frame transfer map (column q
-    = image of an X on qubit q injected at the current temporal front), so
-    a prepended gate's patterns are read off directly: an X on qubit q right
-    after it propagates to ``transfer[q]``, and XX (an X on the control
-    before the gate, copied onto its target) to the XOR of both columns.
+    state: tuple[int, int, tuple[int, ...]]
+    gates: list[tuple[int, int]]
+    links: list[tuple[_Pool, tuple[int, ...]] | None]
+
+
+def discover_gadget(
+    t: int,
+    r: int,
+    m: int,
+    budget: int | None = NODE_BUDGET,
+    _por: bool = True,
+) -> SearchResult:
+    """Depth-first search for an X-detecting gadget using exactly ``m`` flags.
+
+    Gates are drawn in priority order from three pools: entangle the
+    lowest-index disentangled target (controlled by c or any entangled
+    flag), entangle the lowest-index unused flag, then disentangle an
+    entangled flag.  A candidate is kept only if the extended circuit stays
+    fault-tolerant, tested incrementally as below for every t.  Success
+    requires every target entangled, every flag used and disentangled, and
+    deterministic flag measurements.
+
+    A node's pool depends only on its state: the next target (if any), the
+    next unused flag (if any) and the entangled cluster.  So each state's
+    pool is built once per call, in a dict local to the call, and so is
+    each kept candidate's link to its child: the child's pool and the
+    candidates it tries.  The link holds the partial-order reduction: a
+    child candidate that the parent's pool lists up to the kept gate, and
+    that shares no qubit with it, swaps two commuting gates whose other
+    order was explored first, so the child skips it.  A skipped candidate
+    is not a node.
+
+    The fault-tolerance test keeps the propagated signature of every fault
+    variant as a python int (code bits low, flag bits high).  Prepending a
+    gate never changes existing signatures, so each step only has to test
+    the combinations involving the gate's new patterns, which share one
+    location.  The search also keeps the circuit's X-frame transfer map
+    (column q = image of an X on qubit q injected at the current temporal
+    front), so a prepended gate's patterns are read off directly: an X on
+    qubit q right after it propagates to ``transfer[q]``, and XX (an X on
+    the control before the gate, copied onto its target) to the XOR of both
+    columns.
 
     Only XX is tested, and only undominated patterns are stored.  For the
     single-qubit pattern on q, ``uses[q]`` counts the later gates on q:
@@ -200,129 +242,15 @@ class _Engine:
     min(w, r+1-w), so an f-fault combination fails exactly when
     f < w < r+1-f: one popcount per bucket entry, and for f = 1, whose
     bucket is the empty combination alone, one popcount of XX when its flag
-    part is 0.
-    """
+    part is 0.  A kept gate's new patterns are committed into the levels
+    top-down, so every level read during a commit still predates the gate:
+    a combination holding two of its patterns would only repeat a smaller
+    one.
 
-    def __init__(self, t: int, r: int, m: int) -> None:
-        self.t = t
-        self.r = r
-        self.m = m
-        self.flag_mask = ((1 << m) - 1) << (r + 1)
-        levels: list[dict[int, list[int]]] = [{0: [0]}] + [{} for _ in range(1, t)]
-        # (f, level f-1, r+1-f) for f >= 2: the failing residual weights lie
-        # strictly between f and r+1-f.
-        self.checks = [(f, level, r + 1 - f) for f, level in enumerate(levels[1:], 2)]
-        # (level k-1, level k), top-down, so every level read during a
-        # commit still predates the gate: a combination holding two of its
-        # patterns would only repeat a smaller one.
-        self.commits = [(levels[k - 1], levels[k]) for k in range(t - 1, 0, -1)]
-        self.undo: list[list[list[int]]] = []
-        self.stack: list[tuple[int, int]] = []  # the kept gates, last in time first
-        self.transfer = [1 << q for q in range(1 + r + m)]
-        self.uses = [0] * (1 + r + m)
-
-    @property
-    def gates_time(self) -> list[tuple[int, int]]:
-        """The kept gates in time order."""
-        return self.stack[::-1]
-
-    def push(self, gate: tuple[int, int]) -> bool:
-        """Prepend ``gate``; test and keep it if still fault-tolerant.
-
-        Returns False (state unchanged) when the extended circuit fails the
-        test.
-        """
-        a, b = gate
-        transfer = self.transfer
-        fa = transfer[a]
-        xx = fa ^ transfer[b]
-        fm = self.flag_mask
-        key = xx & fm
-        if key == 0 and 1 < xx.bit_count() < self.r:
-            return False
-        for f, level, hi in self.checks:
-            bucket = level.get(key)
-            if bucket:
-                for o in bucket:
-                    if f < (xx ^ o).bit_count() < hi:
-                        return False
-
-        # Commit XX and the patterns on untouched qubits.
-        uses = self.uses
-        new = [xx]
-        if not uses[a]:
-            new.append(fa)
-        if not uses[b]:
-            new.append(transfer[b])
-        added: list[list[int]] = []
-        for source, target in self.commits:
-            for bucket in source.values():
-                for o in bucket:
-                    for s in new:
-                        x = s ^ o
-                        tb = target.get(x & fm)
-                        if tb is None:
-                            tb = target[x & fm] = []
-                        tb.append(x)
-                        added.append(tb)
-        self.undo.append(added)
-        self.stack.append(gate)
-        uses[a] += 1
-        uses[b] += 1
-        transfer[a] = xx
-        return True
-
-    def pop(self) -> None:
-        for bucket in self.undo.pop():
-            bucket.pop()
-        a, b = self.stack.pop()
-        self.uses[a] -= 1
-        self.uses[b] -= 1
-        self.transfer[a] ^= self.transfer[b]
-
-
-class _Pool(NamedTuple):
-    """One search state's candidates, in priority order.
-
-    ``state`` is (targets entangled, next unused flag, cluster), the
-    cluster being c and then the entangled flags in label order.  Flags are
-    entangled lowest label first, so every label below the next unused flag
-    is entangled or retired and every label from it up is unused.
-    ``links[i]`` stays None until the search keeps ``gates[i]``, then holds
-    that child's pool and the indices of the candidates it tries.
-    """
-
-    state: tuple[int, int, tuple[int, ...]]
-    gates: list[tuple[int, int]]
-    links: list[tuple[_Pool, tuple[int, ...]] | None]
-
-
-def discover_gadget(
-    t: int,
-    r: int,
-    m: int,
-    budget: int | None = NODE_BUDGET,
-    _por: bool = True,
-) -> SearchResult:
-    """Depth-first search for an X-detecting gadget using exactly ``m`` flags.
-
-    Gates are drawn in priority order from three pools: entangle the
-    lowest-index disentangled target (controlled by c or any entangled
-    flag), entangle the lowest-index unused flag, then disentangle an
-    entangled flag.  A candidate is kept only if the incrementally extended
-    circuit stays fault-tolerant, which the one incremental ``_Engine``
-    checks for every t.  Success requires every target entangled, every flag
-    used and disentangled, and deterministic flag measurements.
-
-    A node's pool depends only on its state: the next target (if any), the
-    next unused flag (if any) and the entangled cluster.  So each state's
-    pool is built once per call, in a dict local to the call, and so is
-    each kept candidate's link to its child: the child's pool and the
-    candidates it tries.  The link holds the partial-order reduction: a
-    child candidate that the parent's pool lists up to the kept gate, and
-    that shares no qubit with it, swaps two commuting gates whose other
-    order was explored first, so the child skips it.  A skipped candidate
-    is not a node.
+    The search is one loop over a stack of frames, one per kept gate: the
+    parent's pool and candidate iterator, the gate, its control's old
+    column and the buckets the commit appended to, which undoing the gate
+    pops.  The kept gates, last in time first, are the frames' gates.
 
     ``budget`` caps the number of attempted gate placements (None for no
     cap); a negative budget raises ValueError.  A gadget needs at least one
@@ -334,9 +262,6 @@ def discover_gadget(
         raise ValueError(f"budget {budget} is negative")
     if m == 0:
         return SearchResult(SEARCH_EXHAUSTED, None, 0)
-    engine = _Engine(t, r, m)
-    push, pop = engine.push, engine.pop
-    nodes = 0
     limit = budget if budget is not None else float("inf")
     end_flag = r + 1 + m
     pools: dict[tuple[int, int, tuple[int, ...]], _Pool] = {}
@@ -372,34 +297,83 @@ def discover_gadget(
         links[i] = (child, todo)
         return links[i]
 
-    def dfs(node: _Pool, todo: tuple[int, ...]) -> str | None:
-        """Try the candidates ``todo`` of one node; None means keep going.
-        On FOUND the engine keeps the gadget's gates."""
-        nonlocal nodes
-        gates, links = node.gates, node.links
-        if not gates:  # every target entangled, every flag used and retired
-            if _flags_deterministic(FlagGadget(t, r, m, tuple(engine.gates_time))):
-                return FOUND
-            return None
+    flag_mask = ((1 << m) - 1) << (r + 1)
+    levels: list[dict[int, list[int]]] = [{0: [0]}] + [{} for _ in range(1, t)]
+    # f = 1 and f = 2 are tested inline; (f, level f-1, r+1-f) for f >= 3.
+    level1 = levels[1] if t > 1 else {}
+    checks = [(f, levels[f - 1], r + 1 - f) for f in range(3, t + 1)]
+    commits = [(levels[k - 1], levels[k]) for k in range(t - 1, 0, -1)]
+    transfer = [1 << q for q in range(end_flag)]
+    uses = [0] * end_flag
+    frames: list[tuple[_Pool, Iterator[int], int, int, int, list[list[int]]]] = []
+    nodes = 0
+    node = pool(0, r + 1, (0,))
+    todo = iter(range(len(node.gates)))
+    while True:
+        gates = node.gates
         for i in todo:
             nodes += 1
             if nodes > limit:
-                return BUDGET_EXHAUSTED
-            if not push(gates[i]):
+                return SearchResult(BUDGET_EXHAUSTED, None, nodes)
+            a, b = gates[i]
+            fa = transfer[a]
+            fb = transfer[b]
+            xx = fa ^ fb
+            key = xx & flag_mask
+            if key == 0 and 1 < xx.bit_count() < r:
                 continue
-            sub = dfs(*(links[i] or link(node, i)))
-            if sub is not None:
-                return sub
-            pop()
-        return None
+            for o in level1.get(key, ()):
+                if 2 < (xx ^ o).bit_count() < r - 1:
+                    break
+            else:
+                for f, level, hi in checks:
+                    for o in level.get(key, ()):
+                        if f < (xx ^ o).bit_count() < hi:
+                            break
+                    else:
+                        continue
+                    break
+                else:
+                    break  # keep gates[i]
+        else:  # every candidate tried: undo the last kept gate
+            if not frames:
+                return SearchResult(SEARCH_EXHAUSTED, None, nodes)
+            node, todo, a, b, fa, added = frames.pop()
+            for bucket in added:
+                bucket.pop()
+            uses[a] -= 1
+            uses[b] -= 1
+            transfer[a] = fa
+            continue
 
-    root = pool(0, r + 1, (0,))
-    outcome = dfs(root, tuple(range(len(root.gates)))) or SEARCH_EXHAUSTED
-    if outcome == FOUND:
-        gadget = FlagGadget(t, r, m, tuple(engine.gates_time))
-        gadget.validate()
-        return SearchResult(FOUND, gadget, nodes)
-    return SearchResult(outcome, None, nodes)
+        # Commit XX and the patterns on untouched qubits.
+        new = [xx]
+        if not uses[a]:
+            new.append(fa)
+        if not uses[b]:
+            new.append(fb)
+        added = []
+        for source, target in commits:
+            for bucket in source.values():
+                for o in bucket:
+                    for s in new:
+                        x = s ^ o
+                        tb = target.get(x & flag_mask)
+                        if tb is None:
+                            tb = target[x & flag_mask] = []
+                        tb.append(x)
+                        added.append(tb)
+        frames.append((node, todo, a, b, fa, added))
+        uses[a] += 1
+        uses[b] += 1
+        transfer[a] = xx
+        node, child_todo = node.links[i] or link(node, i)
+        todo = iter(child_todo)
+        if not node.gates:  # every target entangled, every flag used and retired
+            gadget = FlagGadget(t, r, m, tuple(frame[2:4] for frame in reversed(frames)))
+            if _flags_deterministic(gadget):
+                gadget.validate()
+                return SearchResult(FOUND, gadget, nodes)
 
 
 def _flags_deterministic(gadget: FlagGadget) -> bool:

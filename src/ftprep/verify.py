@@ -20,8 +20,9 @@ f - 1 without it.  So every failing combination becomes a failing one of at
 most f listed faults with the same flags, and verdicts and the smallest
 failing f are those over every single-qubit site: the hook-error argument
 of Chao & Reichardt, PRL 121, 050502 (2018), arXiv:1705.02329, which the
-gadget search's ``_Engine`` shares.  Idle locations carry noise in
-simulation but are not adversarial fault sites.
+gadget search's incremental test (``gadgets.discover_gadget``) shares.
+Idle locations carry noise in simulation but are not adversarial fault
+sites.
 
 Each fault's flag flips and residual coset key, its effect, are the XOR of
 its qubits' entries at its site in the backward sweep's record, which also

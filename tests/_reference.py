@@ -54,6 +54,10 @@ width model that keeps each code qubit's first position and each gadget's
 flag marks and restores them field by field on a rejected swap, drawing one
 ``rng.random(3)`` per step, where ``assemble._anneal_priority`` moves one
 slot per window, undoes by snapshot and draws in blocks.
+``discover_gadget_reference`` is the gadget search as a recursive DFS
+whose every candidate is tested and kept by one ``_Engine.push``, where
+``gadgets.discover_gadget`` runs the same test, commit and undo inline in
+one loop over a frame stack; both visit the same nodes in the same order.
 """
 
 from __future__ import annotations
@@ -72,7 +76,16 @@ from ftprep.bipartite import BipartiteCircuit
 from ftprep.circuit import Circuit, CXGate, FlagMeasure, Init, pack_effects, propagate_backward
 from ftprep.css import CssState, GroupTooLargeError, coset_key_columns
 from ftprep.decoder import MWTable
-from ftprep.gadgets import FlagGadget
+from ftprep.gadgets import (
+    BUDGET_EXHAUSTED,
+    FOUND,
+    NODE_BUDGET,
+    SEARCH_EXHAUSTED,
+    FlagGadget,
+    SearchResult,
+    _flags_deterministic,
+    _Pool,
+)
 from ftprep.noise import (
     SINGLE_QUBIT_BITS,
     SLOTS,
@@ -1036,3 +1049,231 @@ def flags_deterministic_reference(gadget: FlagGadget) -> bool:
                 mask ^= 1 << a
         _extend(basis, mask)
     return not any(_reduce(1 << f, basis) for f in gadget.flag_labels)
+
+
+class _Engine:
+    """Incremental fault-tolerance checker for the backward search, for any t.
+
+    Keeps the propagated signature of every fault variant as a python int
+    (code bits low, flag bits high).  Prepending a gate never changes
+    existing signatures, so each step only has to test the combinations
+    involving the gate's new patterns, which share one location.
+
+    The engine also maintains the circuit's X-frame transfer map (column q
+    = image of an X on qubit q injected at the current temporal front), so
+    a prepended gate's patterns are read off directly: an X on qubit q right
+    after it propagates to ``transfer[q]``, and XX (an X on the control
+    before the gate, copied onto its target) to the XOR of both columns.
+
+    Only XX is tested, and only undominated patterns are stored.  For the
+    single-qubit pattern on q, ``uses[q]`` counts the later gates on q:
+
+    - Touched (``uses[q] > 0``): the X on q lasts unchanged until q's next
+      gate L, so it is one of L's patterns (XX when q controls L, the
+      target-side pattern when q is L's target).  Moving it forward, as in
+      the lemma of :mod:`ftprep.verify`, keeps or shrinks the combination
+      and ends on stored patterns, so it is neither tested nor stored.  An
+      X after a flag's initialization is this case at the flag's first
+      gate, and a measurement flip swaps the same way for the flag's stored
+      pattern after its last gate, so both are omitted
+      (:func:`gadget_ft_test` keeps the flips).
+    - Untouched: a fresh target, a fresh flag, or c at the very first gate,
+      with ``transfer[q] == 1 << q``.  A code bit moves the residual weight
+      of a stored, passing (f-1)-combination by one, so weight <= f-1
+      becomes <= f and weight >= r+2-f stays >= r+1-f; a fresh flag bit is
+      in no stored key, so the combination is detected.  The test always
+      passes and is skipped, but the pattern is stored.
+
+    ``levels[k]`` buckets the XOR of every combination of ``k < t`` stored
+    patterns at distinct locations by its flag signature; level 0 holds the
+    empty combination.  A combination is undetected exactly when its flag
+    parts cancel, so XX completes an f-fault combination only with the
+    level-(f-1) bucket of its own flag signature, and each XOR with that
+    bucket is pure code bits.  A residual of w code bits reduces to weight
+    min(w, r+1-w), so an f-fault combination fails exactly when
+    f < w < r+1-f: one popcount per bucket entry, and for f = 1, whose
+    bucket is the empty combination alone, one popcount of XX when its flag
+    part is 0.
+    """
+
+    def __init__(self, t: int, r: int, m: int) -> None:
+        self.t = t
+        self.r = r
+        self.m = m
+        self.flag_mask = ((1 << m) - 1) << (r + 1)
+        levels: list[dict[int, list[int]]] = [{0: [0]}] + [{} for _ in range(1, t)]
+        # (f, level f-1, r+1-f) for f >= 2: the failing residual weights lie
+        # strictly between f and r+1-f.
+        self.checks = [(f, level, r + 1 - f) for f, level in enumerate(levels[1:], 2)]
+        # (level k-1, level k), top-down, so every level read during a
+        # commit still predates the gate: a combination holding two of its
+        # patterns would only repeat a smaller one.
+        self.commits = [(levels[k - 1], levels[k]) for k in range(t - 1, 0, -1)]
+        self.undo: list[list[list[int]]] = []
+        self.stack: list[tuple[int, int]] = []  # the kept gates, last in time first
+        self.transfer = [1 << q for q in range(1 + r + m)]
+        self.uses = [0] * (1 + r + m)
+
+    @property
+    def gates_time(self) -> list[tuple[int, int]]:
+        """The kept gates in time order."""
+        return self.stack[::-1]
+
+    def push(self, gate: tuple[int, int]) -> bool:
+        """Prepend ``gate``; test and keep it if still fault-tolerant.
+
+        Returns False (state unchanged) when the extended circuit fails the
+        test.
+        """
+        a, b = gate
+        transfer = self.transfer
+        fa = transfer[a]
+        xx = fa ^ transfer[b]
+        fm = self.flag_mask
+        key = xx & fm
+        if key == 0 and 1 < xx.bit_count() < self.r:
+            return False
+        for f, level, hi in self.checks:
+            bucket = level.get(key)
+            if bucket:
+                for o in bucket:
+                    if f < (xx ^ o).bit_count() < hi:
+                        return False
+
+        # Commit XX and the patterns on untouched qubits.
+        uses = self.uses
+        new = [xx]
+        if not uses[a]:
+            new.append(fa)
+        if not uses[b]:
+            new.append(transfer[b])
+        added: list[list[int]] = []
+        for source, target in self.commits:
+            for bucket in source.values():
+                for o in bucket:
+                    for s in new:
+                        x = s ^ o
+                        tb = target.get(x & fm)
+                        if tb is None:
+                            tb = target[x & fm] = []
+                        tb.append(x)
+                        added.append(tb)
+        self.undo.append(added)
+        self.stack.append(gate)
+        uses[a] += 1
+        uses[b] += 1
+        transfer[a] = xx
+        return True
+
+    def pop(self) -> None:
+        for bucket in self.undo.pop():
+            bucket.pop()
+        a, b = self.stack.pop()
+        self.uses[a] -= 1
+        self.uses[b] -= 1
+        self.transfer[a] ^= self.transfer[b]
+
+
+def discover_gadget_reference(
+    t: int,
+    r: int,
+    m: int,
+    budget: int | None = NODE_BUDGET,
+    _por: bool = True,
+) -> SearchResult:
+    """Depth-first search for an X-detecting gadget using exactly ``m`` flags.
+
+    Gates are drawn in priority order from three pools: entangle the
+    lowest-index disentangled target (controlled by c or any entangled
+    flag), entangle the lowest-index unused flag, then disentangle an
+    entangled flag.  A candidate is kept only if the incrementally extended
+    circuit stays fault-tolerant, which the one incremental ``_Engine``
+    checks for every t.  Success requires every target entangled, every flag
+    used and disentangled, and deterministic flag measurements.
+
+    A node's pool depends only on its state: the next target (if any), the
+    next unused flag (if any) and the entangled cluster.  So each state's
+    pool is built once per call, in a dict local to the call, and so is
+    each kept candidate's link to its child: the child's pool and the
+    candidates it tries.  The link holds the partial-order reduction: a
+    child candidate that the parent's pool lists up to the kept gate, and
+    that shares no qubit with it, swaps two commuting gates whose other
+    order was explored first, so the child skips it.  A skipped candidate
+    is not a node.
+
+    ``budget`` caps the number of attempted gate placements (None for no
+    cap); a negative budget raises ValueError.  A gadget needs at least one
+    flag, so ``m = 0`` is exhausted by definition.
+    """
+    if t < 1 or r < 1 or m < 0:
+        raise ValueError("require t >= 1, r >= 1, m >= 0")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget {budget} is negative")
+    if m == 0:
+        return SearchResult(SEARCH_EXHAUSTED, None, 0)
+    engine = _Engine(t, r, m)
+    push, pop = engine.push, engine.pop
+    nodes = 0
+    limit = budget if budget is not None else float("inf")
+    end_flag = r + 1 + m
+    pools: dict[tuple[int, int, tuple[int, ...]], _Pool] = {}
+
+    def pool(done: int, flag: int, cluster: tuple[int, ...]) -> _Pool:
+        state = (done, flag, cluster)
+        found = pools.get(state)
+        if found is None:
+            gates = []
+            if done < r:
+                gates += [(x, done + 1) for x in cluster]
+            if flag < end_flag:
+                gates += [(x, flag) for x in cluster]
+            for f in cluster[1:]:
+                gates += [(x, f) for x in cluster if x != f]
+            found = pools[state] = _Pool(state, gates, [None] * len(gates))
+        return found
+
+    def link(parent: _Pool, i: int) -> tuple[_Pool, tuple[int, ...]]:
+        (done, flag, cluster), gates, links = parent
+        pa, pb = gates[i]
+        if pb <= r:  # entangle target pb
+            child = pool(done + 1, flag, cluster)
+        elif pb == flag:  # entangle the next unused flag
+            child = pool(done, flag + 1, cluster + (pb,))
+        else:  # disentangle flag pb
+            child = pool(done, flag, tuple(x for x in cluster if x != pb))
+        earlier = set(gates[: i + 1]) if _por else ()
+        todo = tuple(
+            j for j, (a, b) in enumerate(child.gates)
+            if (a, b) not in earlier or pa in (a, b) or pb in (a, b)
+        )
+        links[i] = (child, todo)
+        return links[i]
+
+    def dfs(node: _Pool, todo: tuple[int, ...]) -> str | None:
+        """Try the candidates ``todo`` of one node; None means keep going.
+        On FOUND the engine keeps the gadget's gates."""
+        nonlocal nodes
+        gates, links = node.gates, node.links
+        if not gates:  # every target entangled, every flag used and retired
+            if _flags_deterministic(FlagGadget(t, r, m, tuple(engine.gates_time))):
+                return FOUND
+            return None
+        for i in todo:
+            nodes += 1
+            if nodes > limit:
+                return BUDGET_EXHAUSTED
+            if not push(gates[i]):
+                continue
+            sub = dfs(*(links[i] or link(node, i)))
+            if sub is not None:
+                return sub
+            pop()
+        return None
+
+    root = pool(0, r + 1, (0,))
+    outcome = dfs(root, tuple(range(len(root.gates)))) or SEARCH_EXHAUSTED
+    if outcome == FOUND:
+        gadget = FlagGadget(t, r, m, tuple(engine.gates_time))
+        gadget.validate()
+        return SearchResult(FOUND, gadget, nodes)
+    return SearchResult(outcome, None, nodes)

@@ -6,7 +6,9 @@ seeded, so the measured numbers reproduce exactly.
 """
 
 import itertools
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -77,26 +79,27 @@ def _mc(state, circ, p, effective_target, seed, tables=None):
     return run_monte_carlo(circ, state, NoiseModel(p), plan, seed=seed, tables=tables)
 
 
-def _discover_row(t, budget=None):
-    def minimal_flags(r):
-        m = 0
-        while True:
-            res = discover_gadget(t, r, m, budget=budget)
-            if res.status == FOUND:
-                return m, True
-            if res.status != SEARCH_EXHAUSTED:
-                return m, False
-            m += 1
-
-    return minimal_flags
+def _minimal_flags(t, r):
+    """The smallest m with a (t, r, m) gadget, and whether every smaller m
+    was exhausted (its certificate)."""
+    m = 0
+    while True:
+        res = discover_gadget(t, r, m, budget=None)
+        if res.status == FOUND:
+            return m, True
+        if res.status != SEARCH_EXHAUSTED:
+            return m, False
+        m += 1
 
 
 def test_criterion_1_gadget_table_row_t2():
     expected = {1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 3, 7: 3, 8: 3, 9: 3, 10: 3, 11: 3, 12: 4, 13: 4}
     start = time.time()
-    minimal = _discover_row(2)
-    for r, flags in expected.items():
-        m, certified = minimal(r)
+    # The rows are independent searches; two processes run the (2, 12, 3)
+    # and (2, 13, 3) exhaustions side by side.  map keeps the input order.
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        rows = list(pool.map(_minimal_flags, itertools.repeat(2), expected))
+    for (r, flags), (m, certified) in zip(expected.items(), rows):
         assert certified, f"r={r}: certificate chain broken"
         assert m == flags, f"r={r}: found {m} flags, expected {flags}"
     elapsed = time.time() - start
@@ -108,9 +111,8 @@ def test_criterion_1_gadget_table_row_t2():
 def test_criterion_2_gadget_table_row_t3():
     expected = {1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 3, 7: 4, 8: 4}
     start = time.time()
-    minimal = _discover_row(3)
     for r, flags in expected.items():
-        m, certified = minimal(r)
+        m, certified = _minimal_flags(3, r)
         assert certified and m == flags, f"r={r}: {m} flags (expected {flags})"
     elapsed = time.time() - start
     assert elapsed < 7200

@@ -19,7 +19,12 @@ from ftprep.css import validate_css_state
 from ftprep.library import GadgetLibrary
 from ftprep.tableau import tableau_check_circuit
 
-from _reference import flags_deterministic_reference, gadget_ft_reference, run_tableau
+from _reference import (
+    discover_gadget_reference,
+    flags_deterministic_reference,
+    gadget_ft_reference,
+    run_tableau,
+)
 
 
 def test_single_cx_fails_at_five_targets():
@@ -96,15 +101,17 @@ def test_search_options_agree_on_small_rows():
 
 
 def test_engine_matches_reference_on_random_circuits(monkeypatch):
-    # The incremental engine agrees with the brute-force reference test and
-    # with gadget_ft_test (GHZ-preparation verify) step by step, through
-    # pushes and pops, at every t.  The reference faults every pattern, flag
-    # init and measurement, and gadget_ft_test every XX and flag flip, where
-    # the engine tests only XX and stores only undominated patterns; this
-    # cross-check backs both claims.
+    # The reference search's incremental engine agrees with the brute-force
+    # reference test and with gadget_ft_test (GHZ-preparation verify) step by
+    # step, through pushes and pops, at every t.  The reference faults every
+    # pattern, flag init and measurement, and gadget_ft_test every XX and flag
+    # flip, where the engine tests only XX and stores only undominated
+    # patterns; this cross-check backs both claims.  discover_gadget runs the
+    # same test inline and must visit the same nodes as the reference search
+    # (test_search_matches_reference_search).
     rng = np.random.default_rng(17)
-    from ftprep import gadgets
-    from ftprep.gadgets import _Engine
+    import _reference
+    from _reference import _Engine
 
     for trial in range(150):
         t = int(rng.integers(1, 6))
@@ -137,18 +144,50 @@ def test_engine_matches_reference_on_random_circuits(monkeypatch):
 
     # Random circuits almost never reach a state where only f >= 3 fails;
     # the search's own prefixes and backtracking do, at every level.
+    pushes = []
+
     class CheckedEngine(_Engine):
         def push(self, gate):
             candidate = FlagGadget(self.t, self.r, self.m, (gate, *self.gates_time))
             accepted = super().push(gate)
             assert accepted == gadget_ft_reference(candidate) == gadget_ft_test(candidate)
+            pushes.append(accepted)
             return accepted
 
-    monkeypatch.setattr(gadgets, "_Engine", CheckedEngine)
+    monkeypatch.setattr(_reference, "_Engine", CheckedEngine)
     for t, r, m, budget in ((2, 12, 3, 2_000), (3, 7, 3, 200), (4, 9, 3, 200), (5, 11, 4, 200)):
-        assert discover_gadget(t, r, m, budget=budget).status == BUDGET_EXHAUSTED
-    res = discover_gadget(3, 8, 4)
+        assert discover_gadget_reference(t, r, m, budget=budget).status == BUDGET_EXHAUSTED
+    res = discover_gadget_reference(3, 8, 4)
     assert (res.status, res.nodes) == (FOUND, 103)
+    # Every node of those searches was one checked push, kept or rejected.
+    assert len(pushes) == 2_000 + 3 * 200 + 103 and 0 < sum(pushes) < len(pushes)
+
+
+@pytest.mark.parametrize("por", [True, False])
+def test_search_matches_reference_search(por):
+    # The inlined search visits exactly the nodes of the recursive reference
+    # search, whose every candidate goes through one _Engine.push: the same
+    # status, node count and gates, on rows that end found or exhausted at
+    # every t, with the partial-order reduction on and off.  (A budget cut
+    # gives budget + 1 nodes on both sides and shows nothing here.)
+    rows = [
+        (1, 4, 1), (1, 10, 1),
+        (2, 5, 1), (2, 5, 2), (2, 6, 2), (2, 11, 2), (2, 11, 3),
+        (3, 6, 2), (3, 7, 3), (3, 8, 4),
+        (4, 3, 1), (4, 5, 1), (4, 9, 3),
+        (5, 5, 1), (5, 5, 2), (5, 6, 2),
+    ]
+    seen = {}
+    for t, r, m in rows:
+        got = discover_gadget(t, r, m, budget=None, _por=por)
+        ref = discover_gadget_reference(t, r, m, budget=None, _por=por)
+        assert got.status in (FOUND, SEARCH_EXHAUSTED), (t, r, m)
+        assert (got.status, got.nodes, got.gadget) == (ref.status, ref.nodes, ref.gadget), (t, r, m)
+        seen[t, r, m] = (got.status, got.nodes)
+    assert {t for t, _, _ in rows} == {1, 2, 3, 4, 5}
+    if por:
+        assert seen[3, 7, 3] == (SEARCH_EXHAUSTED, 47_651)
+        assert seen[3, 8, 4] == (FOUND, 103)
 
 
 def test_noiseless_soundness_of_discovered_gadget():
