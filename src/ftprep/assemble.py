@@ -19,7 +19,6 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -396,10 +395,12 @@ def _anneal_priority(n_e: int, windows: list, steps: int, rng: np.random.Generat
     ``rng.random((steps, 3))``, drawn in blocks of at most 512 rows (the
     same stream as one ``rng.random(3)`` per step): the two swap positions
     and the acceptance coin.  A step whose two positions coincide swaps
-    nothing and leaves the temperature as it is.
+    nothing and leaves the temperature as it is.  ``_WidthModel`` packs
+    the width profile into one int, so a step costs its moved events and a
+    few threshold tests, not a pass over every edge position.
     """
     model = _WidthModel(windows, rng.permutation(n_e).tolist())
-    best = cur = model.peak()
+    best = cur = model.width
     best_order = list(model.order)
     temp = 3.0
     for start in range(0, steps, 512):
@@ -426,34 +427,70 @@ class _WidthModel:
     """The annealer's width estimate of an edge order, updated per swap.
 
     ``slots[w]`` holds window w's edge positions, sorted: its rank-r edge
-    sits at ``slots[w][r]``.  ``events[w]`` lists, in rank order,
-    ``(rank, opens, closes)`` for each rank of window w that opens or closes
-    something.  ``delta[p]`` counts the opens at p minus the closes just
-    before p; the width is the peak of its running sum.  Each edge lies in
-    exactly two windows, its control's and its target's: ``windows_of``.
+    sits at ``slots[w][r]``.  Each edge lies in exactly two windows, its
+    control's and its target's: ``windows_of``.
+
+    The live count at every edge position is packed into one int, ``W``:
+    field p, ``bits`` wide, holds the opens at positions <= p minus the
+    closes just after positions < p.  ``bits`` leaves the top bit of a field
+    above the total opens, so no field carries into the next.  With
+    ``up[s]`` a 1 in every field from s on (``up[n_e]`` is 0), a rank that
+    opens o and closes c at slot s adds ``o * up[s] - c * up[s + 1]``, the
+    entry s of its ``(o, c)`` table.  ``ranks[w][r]`` is that table for
+    rank r of window w, or None when the rank opens and closes nothing, and
+    ``events[w]`` lists ``(rank, table)`` for the other ranks, in rank
+    order.  ``width`` is the peak field, found by threshold tests: some
+    field exceeds t exactly when ``W + bias[t]`` sets a top bit (``high``),
+    where ``bias[t]`` adds 2^(bits-1) - 1 - t to every field (Lamport,
+    CACM 18(8), 1975).
     """
 
     def __init__(self, windows: list, order: list[int]) -> None:
-        self.windows, self.order = windows, order
-        self.pos = pos = [0] * len(order)
+        self.order = order
+        n_e = len(order)
+        self.pos = pos = [0] * n_e
         for p, e in enumerate(order):
             pos[e] = p
-        of: list[list[int]] = [[] for _ in order]
+        n_opens = sum(sum(opens) for _, opens, _ in windows)
+        self.bits = b = n_opens.bit_length() + 1
+        ones = ((1 << b * n_e) - 1) // ((1 << b) - 1)
+        up = [ones >> b * s << b * s for s in range(n_e + 1)]
+        self.high = ones << b - 1
+        self.bias = [((1 << b - 1) - 1 - t) * ones for t in range(n_opens + 1)]
+        tables: dict[tuple[int, int], list[int]] = {}
+        for _, opens, closes in windows:
+            for oc in zip(opens, closes):
+                if any(oc) and oc not in tables:
+                    o, c = oc
+                    tables[oc] = [o * up[s] - c * up[s + 1] for s in range(n_e)]
+        self.ranks = [[tables.get(oc) for oc in zip(opens, closes)] for _, opens, closes in windows]
+        self.events = [[(r, table) for r, table in enumerate(ranks) if table] for ranks in self.ranks]
         self.slots = [sorted([pos[i] for i in mine]) for mine, _, _ in windows]
-        self.events = [[(r, o, c) for r, (o, c) in enumerate(zip(opens, closes)) if o or c]
-                       for _, opens, closes in windows]
-        self.delta = [0] * (len(order) + 1)
-        for w, (mine, opens, closes) in enumerate(windows):
+        of: list[list[int]] = [[] for _ in order]
+        W = 0
+        for w, (mine, _, _) in enumerate(windows):
             for i in mine:
                 of[i].append(w)
-            for p, o, c in zip(self.slots[w], opens, closes):
-                self.delta[p] += o
-                self.delta[p + 1] -= c
-        self.windows_of = [(a, b) for a, b in of]
+            for p, table in zip(self.slots[w], self.ranks[w]):
+                if table:
+                    W += table[p]
+        self.W = W
+        self.windows_of = [(c, t) for c, t in of]
+        self.width = self.peak(0)
 
-    def peak(self) -> int:
-        # The last entry only closes windows: it never raises the peak.
-        return max(accumulate(self.delta))
+    def peak(self, t: int) -> int:
+        """The peak field of ``W``, searched from ``t`` up or down: two
+        tests when the peak is t or t + 1 (one at t = 0), one more per
+        further step."""
+        W, high, bias = self.W, self.high, self.bias
+        if (W + bias[t]) & high:
+            t += 1
+            while (W + bias[t]) & high:
+                t += 1
+            return t
+        while t and not (W + bias[t - 1]) & high:
+            t -= 1
+        return t
 
     def swap(self, i: int, j: int) -> int:
         """Swap the edges at positions ``i`` and ``j``; return the new peak.
@@ -462,31 +499,29 @@ class _WidthModel:
         moves that edge's slot from src to dst.  When dst lies between the
         same two neighbours the slot keeps its rank, and only that rank's
         events move; otherwise the ranks it passes over shift by one, and
-        only their listed events move.  ``delta`` and the list of slot lists
-        are saved for ``undo`` first; a moved window gets a new slot list.
+        only their listed events move.  A moved window gets a new slot list;
+        ``undo`` puts back the old list, ``W`` and ``width``.
         """
         order, pos = self.order, self.pos
         ei, ej = order[i], order[j]
         order[i], order[j] = ej, ei
         pos[ei], pos[ej] = j, i
-        self._saved = (i, j, self.delta, self.slots)
-        self.delta = delta = self.delta[:]
-        self.slots = all_slots = self.slots[:]
+        all_slots, ranks, events = self.slots, self.ranks, self.events
+        W = self.W
+        moved = []
         of_i, of_j = self.windows_of[ei], self.windows_of[ej]
         moves = ((of_i[0], i, j, of_j), (of_i[1], i, j, of_j), (of_j[0], j, i, of_i), (of_j[1], j, i, of_i))
         for w, src, dst, shared in moves:
             if w in shared:
                 continue
             old = all_slots[w]
+            moved.append((w, old))
             r = bisect_left(old, src)
             all_slots[w] = new = old[:]
             if (not r or old[r - 1] < dst) and (r + 1 == len(old) or dst < old[r + 1]):
                 new[r] = dst
-                _, opens, closes = self.windows[w]
-                delta[src] -= opens[r]
-                delta[dst] += opens[r]
-                delta[src + 1] += closes[r]
-                delta[dst + 1] -= closes[r]
+                if table := ranks[w][r]:
+                    W += table[dst] - table[src]
                 continue
             if dst < src:
                 k = bisect_left(old, dst, 0, r)
@@ -496,20 +531,22 @@ class _WidthModel:
                 new[r:k] = old[r + 1 : k + 1]
             new[k] = dst
             lo, hi = (k, r) if k < r else (r, k)
-            for m, o, c in self.events[w]:
+            for m, table in events[w]:
                 if m > hi:
                     break
                 if m >= lo:
-                    delta[old[m]] -= o
-                    delta[new[m]] += o
-                    delta[old[m] + 1] += c
-                    delta[new[m] + 1] -= c
-        return self.peak()
+                    W += table[new[m]] - table[old[m]]
+        self._saved = (i, j, self.W, self.width, moved)
+        self.W = W
+        self.width = w = self.peak(self.width)
+        return w
 
     def undo(self) -> None:
-        """Revert the last swap: restore the saved ``delta`` and slots and
-        swap the two edges back."""
-        i, j, self.delta, self.slots = self._saved
+        """Revert the last swap: restore ``W``, ``width`` and the moved
+        windows' slot lists, and swap the two edges back."""
+        i, j, self.W, self.width, moved = self._saved
+        for w, old in moved:
+            self.slots[w] = old
         order, pos = self.order, self.pos
         ei, ej = order[i], order[j]
         order[i], order[j] = ej, ei

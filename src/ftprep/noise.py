@@ -28,7 +28,6 @@ from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
 from functools import reduce
 from operator import ixor
-from statistics import NormalDist
 from types import MappingProxyType
 
 import numpy as np
@@ -44,12 +43,15 @@ from .css import CssState, coset_key_columns
 
 
 SAMPLE_CHUNK = 1 << 18  # rows per _sample_bucket call; later words and sc read unflagged rows only
-Z95 = NormalDist().inv_cdf(0.975)  # two-sided 95 % normal quantile of wilson_interval
+Z95 = 1.9599639845400536  # two-sided 95 % normal quantile of wilson_interval
 # Pauli bits (bit 0 X, bit 1 Z) of the variants of a single-qubit location,
 # in table order: X, Y, Z.
 SINGLE_QUBIT_BITS = (1, 3, 2)
 SLOTS = 15  # variant ids per op: 1, 3 and 15 variants all divide it
-ROW_ACCEPT_MIN = 1e-3  # below this whole-row acceptance, _draw_distinct redraws entry by entry
+# Below this whole-row acceptance _draw_distinct redraws entry by entry.  It
+# is the lowest measured crossover of the two paths (a full SAMPLE_CHUNK at
+# small L); fewer rows or more locations favour the column path above it too.
+ROW_ACCEPT_MIN = 0.2
 _log_factorials = np.zeros(0)  # lgamma(k + 1) at k = 0, 1, ..., grown by _binom_pmf
 
 

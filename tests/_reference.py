@@ -53,7 +53,8 @@ are theirs.  ``anneal_priority_reference`` anneals the edge order with a
 width model that keeps each code qubit's first position and each gadget's
 flag marks and restores them field by field on a rejected swap, drawing one
 ``rng.random(3)`` per step, where ``assemble._anneal_priority`` moves one
-slot per window, undoes by snapshot and draws in blocks.
+slot per window in a profile packed into one int, reads the peak by
+threshold tests, undoes by restoring the old int and draws in blocks.
 ``discover_gadget_reference`` is the gadget search as a recursive DFS
 whose every candidate is tested and kept by one ``_Engine.push``, where
 ``gadgets.discover_gadget`` runs the same test, commit and undo inline in

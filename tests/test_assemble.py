@@ -373,8 +373,11 @@ def test_order_metrics_match_scheduled_circuit(library, name, kwargs):
         assert asm.order_metrics(order) == (m.max_simultaneous_qubits, m.depth)
 
 
-def _full_width(edges, windows, order) -> int:
-    """The annealer's width estimate recomputed from scratch."""
+def _full_profile(edges, windows, order) -> list[int]:
+    """The annealer's live count at every edge position, recomputed from
+    scratch: code qubits wake at their first edge, and each flag span
+    (lo, hi) of a window is live from its rank-lo slot through its rank-hi
+    slot."""
     n_e = len(edges)
     pos = [0] * n_e
     for p, e in enumerate(order):
@@ -392,14 +395,22 @@ def _full_width(edges, windows, order) -> int:
         for lo, hi in spans:
             open_flags[slots[lo]] += 1
             open_flags[slots[hi] + 1] -= 1
-    peak = 0
+    profile = []
     live_code = 0
     live_flags = 0
     for p in range(n_e):
         live_code += wake_at[p]
         live_flags += open_flags[p]
-        peak = max(peak, live_code + live_flags)
-    return peak
+        profile.append(live_code + live_flags)
+    return profile
+
+
+def _fields(model: _WidthModel) -> list[int]:
+    """Every field of the model's packed width profile ``W``, decoded; a
+    field that went negative or carried would show as a wrong count."""
+    b, n_e = model.bits, len(model.order)
+    assert 0 <= model.W < 1 << b * n_e
+    return [model.W >> b * p & (1 << b) - 1 for p in range(n_e)]
 
 
 @pytest.mark.parametrize("name, t_z", [("color17", 2), ("golay", 2), ("golay", 3), ("golay", 0)])
@@ -410,12 +421,19 @@ def test_incremental_width_matches_full_recompute(library, name, t_z):
     edges = sorted(bip.edges)
     placed = _placements(edges, bip, library.get, state.t, t_z)
     windows = [(mine, _flag_spans(gadget)) for _, _, mine, gadget in placed]
+    new_windows = _width_windows(edges, placed)
     rng = np.random.default_rng(0)
-    model = _WidthModel(_width_windows(edges, placed), rng.permutation(len(edges)).tolist())
-    assert model.peak() == _full_width(edges, windows, model.order)
+    model = _WidthModel(new_windows, rng.permutation(len(edges)).tolist())
+
+    def check_profile():
+        profile = _full_profile(edges, windows, model.order)
+        assert _fields(model) == profile
+        assert model.width == model.peak(0) == model.peak(model.width) == max(profile)
+
+    check_profile()
 
     def sorted_slots():
-        return [sorted(model.pos[i] for i in mine) for mine, _, _ in model.windows]
+        return [sorted(model.pos[i] for i in mine) for mine, _, _ in new_windows]
 
     def ranks(e):
         return {w: model.slots[w].index(model.pos[e]) for w in model.windows_of[e]}
@@ -425,11 +443,12 @@ def test_incremental_width_matches_full_recompute(library, name, t_z):
         i, j = rng.integers(0, len(edges), size=2).tolist()
         if i == j:
             continue
-        before = (list(model.order), list(model.pos), list(model.delta), [list(s) for s in model.slots])
+        before = (list(model.order), list(model.pos), model.W, model.width, [list(s) for s in model.slots])
         ei, ej = model.order[i], model.order[j]
         old = (ranks(ei), ranks(ej))
         w = model.swap(i, j)
-        assert w == model.peak() == _full_width(edges, windows, model.order)
+        assert w == model.width
+        check_profile()
         assert model.slots == sorted_slots()
         # A window holding exactly one of the two edges moves its slot,
         # keeping its rank (one slot edited) or changing it.
@@ -439,11 +458,49 @@ def test_incremental_width_matches_full_recompute(library, name, t_z):
                     moves["kept" if r == was[win] else "changed"] += 1
         if rng.random() < 0.5:
             model.undo()
-            assert (model.order, model.pos, model.delta, model.slots) == before
+            assert (model.order, model.pos, model.W, model.width, model.slots) == before
             assert model.slots == sorted_slots()
-            assert model.peak() == _full_width(edges, windows, model.order)
+            check_profile()
         assert [model.order[p] for p in model.pos] == list(range(len(edges)))
     assert moves["kept"] and moves["changed"], moves
+
+
+@pytest.mark.parametrize("bits, n_opens", [(9, 250), (10, 500)])
+def test_anneal_matches_reference_on_wide_fields(bits, n_opens):
+    # Synthetic window sets whose total opens need 9- and 10-bit fields:
+    # spans from each qubit's first third of ranks to its last third, so
+    # that the peak passes 2^(bits-2), several opening or closing at one
+    # rank, some closing after the last edge position.
+    rng = np.random.default_rng(bits)
+    edges = [(c, t) for c in range(6) for t in range(6, 16) if rng.random() < 0.6]
+    mine: dict[int, list[int]] = {}
+    for i, edge in enumerate(edges):
+        for q in edge:
+            mine.setdefault(q, []).append(i)
+    qubits = sorted(mine)
+    spans: dict[int, list[tuple[int, int]]] = {q: [] for q in qubits}
+    for _ in range(n_opens - len(qubits)):
+        q = qubits[rng.integers(len(qubits))]
+        d = len(mine[q])
+        spans[q].append((int(rng.integers(0, d // 3 + 1)), int(rng.integers(2 * d // 3, d))))
+    old_windows = [(mine[q], spans[q]) for q in qubits]
+    windows = []
+    for q in qubits:
+        opens, closes = [1] + [0] * (len(mine[q]) - 1), [0] * len(mine[q])
+        for lo, hi in spans[q]:
+            opens[lo] += 1
+            closes[hi] += 1
+        windows.append((mine[q], opens, closes))
+    model = _WidthModel(windows, list(range(len(edges))))
+    assert model.bits == bits
+    profile = _full_profile(edges, old_windows, model.order)
+    assert _fields(model) == profile
+    assert model.width == max(profile) >= 1 << bits - 2  # the fields' top halves are used
+    for steps in (1, 700, 2_000):
+        rng_ref, rng_new = np.random.default_rng(steps), np.random.default_rng(steps)
+        expected = anneal_priority_reference(edges, old_windows, steps, rng_ref)
+        assert _anneal_priority(len(edges), windows, steps, rng_new) == expected, steps
+        assert rng_new.random() == rng_ref.random(), steps
 
 
 @pytest.mark.parametrize("name", GOLDEN_CODES)

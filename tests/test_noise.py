@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -210,6 +211,11 @@ def test_plan_matches_the_per_cell_scan(args):
             continue
         assert build_subset_plan(*case) == expected, case
     assert degenerate < len(args)
+
+
+def test_z95_is_the_two_sided_95_percent_normal_quantile():
+    # A literal, so that no ftprep process imports statistics for it.
+    assert noise.Z95 == statistics.NormalDist().inv_cdf(0.975)
 
 
 def test_wilson_interval_bounds():
@@ -475,12 +481,20 @@ def sorted_draw_distinct(rng, n_rows, k, limit, stride=1):
         out[:, dup] = rng.integers(0, limit, size=(k, n_bad), dtype=np.int64)
 
 
+# The whole-row path's old threshold: every sort-based case has a row
+# acceptance above it, so with it set the whole-row path draws them all.
+WHOLE_ROW_TEST_MIN = 1e-3
+
+
 @pytest.mark.parametrize("k", range(1, 21))
-def test_draw_distinct_matches_sort_based_draw(k):
+def test_draw_distinct_matches_sort_based_draw(k, monkeypatch):
     # A tight key count forces many redraw passes: k + 1 keys up to k = 9,
     # then 2k (at k + 1 a row of k = 20 needs about 5e6 draws to come out
     # distinct).  Strides 15 and 3 are the fault sampler's, where a key is
     # an id's location; 3k keys still force redraws there, at less cost.
+    # Below ROW_ACCEPT_MIN the tight cases would take the column path, so
+    # the threshold is lowered to keep checking the whole-row path.
+    monkeypatch.setattr(noise, "ROW_ACCEPT_MIN", WHOLE_ROW_TEST_MIN)
     tight = k + 1 if k < 10 else 2 * k
     for stride, keys in ((1, tight), (1, 420), (SLOTS, 3 * k), (SLOTS, 420), (3, 3 * k), (3, 420)):
         limit = stride * keys
@@ -534,10 +548,11 @@ def test_draw_distinct_refuses_more_keys_than_locations():
 
 def test_draw_distinct_sort_cases_keep_the_whole_row_path():
     # Every case of test_draw_distinct_matches_sort_based_draw is drawn
-    # whole-row: its acceptance is at least 3e-3.
+    # whole-row under the threshold it sets: its acceptance is at least
+    # 3e-3.
     for k in range(1, 21):
         tight = k + 1 if k < 10 else 2 * k
-        assert _row_acceptance(k, tight) >= 3e-3 > noise.ROW_ACCEPT_MIN
+        assert _row_acceptance(k, tight) >= 3e-3 > WHOLE_ROW_TEST_MIN
         assert _row_acceptance(k, 3 * k) >= 3e-3
 
 
