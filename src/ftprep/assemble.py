@@ -396,8 +396,9 @@ def _anneal_priority(n_e: int, windows: list, steps: int, rng: np.random.Generat
     same stream as one ``rng.random(3)`` per step): the two swap positions
     and the acceptance coin.  A step whose two positions coincide swaps
     nothing and leaves the temperature as it is.  ``_WidthModel`` packs
-    the width profile into one int, so a step costs its moved events and a
-    few threshold tests, not a pass over every edge position.
+    the width profile into one int and keeps each window's share of it, so
+    a step re-sums the events of the at most four windows the swap moves
+    and runs a few threshold tests, not a pass over every edge position.
     """
     model = _WidthModel(windows, rng.permutation(n_e).tolist())
     best = cur = model.width
@@ -436,13 +437,13 @@ class _WidthModel:
     above the total opens, so no field carries into the next.  With
     ``up[s]`` a 1 in every field from s on (``up[n_e]`` is 0), a rank that
     opens o and closes c at slot s adds ``o * up[s] - c * up[s + 1]``, the
-    entry s of its ``(o, c)`` table.  ``ranks[w][r]`` is that table for
-    rank r of window w, or None when the rank opens and closes nothing, and
-    ``events[w]`` lists ``(rank, table)`` for the other ranks, in rank
-    order.  ``width`` is the peak field, found by threshold tests: some
-    field exceeds t exactly when ``W + bias[t]`` sets a top bit (``high``),
-    where ``bias[t]`` adds 2^(bits-1) - 1 - t to every field (Lamport,
-    CACM 18(8), 1975).
+    entry s of its ``(o, c)`` table.  ``events[w]`` lists ``(rank, table)``
+    for the ranks of window w that open or close something, ``part[w]`` is
+    their sum at the window's slots, and ``W`` is the sum of the parts.
+    ``width`` is the peak field, found by threshold tests: some field
+    exceeds t exactly when ``W + bias[t]`` sets a top bit (``high``), where
+    ``bias[t]`` adds 2^(bits-1) - 1 - t to every field (Lamport, CACM 18(8),
+    1975).
     """
 
     def __init__(self, windows: list, order: list[int]) -> None:
@@ -457,24 +458,19 @@ class _WidthModel:
         up = [ones >> b * s << b * s for s in range(n_e + 1)]
         self.high = ones << b - 1
         self.bias = [((1 << b - 1) - 1 - t) * ones for t in range(n_opens + 1)]
-        tables: dict[tuple[int, int], list[int]] = {}
-        for _, opens, closes in windows:
-            for oc in zip(opens, closes):
-                if any(oc) and oc not in tables:
-                    o, c = oc
-                    tables[oc] = [o * up[s] - c * up[s + 1] for s in range(n_e)]
-        self.ranks = [[tables.get(oc) for oc in zip(opens, closes)] for _, opens, closes in windows]
-        self.events = [[(r, table) for r, table in enumerate(ranks) if table] for ranks in self.ranks]
+        pairs = {oc for _, opens, closes in windows for oc in zip(opens, closes) if any(oc)}
+        tables = {(o, c): [o * up[s] - c * up[s + 1] for s in range(n_e)] for o, c in pairs}
+        self.events = [
+            [(r, tables[oc]) for r, oc in enumerate(zip(opens, closes)) if any(oc)]
+            for _, opens, closes in windows
+        ]
         self.slots = [sorted([pos[i] for i in mine]) for mine, _, _ in windows]
+        self.part = [sum(table[slots[r]] for r, table in ev) for slots, ev in zip(self.slots, self.events)]
+        self.W = sum(self.part)
         of: list[list[int]] = [[] for _ in order]
-        W = 0
         for w, (mine, _, _) in enumerate(windows):
             for i in mine:
                 of[i].append(w)
-            for p, table in zip(self.slots[w], self.ranks[w]):
-                if table:
-                    W += table[p]
-        self.W = W
         self.windows_of = [(c, t) for c, t in of]
         self.width = self.peak(0)
 
@@ -496,17 +492,16 @@ class _WidthModel:
         """Swap the edges at positions ``i`` and ``j``; return the new peak.
 
         Only the windows holding exactly one of the two edges change: each
-        moves that edge's slot from src to dst.  When dst lies between the
-        same two neighbours the slot keeps its rank, and only that rank's
-        events move; otherwise the ranks it passes over shift by one, and
-        only their listed events move.  A moved window gets a new slot list;
-        ``undo`` puts back the old list, ``W`` and ``width``.
+        moves that edge's slot from src to dst in its sorted slot list and
+        re-sums its own events, and ``W`` changes by its part's difference.
+        ``undo`` moves the slots back and restores the parts, ``W`` and
+        ``width``.
         """
         order, pos = self.order, self.pos
         ei, ej = order[i], order[j]
         order[i], order[j] = ej, ei
         pos[ei], pos[ej] = j, i
-        all_slots, ranks, events = self.slots, self.ranks, self.events
+        all_slots, events, part = self.slots, self.events, self.part
         W = self.W
         moved = []
         of_i, of_j = self.windows_of[ei], self.windows_of[ej]
@@ -514,39 +509,29 @@ class _WidthModel:
         for w, src, dst, shared in moves:
             if w in shared:
                 continue
-            old = all_slots[w]
-            moved.append((w, old))
-            r = bisect_left(old, src)
-            all_slots[w] = new = old[:]
-            if (not r or old[r - 1] < dst) and (r + 1 == len(old) or dst < old[r + 1]):
-                new[r] = dst
-                if table := ranks[w][r]:
-                    W += table[dst] - table[src]
-                continue
-            if dst < src:
-                k = bisect_left(old, dst, 0, r)
-                new[k + 1 : r + 1] = old[k:r]
-            else:
-                k = bisect_left(old, dst, r + 1) - 1
-                new[r:k] = old[r + 1 : k + 1]
-            new[k] = dst
-            lo, hi = (k, r) if k < r else (r, k)
-            for m, table in events[w]:
-                if m > hi:
-                    break
-                if m >= lo:
-                    W += table[new[m]] - table[old[m]]
+            slots = all_slots[w]
+            slots.remove(src)
+            insort(slots, dst)
+            new = 0
+            for r, table in events[w]:
+                new += table[slots[r]]
+            W += new - part[w]
+            moved.append((slots, src, dst, w, part[w]))
+            part[w] = new
         self._saved = (i, j, self.W, self.width, moved)
         self.W = W
         self.width = w = self.peak(self.width)
         return w
 
     def undo(self) -> None:
-        """Revert the last swap: restore ``W``, ``width`` and the moved
-        windows' slot lists, and swap the two edges back."""
+        """Revert the last swap: move the slots back, restore the moved
+        windows' parts, ``W`` and ``width``, and swap the two edges back."""
         i, j, self.W, self.width, moved = self._saved
-        for w, old in moved:
-            self.slots[w] = old
+        part = self.part
+        for slots, src, dst, w, old in moved:
+            slots.remove(dst)
+            insort(slots, src)
+            part[w] = old
         order, pos = self.order, self.pos
         ei, ej = order[i], order[j]
         order[i], order[j] = ej, ei

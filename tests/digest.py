@@ -1,5 +1,5 @@
-"""Seeded-output digest of the gadget and assembly layers: one ``name sha256``
-line per output.
+"""Seeded-output digest of the gadget, assembly and noise layers: one
+``name sha256`` line per output.
 
 Run from the root of a source checkout::
 
@@ -32,9 +32,12 @@ outputs that moved.  Each line hashes the JSON of one output:
   assembled from ``best_of_trials(state, 20, 3)`` with seed 5 and 2,000
   anneal steps and scheduled with 20 shuffles (seed 3), the same pair;
 - ``assemble.criterion_8``: criterion 8's Golay assembly (60,000 anneal
-  steps, 10,000 shuffles), the same pair.
+  steps, 10,000 shuffles), the same pair;
+- ``noise.effect_tables[CODE,STATE,SIDE]``: ``build_effect_tables`` of
+  each criterion 10 circuit on the X and the Z side, as its syndrome and
+  class widths, ``l_p``, ``l_q``, ``flags`` and ``sc``.
 
-Package plus stdlib only; about 27 s of CPU in two processes.
+Package plus stdlib only; about 29 s of CPU in two processes.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from ftprep.catalog import catalog_names, get_state
 from ftprep.circuit import Circuit
 from ftprep.gadgets import FOUND, discover_gadget, gadget_ft_test, ghz_preparation
 from ftprep.library import GadgetLibrary
+from ftprep.noise import build_effect_tables
 from ftprep.pipeline import build_preparation_circuit
 from ftprep.serialization import serialize_circuit
 
@@ -74,15 +78,17 @@ def _assembly(asm: AssembledCircuit, circ: Circuit, code: str, label: str) -> li
 
 def _assemblies(library: GadgetLibrary) -> dict[str, object]:
     outputs: dict[str, object] = {}
+    circuits = []
     for name in catalog_names():
         for label in ("|0>", "|+>"):
+            state = get_state(name, label)
             prep = build_preparation_circuit(
-                get_state(name, label), library, bip_trials=100, assembly_candidates=4,
-                shuffles=50, seed=9,
+                state, library, bip_trials=100, assembly_candidates=4, shuffles=50, seed=9
             )
             outputs[f"assemble.criterion_10[{name},{label}]"] = _assembly(
                 prep.assembled, prep.circuit, name, label
             )
+            circuits.append((f"{name},{label}", prep.circuit, state))
     for name in catalog_names():
         state = get_state(name)
         asm = assemble_ft_circuit(state, best_of_trials(state, 20, 3), library, seed=5, width_anneal=2_000)
@@ -95,6 +101,13 @@ def _assemblies(library: GadgetLibrary) -> dict[str, object]:
     )
     circ = schedule_circuit(asm, "min_max_qubits", shuffles=10_000, seed=3)
     outputs["assemble.criterion_8"] = _assembly(asm, circ, "golay", "|0>")
+    for key, circ, state in circuits:
+        for side in ("X", "Z"):
+            tables = build_effect_tables(circ, state, side)
+            outputs[f"noise.effect_tables[{key},{side}]"] = [
+                tables.synd_bits, tables.class_bits, tables.l_p, tables.l_q,
+                tables.flags.tolist(), tables.sc.tolist(),
+            ]
     return outputs
 
 

@@ -429,6 +429,10 @@ def test_incremental_width_matches_full_recompute(library, name, t_z):
         profile = _full_profile(edges, windows, model.order)
         assert _fields(model) == profile
         assert model.width == model.peak(0) == model.peak(model.width) == max(profile)
+        # Each window's share is its events summed at its current slots.
+        for w, slots in enumerate(model.slots):
+            assert model.part[w] == sum(table[slots[r]] for r, table in model.events[w])
+        assert model.W == sum(model.part)
 
     check_profile()
 
@@ -443,7 +447,10 @@ def test_incremental_width_matches_full_recompute(library, name, t_z):
         i, j = rng.integers(0, len(edges), size=2).tolist()
         if i == j:
             continue
-        before = (list(model.order), list(model.pos), model.W, model.width, [list(s) for s in model.slots])
+        before = (
+            list(model.order), list(model.pos), model.W, model.width, [list(s) for s in model.slots],
+            list(model.part),
+        )
         ei, ej = model.order[i], model.order[j]
         old = (ranks(ei), ranks(ej))
         w = model.swap(i, j)
@@ -451,14 +458,14 @@ def test_incremental_width_matches_full_recompute(library, name, t_z):
         check_profile()
         assert model.slots == sorted_slots()
         # A window holding exactly one of the two edges moves its slot,
-        # keeping its rank (one slot edited) or changing it.
+        # keeping its rank or changing it; both kinds of move must occur.
         for e, was, other in ((ei, old[0], ej), (ej, old[1], ei)):
             for win, r in ranks(e).items():
                 if win not in model.windows_of[other]:
                     moves["kept" if r == was[win] else "changed"] += 1
         if rng.random() < 0.5:
             model.undo()
-            assert (model.order, model.pos, model.W, model.width, model.slots) == before
+            assert (model.order, model.pos, model.W, model.width, model.slots, model.part) == before
             assert model.slots == sorted_slots()
             check_profile()
         assert [model.order[p] for p in model.pos] == list(range(len(edges)))

@@ -379,7 +379,8 @@ def test_lut_mw_command(tmp_path, capsys):
     assert rc == 0
     assert "2047 syndromes" in capsys.readouterr().out
     # Syndrome 0 is the empty error's, so Steane has 7 rows at any w_max.
-    rc = main(["lut-mw", "--code", "steane", "--wmax", "3"])
+    with pytest.warns(UserWarning, match="exceeds the distance guarantee of steane"):
+        rc = main(["lut-mw", "--code", "steane", "--wmax", "3"])
     assert rc == 0
     assert "7 syndromes" in capsys.readouterr().out
     # A negative weight is a usage error, not an empty table.
